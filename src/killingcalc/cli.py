@@ -4,12 +4,13 @@ Every subcommand runs a family of checks at the requested sizes,
 prints one PASS/FAIL line per check, and optionally writes a versioned
 JSON report (see docs/report_schema.md).  Reports are deterministic:
 checks are sorted by id, arguments are echoed in normalized form, and
-wall times are recorded only when --timings is given.  With --jobs the
-checks run concurrently but the report order never changes.
+wall times are recorded only when --timings is given.  Checks run one
+after another in the calling thread.
 
 Exit status: 0 when every check passes, 1 when any check fails (the
 first failing id goes to stderr), 2 for usage and input errors,
-including oversized requests and malformed JSON documents.
+including --n below 2, --ell below 1, oversized requests and malformed
+JSON documents.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from killingcalc.fields import (
@@ -56,15 +56,22 @@ SCHEMA_VERSION = 1
 __all__ = ["main", "SCHEMA_VERSION"]
 
 
-def _parse_range(text: str) -> list[int]:
-    """'4' -> [4]; '2..5' -> [2, 3, 4, 5]."""
+def _parse_range(text: str, minimum: int = 1) -> list[int]:
+    """'4' -> [4]; '2..5' -> [2, 3, 4, 5]; values below minimum are rejected."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise argparse.ArgumentTypeError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    if lo < minimum:
+        raise argparse.ArgumentTypeError(f"values must be at least {minimum}, got {text!r}")
+    return list(range(lo, hi + 1))
+
+
+def _n_range(text: str) -> list[int]:
+    return _parse_range(text, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +316,9 @@ def _jobs_christoffel(n_values):
 # ---------------------------------------------------------------------------
 # execution and report assembly
 
-def _run_jobs(jobs, workers: int, with_timings: bool):
-    def run_one(job):
-        cid, inputs, thunk = job
+def _run_jobs(jobs, with_timings: bool):
+    checks = []
+    for cid, inputs, thunk in jobs:
         t0 = time.perf_counter()
         computed, predicted = thunk()
         seconds = time.perf_counter() - t0
@@ -324,13 +331,7 @@ def _run_jobs(jobs, workers: int, with_timings: bool):
         }
         if with_timings:
             check["seconds"] = round(seconds, 6)
-        return check
-
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            checks = list(pool.map(run_one, jobs))
-    else:
-        checks = [run_one(j) for j in jobs]
+        checks.append(check)
     return sorted(checks, key=lambda c: c["id"])
 
 
@@ -369,25 +370,25 @@ def _pairs(n_values, ell_values):
 
 def _cmd_verify_key(args) -> int:
     jobs = _jobs_key(args.n)
-    checks = _run_jobs(jobs, args.jobs, args.timings)
+    checks = _run_jobs(jobs, args.timings)
     return _emit(args, "verify-key", {"n": args.n}, checks)
 
 
 def _cmd_complex(args) -> int:
     jobs = _jobs_complex(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.jobs, args.timings)
+    checks = _run_jobs(jobs, args.timings)
     return _emit(args, "complex", {"n": args.n, "ell": args.ell}, checks)
 
 
 def _cmd_kostant(args) -> int:
     jobs = _jobs_kostant(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.jobs, args.timings)
+    checks = _run_jobs(jobs, args.timings)
     return _emit(args, "kostant", {"n": args.n, "ell": args.ell}, checks)
 
 
 def _cmd_killing(args) -> int:
     jobs = _jobs_killing(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.jobs, args.timings)
+    checks = _run_jobs(jobs, args.timings)
     return _emit(args, "killing", {"n": args.n, "ell": args.ell}, checks)
 
 
@@ -438,13 +439,13 @@ def _cmd_suite(args) -> int:
     jobs += _jobs_injectivity(pairs)
     jobs += _jobs_graded(pairs)
     jobs += _jobs_christoffel(args.n)
-    checks = _run_jobs(jobs, args.jobs, args.timings)
+    checks = _run_jobs(jobs, args.timings)
     return _emit(args, "suite", {"n": args.n, "ell": args.ell}, checks)
 
 
 def _add_common(sub, with_ell: bool) -> None:
     sub.add_argument(
-        "--n", type=_parse_range, required=True,
+        "--n", type=_n_range, required=True,
         help="base dimension, a value like 3 or a range like 2..4",
     )
     if with_ell:
@@ -456,10 +457,6 @@ def _add_common(sub, with_ell: bool) -> None:
     sub.add_argument(
         "--timings", action="store_true",
         help="record wall times in the report (breaks byte-identity)",
-    )
-    sub.add_argument(
-        "--jobs", type=int, default=1,
-        help="number of concurrent checks (report order is unaffected)",
     )
 
 

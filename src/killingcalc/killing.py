@@ -21,8 +21,8 @@ pinned to zero so the answer is deterministic and small.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 
 from killingcalc.fields import (
@@ -118,17 +118,9 @@ def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTen
     return PolyTensorField(n, arity, comps)
 
 
-_OPERATOR_CACHE: dict = {}
-_LOCK = threading.Lock()
-
-
+@cache
 def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     """Degree-ell operator on coefficient vectors, columns = inputs."""
-    key = (n, ell, max_degree)
-    with _LOCK:
-        hit = _OPERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     out_coords = symmetric_coordinates(n, ell + 1, max_degree - 1)
     out_pos = {c: i for i, c in enumerate(out_coords)}
     cols = []
@@ -139,10 +131,7 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
             for m, v in image.at(*okey).terms.items():
                 col[out_pos[(okey, m)]] = v
         cols.append(col)
-    m = ExactMatrix.from_columns(cols, len(out_coords))
-    with _LOCK:
-        _OPERATOR_CACHE[key] = m
-    return m
+    return ExactMatrix.from_columns(cols, len(out_coords))
 
 
 def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
@@ -188,14 +177,10 @@ def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
     return PolyTensorField(n, 4, comps)
 
 
+@cache
 def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
     """Obstruction on symmetric 2-tensor coefficients; rows are raw
     (index tuple, monomial) coordinates of the arity-4 output."""
-    key = ("N", n, max_degree)
-    with _LOCK:
-        hit = _OPERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     out_deg = max(max_degree - 2, 0)
     mons = monomials(n, out_deg)
     mpos = {m: i for i, m in enumerate(mons)}
@@ -209,11 +194,7 @@ def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
             for m, v in s.terms.items():
                 col[base * len(mons) + mpos[m]] = v
         cols.append(col)
-    nrows = (n ** 4) * len(mons)
-    m = ExactMatrix.from_columns(cols, nrows)
-    with _LOCK:
-        _OPERATOR_CACHE[key] = m
-    return m
+    return ExactMatrix.from_columns(cols, (n ** 4) * len(mons))
 
 
 def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
@@ -266,9 +247,7 @@ class KillingPotentialResult:
         return f"KillingPotentialResult({tag})"
 
 
-_SOLVER_CACHE: dict = {}
-
-
+@cache
 def _potential_transform(n: int, degree: int):
     """Row-reduced augmented system for the arity-1 operator at this degree.
 
@@ -276,19 +255,11 @@ def _potential_transform(n: int, degree: int):
     [A | I]).  The identity block records the row operations, so one
     reduction serves every right-hand side of the same shape.
     """
-    key = (n, degree)
-    with _LOCK:
-        hit = _SOLVER_CACHE.get(key)
-    if hit is not None:
-        return hit
     a = _operator_matrix(n, 1, degree)
     aug = a.hstack(ExactMatrix.identity(a.rows))
     pivots, r = rref(aug)
     a_pivots = [p for p in pivots if p < a.cols]
-    out = (a.cols, a_pivots, r)
-    with _LOCK:
-        _SOLVER_CACHE[key] = out
-    return out
+    return a.cols, a_pivots, r
 
 
 def killing_potential_solve(

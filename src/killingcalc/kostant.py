@@ -28,18 +28,23 @@ over n.  That comparison is the branching check.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
 from math import comb
 
 from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.matrix import ExactMatrix
-from killingcalc.prolong import DEFAULT_CAP, CapExceeded, build_T, predicted_cohomology
+from killingcalc.prolong import (
+    _check_args,
+    _guard_cap,
+    _psubsets,
+    build_T,
+    predicted_cohomology,
+)
 from killingcalc.symspace import embed, extract, replace_matrix
 from killingcalc.tensor import Tensor
-from killingcalc.young import SubspaceBasis, YoungDiagram, gl_dimension, realize_irreducible, weyl_dimension
+from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible, weyl_dimension
 
 __all__ = [
     "GradedSL",
@@ -127,29 +132,15 @@ class VModule:
         return self.basis.dim
 
 
-def _check_args(n: int, ell: int) -> None:
-    if n < 2:
-        raise ValueError("base dimension must be at least 2")
-    if ell < 1:
-        raise ValueError("valence must be at least 1")
-
-
-_V_CACHE: dict = {}
-_LOCK = threading.Lock()
-
-
 def _ones_count(key) -> int:
     return sum(part.count(1) for part in key)
 
 
+@cache
 def build_V(n: int, ell: int) -> VModule:
     """Realize the module and the column action matrices, with closure
     and grading checks."""
     _check_args(n, ell)
-    with _LOCK:
-        hit = _V_CACHE.get((n, ell))
-    if hit is not None:
-        return hit
     basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1, "symmetric-pair")
     space = basis.space
     solver = basis.solver
@@ -175,10 +166,7 @@ def build_V(n: int, ell: int) -> VModule:
         if len(counts) != 1:
             raise RuntimeError("basis vector mixes grading weights")
         grades.append(counts.pop())
-    module = VModule(n, ell, basis, tuple(actions), tuple(grades))
-    with _LOCK:
-        _V_CACHE[(n, ell)] = module
-    return module
+    return VModule(n, ell, basis, tuple(actions), tuple(grades))
 
 
 def module_action(module: VModule, r: int, s: int, v: Tensor) -> Tensor:
@@ -195,10 +183,6 @@ def module_action(module: VModule, r: int, s: int, v: Tensor) -> Tensor:
     amb = replace_matrix(space, s, r)
     out = amb.apply({i: c for i, c in enumerate(coords) if c})
     return embed(space, [out.get(i, Fraction(0)) for i in range(space.dim)])
-
-
-def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
-    return list(combinations(range(1, n + 1), p))
 
 
 def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
@@ -226,16 +210,6 @@ def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
             for (r, c), v in module.actions[i - 1].entries.items():
                 entries[(row0 + r, col0 + c)] = sign * v
     return ExactMatrix(len(target) * dim, cols, entries)
-
-
-def _guard_cap(n: int, ell: int, cap: int | None) -> None:
-    cap = DEFAULT_CAP if cap is None else cap
-    total = (2 ** n) * gl_dimension(YoungDiagram((ell, ell)), n + 1)
-    if total > cap:
-        raise CapExceeded(
-            f"module complex for n={n}, ell={ell} has total dimension {total}, "
-            f"cap is {cap}"
-        )
 
 
 def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:

@@ -2,10 +2,9 @@
 
 ``ExactMatrix`` stores only nonzero entries and is treated as immutable
 by every function here.  All eliminations go through the integer kernel
-selected in :mod:`killingcalc.elim`: rows are cleared of denominators,
-reduced fraction-free, and converted back, so results are exact and the
-reduced echelon form (hence ranks, kernels and solutions) is canonical
-regardless of backend.
+in :mod:`killingcalc.elim`: rows are cleared of denominators, reduced
+fraction-free, and converted back, so results are exact and the reduced
+echelon form (hence ranks, kernels and solutions) is canonical.
 """
 
 from __future__ import annotations

@@ -27,9 +27,9 @@ full differential.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -83,18 +83,10 @@ def _check_args(n: int, ell: int) -> None:
         raise ValueError("valence must be at least 1")
 
 
-_T_CACHE: dict = {}
-_COEFF_CACHE: dict = {}
-_LOCK = threading.Lock()
-
-
+@cache
 def build_T(n: int, ell: int) -> ProlongationSpace:
     """Component bases of the prolongation space, checked against hooks."""
     _check_args(n, ell)
-    with _LOCK:
-        hit = _T_CACHE.get((n, ell))
-    if hit is not None:
-        return hit
     comps = [realize_irreducible(YoungDiagram((ell,)), n, "row")]
     for k in range(1, ell + 1):
         comps.append(
@@ -106,11 +98,10 @@ def build_T(n: int, ell: int) -> ProlongationSpace:
         raise RuntimeError(
             f"prolongation components sum to {space.total_dim}, expected {expected}"
         )
-    with _LOCK:
-        _T_CACHE[(n, ell)] = space
     return space
 
 
+@cache
 def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
     """Coefficient matrix of index fixing, per (component k >= 1, value a).
 
@@ -119,10 +110,6 @@ def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
     first-group index fixed to a.  Each matrix is verified exactly
     against the value-coordinate computation.
     """
-    with _LOCK:
-        hit = _COEFF_CACHE.get((n, ell))
-    if hit is not None:
-        return hit
     space = build_T(n, ell)
     out: dict[tuple[int, int], ExactMatrix] = {}
     for k in range(1, ell + 1):
@@ -142,8 +129,6 @@ def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
                     }
                 )
             out[(k, a)] = ExactMatrix.from_columns(cols, lower.dim)
-    with _LOCK:
-        _COEFF_CACHE[(n, ell)] = out
     return out
 
 
@@ -269,8 +254,11 @@ class CohomologyReport:
 
 
 def _guard_cap(n: int, ell: int, cap: int | None) -> None:
+    """Refuse complexes whose cochains, summed over all degrees, exceed
+    the cap; checked before anything is realized."""
+    _check_args(n, ell)
     cap = DEFAULT_CAP if cap is None else cap
-    total = (2 ** n) * build_T(n, ell).total_dim
+    total = (2 ** n) * gl_dimension(YoungDiagram((ell, ell)), n + 1)
     if total > cap:
         raise CapExceeded(
             f"complex for n={n}, ell={ell} has total dimension {total}, "

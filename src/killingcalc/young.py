@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import json
 import os
-import threading
+import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from killingcalc.matrix import ColumnSolver, ExactMatrix, kernel_basis
 from killingcalc.symspace import (
@@ -228,22 +229,28 @@ def _realize(d: YoungDiagram, n: int, presentation: str) -> SubspaceBasis:
     raise ValueError(f"unknown presentation {presentation!r}")
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
-def clear_realization_cache() -> None:
-    with _CACHE_LOCK:
-        _CACHE.clear()
-
-
 def _disk_cache_path(key) -> str | None:
     root = os.environ.get("KILLINGCALC_CACHE_DIR")
     if not root:
         return None
     rows, n, kind = key
-    name = f"basis_{'-'.join(map(str, rows))}_{n}_{kind}.json"
+    name = f"basis_v1_{'-'.join(map(str, rows))}_{n}_{kind}.json"
     return os.path.join(root, name)
+
+
+def _write_atomically(path: str, payload: dict) -> None:
+    """Write through a temporary file unique to this writer, then rename,
+    so concurrent writers and readers only ever see complete files."""
+    root = os.path.dirname(path) or "."
+    os.makedirs(root, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def realize_irreducible(
@@ -251,20 +258,19 @@ def realize_irreducible(
 ) -> SubspaceBasis:
     """Basis of the symmetry class of shape d inside the tensor power.
 
-    Results are memoized per (shape, n, presentation); the cache is
-    transparent since every construction path is deterministic.  Set
-    KILLINGCALC_CACHE_DIR to also persist coordinate bases on disk.
+    Results are memoized per (shape, n, resolved presentation), so
+    ``"auto"`` and the presentation it picks share one basis object; the
+    memo is transparent since every construction path is deterministic.
+    Set KILLINGCALC_CACHE_DIR to also persist coordinate bases on disk.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
-    kind = _resolve_presentation(d, presentation)
-    key = (d.rows, n, kind)
-    with _CACHE_LOCK:
-        hit = _CACHE.get(key)
-    if hit is not None:
-        return hit
-    path = _disk_cache_path(key)
-    result = None
+    return _realize_memo(d, n, _resolve_presentation(d, presentation))
+
+
+@cache
+def _realize_memo(d: YoungDiagram, n: int, kind: str) -> SubspaceBasis:
+    path = _disk_cache_path((d.rows, n, kind))
     if path and os.path.exists(path):
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -272,24 +278,20 @@ def realize_irreducible(
             n, [Group(k, s) for k, s in payload["groups"]]
         )
         result = SubspaceBasis(space, ExactMatrix.from_json_dict(payload["coord_basis"]))
-    if result is None:
+    else:
         result = _realize(d, n, kind)
         if path:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            payload = {
+            _write_atomically(path, {
                 "groups": [[g.kind, g.size] for g in result.space.groups],
                 "coord_basis": result.coord_basis.to_json_dict(),
-            }
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp, path)
+            })
     expected = gl_dimension(d, n)
     if result.dim != expected:
         raise RuntimeError(
             f"realization of {d.rows} over n={n} produced {result.dim} basis "
             f"columns, hook content gives {expected}"
         )
-    with _CACHE_LOCK:
-        _CACHE[key] = result
     return result
+
+
+clear_realization_cache = _realize_memo.cache_clear

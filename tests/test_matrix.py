@@ -57,6 +57,13 @@ def test_rank_matches_sympy():
         m = rand_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
         sm = sympy.Matrix(m.rows, m.cols, lambda r, c: sympy.Rational(m.at(r, c)))
         assert rank(m) == sm.rank()
+        # full output: pivots and the reduced matrix, zero rows dropped
+        pivots, r = rref(m)
+        sred, spivots = sm.rref()
+        assert tuple(pivots) == spivots
+        assert [[sympy.Rational(x) for x in row] for row in r.dense()] == [
+            list(sred.row(i)) for i in range(len(spivots))
+        ]
 
 
 def test_kernel_vectors_annihilated():

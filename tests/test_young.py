@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
+from killingcalc import young
 from killingcalc.symspace import extract
 from killingcalc.tensor import antisymmetrize, symmetrize
 from killingcalc.young import (
@@ -159,6 +161,26 @@ def test_disk_cache_round_trip(tmp_path, monkeypatch):
     b = realize_irreducible(YoungDiagram((2, 1)), 3)  # served from disk
     assert b.coord_basis == a.coord_basis
     assert b.dim == a.dim
+    clear_realization_cache()
+
+
+def test_disk_cache_ignores_stale_temporary_path(tmp_path, monkeypatch):
+    # a leftover at the old shared "<name>.json.tmp" path (here a directory,
+    # which cannot be opened for writing) must not block the write
+    monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
+    path = young._disk_cache_path(((2, 1), 3, "symmetric-pair"))
+    os.mkdir(path + ".tmp")
+    clear_realization_cache()
+    a = realize_irreducible(YoungDiagram((2, 1)), 3)
+    assert os.path.isfile(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [os.path.basename(path), os.path.basename(path) + ".tmp"]
+    )
+    clear_realization_cache()
+    b = realize_irreducible(YoungDiagram((2, 1)), 3)  # served from disk
+    assert b is not a
+    assert b.coord_basis == a.coord_basis
+    assert b.space.groups == a.space.groups
     clear_realization_cache()
 
 
