@@ -33,7 +33,7 @@ from killingcalc.fields import (
     riemann,
     _s_mul,
 )
-from killingcalc.matrix import ExactMatrix, kernel_basis
+from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T
 from killingcalc.symspace import extract
@@ -286,4 +286,4 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
                             col[rid] = col.get(rid, Fraction(0)) + v
                 cols.append(col)
     m = ExactMatrix.from_columns(cols, len(row_pos))
-    return len(kernel_basis(m))
+    return m.cols - rank(m)

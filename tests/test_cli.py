@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import cli
+from killingcalc import cli, kostant, prolong
+from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
 
 
@@ -47,6 +48,46 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     main(["kostant", "--n", "2..3", "--ell", "1", "--output", str(b)])
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["complex", "kostant"])
+def test_range_runs_match_single_pair_runs(command, tmp_path, capsys):
+    """Each (n, ell) of a range gets its own numbers, not another pair's."""
+    def checks(n, ell):
+        path = tmp_path / f"{n}-{ell}.json"
+        assert main([command, "--n", n, "--ell", ell, "--output", str(path)]) == 0
+        rep = json.loads(path.read_text())
+        return {c["id"]: (c["computed"], c["predicted"], c["verdict"]) for c in rep["checks"]}
+
+    single = {}
+    for n in ("2", "3"):
+        for ell in ("1", "2"):
+            single.update(checks(n, ell))
+    capsys.readouterr()
+    assert checks("2..3", "1..2") == single
+    assert len(single) == 4 * (3 if command == "complex" else 4)
+
+
+@pytest.mark.parametrize(
+    "command, module", [("complex", prolong), ("kostant", kostant)]
+)
+def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsys):
+    calls = {"cohomology_dims": 0, "composites_vanish": 0}
+    dims, vanish = module.cohomology_dims, ChainComplex.composites_vanish
+
+    def counted_dims(cx):
+        calls["cohomology_dims"] += 1
+        return dims(cx)
+
+    def counted_vanish(cx):
+        calls["composites_vanish"] += 1
+        return vanish(cx)
+
+    monkeypatch.setattr(module, "cohomology_dims", counted_dims)
+    monkeypatch.setattr(ChainComplex, "composites_vanish", counted_vanish)
+    assert main([command, "--n", "3", "--ell", "2"]) == 0
+    capsys.readouterr()
+    assert calls == {"cohomology_dims": 1, "composites_vanish": 1}
 
 
 def test_timings_flag_adds_seconds(tmp_path, capsys):

@@ -66,6 +66,51 @@ def test_rank_matches_sympy():
         ]
 
 
+def _planted_block_diagonal(rng, shapes, rows, cols):
+    """Blocks of the given shapes and deficient ranks, laid out along the
+    diagonal of a rows x cols matrix, then permuted on both sides.
+    Rows and columns past the blocks stay empty."""
+    row_perm, col_perm = list(range(rows)), list(range(cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    entries = {}
+    r0 = c0 = 0
+    for h, w in shapes:
+        inner = rng.randint(1, min(h, w))
+        block = rand_matrix(rng, h, inner) * rand_matrix(rng, inner, w)
+        for (r, c), v in block.entries.items():
+            entries[(row_perm[r0 + r], col_perm[c0 + c])] = v
+        r0, c0 = r0 + h, c0 + w
+    return ExactMatrix(rows, cols, entries)
+
+
+def test_rank_on_permuted_block_diagonal_matrices():
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    rng = random.Random(41)
+    cases = [
+        ExactMatrix.zero(4, 6),
+        ExactMatrix.zero(0, 5),
+        ExactMatrix.zero(5, 0),
+        ExactMatrix.zero(0, 0),
+        rand_matrix(rng, 7, 9, density=1.0),  # a single component
+    ]
+    for _ in range(30):
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+        rows = sum(h for h, _ in shapes) + rng.randint(0, 3)
+        cols = sum(w for _, w in shapes) + rng.randint(0, 3)
+        cases.append(_planted_block_diagonal(rng, shapes, rows, cols))
+    for m in cases:
+        r = rank(m)
+        assert r == len(rref(m)[0])
+        assert r == rank(m.transpose())
+        if sympy is not None:
+            sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.at(i, j)))
+            assert r == sm.rank()
+
+
 def test_kernel_vectors_annihilated():
     rng = random.Random(5)
     for _ in range(20):

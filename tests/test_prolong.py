@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from killingcalc import prolong
+from killingcalc.kostant import koszul_complex
+from killingcalc.matrix import rank, rref
 from killingcalc.prolong import (
     CapExceeded,
     build_T,
@@ -57,6 +60,29 @@ def test_partial_shapes():
     m = build_partial(3, 2, 1)
     cx = full_complex(3, 2)
     assert (m.rows, m.cols) == (cx.spaces[2], cx.spaces[1])
+
+
+def test_block_rank_matches_full_rref_on_every_complex(monkeypatch):
+    """rank reduces each block of the nonzero pattern on its own; on every
+    map of the flat, Koszul and graded diagonal complexes at the sizes the
+    tests use, it must equal the pivot count of the full reduction."""
+    original = prolong.cohomology_dims
+    graded_maps = []
+
+    def spy(cx):
+        graded_maps.extend(cx.maps)
+        return original(cx)
+
+    monkeypatch.setattr(prolong, "cohomology_dims", spy)
+    for n in (2, 3, 4):
+        for ell in (1, 2, 3):
+            graded_maps.clear()
+            for d in range(ell, n + 2 * ell + 1):
+                graded_diagonal_complex(n, ell, d)
+            assert graded_maps
+            maps = full_complex(n, ell).maps + koszul_complex(n, ell).maps
+            for m in maps + tuple(graded_maps):
+                assert rank(m) == len(rref(m)[0]), (n, ell, m)
 
 
 def test_partial_rank_matches_sympy():
