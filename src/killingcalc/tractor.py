@@ -33,7 +33,9 @@ from killingcalc.fields import (
     riemann,
     _s_mul,
 )
-from killingcalc.matrix import ExactMatrix, rank
+# kernel_basis is unused here but stays importable from this module:
+# perfbench/selftest.py checks that its tracer rebinds this import site.
+from killingcalc.matrix import ExactMatrix, kernel_basis, rank  # noqa: F401
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T
 from killingcalc.symspace import extract
