@@ -17,6 +17,24 @@ which annihilates every symmetrized gradient; a nonzero N value is a
 concrete certificate that no potential exists.  When N vanishes the
 potential is recovered by a cached linear solve, free coefficients
 pinned to zero so the answer is deterministic and small.
+
+The operator matrices are written entry by entry from closed-form
+coefficient rules; no field is built for them.
+
+* Symmetrized gradient, degree ell: input coordinate (K, alpha) goes,
+  for each direction c with alpha_c > 0, to (sorted(K + c), alpha - e_c)
+  with value (mult_K(c) + 1) * alpha_c / (ell + 1).  Averaging the
+  derivative over the ell + 1 slots, the arrangements with c in the
+  derivative slot number (mult_K(c) + 1) * ell!.
+* Obstruction: the unit tensor with x^alpha at (i, j) and (j, i) is
+  differentiated twice; d_p d_q x^alpha = coef * x^beta of entry (u, v)
+  adds +coef at (p, u, q, v), -coef at (u, p, q, v), -coef at
+  (p, u, v, q) and +coef at (u, p, v, q), one for each term of N.  Rows
+  are the index tuples (a, b, c, d) in lexicographic order, each
+  followed by the monomials of degree <= D - 2.
+* The composite N(sym d X) is the product of the two matrices above,
+  built independently, so its vanishing is an exact check of N o sym d
+  = 0 and not a property of either construction.
 """
 
 from __future__ import annotations
@@ -24,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations
+from math import comb
 
 from killingcalc.fields import (
     PolyTensorField,
@@ -32,11 +51,14 @@ from killingcalc.fields import (
 )
 from killingcalc.matrix import ExactMatrix, kernel_basis, rref
 from killingcalc.poly import PolyScalar, monomials
+from killingcalc.prolong import DEFAULT_CAP, CapExceeded, _check_args
+from killingcalc.young import YoungDiagram, gl_dimension
 
 __all__ = [
     "killing_operator",
     "higher_killing_operator",
     "killing_kernel",
+    "guard_killing_cap",
     "symmetric_coordinates",
     "field_coefficient_vector",
     "field_from_coefficients",
@@ -82,6 +104,19 @@ def symmetric_coordinates(n: int, arity: int, max_degree: int):
     return [(key, m) for key in _sym_keys(n, arity) for m in mons]
 
 
+@cache
+def _coordinate_positions(n: int, arity: int, max_degree: int):
+    """Position maps of ``symmetric_coordinates``: (key -> key index,
+    monomial -> monomial index, monomials per key); the coordinate
+    (key, m) sits at key index * monomials per key + monomial index."""
+    mons = monomials(n, max_degree)
+    return (
+        {key: i for i, key in enumerate(_sym_keys(n, arity))},
+        {m: i for i, m in enumerate(mons)},
+        len(mons),
+    )
+
+
 def field_coefficient_vector(f: PolyTensorField, max_degree: int):
     """Coefficients of a symmetric polynomial field on the standard coords."""
     if f.rational:
@@ -89,17 +124,15 @@ def field_coefficient_vector(f: PolyTensorField, max_degree: int):
     _require_symmetric(f)
     if f.degree() > max_degree:
         raise ValueError("field degree exceeds the requested bound")
-    out = []
-    for key, m in symmetric_coordinates(f.n, f.arity, max_degree):
-        out.append(f.at(*key).terms.get(m, Fraction(0)))
+    key_pos, mon_pos, per_key = _coordinate_positions(f.n, f.arity, max_degree)
+    out = [Fraction(0)] * (len(key_pos) * per_key)
+    for idx, s in f.comps.items():
+        base = key_pos.get(idx)
+        if base is None:
+            continue  # an unsorted copy of a stored sorted key
+        for m, v in s.terms.items():
+            out[base * per_key + mon_pos[m]] = v
     return out
-
-
-def _symmetric_unit_field(n: int, arity: int, key, mono) -> PolyTensorField:
-    p = PolyScalar(n, {mono: Fraction(1)})
-    return PolyTensorField(
-        n, arity, {perm: p for perm in set(permutations(key))}
-    )
 
 
 def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTensorField:
@@ -120,18 +153,22 @@ def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTen
 
 @cache
 def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
-    """Degree-ell operator on coefficient vectors, columns = inputs."""
-    out_coords = symmetric_coordinates(n, ell + 1, max_degree - 1)
-    out_pos = {c: i for i, c in enumerate(out_coords)}
-    cols = []
-    for ckey, mono in symmetric_coordinates(n, ell, max_degree):
-        image = higher_killing_operator(_symmetric_unit_field(n, ell, ckey, mono))
-        col: dict[int, Fraction] = {}
-        for okey in _sym_keys(n, ell + 1):
-            for m, v in image.at(*okey).terms.items():
-                col[out_pos[(okey, m)]] = v
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, len(out_coords))
+    """Degree-ell operator on coefficient vectors, columns = inputs;
+    entries by the symmetrized-gradient rule of the module docstring."""
+    key_pos, mon_pos, per_key = _coordinate_positions(n, ell + 1, max_degree - 1)
+    mons = monomials(n, max_degree)
+    entries: dict = {}
+    col = 0
+    for key in _sym_keys(n, ell):
+        for mono in mons:
+            for c in range(1, n + 1):
+                a = mono[c - 1]
+                if a:
+                    lower = mono[: c - 1] + (a - 1,) + mono[c:]
+                    row = key_pos[tuple(sorted(key + (c,)))] * per_key + mon_pos[lower]
+                    entries[(row, col)] = Fraction((key.count(c) + 1) * a, ell + 1)
+            col += 1
+    return ExactMatrix(len(key_pos) * per_key, col, entries)
 
 
 def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
@@ -150,6 +187,28 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
         field_from_coefficients(n, ell, max_degree, vec)
         for vec in kernel_basis(m)
     ]
+
+
+def guard_killing_cap(n: int, ell: int, cap: int | None = None) -> int:
+    """Refuse a killing-family size whose largest system has more columns
+    than the cap; returns that column count.  Closed forms only, so it
+    runs before anything is realized: the parallel-section system has
+    dim T * |monomials(n, ell)| columns, dim T the hook-content dimension
+    of (ell, ell) over n + 1, and the degree-bound kernel
+    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.
+    """
+    _check_args(n, ell)
+    cap = DEFAULT_CAP if cap is None else cap
+    columns = max(
+        gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n),
+        comb(n + ell - 1, ell) * comb(n + ell + 2, n),
+    )
+    if columns > cap:
+        raise CapExceeded(
+            f"killing checks for n={n}, ell={ell} build a system with "
+            f"{columns} columns, cap is {cap}"
+        )
+    return columns
 
 
 def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
@@ -177,24 +236,50 @@ def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
     return PolyTensorField(n, 4, comps)
 
 
+def _second_derivatives(mono):
+    """(p, q, coefficient, exponent) of every nonzero d_p d_q x^mono."""
+    n = len(mono)
+    out = []
+    for p in range(1, n + 1):
+        for q in range(1, n + 1):
+            lower = list(mono)
+            coef = lower[p - 1]
+            lower[p - 1] -= 1
+            coef *= lower[q - 1]
+            lower[q - 1] -= 1
+            if coef:
+                out.append((p, q, coef, tuple(lower)))
+    return out
+
+
 @cache
 def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
-    """Obstruction on symmetric 2-tensor coefficients; rows are raw
-    (index tuple, monomial) coordinates of the arity-4 output."""
-    out_deg = max(max_degree - 2, 0)
-    mons = monomials(n, out_deg)
+    """Obstruction on symmetric 2-tensor coefficients, by the rule of the
+    module docstring; rows are (a, b, c, d) in lexicographic order, then
+    the monomials of degree <= max(max_degree - 2, 0)."""
+    mons = monomials(n, max(max_degree - 2, 0))
     mpos = {m: i for i, m in enumerate(mons)}
-    idx_pos: dict = {}
-    cols = []
-    for ckey, mono in symmetric_coordinates(n, 2, max_degree):
-        image = integrability_operator(_symmetric_unit_field(n, 2, ckey, mono))
-        col: dict[int, Fraction] = {}
-        for idx, s in image.comps.items():
-            base = idx_pos.setdefault(idx, len(idx_pos))
-            for m, v in s.terms.items():
-                col[base * len(mons) + mpos[m]] = v
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, (n ** 4) * len(mons))
+    entries: dict = {}
+    col = 0
+    for (i, j), mono in symmetric_coordinates(n, 2, max_degree):
+        derivs = _second_derivatives(mono)
+        acc: dict = {}
+        for u, v in {(i, j), (j, i)}:
+            for p, q, coef, lower in derivs:
+                for (a, b, c, d), sign in (
+                    ((p, u, q, v), 1),
+                    ((u, p, q, v), -1),
+                    ((p, u, v, q), -1),
+                    ((u, p, v, q), 1),
+                ):
+                    idx = (((a - 1) * n + b - 1) * n + c - 1) * n + d - 1
+                    r = idx * len(mons) + mpos[lower]
+                    acc[r] = acc.get(r, 0) + sign * coef
+        for r, value in acc.items():
+            if value:
+                entries[(r, col)] = Fraction(value)
+        col += 1
+    return ExactMatrix((n ** 4) * len(mons), col, entries)
 
 
 def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
@@ -208,28 +293,13 @@ def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
 
 
 def integrability_of_killing_matrix(n: int, max_degree: int) -> ExactMatrix:
-    """Matrix of the composite obstruction-after-symmetrized-gradient."""
-    out_deg = max(max_degree - 3, 0)
-    mons = monomials(n, out_deg)
-    mpos = {m: i for i, m in enumerate(mons)}
-    cols = []
-    idx_all = [
-        (a, b, c, d)
-        for a in range(1, n + 1)
-        for b in range(1, n + 1)
-        for c in range(1, n + 1)
-        for d in range(1, n + 1)
-    ]
-    idx_pos = {idx: i for i, idx in enumerate(idx_all)}
-    for ckey, mono in symmetric_coordinates(n, 1, max_degree):
-        X = _symmetric_unit_field(n, 1, ckey, mono)
-        image = integrability_operator(killing_operator(X))
-        col: dict[int, Fraction] = {}
-        for idx, s in image.comps.items():
-            for m, v in s.terms.items():
-                col[idx_pos[idx] * len(mons) + mpos[m]] = v
-        cols.append(col)
-    return ExactMatrix.from_columns(cols, len(idx_all) * len(mons))
+    """Matrix of the composite obstruction-after-symmetrized-gradient.
+
+    The product of the two independently built operator matrices; it is
+    zero exactly when the obstruction annihilates every symmetrized
+    gradient of degree <= max_degree (max_degree >= 1).
+    """
+    return _obstruction_matrix(n, max_degree - 1) * _operator_matrix(n, 1, max_degree)
 
 
 class KillingPotentialResult:

@@ -245,7 +245,7 @@ class ExactMatrix:
 
 def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:
     mult = lcm(*(v.denominator for v in row.values())) if row else 1
-    return {c: int(v * mult) for c, v in row.items()}
+    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
 
 
 def _clear_matrix_cols(m: ExactMatrix):
@@ -255,7 +255,7 @@ def _clear_matrix_cols(m: ExactMatrix):
         mult = lcm(mult, v.denominator)
     cols: list[dict[int, int]] = [dict() for _ in range(m.cols)]
     for (r, c), v in m.entries.items():
-        cols[c][r] = int(v * mult)
+        cols[c][r] = v.numerator * (mult // v.denominator)
     return mult, cols
 
 

@@ -18,11 +18,17 @@ tuple of graded symmetry components and the derivative is
 (Dv)_k = d_a v_k - iota_a v_{k+1}, where iota_a pins the first index
 of the next component.  Polynomial parallel sections of that system
 biject with Killing tensors, which pins the bundle dimension.
+
+The matrix of that system is written entry by entry.  Column
+(k, j, m) is basis tensor j of component k times the monomial x^m.  An
+entry v of the basis tensor at idx gives v * m_a at row
+(k, (a,) + idx, m - e_a) for each direction a with m_a > 0 (the
+derivative) and -v at row (k - 1, idx, m) when k >= 1 (the iota term
+of the previous component).  The number of parallel sections is the
+column count minus the rank.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from killingcalc.fields import (
     MetricField,
@@ -254,6 +260,32 @@ def flat_component_derivative(sec: ComponentSection) -> list[PolyTensorField]:
     return out
 
 
+def _parallel_system(n: int, ell: int, max_degree: int):
+    """Matrix of the flat connection on polynomial sections of degree
+    <= max_degree, by the rule of the module docstring, and its row
+    labels (component, index tuple, monomial) in row order."""
+    pro = build_T(n, ell)
+    mons = monomials(n, max_degree)
+    row_pos: dict = {}
+    entries: dict = {}
+    col = 0
+    for k, comp in enumerate(pro.components):
+        for j in range(comp.dim):
+            base = comp.tensor(j).entries
+            for m in mons:
+                for idx, v in base.items():
+                    for a in range(1, n + 1):
+                        if m[a - 1]:
+                            lower = m[: a - 1] + (m[a - 1] - 1,) + m[a:]
+                            rid = row_pos.setdefault((k, (a,) + idx, lower), len(row_pos))
+                            entries[(rid, col)] = v * m[a - 1]
+                    if k:
+                        rid = row_pos.setdefault((k - 1, idx, m), len(row_pos))
+                        entries[(rid, col)] = -v
+                col += 1
+    return ExactMatrix(len(row_pos), col, entries), list(row_pos)
+
+
 def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> int:
     """Dimension of the space of polynomial parallel sections.
 
@@ -263,29 +295,5 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     """
     if max_degree is None:
         max_degree = ell
-    pro = build_T(n, ell)
-    mons = monomials(n, max_degree)
-    row_pos: dict = {}
-    cols = []
-    for k, comp in enumerate(pro.components):
-        for j in range(comp.dim):
-            base = comp.tensor(j)
-            for m in mons:
-                sec_parts = [
-                    PolyTensorField.zero(n, pro.components[i].arity)
-                    for i in range(ell + 1)
-                ]
-                p = PolyScalar(n, {m: Fraction(1)})
-                sec_parts[k] = PolyTensorField(
-                    n, comp.arity, {idx: p.scale(v) for idx, v in base.entries.items()}
-                )
-                sec = ComponentSection(n, ell, sec_parts, validate=False)
-                col: dict[int, Fraction] = {}
-                for kk, f in enumerate(flat_component_derivative(sec)):
-                    for idx, s in f.comps.items():
-                        for mm, v in s.terms.items():
-                            rid = row_pos.setdefault((kk, idx, mm), len(row_pos))
-                            col[rid] = col.get(rid, Fraction(0)) + v
-                cols.append(col)
-    m = ExactMatrix.from_columns(cols, len(row_pos))
+    m, _ = _parallel_system(n, ell, max_degree)
     return m.cols - rank(m)

@@ -198,35 +198,78 @@ def _kernel_matrix(constraints: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_columns(cols, constraints.cols)
 
 
-def _realize(d: YoungDiagram, n: int, presentation: str) -> SubspaceBasis:
-    kind = _resolve_presentation(d, presentation)
+def _presentation(d: YoungDiagram, n: int, kind: str):
+    """(space, constraints) of a realization: the basis is the kernel of
+    the constraint matrix, or the whole space when constraints is None."""
     if kind == "row":
         if len(d.rows) != 1:
             raise ValueError(f"row presentation needs a single row, got {d.rows}")
-        space = GroupedSpace(n, [Group(SYM, d.rows[0])])
-        return SubspaceBasis(space, ExactMatrix.identity(space.dim))
+        return GroupedSpace(n, [Group(SYM, d.rows[0])]), None
     if kind == "symmetric-pair":
         if len(d.rows) != 2:
             raise ValueError(f"symmetric-pair needs two rows, got {d.rows}")
         a, b = d.rows
         space = GroupedSpace(n, [Group(SYM, b), Group(SYM, a)])
         constraints, _ = sym_extend(space, 0, 1)
-        return SubspaceBasis(space, _kernel_matrix(constraints))
+        return space, constraints
     if kind == "column-skew":
         cols = d.conjugate()
         if cols and cols[0] > n:
-            # more rows than the base dimension: zero module
-            space = GroupedSpace(n, [Group(ALT, cols[0])] if cols else [])
-            return SubspaceBasis(space, ExactMatrix.zero(space.dim, 0))
+            # more rows than the base dimension: a zero-dimensional space
+            return GroupedSpace(n, [Group(ALT, cols[0])]), None
         space = GroupedSpace(n, [Group(ALT, c) for c in cols])
         stacked = None
         for g in range(len(cols) - 1):
             m, _ = alt_extend(space, g, g + 1)
             stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None:
-            return SubspaceBasis(space, ExactMatrix.identity(space.dim))
-        return SubspaceBasis(space, _kernel_matrix(stacked))
-    raise ValueError(f"unknown presentation {presentation!r}")
+        return space, stacked
+    raise ValueError(f"unknown presentation {kind!r}")
+
+
+def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
+    if constraints is None:
+        return SubspaceBasis(space, ExactMatrix.identity(space.dim))
+    return SubspaceBasis(space, _kernel_matrix(constraints))
+
+
+def _is_reduced_basis(basis: ExactMatrix) -> bool:
+    """Whether basis has the shape ``_kernel_matrix`` gives: each column
+    ends in a 1, at a row later than the previous column's, and no other
+    column is nonzero at that row.  Such columns are independent, and a
+    subspace has exactly one basis of this shape."""
+    cols = basis.columns()
+    if not all(cols):
+        return False
+    leads = [max(col) for col in cols]
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        return False
+    lead_set = set(leads)
+    return all(
+        col[lead] == 1 and len(lead_set.intersection(col)) == 1
+        for col, lead in zip(cols, leads)
+    )
+
+
+def _load_cached(path: str, space: GroupedSpace, constraints, dim: int):
+    """The basis stored at path if it is the realization's own basis:
+    same groups, ``dim`` reduced columns, annihilated by the constraints.
+    Anything else, unreadable files included, counts as absent."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        groups = [[g.kind, g.size] for g in space.groups]
+        if payload["groups"] != groups:
+            return None
+        basis = ExactMatrix.from_json_dict(payload["coord_basis"])
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None
+    if basis.rows != space.dim or basis.cols != dim or not _is_reduced_basis(basis):
+        return None
+    if constraints is not None and not (constraints * basis).is_zero():
+        return None
+    return SubspaceBasis(space, basis)
 
 
 def _disk_cache_path(key) -> str | None:
@@ -270,22 +313,17 @@ def realize_irreducible(
 
 @cache
 def _realize_memo(d: YoungDiagram, n: int, kind: str) -> SubspaceBasis:
+    space, constraints = _presentation(d, n, kind)
+    expected = gl_dimension(d, n)
     path = _disk_cache_path((d.rows, n, kind))
-    if path and os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        space = GroupedSpace(
-            n, [Group(k, s) for k, s in payload["groups"]]
-        )
-        result = SubspaceBasis(space, ExactMatrix.from_json_dict(payload["coord_basis"]))
-    else:
-        result = _realize(d, n, kind)
+    result = _load_cached(path, space, constraints, expected) if path else None
+    if result is None:
+        result = _realize(space, constraints)
         if path:
             _write_atomically(path, {
                 "groups": [[g.kind, g.size] for g in result.space.groups],
                 "coord_basis": result.coord_basis.to_json_dict(),
             })
-    expected = gl_dimension(d, n)
     if result.dim != expected:
         raise RuntimeError(
             f"realization of {d.rows} over n={n} produced {result.dim} basis "

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import cli, kostant, prolong
+from killingcalc import cli, kostant, prolong, young
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
+from killingcalc.killing import guard_killing_cap
 
 
 def test_verify_key_passes(capsys):
@@ -102,6 +103,26 @@ def test_cap_exceeded_exit_code(capsys):
     assert main(["complex", "--n", "5", "--ell", "4"]) == 2
     err = capsys.readouterr().err
     assert "dimension cap exceeded" in err
+
+
+def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
+    def realize(*args):
+        raise AssertionError("a basis was realized past the cap")
+
+    monkeypatch.setattr(young, "_realize_memo", realize)
+    assert main(["killing", "--n", "9", "--ell", "4"]) == 2
+    assert "error: dimension cap exceeded" in capsys.readouterr().err
+
+
+def test_killing_cap_admits_every_benchmarked_size():
+    # killing and suite sizes of the tests and the benchmark workloads
+    sizes = [(n, ell) for n in (2, 3, 4) for ell in (1, 2)] + [(2, 3), (3, 3)]
+    columns = {size: guard_killing_cap(*size) for size in sizes}
+    assert max(columns.values()) == columns[(3, 3)] == 1000
+    # the parallel system at n=3, ell=3: 50 bundle dimensions x 20 monomials
+    assert guard_killing_cap(3, 3, cap=1000) == 1000
+    with pytest.raises(prolong.CapExceeded):
+        guard_killing_cap(3, 3, cap=999)
 
 
 @pytest.mark.parametrize(

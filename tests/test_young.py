@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import json
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -181,6 +183,40 @@ def test_disk_cache_ignores_stale_temporary_path(tmp_path, monkeypatch):
     assert b is not a
     assert b.coord_basis == a.coord_basis
     assert b.space.groups == a.space.groups
+    clear_realization_cache()
+
+
+@pytest.mark.parametrize(
+    "shape, n, kind", [((2, 1), 3, "symmetric-pair"), ((2, 2), 3, "column-skew")]
+)
+def test_disk_cache_recomputes_an_edited_basis(shape, n, kind, tmp_path, monkeypatch):
+    """A cached basis with any one entry changed or dropped is not used:
+    the realization recomputes the basis and rewrites the file."""
+    monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
+    path = young._disk_cache_path((shape, n, kind))
+    clear_realization_cache()
+    fresh = realize_irreducible(YoungDiagram(shape), n, kind)
+    with open(path, "rb") as fh:
+        original = fh.read()
+    payload = json.loads(original)
+    edits = []
+    for i, (r, c, v) in enumerate(payload["coord_basis"]["entries"]):
+        edits.append((i, [r, c, str(Fraction(v) + 1)]))
+        edits.append((i, None))
+    assert len(edits) > 2 * fresh.dim  # entries beyond the leading 1s
+    for i, entry in edits:
+        edited = json.loads(original)
+        if entry is None:
+            del edited["coord_basis"]["entries"][i]
+        else:
+            edited["coord_basis"]["entries"][i] = entry
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(edited, fh, sort_keys=True)
+        clear_realization_cache()
+        again = realize_irreducible(YoungDiagram(shape), n, kind)
+        assert again.coord_basis == fresh.coord_basis, (i, entry)
+        with open(path, "rb") as fh:
+            assert fh.read() == original
     clear_realization_cache()
 
 
