@@ -213,7 +213,7 @@ class ComponentSection:
 
     __slots__ = ("n", "ell", "parts")
 
-    def __init__(self, n: int, ell: int, parts, validate: bool = True):
+    def __init__(self, n: int, ell: int, parts):
         parts = tuple(parts)
         pro = build_T(n, ell)
         if len(parts) != ell + 1:
@@ -224,8 +224,7 @@ class ComponentSection:
                 raise ValueError(f"component {k} has the wrong shape")
             if f.rational:
                 raise ValueError("flat-model sections are polynomial")
-            if validate:
-                _check_membership(f, comp)
+            _check_membership(f, comp)
         self.n = n
         self.ell = ell
         self.parts = parts

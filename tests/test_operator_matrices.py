@@ -111,7 +111,7 @@ def _oracle_parallel(n, ell, max_degree):
                 parts[k] = PolyTensorField(
                     n, comp.arity, {idx: p.scale(v) for idx, v in base.entries.items()}
                 )
-                sec = ComponentSection(n, ell, parts, validate=False)
+                sec = ComponentSection(n, ell, parts)
                 for kk, f in enumerate(flat_component_derivative(sec)):
                     for idx, s in f.comps.items():
                         for mm, v in s.terms.items():
