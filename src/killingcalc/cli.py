@@ -31,8 +31,8 @@ from killingcalc.fields import (
     christoffel_solve,
 )
 from killingcalc.killing import (
+    _guard_killing_cap,
     field_coefficient_vector,
-    guard_killing_cap,
     integrability_kernel,
     integrability_of_killing_matrix,
     killing_kernel,
@@ -160,12 +160,12 @@ def _jobs_killing(pairs):
         inputs = {"n": n, "ell": ell}
 
         def dim(n=n, ell=ell):
-            guard_killing_cap(n, ell)
+            _guard_killing_cap(n, ell)
             want = build_T(n, ell).total_dim
             return len(killing_kernel(n, ell, ell)), want
 
         def degree_bound(n=n, ell=ell):
-            guard_killing_cap(n, ell)
+            _guard_killing_cap(n, ell)
             tight = killing_kernel(n, ell, ell)
             slack = killing_kernel(n, ell, ell + 2)
             va = [field_coefficient_vector(f, ell + 2) for f in tight]
@@ -178,7 +178,7 @@ def _jobs_killing(pairs):
             )
 
         def parallel(n=n, ell=ell):
-            guard_killing_cap(n, ell)
+            _guard_killing_cap(n, ell)
             return flat_parallel_dimension(n, ell), build_T(n, ell).total_dim
 
         jobs.append((f"killing.n{n}.ell{ell}.dim", inputs, dim))

@@ -58,7 +58,6 @@ __all__ = [
     "killing_operator",
     "higher_killing_operator",
     "killing_kernel",
-    "guard_killing_cap",
     "symmetric_coordinates",
     "field_coefficient_vector",
     "field_from_coefficients",
@@ -189,24 +188,23 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
     ]
 
 
-def guard_killing_cap(n: int, ell: int, cap: int | None = None) -> int:
+def _guard_killing_cap(n: int, ell: int) -> int:
     """Refuse a killing-family size whose largest system has more columns
-    than the cap; returns that column count.  Closed forms only, so it
+    than ``DEFAULT_CAP``; returns that column count.  Closed forms only, so it
     runs before anything is realized: the parallel-section system has
     dim T * |monomials(n, ell)| columns, dim T the hook-content dimension
     of (ell, ell) over n + 1, and the degree-bound kernel
     C(n + ell - 1, ell) * |monomials(n, ell + 2)|.
     """
     _check_args(n, ell)
-    cap = DEFAULT_CAP if cap is None else cap
     columns = max(
         gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n),
         comb(n + ell - 1, ell) * comb(n + ell + 2, n),
     )
-    if columns > cap:
+    if columns > DEFAULT_CAP:
         raise CapExceeded(
             f"killing checks for n={n}, ell={ell} build a system with "
-            f"{columns} columns, cap is {cap}"
+            f"{columns} columns, cap is {DEFAULT_CAP}"
         )
     return columns
 

@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import cli, kostant, prolong, young
+from killingcalc import cli, killing, kostant, prolong, young
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
-from killingcalc.killing import guard_killing_cap
 
 
 def test_verify_key_passes(capsys):
@@ -114,15 +113,16 @@ def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
     assert "error: dimension cap exceeded" in capsys.readouterr().err
 
 
-def test_killing_cap_admits_every_benchmarked_size():
+def test_killing_cap_admits_every_benchmarked_size(monkeypatch):
     # killing and suite sizes of the tests and the benchmark workloads
     sizes = [(n, ell) for n in (2, 3, 4) for ell in (1, 2)] + [(2, 3), (3, 3)]
-    columns = {size: guard_killing_cap(*size) for size in sizes}
+    columns = {size: killing._guard_killing_cap(*size) for size in sizes}
     assert max(columns.values()) == columns[(3, 3)] == 1000
-    # the parallel system at n=3, ell=3: 50 bundle dimensions x 20 monomials
-    assert guard_killing_cap(3, 3, cap=1000) == 1000
+    # the parallel system at n=3, ell=3: 50 bundle dimensions x 20 monomials;
+    # a cap one below that refuses it
+    monkeypatch.setattr(killing, "DEFAULT_CAP", 999)
     with pytest.raises(prolong.CapExceeded):
-        guard_killing_cap(3, 3, cap=999)
+        killing._guard_killing_cap(3, 3)
 
 
 @pytest.mark.parametrize(

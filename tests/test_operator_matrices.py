@@ -137,8 +137,11 @@ def test_operator_matrix_matches_field_calculus(n, ell, max_degree):
     assert m == want
 
 
+# (4, 4) is the largest obstruction the CLI builds: integrability_kernel(4, 4)
+# and integrability_of_killing_matrix(4, 5) in the range checks at n=4
 @pytest.mark.parametrize(
-    "n, max_degree", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3)]
+    "n, max_degree",
+    [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (4, 4)],
 )
 def test_obstruction_and_composite_match_field_calculus(n, max_degree):
     m = _obstruction_matrix(n, max_degree)

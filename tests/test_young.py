@@ -153,16 +153,29 @@ def test_realization_deterministic_across_cache_clear():
     assert a.space.groups == b.space.groups
 
 
+def _refuse_to_realize(*args):
+    raise AssertionError("basis recomputed instead of read from the disk cache")
+
+
 def test_disk_cache_round_trip(tmp_path, monkeypatch):
     monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
+    cases = [((2, 1), 3, "symmetric-pair"), ((2, 2), 3, "column-skew")]
+    first = {}
     clear_realization_cache()
-    a = realize_irreducible(YoungDiagram((2, 1)), 3)
+    for shape, n, kind in cases:
+        first[kind] = realize_irreducible(YoungDiagram(shape), n, kind)
     files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".json"
+    assert len(files) == len(cases) and all(f.suffix == ".json" for f in files)
     clear_realization_cache()
-    b = realize_irreducible(YoungDiagram((2, 1)), 3)  # served from disk
-    assert b.coord_basis == a.coord_basis
-    assert b.dim == a.dim
+    with monkeypatch.context() as m:
+        m.setattr(young, "_realize", _refuse_to_realize)
+        for shape, n, kind in cases:
+            a = first[kind]
+            b = realize_irreducible(YoungDiagram(shape), n, kind)
+            assert b is not a
+            assert b.coord_basis == a.coord_basis
+            assert b.space.groups == a.space.groups
+            assert b.dim == a.dim
     clear_realization_cache()
 
 
@@ -179,7 +192,8 @@ def test_disk_cache_ignores_stale_temporary_path(tmp_path, monkeypatch):
         [os.path.basename(path), os.path.basename(path) + ".tmp"]
     )
     clear_realization_cache()
-    b = realize_irreducible(YoungDiagram((2, 1)), 3)  # served from disk
+    monkeypatch.setattr(young, "_realize", _refuse_to_realize)
+    b = realize_irreducible(YoungDiagram((2, 1)), 3)
     assert b is not a
     assert b.coord_basis == a.coord_basis
     assert b.space.groups == a.space.groups
