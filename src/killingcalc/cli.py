@@ -32,11 +32,12 @@ from killingcalc.fields import (
 )
 from killingcalc.killing import (
     _guard_killing_cap,
-    field_coefficient_vector,
     integrability_kernel,
     integrability_of_killing_matrix,
     killing_kernel,
+    killing_kernel_vectors,
     killing_potential_solve,
+    symmetric_coordinates,
 )
 from killingcalc.kostant import branching_check, lie_algebra_cohomology
 from killingcalc.matrix import row_space_rref
@@ -166,12 +167,21 @@ def _jobs_killing(pairs):
 
         def degree_bound(n=n, ell=ell):
             _guard_killing_cap(n, ell)
-            tight = killing_kernel(n, ell, ell)
-            slack = killing_kernel(n, ell, ell + 2)
-            va = [field_coefficient_vector(f, ell + 2) for f in tight]
-            vb = [field_coefficient_vector(f, ell + 2) for f in slack]
-            ncols = len(va[0]) if va else 0
-            same = row_space_rref(va, ncols) == row_space_rref(vb, ncols)
+            tight = killing_kernel_vectors(n, ell, ell)
+            slack = killing_kernel_vectors(n, ell, ell + 2)
+            # re-index the tight vectors into the slack coordinates
+            pos = {c: i for i, c in enumerate(symmetric_coordinates(n, ell, ell + 2))}
+            relabel = [pos[c] for c in symmetric_coordinates(n, ell, ell)]
+            ncols = len(pos)
+
+            def dense(vec):
+                out = [0] * ncols
+                for i, v in vec.items():
+                    out[i] = v
+                return out
+
+            va = [dense({relabel[i]: v for i, v in vec.items()}) for vec in tight]
+            same = row_space_rref(va, ncols) == row_space_rref(map(dense, slack), ncols)
             return (
                 {"dim_slack": len(slack), "same_subspace": same},
                 {"dim_slack": len(tight), "same_subspace": True},

@@ -58,6 +58,7 @@ __all__ = [
     "killing_operator",
     "higher_killing_operator",
     "killing_kernel",
+    "killing_kernel_vectors",
     "symmetric_coordinates",
     "field_coefficient_vector",
     "field_from_coefficients",
@@ -135,12 +136,15 @@ def field_coefficient_vector(f: PolyTensorField, max_degree: int):
 
 
 def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTensorField:
+    """The symmetric field with the sparse coefficient vector vec, a dict
+    from positions in ``symmetric_coordinates`` to values."""
     coords = symmetric_coordinates(n, arity, max_degree)
-    if len(vec) != len(coords):
-        raise ValueError("coefficient vector has the wrong length")
     per_key: dict = {}
-    for (key, m), v in zip(coords, vec):
+    for i, v in sorted(vec.items()):
+        if not 0 <= i < len(coords):
+            raise ValueError(f"coefficient position {i} outside 0..{len(coords) - 1}")
         if v:
+            key, m = coords[i]
             per_key.setdefault(key, {})[m] = Fraction(v)
     comps = {}
     for key, terms in per_key.items():
@@ -170,8 +174,9 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     return ExactMatrix(len(key_pos) * per_key, col, entries)
 
 
-def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
-    """Canonical basis of symmetric solutions with entries of bounded degree.
+def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> list[dict]:
+    """Canonical basis of symmetric solutions with entries of bounded
+    degree, as sparse vectors on ``symmetric_coordinates(n, ell, max_degree)``.
 
     Requires max_degree >= ell; the kernel is degree-graded and every
     solution in it has entry degree at most ell, so any bound past that
@@ -181,10 +186,14 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
         raise ValueError("ell must be at least 1")
     if max_degree < ell:
         raise ValueError("max_degree must be at least ell")
-    m = _operator_matrix(n, ell, max_degree)
+    return kernel_basis(_operator_matrix(n, ell, max_degree))
+
+
+def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
+    """The fields of ``killing_kernel_vectors``."""
     return [
         field_from_coefficients(n, ell, max_degree, vec)
-        for vec in kernel_basis(m)
+        for vec in killing_kernel_vectors(n, ell, max_degree)
     ]
 
 
@@ -370,9 +379,7 @@ def killing_potential_solve(
         raise RuntimeError(
             "vanishing obstruction but inconsistent potential system"
         )
-    vec = [Fraction(0)] * ncols
-    for i, p in enumerate(a_pivots):
-        vec[p] = y.get(i, Fraction(0))
+    vec = {p: y[i] for i, p in enumerate(a_pivots) if i in y}
     x = field_from_coefficients(n, 1, degree, vec)
     if killing_operator(x) != omega:
         raise RuntimeError("potential failed its round-trip check")

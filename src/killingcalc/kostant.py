@@ -42,8 +42,7 @@ from killingcalc.prolong import (
     build_T,
     predicted_cohomology,
 )
-from killingcalc.symspace import embed, extract, replace_matrix
-from killingcalc.tensor import Tensor
+from killingcalc.symspace import replace_matrix
 from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible, weyl_dimension
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "VModule",
     "KostantReport",
     "build_V",
-    "module_action",
     "koszul_differential",
     "koszul_complex",
     "cohomology_label_row",
@@ -143,46 +141,19 @@ def build_V(n: int, ell: int) -> VModule:
     _check_args(n, ell)
     basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1, "symmetric-pair")
     space = basis.space
-    solver = basis.solver
     actions = []
     for i in range(1, n + 1):
-        amb = replace_matrix(space, 1, i + 1)
-        mapped = amb * basis.coord_basis
-        cols = []
-        for t in range(basis.dim):
-            cols.append(
-                {
-                    r: v
-                    for r, v in enumerate(solver.coords_checked(mapped.column(t)))
-                    if v
-                }
-            )
+        mapped = replace_matrix(space, 1, i + 1) * basis.coord_basis
+        cols = [basis.coords(y) for y in mapped.columns()]
         actions.append(ExactMatrix.from_columns(cols, basis.dim))
     keys = space.keys()
     grades = []
-    for t in range(basis.dim):
-        support = sorted(basis.coord_basis.column(t))
-        counts = {_ones_count(keys[r]) for r in support}
+    for col in basis.columns:
+        counts = {_ones_count(keys[r]) for r in col}
         if len(counts) != 1:
             raise RuntimeError("basis vector mixes grading weights")
         grades.append(counts.pop())
     return VModule(n, ell, basis, tuple(actions), tuple(grades))
-
-
-def module_action(module: VModule, r: int, s: int, v: Tensor) -> Tensor:
-    """Act by the elementary matrix at (r, s) on a member tensor.
-
-    The tensor must lie in the realized subspace; coordinates outside
-    the span are rejected before acting.
-    """
-    space = module.basis.space
-    coords = extract(space, v)
-    module.basis.solver.coords_checked(
-        {i: c for i, c in enumerate(coords) if c}
-    )
-    amb = replace_matrix(space, s, r)
-    out = amb.apply({i: c for i, c in enumerate(coords) if c})
-    return embed(space, [out.get(i, Fraction(0)) for i in range(space.dim)])
 
 
 def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:

@@ -6,12 +6,18 @@ in :mod:`killingcalc.elim`: rows are cleared of denominators, reduced
 fraction-free, and converted back, so results are exact and the reduced
 echelon form (hence ranks, kernels and solutions) is canonical.
 
-``rank`` needs no echelon form, so it reduces each connected component
-of the nonzero pattern (rows and columns joined by shared entries) on
-its own and adds up the pivot counts.  That is exact: permuting rows and
-columns by component makes the matrix block-diagonal, and rank adds over
-diagonal blocks.  ``rref``, ``kernel_basis``, ``image_basis``, ``solve``
-and ``ColumnSolver`` reduce the whole matrix.
+Every elimination reduces one connected component of the nonzero
+pattern at a time (rows and columns joined by shared entries), so no
+reduction is ever larger than a block.  That is exact with no check
+afterwards.  Permuting rows and columns by component makes the matrix
+block-diagonal, so its rank is the sum of the block ranks, and the
+reduced echelon form is the union of the blocks' forms with the rows
+sorted by pivot column: that union is in reduced echelon form, has the
+same row space, and the reduced echelon form of a row space is unique.
+Hence the pivots, the kernel basis and the free-variables-zero solution
+are the ones a reduction of the whole matrix gives.  The equivariant
+differentials and constraint matrices fall apart this way into their
+torus-weight blocks.
 """
 
 from __future__ import annotations
@@ -25,11 +31,9 @@ from killingcalc.rationals import format_rational, parse_rational
 
 __all__ = [
     "ExactMatrix",
-    "ColumnSolver",
     "rref",
     "rank",
     "kernel_basis",
-    "image_basis",
     "solve",
     "row_space_rref",
 ]
@@ -53,6 +57,14 @@ class ExactMatrix:
             if v:
                 clean[(r, c)] = v
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "ExactMatrix":
+        """Wrap entries this module computed: nonzero Fractions at indices
+        inside rows x cols, taken as they are."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @classmethod
     def from_rows(cls, data) -> "ExactMatrix":
@@ -92,23 +104,11 @@ class ExactMatrix:
     def at(self, r: int, c: int) -> Fraction:
         return self.entries.get((r, c), Fraction(0))
 
-    def row(self, r: int) -> dict[int, Fraction]:
-        return {c: v for (i, c), v in self.entries.items() if i == r}
-
-    def column(self, c: int) -> dict[int, Fraction]:
-        return {r: v for (r, j), v in self.entries.items() if j == c}
-
     def columns(self) -> list[dict[int, Fraction]]:
         cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
 
     def dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -117,7 +117,7 @@ class ExactMatrix:
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._trusted(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
 
@@ -177,7 +177,7 @@ class ExactMatrix:
         entries = {
             (r, c): v * scale for c, col in enumerate(prod) for r, v in col.items()
         }
-        return ExactMatrix(self.rows, other.cols, entries)
+        return ExactMatrix._trusted(self.rows, other.cols, entries)
 
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Apply to a sparse column vector, returning a sparse column."""
@@ -200,7 +200,7 @@ class ExactMatrix:
         entries = dict(self.entries)
         for (r, c), v in other.entries.items():
             entries[(r, c + self.cols)] = v
-        return ExactMatrix(self.rows, self.cols + other.cols, entries)
+        return ExactMatrix._trusted(self.rows, self.cols + other.cols, entries)
 
     def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.cols:
@@ -208,7 +208,7 @@ class ExactMatrix:
         entries = dict(self.entries)
         for (r, c), v in other.entries.items():
             entries[(r + self.rows, c)] = v
-        return ExactMatrix(self.rows + other.rows, self.cols, entries)
+        return ExactMatrix._trusted(self.rows + other.rows, self.cols, entries)
 
     def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
         rmap = {r: i for i, r in enumerate(row_indices)}
@@ -218,7 +218,7 @@ class ExactMatrix:
             for (r, c), v in self.entries.items()
             if r in rmap and c in cmap
         }
-        return ExactMatrix(len(rmap), len(cmap), entries)
+        return ExactMatrix._trusted(len(rmap), len(cmap), entries)
 
     def to_json_dict(self) -> dict:
         triples = sorted((r, c, format_rational(v)) for (r, c), v in self.entries.items())
@@ -259,33 +259,12 @@ def _clear_matrix_cols(m: ExactMatrix):
     return mult, cols
 
 
-def _rref_data(m: ExactMatrix):
-    """(pivots, integer-scaled reduced rows) for m; rows have content 1."""
-    int_rows = [_clear_row(row) for row in m.sparse_rows()]
-    return elim.rref_int(int_rows, m.cols)
-
-
-def rref(m: ExactMatrix) -> tuple[list[int], ExactMatrix]:
-    """Pivot columns and the canonical reduced row echelon form."""
-    pivots, int_rows = _rref_data(m)
-    entries = {}
-    for i, row in enumerate(int_rows):
-        piv = Fraction(row[pivots[i]])
-        for c, v in row.items():
-            entries[(i, c)] = Fraction(v) / piv
-    return pivots, ExactMatrix(len(pivots), m.cols, entries)
-
-
-def rank(m: ExactMatrix) -> int:
-    """Rank of m, summed over the blocks of its nonzero pattern.
+def _blocks(m: ExactMatrix) -> list[dict[int, dict[int, Fraction]]]:
+    """Connected components of the nonzero pattern, as row -> {col: value}.
 
     A union-find over ``m.entries`` joins every row to the columns of its
-    nonzero entries, in O(nnz), and ``elim.rref_int`` reduces each
-    connected component on its own.  Ordering rows and columns by
-    component makes m block-diagonal, and rank adds over diagonal
-    blocks, so the summed pivot counts are the exact rank.  The
-    equivariant differentials of the complexes fall apart this way into
-    their torus-weight blocks.
+    nonzero entries, in O(nnz).  Zero rows and zero columns belong to no
+    block.
     """
     parent = list(range(m.rows + m.cols))
 
@@ -302,68 +281,92 @@ def rank(m: ExactMatrix) -> int:
     blocks: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (r, c), v in m.entries.items():
         blocks.setdefault(find(r), {}).setdefault(r, {})[c] = v
-    total = 0
-    for rows in blocks.values():
-        local: dict[int, int] = {}
-        int_rows = [
-            _clear_row({local.setdefault(c, len(local)): v for c, v in row.items()})
-            for row in rows.values()
-        ]
-        pivots, _ = elim.rref_int(int_rows, len(local))
-        total += len(pivots)
-    return total
+    return list(blocks.values())
 
 
-def kernel_basis(m: ExactMatrix) -> list[list[Fraction]]:
-    """Canonical basis of the right kernel, one vector per free column.
-
-    The vector for free column f has a 1 in slot f, the negated reduced
-    column above the pivots, and zeros elsewhere; vectors are ordered by
-    ascending free column.
-    """
-    pivots, red = rref(m)
-    pivot_set = set(pivots)
-    red_cols = red.columns()
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, val in red_cols[f].items():
-            v[pivots[i]] = -val
-        basis.append(v)
-    return basis
+def _reduce(block: dict[int, dict[int, Fraction]]):
+    """(cols, pivots, rows) of one block: ``elim.rref_int`` of its rows on
+    its columns renumbered 0.. in ascending order, so that local pivots
+    ascend with global ones; ``cols[k]`` is the global index of local
+    column k."""
+    cols = sorted({c for row in block.values() for c in row})
+    local = {c: k for k, c in enumerate(cols)}
+    int_rows = [
+        _clear_row({local[c]: v for c, v in row.items()}) for row in block.values()
+    ]
+    pivots, rows = elim.rref_int(int_rows, len(cols))
+    return cols, pivots, rows
 
 
-def image_basis(m: ExactMatrix) -> list[list[Fraction]]:
-    """Original columns of m sitting at the pivot positions."""
-    pivots, _ = _rref_data(m)
-    cols = m.columns()
+def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, Fraction]]]:
+    """(pivot column, reduced row) pairs of m's reduced echelon form, rows
+    divided by their pivots and sorted by pivot column."""
     out = []
-    for p in pivots:
-        v = [Fraction(0)] * m.rows
-        for r, val in cols[p].items():
-            v[r] = val
-        out.append(v)
+    for block in _blocks(m):
+        cols, pivots, rows = _reduce(block)
+        for p, row in zip(pivots, rows):
+            piv = row[p]
+            out.append((cols[p], {cols[k]: Fraction(v, piv) for k, v in row.items()}))
+    out.sort(key=lambda pr: pr[0])
     return out
 
 
+def rref(m: ExactMatrix) -> tuple[list[int], ExactMatrix]:
+    """Pivot columns and the canonical reduced row echelon form."""
+    red = _rref_rows(m)
+    entries = {(i, c): v for i, (_, row) in enumerate(red) for c, v in row.items()}
+    return [p for p, _ in red], ExactMatrix._trusted(len(red), m.cols, entries)
+
+
+def rank(m: ExactMatrix) -> int:
+    """Rank of m, the summed pivot counts of its blocks."""
+    return sum(len(_reduce(block)[1]) for block in _blocks(m))
+
+
+def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
+    """Canonical basis of the right kernel, one sparse column per free column.
+
+    The vector for free column f has a 1 in slot f, the negated reduced
+    column above the pivots, and zeros elsewhere; vectors are ordered by
+    ascending free column, and each one's slots ascend.
+    """
+    red = _rref_rows(m)
+    pivots = {p for p, _ in red}
+    vecs: dict[int, dict[int, Fraction]] = {
+        f: {} for f in range(m.cols) if f not in pivots
+    }
+    for p, row in red:
+        for c, v in row.items():
+            if c != p:
+                vecs[c][p] = -v
+    for f, vec in vecs.items():
+        vec[f] = Fraction(1)
+    return list(vecs.values())
+
+
 def solve(m: ExactMatrix, b) -> list[Fraction] | None:
-    """One exact solution of m x = b (free variables 0), or None."""
+    """One exact solution of m x = b (free variables 0), or None.
+
+    Only the block of ``[m | b]`` holding the right-hand side needs
+    reducing: every other block has a zero right-hand side, so it is
+    consistent and its pivot variables are 0.
+    """
     bvec = list(b)
     if len(bvec) != m.rows:
         raise ValueError("right-hand side length mismatch")
     aug = m.hstack(
         ExactMatrix(m.rows, 1, {(r, 0): Fraction(v) for r, v in enumerate(bvec) if v})
     )
-    pivots, red = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        return None
     x = [Fraction(0)] * m.cols
-    last = red.columns()[m.cols] if red.cols > m.cols else {}
-    for i, val in last.items():
-        x[pivots[i]] = val
+    for block in _blocks(aug):
+        if any(m.cols in row for row in block.values()):
+            cols, pivots, rows = _reduce(block)
+            rhs = len(cols) - 1  # m.cols is the block's last column
+            if pivots[-1] == rhs:
+                return None
+            for p, row in zip(pivots, rows):
+                if rhs in row:
+                    x[cols[p]] = Fraction(row[rhs], row[p])
     return x
 
 
@@ -388,56 +391,3 @@ def row_space_rref(vectors, ncols: int) -> ExactMatrix:
     )
     _, red = rref(mat)
     return red
-
-
-class ColumnSolver:
-    """Repeated exact solving against a fixed full-column-rank matrix.
-
-    Precomputes the lexicographically first independent row set R of B
-    and the inverse of B[R, :]; ``coords(y)`` then returns the unique x
-    with B x = y for any y in the column span.  Membership is the
-    caller's contract; ``coords_checked`` verifies it.
-    """
-
-    def __init__(self, b: ExactMatrix):
-        self.b = b
-        self.dim = b.cols
-        pivots, _ = _rref_data(b.transpose())
-        if len(pivots) != b.cols:
-            raise ValueError("columns are not linearly independent")
-        self.pivot_rows = pivots
-        square = b.submatrix(pivots, range(b.cols))
-        aug = square.hstack(ExactMatrix.identity(b.cols))
-        piv2, red = rref(aug)
-        if piv2[: b.cols] != list(range(b.cols)):
-            raise ValueError("row selection is singular")
-        self.inverse = red.submatrix(range(b.cols), range(b.cols, 2 * b.cols))
-
-    def coords(self, y: dict[int, Fraction]) -> list[Fraction]:
-        restricted = {}
-        for i, r in enumerate(self.pivot_rows):
-            v = y.get(r, Fraction(0))
-            if v:
-                restricted[i] = v
-        col = self.inverse.apply(restricted)
-        out = [Fraction(0)] * self.dim
-        for i, v in col.items():
-            out[i] = v
-        return out
-
-    def coords_checked(self, y: dict[int, Fraction]) -> list[Fraction]:
-        x = self.coords(y)
-        residual = dict(y)
-        for j, f in enumerate(x):
-            if not f:
-                continue
-            for r, v in self.b.column(j).items():
-                w = residual.get(r, Fraction(0)) - f * v
-                if w:
-                    residual[r] = w
-                elif r in residual:
-                    del residual[r]
-        residual = {k: v for k, v in residual.items() if v}
-        if residual:
-            raise ValueError("vector lies outside the column span")
-        return x

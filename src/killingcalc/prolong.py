@@ -107,27 +107,18 @@ def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
 
     Entry (k, a) expresses, in the component bases, the map sending a
     component-k section to the component-(k-1) tensor with its first
-    first-group index fixed to a.  Each matrix is verified exactly
-    against the value-coordinate computation.
+    first-group index fixed to a.  Each column is read off the lower
+    basis's lead rows and verified exactly by its residual.
     """
     space = build_T(n, ell)
     out: dict[tuple[int, int], ExactMatrix] = {}
     for k in range(1, ell + 1):
         upper = space.components[k]
         lower = space.components[k - 1]
-        solver = lower.solver
         for a in range(1, n + 1):
             iota, _ = iota_matrix(upper.space, 0, a)
             mapped = iota * upper.coord_basis
-            cols = []
-            for t in range(upper.dim):
-                cols.append(
-                    {
-                        i: v
-                        for i, v in enumerate(solver.coords_checked(mapped.column(t)))
-                        if v
-                    }
-                )
+            cols = [lower.coords(y) for y in mapped.columns()]
             out[(k, a)] = ExactMatrix.from_columns(cols, lower.dim)
     return out
 

@@ -26,7 +26,6 @@ __all__ = [
     "antisymmetrize",
     "contract",
     "flatten",
-    "flatten_sparse",
     "unflatten",
     "perm_sign",
 ]
@@ -202,10 +201,6 @@ def flatten(t: Tensor) -> list[Fraction]:
     for idx, v in t.entries.items():
         out[_offset(idx, t.n)] = v
     return out
-
-
-def flatten_sparse(t: Tensor) -> dict[int, Fraction]:
-    return {_offset(idx, t.n): v for idx, v in t.entries.items()}
 
 
 def unflatten(vec, n: int, arity: int) -> Tensor:

@@ -244,7 +244,7 @@ def _check_membership(f: PolyTensorField, comp) -> None:
     for m, entries in per_mono.items():
         t = Tensor(f.n, f.arity, entries)
         coords = extract(comp.space, t)
-        comp.solver.coords_checked({i: v for i, v in enumerate(coords) if v})
+        comp.coords({i: v for i, v in enumerate(coords) if v})
 
 
 def flat_component_derivative(sec: ComponentSection) -> list[PolyTensorField]:

@@ -25,6 +25,14 @@ implemented and selected by shape unless forced:
 
 Every realization asserts that its basis cardinality equals the
 hook-content dimension, so an unsupported shape cannot fail silently.
+
+Every basis, fresh or read from the disk cache, is in reduced shape: its
+columns are the canonical kernel basis of the constraint matrix (the
+identity when there are no constraints), so each column has a 1 at its
+own lead row where every other column is 0.  ``SubspaceBasis`` enforces
+that shape, which makes coordinates cheap: the coordinates of a vector
+of the span are its values at the lead rows, and one residual decides
+membership.  No second elimination is needed.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from killingcalc.matrix import ColumnSolver, ExactMatrix, kernel_basis
+from killingcalc.matrix import ExactMatrix, kernel_basis
 from killingcalc.symspace import (
     ALT,
     SYM,
@@ -46,7 +54,7 @@ from killingcalc.symspace import (
     embed,
     sym_extend,
 )
-from killingcalc.tensor import Tensor, flatten_sparse
+from killingcalc.tensor import Tensor
 
 __all__ = [
     "YoungDiagram",
@@ -135,13 +143,41 @@ def weyl_dimension(label) -> int:
     return int(out)
 
 
+def _lead_rows(cols: list[dict[int, Fraction]]) -> list[int] | None:
+    """Lead rows of columns in reduced shape, or None for any other shape.
+
+    Reduced shape is the shape of a kernel basis from ``kernel_basis``:
+    each column ends in a 1, at a row later than the previous column's
+    lead, and no other column is nonzero at that row.  The kernel vector
+    of free column f has its 1 at f and its other entries at pivot
+    columns before f, and no kernel vector is nonzero at another free
+    column.  Such columns are independent, and a subspace has exactly one
+    basis of this shape.
+    """
+    if not all(cols):
+        return None
+    leads = [max(col) for col in cols]
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        return None
+    lead_set = set(leads)
+    if all(
+        col[lead] == 1 and len(lead_set.intersection(col)) == 1
+        for col, lead in zip(cols, leads)
+    ):
+        return leads
+    return None
+
+
 class SubspaceBasis:
     """Explicit basis of a symmetry-constrained subspace of a tensor power.
 
     ``coord_basis`` holds the basis in the value coordinates of
-    ``space``; ``basis`` expands it to flattened full-index columns on
-    demand.  Both are canonical: the columns are the reduced-echelon
-    kernel basis of the constraint matrix.
+    ``space``, and ``columns`` its columns as sparse dicts.  The basis is
+    canonical and in reduced shape (see ``_lead_rows``): column j is the
+    only one nonzero at its lead row ``leads[j]``, where it is 1.  So the
+    coordinates of a vector y of the span are its values at the lead
+    rows, read off y's support, and y lies in the span exactly when the
+    residual y - B x of those coordinates x is zero.
     """
 
     def __init__(self, space: GroupedSpace, coord_basis: ExactMatrix):
@@ -151,32 +187,35 @@ class SubspaceBasis:
         self.n = space.n
         self.arity = space.arity
         self.coord_basis = coord_basis
-        self._ambient = None
-        self._solver = None
-
-    @property
-    def ambient(self) -> tuple[int, int]:
-        return (self.n, self.arity)
+        self.columns = coord_basis.columns()
+        leads = _lead_rows(self.columns)
+        if leads is None:
+            raise ValueError("coordinate basis is not in reduced shape")
+        self.leads = leads
+        self._lead_col = {r: j for j, r in enumerate(leads)}
 
     @property
     def dim(self) -> int:
         return self.coord_basis.cols
 
     def tensor(self, j: int) -> Tensor:
-        return embed(self.space, self.coord_basis.column(j))
+        return embed(self.space, self.columns[j])
 
-    @property
-    def basis(self) -> ExactMatrix:
-        if self._ambient is None:
-            cols = [flatten_sparse(self.tensor(j)) for j in range(self.dim)]
-            self._ambient = ExactMatrix.from_columns(cols, self.n ** self.arity)
-        return self._ambient
-
-    @property
-    def solver(self) -> ColumnSolver:
-        if self._solver is None:
-            self._solver = ColumnSolver(self.coord_basis)
-        return self._solver
+    def coords(self, y: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The sparse x with B x = y; raises ValueError when y, a sparse
+        vector in the value coordinates, lies outside the span."""
+        x = {self._lead_col[r]: v for r, v in y.items() if v and r in self._lead_col}
+        residual = {r: v for r, v in y.items() if v}
+        for j, f in x.items():
+            for r, v in self.columns[j].items():
+                w = residual.get(r, 0) - f * v
+                if w:
+                    residual[r] = w
+                else:
+                    del residual[r]
+        if residual:
+            raise ValueError("vector lies outside the column span")
+        return x
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
@@ -190,12 +229,6 @@ def _resolve_presentation(d: YoungDiagram, presentation: str) -> str:
     if len(d.rows) == 2 and d.rows[0] > d.rows[1]:
         return "symmetric-pair"
     return "column-skew"
-
-
-def _kernel_matrix(constraints: ExactMatrix) -> ExactMatrix:
-    vectors = kernel_basis(constraints)
-    cols = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
-    return ExactMatrix.from_columns(cols, constraints.cols)
 
 
 def _presentation(d: YoungDiagram, n: int, kind: str):
@@ -229,25 +262,8 @@ def _presentation(d: YoungDiagram, n: int, kind: str):
 def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
     if constraints is None:
         return SubspaceBasis(space, ExactMatrix.identity(space.dim))
-    return SubspaceBasis(space, _kernel_matrix(constraints))
-
-
-def _is_reduced_basis(basis: ExactMatrix) -> bool:
-    """Whether basis has the shape ``_kernel_matrix`` gives: each column
-    ends in a 1, at a row later than the previous column's, and no other
-    column is nonzero at that row.  Such columns are independent, and a
-    subspace has exactly one basis of this shape."""
-    cols = basis.columns()
-    if not all(cols):
-        return False
-    leads = [max(col) for col in cols]
-    if any(a >= b for a, b in zip(leads, leads[1:])):
-        return False
-    lead_set = set(leads)
-    return all(
-        col[lead] == 1 and len(lead_set.intersection(col)) == 1
-        for col, lead in zip(cols, leads)
-    )
+    basis = ExactMatrix.from_columns(kernel_basis(constraints), constraints.cols)
+    return SubspaceBasis(space, basis)
 
 
 def _load_cached(path: str, space: GroupedSpace, constraints, dim: int):
@@ -263,13 +279,14 @@ def _load_cached(path: str, space: GroupedSpace, constraints, dim: int):
         if payload["groups"] != groups:
             return None
         basis = ExactMatrix.from_json_dict(payload["coord_basis"])
+        if basis.cols != dim:
+            return None
+        result = SubspaceBasis(space, basis)  # checks rows and reduced shape
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None
-    if basis.rows != space.dim or basis.cols != dim or not _is_reduced_basis(basis):
         return None
     if constraints is not None and not (constraints * basis).is_zero():
         return None
-    return SubspaceBasis(space, basis)
+    return result
 
 
 def _disk_cache_path(key) -> str | None:

@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
+from killingcalc import elim
 from killingcalc.fields import PolyTensorField, symmetrize_field
-from killingcalc.matrix import ExactMatrix
+from killingcalc.matrix import ExactMatrix, kernel_basis, rank, rref, solve
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.tensor import Tensor
 
@@ -61,3 +63,83 @@ def rand_symmetric_field(rng: random.Random, n: int, arity: int, max_degree: int
     if arity >= 2:
         f = symmetrize_field(f, range(1, arity + 1))
     return f
+
+
+# Every (shape, n, presentation) the test suite realizes.
+REALIZED_SHAPES = [
+    ((1,), 2, "row"), ((1,), 3, "row"), ((1,), 4, "row"),
+    ((2,), 2, "row"), ((2,), 3, "row"), ((2,), 4, "row"),
+    ((3,), 2, "row"), ((3,), 3, "row"), ((3,), 4, "row"),
+    ((1, 1), 2, "column-skew"), ((1, 1), 3, "column-skew"),
+    ((1, 1, 1), 3, "column-skew"),
+    ((2, 2), 2, "column-skew"), ((2, 2), 3, "column-skew"),
+] + [
+    (shape, n, "symmetric-pair")
+    for shape, ns in [
+        ((1, 1), (2, 3, 4, 5)), ((2, 1), (2, 3, 4)), ((2, 2), (2, 3, 4, 5)),
+        ((3, 1), (2, 3, 4)), ((3, 2), (2, 3, 4)), ((3, 3), (2, 3, 4, 5)),
+    ]
+    for n in ns
+]
+
+
+def whole_rref(m: ExactMatrix):
+    """Reference reduction: ``elim.rref_int`` on the entire matrix at once,
+    never split into blocks.  Returns (pivots, reduced matrix)."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    int_rows = []
+    for row in rows:
+        mult = lcm(*(v.denominator for v in row.values())) if row else 1
+        int_rows.append({c: int(v * mult) for c, v in row.items()})
+    pivots, red = elim.rref_int(int_rows, m.cols)
+    entries = {
+        (i, c): Fraction(v, row[p])
+        for i, (p, row) in enumerate(zip(pivots, red))
+        for c, v in row.items()
+    }
+    return pivots, ExactMatrix(len(pivots), m.cols, entries)
+
+
+def whole_kernel(m: ExactMatrix):
+    """Kernel basis read off ``whole_rref``: for each free column f, the
+    vector with 1 at f and the negated reduced column f at the pivots."""
+    pivots, red = whole_rref(m)
+    out = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        vec = {p: -red.entries[(i, f)] for i, p in enumerate(pivots) if (i, f) in red.entries}
+        vec[f] = Fraction(1)
+        out.append(vec)
+    return out
+
+
+def whole_solve(m: ExactMatrix, b):
+    """Free-variables-zero solution of m x = b from ``whole_rref`` of [m | b]."""
+    aug = m.hstack(ExactMatrix(m.rows, 1, {(r, 0): v for r, v in enumerate(b) if v}))
+    pivots, red = whole_rref(aug)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = red.at(i, m.cols)
+    return x
+
+
+def assert_matches_whole(m: ExactMatrix, rhs=None) -> None:
+    """rank, rref, kernel_basis and solve of m equal the whole-matrix
+    reduction.  Solves for rhs, or by default for the image of the
+    all-ones vector (consistent) and for e_0 and e_last (often not)."""
+    pivots, red = whole_rref(m)
+    assert rank(m) == len(pivots), m
+    assert rref(m) == (pivots, red), m
+    ker = kernel_basis(m)
+    assert ker == whole_kernel(m), m
+    assert all(list(v) == sorted(v) for v in ker), m
+    if rhs is None:
+        image = m.apply({c: Fraction(1) for c in range(m.cols)})
+        rhs = [[image.get(r, Fraction(0)) for r in range(m.rows)]]
+        for r in {0, m.rows - 1} if m.rows else ():
+            rhs.append([Fraction(int(i == r)) for i in range(m.rows)])
+    for b in rhs:
+        assert solve(m, b) == whole_solve(m, b), m

@@ -118,8 +118,12 @@ def test_coefficient_coordinates_round_trip():
     for arity in (1, 2):
         f = rand_symmetric_field(rng, 2, arity, 3)
         vec = field_coefficient_vector(f, 3)
-        assert len(vec) == len(symmetric_coordinates(2, arity, 3))
-        assert field_from_coefficients(2, arity, 3, vec) == f
+        ncoords = len(symmetric_coordinates(2, arity, 3))
+        assert len(vec) == ncoords
+        sparse = {i: v for i, v in enumerate(vec) if v}
+        assert field_from_coefficients(2, arity, 3, sparse) == f
+        with pytest.raises(ValueError):
+            field_from_coefficients(2, arity, 3, {ncoords: 1})
 
 
 def test_lie_derivative_route_matches_operator():

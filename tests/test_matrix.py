@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_matrix
+from helpers import REALIZED_SHAPES, assert_matches_whole, rand_matrix
+from killingcalc import killing, young
 from killingcalc.matrix import (
-    ColumnSolver,
     ExactMatrix,
-    image_basis,
     kernel_basis,
     rank,
     row_space_rref,
@@ -85,6 +84,9 @@ def _planted_block_diagonal(rng, shapes, rows, cols):
 
 
 def test_rank_on_permuted_block_diagonal_matrices():
+    """rank, rref, kernel_basis and solve reduce block by block; on
+    planted blocks hidden by row and column permutations they must equal
+    the reduction of the whole matrix."""
     try:
         import sympy
     except ImportError:
@@ -103,8 +105,8 @@ def test_rank_on_permuted_block_diagonal_matrices():
         cols = sum(w for _, w in shapes) + rng.randint(0, 3)
         cases.append(_planted_block_diagonal(rng, shapes, rows, cols))
     for m in cases:
+        assert_matches_whole(m)
         r = rank(m)
-        assert r == len(rref(m)[0])
         assert r == rank(m.transpose())
         if sympy is not None:
             sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.at(i, j)))
@@ -118,8 +120,9 @@ def test_kernel_vectors_annihilated():
         ker = kernel_basis(m)
         assert len(ker) == m.cols - rank(m)
         for v in ker:
-            assert m.apply({i: x for i, x in enumerate(v) if x}) == {}
-        assert rank(row_space_rref(ker, m.cols)) == len(ker)
+            assert m.apply(v) == {}
+        dense = [[v.get(i, 0) for i in range(m.cols)] for v in ker]
+        assert rank(row_space_rref(dense, m.cols)) == len(ker)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -136,15 +139,6 @@ def test_solve_consistent_and_inconsistent():
     assert solve(m, [3, 3]) == [Fraction(3)]
 
 
-def test_image_basis_spans_columns():
-    m = ExactMatrix.from_rows([[1, 2, 3], [0, 0, 1]])
-    img = image_basis(m)
-    assert len(img) == 2
-    assert row_space_rref(img, m.rows) == row_space_rref(
-        [c for c in ([1, 0], [2, 0], [3, 1])], m.rows
-    )
-
-
 def test_row_space_rref_separates_subspaces():
     a = row_space_rref([[1, 1, 0], [0, 1, 1]], 3)
     b = row_space_rref([[1, 2, 1], [1, 0, -1]], 3)  # same plane, new basis
@@ -153,13 +147,21 @@ def test_row_space_rref_separates_subspaces():
     assert a != c
 
 
-def test_column_solver_round_trip_and_rejection():
-    cols = ExactMatrix.from_rows([[1, 0], [1, 1], [0, 2]])
-    s = ColumnSolver(cols)
-    y = cols.apply({0: Fraction(3), 1: Fraction(-2)})
-    assert s.coords(y) == [Fraction(3), Fraction(-2)]
-    with pytest.raises(ValueError, match="outside the column span"):
-        s.coords_checked({0: Fraction(1), 1: Fraction(0), 2: Fraction(0)})
+@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES)
+def test_block_reduction_matches_whole_on_realization_constraints(shape, n, kind):
+    _, constraints = young._presentation(young.YoungDiagram(shape), n, kind)
+    if constraints is not None:
+        assert_matches_whole(constraints)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_reduction_matches_whole_on_potential_systems(n):
+    """[A | I] of every potential solve: the identity block keeps each
+    row in its own block of A, and the reduction must still be whole."""
+    for degree in range(1, 7):
+        a = killing._operator_matrix(n, 1, degree)
+        aug = a.hstack(ExactMatrix.identity(a.rows))
+        assert_matches_whole(aug, rhs=[[Fraction(i % 3 - 1) for i in range(aug.rows)]])
 
 
 def test_matrix_algebra_and_json():

@@ -11,7 +11,6 @@ from killingcalc.tensor import (
     antisymmetrize,
     contract,
     flatten,
-    flatten_sparse,
     perm_sign,
     symmetrize,
     unflatten,
@@ -83,8 +82,6 @@ def test_flatten_unflatten_round_trip():
         vec = flatten(t)
         assert len(vec) == 3 ** arity
         assert unflatten(vec, 3, arity) == t
-        sparse = flatten_sparse(t)
-        assert sparse == {i: v for i, v in enumerate(vec) if v}
 
 
 def test_tensor_json_round_trip():

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import REALIZED_SHAPES
 from killingcalc import young
-from killingcalc.symspace import extract
+from killingcalc.matrix import ExactMatrix
+from killingcalc.symspace import GroupedSpace, Group, SYM, extract
 from killingcalc.tensor import antisymmetrize, symmetrize
 from killingcalc.young import (
     DynkinLabel,
@@ -110,10 +112,7 @@ def test_realized_bases_have_predicted_rank():
             if basis.dim:
                 # each basis tensor extracts back to a unit coordinate vector
                 vec = extract(basis.space, basis.tensor(0))
-                coords = basis.solver.coords_checked(
-                    {i: v for i, v in enumerate(vec) if v}
-                )
-                assert coords[0] == 1 and not any(coords[1:])
+                assert basis.coords({i: v for i, v in enumerate(vec) if v}) == {0: 1}
 
 
 def test_symmetric_pair_basis_tensors_have_stated_symmetries():
@@ -234,6 +233,36 @@ def test_disk_cache_recomputes_an_edited_basis(shape, n, kind, tmp_path, monkeyp
     clear_realization_cache()
 
 
+@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES)
+def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
+    """Coordinates are the values at the lead rows: every member of the
+    span gets its own coefficients back, and a member changed at a row
+    that is no column's lead (so off the span) is rejected."""
+    basis = realize_irreducible(YoungDiagram(shape), n, kind)
+    rng = random.Random(f"{shape} {n} {kind}")
+    cols = basis.columns
+    for j, col in enumerate(cols):
+        assert basis.coords(col) == {j: 1}
+    coeffs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(basis.dim)}
+    coeffs = {j: c for j, c in coeffs.items() if c}
+    y = ExactMatrix.from_columns(cols, basis.space.dim).apply(coeffs)
+    assert basis.coords(y) == coeffs
+    free = [r for r in range(basis.space.dim) if r not in set(basis.leads)]
+    for r in rng.sample(free, min(5, len(free))):
+        off = dict(y)
+        off[r] = off.get(r, 0) + 1
+        with pytest.raises(ValueError, match="outside the column span"):
+            basis.coords(off)
+
+
+def test_subspace_basis_rejects_unreduced_columns():
+    space = GroupedSpace(2, [Group(SYM, 2)])  # dimension 3
+    for cols in ([{0: 1, 1: 1}, {1: 1}], [{1: 1}, {0: 1}], [{0: 2}], [{}], [{0: 1, 2: 1}, {2: 1}]):
+        with pytest.raises(ValueError, match="reduced shape"):
+            young.SubspaceBasis(space, ExactMatrix.from_columns(cols, 3))
+    young.SubspaceBasis(space, ExactMatrix.from_columns([{0: 1}, {1: 5, 2: 1}], 3))
+
+
 def test_extract_inverts_basis_embedding():
     rng = random.Random(67)
     basis = realize_irreducible(YoungDiagram((2, 1)), 3)
@@ -244,7 +273,5 @@ def test_extract_inverts_basis_embedding():
         term = basis.tensor(j).scale(c)
         t = term if t is None else t + term
     vec = extract(basis.space, t)
-    from fractions import Fraction
-
-    got = basis.solver.coords_checked({i: v for i, v in enumerate(vec) if v})
-    assert got == [Fraction(c) for c in coeffs]
+    got = basis.coords({i: v for i, v in enumerate(vec) if v})
+    assert got == {j: Fraction(c) for j, c in enumerate(coeffs) if c}
