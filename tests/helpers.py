@@ -81,6 +81,7 @@ REALIZED_SHAPES = [
     ]
     for n in ns
 ]
+REALIZED_IDS = [f"{''.join(map(str, s))}-n{n}-{kind}" for s, n, kind in REALIZED_SHAPES]
 
 
 def whole_rref(m: ExactMatrix):

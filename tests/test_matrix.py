@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import REALIZED_SHAPES, assert_matches_whole, rand_matrix
+from helpers import REALIZED_IDS, REALIZED_SHAPES, assert_matches_whole, rand_matrix
 from killingcalc import killing, young
 from killingcalc.matrix import (
     ExactMatrix,
@@ -147,7 +147,7 @@ def test_row_space_rref_separates_subspaces():
     assert a != c
 
 
-@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES)
+@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES, ids=REALIZED_IDS)
 def test_block_reduction_matches_whole_on_realization_constraints(shape, n, kind):
     _, constraints = young._presentation(young.YoungDiagram(shape), n, kind)
     if constraints is not None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import REALIZED_SHAPES
+from helpers import REALIZED_IDS, REALIZED_SHAPES
 from killingcalc import young
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
@@ -233,7 +233,7 @@ def test_disk_cache_recomputes_an_edited_basis(shape, n, kind, tmp_path, monkeyp
     clear_realization_cache()
 
 
-@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES)
+@pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES, ids=REALIZED_IDS)
 def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
     """Coordinates are the values at the lead rows: every member of the
     span gets its own coefficients back, and a member changed at a row
@@ -245,9 +245,10 @@ def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
         assert basis.coords(col) == {j: 1}
     coeffs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(basis.dim)}
     coeffs = {j: c for j, c in coeffs.items() if c}
-    y = ExactMatrix.from_columns(cols, basis.space.dim).apply(coeffs)
+    y = basis.coord_basis.apply(coeffs)
     assert basis.coords(y) == coeffs
-    free = [r for r in range(basis.space.dim) if r not in set(basis.leads)]
+    leads = set(basis.leads)
+    free = [r for r in range(basis.space.dim) if r not in leads]
     for r in rng.sample(free, min(5, len(free))):
         off = dict(y)
         off[r] = off.get(r, 0) + 1
