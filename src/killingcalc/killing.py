@@ -174,9 +174,11 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     return ExactMatrix(len(key_pos) * per_key, col, entries)
 
 
-def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> list[dict]:
+@cache
+def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> tuple[dict, ...]:
     """Canonical basis of symmetric solutions with entries of bounded
     degree, as sparse vectors on ``symmetric_coordinates(n, ell, max_degree)``.
+    Memoized: callers must not mutate the returned vectors.
 
     Requires max_degree >= ell; the kernel is degree-graded and every
     solution in it has entry degree at most ell, so any bound past that
@@ -186,7 +188,7 @@ def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> list[dict]:
         raise ValueError("ell must be at least 1")
     if max_degree < ell:
         raise ValueError("max_degree must be at least ell")
-    return kernel_basis(_operator_matrix(n, ell, max_degree))
+    return tuple(kernel_basis(_operator_matrix(n, ell, max_degree)))
 
 
 def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:

@@ -180,7 +180,8 @@ def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
             row0 = target_pos[tuple(sorted(s + (i,)))] * dim
             for (r, c), v in module.actions[i - 1].entries.items():
                 entries[(row0 + r, col0 + c)] = sign * v
-    return ExactMatrix(len(target) * dim, cols, entries)
+    # each entry is +-1 times a nonzero entry of an action matrix
+    return ExactMatrix._trusted(len(target) * dim, cols, entries)
 
 
 def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:

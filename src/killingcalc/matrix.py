@@ -2,9 +2,15 @@
 
 ``ExactMatrix`` stores only nonzero entries and is treated as immutable
 by every function here.  All eliminations go through the integer kernel
-in :mod:`killingcalc.elim`: rows are cleared of denominators, reduced
-fraction-free, and converted back, so results are exact and the reduced
-echelon form (hence ranks, kernels and solutions) is canonical.
+in :mod:`killingcalc.elim`, by one path: each row is cleared of
+denominators once, rows that repeat exactly are dropped, the rest are
+split into blocks, reduced fraction-free, and converted back.  So
+results are exact and the reduced echelon form (hence ranks, kernels
+and solutions) is canonical.  Clearing multiplies a row by a positive
+integer and dropping a repeat removes a row already present; neither
+changes the row space, and the reduced echelon form depends on the row
+space alone.  ``integer_rank`` takes rows that are integers already,
+from builders that write them directly.
 
 Every elimination reduces one connected component of the nonzero
 pattern at a time (rows and columns joined by shared entries), so no
@@ -33,6 +39,7 @@ __all__ = [
     "ExactMatrix",
     "rref",
     "rank",
+    "integer_rank",
     "kernel_basis",
     "solve",
     "row_space_rref",
@@ -60,8 +67,15 @@ class ExactMatrix:
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries) -> "ExactMatrix":
-        """Wrap entries this module computed: nonzero Fractions at indices
-        inside rows x cols, taken as they are."""
+        """Wrap entries as they are, with none of the constructor's checks.
+
+        The caller guarantees the constructor's result would be the same:
+        ``entries`` is a dict from (row, col) with 0 <= row < rows and
+        0 <= col < cols to nonzero ``Fraction`` values, and nothing else
+        holds it.  Builders outside this module may use it when every
+        entry is a known nonzero ``Fraction`` (for example +-1 times an
+        entry of another ``ExactMatrix``) placed by closed-form indices.
+        """
         m = cls.__new__(cls)
         m.rows, m.cols, m.entries = rows, cols, entries
         return m
@@ -259,14 +273,24 @@ def _clear_matrix_cols(m: ExactMatrix):
     return mult, cols
 
 
-def _blocks(m: ExactMatrix) -> list[dict[int, dict[int, Fraction]]]:
-    """Connected components of the nonzero pattern, as row -> {col: value}.
+def _int_rows(m: ExactMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of m, each cleared of denominators once."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    return [_clear_row(row) for row in rows.values()]
 
-    A union-find over ``m.entries`` joins every row to the columns of its
-    nonzero entries, in O(nnz).  Zero rows and zero columns belong to no
-    block.
+
+def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
+    """Connected components of the nonzero pattern of integer rows on
+    ncols columns, as lists of rows, with exact repeats dropped.
+
+    A union-find over the columns joins the columns of each row, in
+    O(nnz); a row's block is the one of its first column.  Zero rows
+    and zero columns belong to no block.
     """
-    parent = list(range(m.rows + m.cols))
+    unique = list({frozenset(row.items()): row for row in rows if row}.values())
+    parent = list(range(ncols))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -274,35 +298,42 @@ def _blocks(m: ExactMatrix) -> list[dict[int, dict[int, Fraction]]]:
             x = parent[x]
         return x
 
-    for r, c in m.entries:
-        a, b = find(r), find(m.rows + c)
-        if a != b:
-            parent[a] = b
-    blocks: dict[int, dict[int, dict[int, Fraction]]] = {}
-    for (r, c), v in m.entries.items():
-        blocks.setdefault(find(r), {}).setdefault(r, {})[c] = v
+    for row in unique:
+        it = iter(row)
+        a = find(next(it))
+        for c in it:
+            b = find(c)
+            if a != b:
+                parent[b] = a
+    blocks: dict[int, list[dict[int, int]]] = {}
+    for row in unique:
+        blocks.setdefault(find(next(iter(row))), []).append(row)
     return list(blocks.values())
 
 
-def _reduce(block: dict[int, dict[int, Fraction]]):
+def _reduce(block: list[dict[int, int]]):
     """(cols, pivots, rows) of one block: ``elim.rref_int`` of its rows on
     its columns renumbered 0.. in ascending order, so that local pivots
     ascend with global ones; ``cols[k]`` is the global index of local
     column k."""
-    cols = sorted({c for row in block.values() for c in row})
+    cols = sorted({c for row in block for c in row})
     local = {c: k for k, c in enumerate(cols)}
-    int_rows = [
-        _clear_row({local[c]: v for c, v in row.items()}) for row in block.values()
-    ]
+    int_rows = [{local[c]: v for c, v in row.items()} for row in block]
     pivots, rows = elim.rref_int(int_rows, len(cols))
     return cols, pivots, rows
+
+
+def integer_rank(rows, ncols: int) -> int:
+    """Rank of the sparse integer rows (dicts column -> nonzero int) on
+    ncols columns: the summed pivot counts of their blocks."""
+    return sum(len(_reduce(block)[1]) for block in _blocks(rows, ncols))
 
 
 def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, Fraction]]]:
     """(pivot column, reduced row) pairs of m's reduced echelon form, rows
     divided by their pivots and sorted by pivot column."""
     out = []
-    for block in _blocks(m):
+    for block in _blocks(_int_rows(m), m.cols):
         cols, pivots, rows = _reduce(block)
         for p, row in zip(pivots, rows):
             piv = row[p]
@@ -319,8 +350,8 @@ def rref(m: ExactMatrix) -> tuple[list[int], ExactMatrix]:
 
 
 def rank(m: ExactMatrix) -> int:
-    """Rank of m, the summed pivot counts of its blocks."""
-    return sum(len(_reduce(block)[1]) for block in _blocks(m))
+    """Rank of m, the ``integer_rank`` of its cleared rows."""
+    return integer_rank(_int_rows(m), m.cols)
 
 
 def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
@@ -358,8 +389,8 @@ def solve(m: ExactMatrix, b) -> list[Fraction] | None:
         ExactMatrix(m.rows, 1, {(r, 0): Fraction(v) for r, v in enumerate(bvec) if v})
     )
     x = [Fraction(0)] * m.cols
-    for block in _blocks(aug):
-        if any(m.cols in row for row in block.values()):
+    for block in _blocks(_int_rows(aug), aug.cols):
+        if any(m.cols in row for row in block):
             cols, pivots, rows = _reduce(block)
             rhs = len(cols) - 1  # m.cols is the block's last column
             if pivots[-1] == rhs:

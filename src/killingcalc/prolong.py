@@ -160,7 +160,8 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
                     entries[(row0 + offsets[k - 1] + r, col0 + offsets[k] + c)] = (
                         sign * v
                     )
-    return ExactMatrix(rows, cols, entries)
+    # each entry is +-1 times a nonzero entry of an iota coefficient matrix
+    return ExactMatrix._trusted(rows, cols, entries)
 
 
 def key_isomorphism_check(n: int) -> dict:

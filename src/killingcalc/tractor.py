@@ -26,9 +26,17 @@ entry v of the basis tensor at idx gives v * m_a at row
 derivative) and -v at row (k - 1, idx, m) when k >= 1 (the iota term
 of the previous component).  The number of parallel sections is the
 column count minus the rank.
+
+Each column is first scaled by the lcm of its basis tensor's
+denominators, so every entry is a Python int and the rows go straight
+to ``matrix.integer_rank`` with no rational arithmetic.  Scaling a
+column by a nonzero factor maps the kernel bijectively onto the kernel
+of the scaled system, so the rank is unchanged.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from killingcalc.fields import (
     MetricField,
@@ -41,7 +49,7 @@ from killingcalc.fields import (
 )
 # kernel_basis is unused here but stays importable from this module:
 # perfbench/selftest.py checks that its tracer rebinds this import site.
-from killingcalc.matrix import ExactMatrix, kernel_basis, rank  # noqa: F401
+from killingcalc.matrix import integer_rank, kernel_basis  # noqa: F401
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T
 from killingcalc.symspace import extract
@@ -260,29 +268,33 @@ def flat_component_derivative(sec: ComponentSection) -> list[PolyTensorField]:
 
 
 def _parallel_system(n: int, ell: int, max_degree: int):
-    """Matrix of the flat connection on polynomial sections of degree
-    <= max_degree, by the rule of the module docstring, and its row
-    labels (component, index tuple, monomial) in row order."""
+    """Integer rows of the flat connection on polynomial sections of
+    degree <= max_degree, by the rule of the module docstring with every
+    basis tensor scaled to integers: a dict from row label (component,
+    index tuple, monomial) to the row {column: int}, in row order, and
+    the column count."""
     pro = build_T(n, ell)
     mons = monomials(n, max_degree)
-    row_pos: dict = {}
-    entries: dict = {}
+    # (a, m_a, m - e_a) for each direction a with m_a > 0, per monomial m
+    lowers = [
+        [(a, e, m[: a - 1] + (e - 1,) + m[a:]) for a, e in enumerate(m, 1) if e]
+        for m in mons
+    ]
+    rows: dict = {}
     col = 0
     for k, comp in enumerate(pro.components):
         for j in range(comp.dim):
-            base = comp.tensor(j).entries
-            for m in mons:
-                for idx, v in base.items():
-                    for a in range(1, n + 1):
-                        if m[a - 1]:
-                            lower = m[: a - 1] + (m[a - 1] - 1,) + m[a:]
-                            rid = row_pos.setdefault((k, (a,) + idx, lower), len(row_pos))
-                            entries[(rid, col)] = v * m[a - 1]
+            entries = comp.tensor(j).entries
+            scale = lcm(*(v.denominator for v in entries.values()))
+            base = [(idx, v.numerator * (scale // v.denominator)) for idx, v in entries.items()]
+            for m, lower in zip(mons, lowers):
+                for idx, v in base:
+                    for a, e, low in lower:
+                        rows.setdefault((k, (a,) + idx, low), {})[col] = v * e
                     if k:
-                        rid = row_pos.setdefault((k - 1, idx, m), len(row_pos))
-                        entries[(rid, col)] = -v
+                        rows.setdefault((k - 1, idx, m), {})[col] = -v
                 col += 1
-    return ExactMatrix(len(row_pos), col, entries), list(row_pos)
+    return rows, col
 
 
 def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> int:
@@ -294,5 +306,5 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     """
     if max_degree is None:
         max_degree = ell
-    m, _ = _parallel_system(n, ell, max_degree)
-    return m.cols - rank(m)
+    rows, ncols = _parallel_system(n, ell, max_degree)
+    return ncols - integer_rank(rows.values(), ncols)

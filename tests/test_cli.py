@@ -90,6 +90,29 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
     assert calls == {"cohomology_dims": 1, "composites_vanish": 1}
 
 
+def test_killing_family_computes_each_kernel_once(monkeypatch):
+    """dim and degree-bound share the memoized kernel at max_degree ell;
+    only degree-bound's slack kernel at ell + 2 is new, and parallel
+    ranks its system without a kernel."""
+    calls = []
+    original = killing.kernel_basis
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return original(m)
+
+    monkeypatch.setattr(killing, "kernel_basis", counted)
+    killing.killing_kernel_vectors.cache_clear()
+    try:
+        for n, ell in ((2, 1), (3, 2)):
+            calls.clear()
+            for _, _, job in cli._jobs_killing([(n, ell)]):
+                job()
+            assert len(calls) == 2, (n, ell, calls)
+    finally:
+        killing.killing_kernel_vectors.cache_clear()
+
+
 def test_timings_flag_adds_seconds(tmp_path, capsys):
     path = tmp_path / "t.json"
     main(["verify-key", "--n", "2", "--output", str(path), "--timings"])

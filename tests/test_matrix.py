@@ -2,13 +2,21 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from helpers import REALIZED_IDS, REALIZED_SHAPES, assert_matches_whole, rand_matrix
+from helpers import (
+    REALIZED_IDS,
+    REALIZED_SHAPES,
+    assert_matches_whole,
+    rand_matrix,
+    whole_rref,
+)
 from killingcalc import killing, young
 from killingcalc.matrix import (
     ExactMatrix,
+    integer_rank,
     kernel_basis,
     rank,
     row_space_rref,
@@ -111,6 +119,72 @@ def test_rank_on_permuted_block_diagonal_matrices():
         if sympy is not None:
             sm = sympy.Matrix(m.rows, m.cols, lambda i, j: sympy.Rational(m.at(i, j)))
             assert r == sm.rank()
+
+
+def _with_repeated_rows(rng, m, copies):
+    """m with extra rows appended and all rows shuffled: exact copies of
+    random rows, copies scaled by a random nonzero rational (some of them
+    clear to the same integer row, some to a multiple), and zero rows."""
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    nonzero = [row for row in rows if row] or [{}]
+    for _ in range(copies):
+        row = rng.choice(nonzero)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows.append(dict(row))
+        elif kind == 1:
+            f = Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 7]))
+            rows.append({c: f * v for c, v in row.items()})
+        else:
+            rows.append({})
+    rng.shuffle(rows)
+    entries = {(r, c): v for r, row in enumerate(rows) for c, v in row.items()}
+    return ExactMatrix(len(rows), m.cols, entries)
+
+
+def test_repeated_rows_match_whole_reduction():
+    """Rows are cleared once and exact repeats dropped before the block
+    split; rank, rref, kernel_basis and solve must still equal the
+    reduction of the whole matrix, repeats and zero rows included."""
+    rng = random.Random(59)
+    cases = []
+    for _ in range(25):
+        shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        rows = sum(h for h, _ in shapes) + rng.randint(0, 2)
+        cols = sum(w for _, w in shapes) + rng.randint(0, 2)
+        m = _planted_block_diagonal(rng, shapes, rows, cols)
+        # fractional entries, so that clearing rescales rows
+        m = ExactMatrix(m.rows, m.cols, {
+            k: v / rng.choice([1, 2, 3, 6]) for k, v in m.entries.items()
+        })
+        cases.append(_with_repeated_rows(rng, m, rng.randint(1, 2 * rows)))
+    # each row of a two-block matrix repeated, and one row copied many times
+    base = ExactMatrix.from_rows([[1, 2, 0, 0], [0, 0, 3, -1]])
+    cases.append(base.vstack(base).vstack(base).vstack(ExactMatrix.zero(2, 4)))
+    cases.append(ExactMatrix.from_rows([[Fraction(1, 2), 0, Fraction(1, 3)]] * 6))
+    for m in cases:
+        assert_matches_whole(m)
+
+
+def test_integer_rank_drops_repeats_and_zero_rows():
+    rows = [{0: 2, 3: -4}, {}, {0: 2, 3: -4}, {3: -4, 0: 2}, {1: 5}, {0: 1, 3: -2}, {2: 7, 1: 1}]
+    assert integer_rank(rows, 4) == 3
+    assert integer_rank(iter(rows), 4) == 3
+    assert integer_rank([], 4) == 0
+    assert integer_rank([{}, {}], 0) == 0
+    rng = random.Random(61)
+    for _ in range(20):
+        m = _with_repeated_rows(rng, rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)), 6)
+        rows = [dict() for _ in range(m.rows)]
+        for (r, c), v in m.entries.items():
+            rows[r][c] = v
+        int_rows = [
+            {c: int(v * lcm(*(w.denominator for w in row.values()))) for c, v in row.items()}
+            for row in rows
+        ]
+        assert integer_rank(int_rows, m.cols) == len(whole_rref(m)[0])
 
 
 def test_kernel_vectors_annihilated():

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
+from helpers import whole_rref
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
@@ -27,7 +28,7 @@ from killingcalc.killing import (
     killing_operator,
     symmetric_coordinates,
 )
-from killingcalc.matrix import ExactMatrix, rank
+from killingcalc.matrix import ExactMatrix, integer_rank, rank
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T
 from killingcalc.tractor import (
@@ -162,13 +163,43 @@ PARALLEL_SIZES = [
 ]
 
 
+def _column_scales(n, ell, max_degree):
+    """The positive integer each column of ``_parallel_system`` carries:
+    the lcm of the denominators of its basis tensor, once per monomial."""
+    scales = []
+    for comp in build_T(n, ell).components:
+        for j in range(comp.dim):
+            scale = lcm(*(v.denominator for v in comp.tensor(j).entries.values()))
+            scales += [scale] * len(monomials(n, max_degree))
+    return scales
+
+
 @pytest.mark.parametrize("n, ell, max_degree", PARALLEL_SIZES)
 def test_parallel_system_matches_field_calculus(n, ell, max_degree):
-    m, labels = _parallel_system(n, ell, max_degree)
+    rows, ncols = _parallel_system(n, ell, max_degree)
     want, cols = _oracle_parallel(n, ell, max_degree)
-    assert m.cols == cols
-    assert len(set(labels)) == len(labels) == m.rows
-    assert {(labels[r], c): v for (r, c), v in m.entries.items()} == want
+    assert ncols == cols
+    assert all(rows.values())
+    assert all(type(v) is int for row in rows.values() for v in row.values())
+    scales = _column_scales(n, ell, max_degree)
+    got = {(label, c): v for label, row in rows.items() for c, v in row.items()}
+    assert got == {(label, c): v * scales[c] for (label, c), v in want.items()}
+
+
+@pytest.mark.parametrize("n, ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
+def test_parallel_rank_matches_oracle_matrix(n, ell):
+    """integer_rank of the scaled integer rows, with repeated rows
+    dropped, equals the rank of the unscaled field-calculus matrix."""
+    rows, ncols = _parallel_system(n, ell, ell)
+    want, cols = _oracle_parallel(n, ell, ell)
+    label_pos: dict = {}
+    entries = {
+        (label_pos.setdefault(label, len(label_pos)), c): v for (label, c), v in want.items()
+    }
+    oracle = ExactMatrix(len(label_pos), cols, entries)
+    oracle_rank = len(whole_rref(oracle)[0])
+    assert integer_rank(rows.values(), ncols) == oracle_rank
+    assert cols - oracle_rank == build_T(n, ell).total_dim
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

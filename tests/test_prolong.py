@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from helpers import assert_matches_whole
 from killingcalc import prolong
 from killingcalc.kostant import koszul_complex
+from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
     CapExceeded,
     build_T,
@@ -84,6 +87,18 @@ def test_block_rank_matches_full_rref_on_every_complex(monkeypatch):
             maps = full_complex(n, ell).maps + koszul_complex(n, ell).maps
             for m in maps + tuple(graded_maps):
                 assert_matches_whole(m)
+
+
+def test_differentials_equal_the_checked_constructor():
+    """build_partial and koszul_differential wrap their entries without
+    the constructor's checks; the checked constructor must give the same
+    matrix (indices in range, no zero and no non-Fraction entry)."""
+    for n in (2, 3, 4):
+        for ell in (1, 2, 3):
+            for m in full_complex(n, ell).maps + koszul_complex(n, ell).maps:
+                checked = ExactMatrix(m.rows, m.cols, m.entries)
+                assert m == checked
+                assert all(type(v) is Fraction for v in m.entries.values())
 
 
 def test_partial_rank_matches_sympy():

@@ -143,7 +143,7 @@ def test_component_membership_enforced():
 
 
 def test_parallel_dimension_equals_bundle_dimension():
-    for n, ell, want in ((2, 1, 3), (3, 1, 6), (2, 2, 6)):
+    for n, ell, want in ((2, 1, 3), (3, 1, 6), (2, 2, 6), (3, 3, 50), (4, 2, 50)):
         assert flat_parallel_dimension(n, ell) == want
 
 
