@@ -12,50 +12,48 @@ obstruction with its potential solver, and the exact curvature of flat,
 stereographic, and sampled metrics.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.fields import MetricField, PolyTensorField
-from killingcalc.killing import (
-    integrability_operator,
-    killing_kernel,
-    killing_operator,
-    killing_potential_solve,
-)
-from killingcalc.kostant import branching_check, lie_algebra_cohomology
-from killingcalc.matrix import ExactMatrix
-from killingcalc.prolong import (
-    build_T,
-    complex_cohomology,
-    graded_diagonal_complex,
-    key_isomorphism_check,
-)
-from killingcalc.rationals import Fraction
-from killingcalc.tractor import killing_lift, tractor_curvature, tractor_derivative
-from killingcalc.young import YoungDiagram, gl_dimension, realize_irreducible
+# Public names resolve on first access (PEP 562), so importing the package
+# or one of its modules loads only what the caller uses.
+_SOURCES = {
+    "ChainComplex": "chain",
+    "cohomology_dims": "chain",
+    "MetricField": "fields",
+    "PolyTensorField": "fields",
+    "integrability_operator": "killing",
+    "killing_kernel": "killing",
+    "killing_operator": "killing",
+    "killing_potential_solve": "killing",
+    "branching_check": "kostant",
+    "lie_algebra_cohomology": "kostant",
+    "ExactMatrix": "matrix",
+    "build_T": "prolong",
+    "complex_cohomology": "prolong",
+    "graded_diagonal_complex": "prolong",
+    "key_isomorphism_check": "prolong",
+    "Fraction": "rationals",
+    "killing_lift": "tractor",
+    "tractor_curvature": "tractor",
+    "tractor_derivative": "tractor",
+    "YoungDiagram": "young",
+    "gl_dimension": "young",
+    "realize_irreducible": "young",
+}
 
-__all__ = [
-    "ChainComplex",
-    "ExactMatrix",
-    "Fraction",
-    "MetricField",
-    "PolyTensorField",
-    "YoungDiagram",
-    "branching_check",
-    "build_T",
-    "cohomology_dims",
-    "complex_cohomology",
-    "gl_dimension",
-    "graded_diagonal_complex",
-    "integrability_operator",
-    "key_isomorphism_check",
-    "killing_kernel",
-    "killing_lift",
-    "killing_operator",
-    "killing_potential_solve",
-    "lie_algebra_cohomology",
-    "realize_irreducible",
-    "tractor_curvature",
-    "tractor_derivative",
-    "__version__",
-]
+__all__ = [*sorted(_SOURCES), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES))

@@ -17,41 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from fractions import Fraction
 from functools import cache
 
-from killingcalc.fields import (
-    MetricField,
-    PolyTensorField,
-    christoffel_closed_form,
-    christoffel_homogeneous_kernel_dim,
-    christoffel_solve,
-)
-from killingcalc.killing import (
-    _guard_killing_cap,
-    integrability_kernel,
-    integrability_of_killing_matrix,
-    killing_kernel,
-    killing_kernel_vectors,
-    killing_potential_solve,
-    symmetric_coordinates,
-)
-from killingcalc.kostant import branching_check, lie_algebra_cohomology
-from killingcalc.matrix import row_space_rref
-from killingcalc.poly import PolyScalar
-from killingcalc.prolong import (
-    CapExceeded,
-    build_T,
-    complex_cohomology,
-    graded_diagonal_complex,
-    injectivity_implication_check,
-    key_isomorphism_check,
-)
-from killingcalc.tensor import Tensor
-from killingcalc.tractor import flat_parallel_dimension, tractor_curvature
+from killingcalc.cap import CapExceeded
 
 SCHEMA_VERSION = 1
 
@@ -80,9 +50,12 @@ def _n_range(text: str) -> list[int]:
 # check families: each job is (id, inputs, thunk) with thunk() -> (computed,
 # predicted); the verdict is plain equality of the two values.  Checks that
 # read one cohomology report share it through a memo made per job list and
-# keyed by (n, ell), so each complex is built and ranked once.
+# keyed by (n, ell), so each complex is built and ranked once.  Each builder
+# imports its own family, so a command loads only the modules it runs.
 
 def _jobs_key(n_values):
+    from killingcalc.prolong import key_isomorphism_check
+
     jobs = []
     for n in n_values:
         def thunk(n=n):
@@ -96,6 +69,8 @@ def _jobs_key(n_values):
 
 
 def _jobs_complex(pairs):
+    from killingcalc.prolong import complex_cohomology
+
     report = cache(complex_cohomology)
     jobs = []
     for n, ell in pairs:
@@ -121,6 +96,8 @@ def _jobs_complex(pairs):
 
 
 def _jobs_kostant(pairs):
+    from killingcalc.kostant import branching_check, lie_algebra_cohomology
+
     report = cache(lie_algebra_cohomology)
     jobs = []
     for n, ell in pairs:
@@ -156,6 +133,16 @@ def _jobs_kostant(pairs):
 
 
 def _jobs_killing(pairs):
+    from killingcalc.killing import (
+        _guard_killing_cap,
+        killing_kernel,
+        killing_kernel_vectors,
+        symmetric_coordinates,
+    )
+    from killingcalc.matrix import row_space_rref
+    from killingcalc.prolong import build_T
+    from killingcalc.tractor import flat_parallel_dimension
+
     jobs = []
     for n, ell in pairs:
         inputs = {"n": n, "ell": ell}
@@ -198,6 +185,16 @@ def _jobs_killing(pairs):
 
 
 def _jobs_range_theorem(n_values):
+    from fractions import Fraction
+
+    from killingcalc.fields import PolyTensorField
+    from killingcalc.killing import (
+        integrability_kernel,
+        integrability_of_killing_matrix,
+        killing_potential_solve,
+    )
+    from killingcalc.poly import PolyScalar
+
     jobs = []
     for n in n_values:
         inputs = {"n": n}
@@ -238,14 +235,22 @@ def _jobs_range_theorem(n_values):
     return jobs
 
 
-def _sample_metric(n: int) -> MetricField:
+def _sample_metric(n: int):
     """Deterministic second-order jet with genuine curvature."""
+    from fractions import Fraction
+
+    from killingcalc.fields import MetricField
+    from killingcalc.tensor import Tensor
+
     g0 = Tensor(n, 2, {(i, i): Fraction(1) for i in range(1, n + 1)})
     ddg0 = Tensor(n, 4, {(2, 2, 1, 1): Fraction(2)})
     return MetricField.from_jet2(g0, Tensor(n, 3, {}), ddg0)
 
 
 def _jobs_tractor(n_values):
+    from killingcalc.fields import MetricField
+    from killingcalc.tractor import tractor_curvature
+
     jobs = []
     for n in n_values:
         def flat(n=n):
@@ -271,6 +276,8 @@ def _jobs_tractor(n_values):
 
 
 def _jobs_injectivity(pairs):
+    from killingcalc.prolong import injectivity_implication_check
+
     jobs = []
     for n, ell in pairs:
         def thunk(n=n, ell=ell):
@@ -287,6 +294,8 @@ def _jobs_injectivity(pairs):
 
 
 def _jobs_graded(pairs):
+    from killingcalc.prolong import graded_diagonal_complex
+
     jobs = []
     for n, ell in pairs:
         for d in range(ell, n + 2 * ell + 1):
@@ -299,7 +308,11 @@ def _jobs_graded(pairs):
     return jobs
 
 
-def _random_symmetric_jet(rng: random.Random, n: int) -> Tensor:
+def _random_symmetric_jet(rng, n: int):
+    from fractions import Fraction
+
+    from killingcalc.tensor import Tensor
+
     entries = {}
     for a in range(1, n + 1):
         for b in range(1, n + 1):
@@ -312,6 +325,14 @@ def _random_symmetric_jet(rng: random.Random, n: int) -> Tensor:
 
 
 def _jobs_christoffel(n_values):
+    import random
+
+    from killingcalc.fields import (
+        christoffel_closed_form,
+        christoffel_homogeneous_kernel_dim,
+        christoffel_solve,
+    )
+
     jobs = []
     for n in n_values:
         inputs = {"n": n}
@@ -414,6 +435,9 @@ def _cmd_killing(args) -> int:
 
 
 def _cmd_range_check(args) -> int:
+    from killingcalc.fields import PolyTensorField
+    from killingcalc.killing import _guard_potential_cap, killing_potential_solve
+
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -438,6 +462,7 @@ def _cmd_range_check(args) -> int:
             file=sys.stderr,
         )
         return 2
+    _guard_potential_cap(field)
     try:
         result = killing_potential_solve(field, args.degree_cap)
     except ValueError as e:

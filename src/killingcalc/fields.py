@@ -54,6 +54,14 @@ def _coerce(scalars, n: int):
     return vals, False
 
 
+def _json_int(value, what: str) -> int:
+    """An integer of a field document; floats, strings and bools are refused
+    rather than truncated or converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _s_zero(n: int, rational: bool):
     return RatScalar.const(n, 0) if rational else PolyScalar.zero(n)
 
@@ -161,19 +169,18 @@ class PolyTensorField:
         if not isinstance(data, dict):
             raise ValueError("field document must be an object")
         try:
-            n = int(data["n"])
-            arity = int(data["arity"])
-            raw = data["entries"]
-        except (KeyError, TypeError, ValueError) as e:
+            n, arity, raw = data["n"], data["arity"], data["entries"]
+        except KeyError as e:
             raise ValueError(f"field document missing n/arity/entries: {e}")
+        n, arity = _json_int(n, "n"), _json_int(arity, "arity")
         comps = {}
         if not isinstance(raw, list):
             raise ValueError("entries must be a list")
         for item in raw:
-            idx = tuple(int(i) for i in item["idx"])
+            idx = tuple(_json_int(i, "index") for i in item["idx"])
             terms = {}
             for t in item["poly"]:
-                exp = tuple(int(e) for e in t["exp"])
+                exp = tuple(_json_int(e, "exponent") for e in t["exp"])
                 if len(exp) != n:
                     raise ValueError(f"exponent vector {exp} has wrong length")
                 terms[exp] = parse_rational(t["coef"])

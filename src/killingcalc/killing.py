@@ -44,6 +44,7 @@ from functools import cache
 from itertools import combinations_with_replacement, permutations
 from math import comb
 
+from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.fields import (
     PolyTensorField,
     flat_derivative,
@@ -51,8 +52,6 @@ from killingcalc.fields import (
 )
 from killingcalc.matrix import ExactMatrix, kernel_basis, rref
 from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import DEFAULT_CAP, CapExceeded, _check_args
-from killingcalc.young import YoungDiagram, gl_dimension
 
 __all__ = [
     "killing_operator",
@@ -207,6 +206,8 @@ def _guard_killing_cap(n: int, ell: int) -> int:
     of (ell, ell) over n + 1, and the degree-bound kernel
     C(n + ell - 1, ell) * |monomials(n, ell + 2)|.
     """
+    from killingcalc.young import YoungDiagram, gl_dimension
+
     _check_args(n, ell)
     columns = max(
         gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n),
@@ -215,6 +216,22 @@ def _guard_killing_cap(n: int, ell: int) -> int:
     if columns > DEFAULT_CAP:
         raise CapExceeded(
             f"killing checks for n={n}, ell={ell} build a system with "
+            f"{columns} columns, cap is {DEFAULT_CAP}"
+        )
+    return columns
+
+
+def _guard_potential_cap(omega: PolyTensorField) -> int:
+    """Refuse a field whose potential system has more columns than
+    ``DEFAULT_CAP``; returns that column count.  The system is the
+    arity-1 operator at degree D = deg omega + 1, with n * C(n + D, n)
+    columns, so it is sized before the obstruction or any matrix is built.
+    """
+    n, degree = omega.n, omega.degree() + 1
+    columns = n * comb(n + degree, n)
+    if columns > DEFAULT_CAP:
+        raise CapExceeded(
+            f"the potential system for n={n}, degree {degree} has "
             f"{columns} columns, cap is {DEFAULT_CAP}"
         )
     return columns

@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import cache
 from math import comb
 
+from killingcalc.cap import _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
-    _check_args,
     _guard_cap,
     _psubsets,
     build_T,

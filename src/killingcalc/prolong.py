@@ -33,6 +33,7 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
+from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
@@ -54,12 +55,6 @@ __all__ = [
     "DEFAULT_CAP",
 ]
 
-DEFAULT_CAP = 20000
-
-
-class CapExceeded(ValueError):
-    """Requested complex is larger than the configured desk-scale cap."""
-
 
 @dataclass(frozen=True)
 class ProlongationSpace:
@@ -74,13 +69,6 @@ class ProlongationSpace:
     @property
     def total_dim(self) -> int:
         return sum(self.component_dims)
-
-
-def _check_args(n: int, ell: int) -> None:
-    if n < 2:
-        raise ValueError("base dimension must be at least 2")
-    if ell < 1:
-        raise ValueError("valence must be at least 1")
 
 
 @cache

@@ -26,4 +26,7 @@ def parse_rational(s: str) -> Fraction:
     body = t[1:] if t[:1] in "+-" else t
     if not body or not all(part.isdigit() for part in body.split("/", 1)):
         raise ValueError(f"not a rational literal: {s!r}")
-    return Fraction(t)
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None

@@ -282,7 +282,7 @@ def _load_cached(path: str, space: GroupedSpace, constraints, dim: int):
         if basis.cols != dim:
             return None
         result = SubspaceBasis(space, basis)  # checks rows and reduced shape
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
     if constraints is not None and not (constraints * basis).is_zero():
         return None

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import killingcalc
 from killingcalc import cli, killing, kostant, prolong, young
+from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
 
@@ -258,6 +260,123 @@ def test_range_check_degree_cap(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["range-check", "--input", str(path), "--degree-cap", "4"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def _range_check_doc(tmp_path, doc):
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(doc))
+    return main(["range-check", "--input", str(path)])
+
+
+def test_range_check_zero_denominator(tmp_path, capsys):
+    doc = {
+        "n": 2,
+        "arity": 2,
+        "entries": [{"idx": [1, 1], "poly": [{"exp": [1, 0], "coef": "1/0"}]}],
+    }
+    assert _range_check_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert "invalid field document" in err
+    assert "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param("n", 3.9, id="n-float"),
+        pytest.param("n", True, id="n-bool"),
+        pytest.param("n", "3", id="n-string"),
+        pytest.param("arity", 2.0, id="arity-float"),
+        pytest.param("idx", [1, 1.7], id="idx-float"),
+        pytest.param("idx", [True, 1], id="idx-bool"),
+        pytest.param("exp", [0, 0, 2.9], id="exp-float"),
+        pytest.param("exp", [False, 0, 2], id="exp-bool"),
+    ],
+)
+def test_range_check_rejects_non_integer_fields(key, value, tmp_path, capsys):
+    term = {"exp": [0, 0, 2], "coef": "1"}
+    entry = {"idx": [1, 1], "poly": [term]}
+    doc = {"n": 3, "arity": 2, "entries": [entry]}
+    {"n": doc, "arity": doc, "idx": entry, "exp": term}[key][key] = value
+    assert _range_check_doc(tmp_path, doc) == 2
+    captured = capsys.readouterr()
+    assert "invalid field document" in captured.err
+    assert "must be an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_range_check_cap_refuses_before_building(tmp_path, monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("a matrix was built past the cap")
+
+    for name in ("_operator_matrix", "_obstruction_matrix", "integrability_operator"):
+        monkeypatch.setattr(killing, name, build)
+    # omega_11 = x1^2 at n=20: degree-3 potentials, 20 * C(23, 3) = 35420 columns
+    doc = {
+        "n": 20,
+        "arity": 2,
+        "entries": [{"idx": [1, 1], "poly": [{"exp": [2] + [0] * 19, "coef": "1"}]}],
+    }
+    assert _range_check_doc(tmp_path, doc) == 2
+    err = capsys.readouterr().err
+    assert "error: dimension cap exceeded" in err
+    assert "35420 columns" in err
+
+
+def test_range_check_cap_admits_every_benchmarked_size(monkeypatch):
+    from killingcalc.fields import PolyTensorField
+    from killingcalc.poly import PolyScalar
+
+    def field(n, degree):
+        mono = (degree,) + (0,) * (n - 1)
+        return PolyTensorField(n, 2, {(1, 1): PolyScalar(n, {mono: Fraction(1)})})
+
+    # range-check documents of the tests and the benchmark (potential degree
+    # 3..5 at n=3, 4; degree 8 at n=2) and the suite's kernel solves (n <= 3,
+    # potential degree <= 5)
+    sizes = [(2, 8)] + [(n, d) for n in (2, 3, 4) for d in range(1, 6)]
+    columns = {size: killing._guard_potential_cap(field(size[0], size[1] - 1)) for size in sizes}
+    assert max(columns.values()) == columns[(4, 5)] == 504
+    monkeypatch.setattr(killing, "DEFAULT_CAP", 503)
+    with pytest.raises(CapExceeded):
+        killing._guard_potential_cap(field(4, 4))
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The killingcalc modules a fresh interpreter holds after running code."""
+    src = Path(killingcalc.__file__).resolve().parents[1]
+    script = code + (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules "
+        "if m.partition('.')[0] == 'killingcalc'), file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    return set(out.stderr.split())
+
+
+def test_cli_import_loads_no_check_family():
+    loaded = _loaded_modules("import killingcalc.cli")
+    assert loaded == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
+
+
+def test_range_check_loads_only_the_field_modules(tmp_path):
+    doc = {
+        "n": 2,
+        "arity": 2,
+        "entries": [{"idx": [1, 1], "poly": [{"exp": [1, 0], "coef": "2"}]}],
+    }
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(doc))
+    loaded = _loaded_modules(
+        "from killingcalc.cli import main\n"
+        f"assert main(['range-check', '--input', {str(path)!r}]) == 0"
+    )
+    assert "killingcalc.killing" in loaded
+    family = {"chain", "prolong", "young", "symspace", "kostant", "tractor"}
+    assert not loaded & {f"killingcalc.{m}" for m in family}
 
 
 def test_parse_range():
