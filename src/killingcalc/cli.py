@@ -139,7 +139,7 @@ def _jobs_killing(pairs):
         killing_kernel_vectors,
         symmetric_coordinates,
     )
-    from killingcalc.matrix import row_space_rref
+    from killingcalc.matrix import ExactMatrix, rref
     from killingcalc.prolong import build_T
     from killingcalc.tractor import flat_parallel_dimension
 
@@ -160,15 +160,12 @@ def _jobs_killing(pairs):
             pos = {c: i for i, c in enumerate(symmetric_coordinates(n, ell, ell + 2))}
             relabel = [pos[c] for c in symmetric_coordinates(n, ell, ell)]
             ncols = len(pos)
-
-            def dense(vec):
-                out = [0] * ncols
-                for i, v in vec.items():
-                    out[i] = v
-                return out
-
-            va = [dense({relabel[i]: v for i, v in vec.items()}) for vec in tight]
-            same = row_space_rref(va, ncols) == row_space_rref(map(dense, slack), ncols)
+            va = [{relabel[i]: v for i, v in vec.items()} for vec in tight]
+            spans = [
+                rref(ExactMatrix.from_columns(vecs, ncols).transpose())
+                for vecs in (va, slack)
+            ]
+            same = spans[0] == spans[1]
             return (
                 {"dim_slack": len(slack), "same_subspace": same},
                 {"dim_slack": len(tight), "same_subspace": True},

@@ -19,6 +19,7 @@ used on raw jets.  The two are compared in tests, not merged.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 from killingcalc.matrix import ExactMatrix, kernel_basis, solve
@@ -422,14 +423,9 @@ def _gamma_index(n: int):
     return trip, {t: i for i, t in enumerate(trip)}
 
 
-_CHRISTOFFEL_SYSTEMS: dict = {}
-
-
+@cache
 def _christoffel_system(n: int) -> ExactMatrix:
     """Rows: vanishing antisymmetric part, then prescribed symmetric part."""
-    hit = _CHRISTOFFEL_SYSTEMS.get(n)
-    if hit is not None:
-        return hit
     trip, pos = _gamma_index(n)
     rows: list[dict[int, Fraction]] = []
     for a in range(1, n + 1):
@@ -443,13 +439,11 @@ def _christoffel_system(n: int) -> ExactMatrix:
                 key = (a, c, b)
                 row[pos[key]] = row.get(pos[key], Fraction(0)) + 1
                 rows.append(row)
-    m = ExactMatrix(
+    return ExactMatrix(
         len(rows),
         len(trip),
         {(r, c): v for r, row in enumerate(rows) for c, v in row.items()},
     )
-    _CHRISTOFFEL_SYSTEMS[n] = m
-    return m
 
 
 def christoffel_solve(dg: Tensor) -> Tensor:

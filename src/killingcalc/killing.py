@@ -204,15 +204,18 @@ def _guard_killing_cap(n: int, ell: int) -> int:
     runs before anything is realized: the parallel-section system has
     dim T * |monomials(n, ell)| columns, dim T the hook-content dimension
     of (ell, ell) over n + 1, and the degree-bound kernel
-    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.
+    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.  The degree-bound count,
+    binomials only, is tested first: the hook-content product is quadratic
+    in ell and runs only on sizes that count admits.
     """
     from killingcalc.young import YoungDiagram, gl_dimension
 
     _check_args(n, ell)
-    columns = max(
-        gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n),
-        comb(n + ell - 1, ell) * comb(n + ell + 2, n),
-    )
+    columns = comb(n + ell - 1, ell) * comb(n + ell + 2, n)
+    if columns <= DEFAULT_CAP:
+        columns = max(
+            columns, gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n)
+        )
     if columns > DEFAULT_CAP:
         raise CapExceeded(
             f"killing checks for n={n}, ell={ell} build a system with "

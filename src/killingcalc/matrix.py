@@ -28,12 +28,10 @@ torus-weight blocks.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import lcm
 
 from killingcalc import elim
-from killingcalc.rationals import format_rational, parse_rational
 
 __all__ = [
     "ExactMatrix",
@@ -233,28 +231,6 @@ class ExactMatrix:
             if r in rmap and c in cmap
         }
         return ExactMatrix._trusted(len(rmap), len(cmap), entries)
-
-    def to_json_dict(self) -> dict:
-        triples = sorted((r, c, format_rational(v)) for (r, c), v in self.entries.items())
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [[r, c, s] for r, c, s in triples],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExactMatrix":
-        entries = {}
-        for r, c, s in d["entries"]:
-            entries[(int(r), int(c))] = parse_rational(s)
-        return cls(int(d["rows"]), int(d["cols"]), entries)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExactMatrix":
-        return cls.from_json_dict(json.loads(s))
 
 
 def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:

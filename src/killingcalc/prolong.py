@@ -235,9 +235,17 @@ class CohomologyReport:
 
 def _guard_cap(n: int, ell: int, cap: int | None) -> None:
     """Refuse complexes whose cochains, summed over all degrees, exceed
-    the cap; checked before anything is realized."""
+    the cap; checked before anything is realized.  The component Sym^ell
+    bounds the total below by 2^n C(n + ell - 1, ell), which refuses
+    large ell before the hook-content product, quadratic in ell, runs."""
     _check_args(n, ell)
     cap = DEFAULT_CAP if cap is None else cap
+    bound = (2 ** n) * comb(n + ell - 1, ell)
+    if bound > cap:
+        raise CapExceeded(
+            f"complex for n={n}, ell={ell} has total dimension at least "
+            f"{bound}, cap is {cap}"
+        )
     total = (2 ** n) * gl_dimension(YoungDiagram((ell, ell)), n + 1)
     if total > cap:
         raise CapExceeded(

@@ -26,20 +26,17 @@ implemented and selected by shape unless forced:
 Every realization asserts that its basis cardinality equals the
 hook-content dimension, so an unsupported shape cannot fail silently.
 
-Every basis, fresh or read from the disk cache, is in reduced shape: its
-columns are the canonical kernel basis of the constraint matrix (the
-identity when there are no constraints), so each column has a 1 at its
-own lead row where every other column is 0.  ``SubspaceBasis`` enforces
-that shape, which makes coordinates cheap: the coordinates of a vector
-of the span are its values at the lead rows, and one residual decides
-membership.  No second elimination is needed.
+Every basis is in reduced shape: its columns are the canonical kernel
+basis of the constraint matrix (the identity when there are no
+constraints), so each column has a 1 at its own lead row where every
+other column is 0.  ``SubspaceBasis`` enforces that shape, which makes
+coordinates cheap: the coordinates of a vector of the span are its
+values at the lead rows, and one residual decides membership.  No second
+elimination is needed.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -266,53 +263,6 @@ def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
     return SubspaceBasis(space, basis)
 
 
-def _load_cached(path: str, space: GroupedSpace, constraints, dim: int):
-    """The basis stored at path if it is the realization's own basis:
-    same groups, ``dim`` reduced columns, annihilated by the constraints.
-    Anything else, unreadable files included, counts as absent."""
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        groups = [[g.kind, g.size] for g in space.groups]
-        if payload["groups"] != groups:
-            return None
-        basis = ExactMatrix.from_json_dict(payload["coord_basis"])
-        if basis.cols != dim:
-            return None
-        result = SubspaceBasis(space, basis)  # checks rows and reduced shape
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    if constraints is not None and not (constraints * basis).is_zero():
-        return None
-    return result
-
-
-def _disk_cache_path(key) -> str | None:
-    root = os.environ.get("KILLINGCALC_CACHE_DIR")
-    if not root:
-        return None
-    rows, n, kind = key
-    name = f"basis_v1_{'-'.join(map(str, rows))}_{n}_{kind}.json"
-    return os.path.join(root, name)
-
-
-def _write_atomically(path: str, payload: dict) -> None:
-    """Write through a temporary file unique to this writer, then rename,
-    so concurrent writers and readers only ever see complete files."""
-    root = os.path.dirname(path) or "."
-    os.makedirs(root, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def realize_irreducible(
     d: YoungDiagram, n: int, presentation: str = "auto"
 ) -> SubspaceBasis:
@@ -321,7 +271,6 @@ def realize_irreducible(
     Results are memoized per (shape, n, resolved presentation), so
     ``"auto"`` and the presentation it picks share one basis object; the
     memo is transparent since every construction path is deterministic.
-    Set KILLINGCALC_CACHE_DIR to also persist coordinate bases on disk.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
@@ -330,17 +279,8 @@ def realize_irreducible(
 
 @cache
 def _realize_memo(d: YoungDiagram, n: int, kind: str) -> SubspaceBasis:
-    space, constraints = _presentation(d, n, kind)
+    result = _realize(*_presentation(d, n, kind))
     expected = gl_dimension(d, n)
-    path = _disk_cache_path((d.rows, n, kind))
-    result = _load_cached(path, space, constraints, expected) if path else None
-    if result is None:
-        result = _realize(space, constraints)
-        if path:
-            _write_atomically(path, {
-                "groups": [[g.kind, g.size] for g in result.space.groups],
-                "coord_basis": result.coord_basis.to_json_dict(),
-            })
     if result.dim != expected:
         raise RuntimeError(
             f"realization of {d.rows} over n={n} produced {result.dim} basis "

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -135,6 +136,21 @@ def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
 
     monkeypatch.setattr(young, "_realize_memo", realize)
     assert main(["killing", "--n", "9", "--ell", "4"]) == 2
+    assert "error: dimension cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["complex", "kostant", "killing"])
+def test_cap_refuses_a_huge_valence_on_binomials(command, monkeypatch, capsys):
+    """ell = 10^6 is refused on a binomial bound, before the hook-content
+    product, whose cost grows quadratically in ell, is formed."""
+    def product(*args):
+        raise AssertionError("hook-content product formed past the cap")
+
+    monkeypatch.setattr(young, "gl_dimension", product)
+    monkeypatch.setattr(prolong, "gl_dimension", product)
+    start = time.process_time()
+    assert main([command, "--n", "2", "--ell", "1000000"]) == 2
+    assert time.process_time() - start < 1
     assert "error: dimension cap exceeded" in capsys.readouterr().err
 
 

