@@ -14,9 +14,26 @@ The second-order obstruction N takes a symmetric 2-tensor omega to
     N_abcd = d_a d_c w_bd - d_b d_c w_ad - d_a d_d w_bc + d_b d_d w_ac,
 
 which annihilates every symmetrized gradient; a nonzero N value is a
-concrete certificate that no potential exists.  When N vanishes the
-potential is recovered by a cached linear solve, free coefficients
-pinned to zero so the answer is deterministic and small.
+concrete certificate that no potential exists.  N is evaluated on
+omega's own terms, by the same per-term rule the obstruction matrix is
+written from (below).
+
+When N vanishes the potential comes from the prolongation of
+sym d X = omega, the closed system
+
+    d_a X_b = w_ab + mu_ab,    d_c mu_ab = d_a w_bc - d_b w_ac,
+
+with mu skew.  Its integrability condition is N = 0, so both equations
+integrate along rays from the origin (the Cesaro-Volterra formula of
+linear elasticity): F(x) = F(0) + int_0^1 x^c (d_c F)(tx) dt, and a
+monomial m of degree k gives int_0^1 m(tx) dt = m(x) / (k + 1).  The
+initial values are X(0) = 0, mu_ab(0) = -w_ab(0) for a < b and
+mu_ba(0) = +w_ab(0), so the coefficient of x_a in X_b is 0 for every
+a < b.  Those coefficients and the constants are exactly the free
+columns of the arity-1 operator matrix (the Killing vectors are the
+translations and the rotations x_a e_b - x_b e_a), so the potential is
+that matrix's free-variables-zero solution, with no linear solve.  An
+exact round trip sym d X == omega certifies every returned potential.
 
 The operator matrices are written entry by entry from closed-form
 coefficient rules; no field is built for them.
@@ -42,7 +59,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, permutations
-from math import comb
+from math import comb, lcm
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.fields import (
@@ -50,7 +67,7 @@ from killingcalc.fields import (
     flat_derivative,
     symmetrize_field,
 )
-from killingcalc.matrix import ExactMatrix, kernel_basis, rref
+from killingcalc.matrix import ExactMatrix, kernel_basis
 from killingcalc.poly import PolyScalar, monomials
 
 __all__ = [
@@ -73,7 +90,11 @@ DEFAULT_DEGREE_CAP = 6
 
 
 def _require_symmetric(f: PolyTensorField) -> None:
-    if f.arity >= 2 and f != symmetrize_field(f, range(1, f.arity + 1)):
+    """Raise unless every stored entry equals the stored entry at each
+    permutation of its index; a permutation with no stored entry differs."""
+    if f.arity >= 2 and any(
+        f.comps.get(perm) != s for idx, s in f.comps.items() for perm in permutations(idx)
+    ):
         raise ValueError("field is not symmetric in all slots")
 
 
@@ -170,7 +191,7 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
                     row = key_pos[tuple(sorted(key + (c,)))] * per_key + mon_pos[lower]
                     entries[(row, col)] = Fraction((key.count(c) + 1) * a, ell + 1)
             col += 1
-    return ExactMatrix(len(key_pos) * per_key, col, entries)
+    return ExactMatrix._trusted(len(key_pos) * per_key, col, entries)
 
 
 @cache
@@ -225,10 +246,11 @@ def _guard_killing_cap(n: int, ell: int) -> int:
 
 
 def _guard_potential_cap(omega: PolyTensorField) -> int:
-    """Refuse a field whose potential system has more columns than
-    ``DEFAULT_CAP``; returns that column count.  The system is the
-    arity-1 operator at degree D = deg omega + 1, with n * C(n + D, n)
-    columns, so it is sized before the obstruction or any matrix is built.
+    """Refuse a field whose potential has more coefficients than
+    ``DEFAULT_CAP``; returns that count.  The potential has degree at most
+    D = deg omega + 1, so n * C(n + D, n) coefficients (the columns of
+    the arity-1 operator at degree D); it is sized before the obstruction
+    is evaluated.
     """
     n, degree = omega.n, omega.degree() + 1
     columns = n * comb(n + degree, n)
@@ -240,31 +262,7 @@ def _guard_potential_cap(omega: PolyTensorField) -> int:
     return columns
 
 
-def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
-    """Second-order obstruction applied to a symmetric 2-tensor field."""
-    if omega.arity != 2:
-        raise ValueError("expected an arity-2 field")
-    if omega.rational:
-        raise ValueError("obstruction applies to polynomial mode")
-    _require_symmetric(omega)
-    dd = flat_derivative(flat_derivative(omega))
-    n = omega.n
-    comps: dict = {}
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            for c in range(1, n + 1):
-                for d in range(1, n + 1):
-                    v = (
-                        dd.at(a, c, b, d)
-                        .sub(dd.at(b, c, a, d))
-                        .sub(dd.at(a, d, b, c))
-                        .add(dd.at(b, d, a, c))
-                    )
-                    if not v.is_zero():
-                        comps[(a, b, c, d)] = v
-    return PolyTensorField(n, 4, comps)
-
-
+@cache
 def _second_derivatives(mono):
     """(p, q, coefficient, exponent) of every nonzero d_p d_q x^mono."""
     n = len(mono)
@@ -278,7 +276,47 @@ def _second_derivatives(mono):
             lower[q - 1] -= 1
             if coef:
                 out.append((p, q, coef, tuple(lower)))
+    return tuple(out)
+
+
+def _obstruction_terms(u, v, mono):
+    """((a, b, c, d), exponent, integer coefficient) of every term that
+    x^mono at entry (u, v) of omega, that entry alone, adds to N: each
+    second derivative d_p d_q x^mono lands at the four signed index moves
+    of the module docstring."""
+    out = []
+    for p, q, coef, lower in _second_derivatives(mono):
+        out += (
+            ((p, u, q, v), lower, coef),
+            ((u, p, q, v), lower, -coef),
+            ((p, u, v, q), lower, -coef),
+            ((u, p, v, q), lower, coef),
+        )
     return out
+
+
+def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
+    """Second-order obstruction applied to a symmetric 2-tensor field,
+    summed over omega's stored terms by ``_obstruction_terms``."""
+    if omega.arity != 2:
+        raise ValueError("expected an arity-2 field")
+    if omega.rational:
+        raise ValueError("obstruction applies to polynomial mode")
+    _require_symmetric(omega)
+    # sums run over integers: omega times the lcm of its denominators
+    scale = lcm(*(w.denominator for s in omega.comps.values() for w in s.terms.values()))
+    acc: dict = {}
+    for (u, v), s in omega.comps.items():
+        for mono, w in s.terms.items():
+            w = w.numerator * (scale // w.denominator)
+            for idx, lower, coef in _obstruction_terms(u, v, mono):
+                terms = acc.setdefault(idx, {})
+                terms[lower] = terms.get(lower, 0) + coef * w
+    n = omega.n
+    return PolyTensorField(n, 4, {
+        idx: PolyScalar(n, {m: Fraction(c, scale) for m, c in acc[idx].items() if c})
+        for idx in sorted(acc)
+    })
 
 
 @cache
@@ -291,24 +329,17 @@ def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
     entries: dict = {}
     col = 0
     for (i, j), mono in symmetric_coordinates(n, 2, max_degree):
-        derivs = _second_derivatives(mono)
         acc: dict = {}
         for u, v in {(i, j), (j, i)}:
-            for p, q, coef, lower in derivs:
-                for (a, b, c, d), sign in (
-                    ((p, u, q, v), 1),
-                    ((u, p, q, v), -1),
-                    ((p, u, v, q), -1),
-                    ((u, p, v, q), 1),
-                ):
-                    idx = (((a - 1) * n + b - 1) * n + c - 1) * n + d - 1
-                    r = idx * len(mons) + mpos[lower]
-                    acc[r] = acc.get(r, 0) + sign * coef
+            for (a, b, c, d), lower, coef in _obstruction_terms(u, v, mono):
+                idx = (((a - 1) * n + b - 1) * n + c - 1) * n + d - 1
+                r = idx * len(mons) + mpos[lower]
+                acc[r] = acc.get(r, 0) + coef
         for r, value in acc.items():
             if value:
                 entries[(r, col)] = Fraction(value)
         col += 1
-    return ExactMatrix((n ** 4) * len(mons), col, entries)
+    return ExactMatrix._trusted((n ** 4) * len(mons), col, entries)
 
 
 def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
@@ -346,19 +377,51 @@ class KillingPotentialResult:
         return f"KillingPotentialResult({tag})"
 
 
-@cache
-def _potential_transform(n: int, degree: int):
-    """Row-reduced augmented system for the arity-1 operator at this degree.
+def _radial_potential(omega: PolyTensorField) -> PolyTensorField:
+    """The potential of the module docstring: the prolonged system
+    integrated along rays, term by term.
 
-    Returns (pivot columns within the operator block, full RREF of
-    [A | I]).  The identity block records the row operations, so one
-    reduction serves every right-hand side of the same shape.
+    ``grad[(a, b)]`` collects d_a X_b = w_ab + mu_ab.  For a term
+    w x^mono of w_uv and each p != u with k = mono_p > 0, the derivative
+    d_p w_uv has the term w k x^mono / x_p; it enters d_v mu_pu with sign +
+    and d_v mu_up with sign -, and integrating along the ray multiplies it
+    by x_v and divides it by deg mono.  X_b then integrates d_a X_b the
+    same way, multiplying by x_a.
     """
-    a = _operator_matrix(n, 1, degree)
-    aug = a.hstack(ExactMatrix.identity(a.rows))
-    pivots, r = rref(aug)
-    a_pivots = [p for p in pivots if p < a.cols]
-    return a.cols, a_pivots, r
+    n = omega.n
+    zero = (0,) * n
+    grad: dict = {}
+
+    def add(a, b, mono, value):
+        terms = grad.setdefault((a, b), {})
+        terms[mono] = terms.get(mono, 0) + value
+
+    for (u, v), s in omega.comps.items():
+        for mono, w in s.terms.items():
+            add(u, v, mono, w)
+            degree = sum(mono)
+            for p, k in enumerate(mono, 1):
+                if k and p != u:
+                    moved = list(mono)
+                    moved[p - 1] -= 1
+                    moved[v - 1] += 1
+                    moved = tuple(moved)
+                    value = w * k / degree
+                    add(p, u, moved, value)
+                    add(u, p, moved, -value)
+        if u < v and zero in s.terms:
+            add(u, v, zero, -s.terms[zero])
+            add(v, u, zero, s.terms[zero])
+    comps: dict = {}
+    for (a, b), terms in grad.items():
+        out = comps.setdefault((b,), {})
+        for mono, value in terms.items():
+            if value:
+                raised = list(mono)
+                raised[a - 1] += 1
+                raised = tuple(raised)
+                out[raised] = out.get(raised, 0) + value / (sum(mono) + 1)
+    return PolyTensorField(n, 1, {b: PolyScalar(n, terms) for b, terms in comps.items()})
 
 
 def killing_potential_solve(
@@ -367,14 +430,13 @@ def killing_potential_solve(
     """Invert the symmetrized gradient, or certify that none exists.
 
     The obstruction is evaluated first; a nonzero value is returned as
-    the certificate.  A vanishing obstruction guarantees solvability,
-    so a failed solve raises instead of returning.
+    the certificate.  A vanishing obstruction guarantees solvability, so
+    a potential that fails its round trip raises instead of returning.
     """
     if omega.arity != 2:
         raise ValueError("expected an arity-2 field")
     if omega.rational:
         raise ValueError("potential solve applies to polynomial mode")
-    _require_symmetric(omega)
     n = omega.n
     if omega.is_zero():
         return KillingPotentialResult(True, PolyTensorField.zero(n, 1))
@@ -386,23 +448,7 @@ def killing_potential_solve(
         raise ValueError(
             f"potential degree {degree} exceeds the cap {degree_cap}"
         )
-    ncols, a_pivots, r = _potential_transform(n, degree)
-    b = field_coefficient_vector(omega, degree - 1)
-    y: dict[int, Fraction] = {}
-    for (row, col), v in r.entries.items():
-        if col >= ncols and b[col - ncols]:
-            w = y.get(row, Fraction(0)) + v * b[col - ncols]
-            if w:
-                y[row] = w
-            elif row in y:
-                del y[row]
-    rank = len(a_pivots)
-    if any(row >= rank for row in y):
-        raise RuntimeError(
-            "vanishing obstruction but inconsistent potential system"
-        )
-    vec = {p: y[i] for i, p in enumerate(a_pivots) if i in y}
-    x = field_from_coefficients(n, 1, degree, vec)
+    x = _radial_potential(omega)
     if killing_operator(x) != omega:
         raise RuntimeError("potential failed its round-trip check")
     return KillingPotentialResult(True, potential=x)

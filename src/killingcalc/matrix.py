@@ -40,7 +40,6 @@ __all__ = [
     "integer_rank",
     "kernel_basis",
     "solve",
-    "row_space_rref",
 ]
 
 
@@ -376,25 +375,3 @@ def solve(m: ExactMatrix, b) -> list[Fraction] | None:
                     x[cols[p]] = Fraction(row[rhs], row[p])
     return x
 
-
-def row_space_rref(vectors, ncols: int) -> ExactMatrix:
-    """Canonical representation of the span of the given row vectors.
-
-    Two families of vectors span the same subspace exactly when this
-    returns equal matrices.
-    """
-    rows = [list(v) for v in vectors]
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("vector length mismatch")
-    mat = ExactMatrix(
-        len(rows),
-        ncols,
-        {
-            (i, j): Fraction(v)
-            for i, row in enumerate(rows)
-            for j, v in enumerate(row)
-            if v
-        },
-    )
-    _, red = rref(mat)
-    return red

@@ -12,7 +12,7 @@ from itertools import product
 from math import lcm
 
 from killingcalc import elim
-from killingcalc.fields import PolyTensorField, symmetrize_field
+from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
 from killingcalc.matrix import ExactMatrix, kernel_basis, rank, rref, solve
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.tensor import Tensor
@@ -63,6 +63,26 @@ def rand_symmetric_field(rng: random.Random, n: int, arity: int, max_degree: int
     if arity >= 2:
         f = symmetrize_field(f, range(1, arity + 1))
     return f
+
+
+def field_obstruction(omega: PolyTensorField) -> PolyTensorField:
+    """Reference obstruction N of a 2-tensor field by full-index field
+    calculus: the second-derivative field, then the four terms of
+    N_abcd = d_a d_c w_bd - d_b d_c w_ad - d_a d_d w_bc + d_b d_d w_ac
+    at every (a, b, c, d)."""
+    dd = flat_derivative(flat_derivative(omega))
+    n = omega.n
+    comps = {}
+    for a, b, c, d in product(range(1, n + 1), repeat=4):
+        v = (
+            dd.at(a, c, b, d)
+            .sub(dd.at(b, c, a, d))
+            .sub(dd.at(a, d, b, c))
+            .add(dd.at(b, d, a, c))
+        )
+        if not v.is_zero():
+            comps[(a, b, c, d)] = v
+    return PolyTensorField(n, 4, comps)
 
 
 # Every (shape, n, presentation) the test suite realizes.

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import rand_field, rand_symmetric_field
+from helpers import field_obstruction, rand_field, rand_symmetric_field, whole_solve
 from killingcalc.fields import (
     PolyTensorField,
     lie_derivative_delta,
     symmetrize_field,
 )
 from killingcalc.killing import (
+    _operator_matrix,
     field_coefficient_vector,
     field_from_coefficients,
     higher_killing_operator,
@@ -23,7 +25,7 @@ from killingcalc.killing import (
     killing_potential_solve,
     symmetric_coordinates,
 )
-from killingcalc.matrix import row_space_rref
+from killingcalc.matrix import ExactMatrix, rref
 from killingcalc.poly import PolyScalar
 from killingcalc.young import YoungDiagram, gl_dimension
 
@@ -102,8 +104,7 @@ def test_kernel_stable_under_degree_slack():
         assert len(tight) == len(slack)
         va = [field_coefficient_vector(f, ell + 2) for f in tight]
         vb = [field_coefficient_vector(f, ell + 2) for f in slack]
-        ncols = len(va[0])
-        assert row_space_rref(va, ncols) == row_space_rref(vb, ncols)
+        assert rref(ExactMatrix.from_rows(va))[1] == rref(ExactMatrix.from_rows(vb))[1]
 
 
 def test_kernel_argument_validation():
@@ -183,6 +184,47 @@ def test_potential_round_trip_on_random_gradients():
         assert killing_operator(res.potential) == omega
 
 
+def _assert_free_variables_zero_potential(omega):
+    """The closed-form potential is the free-variables-zero solution of
+    the whole arity-1 operator matrix at degree deg omega + 1."""
+    degree = omega.degree() + 1
+    res = killing_potential_solve(omega)
+    assert res.solvable
+    want = whole_solve(_operator_matrix(omega.n, 1, degree), field_coefficient_vector(omega, degree - 1))
+    assert want is not None
+    assert field_coefficient_vector(res.potential, degree) == want
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_potential_of_every_obstruction_kernel_vector_is_the_matrix_solve(n):
+    for omega in integrability_kernel(n, 4):
+        _assert_free_variables_zero_potential(omega)
+
+
+def test_potential_of_random_gradients_is_the_matrix_solve():
+    rng = random.Random(137)
+    for n in (2, 3, 4):
+        for degree in range(1, 6):
+            for _ in range(3):
+                _assert_free_variables_zero_potential(killing_operator(rand_field(rng, n, 1, degree)))
+
+
+def test_certificate_is_the_field_calculus_obstruction():
+    rng = random.Random(139)
+    seen = 0
+    for _ in range(40):
+        n = rng.choice((2, 3, 4))
+        omega = rand_symmetric_field(rng, n, 2, rng.randint(2, 4))
+        res = killing_potential_solve(omega)
+        want = field_obstruction(omega)
+        assert res.solvable == want.is_zero()
+        if not res.solvable:
+            seen += 1
+            assert res.certificate == want
+            assert json.dumps(res.certificate.to_json_dict()) == json.dumps(want.to_json_dict())
+    assert seen >= 30
+
+
 def test_potential_is_deterministic():
     rng = random.Random(127)
     X = rand_field(rng, 2, 1, 3)
@@ -219,5 +261,7 @@ def test_solver_input_validation():
     with pytest.raises(ValueError):
         killing_potential_solve(PolyTensorField.zero(2, 1))  # arity
     asym = PolyTensorField(2, 2, {(1, 2): P.variable(2, 1)})
-    with pytest.raises(ValueError):
-        killing_potential_solve(asym)
+    unequal = PolyTensorField(2, 2, {(1, 2): P.variable(2, 1), (2, 1): P.variable(2, 2)})
+    for omega in (asym, unequal):
+        with pytest.raises(ValueError, match="symmetric"):
+            killing_potential_solve(omega)

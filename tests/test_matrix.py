@@ -19,7 +19,6 @@ from killingcalc.matrix import (
     integer_rank,
     kernel_basis,
     rank,
-    row_space_rref,
     rref,
     solve,
 )
@@ -196,7 +195,7 @@ def test_kernel_vectors_annihilated():
         for v in ker:
             assert m.apply(v) == {}
         dense = [[v.get(i, 0) for i in range(m.cols)] for v in ker]
-        assert rank(row_space_rref(dense, m.cols)) == len(ker)
+        assert rank(rref(ExactMatrix.from_rows(dense))[1]) == len(ker)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -213,10 +212,10 @@ def test_solve_consistent_and_inconsistent():
     assert solve(m, [3, 3]) == [Fraction(3)]
 
 
-def test_row_space_rref_separates_subspaces():
-    a = row_space_rref([[1, 1, 0], [0, 1, 1]], 3)
-    b = row_space_rref([[1, 2, 1], [1, 0, -1]], 3)  # same plane, new basis
-    c = row_space_rref([[1, 0, 0], [0, 1, 0]], 3)
+def test_rref_separates_row_spaces():
+    a = rref(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))[1]
+    b = rref(ExactMatrix.from_rows([[1, 2, 1], [1, 0, -1]]))[1]  # same plane, new basis
+    c = rref(ExactMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))[1]
     assert a == b
     assert a != c
 
@@ -230,8 +229,9 @@ def test_block_reduction_matches_whole_on_realization_constraints(shape, n, kind
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_block_reduction_matches_whole_on_potential_systems(n):
-    """[A | I] of every potential solve: the identity block keeps each
-    row in its own block of A, and the reduction must still be whole."""
+    """[A | I] of the arity-1 operator at every potential degree: the
+    identity block keeps each row in its own block of A, and the
+    reduction must still be whole."""
     for degree in range(1, 7):
         a = killing._operator_matrix(n, 1, degree)
         aug = a.hstack(ExactMatrix.identity(a.rows))

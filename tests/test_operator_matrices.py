@@ -3,9 +3,11 @@
 ``killing`` and ``tractor`` write their matrices entry by entry from
 closed-form coefficient rules.  The oracle here rebuilds each column the
 slow way: it makes the unit field of that coordinate, applies the field
-operator (``higher_killing_operator``, ``integrability_operator``,
+operator (``higher_killing_operator``, ``helpers.field_obstruction``,
 ``killing_operator``, ``flat_component_derivative``) and reads the image
-off in the same row coordinates.
+off in the same row coordinates.  The obstruction oracle is full-index
+field calculus, not ``integrability_operator``, which shares the
+matrix's per-term rule.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb, lcm
 
 import pytest
 
-from helpers import whole_rref
+from helpers import field_obstruction, whole_rref
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
@@ -24,7 +26,6 @@ from killingcalc.killing import (
     _operator_matrix,
     higher_killing_operator,
     integrability_of_killing_matrix,
-    integrability_operator,
     killing_operator,
     symmetric_coordinates,
 )
@@ -79,7 +80,7 @@ def _oracle_obstruction(n, max_degree):
     row, nrows = _full_index_rows(n, max_degree - 2)
     cols = []
     for key, mono in symmetric_coordinates(n, 2, max_degree):
-        image = integrability_operator(_unit_field(n, 2, key, mono))
+        image = field_obstruction(_unit_field(n, 2, key, mono))
         cols.append({
             row(idx, m): v for idx, s in image.comps.items() for m, v in s.terms.items()
         })
@@ -90,7 +91,7 @@ def _oracle_composite(n, max_degree):
     row, nrows = _full_index_rows(n, max_degree - 3)
     cols = []
     for key, mono in symmetric_coordinates(n, 1, max_degree):
-        image = integrability_operator(killing_operator(_unit_field(n, 1, key, mono)))
+        image = field_obstruction(killing_operator(_unit_field(n, 1, key, mono)))
         cols.append({
             row(idx, m): v for idx, s in image.comps.items() for m, v in s.terms.items()
         })
@@ -154,6 +155,31 @@ def test_obstruction_and_composite_match_field_calculus(n, max_degree):
     want = _oracle_composite(n, max_degree + 1)
     assert (m.rows, m.cols) == (want.rows, want.cols)
     assert m == want and m.is_zero()
+
+
+# every operator and obstruction matrix size the tests and the CLI checks build
+TRUSTED_OPERATOR_SIZES = sorted(
+    {(n, ell, d) for n in (2, 3, 4) for ell in (1, 2, 3) for d in range(ell, ell + 3)}
+    | {(n, 1, d) for n in (2, 3, 4) for d in range(1, DEFAULT_DEGREE_CAP + 1)}
+)
+TRUSTED_OBSTRUCTION_SIZES = [(n, d) for n in (2, 3, 4) for d in range(6)]
+
+
+def _assert_checked_form(m):
+    """m is what the checking constructor makes of its own entries: every
+    entry a nonzero ``Fraction`` inside the shape."""
+    assert all(type(v) is Fraction for v in m.entries.values())
+    assert m == ExactMatrix(m.rows, m.cols, m.entries)
+
+
+@pytest.mark.parametrize("n, ell, max_degree", TRUSTED_OPERATOR_SIZES)
+def test_operator_matrix_is_checked_form(n, ell, max_degree):
+    _assert_checked_form(_operator_matrix(n, ell, max_degree))
+
+
+@pytest.mark.parametrize("n, max_degree", TRUSTED_OBSTRUCTION_SIZES)
+def test_obstruction_matrix_is_checked_form(n, max_degree):
+    _assert_checked_form(_obstruction_matrix(n, max_degree))
 
 
 PARALLEL_SIZES = [
