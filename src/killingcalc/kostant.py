@@ -24,18 +24,22 @@ the Weyl formula.
 Counting index values equal to 1 grades the module basis, and the
 grade-c piece must match component ell - c of the prolongation space
 over n.  That comparison is the branching check.
+
+The action matrices of one (n, ell) are scaled to integers once, by the
+lcm of all their denominators, and kept with that scale in the module;
+the Koszul differentials are integer matrices (``matrix.IntMatrix``)
+over the same recorded scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from math import comb
 
 from killingcalc.cap import _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.matrix import ExactMatrix
+from killingcalc.matrix import ExactMatrix, IntMatrix
 from killingcalc.prolong import (
     _guard_cap,
     _psubsets,
@@ -117,12 +121,16 @@ class GradedSL:
 
 @dataclass(frozen=True)
 class VModule:
-    """Two-row module with its grade -1 action in the realized basis."""
+    """Two-row module with its grade -1 action in the realized basis.
+
+    ``actions[i - 1]`` is the matrix of x_i; all of them share one scale,
+    the lcm of all their denominators.
+    """
 
     n: int
     ell: int
     basis: SubspaceBasis
-    actions: tuple[ExactMatrix, ...]
+    actions: tuple[IntMatrix, ...]
     grades: tuple[int, ...]
 
     @property
@@ -141,11 +149,12 @@ def build_V(n: int, ell: int) -> VModule:
     _check_args(n, ell)
     basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1, "symmetric-pair")
     space = basis.space
-    actions = []
+    exact = []
     for i in range(1, n + 1):
         mapped = replace_matrix(space, 1, i + 1) * basis.coord_basis
         cols = [basis.coords(y) for y in mapped.columns()]
-        actions.append(ExactMatrix.from_columns(cols, basis.dim))
+        exact.append(ExactMatrix.from_columns(cols, basis.dim))
+    actions = IntMatrix.over_common_scale(exact)
     keys = space.keys()
     grades = []
     for col in basis.columns:
@@ -156,20 +165,22 @@ def build_V(n: int, ell: int) -> VModule:
     return VModule(n, ell, basis, tuple(actions), tuple(grades))
 
 
-def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
-    """Differential from degree-p to degree-(p+1) module-valued forms."""
+def koszul_differential(n: int, ell: int, p: int) -> IntMatrix:
+    """Differential from degree-p to degree-(p+1) module-valued forms,
+    over the shared scale of ``build_V(n, ell).actions``."""
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
     module = build_V(n, ell)
     dim = module.dim
+    scale = module.actions[0].scale
     source = _psubsets(n, p)
     cols = len(source) * dim
     if p == n:
-        return ExactMatrix.zero(0, cols)
+        return IntMatrix(0, cols, [], scale)
     target = _psubsets(n, p + 1)
     target_pos = {s: i for i, s in enumerate(target)}
-    entries: dict[tuple[int, int], Fraction] = {}
+    data: list[dict[int, int]] = [{} for _ in range(len(target) * dim)]
     for si, s in enumerate(source):
         col0 = si * dim
         in_s = set(s)
@@ -178,10 +189,11 @@ def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
                 continue
             sign = (-1) ** sum(1 for x in s if x < i)
             row0 = target_pos[tuple(sorted(s + (i,)))] * dim
-            for (r, c), v in module.actions[i - 1].entries.items():
-                entries[(row0 + r, col0 + c)] = sign * v
-    # each entry is +-1 times a nonzero entry of an action matrix
-    return ExactMatrix._trusted(len(target) * dim, cols, entries)
+            for r, row in enumerate(module.actions[i - 1].data):
+                out = data[row0 + r]
+                for c, v in row.items():
+                    out[col0 + c] = sign * v
+    return IntMatrix(len(data), cols, data, scale)
 
 
 def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
@@ -307,11 +319,12 @@ def branching_check(n: int, ell: int) -> dict:
         want = comps[ell - c]
         pieces.append({"ones": c, "dim": got, "component": ell - c, "expected": want})
         ok = ok and got == want
-    shifts = True
-    for a in module.actions:
-        for (r, c) in a.entries:
-            if module.grades[r] != module.grades[c] + 1:
-                shifts = False
+    shifts = all(
+        module.grades[r] == module.grades[c] + 1
+        for a in module.actions
+        for r, row in enumerate(a.data)
+        for c in row
+    )
     return {
         "n": n,
         "ell": ell,

@@ -24,6 +24,13 @@ Hence the pivots, the kernel basis and the free-variables-zero solution
 are the ones a reduction of the whole matrix gives.  The equivariant
 differentials and constraint matrices fall apart this way into their
 torus-weight blocks.
+
+``IntMatrix`` is the integer form the differential builders write: sparse
+integer rows and one positive ``scale``, standing for the rational
+matrix rows / scale.  A positive scale changes neither the row space nor
+whether a product vanishes: ``rank`` takes the integer rows as they are,
+and (A / a)(B / b) = AB / (ab) is zero exactly when the integer product
+AB is, so the d^2 check multiplies integers with no clearing pass.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from killingcalc import elim
 
 __all__ = [
     "ExactMatrix",
+    "IntMatrix",
     "rref",
     "rank",
     "integer_rank",
@@ -221,15 +229,57 @@ class ExactMatrix:
             entries[(r + self.rows, c)] = v
         return ExactMatrix._trusted(self.rows + other.rows, self.cols, entries)
 
-    def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
-        rmap = {r: i for i, r in enumerate(row_indices)}
+
+class IntMatrix:
+    """A rows x cols rational matrix as sparse integer rows over one
+    positive scale: entry (r, c) is ``data[r].get(c, 0) / scale``.
+
+    ``data`` holds one dict column -> nonzero int per row, zero rows
+    included as empty dicts; like ``ExactMatrix`` it is never mutated.
+    """
+
+    __slots__ = ("rows", "cols", "data", "scale")
+
+    def __init__(self, rows: int, cols: int, data: list[dict[int, int]], scale: int):
+        self.rows, self.cols, self.data, self.scale = rows, cols, data, scale
+
+    @classmethod
+    def over_common_scale(cls, matrices) -> list["IntMatrix"]:
+        """The ``ExactMatrix`` arguments as integer matrices sharing one
+        scale, the lcm of all their denominators."""
+        scale = lcm(1, *(v.denominator for m in matrices for v in m.entries.values()))
+        out = []
+        for m in matrices:
+            data: list[dict[int, int]] = [{} for _ in range(m.rows)]
+            for (r, c), v in m.entries.items():
+                data[r][c] = v.numerator * (scale // v.denominator)
+            out.append(cls(m.rows, m.cols, data, scale))
+        return out
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
+
+    def __repr__(self) -> str:
+        nnz = sum(len(row) for row in self.data)
+        return f"IntMatrix({self.rows}x{self.cols}, nnz={nnz}, scale={self.scale})"
+
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Matrix product: the integer rows multiply, the scales multiply."""
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ValueError(f"cannot multiply {self!r} by {other!r}")
+        # rows of self * other are the columns of other^T * self^T
+        data = elim.spmul_int(other.data, self.data)
+        return IntMatrix(self.rows, other.cols, data, self.scale * other.scale)
+
+    def submatrix(self, row_indices, col_indices) -> "IntMatrix":
         cmap = {c: j for j, c in enumerate(col_indices)}
-        entries = {
-            (rmap[r], cmap[c]): v
-            for (r, c), v in self.entries.items()
-            if r in rmap and c in cmap
-        }
-        return ExactMatrix._trusted(len(rmap), len(cmap), entries)
+        data = [
+            {cmap[c]: v for c, v in self.data[r].items() if c in cmap}
+            for r in row_indices
+        ]
+        return IntMatrix(len(data), len(cmap), data, self.scale)
 
 
 def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:
@@ -324,9 +374,11 @@ def rref(m: ExactMatrix) -> tuple[list[int], ExactMatrix]:
     return [p for p, _ in red], ExactMatrix._trusted(len(red), m.cols, entries)
 
 
-def rank(m: ExactMatrix) -> int:
-    """Rank of m, the ``integer_rank`` of its cleared rows."""
-    return integer_rank(_int_rows(m), m.cols)
+def rank(m: ExactMatrix | IntMatrix) -> int:
+    """Rank of m: the ``integer_rank`` of an ``IntMatrix``'s rows as they
+    are, or of an ``ExactMatrix``'s rows cleared of denominators."""
+    rows = m.data if isinstance(m, IntMatrix) else _int_rows(m)
+    return integer_rank(rows, m.cols)
 
 
 def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:

@@ -262,10 +262,6 @@ class RatScalar:
         return out
 
     @classmethod
-    def from_poly(cls, p: PolyScalar) -> "RatScalar":
-        return cls(p)
-
-    @classmethod
     def const(cls, n: int, c) -> "RatScalar":
         return cls(PolyScalar.const(n, c))
 

@@ -23,19 +23,24 @@ component, then by basis column; that layout is shared by the full
 complex and by the diagonal subcomplexes graded by total box count
 d = p + k + ell, so the graded pieces are literally submatrices of the
 full differential.
+
+The differentials are integer matrices (``matrix.IntMatrix``).  The
+iota coefficient matrices of one (n, ell) are scaled to integers once,
+by the lcm of all their denominators (2 at n=6, ell=2; 36 at n=3,
+ell=4), and that scale is recorded on every differential, whose entries
+are the scaled coefficients with their wedge signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import comb
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.matrix import ExactMatrix, rank
+from killingcalc.matrix import ExactMatrix, IntMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
 from killingcalc.tensor import Tensor, antisymmetrize
 from killingcalc.young import SubspaceBasis, YoungDiagram, gl_dimension, realize_irreducible
@@ -90,16 +95,19 @@ def build_T(n: int, ell: int) -> ProlongationSpace:
 
 
 @cache
-def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
+def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], IntMatrix]:
     """Coefficient matrix of index fixing, per (component k >= 1, value a).
 
     Entry (k, a) expresses, in the component bases, the map sending a
     component-k section to the component-(k-1) tensor with its first
     first-group index fixed to a.  Each column is read off the lower
-    basis's lead rows and verified exactly by its residual.
+    basis's lead rows and verified exactly by its residual.  All the
+    matrices are scaled to integers by one shared scale, the lcm of all
+    their denominators.
     """
     space = build_T(n, ell)
-    out: dict[tuple[int, int], ExactMatrix] = {}
+    keys = []
+    mats = []
     for k in range(1, ell + 1):
         upper = space.components[k]
         lower = space.components[k - 1]
@@ -107,16 +115,18 @@ def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
             iota, _ = iota_matrix(upper.space, 0, a)
             mapped = iota * upper.coord_basis
             cols = [lower.coords(y) for y in mapped.columns()]
-            out[(k, a)] = ExactMatrix.from_columns(cols, lower.dim)
-    return out
+            keys.append((k, a))
+            mats.append(ExactMatrix.from_columns(cols, lower.dim))
+    return dict(zip(keys, IntMatrix.over_common_scale(mats)))
 
 
 def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), p))
 
 
-def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
-    """Matrix of the differential from degree-p to degree-(p+1) cochains."""
+def build_partial(n: int, ell: int, p: int) -> IntMatrix:
+    """Matrix of the differential from degree-p to degree-(p+1) cochains,
+    over the shared scale of ``_iota_coefficients(n, ell)``."""
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
@@ -127,12 +137,12 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     source = _psubsets(n, p)
     target = _psubsets(n, p + 1)
     target_pos = {s: i for i, s in enumerate(target)}
-    rows = len(target) * total
+    coeffs = _iota_coefficients(n, ell)
+    scale = coeffs[(1, 1)].scale
     cols = len(source) * total
     if p == n:
-        return ExactMatrix.zero(0, cols)
-    coeffs = _iota_coefficients(n, ell)
-    entries: dict[tuple[int, int], Fraction] = {}
+        return IntMatrix(0, cols, [], scale)
+    data: list[dict[int, int]] = [{} for _ in range(len(target) * total)]
     for si, s in enumerate(source):
         col0 = si * total
         in_s = set(s)
@@ -140,37 +150,48 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
             if a in in_s:
                 continue
             sign = (-1) ** sum(1 for x in s if x > a)
-            ti = target_pos[tuple(sorted(s + (a,)))]
-            row0 = ti * total
+            row0 = target_pos[tuple(sorted(s + (a,)))] * total
             for k in range(1, ell + 1):
-                block = coeffs[(k, a)]
-                for (r, c), v in block.entries.items():
-                    entries[(row0 + offsets[k - 1] + r, col0 + offsets[k] + c)] = (
-                        sign * v
-                    )
-    # each entry is +-1 times a nonzero entry of an iota coefficient matrix
-    return ExactMatrix._trusted(rows, cols, entries)
+                r0 = row0 + offsets[k - 1]
+                c0 = col0 + offsets[k]
+                for r, row in enumerate(coeffs[(k, a)].data):
+                    out = data[r0 + r]
+                    for c, v in row.items():
+                        out[c0 + c] = sign * v
+    return IntMatrix(len(data), cols, data, scale)
 
 
-def key_isomorphism_check(n: int) -> dict:
+def _guard_key_cap(n: int, cap: int | None) -> None:
+    """Refuse key isomorphisms whose dimension n C(n, 2) exceeds the cap;
+    checked before any tensor is built."""
+    cap = DEFAULT_CAP if cap is None else cap
+    dim = n * comb(n, 2)
+    if dim > cap:
+        raise CapExceeded(
+            f"key isomorphism for n={n} has dimension {dim}, cap is {cap}"
+        )
+
+
+def key_isomorphism_check(n: int, cap: int | None = None) -> dict:
     """Skewing the first two slots maps one-form-valued two-forms
     bijectively onto two-form-valued one-forms; returns the verdict."""
     if n < 2:
         raise ValueError("base dimension must be at least 2")
+    _guard_key_cap(n, cap)
     pairs = _psubsets(n, 2)
+    pair_pos = {pair: i for i, pair in enumerate(pairs)}
     dim = n * len(pairs)
     cols = []
     for a in range(1, n + 1):
         for (b, c) in pairs:
             t = Tensor(n, 3, {(a, b, c): 1, (a, c, b): -1})
             image = antisymmetrize(t, (1, 2))
-            col = {}
-            for pi, (x, y) in enumerate(pairs):
-                for z in range(1, n + 1):
-                    v = image.entries.get((x, y, z), Fraction(0))
-                    if v:
-                        col[pi * n + (z - 1)] = v
-            cols.append(col)
+            # the image is skew in its first two slots: read the x < y half
+            cols.append({
+                pair_pos[(x, y)] * n + (z - 1): v
+                for (x, y, z), v in image.entries.items()
+                if x < y
+            })
     m = ExactMatrix.from_columns(cols, dim)
     r = rank(m)
     return {

@@ -47,9 +47,7 @@ from killingcalc.fields import (
     riemann,
     _s_mul,
 )
-# kernel_basis is unused here but stays importable from this module:
-# perfbench/selftest.py checks that its tracer rebinds this import site.
-from killingcalc.matrix import integer_rank, kernel_basis  # noqa: F401
+from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T
 from killingcalc.symspace import extract

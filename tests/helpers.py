@@ -13,8 +13,11 @@ from math import lcm
 
 from killingcalc import elim
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
-from killingcalc.matrix import ExactMatrix, kernel_basis, rank, rref, solve
+from killingcalc.kostant import build_V
+from killingcalc.matrix import ExactMatrix, IntMatrix, kernel_basis, rank, rref, solve
 from killingcalc.poly import PolyScalar, monomials
+from killingcalc.prolong import _psubsets, build_T
+from killingcalc.symspace import iota_matrix, replace_matrix
 from killingcalc.tensor import Tensor
 
 
@@ -164,3 +167,66 @@ def assert_matches_whole(m: ExactMatrix, rhs=None) -> None:
             rhs.append([Fraction(int(i == r)) for i in range(m.rows)])
     for b in rhs:
         assert solve(m, b) == whole_solve(m, b), m
+
+
+def as_exact(m: IntMatrix) -> ExactMatrix:
+    """The rational matrix an ``IntMatrix`` stands for, rows / scale."""
+    entries = {
+        (r, c): Fraction(v, m.scale) for r, row in enumerate(m.data) for c, v in row.items()
+    }
+    return ExactMatrix(m.rows, m.cols, entries)
+
+
+def oracle_partial(n: int, ell: int, p: int) -> ExactMatrix:
+    """Reference flat differential over ``Fraction``: the iota coefficient
+    matrices read off the realized component bases, each entry placed
+    with its wedge sign (-1)^{#{s in S : s > a}}."""
+    space = build_T(n, ell)
+    dims = space.component_dims
+    total = space.total_dim
+    offsets = [sum(dims[:k]) for k in range(len(dims))]
+    coeffs = {}
+    for k in range(1, ell + 1):
+        upper, lower = space.components[k], space.components[k - 1]
+        for a in range(1, n + 1):
+            mapped = iota_matrix(upper.space, 0, a)[0] * upper.coord_basis
+            cols = [lower.coords(y) for y in mapped.columns()]
+            coeffs[(k, a)] = ExactMatrix.from_columns(cols, lower.dim)
+    source, target = _psubsets(n, p), _psubsets(n, p + 1)
+    target_pos = {s: i for i, s in enumerate(target)}
+    entries = {}
+    for si, s in enumerate(source):
+        for a in range(1, n + 1):
+            if a in s:
+                continue
+            sign = (-1) ** sum(1 for x in s if x > a)
+            row0 = target_pos[tuple(sorted(s + (a,)))] * total
+            for k in range(1, ell + 1):
+                for (r, c), v in coeffs[(k, a)].entries.items():
+                    entries[(row0 + offsets[k - 1] + r, si * total + offsets[k] + c)] = sign * v
+    return ExactMatrix(len(target) * total, len(source) * total, entries)
+
+
+def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
+    """Reference Koszul differential over ``Fraction``: the action of x_i
+    read off the realized module basis, each entry placed with its wedge
+    sign (-1)^{#{s in S : s < i}}."""
+    basis = build_V(n, ell).basis
+    dim = basis.dim
+    actions = []
+    for i in range(1, n + 1):
+        mapped = replace_matrix(basis.space, 1, i + 1) * basis.coord_basis
+        cols = [basis.coords(y) for y in mapped.columns()]
+        actions.append(ExactMatrix.from_columns(cols, dim))
+    source, target = _psubsets(n, p), _psubsets(n, p + 1)
+    target_pos = {s: i for i, s in enumerate(target)}
+    entries = {}
+    for si, s in enumerate(source):
+        for i in range(1, n + 1):
+            if i in s:
+                continue
+            sign = (-1) ** sum(1 for x in s if x < i)
+            row0 = target_pos[tuple(sorted(s + (i,)))] * dim
+            for (r, c), v in actions[i - 1].entries.items():
+                entries[(row0 + r, si * dim + c)] = sign * v
+    return ExactMatrix(len(target) * dim, len(source) * dim, entries)

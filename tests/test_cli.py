@@ -130,6 +130,24 @@ def test_cap_exceeded_exit_code(capsys):
     assert "dimension cap exceeded" in err
 
 
+def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
+    """n C(n, 2) is 20825 at n=35, refused with exit 2 before any tensor
+    is built, and 19074 at n=34, admitted: that run gets as far as
+    building its first tensor."""
+    class Built(Exception):
+        pass
+
+    def tensor(*args):
+        raise Built
+
+    monkeypatch.setattr(prolong, "Tensor", tensor)
+    assert main(["verify-key", "--n", "35"]) == 2
+    err = capsys.readouterr().err
+    assert "error: dimension cap exceeded" in err and "20825" in err
+    with pytest.raises(Built):
+        main(["verify-key", "--n", "34"])
+
+
 def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
     def realize(*args):
         raise AssertionError("a basis was realized past the cap")

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     REALIZED_IDS,
     REALIZED_SHAPES,
+    as_exact,
     assert_matches_whole,
     rand_matrix,
     whole_rref,
@@ -16,6 +17,7 @@ from helpers import (
 from killingcalc import killing, young
 from killingcalc.matrix import (
     ExactMatrix,
+    IntMatrix,
     integer_rank,
     kernel_basis,
     rank,
@@ -238,6 +240,24 @@ def test_block_reduction_matches_whole_on_potential_systems(n):
         assert_matches_whole(aug, rhs=[[Fraction(i % 3 - 1) for i in range(aug.rows)]])
 
 
+def test_int_matrix_product_and_rank_follow_the_scales():
+    """rows / scale of an IntMatrix product is the product of the rational
+    matrices; rank and is_zero ignore the scale."""
+    rng = random.Random(12)
+    for scale_a, scale_b in ((1, 1), (2, 3), (36, 4)):
+        a = IntMatrix.over_common_scale([rand_matrix(rng, 4, 3).scale(Fraction(1, scale_a))])[0]
+        b = IntMatrix.over_common_scale([rand_matrix(rng, 3, 5).scale(Fraction(1, scale_b))])[0]
+        assert as_exact(a * b) == as_exact(a) * as_exact(b)
+        assert rank(a) == rank(as_exact(a))
+        assert not a.is_zero() and IntMatrix(2, 2, [{}, {}], scale_a).is_zero()
+        sub = a.submatrix([3, 1], [2, 0])
+        assert [as_exact(sub).at(i, j) for i in range(2) for j in range(2)] == [
+            as_exact(a).at(r, c) for r in (3, 1) for c in (2, 0)
+        ]
+    with pytest.raises(ValueError):
+        a * a
+
+
 def test_matrix_algebra_and_json():
     rng = random.Random(3)
     a = rand_matrix(rng, 4, 3)
@@ -249,4 +269,9 @@ def test_matrix_algebra_and_json():
     assert (a - a).is_zero()
     assert a.transpose().transpose() == a
     stacked = a.hstack(a)
-    assert stacked.cols == 6 and stacked.submatrix(range(4), range(3)) == a
+    assert stacked.cols == 6
+    assert all(
+        stacked.at(r, c) == stacked.at(r, c + 3) == a.at(r, c)
+        for r in range(4)
+        for c in range(3)
+    )

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
-from helpers import assert_matches_whole
+from helpers import as_exact, assert_matches_whole, oracle_koszul, oracle_partial
 from killingcalc import prolong
-from killingcalc.kostant import koszul_complex
-from killingcalc.matrix import ExactMatrix
+from killingcalc.chain import ChainComplex, cohomology_dims
+from killingcalc.kostant import koszul_complex, koszul_differential
+from killingcalc.matrix import ExactMatrix, IntMatrix, rank
 from killingcalc.prolong import (
     CapExceeded,
+    _guard_key_cap,
     build_T,
     build_partial,
     complex_cohomology,
@@ -51,6 +51,19 @@ def test_key_isomorphism():
         assert rep["rank"] == rep["dimension"]
 
 
+def test_key_isomorphism_cap_boundary():
+    """n C(n, 2) is 19074 at n=34, admitted, and 20825 at n=35, refused
+    before any tensor is built; an explicit cap moves the boundary."""
+    _guard_key_cap(34, None)
+    with pytest.raises(CapExceeded, match="20825.*20000"):
+        _guard_key_cap(35, None)
+    with pytest.raises(CapExceeded, match="key isomorphism for n=35"):
+        key_isomorphism_check(35)
+    with pytest.raises(CapExceeded):
+        key_isomorphism_check(5, cap=49)
+    assert key_isomorphism_check(5, cap=50)["bijective"]
+
+
 def test_partials_compose_to_zero():
     for n, ell in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         cx = full_complex(n, ell)
@@ -65,48 +78,125 @@ def test_partial_shapes():
     assert (m.rows, m.cols) == (cx.spaces[2], cx.spaces[1])
 
 
+def _graded_indices(n: int, ell: int, p: int, k: int) -> list[int]:
+    """Cochain indices of (form degree p, component k), laid out as in
+    ``graded_diagonal_complex``: p-subset, then component, then column."""
+    space = build_T(n, ell)
+    dims = space.component_dims
+    offset = sum(dims[:k])
+    return [
+        si * space.total_dim + offset + t
+        for si in range(len(prolong._psubsets(n, p)))
+        for t in range(dims[k])
+    ]
+
+
+def _graded_maps(monkeypatch, n: int, ell: int):
+    """(grade d, maps) of every graded diagonal complex at (n, ell), as
+    ``graded_diagonal_complex`` hands them to ``cohomology_dims``."""
+    original = prolong.cohomology_dims
+    out = []
+
+    def spy(cx):
+        out[-1][1].extend(cx.maps)
+        return original(cx)
+
+    monkeypatch.setattr(prolong, "cohomology_dims", spy)
+    for d in range(ell, n + 2 * ell + 1):
+        out.append((d, []))
+        graded_diagonal_complex(n, ell, d)
+    monkeypatch.undo()
+    return out
+
+
 def test_block_rank_matches_full_rref_on_every_complex(monkeypatch):
     """rank, rref, kernel_basis and solve reduce each block of the nonzero
     pattern on their own; on every map of the flat, Koszul and graded
     diagonal complexes at the sizes the tests use, they must equal the
-    reduction of the whole matrix."""
-    original = prolong.cohomology_dims
-    graded_maps = []
-
-    def spy(cx):
-        graded_maps.extend(cx.maps)
-        return original(cx)
-
-    monkeypatch.setattr(prolong, "cohomology_dims", spy)
+    reduction of the whole matrix, and the rank of the integer rows must
+    equal the rank of the rational matrix they stand for."""
     for n in (2, 3, 4):
         for ell in (1, 2, 3):
-            graded_maps.clear()
-            for d in range(ell, n + 2 * ell + 1):
-                graded_diagonal_complex(n, ell, d)
-            assert graded_maps
+            graded = [m for _, maps in _graded_maps(monkeypatch, n, ell) for m in maps]
+            assert graded
             maps = full_complex(n, ell).maps + koszul_complex(n, ell).maps
-            for m in maps + tuple(graded_maps):
-                assert_matches_whole(m)
+            for m in maps + tuple(graded):
+                exact = as_exact(m)
+                assert rank(m) == rank(exact)
+                assert_matches_whole(exact)
 
 
-def test_differentials_equal_the_checked_constructor():
-    """build_partial and koszul_differential wrap their entries without
-    the constructor's checks; the checked constructor must give the same
-    matrix (indices in range, no zero and no non-Fraction entry)."""
+def test_differentials_equal_the_checked_constructor(monkeypatch):
+    """build_partial and koszul_differential write integer rows over one
+    positive scale; rows / scale must equal the ``Fraction`` oracle built
+    with the checking constructor (indices in range, no zero entry), in
+    every degree and in every graded diagonal submatrix."""
     for n in (2, 3, 4):
         for ell in (1, 2, 3):
-            for m in full_complex(n, ell).maps + koszul_complex(n, ell).maps:
-                checked = ExactMatrix(m.rows, m.cols, m.entries)
-                assert m == checked
-                assert all(type(v) is Fraction for v in m.entries.values())
+            scales = set()
+            for build, oracle in (
+                (build_partial, oracle_partial), (koszul_differential, oracle_koszul)
+            ):
+                for p in range(n + 1):
+                    m = build(n, ell, p)
+                    assert type(m) is IntMatrix and m.scale > 0
+                    assert len(m.data) == m.rows
+                    assert all(
+                        type(v) is int and v for row in m.data for v in row.values()
+                    )
+                    assert as_exact(m) == oracle(n, ell, p), (build, n, ell, p)
+                    scales.add(m.scale)
+            assert len(scales) == 1
+            for d, maps in _graded_maps(monkeypatch, n, ell):
+                positions = prolong._diagonal_positions(n, ell, d)
+                assert len(maps) == len(positions) - 1
+                for (p, k), nxt, m in zip(positions, positions[1:], maps):
+                    rows = {r: i for i, r in enumerate(_graded_indices(n, ell, *nxt))}
+                    cols = {c: j for j, c in enumerate(_graded_indices(n, ell, p, k))}
+                    full = oracle_partial(n, ell, p)
+                    want = ExactMatrix(len(rows), len(cols), {
+                        (rows[r], cols[c]): v
+                        for (r, c), v in full.entries.items()
+                        if r in rows and c in cols
+                    })
+                    assert as_exact(m) == want, (n, ell, d, p)
+
+
+def test_recorded_scales():
+    """One lcm of denominators per (n, ell), shared by both families."""
+    assert build_partial(3, 2, 0).scale == koszul_differential(3, 2, 0).scale == 2
+    assert build_partial(3, 4, 1).scale == koszul_differential(3, 4, 1).scale == 36
+
+
+@pytest.mark.parametrize("family", [full_complex, koszul_complex])
+def test_one_flipped_sign_breaks_the_complex(family):
+    """Negating one entry v at (r, c) of D_1 adds -2v D_2[:, r] e_c^T to
+    D_2 D_1, which is nonzero when column r of D_2 is; the d^2 check must
+    then fail and cohomology_dims refuse the complex."""
+    cx = family(3, 2)
+    assert cx.composites_vanish()
+    maps = list(cx.maps)
+    m = maps[1]
+    hit = {c for row in maps[2].data for c in row}
+    r = next(i for i, row in enumerate(m.data) if row and i in hit)
+    data = list(m.data)
+    data[r] = dict(data[r])
+    c = next(iter(data[r]))
+    data[r][c] = -data[r][c]
+    maps[1] = IntMatrix(m.rows, m.cols, data, m.scale)
+    broken = ChainComplex(cx.spaces, tuple(maps))
+    assert not broken.composites_vanish()
+    with pytest.raises(ValueError, match="not a complex"):
+        cohomology_dims(broken)
 
 
 def test_partial_rank_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    from killingcalc.matrix import rank
 
     m = build_partial(2, 2, 0)
-    sm = sympy.Matrix(m.rows, m.cols, lambda r, c: sympy.Rational(m.at(r, c)))
+    exact = oracle_partial(2, 2, 0)
+    assert as_exact(m) == exact
+    sm = sympy.Matrix(exact.rows, exact.cols, lambda r, c: sympy.Rational(exact.at(r, c)))
     assert rank(m) == sm.rank()
 
 
