@@ -51,13 +51,17 @@ def _n_range(text: str) -> list[int]:
 # predicted); the verdict is plain equality of the two values.  Checks that
 # read one cohomology report share it through a memo made per job list and
 # keyed by (n, ell), so each complex is built and ranked once.  Each builder
-# imports its own family, so a command loads only the modules it runs.
+# imports its own family, so a command loads only the modules it runs, and
+# applies the family's size cap to every size as it builds the list, so an
+# oversized range is refused before its first check runs.
 
 def _jobs_key(n_values):
-    from killingcalc.prolong import key_isomorphism_check
+    from killingcalc.prolong import _guard_key_cap, key_isomorphism_check
 
     jobs = []
     for n in n_values:
+        _guard_key_cap(n, None)
+
         def thunk(n=n):
             rep = key_isomorphism_check(n)
             return (
@@ -69,11 +73,12 @@ def _jobs_key(n_values):
 
 
 def _jobs_complex(pairs):
-    from killingcalc.prolong import complex_cohomology
+    from killingcalc.prolong import _guard_cap, complex_cohomology
 
     report = cache(complex_cohomology)
     jobs = []
     for n, ell in pairs:
+        _guard_cap(n, ell, None)
         inputs = {"n": n, "ell": ell}
 
         def d_squared(n=n, ell=ell):
@@ -97,10 +102,12 @@ def _jobs_complex(pairs):
 
 def _jobs_kostant(pairs):
     from killingcalc.kostant import branching_check, lie_algebra_cohomology
+    from killingcalc.prolong import _guard_cap
 
     report = cache(lie_algebra_cohomology)
     jobs = []
     for n, ell in pairs:
+        _guard_cap(n, ell, None)
         inputs = {"n": n, "ell": ell}
 
         def dims(n=n, ell=ell):
@@ -145,15 +152,14 @@ def _jobs_killing(pairs):
 
     jobs = []
     for n, ell in pairs:
+        _guard_killing_cap(n, ell)
         inputs = {"n": n, "ell": ell}
 
         def dim(n=n, ell=ell):
-            _guard_killing_cap(n, ell)
             want = build_T(n, ell).total_dim
             return len(killing_kernel(n, ell, ell)), want
 
         def degree_bound(n=n, ell=ell):
-            _guard_killing_cap(n, ell)
             tight = killing_kernel_vectors(n, ell, ell)
             slack = killing_kernel_vectors(n, ell, ell + 2)
             # re-index the tight vectors into the slack coordinates
@@ -172,7 +178,6 @@ def _jobs_killing(pairs):
             )
 
         def parallel(n=n, ell=ell):
-            _guard_killing_cap(n, ell)
             return flat_parallel_dimension(n, ell), build_T(n, ell).total_dim
 
         jobs.append((f"killing.n{n}.ell{ell}.dim", inputs, dim))
@@ -291,10 +296,11 @@ def _jobs_injectivity(pairs):
 
 
 def _jobs_graded(pairs):
-    from killingcalc.prolong import graded_diagonal_complex
+    from killingcalc.prolong import _guard_cap, graded_diagonal_complex
 
     jobs = []
     for n, ell in pairs:
+        _guard_cap(n, ell, None)
         for d in range(ell, n + 2 * ell + 1):
             def thunk(n=n, ell=ell, d=d):
                 rep = graded_diagonal_complex(n, ell, d)

@@ -177,10 +177,11 @@ def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTen
 @cache
 def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     """Degree-ell operator on coefficient vectors, columns = inputs;
-    entries by the symmetrized-gradient rule of the module docstring."""
+    entries by the symmetrized-gradient rule of the module docstring,
+    written as the integers (mult_K(c) + 1) * alpha_c over scale ell + 1."""
     key_pos, mon_pos, per_key = _coordinate_positions(n, ell + 1, max_degree - 1)
     mons = monomials(n, max_degree)
-    entries: dict = {}
+    data: list[dict[int, int]] = [{} for _ in range(len(key_pos) * per_key)]
     col = 0
     for key in _sym_keys(n, ell):
         for mono in mons:
@@ -189,9 +190,9 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
                 if a:
                     lower = mono[: c - 1] + (a - 1,) + mono[c:]
                     row = key_pos[tuple(sorted(key + (c,)))] * per_key + mon_pos[lower]
-                    entries[(row, col)] = Fraction((key.count(c) + 1) * a, ell + 1)
+                    data[row][col] = (key.count(c) + 1) * a
             col += 1
-    return ExactMatrix._trusted(len(key_pos) * per_key, col, entries)
+    return ExactMatrix.from_int_rows(col, data, ell + 1)
 
 
 @cache
@@ -322,11 +323,11 @@ def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
 @cache
 def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
     """Obstruction on symmetric 2-tensor coefficients, by the rule of the
-    module docstring; rows are (a, b, c, d) in lexicographic order, then
-    the monomials of degree <= max(max_degree - 2, 0)."""
+    module docstring, in integers over scale 1; rows are (a, b, c, d) in
+    lexicographic order, then the monomials of degree <= max(max_degree - 2, 0)."""
     mons = monomials(n, max(max_degree - 2, 0))
     mpos = {m: i for i, m in enumerate(mons)}
-    entries: dict = {}
+    data: list[dict[int, int]] = [{} for _ in range((n ** 4) * len(mons))]
     col = 0
     for (i, j), mono in symmetric_coordinates(n, 2, max_degree):
         acc: dict = {}
@@ -337,9 +338,9 @@ def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
                 acc[r] = acc.get(r, 0) + coef
         for r, value in acc.items():
             if value:
-                entries[(r, col)] = Fraction(value)
+                data[r][col] = value
         col += 1
-    return ExactMatrix._trusted((n ** 4) * len(mons), col, entries)
+    return ExactMatrix.from_int_rows(col, data)
 
 
 def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:

@@ -25,10 +25,9 @@ Counting index values equal to 1 grades the module basis, and the
 grade-c piece must match component ell - c of the prolongation space
 over n.  That comparison is the branching check.
 
-The action matrices of one (n, ell) are scaled to integers once, by the
-lcm of all their denominators, and kept with that scale in the module;
-the Koszul differentials are integer matrices (``matrix.IntMatrix``)
-over the same recorded scale.
+The action matrices of one (n, ell) are brought to one scale once, the
+lcm of all their denominators, and kept over that scale in the module;
+the Koszul differentials are integer rows over the same scale.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from math import comb
 
 from killingcalc.cap import _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.matrix import ExactMatrix, IntMatrix
+from killingcalc.matrix import ExactMatrix, over_common_scale
 from killingcalc.prolong import (
     _guard_cap,
     _psubsets,
@@ -130,7 +129,7 @@ class VModule:
     n: int
     ell: int
     basis: SubspaceBasis
-    actions: tuple[IntMatrix, ...]
+    actions: tuple[ExactMatrix, ...]
     grades: tuple[int, ...]
 
     @property
@@ -154,7 +153,7 @@ def build_V(n: int, ell: int) -> VModule:
         mapped = replace_matrix(space, 1, i + 1) * basis.coord_basis
         cols = [basis.coords(y) for y in mapped.columns()]
         exact.append(ExactMatrix.from_columns(cols, basis.dim))
-    actions = IntMatrix.over_common_scale(exact)
+    actions = over_common_scale(exact)
     keys = space.keys()
     grades = []
     for col in basis.columns:
@@ -165,7 +164,7 @@ def build_V(n: int, ell: int) -> VModule:
     return VModule(n, ell, basis, tuple(actions), tuple(grades))
 
 
-def koszul_differential(n: int, ell: int, p: int) -> IntMatrix:
+def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
     """Differential from degree-p to degree-(p+1) module-valued forms,
     over the shared scale of ``build_V(n, ell).actions``."""
     _check_args(n, ell)
@@ -177,7 +176,7 @@ def koszul_differential(n: int, ell: int, p: int) -> IntMatrix:
     source = _psubsets(n, p)
     cols = len(source) * dim
     if p == n:
-        return IntMatrix(0, cols, [], scale)
+        return ExactMatrix.from_int_rows(cols, [], scale)
     target = _psubsets(n, p + 1)
     target_pos = {s: i for i, s in enumerate(target)}
     data: list[dict[int, int]] = [{} for _ in range(len(target) * dim)]
@@ -193,7 +192,7 @@ def koszul_differential(n: int, ell: int, p: int) -> IntMatrix:
                 out = data[row0 + r]
                 for c, v in row.items():
                     out[col0 + c] = sign * v
-    return IntMatrix(len(data), cols, data, scale)
+    return ExactMatrix.from_int_rows(cols, data, scale)
 
 
 def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
@@ -241,35 +240,6 @@ class KostantReport:
             c == d == w
             for c, d, w in zip(self.computed, self.predicted, self.weyl)
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "module_dim": self.module_dim,
-            "space_dims": list(self.space_dims),
-            "H": [
-                {
-                    "p": p,
-                    "computed": c,
-                    "diagram": list(d),
-                    "predicted": e,
-                    "dynkin_labels": list(row),
-                    "weyl": w,
-                    "match": c == e == w,
-                }
-                for p, (c, d, e, row, w) in enumerate(
-                    zip(
-                        self.computed,
-                        self.diagrams,
-                        self.predicted,
-                        self.label_rows,
-                        self.weyl,
-                    )
-                )
-            ],
-            "all_match": self.all_match,
-        }
 
 
 def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantReport:

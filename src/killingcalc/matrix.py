@@ -1,16 +1,24 @@
 """Sparse exact matrices over the rationals.
 
-``ExactMatrix`` stores only nonzero entries and is treated as immutable
-by every function here.  All eliminations go through the integer kernel
-in :mod:`killingcalc.elim`, by one path: each row is cleared of
-denominators once, rows that repeat exactly are dropped, the rest are
-split into blocks, reduced fraction-free, and converted back.  So
-results are exact and the reduced echelon form (hence ranks, kernels
-and solutions) is canonical.  Clearing multiplies a row by a positive
-integer and dropping a repeat removes a row already present; neither
-changes the row space, and the reduced echelon form depends on the row
-space alone.  ``integer_rank`` takes rows that are integers already,
-from builders that write them directly.
+``ExactMatrix`` has one representation: sparse integer rows and one
+positive integer ``scale``, standing for the rational matrix rows /
+scale.  Every builder writes integer rows, every product multiplies
+them, and every elimination reduces them as they are; a matrix is never
+mutated after it is built.  A positive scale keeps all of that exact:
+dividing every row by the same positive number changes neither the row
+space (so neither the rank, the kernel, nor the reduced echelon form)
+nor whether a product vanishes, since (A / a)(B / b) = AB / (ab) is zero
+exactly when the integer product AB is.  Scales are never normalized,
+so two matrices are equal when A b == B a, not when their rows are.
+
+All eliminations go through the integer kernel in
+:mod:`killingcalc.elim`, by one path: rows that repeat exactly are
+dropped, the rest are split into blocks, reduced fraction-free, and
+converted back.  So results are exact and the reduced echelon form
+(hence ranks, kernels and solutions) is canonical.  Dropping a repeat
+removes a row already present, which leaves the row space, and the
+reduced echelon form depends on the row space alone.  ``integer_rank``
+takes integer rows that are not wrapped in a matrix.
 
 Every elimination reduces one connected component of the nonzero
 pattern at a time (rows and columns joined by shared entries), so no
@@ -24,13 +32,6 @@ Hence the pivots, the kernel basis and the free-variables-zero solution
 are the ones a reduction of the whole matrix gives.  The equivariant
 differentials and constraint matrices fall apart this way into their
 torus-weight blocks.
-
-``IntMatrix`` is the integer form the differential builders write: sparse
-integer rows and one positive ``scale``, standing for the rational
-matrix rows / scale.  A positive scale changes neither the row space nor
-whether a product vanishes: ``rank`` takes the integer rows as they are,
-and (A / a)(B / b) = AB / (ab) is zero exactly when the integer product
-AB is, so the d^2 check multiplies integers with no clearing pass.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from killingcalc import elim
 
 __all__ = [
     "ExactMatrix",
-    "IntMatrix",
+    "over_common_scale",
     "rref",
     "rank",
     "integer_rank",
@@ -52,61 +53,47 @@ __all__ = [
 
 
 class ExactMatrix:
-    """A rows x cols matrix of Fractions, sparse on (row, col) keys."""
+    """A rows x cols rational matrix as sparse integer rows over one
+    positive scale: entry (r, c) is ``data[r].get(c, 0) / scale``.
 
-    __slots__ = ("rows", "cols", "entries")
+    ``data`` holds one dict column -> nonzero int per row, zero rows
+    included as empty dicts.
+    """
+
+    __slots__ = ("rows", "cols", "data", "scale")
 
     def __init__(self, rows: int, cols: int, entries=None):
+        """The matrix of a dict (row, col) -> value, zero values skipped;
+        values are coerced by ``Fraction`` and cleared to integers by the
+        lcm of their denominators."""
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
+        values = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r}, {c}) outside {rows}x{cols}")
             v = Fraction(v)
             if v:
-                clean[(r, c)] = v
-        self.entries = clean
+                values[(r, c)] = v
+        scale = lcm(1, *(v.denominator for v in values.values()))
+        data: list[dict[int, int]] = [{} for _ in range(rows)]
+        for (r, c), v in values.items():
+            data[r][c] = v.numerator * (scale // v.denominator)
+        self.rows, self.cols, self.data, self.scale = rows, cols, data, scale
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries) -> "ExactMatrix":
-        """Wrap entries as they are, with none of the constructor's checks.
-
-        The caller guarantees the constructor's result would be the same:
-        ``entries`` is a dict from (row, col) with 0 <= row < rows and
-        0 <= col < cols to nonzero ``Fraction`` values, and nothing else
-        holds it.  Builders outside this module may use it when every
-        entry is a known nonzero ``Fraction`` (for example +-1 times an
-        entry of another ``ExactMatrix``) placed by closed-form indices.
-        """
+    def from_int_rows(cls, cols: int, data: list[dict[int, int]], scale: int = 1) -> "ExactMatrix":
+        """Wrap integer rows as they are, with none of the constructor's
+        checks.  The caller guarantees every row is a dict from columns
+        in 0..cols-1 to nonzero ints, the scale is a positive int, and
+        nothing else mutates ``data``."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.entries = rows, cols, entries
+        m.rows, m.cols, m.data, m.scale = len(data), cols, data, scale
         return m
 
     @classmethod
-    def from_rows(cls, data) -> "ExactMatrix":
-        data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        entries = {
-            (r, c): Fraction(v)
-            for r, row in enumerate(data)
-            for c, v in enumerate(row)
-            if v
-        }
-        return cls(rows, cols, entries)
-
-    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
+        return cls.from_int_rows(n, [{i: 1} for i in range(n)])
 
     @classmethod
     def from_columns(cls, cols_list, rows: int) -> "ExactMatrix":
@@ -116,194 +103,75 @@ class ExactMatrix:
         for c, col in enumerate(cols_list):
             ncols += 1
             for r, v in col.items():
-                if v:
-                    entries[(r, c)] = Fraction(v)
+                entries[(r, c)] = v
         return cls(rows, ncols, entries)
 
-    def at(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
-
     def columns(self) -> list[dict[int, Fraction]]:
+        """The columns as sparse dicts row -> ``Fraction``, rows ascending."""
         cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
+        for r, row in enumerate(self.data):
+            for c, v in row.items():
+                cols[c][r] = Fraction(v, self.scale)
         return cols
 
-    def dense(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._trusted(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def nnz(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        raise TypeError("ExactMatrix is not hashable")
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        entries = dict(self.entries)
-        for k, v in other.entries.items():
-            w = entries.get(k, Fraction(0)) + v
-            if w:
-                entries[k] = w
-            elif k in entries:
-                del entries[k]
-        return ExactMatrix(self.rows, self.cols, entries)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, a) -> "ExactMatrix":
-        a = Fraction(a)
-        if not a:
-            return ExactMatrix.zero(self.rows, self.cols)
-        return ExactMatrix(
-            self.rows, self.cols, {k: a * v for k, v in self.entries.items()}
-        )
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product, computed on denominator-cleared integers."""
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self!r} by {other!r}")
-        la, a_cols = _clear_matrix_cols(self)
-        lb, b_cols = _clear_matrix_cols(other)
-        prod = elim.spmul_int(a_cols, b_cols)
-        scale = Fraction(1, la * lb)
-        entries = {
-            (r, c): v * scale for c, col in enumerate(prod) for r, v in col.items()
-        }
-        return ExactMatrix._trusted(self.rows, other.cols, entries)
-
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Apply to a sparse column vector, returning a sparse column."""
-        cols = self.columns()
-        acc: dict[int, Fraction] = {}
-        for j, f in vec.items():
-            if not f:
-                continue
-            for r, v in cols[j].items():
-                w = acc.get(r, Fraction(0)) + f * v
-                if w:
-                    acc[r] = w
-                elif r in acc:
-                    del acc[r]
-        return acc
-
-    def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r, c + self.cols)] = v
-        return ExactMatrix._trusted(self.rows, self.cols + other.cols, entries)
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        entries = dict(self.entries)
-        for (r, c), v in other.entries.items():
-            entries[(r + self.rows, c)] = v
-        return ExactMatrix._trusted(self.rows + other.rows, self.cols, entries)
-
-
-class IntMatrix:
-    """A rows x cols rational matrix as sparse integer rows over one
-    positive scale: entry (r, c) is ``data[r].get(c, 0) / scale``.
-
-    ``data`` holds one dict column -> nonzero int per row, zero rows
-    included as empty dicts; like ``ExactMatrix`` it is never mutated.
-    """
-
-    __slots__ = ("rows", "cols", "data", "scale")
-
-    def __init__(self, rows: int, cols: int, data: list[dict[int, int]], scale: int):
-        self.rows, self.cols, self.data, self.scale = rows, cols, data, scale
-
-    @classmethod
-    def over_common_scale(cls, matrices) -> list["IntMatrix"]:
-        """The ``ExactMatrix`` arguments as integer matrices sharing one
-        scale, the lcm of all their denominators."""
-        scale = lcm(1, *(v.denominator for m in matrices for v in m.entries.values()))
-        out = []
-        for m in matrices:
-            data: list[dict[int, int]] = [{} for _ in range(m.rows)]
-            for (r, c), v in m.entries.items():
-                data[r][c] = v.numerator * (scale // v.denominator)
-            out.append(cls(m.rows, m.cols, data, scale))
-        return out
+        data: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for r, row in enumerate(self.data):
+            for c, v in row.items():
+                data[c][r] = v
+        return ExactMatrix.from_int_rows(self.rows, data, self.scale)
 
     def is_zero(self) -> bool:
         return not any(self.data)
 
+    def __eq__(self, other: "ExactMatrix") -> bool:
+        """A / a == B / b for another ``ExactMatrix``, compared as A b == B a."""
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        a, b = self.scale, other.scale
+        return all(
+            {c: v * b for c, v in x.items()} == {c: v * a for c, v in y.items()}
+            for x, y in zip(self.data, other.data)
+        )
+
     def __repr__(self) -> str:
         nnz = sum(len(row) for row in self.data)
-        return f"IntMatrix({self.rows}x{self.cols}, nnz={nnz}, scale={self.scale})"
+        return f"ExactMatrix({self.rows}x{self.cols}, nnz={nnz}, scale={self.scale})"
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Matrix product: the integer rows multiply, the scales multiply."""
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
         # rows of self * other are the columns of other^T * self^T
         data = elim.spmul_int(other.data, self.data)
-        return IntMatrix(self.rows, other.cols, data, self.scale * other.scale)
+        return ExactMatrix.from_int_rows(other.cols, data, self.scale * other.scale)
 
-    def submatrix(self, row_indices, col_indices) -> "IntMatrix":
+    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch")
+        top, bottom = over_common_scale([self, other])
+        return ExactMatrix.from_int_rows(self.cols, top.data + bottom.data, top.scale)
+
+    def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
         cmap = {c: j for j, c in enumerate(col_indices)}
         data = [
             {cmap[c]: v for c, v in self.data[r].items() if c in cmap}
             for r in row_indices
         ]
-        return IntMatrix(len(data), len(cmap), data, self.scale)
+        return ExactMatrix.from_int_rows(len(cmap), data, self.scale)
 
 
-def _clear_row(row: dict[int, Fraction]) -> dict[int, int]:
-    mult = lcm(*(v.denominator for v in row.values())) if row else 1
-    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
-
-
-def _clear_matrix_cols(m: ExactMatrix):
-    """Scale the whole matrix to integers; returns (multiplier, columns)."""
-    mult = 1
-    for v in m.entries.values():
-        mult = lcm(mult, v.denominator)
-    cols: list[dict[int, int]] = [dict() for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        cols[c][r] = v.numerator * (mult // v.denominator)
-    return mult, cols
-
-
-def _int_rows(m: ExactMatrix) -> list[dict[int, int]]:
-    """The nonzero rows of m, each cleared of denominators once."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    return [_clear_row(row) for row in rows.values()]
+def over_common_scale(matrices) -> list[ExactMatrix]:
+    """The matrices, equal as rational matrices, over one shared scale:
+    the lcm of their scales."""
+    matrices = list(matrices)
+    scale = lcm(1, *(m.scale for m in matrices))
+    out = []
+    for m in matrices:
+        f = scale // m.scale
+        data = m.data if f == 1 else [{c: v * f for c, v in row.items()} for row in m.data]
+        out.append(ExactMatrix.from_int_rows(m.cols, data, scale))
+    return out
 
 
 def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
@@ -354,15 +222,15 @@ def integer_rank(rows, ncols: int) -> int:
     return sum(len(_reduce(block)[1]) for block in _blocks(rows, ncols))
 
 
-def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, Fraction]]]:
-    """(pivot column, reduced row) pairs of m's reduced echelon form, rows
-    divided by their pivots and sorted by pivot column."""
+def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
+    """(pivot column, reduced row) pairs of m's reduced echelon form,
+    sorted by pivot column.  Each row is in integers, with content 1 and
+    a positive pivot entry; divided by that entry it is the reduced row."""
     out = []
-    for block in _blocks(_int_rows(m), m.cols):
+    for block in _blocks(m.data, m.cols):
         cols, pivots, rows = _reduce(block)
         for p, row in zip(pivots, rows):
-            piv = row[p]
-            out.append((cols[p], {cols[k]: Fraction(v, piv) for k, v in row.items()}))
+            out.append((cols[p], {cols[k]: v for k, v in row.items()}))
     out.sort(key=lambda pr: pr[0])
     return out
 
@@ -370,15 +238,14 @@ def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, Fraction]]]:
 def rref(m: ExactMatrix) -> tuple[list[int], ExactMatrix]:
     """Pivot columns and the canonical reduced row echelon form."""
     red = _rref_rows(m)
-    entries = {(i, c): v for i, (_, row) in enumerate(red) for c, v in row.items()}
-    return [p for p, _ in red], ExactMatrix._trusted(len(red), m.cols, entries)
+    scale = lcm(1, *(row[p] for p, row in red))
+    data = [{c: v * (scale // row[p]) for c, v in row.items()} for p, row in red]
+    return [p for p, _ in red], ExactMatrix.from_int_rows(m.cols, data, scale)
 
 
-def rank(m: ExactMatrix | IntMatrix) -> int:
-    """Rank of m: the ``integer_rank`` of an ``IntMatrix``'s rows as they
-    are, or of an ``ExactMatrix``'s rows cleared of denominators."""
-    rows = m.data if isinstance(m, IntMatrix) else _int_rows(m)
-    return integer_rank(rows, m.cols)
+def rank(m: ExactMatrix) -> int:
+    """Rank of m: the ``integer_rank`` of its rows as they are."""
+    return integer_rank(m.data, m.cols)
 
 
 def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
@@ -396,7 +263,7 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
     for p, row in red:
         for c, v in row.items():
             if c != p:
-                vecs[c][p] = -v
+                vecs[c][p] = Fraction(-v, row[p])
     for f, vec in vecs.items():
         vec[f] = Fraction(1)
     return list(vecs.values())
@@ -405,25 +272,32 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
 def solve(m: ExactMatrix, b) -> list[Fraction] | None:
     """One exact solution of m x = b (free variables 0), or None.
 
-    Only the block of ``[m | b]`` holding the right-hand side needs
-    reducing: every other block has a zero right-hand side, so it is
-    consistent and its pivot variables are 0.
+    With m = A / s the system is A x = s b.  Row r of the integer system
+    ``[A | s b]`` is row r of A with s b_r appended in column m.cols, the
+    whole row multiplied by the denominator of s b_r.  Only the block of
+    that system holding the right-hand side needs reducing: every other
+    block has a zero right-hand side, so it is consistent and its pivot
+    variables are 0.
     """
     bvec = list(b)
     if len(bvec) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    aug = m.hstack(
-        ExactMatrix(m.rows, 1, {(r, 0): Fraction(v) for r, v in enumerate(bvec) if v})
-    )
+    rhs = m.cols
+    aug = []
+    for row, v in zip(m.data, bvec):
+        v = Fraction(v) * m.scale
+        if v:
+            row = {c: x * v.denominator for c, x in row.items()}
+            row[rhs] = v.numerator
+        aug.append(row)
     x = [Fraction(0)] * m.cols
-    for block in _blocks(_int_rows(aug), aug.cols):
-        if any(m.cols in row for row in block):
+    for block in _blocks(aug, m.cols + 1):
+        if any(rhs in row for row in block):
             cols, pivots, rows = _reduce(block)
-            rhs = len(cols) - 1  # m.cols is the block's last column
-            if pivots[-1] == rhs:
+            last = len(cols) - 1  # rhs is the block's last column
+            if pivots[-1] == last:
                 return None
             for p, row in zip(pivots, rows):
-                if rhs in row:
-                    x[cols[p]] = Fraction(row[rhs], row[p])
+                if last in row:
+                    x[cols[p]] = Fraction(row[last], row[p])
     return x
-

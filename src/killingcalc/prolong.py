@@ -24,11 +24,11 @@ complex and by the diagonal subcomplexes graded by total box count
 d = p + k + ell, so the graded pieces are literally submatrices of the
 full differential.
 
-The differentials are integer matrices (``matrix.IntMatrix``).  The
-iota coefficient matrices of one (n, ell) are scaled to integers once,
-by the lcm of all their denominators (2 at n=6, ell=2; 36 at n=3,
-ell=4), and that scale is recorded on every differential, whose entries
-are the scaled coefficients with their wedge signs.
+The differentials are written as integer rows.  The iota coefficient
+matrices of one (n, ell) are brought to one scale once, the lcm of all
+their denominators (2 at n=6, ell=2; 36 at n=3, ell=4), and that scale
+is the scale of every differential, whose integer entries are the
+scaled coefficients with their wedge signs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from math import comb
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.matrix import ExactMatrix, IntMatrix, rank
+from killingcalc.matrix import ExactMatrix, over_common_scale, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
 from killingcalc.tensor import Tensor, antisymmetrize
 from killingcalc.young import SubspaceBasis, YoungDiagram, gl_dimension, realize_irreducible
@@ -95,15 +95,14 @@ def build_T(n: int, ell: int) -> ProlongationSpace:
 
 
 @cache
-def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], IntMatrix]:
+def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
     """Coefficient matrix of index fixing, per (component k >= 1, value a).
 
     Entry (k, a) expresses, in the component bases, the map sending a
     component-k section to the component-(k-1) tensor with its first
     first-group index fixed to a.  Each column is read off the lower
     basis's lead rows and verified exactly by its residual.  All the
-    matrices are scaled to integers by one shared scale, the lcm of all
-    their denominators.
+    matrices share one scale, the lcm of all their denominators.
     """
     space = build_T(n, ell)
     keys = []
@@ -117,14 +116,14 @@ def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], IntMatrix]:
             cols = [lower.coords(y) for y in mapped.columns()]
             keys.append((k, a))
             mats.append(ExactMatrix.from_columns(cols, lower.dim))
-    return dict(zip(keys, IntMatrix.over_common_scale(mats)))
+    return dict(zip(keys, over_common_scale(mats)))
 
 
 def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), p))
 
 
-def build_partial(n: int, ell: int, p: int) -> IntMatrix:
+def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     """Matrix of the differential from degree-p to degree-(p+1) cochains,
     over the shared scale of ``_iota_coefficients(n, ell)``."""
     _check_args(n, ell)
@@ -141,7 +140,7 @@ def build_partial(n: int, ell: int, p: int) -> IntMatrix:
     scale = coeffs[(1, 1)].scale
     cols = len(source) * total
     if p == n:
-        return IntMatrix(0, cols, [], scale)
+        return ExactMatrix.from_int_rows(cols, [], scale)
     data: list[dict[int, int]] = [{} for _ in range(len(target) * total)]
     for si, s in enumerate(source):
         col0 = si * total
@@ -158,7 +157,7 @@ def build_partial(n: int, ell: int, p: int) -> IntMatrix:
                     out = data[r0 + r]
                     for c, v in row.items():
                         out[c0 + c] = sign * v
-    return IntMatrix(len(data), cols, data, scale)
+    return ExactMatrix.from_int_rows(cols, data, scale)
 
 
 def _guard_key_cap(n: int, cap: int | None) -> None:
@@ -233,26 +232,6 @@ class CohomologyReport:
     def euler(self) -> int:
         return sum((-1) ** p * h for p, h in enumerate(self.computed))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "space_dims": list(self.space_dims),
-            "H": [
-                {
-                    "p": p,
-                    "computed": c,
-                    "diagram": list(d),
-                    "predicted": e,
-                    "match": c == e,
-                }
-                for p, (c, d, e) in enumerate(
-                    zip(self.computed, self.diagrams, self.predicted)
-                )
-            ],
-            "all_match": self.all_match,
-        }
-
 
 def _guard_cap(n: int, ell: int, cap: int | None) -> None:
     """Refuse complexes whose cochains, summed over all degrees, exceed
@@ -310,33 +289,8 @@ class DiagonalReport:
     expected: tuple[int, ...]
 
     @property
-    def interior(self) -> bool:
-        return not any(self.boxed)
-
-    @property
     def as_expected(self) -> bool:
         return self.cohomology == self.expected
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ell": self.ell,
-            "grade": self.grade,
-            "entries": [
-                {
-                    "p": p,
-                    "k": k,
-                    "dim": d,
-                    "cohomology": h,
-                    "boxed": b,
-                    "expected": e,
-                }
-                for (p, k), d, h, b, e in zip(
-                    self.positions, self.dims, self.cohomology, self.boxed, self.expected
-                )
-            ],
-            "as_expected": self.as_expected,
-        }
 
 
 def _diagonal_positions(n: int, ell: int, d: int) -> list[tuple[int, int]]:

@@ -8,25 +8,18 @@ selected,
     sym  = (1/k!) sum over permutations of the selected slots,
     skew = (1/k!) signed sum over the same permutations,
 
-so both are idempotent projections.  Flattening uses row-major order on
-index tuples, the last index varying fastest.
+so both are idempotent projections.
 """
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import permutations
-
-from killingcalc.rationals import format_rational, parse_rational
 
 __all__ = [
     "Tensor",
     "symmetrize",
     "antisymmetrize",
-    "contract",
-    "flatten",
-    "unflatten",
     "perm_sign",
 ]
 
@@ -102,26 +95,6 @@ class Tensor:
             return Tensor(self.n, self.arity)
         return Tensor(self.n, self.arity, {k: a * v for k, v in self.entries.items()})
 
-    def to_json_dict(self) -> dict:
-        items = sorted(self.entries.items())
-        return {
-            "n": self.n,
-            "arity": self.arity,
-            "entries": [[list(idx), format_rational(v)] for idx, v in items],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Tensor":
-        entries = {tuple(int(i) for i in idx): parse_rational(s) for idx, s in d["entries"]}
-        return cls(int(d["n"]), int(d["arity"]), entries)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, s: str) -> "Tensor":
-        return cls.from_json_dict(json.loads(s))
-
 
 def _check_positions(t: Tensor, positions) -> tuple[int, ...]:
     pos = tuple(positions)
@@ -166,52 +139,3 @@ def symmetrize(t: Tensor, positions) -> Tensor:
 def antisymmetrize(t: Tensor, positions) -> Tensor:
     """Signed average of t over all rearrangements of the given slots."""
     return _permute_average(t, positions, signed=True)
-
-
-def contract(t: Tensor, i: int, j: int) -> Tensor:
-    """Trace over slots i and j (1-based, distinct) with the flat metric."""
-    if i == j:
-        raise ValueError("contraction slots must differ")
-    _check_positions(t, (i, j))
-    a, b = i - 1, j - 1
-    keep = [s for s in range(t.arity) if s not in (a, b)]
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for idx, v in t.entries.items():
-        if idx[a] != idx[b]:
-            continue
-        key = tuple(idx[s] for s in keep)
-        u = acc.get(key, Fraction(0)) + v
-        if u:
-            acc[key] = u
-        elif key in acc:
-            del acc[key]
-    return Tensor(t.n, t.arity - 2, acc)
-
-
-def _offset(idx: tuple[int, ...], n: int) -> int:
-    pos = 0
-    for i in idx:
-        pos = pos * n + (i - 1)
-    return pos
-
-
-def flatten(t: Tensor) -> list[Fraction]:
-    """Dense coefficient vector in row-major index order."""
-    out = [Fraction(0)] * (t.n ** t.arity)
-    for idx, v in t.entries.items():
-        out[_offset(idx, t.n)] = v
-    return out
-
-
-def unflatten(vec, n: int, arity: int) -> Tensor:
-    entries = {}
-    for pos, v in enumerate(vec):
-        if not v:
-            continue
-        idx = []
-        q = pos
-        for _ in range(arity):
-            q, r = divmod(q, n)
-            idx.append(r + 1)
-        entries[tuple(reversed(idx))] = Fraction(v)
-    return Tensor(n, arity, entries)

@@ -9,37 +9,86 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from killingcalc import elim
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
 from killingcalc.kostant import build_V
-from killingcalc.matrix import ExactMatrix, IntMatrix, kernel_basis, rank, rref, solve
+from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import _psubsets, build_T
 from killingcalc.symspace import iota_matrix, replace_matrix
 from killingcalc.tensor import Tensor
 
 
+def entries(m: ExactMatrix) -> dict[tuple[int, int], Fraction]:
+    """The nonzero entries of m, (row, col) -> ``Fraction``."""
+    return {
+        (r, c): Fraction(v, m.scale) for r, row in enumerate(m.data) for c, v in row.items()
+    }
+
+
+def at(m: ExactMatrix, r: int, c: int) -> Fraction:
+    return Fraction(m.data[r].get(c, 0), m.scale)
+
+
+def dense(m: ExactMatrix) -> list[list[Fraction]]:
+    return [[at(m, r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def from_rows(data) -> ExactMatrix:
+    """The matrix of a list of equally long rows of values."""
+    data = [list(row) for row in data]
+    cols = len(data[0]) if data else 0
+    if any(len(row) != cols for row in data):
+        raise ValueError("ragged rows")
+    return ExactMatrix(
+        len(data), cols, {(r, c): v for r, row in enumerate(data) for c, v in enumerate(row)}
+    )
+
+
+def scaled(m: ExactMatrix, f) -> ExactMatrix:
+    """f times m, through the checking constructor."""
+    return ExactMatrix(m.rows, m.cols, {k: f * v for k, v in entries(m).items()})
+
+
+def apply(m: ExactMatrix, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    """m times a sparse column vector, as a sparse column."""
+    out = {}
+    for r, row in enumerate(m.data):
+        v = sum(x * vec.get(c, 0) for c, x in row.items())
+        if v:
+            out[r] = Fraction(v) / m.scale
+    return out
+
+
+def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """[a | b], over the common scale of a and b."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch")
+    a, b = over_common_scale([a, b])
+    data = [{**x, **{c + a.cols: v for c, v in y.items()}} for x, y in zip(a.data, b.data)]
+    return ExactMatrix.from_int_rows(a.cols + b.cols, data, a.scale)
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.6) -> ExactMatrix:
-    entries = {}
+    values = {}
     for r in range(rows):
         for c in range(cols):
             if rng.random() < density:
                 v = rng.randint(-9, 9)
                 if v:
-                    entries[(r, c)] = Fraction(v)
-    return ExactMatrix(rows, cols, entries)
+                    values[(r, c)] = Fraction(v)
+    return ExactMatrix(rows, cols, values)
 
 
 def rand_tensor(rng: random.Random, n: int, arity: int, density: float = 0.5) -> Tensor:
-    entries = {}
+    values = {}
     for idx in product(range(1, n + 1), repeat=arity):
         if rng.random() < density:
             v = rng.randint(-5, 5)
             if v:
-                entries[idx] = Fraction(v)
-    return Tensor(n, arity, entries)
+                values[idx] = Fraction(v)
+    return Tensor(n, arity, values)
 
 
 def rand_poly(rng: random.Random, n: int, max_degree: int, nterms: int = 4) -> PolyScalar:
@@ -110,29 +159,23 @@ REALIZED_IDS = [f"{''.join(map(str, s))}-n{n}-{kind}" for s, n, kind in REALIZED
 def whole_rref(m: ExactMatrix):
     """Reference reduction: ``elim.rref_int`` on the entire matrix at once,
     never split into blocks.  Returns (pivots, reduced matrix)."""
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    int_rows = []
-    for row in rows:
-        mult = lcm(*(v.denominator for v in row.values())) if row else 1
-        int_rows.append({c: int(v * mult) for c, v in row.items()})
-    pivots, red = elim.rref_int(int_rows, m.cols)
-    entries = {
+    pivots, red = elim.rref_int(m.data, m.cols)
+    reduced = {
         (i, c): Fraction(v, row[p])
         for i, (p, row) in enumerate(zip(pivots, red))
         for c, v in row.items()
     }
-    return pivots, ExactMatrix(len(pivots), m.cols, entries)
+    return pivots, ExactMatrix(len(pivots), m.cols, reduced)
 
 
 def whole_kernel(m: ExactMatrix):
     """Kernel basis read off ``whole_rref``: for each free column f, the
     vector with 1 at f and the negated reduced column f at the pivots."""
     pivots, red = whole_rref(m)
+    red = entries(red)
     out = []
     for f in sorted(set(range(m.cols)) - set(pivots)):
-        vec = {p: -red.entries[(i, f)] for i, p in enumerate(pivots) if (i, f) in red.entries}
+        vec = {p: -red[(i, f)] for i, p in enumerate(pivots) if (i, f) in red}
         vec[f] = Fraction(1)
         out.append(vec)
     return out
@@ -140,13 +183,13 @@ def whole_kernel(m: ExactMatrix):
 
 def whole_solve(m: ExactMatrix, b):
     """Free-variables-zero solution of m x = b from ``whole_rref`` of [m | b]."""
-    aug = m.hstack(ExactMatrix(m.rows, 1, {(r, 0): v for r, v in enumerate(b) if v}))
+    aug = hstack(m, ExactMatrix(m.rows, 1, {(r, 0): v for r, v in enumerate(b) if v}))
     pivots, red = whole_rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
     x = [Fraction(0)] * m.cols
     for i, p in enumerate(pivots):
-        x[p] = red.at(i, m.cols)
+        x[p] = at(red, i, m.cols)
     return x
 
 
@@ -161,20 +204,12 @@ def assert_matches_whole(m: ExactMatrix, rhs=None) -> None:
     assert ker == whole_kernel(m), m
     assert all(list(v) == sorted(v) for v in ker), m
     if rhs is None:
-        image = m.apply({c: Fraction(1) for c in range(m.cols)})
+        image = apply(m, {c: Fraction(1) for c in range(m.cols)})
         rhs = [[image.get(r, Fraction(0)) for r in range(m.rows)]]
         for r in {0, m.rows - 1} if m.rows else ():
             rhs.append([Fraction(int(i == r)) for i in range(m.rows)])
     for b in rhs:
         assert solve(m, b) == whole_solve(m, b), m
-
-
-def as_exact(m: IntMatrix) -> ExactMatrix:
-    """The rational matrix an ``IntMatrix`` stands for, rows / scale."""
-    entries = {
-        (r, c): Fraction(v, m.scale) for r, row in enumerate(m.data) for c, v in row.items()
-    }
-    return ExactMatrix(m.rows, m.cols, entries)
 
 
 def oracle_partial(n: int, ell: int, p: int) -> ExactMatrix:
@@ -194,7 +229,7 @@ def oracle_partial(n: int, ell: int, p: int) -> ExactMatrix:
             coeffs[(k, a)] = ExactMatrix.from_columns(cols, lower.dim)
     source, target = _psubsets(n, p), _psubsets(n, p + 1)
     target_pos = {s: i for i, s in enumerate(target)}
-    entries = {}
+    out = {}
     for si, s in enumerate(source):
         for a in range(1, n + 1):
             if a in s:
@@ -202,9 +237,9 @@ def oracle_partial(n: int, ell: int, p: int) -> ExactMatrix:
             sign = (-1) ** sum(1 for x in s if x > a)
             row0 = target_pos[tuple(sorted(s + (a,)))] * total
             for k in range(1, ell + 1):
-                for (r, c), v in coeffs[(k, a)].entries.items():
-                    entries[(row0 + offsets[k - 1] + r, si * total + offsets[k] + c)] = sign * v
-    return ExactMatrix(len(target) * total, len(source) * total, entries)
+                for (r, c), v in entries(coeffs[(k, a)]).items():
+                    out[(row0 + offsets[k - 1] + r, si * total + offsets[k] + c)] = sign * v
+    return ExactMatrix(len(target) * total, len(source) * total, out)
 
 
 def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
@@ -220,13 +255,13 @@ def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
         actions.append(ExactMatrix.from_columns(cols, dim))
     source, target = _psubsets(n, p), _psubsets(n, p + 1)
     target_pos = {s: i for i, s in enumerate(target)}
-    entries = {}
+    out = {}
     for si, s in enumerate(source):
         for i in range(1, n + 1):
             if i in s:
                 continue
             sign = (-1) ** sum(1 for x in s if x < i)
             row0 = target_pos[tuple(sorted(s + (i,)))] * dim
-            for (r, c), v in actions[i - 1].entries.items():
-                entries[(row0 + r, si * dim + c)] = sign * v
-    return ExactMatrix(len(target) * dim, len(source) * dim, entries)
+            for (r, c), v in entries(actions[i - 1]).items():
+                out[(row0 + r, si * dim + c)] = sign * v
+    return ExactMatrix(len(target) * dim, len(source) * dim, out)

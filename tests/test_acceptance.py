@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
+from helpers import from_rows
 from killingcalc.fields import (
     MetricField,
     PolyTensorField,
@@ -30,7 +31,7 @@ from killingcalc.killing import (
     killing_potential_solve,
 )
 from killingcalc.kostant import lie_algebra_cohomology
-from killingcalc.matrix import ExactMatrix, rref
+from killingcalc.matrix import rref
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import (
     build_T,
@@ -124,7 +125,7 @@ def test_a6_degree_bound(capsys):
                 assert len(tight) == len(slack) == build_T(n, ell).total_dim
                 va = [field_coefficient_vector(f, ell + 2) for f in tight]
                 vb = [field_coefficient_vector(f, ell + 2) for f in slack]
-                assert rref(ExactMatrix.from_rows(va))[1] == rref(ExactMatrix.from_rows(vb))[1]
+                assert rref(from_rows(va))[1] == rref(from_rows(vb))[1]
 
     _gate(capsys, "A6 kernel saturates at polynomial degree ell", 120.0, body)
 
@@ -183,7 +184,7 @@ def test_a10_graded_exactness(capsys):
             for d in range(ell, 3 + 2 * ell + 1):
                 rep = graded_diagonal_complex(3, ell, d)
                 assert rep.as_expected, (ell, d)
-                if rep.interior:
+                if not any(rep.boxed):
                     assert not any(rep.cohomology)
 
     _gate(capsys, "A10 diagonal complexes exact away from the corners", 60.0, body)

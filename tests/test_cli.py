@@ -148,6 +148,37 @@ def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
         main(["verify-key", "--n", "34"])
 
 
+def test_verify_key_range_refused_before_its_first_check(monkeypatch, capsys):
+    """n=33 and n=34 are admitted, n=35 is not: the whole range exits 2
+    before the n=33 check builds a tensor, naming the first oversized n."""
+    def tensor(*args):
+        raise AssertionError("a tensor was built for a refused range")
+
+    monkeypatch.setattr(prolong, "Tensor", tensor)
+    assert main(["verify-key", "--n", "33..35"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "error: dimension cap exceeded: key isomorphism for n=35 has "
+        "dimension 20825, cap is 20000"
+    )
+
+
+def test_killing_range_refused_before_its_first_check(monkeypatch, capsys):
+    """ell=3 is admitted at n=2..4 and refused at n=5: the whole range
+    exits 2 before the n=2 checks compute a kernel or realize a basis."""
+    def refuse(*args):
+        raise AssertionError("a check ran for a refused range")
+
+    monkeypatch.setattr(young, "_realize_memo", refuse)
+    monkeypatch.setattr(killing, "killing_kernel", refuse)
+    monkeypatch.setattr(killing, "killing_kernel_vectors", refuse)
+    assert main(["killing", "--n", "2..5", "--ell", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(
+        "error: dimension cap exceeded: killing checks for n=5, ell=3"
+    )
+
+
 def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
     def realize(*args):
         raise AssertionError("a basis was realized past the cap")

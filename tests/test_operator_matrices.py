@@ -18,7 +18,7 @@ from math import comb, lcm
 
 import pytest
 
-from helpers import field_obstruction, whole_rref
+from helpers import entries, field_obstruction, whole_rref
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
@@ -166,10 +166,15 @@ TRUSTED_OBSTRUCTION_SIZES = [(n, d) for n in (2, 3, 4) for d in range(6)]
 
 
 def _assert_checked_form(m):
-    """m is what the checking constructor makes of its own entries: every
-    entry a nonzero ``Fraction`` inside the shape."""
-    assert all(type(v) is Fraction for v in m.entries.values())
-    assert m == ExactMatrix(m.rows, m.cols, m.entries)
+    """m, wrapped by ``from_int_rows`` with no checks, is well formed: one
+    row per matrix row, every entry a nonzero int inside the shape, a
+    positive int scale, and equal to what the checking constructor makes
+    of its entries."""
+    assert len(m.data) == m.rows
+    assert all(type(v) is int and v for row in m.data for v in row.values())
+    assert all(0 <= c < m.cols for row in m.data for c in row)
+    assert type(m.scale) is int and m.scale > 0
+    assert m == ExactMatrix(m.rows, m.cols, entries(m))
 
 
 @pytest.mark.parametrize("n, ell, max_degree", TRUSTED_OPERATOR_SIZES)

@@ -6,15 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import rand_tensor
-from killingcalc.tensor import (
-    Tensor,
-    antisymmetrize,
-    contract,
-    flatten,
-    perm_sign,
-    symmetrize,
-    unflatten,
-)
+from killingcalc.tensor import Tensor, antisymmetrize, perm_sign, symmetrize
 
 
 def test_perm_sign():
@@ -58,34 +50,4 @@ def test_sym_decomposition_of_a_2_tensor():
     rng = random.Random(19)
     t = rand_tensor(rng, 4, 2, density=0.8)
     assert symmetrize(t, (1, 2)) + antisymmetrize(t, (1, 2)) == t
-
-
-def test_contract_delta_gives_dimension():
-    n = 5
-    delta = Tensor(n, 2, {(i, i): Fraction(1) for i in range(1, n + 1)})
-    tr = contract(delta, 1, 2)
-    assert tr.arity == 0 and tr.at() == n
-
-
-def test_contract_matches_explicit_sum():
-    rng = random.Random(29)
-    t = rand_tensor(rng, 3, 3, density=0.8)
-    c = contract(t, 1, 3)
-    for b in range(1, 4):
-        assert c.at(b) == sum(t.at(a, b, a) for a in range(1, 4))
-
-
-def test_flatten_unflatten_round_trip():
-    rng = random.Random(31)
-    for arity in (1, 2, 3):
-        t = rand_tensor(rng, 3, arity)
-        vec = flatten(t)
-        assert len(vec) == 3 ** arity
-        assert unflatten(vec, 3, arity) == t
-
-
-def test_tensor_json_round_trip():
-    rng = random.Random(37)
-    t = rand_tensor(rng, 4, 2)
-    assert Tensor.from_json(t.to_json()) == t
     assert t.scale(Fraction(1, 2)) + t.scale(Fraction(1, 2)) == t

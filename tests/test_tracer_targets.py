@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from killingcalc import chain, elim, matrix, prolong
+from killingcalc import chain, elim, fields, killing, matrix, prolong, young
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -36,11 +36,17 @@ def test_every_target_resolves(name, modname, path):
 
 def test_traced_signatures_and_import_sites():
     """The recorders read rref_int's (rows, ncols) and its (pivots, rows)
-    result; the rank wrapper reaches chain and prolong through their
-    by-name imports."""
+    result; the matrix wrappers reach chain, prolong, killing, fields and
+    young through their by-name imports."""
     assert list(inspect.signature(elim.rref_int).parameters) == ["rows", "ncols"]
     pivots, rows = elim.rref_int([{0: 2, 1: 4}], 2)
     assert pivots == [0] and rows == [{0: 1, 1: 2}]
     assert chain.rank is matrix.rank
     assert prolong.rank is matrix.rank
+    assert killing.kernel_basis is young.kernel_basis is matrix.kernel_basis
+    assert fields.kernel_basis is matrix.kernel_basis and fields.solve is matrix.solve
+    for fn in (matrix.rank, matrix.kernel_basis, matrix.rref):
+        assert list(inspect.signature(fn).parameters) == ["m"]
+    assert list(inspect.signature(matrix.solve).parameters) == ["m", "b"]
+    assert list(inspect.signature(matrix.ExactMatrix.__mul__).parameters) == ["self", "other"]
     assert list(inspect.signature(prolong.build_partial).parameters) == ["n", "ell", "p"]

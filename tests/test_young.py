@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import REALIZED_IDS, REALIZED_SHAPES
+from helpers import REALIZED_IDS, REALIZED_SHAPES, apply
 from killingcalc import young
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
@@ -174,7 +174,7 @@ def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
         assert basis.coords(col) == {j: 1}
     coeffs = {j: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for j in range(basis.dim)}
     coeffs = {j: c for j, c in coeffs.items() if c}
-    y = basis.coord_basis.apply(coeffs)
+    y = apply(basis.coord_basis, coeffs)
     assert basis.coords(y) == coeffs
     leads = set(basis.leads)
     free = [r for r in range(basis.space.dim) if r not in leads]
