@@ -1,4 +1,4 @@
-"""Finite cochain complexes of exact matrices.
+"""Finite cochain complexes of exact matrices, and form complexes by weight.
 
 A complex is a list of space dimensions d_0 .. d_m together with maps
 D_p : space_p -> space_{p+1}; the map out of the last space is taken to
@@ -7,15 +7,47 @@ be zero.  Cohomology dimensions are computed as
     h_p = dim ker D_p - rank D_{p-1}
 
 which is meaningful only when D_{p+1} D_p = 0, so that is checked first.
+
+A ``FormComplex`` is the complex of forms on R^n with values in a module
+M whose differential wedges in one form index at a time,
+
+    D(e_S tensor v) = sum over a not in S of sign(S, a) e_{S + a} tensor A_a v,
+
+with wedge sign (-1)^{#{s in S : s > a}} (wedging from the right) or
+(-1)^{#{s in S : s < a}} (from the left).  The flat prolongation complex
+and the Koszul complex are both of this kind.  Each basis column of M
+carries a GL(n) torus weight, a vector in Z^n, and A_a raises the weight
+of a form by e_a while lowering the module weight by e_a; so the weight
+of e_S tensor v, the indicator of S plus the weight of v, is preserved
+and every differential is block-diagonal by weight.  S_n permutes the
+weight blocks (the complexes are GL(n)-equivariant), so blocks of weights
+in one S_n orbit have equal cohomology.  ``weight_cohomology`` therefore
+assembles, d^2-checks and ranks only the block of each dominant
+(non-increasing) weight mu, and multiplies its cohomology by the orbit
+size n! / prod(multiplicities of mu's entries)!.  Its bookkeeping is
+certified on every run: each block entry must land in its own weight,
+and the orbit-weighted block dimensions must add up to C(n, p) dim M in
+every degree p.  ``form_differential`` is the all-weights matrix, assembled
+by the same loop on all cochains.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb, factorial
+from typing import NamedTuple
 
 from killingcalc.matrix import ExactMatrix, rank
 
-__all__ = ["ChainComplex", "cohomology_dims"]
+__all__ = [
+    "ChainComplex",
+    "FormComplex",
+    "cohomology_dims",
+    "form_differential",
+    "weight_cohomology",
+]
 
 
 @dataclass(frozen=True)
@@ -53,4 +85,151 @@ def cohomology_dims(complex_: ChainComplex) -> list[int]:
         rank_out = ranks[p] if p < len(ranks) else 0
         rank_in = ranks[p - 1] if p > 0 else 0
         out.append(d - rank_out - rank_in)
+    return out
+
+
+@dataclass(frozen=True)
+class FormComplex:
+    """Forms on R^n with values in a module of basis columns 0..dim-1.
+
+    ``weights[t]`` is the weight of module column t and ``columns[a - 1]``
+    the matrix A_a by columns: ``columns[a - 1][t]`` is column t as a
+    {row: integer} dict over ``scale``, absent where it is zero.  ``left``
+    selects the wedge sign (-1)^{#{s in S : s < a}} instead of
+    (-1)^{#{s in S : s > a}}.
+    """
+
+    n: int
+    weights: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, dict[int, int]], ...]
+    scale: int
+    left: bool
+
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    def sign(self, s: tuple[int, ...], a: int) -> int:
+        if self.left:
+            return (-1) ** sum(1 for x in s if x < a)
+        return (-1) ** sum(1 for x in s if x > a)
+
+
+def _block_map(cx: FormComplex, source, target) -> ExactMatrix:
+    """The differential from the degree-p cochains ``source`` to the
+    degree-(p + 1) cochains ``target``, each a list of (p-subset, module
+    column); an entry that lands outside ``target`` leaves the weight
+    block and raises RuntimeError."""
+    index = {c: i for i, c in enumerate(target)}
+    data: list[dict[int, int]] = [{} for _ in target]
+    for j, (s, t) in enumerate(source):
+        for a in range(1, cx.n + 1):
+            col = cx.columns[a - 1].get(t)
+            if not col or a in s:
+                continue
+            sign = cx.sign(s, a)
+            s2 = tuple(sorted(s + (a,)))
+            for t2, v in col.items():
+                i = index.get((s2, t2))
+                if i is None:
+                    raise RuntimeError(
+                        f"differential entry from {(s, t)} to {(s2, t2)} "
+                        "leaves its weight block"
+                    )
+                data[i][j] = sign * v
+    return ExactMatrix.from_int_rows(len(source), data, cx.scale)
+
+
+def form_differential(cx: FormComplex, p: int) -> ExactMatrix:
+    """The differential from degree p to degree p + 1 on all weights, over
+    ``cx.scale``.  Cochains are ordered by p-subset (lexicographic),
+    then by module column."""
+    def cochains(q):
+        return [(s, t) for s in combinations(range(1, cx.n + 1), q) for t in range(cx.dim)]
+
+    return _block_map(cx, cochains(p), cochains(p + 1))
+
+
+def _orbit_size(mu: tuple[int, ...]) -> int:
+    """Number of distinct permutations of mu: its S_n orbit."""
+    out = factorial(len(mu))
+    for m in Counter(mu).values():
+        out //= factorial(m)
+    return out
+
+
+def _dominant_weights(cx: FormComplex, grade: int | None = None) -> list[tuple[int, ...]]:
+    """The dominant weights of the cochains (of total ``grade`` if given),
+    in decreasing lexicographic order."""
+    out = set()
+    for w in set(cx.weights):
+        # the non-increasing w + 1_S, grown one entry at a time
+        prefixes = [()]
+        for x in w:
+            prefixes = [
+                m + (x + b,) for m in prefixes for b in (0, 1) if not m or m[-1] >= x + b
+            ]
+        out.update(mu for mu in prefixes if grade is None or sum(mu) == grade)
+    return sorted(out, reverse=True)
+
+
+class _WeightBlock(NamedTuple):
+    """The weight-mu part of a form complex: its orbit size and the blocks
+    of the maps on its cochains, ordered as in ``form_differential``."""
+
+    weight: tuple[int, ...]
+    orbit: int
+    complex: ChainComplex
+
+
+def _weight_blocks(cx: FormComplex, grade: int | None = None):
+    """Yield the ``_WeightBlock`` of every dominant weight (of total
+    ``grade`` if given), in the order of ``_dominant_weights``."""
+    n = cx.n
+    by_weight: dict[tuple[int, ...], list[int]] = {}
+    for t, w in enumerate(cx.weights):
+        by_weight.setdefault(w, []).append(t)
+    subsets = [list(combinations(range(1, n + 1), p)) for p in range(n + 1)]
+    for mu in _dominant_weights(cx, grade):
+        cochains = []
+        for p in range(n + 1):
+            degree = []
+            for s in subsets[p]:
+                w = list(mu)
+                for a in s:
+                    w[a - 1] -= 1
+                degree.extend((s, t) for t in by_weight.get(tuple(w), ()))
+            cochains.append(degree)
+        maps = tuple(_block_map(cx, cochains[p], cochains[p + 1]) for p in range(n))
+        spaces = tuple(len(c) for c in cochains)
+        yield _WeightBlock(mu, _orbit_size(mu), ChainComplex(spaces, maps))
+
+
+def weight_cohomology(cx: FormComplex, grade: int | None = None) -> list[int]:
+    """Cohomology dimensions of the complex (or of its grade-``grade``
+    part, the weights of that total) in every degree 0..n, summed over
+    the dominant weight blocks times their orbit sizes.
+
+    Raises RuntimeError unless the orbit-weighted block dimensions equal
+    C(n, p) times the number of module columns of weight total
+    grade - p (all of them without a grade).
+    """
+    n = cx.n
+    dims = [0] * (n + 1)
+    out = [0] * (n + 1)
+    for block in _weight_blocks(cx, grade):
+        h = cohomology_dims(block.complex)
+        for p in range(n + 1):
+            dims[p] += block.orbit * block.complex.spaces[p]
+            out[p] += block.orbit * h[p]
+    totals = Counter(sum(w) for w in cx.weights)
+    expected = [
+        comb(n, p) * (cx.dim if grade is None else totals[grade - p])
+        for p in range(n + 1)
+    ]
+    if dims != expected:
+        raise RuntimeError(
+            f"weight blocks times orbits give cochain dimensions {dims}, "
+            f"expected {expected}"
+        )
     return out

@@ -82,8 +82,9 @@ def _jobs_complex(pairs):
         inputs = {"n": n, "ell": ell}
 
         def d_squared(n=n, ell=ell):
-            # cohomology_dims raises unless every composite map vanishes,
-            # so a report exists only for a genuine complex
+            # cohomology_dims raises unless every composite map of every
+            # dominant weight block vanishes, so a report exists only for
+            # a genuine complex
             report(n, ell)
             return True, True
 

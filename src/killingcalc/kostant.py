@@ -28,6 +28,14 @@ over n.  That comparison is the branching check.
 The action matrices of one (n, ell) are brought to one scale once, the
 lcm of all their denominators, and kept over that scale in the module;
 the Koszul differentials are integer rows over the same scale.
+
+The Koszul complex is a ``chain.FormComplex`` for the grade-0 block
+GL(n), acting on the index values 2..n + 1: x_i turns a value i + 1
+into 1, so the weight of a module column (the count of each value
+2..n + 1 in its lead row) drops by e_i while e_i* raises the form weight
+by e_i.  ``lie_algebra_cohomology`` computes the kernel/image count on
+the dominant weight blocks alone, times their S_n orbits;
+``koszul_differential`` is the whole differential on all weights.
 """
 
 from __future__ import annotations
@@ -37,11 +45,10 @@ from functools import cache
 from math import comb
 
 from killingcalc.cap import _check_args
-from killingcalc.chain import ChainComplex, cohomology_dims
+from killingcalc.chain import ChainComplex, FormComplex, form_differential, weight_cohomology
 from killingcalc.matrix import ExactMatrix, over_common_scale
 from killingcalc.prolong import (
     _guard_cap,
-    _psubsets,
     build_T,
     predicted_cohomology,
 )
@@ -123,7 +130,8 @@ class VModule:
     """Two-row module with its grade -1 action in the realized basis.
 
     ``actions[i - 1]`` is the matrix of x_i; all of them share one scale,
-    the lcm of all their denominators.
+    the lcm of all their denominators.  ``grades[t]`` counts the index
+    values of column t's lead row equal to 1.
     """
 
     n: int
@@ -135,10 +143,6 @@ class VModule:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-
-def _ones_count(key) -> int:
-    return sum(part.count(1) for part in key)
 
 
 @cache
@@ -154,45 +158,30 @@ def build_V(n: int, ell: int) -> VModule:
         cols = [basis.coords(y) for y in mapped.columns()]
         exact.append(ExactMatrix.from_columns(cols, basis.dim))
     actions = over_common_scale(exact)
-    keys = space.keys()
-    grades = []
-    for col in basis.columns:
-        counts = {_ones_count(keys[r]) for r in col}
-        if len(counts) != 1:
-            raise RuntimeError("basis vector mixes grading weights")
-        grades.append(counts.pop())
-    return VModule(n, ell, basis, tuple(actions), tuple(grades))
+    # every key has 2 ell slots, so a homogeneous weight fixes the grade
+    grades = tuple(2 * ell - sum(w) for w in basis.weights(first=2))
+    return VModule(n, ell, basis, tuple(actions), grades)
+
+
+def koszul_forms(n: int, ell: int) -> FormComplex:
+    """The Koszul complex as V-valued forms, A_i the action of x_i; the
+    weight of a column counts the index values 2..n + 1 of its lead row."""
+    module = build_V(n, ell)
+    columns = tuple(
+        {t: col for t, col in enumerate(a.transpose().data) if col}
+        for a in module.actions
+    )
+    weights = module.basis.weights(first=2)
+    return FormComplex(n, weights, columns, module.actions[0].scale, left=True)
 
 
 def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
-    """Differential from degree-p to degree-(p+1) module-valued forms,
-    over the shared scale of ``build_V(n, ell).actions``."""
+    """Differential from degree-p to degree-(p+1) module-valued forms on
+    all weights, over the shared scale of ``build_V(n, ell).actions``."""
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
-    module = build_V(n, ell)
-    dim = module.dim
-    scale = module.actions[0].scale
-    source = _psubsets(n, p)
-    cols = len(source) * dim
-    if p == n:
-        return ExactMatrix.from_int_rows(cols, [], scale)
-    target = _psubsets(n, p + 1)
-    target_pos = {s: i for i, s in enumerate(target)}
-    data: list[dict[int, int]] = [{} for _ in range(len(target) * dim)]
-    for si, s in enumerate(source):
-        col0 = si * dim
-        in_s = set(s)
-        for i in range(1, n + 1):
-            if i in in_s:
-                continue
-            sign = (-1) ** sum(1 for x in s if x < i)
-            row0 = target_pos[tuple(sorted(s + (i,)))] * dim
-            for r, row in enumerate(module.actions[i - 1].data):
-                out = data[row0 + r]
-                for c, v in row.items():
-                    out[col0 + c] = sign * v
-    return ExactMatrix.from_int_rows(cols, data, scale)
+    return form_differential(koszul_forms(n, ell), p)
 
 
 def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
@@ -243,9 +232,12 @@ class KostantReport:
 
 
 def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantReport:
-    """Cohomology of the column action, with three-way dimension checks."""
-    cx = koszul_complex(n, ell, cap)
-    computed = tuple(cohomology_dims(cx))
+    """Cohomology of the column action, with three-way dimension checks,
+    from its dominant weight blocks (``chain.weight_cohomology``)."""
+    _guard_cap(n, ell, cap)
+    module_dim = build_V(n, ell).dim
+    spaces = tuple(comb(n, p) * module_dim for p in range(n + 1))
+    computed = tuple(weight_cohomology(koszul_forms(n, ell)))
     diagrams = []
     predicted = []
     rows = []
@@ -260,8 +252,8 @@ def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantR
     return KostantReport(
         n,
         ell,
-        build_V(n, ell).dim,
-        cx.spaces,
+        module_dim,
+        spaces,
         computed,
         tuple(diagrams),
         tuple(predicted),

@@ -152,14 +152,6 @@ class ExactMatrix:
         top, bottom = over_common_scale([self, other])
         return ExactMatrix.from_int_rows(self.cols, top.data + bottom.data, top.scale)
 
-    def submatrix(self, row_indices, col_indices) -> "ExactMatrix":
-        cmap = {c: j for j, c in enumerate(col_indices)}
-        data = [
-            {cmap[c]: v for c, v in self.data[r].items() if c in cmap}
-            for r in row_indices
-        ]
-        return ExactMatrix.from_int_rows(len(cmap), data, self.scale)
-
 
 def over_common_scale(matrices) -> list[ExactMatrix]:
     """The matrices, equal as rational matrices, over one shared scale:

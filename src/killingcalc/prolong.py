@@ -19,28 +19,34 @@ when a new index a is appended.  The squared map vanishes because fixing
 two first-group indices is symmetric in them while the wedge is skew.
 
 Degree-p cochains are ordered by p-subset (lexicographic), then by
-component, then by basis column; that layout is shared by the full
-complex and by the diagonal subcomplexes graded by total box count
-d = p + k + ell, so the graded pieces are literally submatrices of the
-full differential.
+component, then by basis column.  The flat complex is a
+``chain.FormComplex``: A_a fixes a first-group index to a, lowering the
+torus weight of the coefficient (the count of each index value 1..n in a
+basis column's lead row) by e_a while the new form slot raises it by
+e_a.  ``complex_cohomology`` and ``graded_diagonal_complex`` therefore
+work on the dominant weight blocks alone, times their S_n orbits; the
+graded diagonal of total box count d = p + k + ell is the sum of the
+blocks whose weights total d.  ``build_partial`` is the whole
+differential on all weights.
 
 The differentials are written as integer rows.  The iota coefficient
 matrices of one (n, ell) are brought to one scale once, the lcm of all
 their denominators (2 at n=6, ell=2; 36 at n=3, ell=4), and that scale
-is the scale of every differential, whose integer entries are the
-scaled coefficients with their wedge signs.
+is the scale of every differential and weight block, whose integer
+entries are the scaled coefficients with their wedge signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from fractions import Fraction
+from functools import cache, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
-from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.matrix import ExactMatrix, over_common_scale, rank
+from killingcalc.chain import ChainComplex, FormComplex, form_differential, weight_cohomology
+from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
 from killingcalc.tensor import Tensor, antisymmetrize
 from killingcalc.young import SubspaceBasis, YoungDiagram, gl_dimension, realize_irreducible
@@ -94,29 +100,49 @@ def build_T(n: int, ell: int) -> ProlongationSpace:
     return space
 
 
-@cache
-def _iota_coefficients(n: int, ell: int) -> dict[tuple[int, int], ExactMatrix]:
-    """Coefficient matrix of index fixing, per (component k >= 1, value a).
+def flat_forms(n: int, ell: int) -> FormComplex:
+    """The flat complex as T-valued forms.
 
-    Entry (k, a) expresses, in the component bases, the map sending a
-    component-k section to the component-(k-1) tensor with its first
-    first-group index fixed to a.  Each column is read off the lower
-    basis's lead rows and verified exactly by its residual.  All the
-    matrices share one scale, the lcm of all their denominators.
+    A_a maps each component k >= 1 to component k - 1 by fixing its first
+    first-group index to a, in the component bases: each column is read
+    off the lower basis's lead rows and verified exactly by its residual.
+    A_a annihilates component 0, whose columns are left out.  All the A_a
+    share one scale, the lcm of all their denominators.  The weight of a
+    basis column counts the index values 1..n of its lead row's key.
     """
     space = build_T(n, ell)
-    keys = []
-    mats = []
+    dims = space.component_dims
+    offsets = [sum(dims[:k]) for k in range(len(dims))]
+    columns: list[dict[int, dict]] = [{} for _ in range(n)]
     for k in range(1, ell + 1):
         upper = space.components[k]
         lower = space.components[k - 1]
         for a in range(1, n + 1):
             iota, _ = iota_matrix(upper.space, 0, a)
             mapped = iota * upper.coord_basis
-            cols = [lower.coords(y) for y in mapped.columns()]
-            keys.append((k, a))
-            mats.append(ExactMatrix.from_columns(cols, lower.dim))
-    return dict(zip(keys, over_common_scale(mats)))
+            for c, y in enumerate(mapped.columns()):
+                x = lower.coords(y)
+                if x:
+                    columns[a - 1][offsets[k] + c] = {
+                        offsets[k - 1] + r: v for r, v in x.items()
+                    }
+    scale = lcm(1, *(
+        Fraction(v).denominator for col_a in columns
+        for col in col_a.values() for v in col.values()
+    ))
+    for col_a in columns:
+        for col in col_a.values():
+            for r, v in col.items():
+                col[r] = int(v * scale)
+    weights = tuple(w for comp in space.components for w in comp.weights())
+    return FormComplex(n, weights, tuple(columns), scale, left=False)
+
+
+# The forms of the last (n, ell) asked for: the graded checks of one pair,
+# and build_partial's degrees, read the same forms one after another.
+# complex_cohomology reads them once per pair and builds its own, so that
+# no memo stays alive through the checks that run after it.
+_last_flat_forms = lru_cache(maxsize=1)(flat_forms)
 
 
 def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
@@ -124,40 +150,12 @@ def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
 
 
 def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
-    """Matrix of the differential from degree-p to degree-(p+1) cochains,
-    over the shared scale of ``_iota_coefficients(n, ell)``."""
+    """Matrix of the differential from degree-p to degree-(p+1) cochains on
+    all weights, over the shared scale of ``flat_forms(n, ell)``."""
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
-    space = build_T(n, ell)
-    dims = space.component_dims
-    total = space.total_dim
-    offsets = [sum(dims[:k]) for k in range(len(dims))]
-    source = _psubsets(n, p)
-    target = _psubsets(n, p + 1)
-    target_pos = {s: i for i, s in enumerate(target)}
-    coeffs = _iota_coefficients(n, ell)
-    scale = coeffs[(1, 1)].scale
-    cols = len(source) * total
-    if p == n:
-        return ExactMatrix.from_int_rows(cols, [], scale)
-    data: list[dict[int, int]] = [{} for _ in range(len(target) * total)]
-    for si, s in enumerate(source):
-        col0 = si * total
-        in_s = set(s)
-        for a in range(1, n + 1):
-            if a in in_s:
-                continue
-            sign = (-1) ** sum(1 for x in s if x > a)
-            row0 = target_pos[tuple(sorted(s + (a,)))] * total
-            for k in range(1, ell + 1):
-                r0 = row0 + offsets[k - 1]
-                c0 = col0 + offsets[k]
-                for r, row in enumerate(coeffs[(k, a)].data):
-                    out = data[r0 + r]
-                    for c, v in row.items():
-                        out[c0 + c] = sign * v
-    return ExactMatrix.from_int_rows(cols, data, scale)
+    return form_differential(_last_flat_forms(n, ell), p)
 
 
 def _guard_key_cap(n: int, cap: int | None) -> None:
@@ -263,9 +261,12 @@ def full_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
 
 
 def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyReport:
-    """Cohomology of the flat complex, with diagram predictions attached."""
-    cx = full_complex(n, ell, cap)
-    computed = tuple(cohomology_dims(cx))
+    """Cohomology of the flat complex, with diagram predictions attached,
+    from its dominant weight blocks (``chain.weight_cohomology``)."""
+    _guard_cap(n, ell, cap)
+    total = build_T(n, ell).total_dim
+    spaces = tuple(comb(n, p) * total for p in range(n + 1))
+    computed = tuple(weight_cohomology(flat_forms(n, ell)))
     diagrams = []
     predicted = []
     for p in range(n + 1):
@@ -273,7 +274,7 @@ def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyRe
         diagrams.append(d.rows)
         predicted.append(dim)
     return CohomologyReport(
-        n, ell, cx.spaces, computed, tuple(diagrams), tuple(predicted)
+        n, ell, spaces, computed, tuple(diagrams), tuple(predicted)
     )
 
 
@@ -305,36 +306,24 @@ def _diagonal_positions(n: int, ell: int, d: int) -> list[tuple[int, int]]:
 def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) -> DiagonalReport:
     """Subcomplex of fixed total box grade d = p + k + ell.
 
-    The maps are extracted as submatrices of the full differential, so
-    sign conventions cannot drift between the graded and ungraded
-    pictures.  Away from boxed corners the diagonal is expected to be
-    exact; at a boxed corner (component 0 in form degrees 0 and 1,
-    component ell in form degrees >= 2) the expected cohomology is the
-    predicted one for that form degree.
+    A cochain of form degree p in component k has weight total
+    p + k + ell, so this subcomplex is the sum of the weight blocks of
+    total d.  Its cohomology comes from the dominant ones
+    (``chain.weight_cohomology``), assembled from the same ``flat_forms``
+    actions as the full differential, so sign conventions cannot drift
+    between the graded and ungraded pictures.  Away from boxed corners
+    the diagonal is expected to be exact; at a boxed corner (component 0
+    in form degrees 0 and 1, component ell in form degrees >= 2) the
+    expected cohomology is the predicted one for that form degree.
     """
     _guard_cap(n, ell, cap)
     positions = _diagonal_positions(n, ell, d)
     if not positions:
         raise ValueError(f"grade {d} carries no spaces for n={n}, ell={ell}")
-    space = build_T(n, ell)
-    dims = space.component_dims
-    total = space.total_dim
-    offsets = [sum(dims[:k]) for k in range(len(dims))]
-
-    def col_indices(p: int, k: int) -> list[int]:
-        subsets = _psubsets(n, p)
-        return [
-            si * total + offsets[k] + t
-            for si in range(len(subsets))
-            for t in range(dims[k])
-        ]
-
+    dims = build_T(n, ell).component_dims
     spaces = tuple(comb(n, p) * dims[k] for p, k in positions)
-    maps = []
-    for (p, k), nxt in zip(positions, positions[1:]):
-        full = build_partial(n, ell, p)
-        maps.append(full.submatrix(col_indices(*nxt), col_indices(p, k)))
-    cohom = tuple(cohomology_dims(ChainComplex(spaces, tuple(maps))))
+    h = weight_cohomology(_last_flat_forms(n, ell), d)
+    cohom = tuple(h[p] for p, _ in positions)
     boxed = tuple(
         (k == 0 and p <= 1) or (k == ell and p >= 2) for p, k in positions
     )

@@ -7,7 +7,9 @@ increasing tuple for each antisymmetric group.  A ``GroupedSpace``
 enumerates those keys in a fixed lexicographic order, and the maps in
 this module (partial symmetrizations, skew extensions, index fixing,
 single-entry substitutions) are written directly as exact matrices in
-value coordinates.
+value coordinates: integer rows over a closed-form scale (1 for index
+fixing and substitutions, the enlarged group's size for the averages,
+2 for a skew pair).
 
 Working in value coordinates keeps every elimination at its natural
 size: a symmetry-constrained subspace of (R^n)^{tensor k} is cut out of
@@ -125,6 +127,15 @@ def _target_key_parts(key, dropped_at: int | None):
     return parts
 
 
+def _add(row: dict[int, int], c: int, v: int) -> None:
+    """Add v to entry c of an integer row, dropping it when it cancels."""
+    w = row.get(c, 0) + v
+    if w:
+        row[c] = w
+    else:
+        del row[c]
+
+
 def sym_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
     """Symmetrize one index of symmetric group i into symmetric group j.
 
@@ -140,20 +151,20 @@ def sym_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Groupe
     jj = j if (not dropped or j < i) else j - 1
     tgroups, _ = _drop_or_resize(tgroups, jj, +1)
     target = GroupedSpace(space.n, tgroups)
-    weight = Fraction(1, gj.size + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for trow, tkey in enumerate(target.keys()):
+    data: list[dict[int, int]] = []
+    for tkey in target.keys():
         parts = _target_key_parts(tkey, i if dropped else None)
         mj = parts[j]
+        row: dict[int, int] = {}
         for t in range(len(mj)):
             x = mj[t]
             src = list(parts)
             src[i] = tuple(sorted(parts[i] + (x,)))
             src[j] = mj[:t] + mj[t + 1 :]
             scol = space.index(src)
-            k = (trow, scol)
-            entries[k] = entries.get(k, Fraction(0)) + weight
-    return ExactMatrix(target.dim, space.dim, entries), target
+            row[scol] = row.get(scol, 0) + 1
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data, gj.size + 1), target
 
 
 def alt_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
@@ -170,12 +181,12 @@ def alt_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Groupe
     tgroups, _ = _drop_or_resize(space.groups, i, +1)
     tgroups, dropped = _drop_or_resize(tgroups, j, -1)
     target = GroupedSpace(space.n, tgroups)
-    weight = Fraction(1, gi.size + 1)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for trow, tkey in enumerate(target.keys()):
+    data: list[dict[int, int]] = []
+    for tkey in target.keys():
         parts = _target_key_parts(tkey, j if dropped else None)
         ai = parts[i]
         bj = parts[j]
+        row: dict[int, int] = {}
         for t in range(len(ai)):
             x = ai[t]
             if x in bj:
@@ -185,14 +196,9 @@ def alt_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Groupe
             src = list(parts)
             src[i] = ai[:t] + ai[t + 1 :]
             src[j] = tuple(sorted(bj + (x,)))
-            scol = space.index(src)
-            k = (trow, scol)
-            w = entries.get(k, Fraction(0)) + weight * sign
-            if w:
-                entries[k] = w
-            elif k in entries:
-                del entries[k]
-    return ExactMatrix(target.dim, space.dim, entries), target
+            _add(row, space.index(src), sign)
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data, gi.size + 1), target
 
 
 def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
@@ -204,24 +210,19 @@ def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Grouped
     tgroups[i] = Group(ALT, 2)
     tg, dropped = _drop_or_resize(tuple(tgroups), j, -1)
     target = GroupedSpace(space.n, tg)
-    half = Fraction(1, 2)
-    entries: dict[tuple[int, int], Fraction] = {}
-    for trow, tkey in enumerate(target.keys()):
+    data: list[dict[int, int]] = []
+    for tkey in target.keys():
         parts = _target_key_parts(tkey, j if dropped else None)
         x, y = parts[i]
         mj = parts[j]
+        row: dict[int, int] = {}
         for val, other, sign in ((x, y, 1), (y, x, -1)):
             src = list(parts)
             src[i] = (val,)
             src[j] = tuple(sorted(mj + (other,)))
-            scol = space.index(src)
-            k = (trow, scol)
-            w = entries.get(k, Fraction(0)) + half * sign
-            if w:
-                entries[k] = w
-            elif k in entries:
-                del entries[k]
-    return ExactMatrix(target.dim, space.dim, entries), target
+            _add(row, space.index(src), sign)
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data, 2), target
 
 
 def iota_matrix(space: GroupedSpace, i: int, x: int) -> tuple[ExactMatrix, GroupedSpace]:
@@ -236,13 +237,13 @@ def iota_matrix(space: GroupedSpace, i: int, x: int) -> tuple[ExactMatrix, Group
         raise ValueError(f"index value {x} outside 1..{space.n}")
     tgroups, dropped = _drop_or_resize(space.groups, i, -1)
     target = GroupedSpace(space.n, tgroups)
-    entries = {}
-    for trow, tkey in enumerate(target.keys()):
+    data = []
+    for tkey in target.keys():
         parts = _target_key_parts(tkey, i if dropped else None)
         src = list(parts)
         src[i] = tuple(sorted(parts[i] + (x,)))
-        entries[(trow, space.index(src))] = Fraction(1)
-    return ExactMatrix(target.dim, space.dim, entries), target
+        data.append({space.index(src): 1})
+    return ExactMatrix.from_int_rows(space.dim, data), target
 
 
 def replace_matrix(space: GroupedSpace, s_val: int, r_val: int) -> ExactMatrix:
@@ -255,8 +256,9 @@ def replace_matrix(space: GroupedSpace, s_val: int, r_val: int) -> ExactMatrix:
     """
     if s_val == r_val:
         raise ValueError("substitution endpoints must differ")
-    entries: dict[tuple[int, int], Fraction] = {}
-    for trow, tkey in enumerate(space.keys()):
+    data: list[dict[int, int]] = []
+    for tkey in space.keys():
+        row: dict[int, int] = {}
         for g, part in enumerate(tkey):
             kind = space.groups[g].kind
             for t in range(len(part)):
@@ -272,14 +274,9 @@ def replace_matrix(space: GroupedSpace, s_val: int, r_val: int) -> ExactMatrix:
                     sign = perm_sign([rank_of[v] for v in replaced])
                 src = list(tkey)
                 src[g] = ordered
-                scol = space.index(src)
-                k = (trow, scol)
-                w = entries.get(k, Fraction(0)) - sign
-                if w:
-                    entries[k] = w
-                elif k in entries:
-                    del entries[k]
-    return ExactMatrix(space.dim, space.dim, entries)
+                _add(row, space.index(src), -sign)
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data)
 
 
 def _arrangements(part: tuple[int, ...], kind: str):

@@ -214,6 +214,28 @@ class SubspaceBasis:
             raise ValueError("vector lies outside the column span")
         return x
 
+    def weights(self, first: int = 1) -> tuple[tuple[int, ...], ...]:
+        """The torus weight of every column: the count of each index value
+        first..n in its lead row's key.  Raises RuntimeError when a
+        column's support mixes weights."""
+        keys = self.space.keys()
+
+        def content(r: int) -> tuple[int, ...]:
+            counts = [0] * (self.n - first + 1)
+            for part in keys[r]:
+                for v in part:
+                    if v >= first:
+                        counts[v - first] += 1
+            return tuple(counts)
+
+        out = []
+        for j, col in enumerate(self.columns):
+            w = content(self.leads[j])
+            if any(content(r) != w for r in col):
+                raise RuntimeError(f"basis column {j} mixes torus weights")
+            out.append(w)
+        return tuple(out)
+
     def __repr__(self) -> str:
         return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
 

@@ -70,6 +70,40 @@ def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_int_rows(a.cols + b.cols, data, a.scale)
 
 
+def submatrix(m: ExactMatrix, row_indices, col_indices) -> ExactMatrix:
+    """The rows and columns of m at the given indices, in that order, over
+    m's scale."""
+    cmap = {c: j for j, c in enumerate(col_indices)}
+    data = [{cmap[c]: v for c, v in m.data[r].items() if c in cmap} for r in row_indices]
+    return ExactMatrix.from_int_rows(len(cmap), data, m.scale)
+
+
+def cochain_weights(n: int, bases, first: int = 1) -> list[list[tuple[int, ...]]]:
+    """Torus weight of every cochain index of the forms on R^n with values
+    in the concatenated ``bases``, laid out as by ``build_partial``: the
+    indicator of the p-subset plus the count of each index value
+    first..first + n - 1 over every row of the column's support, which
+    must agree."""
+    module = []
+    for basis in bases:
+        keys = basis.space.keys()
+        for col in basis.columns:
+            seen = {
+                tuple(sum(part.count(v) for part in keys[r]) for v in range(first, first + n))
+                for r in col
+            }
+            assert len(seen) == 1, seen
+            module.append(seen.pop())
+    out = []
+    for p in range(n + 1):
+        degree = []
+        for s in _psubsets(n, p):
+            for w in module:
+                degree.append(tuple(x + (i + 1 in s) for i, x in enumerate(w)))
+        out.append(degree)
+    return out
+
+
 def rand_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.6) -> ExactMatrix:
     values = {}
     for r in range(rows):

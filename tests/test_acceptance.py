@@ -210,3 +210,15 @@ def test_a11_christoffel_recovery(capsys):
             assert christoffel_solve(dg) == christoffel_closed_form(dg)
 
     _gate(capsys, "A11 connection coefficients unique and closed-form", 10.0, body)
+
+
+def test_a12_reach_n7_ell2(capsys):
+    """Both families at n=7, ell=2 (43008 cochain dimensions, past the
+    default cap) from their dominant weight blocks."""
+    def body():
+        flat = complex_cohomology(7, 2, cap=10**7)
+        koszul = lie_algebra_cohomology(7, 2, cap=10**7)
+        assert flat.all_match and koszul.all_match
+        assert flat.computed == koszul.computed == (28, 84, 1176, 3528, 4704, 3360, 1260, 196)
+
+    _gate(capsys, "A12 flat and Koszul cohomology at n=7, ell=2", 5.0, body)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import cli, killing, kostant, prolong, young
+from killingcalc import chain, cli, killing, kostant, prolong, young
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
@@ -75,8 +75,14 @@ def test_range_runs_match_single_pair_runs(command, tmp_path, capsys):
     "command, module", [("complex", prolong), ("kostant", kostant)]
 )
 def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsys):
+    """A pair's report is computed once, from its dominant weight blocks:
+    one cohomology_dims and one composites_vanish call per block, and
+    running the pair's checks again adds none."""
+    forms = prolong.flat_forms if module is prolong else kostant.koszul_forms
+    blocks = len(chain._dominant_weights(forms(3, 2)))
+    assert blocks > 1
     calls = {"cohomology_dims": 0, "composites_vanish": 0}
-    dims, vanish = module.cohomology_dims, ChainComplex.composites_vanish
+    dims, vanish = chain.cohomology_dims, ChainComplex.composites_vanish
 
     def counted_dims(cx):
         calls["cohomology_dims"] += 1
@@ -86,11 +92,19 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
         calls["composites_vanish"] += 1
         return vanish(cx)
 
-    monkeypatch.setattr(module, "cohomology_dims", counted_dims)
+    monkeypatch.setattr(chain, "cohomology_dims", counted_dims)
     monkeypatch.setattr(ChainComplex, "composites_vanish", counted_vanish)
     assert main([command, "--n", "3", "--ell", "2"]) == 0
     capsys.readouterr()
-    assert calls == {"cohomology_dims": 1, "composites_vanish": 1}
+    once = {"cohomology_dims": blocks, "composites_vanish": blocks}
+    assert calls == once
+    jobs = cli._jobs_complex if command == "complex" else cli._jobs_kostant
+    calls.update(cohomology_dims=0, composites_vanish=0)
+    pair = jobs([(3, 2)])
+    for _ in range(2):
+        for _, _, job in pair:
+            job()
+        assert calls == once
 
 
 def test_killing_family_computes_each_kernel_once(monkeypatch):

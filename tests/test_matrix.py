@@ -18,6 +18,7 @@ from helpers import (
     hstack,
     rand_matrix,
     scaled,
+    submatrix,
     whole_rref,
 )
 from killingcalc import killing, young
@@ -273,7 +274,8 @@ def test_matrix_algebra_and_json():
 def test_int_matrix_product_and_rank_follow_the_scales():
     """The integer rows of a product are the products of the rows and its
     scale the product of the scales; every entry equals the entry-wise
-    ``Fraction`` sum, and rank, is_zero and submatrix follow the scales."""
+    ``Fraction`` sum, and rank, is_zero and the submatrix helper follow
+    the scales."""
     rng = random.Random(12)
     for scale_a, scale_b in ((1, 1), (2, 3), (36, 4)):
         a = scaled(rand_matrix(rng, 4, 3), Fraction(1, scale_a))
@@ -285,7 +287,7 @@ def test_int_matrix_product_and_rank_follow_the_scales():
                 assert at(ab, r, c) == sum(at(a, r, k) * at(b, k, c) for k in range(3))
         assert rank(a) == rank(ExactMatrix(a.rows, a.cols, entries(a)))
         assert not a.is_zero() and ExactMatrix.from_int_rows(2, [{}, {}], scale_a).is_zero()
-        sub = a.submatrix([3, 1], [2, 0])
+        sub = submatrix(a, [3, 1], [2, 0])
         assert [at(sub, i, j) for i in range(2) for j in range(2)] == [
             at(a, r, c) for r in (3, 1) for c in (2, 0)
         ]

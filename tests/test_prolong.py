@@ -2,8 +2,16 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import assert_matches_whole, at, entries, oracle_koszul, oracle_partial
-from killingcalc import prolong
+from helpers import (
+    assert_matches_whole,
+    at,
+    cochain_weights,
+    entries,
+    oracle_koszul,
+    oracle_partial,
+    submatrix,
+)
+from killingcalc import chain, prolong
 from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.kostant import koszul_complex, koszul_differential
 from killingcalc.matrix import ExactMatrix, rank
@@ -78,30 +86,17 @@ def test_partial_shapes():
     assert (m.rows, m.cols) == (cx.spaces[2], cx.spaces[1])
 
 
-def _graded_indices(n: int, ell: int, p: int, k: int) -> list[int]:
-    """Cochain indices of (form degree p, component k), laid out as in
-    ``graded_diagonal_complex``: p-subset, then component, then column."""
-    space = build_T(n, ell)
-    dims = space.component_dims
-    offset = sum(dims[:k])
-    return [
-        si * space.total_dim + offset + t
-        for si in range(len(prolong._psubsets(n, p)))
-        for t in range(dims[k])
-    ]
-
-
 def _graded_maps(monkeypatch, n: int, ell: int):
-    """(grade d, maps) of every graded diagonal complex at (n, ell), as
-    ``graded_diagonal_complex`` hands them to ``cohomology_dims``."""
-    original = prolong.cohomology_dims
+    """(grade d, maps) of every graded diagonal complex at (n, ell): every
+    map ``graded_diagonal_complex`` hands to ``cohomology_dims``."""
+    original = chain.cohomology_dims
     out = []
 
     def spy(cx):
         out[-1][1].extend(cx.maps)
         return original(cx)
 
-    monkeypatch.setattr(prolong, "cohomology_dims", spy)
+    monkeypatch.setattr(chain, "cohomology_dims", spy)
     for d in range(ell, n + 2 * ell + 1):
         out.append((d, []))
         graded_diagonal_complex(n, ell, d)
@@ -129,36 +124,39 @@ def test_differentials_equal_the_checked_constructor(monkeypatch):
     """build_partial and koszul_differential write integer rows over one
     positive scale; rows / scale must equal the ``Fraction`` oracle built
     with the checking constructor (indices in range, no zero entry), in
-    every degree and in every graded diagonal submatrix."""
+    every degree.  Every map the graded path ranks is a dominant weight
+    block, and must equal the oracle's submatrix on the block's cochains."""
     for n in (2, 3, 4):
         for ell in (1, 2, 3):
             scales = set()
+            oracles = []
             for build, oracle in (
                 (build_partial, oracle_partial), (koszul_differential, oracle_koszul)
             ):
                 for p in range(n + 1):
                     m = build(n, ell, p)
+                    want = oracle(n, ell, p)
                     assert type(m.scale) is int and m.scale > 0
                     assert len(m.data) == m.rows
                     assert all(
                         type(v) is int and v for row in m.data for v in row.values()
                     )
-                    assert m == oracle(n, ell, p), (build, n, ell, p)
+                    assert m == want, (build, n, ell, p)
                     scales.add(m.scale)
+                    if build is build_partial:
+                        oracles.append(want)
             assert len(scales) == 1
+            weights = cochain_weights(n, build_T(n, ell).components)
             for d, maps in _graded_maps(monkeypatch, n, ell):
-                positions = prolong._diagonal_positions(n, ell, d)
-                assert len(maps) == len(positions) - 1
-                for (p, k), nxt, m in zip(positions, positions[1:], maps):
-                    rows = {r: i for i, r in enumerate(_graded_indices(n, ell, *nxt))}
-                    cols = {c: j for j, c in enumerate(_graded_indices(n, ell, p, k))}
-                    full = oracle_partial(n, ell, p)
-                    want = ExactMatrix(len(rows), len(cols), {
-                        (rows[r], cols[c]): v
-                        for (r, c), v in entries(full).items()
-                        if r in rows and c in cols
-                    })
-                    assert m == want, (n, ell, d, p)
+                blocks = list(chain._weight_blocks(prolong.flat_forms(n, ell), d))
+                assert maps == [m for b in blocks for m in b.complex.maps], (n, ell, d)
+                for b in blocks:
+                    index = [
+                        [i for i, w in enumerate(degree) if w == b.weight] for degree in weights
+                    ]
+                    for p, m in enumerate(b.complex.maps):
+                        want = submatrix(oracles[p], index[p + 1], index[p])
+                        assert m == want, (n, ell, d, b.weight, p)
 
 
 def test_recorded_scales():
