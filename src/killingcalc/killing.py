@@ -32,8 +32,9 @@ mu_ba(0) = +w_ab(0), so the coefficient of x_a in X_b is 0 for every
 a < b.  Those coefficients and the constants are exactly the free
 columns of the arity-1 operator matrix (the Killing vectors are the
 translations and the rotations x_a e_b - x_b e_a), so the potential is
-that matrix's free-variables-zero solution, with no linear solve.  An
-exact round trip sym d X == omega certifies every returned potential.
+that matrix's free-variables-zero solution, with no linear solve.  The
+identity sym d X == omega, checked exactly on X's terms by the
+symmetrized-gradient rule below, certifies every returned potential.
 
 The operator matrices are written entry by entry from closed-form
 coefficient rules; no field is built for them.
@@ -87,6 +88,16 @@ __all__ = [
 ]
 
 DEFAULT_DEGREE_CAP = 6
+
+# Limits of the killing family, in place of the shared DEFAULT_CAP.  The
+# parallel-section system is written in component coordinates, so its
+# cost follows its columns: n=4, ell=4 (34300 columns) and n=5, ell=3
+# (27440) run in seconds; n=6, ell=3 (98784) and n=5, ell=4 (222264) do
+# not.  The kernel fields cost the most at small n and large ell: the
+# whole family takes about 3 s at n=2, ell=12 (372736 field entries) and
+# 23 s at n=2, ell=15 (4456448).
+KILLING_CAP = 40000
+KILLING_FIELD_CAP = 400000
 
 
 def _require_symmetric(f: PolyTensorField) -> None:
@@ -169,9 +180,21 @@ def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTen
     comps = {}
     for key, terms in per_key.items():
         p = PolyScalar(n, terms)
-        for perm in set(permutations(key)):
+        for perm in _orderings(key):
             comps[perm] = p
     return PolyTensorField(n, arity, comps)
+
+
+def _orderings(key: tuple[int, ...]):
+    """The distinct orderings of an index tuple, each made once: a key of
+    arity ell with few distinct values has far fewer than ell! of them."""
+    if not key:
+        yield ()
+        return
+    for v in sorted(set(key)):
+        i = key.index(v)
+        for rest in _orderings(key[:i] + key[i + 1:]):
+            yield (v,) + rest
 
 
 @cache
@@ -185,14 +208,22 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     col = 0
     for key in _sym_keys(n, ell):
         for mono in mons:
-            for c in range(1, n + 1):
-                a = mono[c - 1]
-                if a:
-                    lower = mono[: c - 1] + (a - 1,) + mono[c:]
-                    row = key_pos[tuple(sorted(key + (c,)))] * per_key + mon_pos[lower]
-                    data[row][col] = (key.count(c) + 1) * a
+            for up, lower, coef in _gradient_terms(key, mono):
+                data[key_pos[up] * per_key + mon_pos[lower]][col] = coef
             col += 1
     return ExactMatrix.from_int_rows(col, data, ell + 1)
+
+
+def _gradient_terms(key, mono):
+    """(sorted(key + (c,)), exponent, integer coefficient) of every term
+    the unit symmetric field x^mono at key adds to its symmetrized
+    gradient, over the scale ell + 1 (ell = len(key)): the rule of the
+    module docstring, (mult_key(c) + 1) * mono_c at mono - e_c for each
+    direction c with mono_c > 0."""
+    for c, a in enumerate(mono, 1):
+        if a:
+            lower = mono[: c - 1] + (a - 1,) + mono[c:]
+            yield tuple(sorted(key + (c,))), lower, (key.count(c) + 1) * a
 
 
 @cache
@@ -222,26 +253,35 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
 
 def _guard_killing_cap(n: int, ell: int) -> int:
     """Refuse a killing-family size whose largest system has more columns
-    than ``DEFAULT_CAP``; returns that column count.  Closed forms only, so it
-    runs before anything is realized: the parallel-section system has
+    than ``KILLING_CAP``, or whose kernel fields have more entries than
+    ``KILLING_FIELD_CAP``; returns the column count.  Closed forms only, so
+    it runs before anything is realized: the parallel-section system has
     dim T * |monomials(n, ell)| columns, dim T the hook-content dimension
     of (ell, ell) over n + 1, and the degree-bound kernel
-    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.  The degree-bound count,
-    binomials only, is tested first: the hook-content product is quadratic
-    in ell and runs only on sizes that count admits.
+    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.  The dim check writes
+    its dim T kernel fields at every index tuple, at most dim T * n^ell
+    entries, which grows past the columns when n is small and ell large.
+    The degree-bound count, binomials only, is tested first: the
+    hook-content product is quadratic in ell and runs only on sizes that
+    count admits.
     """
     from killingcalc.young import YoungDiagram, gl_dimension
 
     _check_args(n, ell)
     columns = comb(n + ell - 1, ell) * comb(n + ell + 2, n)
-    if columns <= DEFAULT_CAP:
-        columns = max(
-            columns, gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + ell, n)
-        )
-    if columns > DEFAULT_CAP:
+    if columns <= KILLING_CAP:
+        dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
+        columns = max(columns, dim * comb(n + ell, n))
+    if columns > KILLING_CAP:
         raise CapExceeded(
             f"killing checks for n={n}, ell={ell} build a system with "
-            f"{columns} columns, cap is {DEFAULT_CAP}"
+            f"{columns} columns, cap is {KILLING_CAP}"
+        )
+    entries = dim * n ** ell
+    if entries > KILLING_FIELD_CAP:
+        raise CapExceeded(
+            f"killing checks for n={n}, ell={ell} write kernel fields with "
+            f"{entries} entries, cap is {KILLING_FIELD_CAP}"
         )
     return columns
 
@@ -425,6 +465,26 @@ def _radial_potential(omega: PolyTensorField) -> PolyTensorField:
     return PolyTensorField(n, 1, {b: PolyScalar(n, terms) for b, terms in comps.items()})
 
 
+def _is_symmetrized_gradient(x: PolyTensorField, omega: PolyTensorField) -> bool:
+    """Whether sym d x == omega, for a covector field x and a symmetric
+    2-tensor field omega, on their terms: x's terms go through
+    ``_gradient_terms`` over the scale 2, and the sums are compared with
+    omega's entries at sorted index pairs (omega is symmetric, as the
+    obstruction checks before any potential is formed)."""
+    acc: dict = {}
+    for b, s in x.comps.items():
+        for mono, w in s.terms.items():
+            for key, lower, coef in _gradient_terms(b, mono):
+                terms = acc.setdefault(key, {})
+                terms[lower] = terms.get(lower, 0) + coef * w
+    got = {}
+    for key, terms in acc.items():
+        terms = {m: v / 2 for m, v in terms.items() if v}
+        if terms:
+            got[key] = terms
+    return got == {key: s.terms for key, s in omega.comps.items() if key[0] <= key[1]}
+
+
 def killing_potential_solve(
     omega: PolyTensorField, degree_cap: int = DEFAULT_DEGREE_CAP
 ) -> KillingPotentialResult:
@@ -450,6 +510,6 @@ def killing_potential_solve(
             f"potential degree {degree} exceeds the cap {degree_cap}"
         )
     x = _radial_potential(omega)
-    if killing_operator(x) != omega:
+    if not _is_symmetrized_gradient(x, omega):
         raise RuntimeError("potential failed its round-trip check")
     return KillingPotentialResult(True, potential=x)

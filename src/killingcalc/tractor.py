@@ -19,24 +19,26 @@ tuple of graded symmetry components and the derivative is
 of the next component.  Polynomial parallel sections of that system
 biject with Killing tensors, which pins the bundle dimension.
 
-The matrix of that system is written entry by entry.  Column
-(k, j, m) is basis tensor j of component k times the monomial x^m.  An
-entry v of the basis tensor at idx gives v * m_a at row
-(k, (a,) + idx, m - e_a) for each direction a with m_a > 0 (the
-derivative) and -v at row (k - 1, idx, m) when k >= 1 (the iota term
-of the previous component).  The number of parallel sections is the
-column count minus the rank.
+The matrix of that system is written in component coordinates.
+Column (t, m) is basis column t of T, component by component, times the
+monomial x^m.  Row (a, r, m), for a direction a and a basis column r of
+T_k, is coordinate r of the x^m coefficient of d_a v_k - iota_a v_{k+1},
+multiplied through by the scale of ``prolong.flat_forms``: column (t, m)
+gives scale * m_a at row (a, t, m - e_a) when m_a > 0 (the derivative)
+and -A_a[r, t] at row (a, r, m) for every nonzero entry of column t of
+the iota matrix A_a (the iota term of the next component).
 
-Each column is first scaled by the lcm of its basis tensor's
-denominators, so every entry is a Python int and the rows go straight
-to ``matrix.integer_rank`` with no rational arithmetic.  Scaling a
-column by a nonzero factor maps the kernel bijectively onto the kernel
-of the scaled system, so the rank is unchanged.
+This is exact.  d_a acts on the monomial alone, so d_a v_k stays in T_k
+with the coordinates of v_k; iota_a v_{k+1} lies in T_k too, and
+``flat_forms`` reads its coordinates off the lead rows of T_k's basis
+and certifies them by their residual.  The T_k-valued equation therefore
+vanishes exactly when its coordinates do, and the system has at most
+n * columns rows by construction.  Every entry is a Python int, so the
+rows go straight to ``matrix.integer_rank``; the number of parallel
+sections is the column count minus the rank.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from killingcalc.fields import (
     MetricField,
@@ -49,7 +51,7 @@ from killingcalc.fields import (
 )
 from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import build_T
+from killingcalc.prolong import build_T, flat_forms
 from killingcalc.symspace import extract
 from killingcalc.tensor import Tensor
 
@@ -265,34 +267,30 @@ def flat_component_derivative(sec: ComponentSection) -> list[PolyTensorField]:
     return out
 
 
-def _parallel_system(n: int, ell: int, max_degree: int):
-    """Integer rows of the flat connection on polynomial sections of
-    degree <= max_degree, by the rule of the module docstring with every
-    basis tensor scaled to integers: a dict from row label (component,
-    index tuple, monomial) to the row {column: int}, in row order, and
-    the column count."""
-    pro = build_T(n, ell)
-    mons = monomials(n, max_degree)
-    # (a, m_a, m - e_a) for each direction a with m_a > 0, per monomial m
-    lowers = [
-        [(a, e, m[: a - 1] + (e - 1,) + m[a:]) for a, e in enumerate(m, 1) if e]
-        for m in mons
-    ]
-    rows: dict = {}
-    col = 0
-    for k, comp in enumerate(pro.components):
-        for j in range(comp.dim):
-            entries = comp.tensor(j).entries
-            scale = lcm(*(v.denominator for v in entries.values()))
-            base = [(idx, v.numerator * (scale // v.denominator)) for idx, v in entries.items()]
-            for m, lower in zip(mons, lowers):
-                for idx, v in base:
-                    for a, e, low in lower:
-                        rows.setdefault((k, (a,) + idx, low), {})[col] = v * e
-                    if k:
-                        rows.setdefault((k - 1, idx, m), {})[col] = -v
-                col += 1
-    return rows, col
+def _coordinate_rows(forms, mons):
+    """Integer rows of the flat connection on polynomial sections with
+    the monomials mons, in component coordinates by the rule of the module
+    docstring, over the scale of ``forms = flat_forms(n, ell)``: yields
+    (row label (a, r, m), row {column: int}), zero rows left out."""
+    per = len(mons)
+    mpos = {m: i for i, m in enumerate(mons)}
+    for a, iota in enumerate(forms.columns, 1):
+        # A_a by rows: r -> {t: A_a[r, t]}
+        by_row: dict = {}
+        for t, col in iota.items():
+            for r, v in col.items():
+                by_row.setdefault(r, {})[t] = v
+        for r in range(forms.dim):
+            entries = by_row.get(r, {})
+            for i, m in enumerate(mons):
+                row = {t * per + i: -v for t, v in entries.items()}
+                # the derivative of column (r, m + e_a) lands here
+                e = m[a - 1] + 1
+                j = mpos.get(m[: a - 1] + (e,) + m[a:])
+                if j is not None:
+                    row[r * per + j] = forms.scale * e
+                if row:
+                    yield (a, r, m), row
 
 
 def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> int:
@@ -304,5 +302,7 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     """
     if max_degree is None:
         max_degree = ell
-    rows, ncols = _parallel_system(n, ell, max_degree)
-    return ncols - integer_rank(rows.values(), ncols)
+    forms = flat_forms(n, ell)
+    mons = monomials(n, max_degree)
+    ncols = forms.dim * len(mons)
+    return ncols - integer_rank((row for _, row in _coordinate_rows(forms, mons)), ncols)

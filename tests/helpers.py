@@ -9,9 +9,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from killingcalc import elim
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
+from killingcalc.killing import killing_operator
 from killingcalc.kostant import build_V
 from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
 from killingcalc.poly import PolyScalar, monomials
@@ -299,3 +301,42 @@ def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
             for (r, c), v in entries(actions[i - 1]).items():
                 out[(row0 + r, si * dim + c)] = sign * v
     return ExactMatrix(len(target) * dim, len(source) * dim, out)
+
+
+def ambient_parallel_system(n: int, ell: int, max_degree: int):
+    """Reference flat-connection system on ambient index tuples: column
+    (k, j, m) is basis tensor j of component k, scaled by the lcm of its
+    denominators, times x^m; an entry v at idx gives v * m_a at row
+    (k, (a,) + idx, m - e_a) for each direction a with m_a > 0 (the
+    derivative) and -v at row (k - 1, idx, m) when k >= 1 (the iota term
+    of the previous component).  Returns a dict from row label
+    (component, index tuple, monomial) to the row {column: int}, and the
+    column count."""
+    pro = build_T(n, ell)
+    mons = monomials(n, max_degree)
+    lowers = [
+        [(a, e, m[: a - 1] + (e - 1,) + m[a:]) for a, e in enumerate(m, 1) if e]
+        for m in mons
+    ]
+    rows: dict = {}
+    col = 0
+    for k, comp in enumerate(pro.components):
+        for j in range(comp.dim):
+            entries = comp.tensor(j).entries
+            scale = lcm(*(v.denominator for v in entries.values()))
+            base = [(idx, v.numerator * (scale // v.denominator)) for idx, v in entries.items()]
+            for m, lower in zip(mons, lowers):
+                for idx, v in base:
+                    for a, e, low in lower:
+                        rows.setdefault((k, (a,) + idx, low), {})[col] = v * e
+                    if k:
+                        rows.setdefault((k - 1, idx, m), {})[col] = -v
+                col += 1
+    return rows, col
+
+
+def is_potential_by_field_calculus(x: PolyTensorField, omega: PolyTensorField) -> bool:
+    """Reference potential certificate: sym d x == omega, with sym d built
+    by ``killing_operator`` through ``flat_derivative`` and
+    ``symmetrize_field``."""
+    return killing_operator(x) == omega

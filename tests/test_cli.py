@@ -178,7 +178,7 @@ def test_verify_key_range_refused_before_its_first_check(monkeypatch, capsys):
 
 
 def test_killing_range_refused_before_its_first_check(monkeypatch, capsys):
-    """ell=3 is admitted at n=2..4 and refused at n=5: the whole range
+    """ell=3 is admitted at n=2..5 and refused at n=6: the whole range
     exits 2 before the n=2 checks compute a kernel or realize a basis."""
     def refuse(*args):
         raise AssertionError("a check ran for a refused range")
@@ -186,10 +186,11 @@ def test_killing_range_refused_before_its_first_check(monkeypatch, capsys):
     monkeypatch.setattr(young, "_realize_memo", refuse)
     monkeypatch.setattr(killing, "killing_kernel", refuse)
     monkeypatch.setattr(killing, "killing_kernel_vectors", refuse)
-    assert main(["killing", "--n", "2..5", "--ell", "3"]) == 2
+    assert main(["killing", "--n", "2..6", "--ell", "3"]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[0].startswith(
-        "error: dimension cap exceeded: killing checks for n=5, ell=3"
+    assert err.splitlines()[0] == (
+        "error: dimension cap exceeded: killing checks for n=6, ell=3 build "
+        "a system with 98784 columns, cap is 40000"
     )
 
 
@@ -222,9 +223,17 @@ def test_killing_cap_admits_every_benchmarked_size(monkeypatch):
     sizes = [(n, ell) for n in (2, 3, 4) for ell in (1, 2)] + [(2, 3), (3, 3)]
     columns = {size: killing._guard_killing_cap(*size) for size in sizes}
     assert max(columns.values()) == columns[(3, 3)] == 1000
+    # the parallel systems the coordinate rows make cheap: 490 bundle
+    # dimensions x 70 monomials at n=4, ell=4 and x 56 at n=5, ell=3
+    assert killing._guard_killing_cap(4, 4) == 34300
+    assert killing._guard_killing_cap(5, 3) == 27440
+    # n=2, ell=12 writes 91 kernel fields of up to 2^12 entries each
+    assert killing._guard_killing_cap(2, 12) == 8281
+    with pytest.raises(prolong.CapExceeded, match="860160 entries"):
+        killing._guard_killing_cap(2, 13)
     # the parallel system at n=3, ell=3: 50 bundle dimensions x 20 monomials;
     # a cap one below that refuses it
-    monkeypatch.setattr(killing, "DEFAULT_CAP", 999)
+    monkeypatch.setattr(killing, "KILLING_CAP", 999)
     with pytest.raises(prolong.CapExceeded):
         killing._guard_killing_cap(3, 3)
 

@@ -6,14 +6,24 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import field_obstruction, from_rows, rand_field, rand_symmetric_field, whole_solve
+from helpers import (
+    field_obstruction,
+    from_rows,
+    is_potential_by_field_calculus,
+    rand_field,
+    rand_symmetric_field,
+    whole_solve,
+)
 from killingcalc.fields import (
     PolyTensorField,
     lie_derivative_delta,
     symmetrize_field,
 )
+from killingcalc import killing
 from killingcalc.killing import (
+    _is_symmetrized_gradient,
     _operator_matrix,
+    _radial_potential,
     field_coefficient_vector,
     field_from_coefficients,
     higher_killing_operator,
@@ -223,6 +233,44 @@ def test_certificate_is_the_field_calculus_obstruction():
             assert res.certificate == want
             assert json.dumps(res.certificate.to_json_dict()) == json.dumps(want.to_json_dict())
     assert seen >= 30
+
+
+def test_term_certificate_agrees_with_field_calculus():
+    """On the 162 solves of the n=3 range check and on the witness, whose
+    ray integral is no potential, the certificate on terms and the
+    field-calculus round trip give the same verdict."""
+    basis = integrability_kernel(3, 4)
+    assert len(basis) == 162
+    for omega in basis:
+        x = _radial_potential(omega)
+        assert _is_symmetrized_gradient(x, omega)
+        assert is_potential_by_field_calculus(x, omega)
+    omega = PolyTensorField(2, 2, {(1, 1): P(2, {(0, 2): Fraction(1)})})
+    x = _radial_potential(omega)
+    assert not _is_symmetrized_gradient(x, omega)
+    assert not is_potential_by_field_calculus(x, omega)
+
+
+def test_corrupted_potential_is_rejected(monkeypatch):
+    rng = random.Random(149)
+    omega = killing_operator(rand_field(rng, 3, 1, 3))
+    x = _radial_potential(omega)
+    rotation = PolyTensorField(3, 1, {(1,): P.variable(3, 2), (2,): P.variable(3, 1).neg()})
+    bumps = [
+        PolyTensorField(3, 1, {(2,): P(3, {(1, 0, 1): Fraction(1, 3)})}),
+        PolyTensorField(3, 1, {(3,): P.variable(3, 3)}),
+        x.scale(Fraction(-1, 2)),
+    ]
+    for bump in bumps:
+        bad = x.add(bump)
+        assert not _is_symmetrized_gradient(bad, omega)
+        assert not is_potential_by_field_calculus(bad, omega)
+    # a Killing vector changes the potential, not its gradient
+    assert _is_symmetrized_gradient(x.add(rotation), omega)
+    assert is_potential_by_field_calculus(x.add(rotation), omega)
+    monkeypatch.setattr(killing, "_radial_potential", lambda w: x.add(bumps[0]))
+    with pytest.raises(RuntimeError, match="round-trip"):
+        killing_potential_solve(omega)
 
 
 def test_potential_is_deterministic():

@@ -5,9 +5,11 @@ closed-form coefficient rules.  The oracle here rebuilds each column the
 slow way: it makes the unit field of that coordinate, applies the field
 operator (``higher_killing_operator``, ``helpers.field_obstruction``,
 ``killing_operator``, ``flat_component_derivative``) and reads the image
-off in the same row coordinates.  The obstruction oracle is full-index
-field calculus, not ``integrability_operator``, which shares the
-matrix's per-term rule.
+off in the same row coordinates.  The flat connection is read both on
+ambient index tuples (``helpers.ambient_parallel_system``) and on the
+component bases, where ``tractor`` writes it.  The obstruction oracle
+is full-index field calculus, not ``integrability_operator``, which
+shares the matrix's per-term rule.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb, lcm
 
 import pytest
 
-from helpers import entries, field_obstruction, whole_rref
+from helpers import ambient_parallel_system, entries, field_obstruction, whole_rref
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
@@ -31,11 +33,14 @@ from killingcalc.killing import (
 )
 from killingcalc.matrix import ExactMatrix, integer_rank, rank
 from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import build_T
+from killingcalc.prolong import build_T, flat_forms
+from killingcalc.symspace import extract
+from killingcalc.tensor import Tensor
 from killingcalc.tractor import (
     ComponentSection,
-    _parallel_system,
+    _coordinate_rows,
     flat_component_derivative,
+    flat_parallel_dimension,
 )
 
 
@@ -100,7 +105,7 @@ def _oracle_composite(n, max_degree):
 
 def _oracle_parallel(n, ell, max_degree):
     """Entries keyed by (row label, column), in the column order of
-    ``_parallel_system``: component, basis tensor, monomial."""
+    ``helpers.ambient_parallel_system``: component, basis tensor, monomial."""
     pro = build_T(n, ell)
     entries = {}
     col = 0
@@ -195,7 +200,7 @@ PARALLEL_SIZES = [
 
 
 def _column_scales(n, ell, max_degree):
-    """The positive integer each column of ``_parallel_system`` carries:
+    """The positive integer each column of ``ambient_parallel_system`` carries:
     the lcm of the denominators of its basis tensor, once per monomial."""
     scales = []
     for comp in build_T(n, ell).components:
@@ -207,7 +212,7 @@ def _column_scales(n, ell, max_degree):
 
 @pytest.mark.parametrize("n, ell, max_degree", PARALLEL_SIZES)
 def test_parallel_system_matches_field_calculus(n, ell, max_degree):
-    rows, ncols = _parallel_system(n, ell, max_degree)
+    rows, ncols = ambient_parallel_system(n, ell, max_degree)
     want, cols = _oracle_parallel(n, ell, max_degree)
     assert ncols == cols
     assert all(rows.values())
@@ -221,7 +226,7 @@ def test_parallel_system_matches_field_calculus(n, ell, max_degree):
 def test_parallel_rank_matches_oracle_matrix(n, ell):
     """integer_rank of the scaled integer rows, with repeated rows
     dropped, equals the rank of the unscaled field-calculus matrix."""
-    rows, ncols = _parallel_system(n, ell, ell)
+    rows, ncols = ambient_parallel_system(n, ell, ell)
     want, cols = _oracle_parallel(n, ell, ell)
     label_pos: dict = {}
     entries = {
@@ -231,6 +236,57 @@ def test_parallel_rank_matches_oracle_matrix(n, ell):
     oracle_rank = len(whole_rref(oracle)[0])
     assert integer_rank(rows.values(), ncols) == oracle_rank
     assert cols - oracle_rank == build_T(n, ell).total_dim
+
+
+def _oracle_coordinates(n, ell, max_degree):
+    """The field-calculus entries of ``_oracle_parallel`` read in component
+    coordinates: for each column, component kk, monomial and direction a,
+    the slice of the derivative with leading index a, as coordinates on
+    the basis of T_kk (``SubspaceBasis.coords`` raises if it lies outside
+    T_kk).  Keyed by (row label (a, r, m), column), r a basis column of T."""
+    comps = build_T(n, ell).components
+    offsets = [sum(c.dim for c in comps[:k]) for k in range(len(comps))]
+    want, cols = _oracle_parallel(n, ell, max_degree)
+    slices: dict = {}
+    for ((kk, idx, mm), col), v in want.items():
+        slices.setdefault((col, kk, mm, idx[0]), {})[idx[1:]] = v
+    out = {}
+    for (col, kk, mm, a), part in slices.items():
+        comp = comps[kk]
+        y = extract(comp.space, Tensor(n, comp.arity, part))
+        for r, v in comp.coords({i: v for i, v in enumerate(y) if v}).items():
+            out[((a, offsets[kk] + r, mm), col)] = v
+    return out, cols
+
+
+@pytest.mark.parametrize("n, ell, max_degree", PARALLEL_SIZES)
+def test_coordinate_system_matches_field_calculus(n, ell, max_degree):
+    forms = flat_forms(n, ell)
+    mons = monomials(n, max_degree)
+    rows = dict(_coordinate_rows(forms, mons))
+    ncols = forms.dim * len(mons)
+    want, cols = _oracle_coordinates(n, ell, max_degree)
+    assert ncols == cols
+    # at most one row per direction and column, by construction
+    assert len(rows) <= n * ncols
+    assert all(type(v) is int and v for row in rows.values() for v in row.values())
+    got = {(label, c): v for label, row in rows.items() for c, v in row.items()}
+    assert got == {key: v * forms.scale for key, v in want.items()}
+
+
+COORDINATE_SIZES = sorted(
+    {size for size in PARALLEL_SIZES if size[0] <= 3}
+    | {(4, 2, 2), (2, 1, 3), (2, 2, 4), (3, 1, 3), (3, 2, 3), (2, 3, 5)}
+)
+
+
+@pytest.mark.parametrize("n, ell, max_degree", COORDINATE_SIZES)
+def test_coordinate_rank_matches_ambient_oracle(n, ell, max_degree):
+    """The system on component coordinates has the rank of the ambient
+    index-tuple system: the same sections are parallel, also at degree
+    bounds below and above ell."""
+    rows, ncols = ambient_parallel_system(n, ell, max_degree)
+    assert flat_parallel_dimension(n, ell, max_degree) == ncols - integer_rank(rows.values(), ncols)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import rand_field
 from killingcalc.fields import MetricField, PolyTensorField
 from killingcalc.killing import killing_kernel, killing_operator
 from killingcalc.poly import PolyScalar
+from killingcalc.prolong import build_T
 from killingcalc.tensor import Tensor
 from killingcalc.tractor import (
     ComponentSection,
@@ -150,3 +152,23 @@ def test_parallel_dimension_equals_bundle_dimension():
 def test_parallel_dimension_stable_under_degree_slack():
     assert flat_parallel_dimension(2, 1, 3) == 3
     assert flat_parallel_dimension(2, 2, 3) == 6
+
+
+def test_parallel_dimension_past_the_ambient_memory_wall():
+    # 27440 columns; the system on ambient index tuples wrote 2474325 rows
+    # here and took about 1 GB
+    assert flat_parallel_dimension(5, 3) == 490
+
+
+def test_parallel_system_memory_stays_small():
+    """The coordinate system at n=3, ell=3 peaks near 1.6 MB of Python
+    allocations, realization excluded; its 31290 rows on ambient index
+    tuples peaked near 13 MB."""
+    build_T(3, 3)
+    tracemalloc.start()
+    try:
+        assert flat_parallel_dimension(3, 3) == 50
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
