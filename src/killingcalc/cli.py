@@ -414,28 +414,16 @@ def _pairs(n_values, ell_values):
     return [(n, ell) for n in n_values for ell in ell_values]
 
 
-def _cmd_verify_key(args) -> int:
-    jobs = _jobs_key(args.n)
-    checks = _run_jobs(jobs, args.timings)
-    return _emit(args, "verify-key", {"n": args.n}, checks)
-
-
-def _cmd_complex(args) -> int:
-    jobs = _jobs_complex(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.timings)
-    return _emit(args, "complex", {"n": args.n, "ell": args.ell}, checks)
-
-
-def _cmd_kostant(args) -> int:
-    jobs = _jobs_kostant(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.timings)
-    return _emit(args, "kostant", {"n": args.n, "ell": args.ell}, checks)
-
-
-def _cmd_killing(args) -> int:
-    jobs = _jobs_killing(_pairs(args.n, args.ell))
-    checks = _run_jobs(jobs, args.timings)
-    return _emit(args, "killing", {"n": args.n, "ell": args.ell}, checks)
+def _cmd_family(args) -> int:
+    """verify-key, complex, kostant and killing: the jobs of the family
+    ``args.jobs`` builds, over the n values or the (n, ell) pairs."""
+    if "ell" in args:
+        arguments = {"n": args.n, "ell": args.ell}
+        jobs = args.jobs(_pairs(args.n, args.ell))
+    else:
+        arguments = {"n": args.n}
+        jobs = args.jobs(args.n)
+    return _emit(args, args.command, arguments, _run_jobs(jobs, args.timings))
 
 
 def _cmd_range_check(args) -> int:
@@ -518,21 +506,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("verify-key", help="two-slot skewing bijectivity")
-    _add_common(p, with_ell=False)
-    p.set_defaults(func=_cmd_verify_key)
-
-    p = subs.add_parser("complex", help="differential complex checks")
-    _add_common(p, with_ell=True)
-    p.set_defaults(func=_cmd_complex)
-
-    p = subs.add_parser("kostant", help="Lie algebra cohomology cross-checks")
-    _add_common(p, with_ell=True)
-    p.set_defaults(func=_cmd_kostant)
-
-    p = subs.add_parser("killing", help="Killing kernel dimension checks")
-    _add_common(p, with_ell=True)
-    p.set_defaults(func=_cmd_killing)
+    for command, help_text, jobs in (
+        ("verify-key", "two-slot skewing bijectivity", _jobs_key),
+        ("complex", "differential complex checks", _jobs_complex),
+        ("kostant", "Lie algebra cohomology cross-checks", _jobs_kostant),
+        ("killing", "Killing kernel dimension checks", _jobs_killing),
+    ):
+        p = subs.add_parser(command, help=help_text)
+        _add_common(p, with_ell=command != "verify-key")
+        p.set_defaults(func=_cmd_family, jobs=jobs)
 
     p = subs.add_parser(
         "range-check",

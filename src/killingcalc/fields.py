@@ -144,13 +144,6 @@ class PolyTensorField:
             raise ValueError("degree bookkeeping applies to polynomial mode")
         return max((s.degree() for s in self.comps.values()), default=-1)
 
-    def evaluate(self, point) -> Tensor:
-        return Tensor(
-            self.n,
-            self.arity,
-            {idx: s.eval(point) for idx, s in self.comps.items()},
-        )
-
     def to_json_dict(self) -> dict:
         if self.rational:
             raise ValueError("JSON form covers polynomial mode only")

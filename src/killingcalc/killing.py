@@ -73,7 +73,6 @@ from killingcalc.poly import PolyScalar, monomials
 
 __all__ = [
     "killing_operator",
-    "higher_killing_operator",
     "killing_kernel",
     "killing_kernel_vectors",
     "symmetric_coordinates",
@@ -114,15 +113,6 @@ def killing_operator(X: PolyTensorField) -> PolyTensorField:
     if X.arity != 1:
         raise ValueError("expected an arity-1 field")
     return symmetrize_field(flat_derivative(X), (1, 2))
-
-
-def higher_killing_operator(sigma: PolyTensorField) -> PolyTensorField:
-    """Fully symmetrized coordinate derivative of a symmetric field."""
-    if sigma.arity < 1:
-        raise ValueError("expected arity >= 1")
-    _require_symmetric(sigma)
-    d = flat_derivative(sigma)
-    return symmetrize_field(d, range(1, sigma.arity + 2))
 
 
 def _sym_keys(n: int, arity: int):

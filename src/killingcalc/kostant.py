@@ -23,7 +23,10 @@ the Weyl formula.
 
 Counting index values equal to 1 grades the module basis, and the
 grade-c piece must match component ell - c of the prolongation space
-over n.  That comparison is the branching check.
+over n.  That comparison is the branching check, which also checks that
+every x_i raises the count by one.  That the grade -1 part acts
+abelianly is covered by the d^2 check of ``lie_algebra_cohomology``:
+D^2 = 0 on degree-0 cochains says exactly that the x_i commute on V.
 
 The action matrices of one (n, ell) are brought to one scale once, the
 lcm of all their denominators, and kept over that scale in the module;
@@ -45,7 +48,7 @@ from functools import cache
 from math import comb
 
 from killingcalc.cap import _check_args
-from killingcalc.chain import ChainComplex, FormComplex, form_differential, weight_cohomology
+from killingcalc.chain import FormComplex, form_differential, weight_cohomology
 from killingcalc.matrix import ExactMatrix, over_common_scale
 from killingcalc.prolong import (
     _guard_cap,
@@ -56,73 +59,14 @@ from killingcalc.symspace import replace_matrix
 from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible, weyl_dimension
 
 __all__ = [
-    "GradedSL",
     "VModule",
     "KostantReport",
     "build_V",
     "koszul_differential",
-    "koszul_complex",
     "cohomology_label_row",
     "lie_algebra_cohomology",
     "branching_check",
 ]
-
-
-@dataclass(frozen=True)
-class GradedSL:
-    """Size n + 1 special linear algebra with the first-column grading."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("grading needs block sizes 1 and n with n >= 2")
-
-    @property
-    def size(self) -> int:
-        return self.n + 1
-
-    def grade(self, r: int, s: int) -> int:
-        """Grade of the elementary matrix with entry at row r, column s."""
-        if not (1 <= r <= self.size and 1 <= s <= self.size):
-            raise ValueError("matrix position out of range")
-        if r == s:
-            return 0
-        if s == 1:
-            return -1
-        if r == 1:
-            return 1
-        return 0
-
-    def minus_one_basis(self) -> tuple[tuple[int, int], ...]:
-        """Positions of the grade -1 basis, ordered by row."""
-        return tuple((i + 1, 1) for i in range(1, self.n + 1))
-
-    @staticmethod
-    def bracket(a: tuple[int, int], b: tuple[int, int]) -> dict[tuple[int, int], int]:
-        """Commutator of two elementary matrices as a sparse combination."""
-        (r, s), (u, v) = a, b
-        out: dict[tuple[int, int], int] = {}
-        if s == u:
-            out[(r, v)] = out.get((r, v), 0) + 1
-        if v == r:
-            out[(u, s)] = out.get((u, s), 0) - 1
-        return {k: c for k, c in out.items() if c}
-
-    def grades_additive(self) -> bool:
-        """Commutators of elementary matrices respect the grading."""
-        m = self.size
-        for a in ((r, s) for r in range(1, m + 1) for s in range(1, m + 1)):
-            for b in ((r, s) for r in range(1, m + 1) for s in range(1, m + 1)):
-                g = self.grade(*a) + self.grade(*b)
-                for pos in self.bracket(a, b):
-                    if pos[0] != pos[1] and self.grade(*pos) != g:
-                        return False
-        return True
-
-    def minus_one_abelian(self) -> bool:
-        basis = self.minus_one_basis()
-        return all(not self.bracket(a, b) for a in basis for b in basis)
 
 
 @dataclass(frozen=True)
@@ -150,7 +94,7 @@ def build_V(n: int, ell: int) -> VModule:
     """Realize the module and the column action matrices, with closure
     and grading checks."""
     _check_args(n, ell)
-    basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1, "symmetric-pair")
+    basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
     space = basis.space
     exact = []
     for i in range(1, n + 1):
@@ -182,14 +126,6 @@ def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
     return form_differential(koszul_forms(n, ell), p)
-
-
-def koszul_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
-    _guard_cap(n, ell, cap)
-    dim = build_V(n, ell).dim
-    spaces = tuple(comb(n, p) * dim for p in range(n + 1))
-    maps = tuple(koszul_differential(n, ell, p) for p in range(n))
-    return ChainComplex(spaces, maps)
 
 
 def cohomology_label_row(n: int, ell: int, p: int) -> tuple[int, ...]:

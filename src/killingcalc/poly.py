@@ -265,14 +265,6 @@ class RatScalar:
     def const(cls, n: int, c) -> "RatScalar":
         return cls(PolyScalar.const(n, c))
 
-    @classmethod
-    def quotient(cls, num: PolyScalar, den: PolyScalar) -> "RatScalar":
-        atom, r = _normalize_atom(den)
-        out = cls(num.scale(1 / r), [(atom, 1)] if atom.degree() > 0 else [])
-        if atom.degree() == 0:
-            out = cls(out.num.scale(Fraction(1, atom.terms[(0,) * num.n])))
-        return out
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -45,7 +45,7 @@ from itertools import combinations
 from math import comb, lcm
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
-from killingcalc.chain import ChainComplex, FormComplex, form_differential, weight_cohomology
+from killingcalc.chain import FormComplex, form_differential, weight_cohomology
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
 from killingcalc.tensor import Tensor, antisymmetrize
@@ -86,11 +86,9 @@ class ProlongationSpace:
 def build_T(n: int, ell: int) -> ProlongationSpace:
     """Component bases of the prolongation space, checked against hooks."""
     _check_args(n, ell)
-    comps = [realize_irreducible(YoungDiagram((ell,)), n, "row")]
+    comps = [realize_irreducible(YoungDiagram((ell,)), n)]
     for k in range(1, ell + 1):
-        comps.append(
-            realize_irreducible(YoungDiagram((ell, k)), n, "symmetric-pair")
-        )
+        comps.append(realize_irreducible(YoungDiagram((ell, k)), n))
     space = ProlongationSpace(n, ell, tuple(comps))
     expected = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     if space.total_dim != expected:
@@ -250,14 +248,6 @@ def _guard_cap(n: int, ell: int, cap: int | None) -> None:
             f"complex for n={n}, ell={ell} has total dimension {total}, "
             f"cap is {cap}"
         )
-
-
-def full_complex(n: int, ell: int, cap: int | None = None) -> ChainComplex:
-    _guard_cap(n, ell, cap)
-    total = build_T(n, ell).total_dim
-    spaces = tuple(comb(n, p) * total for p in range(n + 1))
-    maps = tuple(build_partial(n, ell, p) for p in range(n))
-    return ChainComplex(spaces, maps)
 
 
 def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyReport:

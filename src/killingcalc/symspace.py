@@ -5,7 +5,7 @@ antisymmetric groups are determined by their values on representative
 keys: a nondecreasing index tuple for each symmetric group, a strictly
 increasing tuple for each antisymmetric group.  A ``GroupedSpace``
 enumerates those keys in a fixed lexicographic order, and the maps in
-this module (partial symmetrizations, skew extensions, index fixing,
+this module (partial symmetrizations, skew pairs, index fixing,
 single-entry substitutions) are written directly as exact matrices in
 value coordinates: integer rows over a closed-form scale (1 for index
 fixing and substitutions, the enlarged group's size for the averages,
@@ -43,7 +43,6 @@ __all__ = [
     "Group",
     "GroupedSpace",
     "sym_extend",
-    "alt_extend",
     "skew_pair",
     "iota_matrix",
     "replace_matrix",
@@ -165,40 +164,6 @@ def sym_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Groupe
             row[scol] = row.get(scol, 0) + 1
         data.append(row)
     return ExactMatrix.from_int_rows(space.dim, data, gj.size + 1), target
-
-
-def alt_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
-    """Skew one index of antisymmetric group j onto antisymmetric group i.
-
-    The image value at a target key (group i enlarged, group j shrunk) is
-    the signed average over which element of the enlarged group-i key
-    came from group j.  The kernel is the subspace where skewing group i
-    together with one index of group j vanishes.
-    """
-    gi, gj = space.groups[i], space.groups[j]
-    if gi.kind != ALT or gj.kind != ALT or i == j:
-        raise ValueError("alt_extend needs two distinct antisymmetric groups")
-    tgroups, _ = _drop_or_resize(space.groups, i, +1)
-    tgroups, dropped = _drop_or_resize(tgroups, j, -1)
-    target = GroupedSpace(space.n, tgroups)
-    data: list[dict[int, int]] = []
-    for tkey in target.keys():
-        parts = _target_key_parts(tkey, j if dropped else None)
-        ai = parts[i]
-        bj = parts[j]
-        row: dict[int, int] = {}
-        for t in range(len(ai)):
-            x = ai[t]
-            if x in bj:
-                continue
-            below = sum(1 for b in bj if b < x)
-            sign = (-1) ** (len(ai) - 1 - t) * (-1) ** below
-            src = list(parts)
-            src[i] = ai[:t] + ai[t + 1 :]
-            src[j] = tuple(sorted(bj + (x,)))
-            _add(row, space.index(src), sign)
-        data.append(row)
-    return ExactMatrix.from_int_rows(space.dim, data, gi.size + 1), target
 
 
 def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:

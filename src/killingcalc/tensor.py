@@ -18,7 +18,6 @@ from itertools import permutations
 
 __all__ = [
     "Tensor",
-    "symmetrize",
     "antisymmetrize",
     "perm_sign",
 ]
@@ -129,11 +128,6 @@ def _permute_average(t: Tensor, positions, signed: bool) -> Tensor:
             elif key in acc:
                 del acc[key]
     return Tensor(t.n, t.arity, acc)
-
-
-def symmetrize(t: Tensor, positions) -> Tensor:
-    """Average of t over all rearrangements of the given slots."""
-    return _permute_average(t, positions, signed=False)
 
 
 def antisymmetrize(t: Tensor, positions) -> Tensor:

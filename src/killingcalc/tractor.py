@@ -13,11 +13,12 @@ identically for every metric (the first Bianchi identity); any
 obstruction to flatness sits in the 2-form slot, and for the flat and
 stereographic metrics that piece vanishes too.
 
-For higher valence only the flat model is carried: the bundle is the
-tuple of graded symmetry components and the derivative is
-(Dv)_k = d_a v_k - iota_a v_{k+1}, where iota_a pins the first index
-of the next component.  Polynomial parallel sections of that system
-biject with Killing tensors, which pins the bundle dimension.
+For higher valence only the flat model is carried, and only as a
+matrix: ``flat_parallel_dimension`` counts its polynomial parallel
+sections.  The bundle is the tuple of graded symmetry components and the
+derivative is (Dv)_k = d_a v_k - iota_a v_{k+1}, where iota_a pins the
+first index of the next component.  Polynomial parallel sections of that
+system biject with Killing tensors, which pins the bundle dimension.
 
 The matrix of that system is written in component coordinates.
 Column (t, m) is basis column t of T, component by component, times the
@@ -45,15 +46,12 @@ from killingcalc.fields import (
     PolyTensorField,
     antisymmetrize_field,
     covariant_derivative,
-    flat_derivative,
     riemann,
     _s_mul,
 )
 from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import build_T, flat_forms
-from killingcalc.symspace import extract
-from killingcalc.tensor import Tensor
+from killingcalc.prolong import flat_forms
 
 __all__ = [
     "TractorSection",
@@ -62,8 +60,6 @@ __all__ = [
     "tractor_derivative",
     "TractorCurvature",
     "tractor_curvature",
-    "ComponentSection",
-    "flat_component_derivative",
     "flat_parallel_dimension",
 ]
 
@@ -184,19 +180,6 @@ class TractorCurvature:
     def covector_piece_zero(self) -> bool:
         return all(fx.is_zero() for _, fx, _ in self.pieces)
 
-    def nonzero_witness(self):
-        """First nonzero curvature entry, or None."""
-        for label, fx, fk in self.pieces:
-            for part_name, part in (("x", fx), ("k", fk)):
-                for idx in sorted(part.comps):
-                    return {
-                        "section": label,
-                        "slot": part_name,
-                        "index": idx,
-                        "value": repr(part.comps[idx]),
-                    }
-        return None
-
     def __repr__(self) -> str:
         state = "flat" if self.is_zero() else "curved"
         return f"TractorCurvature(n={self.n}, mode={self.mode}, {state})"
@@ -212,59 +195,6 @@ def tractor_curvature(g: MetricField) -> TractorCurvature:
         fk = antisymmetrize_field(b2, (1, 2)).scale(2)
         pieces.append((label, fx, fk))
     return TractorCurvature(g.n, g.mode, pieces)
-
-
-class ComponentSection:
-    """Flat-model section of the valence-ell bundle, one field per
-    component; every monomial coefficient must lie in its component's
-    symmetry subspace."""
-
-    __slots__ = ("n", "ell", "parts")
-
-    def __init__(self, n: int, ell: int, parts):
-        parts = tuple(parts)
-        pro = build_T(n, ell)
-        if len(parts) != ell + 1:
-            raise ValueError(f"expected {ell + 1} component fields")
-        for k, f in enumerate(parts):
-            comp = pro.components[k]
-            if f.n != n or f.arity != comp.arity:
-                raise ValueError(f"component {k} has the wrong shape")
-            if f.rational:
-                raise ValueError("flat-model sections are polynomial")
-            _check_membership(f, comp)
-        self.n = n
-        self.ell = ell
-        self.parts = parts
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.parts)
-
-    def __repr__(self) -> str:
-        return f"ComponentSection(n={self.n}, ell={self.ell})"
-
-
-def _check_membership(f: PolyTensorField, comp) -> None:
-    per_mono: dict = {}
-    for idx, s in f.comps.items():
-        for m, v in s.terms.items():
-            per_mono.setdefault(m, {})[idx] = v
-    for m, entries in per_mono.items():
-        t = Tensor(f.n, f.arity, entries)
-        coords = extract(comp.space, t)
-        comp.coords({i: v for i, v in enumerate(coords) if v})
-
-
-def flat_component_derivative(sec: ComponentSection) -> list[PolyTensorField]:
-    """Connection step in the flat model: differentiate each component
-    and subtract the next one, whose leading index is the direction."""
-    out = []
-    for k, f in enumerate(sec.parts):
-        d = flat_derivative(f)
-        if k < sec.ell:
-            d = d.sub(sec.parts[k + 1])
-        out.append(d)
-    return out
 
 
 def _coordinate_rows(forms, mons):

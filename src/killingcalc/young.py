@@ -12,16 +12,15 @@ Dimension conventions, stated once and used everywhere:
   (a_i + ... + a_j + j - i + 1) / (j - i + 1).
 
 ``realize_irreducible`` produces an explicit basis of a subspace of a
-tensor power carrying the given symmetry type.  Three presentations are
-implemented and selected by shape unless forced:
+tensor power carrying the given symmetry type.  The diagram's row count
+picks one of two presentations:
 
-* ``row``: a single symmetric group;
-* ``symmetric-pair``: for two rows (a, b), tensors symmetric in a first
-  group of b and a second group of a indices, with the symmetrization of
-  the last first-group index across the whole second group vanishing;
-* ``column-skew``: one antisymmetric group per column of the diagram,
-  with the skew of each column group together with one index of the
-  next column vanishing.
+* one row (a): a single symmetric group of a indices;
+* two rows (a, b): tensors symmetric in a first group of b and a second
+  group of a indices, with the symmetrization of the last first-group
+  index across the whole second group vanishing.
+
+Diagrams with more rows are refused.
 
 Every realization asserts that its basis cardinality equals the
 hook-content dimension, so an unsupported shape cannot fail silently.
@@ -42,15 +41,7 @@ from fractions import Fraction
 from functools import cache
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
-from killingcalc.symspace import (
-    ALT,
-    SYM,
-    Group,
-    GroupedSpace,
-    alt_extend,
-    embed,
-    sym_extend,
-)
+from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend
 from killingcalc.tensor import Tensor
 
 __all__ = [
@@ -240,42 +231,17 @@ class SubspaceBasis:
         return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
 
 
-def _resolve_presentation(d: YoungDiagram, presentation: str) -> str:
-    if presentation != "auto":
-        return presentation
-    if len(d.rows) <= 1:
-        return "row"
-    if len(d.rows) == 2 and d.rows[0] > d.rows[1]:
-        return "symmetric-pair"
-    return "column-skew"
-
-
-def _presentation(d: YoungDiagram, n: int, kind: str):
+def _presentation(d: YoungDiagram, n: int):
     """(space, constraints) of a realization: the basis is the kernel of
     the constraint matrix, or the whole space when constraints is None."""
-    if kind == "row":
-        if len(d.rows) != 1:
-            raise ValueError(f"row presentation needs a single row, got {d.rows}")
+    if len(d.rows) == 1:
         return GroupedSpace(n, [Group(SYM, d.rows[0])]), None
-    if kind == "symmetric-pair":
-        if len(d.rows) != 2:
-            raise ValueError(f"symmetric-pair needs two rows, got {d.rows}")
+    if len(d.rows) == 2:
         a, b = d.rows
         space = GroupedSpace(n, [Group(SYM, b), Group(SYM, a)])
         constraints, _ = sym_extend(space, 0, 1)
         return space, constraints
-    if kind == "column-skew":
-        cols = d.conjugate()
-        if cols and cols[0] > n:
-            # more rows than the base dimension: a zero-dimensional space
-            return GroupedSpace(n, [Group(ALT, cols[0])]), None
-        space = GroupedSpace(n, [Group(ALT, c) for c in cols])
-        stacked = None
-        for g in range(len(cols) - 1):
-            m, _ = alt_extend(space, g, g + 1)
-            stacked = m if stacked is None else stacked.vstack(m)
-        return space, stacked
-    raise ValueError(f"unknown presentation {kind!r}")
+    raise ValueError(f"no presentation realizes the shape {d.rows}: one or two rows only")
 
 
 def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
@@ -285,23 +251,20 @@ def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
     return SubspaceBasis(space, basis)
 
 
-def realize_irreducible(
-    d: YoungDiagram, n: int, presentation: str = "auto"
-) -> SubspaceBasis:
+def realize_irreducible(d: YoungDiagram, n: int) -> SubspaceBasis:
     """Basis of the symmetry class of shape d inside the tensor power.
 
-    Results are memoized per (shape, n, resolved presentation), so
-    ``"auto"`` and the presentation it picks share one basis object; the
-    memo is transparent since every construction path is deterministic.
+    Results are memoized per (shape, n); the memo is transparent since
+    the construction is deterministic.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
-    return _realize_memo(d, n, _resolve_presentation(d, presentation))
+    return _realize_memo(d, n)
 
 
 @cache
-def _realize_memo(d: YoungDiagram, n: int, kind: str) -> SubspaceBasis:
-    result = _realize(*_presentation(d, n, kind))
+def _realize_memo(d: YoungDiagram, n: int) -> SubspaceBasis:
+    result = _realize(*_presentation(d, n))
     expected = gl_dimension(d, n)
     if result.dim != expected:
         raise RuntimeError(

@@ -9,17 +9,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 
 from killingcalc import elim
+from killingcalc.chain import ChainComplex
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
-from killingcalc.killing import killing_operator
-from killingcalc.kostant import build_V
+from killingcalc.killing import _require_symmetric, killing_operator
+from killingcalc.kostant import build_V, koszul_differential
 from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
-from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import _psubsets, build_T
+from killingcalc.poly import PolyScalar, RatScalar, monomials
+from killingcalc.prolong import _psubsets, build_partial, build_T
 from killingcalc.symspace import iota_matrix, replace_matrix
-from killingcalc.tensor import Tensor
+from killingcalc.tensor import Tensor, _permute_average
 
 
 def entries(m: ExactMatrix) -> dict[tuple[int, int], Fraction]:
@@ -173,14 +174,12 @@ def field_obstruction(omega: PolyTensorField) -> PolyTensorField:
     return PolyTensorField(n, 4, comps)
 
 
-# Every (shape, n, presentation) the test suite realizes.
+# Every (shape, n) the test suite realizes, with the presentation its
+# row count picks.
 REALIZED_SHAPES = [
     ((1,), 2, "row"), ((1,), 3, "row"), ((1,), 4, "row"),
     ((2,), 2, "row"), ((2,), 3, "row"), ((2,), 4, "row"),
     ((3,), 2, "row"), ((3,), 3, "row"), ((3,), 4, "row"),
-    ((1, 1), 2, "column-skew"), ((1, 1), 3, "column-skew"),
-    ((1, 1, 1), 3, "column-skew"),
-    ((2, 2), 2, "column-skew"), ((2, 2), 3, "column-skew"),
 ] + [
     (shape, n, "symmetric-pair")
     for shape, ns in [
@@ -340,3 +339,55 @@ def is_potential_by_field_calculus(x: PolyTensorField, omega: PolyTensorField) -
     by ``killing_operator`` through ``flat_derivative`` and
     ``symmetrize_field``."""
     return killing_operator(x) == omega
+
+
+def full_complex(n: int, ell: int) -> ChainComplex:
+    """The whole flat complex on all weights, from ``build_partial``."""
+    total = build_T(n, ell).total_dim
+    spaces = tuple(comb(n, p) * total for p in range(n + 1))
+    return ChainComplex(spaces, tuple(build_partial(n, ell, p) for p in range(n)))
+
+
+def koszul_complex(n: int, ell: int) -> ChainComplex:
+    """The whole Koszul complex on all weights, from ``koszul_differential``."""
+    dim = build_V(n, ell).dim
+    spaces = tuple(comb(n, p) * dim for p in range(n + 1))
+    return ChainComplex(spaces, tuple(koszul_differential(n, ell, p) for p in range(n)))
+
+
+def higher_killing_operator(sigma: PolyTensorField) -> PolyTensorField:
+    """Reference symmetrized gradient of any valence by field calculus:
+    the full symmetrization of the coordinate derivative of a symmetric
+    field."""
+    if sigma.arity < 1:
+        raise ValueError("expected arity >= 1")
+    _require_symmetric(sigma)
+    return symmetrize_field(flat_derivative(sigma), range(1, sigma.arity + 2))
+
+
+def flat_component_derivative(parts) -> list[PolyTensorField]:
+    """Reference flat connection on a section given as one field per
+    component: differentiate each component and subtract the next one,
+    whose leading index is the direction."""
+    out = []
+    for k, f in enumerate(parts):
+        d = flat_derivative(f)
+        if k + 1 < len(parts):
+            d = d.sub(parts[k + 1])
+        out.append(d)
+    return out
+
+
+def rat_quotient(num: PolyScalar, den: PolyScalar) -> RatScalar:
+    """num / den with den kept as one denominator atom, not factored."""
+    return RatScalar(num).div(RatScalar(den))
+
+
+def evaluate(f: PolyTensorField, point) -> Tensor:
+    """The tensor of f's values at a point."""
+    return Tensor(f.n, f.arity, {idx: s.eval(point) for idx, s in f.comps.items()})
+
+
+def symmetrize(t: Tensor, positions) -> Tensor:
+    """Average of t over all rearrangements of the given slots."""
+    return _permute_average(t, positions, signed=False)

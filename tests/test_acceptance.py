@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import from_rows
+from helpers import from_rows, full_complex
 from killingcalc.fields import (
     MetricField,
     PolyTensorField,
@@ -36,7 +36,6 @@ from killingcalc.poly import PolyScalar
 from killingcalc.prolong import (
     build_T,
     complex_cohomology,
-    full_complex,
     graded_diagonal_complex,
     injectivity_implication_check,
     key_isomorphism_check,

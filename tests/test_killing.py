@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     field_obstruction,
     from_rows,
+    higher_killing_operator,
     is_potential_by_field_calculus,
     rand_field,
     rand_symmetric_field,
@@ -26,7 +27,6 @@ from killingcalc.killing import (
     _radial_potential,
     field_coefficient_vector,
     field_from_coefficients,
-    higher_killing_operator,
     integrability_kernel,
     integrability_of_killing_matrix,
     integrability_operator,

@@ -1,32 +1,15 @@
 from __future__ import annotations
 
+from helpers import koszul_complex
 from killingcalc.kostant import (
-    GradedSL,
     branching_check,
     build_V,
     cohomology_label_row,
-    koszul_complex,
     koszul_differential,
     lie_algebra_cohomology,
 )
 from killingcalc.prolong import complex_cohomology
 from killingcalc.young import gl_dimension, weyl_dimension, YoungDiagram
-
-
-def test_first_column_grading():
-    g = GradedSL(3)
-    assert g.grade(2, 1) == -1  # first column below the corner
-    assert g.grade(1, 3) == 1
-    assert g.grade(2, 3) == 0
-    assert g.grades_additive()
-    assert g.minus_one_abelian()
-    assert len(g.minus_one_basis()) == 3
-
-
-def test_bracket_is_gl_commutator():
-    val = GradedSL(3).bracket((1, 2), (2, 3))
-    assert val == {(1, 3): 1}
-    assert GradedSL(3).bracket((1, 2), (3, 4)) == {}
 
 
 def test_module_dimension():

@@ -3,9 +3,11 @@
 ``killing`` and ``tractor`` write their matrices entry by entry from
 closed-form coefficient rules.  The oracle here rebuilds each column the
 slow way: it makes the unit field of that coordinate, applies the field
-operator (``higher_killing_operator``, ``helpers.field_obstruction``,
-``killing_operator``, ``flat_component_derivative``) and reads the image
-off in the same row coordinates.  The flat connection is read both on
+operator and reads the image off in the same row coordinates.  The field
+operators are ``killing.killing_operator`` and three that live in
+``tests/helpers.py``, because no command runs them:
+``higher_killing_operator``, ``field_obstruction`` and
+``flat_component_derivative``.  The flat connection is read both on
 ambient index tuples (``helpers.ambient_parallel_system``) and on the
 component bases, where ``tractor`` writes it.  The obstruction oracle
 is full-index field calculus, not ``integrability_operator``, which
@@ -20,13 +22,19 @@ from math import comb, lcm
 
 import pytest
 
-from helpers import ambient_parallel_system, entries, field_obstruction, whole_rref
+from helpers import (
+    ambient_parallel_system,
+    entries,
+    field_obstruction,
+    flat_component_derivative,
+    higher_killing_operator,
+    whole_rref,
+)
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
     _obstruction_matrix,
     _operator_matrix,
-    higher_killing_operator,
     integrability_of_killing_matrix,
     killing_operator,
     symmetric_coordinates,
@@ -36,12 +44,7 @@ from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T, flat_forms
 from killingcalc.symspace import extract
 from killingcalc.tensor import Tensor
-from killingcalc.tractor import (
-    ComponentSection,
-    _coordinate_rows,
-    flat_component_derivative,
-    flat_parallel_dimension,
-)
+from killingcalc.tractor import _coordinate_rows, flat_parallel_dimension
 
 
 def _unit_field(n, arity, key, mono):
@@ -118,8 +121,7 @@ def _oracle_parallel(n, ell, max_degree):
                 parts[k] = PolyTensorField(
                     n, comp.arity, {idx: p.scale(v) for idx, v in base.entries.items()}
                 )
-                sec = ComponentSection(n, ell, parts)
-                for kk, f in enumerate(flat_component_derivative(sec)):
+                for kk, f in enumerate(flat_component_derivative(parts)):
                     for idx, s in f.comps.items():
                         for mm, v in s.terms.items():
                             entries[((kk, idx, mm), col)] = v

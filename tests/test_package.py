@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -27,6 +29,17 @@ def test_star_import_binds_every_public_name():
 
 def test_dir_lists_every_public_name():
     assert set(killingcalc.__all__) <= set(dir(killingcalc))
+
+
+@pytest.mark.parametrize(
+    "modname", sorted(m.name for m in pkgutil.iter_modules(killingcalc.__path__))
+)
+def test_every_exported_name_is_defined(modname):
+    """Each module's ``__all__`` names only what the module defines, so an
+    export cannot outlive its definition."""
+    module = importlib.import_module(f"killingcalc.{modname}")
+    missing = [name for name in getattr(module, "__all__", ()) if name not in vars(module)]
+    assert missing == [], modname
 
 
 def test_unknown_attribute_raises_attribute_error():

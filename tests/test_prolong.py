@@ -7,13 +7,15 @@ from helpers import (
     at,
     cochain_weights,
     entries,
+    full_complex,
+    koszul_complex,
     oracle_koszul,
     oracle_partial,
     submatrix,
 )
 from killingcalc import chain, prolong
 from killingcalc.chain import ChainComplex, cohomology_dims
-from killingcalc.kostant import koszul_complex, koszul_differential
+from killingcalc.kostant import koszul_differential
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.prolong import (
     CapExceeded,
@@ -21,7 +23,6 @@ from killingcalc.prolong import (
     build_T,
     build_partial,
     complex_cohomology,
-    full_complex,
     graded_diagonal_complex,
     injectivity_implication_check,
     key_isomorphism_check,

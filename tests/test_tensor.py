@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_tensor
-from killingcalc.tensor import Tensor, antisymmetrize, perm_sign, symmetrize
+from helpers import rand_tensor, symmetrize
+from killingcalc.tensor import Tensor, antisymmetrize, perm_sign
 
 
 def test_perm_sign():

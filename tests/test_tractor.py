@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_field
+from helpers import flat_component_derivative, rand_field
 from killingcalc.fields import MetricField, PolyTensorField
 from killingcalc.killing import killing_kernel, killing_operator
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import build_T
 from killingcalc.tensor import Tensor
 from killingcalc.tractor import (
-    ComponentSection,
     TractorSection,
-    flat_component_derivative,
     flat_parallel_dimension,
     killing_lift,
     tractor_curvature,
@@ -101,20 +99,20 @@ def test_flat_connection_curvature_vanishes():
     for n in (2, 3):
         F = tractor_curvature(MetricField.flat(n))
         assert F.is_zero()
-        assert F.nonzero_witness() is None
+        # one piece per constant section: e_b, then e_bc for b < c
+        assert len(F.pieces) == n + n * (n - 1) // 2
 
 
 def test_constant_curvature_metrics_are_tractor_flat():
     for kappa in (Fraction(1), Fraction(-1)):
         F = tractor_curvature(MetricField.stereographic(2, kappa))
-        assert F.is_zero(), F.nonzero_witness()
+        curved = [label for label, fx, fk in F.pieces if not (fx.is_zero() and fk.is_zero())]
+        assert curved == []
 
 
 def test_sample_metric_obstruction_sits_in_the_two_form_slot():
     F = tractor_curvature(_sample_metric())
-    assert not F.is_zero()
-    w = F.nonzero_witness()
-    assert w["slot"] == "k"
+    assert any(not fk.is_zero() for _, _, fk in F.pieces)
     assert F.covector_piece_zero()
 
 
@@ -127,21 +125,11 @@ def test_covector_piece_cancels_for_random_sample_metrics():
 def test_component_form_matches_pair_form_at_valence_one():
     rot = _rotation()
     sec = killing_lift(rot)
-    cs = ComponentSection(2, 1, [sec.x_part, sec.k_part])
-    outs = flat_component_derivative(cs)
+    outs = flat_component_derivative([sec.x_part, sec.k_part])
     d = tractor_derivative(sec, MetricField.flat(2))
     assert outs[0] == d.x_part
     assert outs[1] == d.k_part
     assert all(o.is_zero() for o in outs)
-
-
-def test_component_membership_enforced():
-    rot = _rotation()
-    sym = PolyTensorField(2, 2, {(1, 1): P.const(2, 1)})
-    with pytest.raises(ValueError):
-        ComponentSection(2, 1, [rot, sym])
-    with pytest.raises(ValueError):
-        ComponentSection(2, 1, [rot])  # wrong number of components
 
 
 def test_parallel_dimension_equals_bundle_dimension():

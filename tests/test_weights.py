@@ -15,17 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import cochain_weights, submatrix
+from helpers import cochain_weights, full_complex, koszul_complex, submatrix
 from killingcalc import chain
 from killingcalc.chain import ChainComplex, _orbit_size, cohomology_dims
-from killingcalc.kostant import build_V, koszul_complex, koszul_forms, lie_algebra_cohomology
+from killingcalc.kostant import build_V, koszul_forms, lie_algebra_cohomology
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
     _diagonal_positions,
     build_T,
     complex_cohomology,
     flat_forms,
-    full_complex,
     graded_diagonal_complex,
 )
 from killingcalc.symspace import SYM, Group, GroupedSpace

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import REALIZED_IDS, REALIZED_SHAPES, apply
+from helpers import REALIZED_IDS, REALIZED_SHAPES, apply, symmetrize
 from killingcalc import young
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
-from killingcalc.tensor import antisymmetrize, symmetrize
+from killingcalc.tensor import antisymmetrize
 from killingcalc.young import (
     DynkinLabel,
     YoungDiagram,
@@ -115,7 +116,7 @@ def test_realized_bases_have_predicted_rank():
 
 
 def test_symmetric_pair_basis_tensors_have_stated_symmetries():
-    basis = realize_irreducible(YoungDiagram((2, 1)), 3, "symmetric-pair")
+    basis = realize_irreducible(YoungDiagram((2, 1)), 3)
     # grouped layout (SYM 1, SYM 2): slot 1 then a symmetric pair
     for j in range(basis.dim):
         t = basis.tensor(j)
@@ -126,12 +127,30 @@ def test_symmetric_pair_basis_tensors_have_stated_symmetries():
 
 
 def test_row_and_column_presentations():
-    row = realize_irreducible(YoungDiagram((3,)), 2, "row")
+    row = realize_irreducible(YoungDiagram((3,)), 2)
     assert row.dim == gl_dimension(YoungDiagram((3,)), 2) == 4
-    col = realize_irreducible(YoungDiagram((1, 1, 1)), 3, "column-skew")
-    assert col.dim == 1
-    t = col.tensor(0)
-    assert antisymmetrize(t, (1, 2, 3)) == t
+    assert [g.size for g in row.space.groups] == [3]
+    # the column (1, 1) comes out through two size-1 groups whose
+    # symmetrization vanishes: the skew 2-tensors
+    col = realize_irreducible(YoungDiagram((1, 1)), 3)
+    assert col.dim == 3
+    for j in range(col.dim):
+        t = col.tensor(j)
+        assert antisymmetrize(t, (1, 2)) == t
+
+
+def test_row_count_picks_the_presentation():
+    """One row is one symmetric group, two rows (a, b) the groups Sym^b
+    and Sym^a with the symmetrization constraint, and three or more rows
+    have no presentation."""
+    for shape in ((1, 1, 1), (2, 1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            realize_irreducible(YoungDiagram(shape), 3)
+    hook_content = {((1, 1), 2): 1, ((1, 1), 3): 3, ((2, 2), 2): 1, ((2, 2), 3): 6}
+    for (shape, n), dim in hook_content.items():
+        basis = realize_irreducible(YoungDiagram(shape), n)
+        assert [(g.kind, g.size) for g in basis.space.groups] == [(SYM, shape[1]), (SYM, shape[0])]
+        assert basis.dim == gl_dimension(YoungDiagram(shape), n) == dim
 
 
 def test_cache_returns_identical_object():
@@ -167,7 +186,7 @@ def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
     """Coordinates are the values at the lead rows: every member of the
     span gets its own coefficients back, and a member changed at a row
     that is no column's lead (so off the span) is rejected."""
-    basis = realize_irreducible(YoungDiagram(shape), n, kind)
+    basis = realize_irreducible(YoungDiagram(shape), n)
     rng = random.Random(f"{shape} {n} {kind}")
     cols = basis.columns
     for j, col in enumerate(cols):
