@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     "ChainComplex": "chain",
     "cohomology_dims": "chain",
-    "MetricField": "fields",
+    "MetricField": "metric",
     "PolyTensorField": "fields",
     "integrability_operator": "killing",
     "killing_kernel": "killing",

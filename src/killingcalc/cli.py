@@ -242,7 +242,7 @@ def _sample_metric(n: int):
     """Deterministic second-order jet with genuine curvature."""
     from fractions import Fraction
 
-    from killingcalc.fields import MetricField
+    from killingcalc.metric import MetricField
     from killingcalc.tensor import Tensor
 
     g0 = Tensor(n, 2, {(i, i): Fraction(1) for i in range(1, n + 1)})
@@ -251,7 +251,7 @@ def _sample_metric(n: int):
 
 
 def _jobs_tractor(n_values):
-    from killingcalc.fields import MetricField
+    from killingcalc.metric import MetricField
     from killingcalc.tractor import tractor_curvature
 
     jobs = []

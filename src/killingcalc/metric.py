@@ -1,0 +1,272 @@
+"""Exactly-represented metrics and their Levi-Civita calculus on fields.
+
+Metric models: the flat delta, the conformally flat constant-curvature
+form 4/(1 + kappa |x|^2)^2 delta with rational kappa, and second-order
+Taylor samples built from raw jet values at the origin.  Their
+components are polynomials, or rational functions in factored form when
+a non-flat metric forces division (see :mod:`killingcalc.fields`).
+
+Connection coefficients on fields use the closed form
+Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, raised with the exact
+inverse.  All curvature conventions follow
+[nabla_a, nabla_b] X^c = R_ab{}^c{}_d X^d; the stored Riemann field is
+indexed (a, b, c, d) with c the raised slot.  Of the commands, only the
+tractor checks read this module; the pointwise Christoffel checks work
+on raw jets in :mod:`killingcalc.fields`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import permutations, product
+
+from killingcalc.fields import (
+    PolyTensorField,
+    _coordinate_derivative,
+    _s_add,
+    _s_eq,
+    _s_mul,
+    delta_field,
+)
+from killingcalc.poly import PolyScalar, RatScalar, _as_rat
+from killingcalc.tensor import Tensor, perm_sign
+
+__all__ = [
+    "MetricField",
+    "christoffel_field",
+    "covariant_derivative",
+    "riemann",
+]
+
+
+class MetricField:
+    """Symmetric two-tensor with an exactly invertible component matrix."""
+
+    def __init__(self, n: int, field: PolyTensorField, mode: str, kappa=None):
+        if field.n != n or field.arity != 2:
+            raise ValueError("metric must be an arity-2 field")
+        for (a, b), s in field.comps.items():
+            if not _s_eq(s, field.at(b, a)):
+                raise ValueError("metric must be symmetric")
+        self.n = n
+        self.field = field
+        self.mode = mode
+        self.kappa = kappa
+        self._inverse = None
+        self._gamma = None
+        self._gamma_up = None
+        self._riemann = None
+
+    @classmethod
+    def flat(cls, n: int) -> "MetricField":
+        return cls(n, delta_field(n), "flat")
+
+    @classmethod
+    def stereographic(cls, n: int, kappa) -> "MetricField":
+        kappa = Fraction(kappa)
+        u = PolyScalar.const(n, 1)
+        for i in range(1, n + 1):
+            xi = PolyScalar.variable(n, i)
+            u = u.add(xi.mul(xi).scale(kappa))
+        comps = {}
+        for i in range(1, n + 1):
+            if u.degree() > 0:
+                comps[(i, i)] = RatScalar(PolyScalar.const(n, 4), [(u, 2)])
+            else:
+                comps[(i, i)] = RatScalar.const(n, 4)
+        return cls(n, PolyTensorField(n, 2, comps), "stereographic", kappa)
+
+    @classmethod
+    def from_jet2(cls, g0: Tensor, dg0: Tensor, ddg0: Tensor) -> "MetricField":
+        """Second-order Taylor metric from jet values at the origin.
+
+        dg0 is indexed (c, a, b) for the c-derivative of g_ab; ddg0 is
+        (c, d, a, b), symmetric in cd and in ab.  The sample point is
+        the origin, where the metric matches the given jet exactly.
+        """
+        n = g0.n
+        if g0.arity != 2 or dg0.arity != 3 or ddg0.arity != 4:
+            raise ValueError("jet arities must be 2, 3, 4")
+        if dg0.n != n or ddg0.n != n:
+            raise ValueError("jet base dimensions disagree")
+        comps = {}
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                terms = {}
+                c0 = g0.at(a, b)
+                if g0.at(b, a) != c0:
+                    raise ValueError("jet value tensor must be symmetric")
+                if c0:
+                    terms[(0,) * n] = c0
+                for c in range(1, n + 1):
+                    v = dg0.at(c, a, b)
+                    if dg0.at(c, b, a) != v:
+                        raise ValueError("first jet must be symmetric in ab")
+                    if v:
+                        e = tuple(1 if j == c else 0 for j in range(1, n + 1))
+                        terms[e] = terms.get(e, Fraction(0)) + v
+                for c in range(1, n + 1):
+                    for d in range(1, n + 1):
+                        v = ddg0.at(c, d, a, b)
+                        if v != ddg0.at(d, c, a, b) or v != ddg0.at(c, d, b, a):
+                            raise ValueError("second jet symmetry violated")
+                        if v:
+                            e = tuple(
+                                (1 if j == c else 0) + (1 if j == d else 0)
+                                for j in range(1, n + 1)
+                            )
+                            terms[e] = terms.get(e, Fraction(0)) + Fraction(v, 2)
+                p = PolyScalar(n, terms)
+                if not p.is_zero():
+                    comps[(a, b)] = p
+        return cls(n, PolyTensorField(n, 2, comps), "sample")
+
+    def inverse(self) -> PolyTensorField:
+        """Inverse component matrix as a rational-mode field."""
+        if self._inverse is not None:
+            return self._inverse
+        n = self.n
+        if self.mode == "flat":
+            self._inverse = delta_field(n)
+            return self._inverse
+        entries = [
+            [_as_rat(self.field.at(i, j), n) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+        det = RatScalar.const(n, 0)
+        for perm in permutations(range(n)):
+            term = RatScalar.const(n, perm_sign(perm))
+            for i in range(n):
+                term = term.mul(entries[i][perm[i]])
+            det = det.add(term)
+        if det.is_zero():
+            raise ValueError("metric is not invertible")
+        comps = {}
+        for i in range(n):
+            for j in range(n):
+                minor_rows = [r for r in range(n) if r != j]
+                minor_cols = [c for c in range(n) if c != i]
+                cof = RatScalar.const(n, 0)
+                for perm in permutations(range(n - 1)):
+                    term = RatScalar.const(n, perm_sign(perm))
+                    for a in range(n - 1):
+                        term = term.mul(entries[minor_rows[a]][minor_cols[perm[a]]])
+                    cof = cof.add(term)
+                sign = (-1) ** (i + j)
+                val = cof.scale(sign).div(det)
+                if not val.is_zero():
+                    comps[(i + 1, j + 1)] = val
+        self._inverse = PolyTensorField(n, 2, comps)
+        return self._inverse
+
+def christoffel_field(g: MetricField) -> PolyTensorField:
+    """All-lower connection coefficients of the metric, indexed (a, b, c)."""
+    if g._gamma is not None:
+        return g._gamma
+    n = g.n
+    if g.mode == "flat":
+        g._gamma = PolyTensorField.zero(n, 3)
+        return g._gamma
+    dg = _coordinate_derivative(g.field)
+    comps = {}
+    for a, b, c in product(range(1, n + 1), repeat=3):
+        v = _s_add(
+            _s_add(dg.at(a, b, c), dg.at(b, a, c)),
+            dg.at(c, a, b).neg(),
+        ).scale(Fraction(1, 2))
+        if not v.is_zero():
+            comps[(a, b, c)] = v
+    g._gamma = PolyTensorField(n, 3, comps)
+    return g._gamma
+
+
+def _christoffel_up(g: MetricField) -> PolyTensorField:
+    """Coefficients with the last index raised: entry (a, b, c) = Gamma_ab^c."""
+    if g._gamma_up is not None:
+        return g._gamma_up
+    n = g.n
+    if g.mode == "flat":
+        g._gamma_up = PolyTensorField.zero(n, 3)
+        return g._gamma_up
+    low = christoffel_field(g)
+    inv = g.inverse()
+    comps = {}
+    for a, b, c in product(range(1, n + 1), repeat=3):
+        total = None
+        for d in range(1, n + 1):
+            lo = low.at(a, b, d)
+            gi = inv.at(c, d)
+            if lo.is_zero() or gi.is_zero():
+                continue
+            term = _s_mul(gi, lo)
+            total = term if total is None else _s_add(total, term)
+        if total is not None and not total.is_zero():
+            comps[(a, b, c)] = total
+    g._gamma_up = PolyTensorField(n, 3, comps)
+    return g._gamma_up
+
+
+def covariant_derivative(f: PolyTensorField, g: MetricField, variance=None) -> PolyTensorField:
+    """Levi-Civita derivative, new lower index first.
+
+    variance marks each existing slot '-' (lower, default) or '+'
+    (upper); the correction is -Gamma for lower slots, +Gamma for upper.
+    """
+    if f.n != g.n:
+        raise ValueError("field and metric dimensions disagree")
+    variance = tuple(variance or "-" * f.arity)
+    if len(variance) != f.arity or any(v not in "+-" for v in variance):
+        raise ValueError("variance must mark each slot '+' or '-'")
+    if g.mode == "flat":
+        return _coordinate_derivative(f)
+    gamma = _christoffel_up(g)
+    out = _coordinate_derivative(f)
+    n = f.n
+    corrections: dict = {}
+    for idx, s in f.comps.items():
+        for a in range(1, n + 1):
+            for j, var in enumerate(variance):
+                for e in range(1, n + 1):
+                    if var == "-":
+                        coef = gamma.at(a, e, idx[j])
+                        sign = -1
+                    else:
+                        coef = gamma.at(a, idx[j], e)
+                        sign = 1
+                    if coef.is_zero():
+                        continue
+                    tgt = (a,) + idx[:j] + (e,) + idx[j + 1 :]
+                    term = _s_mul(coef, s).scale(sign)
+                    cur = corrections.get(tgt)
+                    corrections[tgt] = term if cur is None else _s_add(cur, term)
+    return out.add(PolyTensorField(n, f.arity + 1, corrections))
+
+
+def riemann(g: MetricField) -> PolyTensorField:
+    """Curvature R_ab{}^c{}_d as a field indexed (a, b, c, d)."""
+    if g._riemann is not None:
+        return g._riemann
+    n = g.n
+    if g.mode == "flat":
+        g._riemann = PolyTensorField.zero(n, 4)
+        return g._riemann
+    gamma = _christoffel_up(g)
+    dgamma = _coordinate_derivative(gamma)
+    comps: dict = {}
+    for a, b, c, d in product(range(1, n + 1), repeat=4):
+        if a == b:
+            continue
+        total = _s_add(
+            dgamma.at(a, b, d, c), dgamma.at(b, a, d, c).neg()
+        )
+        for e in range(1, n + 1):
+            t1a, t1b = gamma.at(a, e, c), gamma.at(b, d, e)
+            if not (t1a.is_zero() or t1b.is_zero()):
+                total = _s_add(total, _s_mul(t1a, t1b))
+            t2a, t2b = gamma.at(b, e, c), gamma.at(a, d, e)
+            if not (t2a.is_zero() or t2b.is_zero()):
+                total = _s_add(total, _s_mul(t2a, t2b).neg())
+        if not total.is_zero():
+            comps[(a, b, c, d)] = total
+    g._riemann = PolyTensorField(n, 4, comps)
+    return g._riemann

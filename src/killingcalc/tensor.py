@@ -47,9 +47,10 @@ class Tensor:
         clean: dict[tuple[int, ...], Fraction] = {}
         for idx, v in (entries or {}).items():
             idx = tuple(idx)
-            if len(idx) != arity or any(not (1 <= i <= n) for i in idx):
+            if len(idx) != arity or (idx and not (1 <= min(idx) and max(idx) <= n)):
                 raise ValueError(f"index {idx} invalid for n={n}, arity={arity}")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v:
                 clean[idx] = v
         self.entries = clean

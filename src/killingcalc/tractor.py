@@ -41,15 +41,9 @@ sections is the column count minus the rank.
 
 from __future__ import annotations
 
-from killingcalc.fields import (
-    MetricField,
-    PolyTensorField,
-    antisymmetrize_field,
-    covariant_derivative,
-    riemann,
-    _s_mul,
-)
+from killingcalc.fields import PolyTensorField, antisymmetrize_field, _s_mul
 from killingcalc.matrix import integer_rank
+from killingcalc.metric import MetricField, covariant_derivative, riemann
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import flat_forms
 

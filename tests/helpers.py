@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from killingcalc import elim
+from killingcalc import elim, fields
 from killingcalc.chain import ChainComplex
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
 from killingcalc.killing import _require_symmetric, killing_operator
@@ -391,3 +391,17 @@ def evaluate(f: PolyTensorField, point) -> Tensor:
 def symmetrize(t: Tensor, positions) -> Tensor:
     """Average of t over all rearrangements of the given slots."""
     return _permute_average(t, positions, signed=False)
+
+
+def christoffel_by_elimination(dg: Tensor) -> Tensor:
+    """Connection coefficients of one jet by eliminating the
+    compatibility system with that jet's own right-hand side: zeros for
+    the antisymmetric-part rows, then Dg_abc for each b <= c."""
+    n = dg.n
+    m = fields._christoffel_system(n)
+    trip = list(product(range(1, n + 1), repeat=3))
+    b = [Fraction(0)] * (n * n * (n - 1) // 2)
+    b += [dg.at(a, bb, c) for a, bb, c in trip if bb <= c]
+    x = solve(m, b)
+    assert x is not None
+    return Tensor(n, 3, {t: x[i] for i, t in enumerate(trip) if x[i]})

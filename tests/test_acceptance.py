@@ -15,12 +15,10 @@ from fractions import Fraction
 
 from helpers import from_rows, full_complex
 from killingcalc.fields import (
-    MetricField,
     PolyTensorField,
     christoffel_closed_form,
     christoffel_homogeneous_kernel_dim,
     christoffel_solve,
-    riemann,
 )
 from killingcalc.killing import (
     field_coefficient_vector,
@@ -32,6 +30,7 @@ from killingcalc.killing import (
 )
 from killingcalc.kostant import lie_algebra_cohomology
 from killingcalc.matrix import rref
+from killingcalc.metric import MetricField, riemann
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import (
     build_T,

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import chain, cli, killing, kostant, prolong, young
+from killingcalc import chain, cli, fields, killing, kostant, prolong, young
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
+from killingcalc.matrix import ExactMatrix
 
 
 def test_verify_key_passes(capsys):
@@ -128,6 +129,42 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
             assert len(calls) == 2, (n, ell, calls)
     finally:
         killing.killing_kernel_vectors.cache_clear()
+
+
+def test_christoffel_family_solves_once_per_slot(monkeypatch):
+    """The solution operator is eliminated once per n, one solve per
+    symmetric slot (6, 18 and 40 at n = 2, 3, 4), not once per jet."""
+    calls = []
+    original = fields.solve
+
+    def counted(m, b):
+        calls.append(b)
+        return original(m, b)
+
+    monkeypatch.setattr(fields, "solve", counted)
+    fields._christoffel_solver.cache_clear()
+    try:
+        for _ in range(2):
+            for _, _, job in cli._jobs_christoffel([2, 3, 4]):
+                job()
+        assert len(calls) == 6 + 18 + 40
+    finally:
+        fields._christoffel_solver.cache_clear()
+
+
+def test_a_wrong_solution_operator_fails_the_random_jets_check(monkeypatch):
+    original = fields._christoffel_solver
+    op = original(3)
+    data = [dict(row) for row in op.data]
+    i = next(i for i, row in enumerate(data) if row)
+    j = next(iter(data[i]))
+    data[i][j] += op.scale
+    wrong = ExactMatrix.from_int_rows(op.cols, data, op.scale)
+    monkeypatch.setattr(fields, "_christoffel_solver", lambda n: wrong if n == 3 else original(n))
+    jobs = [job for job in cli._jobs_christoffel([3]) if job[0] == "christoffel.n3.random-jets"]
+    (check,) = cli._run_jobs(jobs, False)
+    assert check["computed"]["agree"] < 50
+    assert check["verdict"] == "fail"
 
 
 def test_timings_flag_adds_seconds(tmp_path, capsys):
@@ -463,7 +500,7 @@ def test_range_check_loads_only_the_field_modules(tmp_path):
         f"assert main(['range-check', '--input', {str(path)!r}]) == 0"
     )
     assert "killingcalc.killing" in loaded
-    family = {"chain", "prolong", "young", "symspace", "kostant", "tractor"}
+    family = {"chain", "prolong", "young", "symspace", "kostant", "tractor", "metric"}
     assert not loaded & {f"killingcalc.{m}" for m in family}
 
 

@@ -5,22 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import evaluate, rand_field
+from helpers import christoffel_by_elimination, evaluate, rand_field
 from killingcalc.fields import (
-    MetricField,
     PolyTensorField,
     antisymmetrize_field,
     christoffel_closed_form,
-    christoffel_field,
     christoffel_homogeneous_kernel_dim,
     christoffel_solve,
-    covariant_derivative,
     delta_field,
     flat_derivative,
     lie_derivative_delta,
-    riemann,
     symmetrize_field,
 )
+from killingcalc.metric import MetricField, christoffel_field, covariant_derivative, riemann
 from killingcalc.poly import PolyScalar, RatScalar, _as_rat
 from killingcalc.tensor import Tensor
 
@@ -120,26 +117,35 @@ def test_christoffel_unique():
 
 
 def test_christoffel_dual_routes_agree_on_random_jets():
+    """The cached solution operator, the per-jet elimination and the
+    closed form agree on jets with non-integer entries, n = 1..5."""
     rng = random.Random(79)
-    for _ in range(50):
-        n = rng.choice((2, 3))
-        entries = {}
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                for c in range(b, n + 1):
-                    v = Fraction(rng.randint(-5, 5))
-                    if v:
-                        entries[(a, b, c)] = v
-                        if c != b:
-                            entries[(a, c, b)] = v
-        dg = Tensor(n, 3, entries)
-        assert christoffel_solve(dg) == christoffel_closed_form(dg)
+    for n in range(1, 6):
+        for _ in range(10):
+            entries = {}
+            for a in range(1, n + 1):
+                for b in range(1, n + 1):
+                    for c in range(b, n + 1):
+                        v = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 5, 12)))
+                        entries[(a, b, c)] = entries[(a, c, b)] = v
+            # a non-integer entry on every jet, also at n = 1
+            entries[(1, 1, 1)] = Fraction(rng.randint(-6, 6) * 7 + 3, 7)
+            dg = Tensor(n, 3, entries)
+            assert christoffel_solve(dg) == christoffel_by_elimination(dg)
+            assert christoffel_solve(dg) == christoffel_closed_form(dg)
 
 
 def test_christoffel_rejects_asymmetric_jet():
-    dg = Tensor(2, 3, {(1, 1, 2): Fraction(1)})  # not symmetric in (b, c)
-    with pytest.raises(ValueError):
-        christoffel_closed_form(dg)
+    bad = [
+        Tensor(2, 3, {(1, 1, 2): Fraction(1)}),  # not symmetric in (b, c)
+        Tensor(3, 3, {(2, 1, 3): Fraction(1), (2, 3, 1): Fraction(2)}),
+    ]
+    for route in (christoffel_closed_form, christoffel_solve):
+        for dg in bad:
+            with pytest.raises(ValueError, match="symmetric"):
+                route(dg)
+        with pytest.raises(ValueError, match="arity 3"):
+            route(Tensor(2, 2, {(1, 2): Fraction(1), (2, 1): Fraction(1)}))
 
 
 def test_flat_metric_is_genuinely_flat():

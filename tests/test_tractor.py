@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import flat_component_derivative, rand_field
-from killingcalc.fields import MetricField, PolyTensorField
+from killingcalc.fields import PolyTensorField
+from killingcalc.metric import MetricField
 from killingcalc.killing import killing_kernel, killing_operator
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import build_T
