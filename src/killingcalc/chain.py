@@ -19,16 +19,25 @@ and the Koszul complex are both of this kind.  Each basis column of M
 carries a GL(n) torus weight, a vector in Z^n, and A_a raises the weight
 of a form by e_a while lowering the module weight by e_a; so the weight
 of e_S tensor v, the indicator of S plus the weight of v, is preserved
-and every differential is block-diagonal by weight.  S_n permutes the
-weight blocks (the complexes are GL(n)-equivariant), so blocks of weights
-in one S_n orbit have equal cohomology.  ``weight_cohomology`` therefore
-assembles, d^2-checks and ranks only the block of each dominant
-(non-increasing) weight mu, and multiplies its cohomology by the orbit
-size n! / prod(multiplicities of mu's entries)!.  Its bookkeeping is
-certified on every run: each block entry must land in its own weight,
-and the orbit-weighted block dimensions must add up to C(n, p) dim M in
-every degree p.  ``form_differential`` is the all-weights matrix, assembled
-by the same loop on all cochains.
+and every differential is block-diagonal by weight.  Form slots count
+as +1_S: the weight of a cochain is 1_S plus its module weight, with no
+determinant twist.  S_n permutes the weight blocks (the complexes are
+GL(n)-equivariant), so blocks of weights in one S_n orbit have equal
+cohomology.  ``weight_cohomology`` therefore assembles, d^2-checks and
+ranks only the block of each dominant (non-increasing) weight mu, and
+multiplies its cohomology by the orbit size
+n! / prod(multiplicities of mu's entries)!.
+
+The block of mu reads only the module columns of the weights mu - 1_S,
+so a ``FormComplex`` may hold just those: ``read_weights`` names them
+from the module's weights, which the caller knows without realizing any
+column (from Kostka numbers).  The bookkeeping is certified on every
+run: each block entry must land in its own weight, and the
+orbit-weighted block dimensions must add up to C(n, p) times the
+closed-form dimension of the module in every degree p, which also fails
+when a weight the blocks read was left out.  ``form_differential`` is
+the all-weights matrix, assembled by the same loop on all cochains of a
+complex that holds every module column.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ __all__ = [
     "FormComplex",
     "cohomology_dims",
     "form_differential",
+    "read_weights",
     "weight_cohomology",
 ]
 
@@ -90,13 +100,15 @@ def cohomology_dims(complex_: ChainComplex) -> list[int]:
 
 @dataclass(frozen=True)
 class FormComplex:
-    """Forms on R^n with values in a module of basis columns 0..dim-1.
+    """Forms on R^n with values in a module, of which the complex holds
+    the basis columns 0..dim-1: all of them, or those of some weights.
 
-    ``weights[t]`` is the weight of module column t and ``columns[a - 1]``
-    the matrix A_a by columns: ``columns[a - 1][t]`` is column t as a
+    ``weights[t]`` is the weight of column t and ``columns[a - 1]`` the
+    matrix A_a by columns: ``columns[a - 1][t]`` is column t as a
     {row: integer} dict over ``scale``, absent where it is zero.  ``left``
     selects the wedge sign (-1)^{#{s in S : s < a}} instead of
-    (-1)^{#{s in S : s > a}}.
+    (-1)^{#{s in S : s > a}}.  ``totals[g]`` is the closed-form dimension
+    of the module's part of weight total g, over every weight.
     """
 
     n: int
@@ -104,6 +116,7 @@ class FormComplex:
     columns: tuple[dict[int, dict[int, int]], ...]
     scale: int
     left: bool
+    totals: dict[int, int]
 
     @property
     def dim(self) -> int:
@@ -158,19 +171,27 @@ def _orbit_size(mu: tuple[int, ...]) -> int:
     return out
 
 
+def _dominant_lifts(w: tuple[int, ...], grade: int | None = None) -> list[tuple[int, ...]]:
+    """The dominant weights w + 1_S (of total ``grade`` if given), grown
+    one entry at a time."""
+    prefixes = [()]
+    for x in w:
+        prefixes = [
+            m + (x + b,) for m in prefixes for b in (0, 1) if not m or m[-1] >= x + b
+        ]
+    return [mu for mu in prefixes if grade is None or sum(mu) == grade]
+
+
 def _dominant_weights(cx: FormComplex, grade: int | None = None) -> list[tuple[int, ...]]:
     """The dominant weights of the cochains (of total ``grade`` if given),
     in decreasing lexicographic order."""
-    out = set()
-    for w in set(cx.weights):
-        # the non-increasing w + 1_S, grown one entry at a time
-        prefixes = [()]
-        for x in w:
-            prefixes = [
-                m + (x + b,) for m in prefixes for b in (0, 1) if not m or m[-1] >= x + b
-            ]
-        out.update(mu for mu in prefixes if grade is None or sum(mu) == grade)
-    return sorted(out, reverse=True)
+    return sorted({mu for w in set(cx.weights) for mu in _dominant_lifts(w, grade)}, reverse=True)
+
+
+def read_weights(weights) -> frozenset:
+    """The module weights among ``weights`` that the dominant blocks read:
+    those w with a dominant w + 1_S."""
+    return frozenset(w for w in weights if _dominant_lifts(w))
 
 
 class _WeightBlock(NamedTuple):
@@ -211,8 +232,8 @@ def weight_cohomology(cx: FormComplex, grade: int | None = None) -> list[int]:
     the dominant weight blocks times their orbit sizes.
 
     Raises RuntimeError unless the orbit-weighted block dimensions equal
-    C(n, p) times the number of module columns of weight total
-    grade - p (all of them without a grade).
+    C(n, p) times the closed-form dimension of the module's part of
+    weight total grade - p (of the whole module without a grade).
     """
     n = cx.n
     dims = [0] * (n + 1)
@@ -222,9 +243,8 @@ def weight_cohomology(cx: FormComplex, grade: int | None = None) -> list[int]:
         for p in range(n + 1):
             dims[p] += block.orbit * block.complex.spaces[p]
             out[p] += block.orbit * h[p]
-    totals = Counter(sum(w) for w in cx.weights)
     expected = [
-        comb(n, p) * (cx.dim if grade is None else totals[grade - p])
+        comb(n, p) * (sum(cx.totals.values()) if grade is None else cx.totals.get(grade - p, 0))
         for p in range(n + 1)
     ]
     if dims != expected:

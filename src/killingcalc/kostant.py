@@ -21,23 +21,26 @@ rows carry one entry per node of the size-(n + 1) algebra; the first
 (crossed) entry may be negative and is reported verbatim, never fed to
 the Weyl formula.
 
-Counting index values equal to 1 grades the module basis, and the
-grade-c piece must match component ell - c of the prolongation space
-over n.  That comparison is the branching check, which also checks that
-every x_i raises the count by one.  That the grade -1 part acts
-abelianly is covered by the d^2 check of ``lie_algebra_cohomology``:
-D^2 = 0 on degree-0 cochains says exactly that the x_i commute on V.
-
-The action matrices of one (n, ell) are brought to one scale once, the
-lcm of all their denominators, and kept over that scale in the module;
-the Koszul differentials are integer rows over the same scale.
+Counting index values equal to 1 grades the module, and by the
+branching rule the grade-c piece is component ell - c of the prolongation
+space over n.  The branching check compares the two weight space by
+weight space, on dominant weights, and checks that every x_i raises the
+count by one.  That the grade -1 part acts abelianly is covered by the
+d^2 check of ``lie_algebra_cohomology``: D^2 = 0 on degree-0 cochains
+says exactly that the x_i commute on V.
 
 The Koszul complex is a ``chain.FormComplex`` for the grade-0 block
 GL(n), acting on the index values 2..n + 1: x_i turns a value i + 1
 into 1, so the weight of a module column (the count of each value
-2..n + 1 in its lead row) drops by e_i while e_i* raises the form weight
-by e_i.  ``lie_algebra_cohomology`` computes the kernel/image count on
-the dominant weight blocks alone, times their S_n orbits;
+2..n + 1 in its keys) drops by e_i while e_i* raises the form weight
+by e_i.  ``build_V`` writes it: V is realized one GL(n + 1) weight
+space at a time, and each column of x_i is read directly off the
+realized weight spaces, in integers, and verified by its residual.  The
+action columns of one ``build_V`` are brought to one scale, the lcm of
+all their denominators, and the Koszul differentials are integer rows
+over the same scale.  ``lie_algebra_cohomology`` computes the
+kernel/image count on the dominant weight blocks alone, times their S_n
+orbits, realizing V only on the weights those blocks read;
 ``koszul_differential`` is the whole differential on all weights.
 """
 
@@ -48,18 +51,31 @@ from functools import cache
 from math import comb
 
 from killingcalc.cap import _check_args
-from killingcalc.chain import FormComplex, form_differential, weight_cohomology
-from killingcalc.matrix import ExactMatrix, over_common_scale
+from killingcalc.chain import (
+    FormComplex,
+    _orbit_size,
+    form_differential,
+    read_weights,
+    weight_cohomology,
+)
+from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
+    _component_shapes,
     _guard_cap,
-    build_T,
+    _map_columns,
+    _number_columns,
+    _over_one_scale,
     predicted_cohomology,
 )
-from killingcalc.symspace import replace_matrix
-from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible, weyl_dimension
+from killingcalc.young import (
+    YoungDiagram,
+    gl_dimension,
+    realize_irreducible,
+    weight_multiplicities,
+    weyl_dimension,
+)
 
 __all__ = [
-    "VModule",
     "KostantReport",
     "build_V",
     "koszul_differential",
@@ -69,63 +85,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VModule:
-    """Two-row module with its grade -1 action in the realized basis.
-
-    ``actions[i - 1]`` is the matrix of x_i; all of them share one scale,
-    the lcm of all their denominators.  ``grades[t]`` counts the index
-    values of column t's lead row equal to 1.
-    """
-
-    n: int
-    ell: int
-    basis: SubspaceBasis
-    actions: tuple[ExactMatrix, ...]
-    grades: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+def _x_image(part, col: dict[int, int], i: int) -> dict:
+    """x_i of one integer column of a weight space of V, by the dual
+    action of E[1, i + 1]: at each key with one index value i + 1 of a
+    group turned into 1, minus the source value times the number of 1s in
+    that group."""
+    y: dict = {}
+    for r, v in col.items():
+        key = part.keys[r]
+        for g, group in enumerate(key):
+            if i + 1 in group:
+                q = group.index(i + 1)
+                changed = (1,) + group[:q] + group[q + 1 :]
+                target = key[:g] + (changed,) + key[g + 1 :]
+                w = y.get(target, 0) - changed.count(1) * v
+                if w:
+                    y[target] = w
+                else:
+                    del y[target]
+    return y
 
 
 @cache
-def build_V(n: int, ell: int) -> VModule:
-    """Realize the module and the column action matrices, with closure
-    and grading checks."""
+def build_V(n: int, ell: int, weights: frozenset | None = None) -> FormComplex:
+    """The module of shape (ell, ell) over n + 1 with its column action,
+    as the coefficients of the Koszul complex.
+
+    V is realized on its GL(n + 1) weights (c, w), c counting the index
+    values 1 and w the values 2..n + 1; ``weights`` names the GL(n)
+    weights w to realize, all of them by default.  x_i maps weight (c, w)
+    to (c + 1, w - e_i); each of its columns is read at the lead keys of
+    that weight space and verified by its residual, or must vanish when V
+    has no such weight.  The module columns carry their weights w.
+    """
     _check_args(n, ell)
-    basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
-    space = basis.space
-    exact = []
-    for i in range(1, n + 1):
-        mapped = replace_matrix(space, 1, i + 1) * basis.coord_basis
-        cols = [basis.coords(y) for y in mapped.columns()]
-        exact.append(ExactMatrix.from_columns(cols, basis.dim))
-    actions = over_common_scale(exact)
-    # every key has 2 ell slots, so a homogeneous weight fixes the grade
-    grades = tuple(2 * ell - sum(w) for w in basis.weights(first=2))
-    return VModule(n, ell, basis, tuple(actions), grades)
-
-
-def koszul_forms(n: int, ell: int) -> FormComplex:
-    """The Koszul complex as V-valued forms, A_i the action of x_i; the
-    weight of a column counts the index values 2..n + 1 of its lead row."""
-    module = build_V(n, ell)
-    columns = tuple(
-        {t: col for t, col in enumerate(a.transpose().data) if col}
-        for a in module.actions
+    d = YoungDiagram((ell, ell))
+    mult = weight_multiplicities(d, n + 1)
+    parts = realize_irreducible(
+        d, n + 1, tuple(w for w in mult if weights is None or w[1:] in weights)
     )
-    weights = module.basis.weights(first=2)
-    return FormComplex(n, weights, columns, module.actions[0].scale, left=True)
+    (ids,), full_weights = _number_columns([parts])
+    raw = []
+    for w, part in parts.items():
+        for i in range(1, n + 1):
+            if not w[i]:
+                continue
+            w2 = (w[0] + 1,) + w[1:i] + (w[i] - 1,) + w[i + 1 :]
+            target = parts.get(w2)
+            if target is None and w2 in mult:
+                continue  # a weight no block reads
+            _map_columns(raw, i, _x_image, part, ids[w], target, ids.get(w2))
+    columns: tuple[dict, ...] = tuple({} for _ in range(n))
+    scale = _over_one_scale(columns, raw)
+    # the grade-c piece is T_(ell - c), of weight total 2 ell - c
+    totals = {ell + k: gl_dimension(shape, n) for k, shape in enumerate(_component_shapes(ell))}
+    return FormComplex(n, tuple(w[1:] for w in full_weights), columns, scale, True, totals)
+
+
+def _read_weights(n: int, ell: int) -> frozenset:
+    """The GL(n) weights of V the dominant Koszul blocks read, from the
+    Kostka numbers alone."""
+    return read_weights(w[1:] for w in weight_multiplicities(YoungDiagram((ell, ell)), n + 1))
 
 
 def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
     """Differential from degree-p to degree-(p+1) module-valued forms on
-    all weights, over the shared scale of ``build_V(n, ell).actions``."""
+    all weights, over the shared scale of ``build_V(n, ell)``."""
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
-    return form_differential(koszul_forms(n, ell), p)
+    return form_differential(build_V(n, ell), p)
 
 
 def cohomology_label_row(n: int, ell: int, p: int) -> tuple[int, ...]:
@@ -169,11 +198,13 @@ class KostantReport:
 
 def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantReport:
     """Cohomology of the column action, with three-way dimension checks,
-    from its dominant weight blocks (``chain.weight_cohomology``)."""
+    from its dominant weight blocks (``chain.weight_cohomology``) on the
+    weights they read; the cochain dimensions are hook-content closed
+    forms."""
     _guard_cap(n, ell, cap)
-    module_dim = build_V(n, ell).dim
+    module_dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * module_dim for p in range(n + 1))
-    computed = tuple(weight_cohomology(koszul_forms(n, ell)))
+    computed = tuple(weight_cohomology(build_V(n, ell, _read_weights(n, ell))))
     diagrams = []
     predicted = []
     rows = []
@@ -199,34 +230,48 @@ def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantR
 
 
 def branching_check(n: int, ell: int) -> dict:
-    """Grade pieces of the module against the prolongation components.
+    """Weight spaces of the module against the prolongation components.
 
-    The piece with c index values equal to 1 must have the dimension of
-    component ell - c over n; the action matrices must shift c up by one.
+    For each grade c (index values equal to 1) and each dominant GL(n)
+    weight nu of total 2 ell - c, the realized weight space (c, nu) of V
+    must have the dimension of the realized weight space nu of component
+    ell - c over n.  Both modules are S_n-invariant, so the dominant
+    weights decide; a piece's dimension is the orbit-weighted sum.  On
+    every column of those weight spaces, each x_i must raise c by one.
     """
-    module = build_V(n, ell)
-    comps = build_T(n, ell).component_dims
-    grade_dims = [0] * (ell + 1)
-    for c in module.grades:
-        if not 0 <= c <= ell:
-            raise RuntimeError(f"grading weight {c} outside 0..{ell}")
-        grade_dims[c] += 1
+    _check_args(n, ell)
+    d = YoungDiagram((ell, ell))
+    shapes = _component_shapes(ell)
+    module = weight_multiplicities(d, n + 1)
+    # the dominant GL(n) weights of each grade c, of V or of T_(ell - c)
+    dominant = []
+    for c in range(ell + 1):
+        weights = {w[1:] for w in module if w[0] == c}
+        weights.update(weight_multiplicities(shapes[ell - c], n))
+        dominant.append(sorted(w for w in weights if list(w) == sorted(w, reverse=True)))
+    parts = realize_irreducible(d, n + 1, [(c,) + nu for c in range(ell + 1) for nu in dominant[c]])
     pieces = []
     ok = True
-    for c, got in enumerate(grade_dims):
-        want = comps[ell - c]
+    shifts = True
+    for c in range(ell + 1):
+        comps = realize_irreducible(shapes[ell - c], n, dominant[c])
+        got = want = 0
+        for nu in dominant[c]:
+            part, comp = parts[(c,) + nu], comps[nu]
+            ok = ok and part.dim == comp.dim
+            got += _orbit_size(nu) * part.dim
+            want += _orbit_size(nu) * comp.dim
+            shifts = shifts and all(
+                sum(group.count(1) for group in key) == c + 1
+                for col in part.columns
+                for i in range(1, n + 1)
+                for key in _x_image(part, col, i)
+            )
         pieces.append({"ones": c, "dim": got, "component": ell - c, "expected": want})
-        ok = ok and got == want
-    shifts = all(
-        module.grades[r] == module.grades[c] + 1
-        for a in module.actions
-        for r, row in enumerate(a.data)
-        for c in row
-    )
     return {
         "n": n,
         "ell": ell,
-        "module_dim": module.dim,
+        "module_dim": gl_dimension(d, n + 1),
         "pieces": pieces,
         "dims_match": ok,
         "action_shifts_grade": shifts,

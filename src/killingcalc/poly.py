@@ -269,12 +269,12 @@ class RatScalar:
         return self.num.is_zero()
 
     def _merged_factors(self, other: "RatScalar"):
-        """Common denominator: per-atom max power and the two multipliers."""
+        """Common denominator: per-atom max power and the two multipliers,
+        None where a multiplier is the constant 1."""
         mine = {_atom_key(f): (f, k) for f, k in self.factors}
         theirs = {_atom_key(f): (f, k) for f, k in other.factors}
         union = []
-        lift_a = PolyScalar.const(self.n, 1)
-        lift_b = PolyScalar.const(self.n, 1)
+        lift_a = lift_b = None
         for key in sorted(set(mine) | set(theirs)):
             f, ka = mine.get(key, (None, 0))
             fb, kb = theirs.get(key, (None, 0))
@@ -282,15 +282,17 @@ class RatScalar:
             k = max(ka, kb)
             union.append((f, k))
             for _ in range(k - ka):
-                lift_a = lift_a.mul(f)
+                lift_a = f if lift_a is None else lift_a.mul(f)
             for _ in range(k - kb):
-                lift_b = lift_b.mul(f)
+                lift_b = f if lift_b is None else lift_b.mul(f)
         return union, lift_a, lift_b
 
     def add(self, other: "RatScalar") -> "RatScalar":
         other = _as_rat(other, self.n)
         union, la, lb = self._merged_factors(other)
-        return RatScalar(self.num.mul(la).add(other.num.mul(lb)), union)
+        a = self.num if la is None else self.num.mul(la)
+        b = other.num if lb is None else other.num.mul(lb)
+        return RatScalar(a.add(b), union)
 
     def neg(self) -> "RatScalar":
         return RatScalar(self.num.neg(), self.factors)

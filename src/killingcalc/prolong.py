@@ -22,34 +22,47 @@ Degree-p cochains are ordered by p-subset (lexicographic), then by
 component, then by basis column.  The flat complex is a
 ``chain.FormComplex``: A_a fixes a first-group index to a, lowering the
 torus weight of the coefficient (the count of each index value 1..n in a
-basis column's lead row) by e_a while the new form slot raises it by
-e_a.  ``complex_cohomology`` and ``graded_diagonal_complex`` therefore
-work on the dominant weight blocks alone, times their S_n orbits; the
-graded diagonal of total box count d = p + k + ell is the sum of the
-blocks whose weights total d.  ``build_partial`` is the whole
+basis column's keys) by e_a while the new form slot raises it by e_a.
+``complex_cohomology`` and ``graded_diagonal_complex`` therefore work on
+the dominant weight blocks alone, times their S_n orbits; the graded
+diagonal of total box count d = p + k + ell is the sum of the blocks
+whose weights total d.  They realize the components only on the weights
+those blocks read (``chain.read_weights``), found from the Kostka
+numbers before any realization, and take the dimensions they report
+from hook-content closed forms.  ``build_partial`` is the whole
 differential on all weights.
 
-The differentials are written as integer rows.  The iota coefficient
-matrices of one (n, ell) are brought to one scale once, the lcm of all
-their denominators (2 at n=6, ell=2; 36 at n=3, ell=4), and that scale
-is the scale of every differential and weight block, whose integer
-entries are the scaled coefficients with their wedge signs.
+The differentials are written as integer rows.  Each column of A_a is
+read directly off the realized weight spaces: the integer values, at the
+lower basis's lead keys, of the upper column with one first-group a
+removed, over the upper column's scale, verified by their residual.
+The columns of one ``flat_forms`` are brought to one scale, the lcm of
+all their denominators (2 at n=6, ell=2; 36 at n=3, ell=4, over all
+weights), and that scale is the scale of every differential and weight
+block, whose integer entries are the scaled coefficients with their
+wedge signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
-from killingcalc.chain import FormComplex, form_differential, weight_cohomology
+from killingcalc.chain import FormComplex, form_differential, read_weights, weight_cohomology
 from killingcalc.matrix import ExactMatrix, rank
-from killingcalc.symspace import GroupedSpace, Group, SYM, iota_matrix, skew_pair, sym_extend
+from killingcalc.symspace import GroupedSpace, Group, SYM, skew_pair, sym_extend
 from killingcalc.tensor import Tensor, antisymmetrize
-from killingcalc.young import SubspaceBasis, YoungDiagram, gl_dimension, realize_irreducible
+from killingcalc.young import (
+    SubspaceBasis,
+    YoungDiagram,
+    gl_dimension,
+    ordered_columns,
+    realize_irreducible,
+    weight_multiplicities,
+)
 
 __all__ = [
     "CapExceeded",
@@ -82,14 +95,17 @@ class ProlongationSpace:
         return sum(self.component_dims)
 
 
+def _component_shapes(ell: int) -> list[YoungDiagram]:
+    """The diagrams of T_0, ..., T_ell: (ell) and (ell, k)."""
+    return [YoungDiagram((ell,))] + [YoungDiagram((ell, k)) for k in range(1, ell + 1)]
+
+
 @cache
 def build_T(n: int, ell: int) -> ProlongationSpace:
     """Component bases of the prolongation space, checked against hooks."""
     _check_args(n, ell)
-    comps = [realize_irreducible(YoungDiagram((ell,)), n)]
-    for k in range(1, ell + 1):
-        comps.append(realize_irreducible(YoungDiagram((ell, k)), n))
-    space = ProlongationSpace(n, ell, tuple(comps))
+    comps = tuple(realize_irreducible(d, n) for d in _component_shapes(ell))
+    space = ProlongationSpace(n, ell, comps)
     expected = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     if space.total_dim != expected:
         raise RuntimeError(
@@ -98,48 +114,113 @@ def build_T(n: int, ell: int) -> ProlongationSpace:
     return space
 
 
-def flat_forms(n: int, ell: int) -> FormComplex:
+def _number_columns(comps) -> tuple[list[dict], tuple[tuple[int, ...], ...]]:
+    """Number the columns of some modules' weight spaces (one dict weight
+    -> ``WeightSpace`` per module) in the order of the whole bases, module
+    after module; returns, per module, weight -> the number of each of
+    its columns, and the weight of every number."""
+    ids = []
+    weights: list[tuple[int, ...]] = []
+    for parts in comps:
+        numbers = {w: [0] * part.dim for w, part in parts.items()}
+        for w, j in ordered_columns(parts):
+            numbers[w][j] = len(weights)
+            weights.append(w)
+        ids.append(numbers)
+    return ids, tuple(weights)
+
+
+def _map_columns(raw, a: int, image, source, source_ids, target, target_ids) -> None:
+    """Append to ``raw`` the columns of A_a on the weight space ``source``:
+    the coordinates of ``image(source, column, a)`` on the weight space
+    ``target``, verified by their residual, as (a, column number, {row
+    number: int}, source column scale).  A ``target`` of None stands for
+    a weight the target module lacks; then every image must vanish."""
+    for c, col in enumerate(source.columns):
+        y = image(source, col, a)
+        if target is None:
+            if y:
+                raise RuntimeError(f"A_{a} leaves its module from weight {source.weight}")
+            continue
+        x = target.coords(y)
+        if x:
+            raw.append((a, source_ids[c], {target_ids[j]: v for j, v in x.items()}, source.scales[c]))
+
+
+def _over_one_scale(columns, raw) -> int:
+    """Write the coordinate columns ``raw``, (a, column number, {row
+    number: int}, s) standing for the column over s, into ``columns[a -
+    1]`` over one scale, the lcm of their denominators, and return it."""
+    scale = lcm(1, *(s // gcd(s, *x.values()) for _, _, x, s in raw))
+    for a, t, x, s in raw:
+        g = gcd(s, *x.values())
+        f = scale // (s // g)
+        columns[a - 1][t] = {r: v // g * f for r, v in x.items()}
+    return scale
+
+
+def _iota_image(upper, col: dict[int, int], a: int) -> dict:
+    """iota_a of one integer column of a component's weight space: the
+    value at each key with one first-group index a removed (the group
+    dropped when it empties)."""
+    y = {}
+    for r, v in col.items():
+        first, second = upper.keys[r]
+        if a in first:
+            i = first.index(a)
+            y[(first[:i] + first[i + 1 :], second) if len(first) > 1 else (second,)] = v
+    return y
+
+
+def flat_forms(n: int, ell: int, weights=None) -> FormComplex:
     """The flat complex as T-valued forms.
 
     A_a maps each component k >= 1 to component k - 1 by fixing its first
-    first-group index to a, in the component bases: each column is read
-    off the lower basis's lead rows and verified exactly by its residual.
-    A_a annihilates component 0, whose columns are left out.  All the A_a
-    share one scale, the lcm of all their denominators.  The weight of a
-    basis column counts the index values 1..n of its lead row's key.
+    first-group index to a.  Its columns are read off the realized weight
+    spaces: weight w of T_k goes to weight w - e_a of T_(k-1), and each
+    column is verified exactly by its residual there, or must vanish
+    when T_(k-1) has no weight w - e_a.  A_a annihilates component 0,
+    whose columns are left out.  All the A_a share one scale, the lcm of
+    all their denominators.
+
+    ``weights`` names the module weights to realize; the default is all
+    of them.  Then only the columns of those weights are held, and A_a is
+    written between those weights only.
     """
-    space = build_T(n, ell)
-    dims = space.component_dims
-    offsets = [sum(dims[:k]) for k in range(len(dims))]
-    columns: list[dict[int, dict]] = [{} for _ in range(n)]
+    shapes = _component_shapes(ell)
+    mults = [weight_multiplicities(d, n) for d in shapes]
+    comps = [
+        realize_irreducible(d, n, tuple(w for w in mult if weights is None or w in weights))
+        for d, mult in zip(shapes, mults)
+    ]
+    ids, module_weights = _number_columns(comps)
+    raw = []
     for k in range(1, ell + 1):
-        upper = space.components[k]
-        lower = space.components[k - 1]
-        for a in range(1, n + 1):
-            iota, _ = iota_matrix(upper.space, 0, a)
-            mapped = iota * upper.coord_basis
-            for c, y in enumerate(mapped.columns()):
-                x = lower.coords(y)
-                if x:
-                    columns[a - 1][offsets[k] + c] = {
-                        offsets[k - 1] + r: v for r, v in x.items()
-                    }
-    scale = lcm(1, *(
-        Fraction(v).denominator for col_a in columns
-        for col in col_a.values() for v in col.values()
-    ))
-    for col_a in columns:
-        for col in col_a.values():
-            for r, v in col.items():
-                col[r] = int(v * scale)
-    weights = tuple(w for comp in space.components for w in comp.weights())
-    return FormComplex(n, weights, tuple(columns), scale, left=False)
+        for w, upper in comps[k].items():
+            for a in range(1, n + 1):
+                if not w[a - 1]:
+                    continue
+                lw = w[: a - 1] + (w[a - 1] - 1,) + w[a:]
+                lower = comps[k - 1].get(lw)
+                if lower is None and lw in mults[k - 1]:
+                    continue  # a weight no block reads
+                _map_columns(raw, a, _iota_image, upper, ids[k][w], lower, ids[k - 1].get(lw))
+    columns: tuple[dict, ...] = tuple({} for _ in range(n))
+    scale = _over_one_scale(columns, raw)
+    totals = {ell + k: gl_dimension(d, n) for k, d in enumerate(shapes)}
+    return FormComplex(n, module_weights, columns, scale, False, totals)
 
 
-# The forms of the last (n, ell) asked for: the graded checks of one pair,
-# and build_partial's degrees, read the same forms one after another.
-# complex_cohomology reads them once per pair and builds its own, so that
-# no memo stays alive through the checks that run after it.
+def _flat_read_weights(n: int, ell: int) -> frozenset:
+    """The module weights the dominant blocks of the flat complex read,
+    from the Kostka numbers alone."""
+    return read_weights(w for d in _component_shapes(ell) for w in weight_multiplicities(d, n))
+
+
+# The forms of the last (n, ell, weights) asked for: the graded checks of
+# one pair, and build_partial's degrees, read the same forms one after
+# another.  complex_cohomology builds its own, so that no memo stays alive
+# through the checks that run after it.
 _last_flat_forms = lru_cache(maxsize=1)(flat_forms)
 
 
@@ -252,11 +333,13 @@ def _guard_cap(n: int, ell: int, cap: int | None) -> None:
 
 def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyReport:
     """Cohomology of the flat complex, with diagram predictions attached,
-    from its dominant weight blocks (``chain.weight_cohomology``)."""
+    from its dominant weight blocks (``chain.weight_cohomology``) on the
+    weights they read; the cochain dimensions are hook-content closed
+    forms."""
     _guard_cap(n, ell, cap)
-    total = build_T(n, ell).total_dim
+    total = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * total for p in range(n + 1))
-    computed = tuple(weight_cohomology(flat_forms(n, ell)))
+    computed = tuple(weight_cohomology(flat_forms(n, ell, _flat_read_weights(n, ell))))
     diagrams = []
     predicted = []
     for p in range(n + 1):
@@ -310,9 +393,9 @@ def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) ->
     positions = _diagonal_positions(n, ell, d)
     if not positions:
         raise ValueError(f"grade {d} carries no spaces for n={n}, ell={ell}")
-    dims = build_T(n, ell).component_dims
+    dims = [gl_dimension(shape, n) for shape in _component_shapes(ell)]
     spaces = tuple(comb(n, p) * dims[k] for p, k in positions)
-    h = weight_cohomology(_last_flat_forms(n, ell), d)
+    h = weight_cohomology(_last_flat_forms(n, ell, _flat_read_weights(n, ell)), d)
     cohom = tuple(h[p] for p, _ in positions)
     boxed = tuple(
         (k == 0 and p <= 1) or (k == ell and p >= 2) for p, k in positions

@@ -5,11 +5,12 @@ antisymmetric groups are determined by their values on representative
 keys: a nondecreasing index tuple for each symmetric group, a strictly
 increasing tuple for each antisymmetric group.  A ``GroupedSpace``
 enumerates those keys in a fixed lexicographic order, and the maps in
-this module (partial symmetrizations, skew pairs, index fixing,
-single-entry substitutions) are written directly as exact matrices in
-value coordinates: integer rows over a closed-form scale (1 for index
-fixing and substitutions, the enlarged group's size for the averages,
-2 for a skew pair).
+this module (partial symmetrizations and skew pairs) are written
+directly as exact matrices in value coordinates: integer rows over a
+closed-form scale (the enlarged group's size for the averages, 2 for a
+skew pair).  ``sym_extend_row`` writes one row of a partial
+symmetrization, so that a caller can write the rows of one torus weight
+alone.
 
 Working in value coordinates keeps every elimination at its natural
 size: a symmetry-constrained subspace of (R^n)^{tensor k} is cut out of
@@ -43,9 +44,8 @@ __all__ = [
     "Group",
     "GroupedSpace",
     "sym_extend",
+    "sym_extend_row",
     "skew_pair",
-    "iota_matrix",
-    "replace_matrix",
     "embed",
     "extract",
 ]
@@ -150,20 +150,28 @@ def sym_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Groupe
     jj = j if (not dropped or j < i) else j - 1
     tgroups, _ = _drop_or_resize(tgroups, jj, +1)
     target = GroupedSpace(space.n, tgroups)
-    data: list[dict[int, int]] = []
-    for tkey in target.keys():
-        parts = _target_key_parts(tkey, i if dropped else None)
-        mj = parts[j]
-        row: dict[int, int] = {}
-        for t in range(len(mj)):
-            x = mj[t]
-            src = list(parts)
-            src[i] = tuple(sorted(parts[i] + (x,)))
-            src[j] = mj[:t] + mj[t + 1 :]
-            scol = space.index(src)
-            row[scol] = row.get(scol, 0) + 1
-        data.append(row)
+    data = [
+        sym_extend_row(_target_key_parts(tkey, i if dropped else None), i, j, space.index)
+        for tkey in target.keys()
+    ]
     return ExactMatrix.from_int_rows(space.dim, data, gj.size + 1), target
+
+
+def sym_extend_row(parts, i: int, j: int, index) -> dict[int, int]:
+    """The integer row of ``sym_extend`` at one target key, given as its
+    parts in the source's group layout (an empty part where group i was
+    dropped): a 1 at the source key with element t of part j moved back
+    into part i, for each position t of part j.  ``index`` maps a source
+    key, a list of parts, to its column."""
+    mj = parts[j]
+    row: dict[int, int] = {}
+    for t in range(len(mj)):
+        src = list(parts)
+        src[i] = tuple(sorted(parts[i] + (mj[t],)))
+        src[j] = mj[:t] + mj[t + 1 :]
+        scol = index(src)
+        row[scol] = row.get(scol, 0) + 1
+    return row
 
 
 def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
@@ -188,60 +196,6 @@ def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Grouped
             _add(row, space.index(src), sign)
         data.append(row)
     return ExactMatrix.from_int_rows(space.dim, data, 2), target
-
-
-def iota_matrix(space: GroupedSpace, i: int, x: int) -> tuple[ExactMatrix, GroupedSpace]:
-    """Fix the value x into one slot of symmetric group i.
-
-    The resulting tensor's value at a target key is the source value at
-    the key with x inserted back into group i.
-    """
-    if space.groups[i].kind != SYM:
-        raise ValueError("iota_matrix needs a symmetric group")
-    if not 1 <= x <= space.n:
-        raise ValueError(f"index value {x} outside 1..{space.n}")
-    tgroups, dropped = _drop_or_resize(space.groups, i, -1)
-    target = GroupedSpace(space.n, tgroups)
-    data = []
-    for tkey in target.keys():
-        parts = _target_key_parts(tkey, i if dropped else None)
-        src = list(parts)
-        src[i] = tuple(sorted(parts[i] + (x,)))
-        data.append({space.index(src): 1})
-    return ExactMatrix.from_int_rows(space.dim, data), target
-
-
-def replace_matrix(space: GroupedSpace, s_val: int, r_val: int) -> ExactMatrix:
-    """Matrix of the dual action of the elementary matrix E[r_val, s_val].
-
-    On covariant tensors the action of x is (x . T)(..., c, ...) =
-    -sum_r x[r][c] T(..., r, ...) summed over slots, so for an elementary
-    x the image value at a key is minus the sum, over slots carrying
-    s_val, of the source value with that slot set to r_val.
-    """
-    if s_val == r_val:
-        raise ValueError("substitution endpoints must differ")
-    data: list[dict[int, int]] = []
-    for tkey in space.keys():
-        row: dict[int, int] = {}
-        for g, part in enumerate(tkey):
-            kind = space.groups[g].kind
-            for t in range(len(part)):
-                if part[t] != s_val:
-                    continue
-                replaced = part[:t] + (r_val,) + part[t + 1 :]
-                if kind == ALT and r_val in part[:t] + part[t + 1 :]:
-                    continue
-                ordered = tuple(sorted(replaced))
-                sign = 1
-                if kind == ALT:
-                    rank_of = {v: p for p, v in enumerate(ordered)}
-                    sign = perm_sign([rank_of[v] for v in replaced])
-                src = list(tkey)
-                src[g] = ordered
-                _add(row, space.index(src), -sign)
-        data.append(row)
-    return ExactMatrix.from_int_rows(space.dim, data)
 
 
 def _arrangements(part: tuple[int, ...], kind: str):

@@ -34,7 +34,10 @@ with the coordinates of v_k; iota_a v_{k+1} lies in T_k too, and
 ``flat_forms`` reads its coordinates off the lead rows of T_k's basis
 and certifies them by their residual.  The T_k-valued equation therefore
 vanishes exactly when its coordinates do, and the system has at most
-n * columns rows by construction.  Every entry is a Python int, so the
+n * columns rows by construction.  A row with one entry says that its
+column vanishes; of the rows that say so for one column, only the first
+is written, which leaves the row space as it is.  Every
+entry is a Python int, so the
 rows go straight to ``matrix.integer_rank``; the number of parallel
 sections is the column count minus the rank.
 """
@@ -195,9 +198,12 @@ def _coordinate_rows(forms, mons):
     """Integer rows of the flat connection on polynomial sections with
     the monomials mons, in component coordinates by the rule of the module
     docstring, over the scale of ``forms = flat_forms(n, ell)``: yields
-    (row label (a, r, m), row {column: int}), zero rows left out."""
+    (row label (a, r, m), row {column: int}), zero rows left out.  A row
+    with one entry says that its column vanishes, so only the first such
+    row of each column is written."""
     per = len(mons)
     mpos = {m: i for i, m in enumerate(mons)}
+    vanishing = set()
     for a, iota in enumerate(forms.columns, 1):
         # A_a by rows: r -> {t: A_a[r, t]}
         by_row: dict = {}
@@ -213,6 +219,11 @@ def _coordinate_rows(forms, mons):
                 j = mpos.get(m[: a - 1] + (e,) + m[a:])
                 if j is not None:
                     row[r * per + j] = forms.scale * e
+                if len(row) == 1:
+                    (c,) = row
+                    if c in vanishing:
+                        continue
+                    vanishing.add(c)
                 if row:
                     yield (a, r, m), row
 

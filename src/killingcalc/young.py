@@ -11,6 +11,14 @@ Dimension conventions, stated once and used everywhere:
   the product over 1 <= i <= j <= r of
   (a_i + ... + a_j + j - i + 1) / (j - i + 1).
 
+``kostka`` counts semistandard tableaux: K_{lambda, mu} is the number of
+fillings of shape lambda with mu_i entries equal to i, rows weakly
+increasing and columns strictly increasing.  It is the dimension of the
+weight-mu space of the GL(n) module of shape lambda, and it does not
+depend on the order of mu's entries (Macdonald, *Symmetric Functions and
+Hall Polynomials*, ch. I).  A torus weight is a vector in Z^n: the count
+of each index value 1..n in a key.
+
 ``realize_irreducible`` produces an explicit basis of a subspace of a
 tensor power carrying the given symmetry type.  The diagram's row count
 picks one of two presentations:
@@ -22,16 +30,23 @@ picks one of two presentations:
 
 Diagrams with more rows are refused.
 
-Every realization asserts that its basis cardinality equals the
-hook-content dimension, so an unsupported shape cannot fail silently.
+Bases are realized one torus weight at a time.  The constraint rows
+(``symspace.sym_extend``) preserve the weight, so the constraint matrix
+is block-diagonal by weight, and the canonical kernel basis of a
+block-diagonal matrix is the union of its blocks' canonical kernel
+bases: the weight-w columns come from the weight-w rows alone.  Each
+weight space is memoized per (shape, n, w), kept as integer columns over
+a per-column scale, and certified: its dimension must be the Kostka
+number of its weight.  A whole basis is the union of every weight space,
+in the same column order, and its dimension is checked against the
+hook-content product too.
 
 Every basis is in reduced shape: its columns are the canonical kernel
 basis of the constraint matrix (the identity when there are no
 constraints), so each column has a 1 at its own lead row where every
-other column is 0.  ``SubspaceBasis`` enforces that shape, which makes
-coordinates cheap: the coordinates of a vector of the span are its
-values at the lead rows, and one residual decides membership.  No second
-elimination is needed.
+other column is 0.  That makes coordinates cheap: the coordinates of a
+vector of the span are its values at the lead rows, and one residual
+decides membership.  No second elimination is needed.
 """
 
 from __future__ import annotations
@@ -39,18 +54,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
-from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend
+from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend_row
 from killingcalc.tensor import Tensor
 
 __all__ = [
     "YoungDiagram",
     "DynkinLabel",
     "SubspaceBasis",
+    "WeightSpace",
     "gl_dimension",
     "weyl_dimension",
+    "kostka",
+    "weight_multiplicities",
     "realize_irreducible",
+    "ordered_columns",
     "clear_realization_cache",
 ]
 
@@ -131,6 +152,60 @@ def weyl_dimension(label) -> int:
     return int(out)
 
 
+def kostka(d: YoungDiagram, mu) -> int:
+    """The Kostka number K_{d, mu}: semistandard tableaux of shape d and
+    content mu, whose entries may come in any order."""
+    content = tuple(sorted((int(m) for m in mu), reverse=True))
+    if content and content[-1] < 0:
+        raise ValueError("content entries must be nonnegative")
+    return _kostka(d.rows, tuple(m for m in content if m))
+
+
+@cache
+def _kostka(rows: tuple[int, ...], content: tuple[int, ...]) -> int:
+    """K_{rows, content} for a non-increasing positive content, by
+    stripping the cells of the largest entry: they form a horizontal
+    strip of content[-1] cells, no two in one column, so the inner shape
+    nu has rows[i + 1] <= nu[i] <= rows[i]."""
+    if sum(rows) != sum(content) or len(rows) > len(content):
+        return 0
+    if not content:
+        return 1
+    rest = content[:-1]
+    total = 0
+
+    def strip(i: int, left: int, nu: tuple[int, ...]) -> None:
+        nonlocal total
+        if i == len(rows):
+            if not left:
+                total += _kostka(tuple(r for r in nu if r), rest)
+            return
+        low = rows[i + 1] if i + 1 < len(rows) else 0
+        for r in range(max(low, rows[i] - left), rows[i] + 1):
+            strip(i + 1, left - (rows[i] - r), nu + (r,))
+
+    strip(0, content[-1], ())
+    return total
+
+
+@cache
+def weight_multiplicities(d: YoungDiagram, n: int) -> dict[tuple[int, ...], int]:
+    """Every torus weight of the GL(n) module of shape d, with the
+    dimension K_{d, w} of its weight space: the compositions w of the size
+    of d into n parts with a nonzero Kostka number.  Callers must not
+    mutate the memoized result."""
+    out = {}
+    # a composition is the content of a nondecreasing key of that size
+    for key in combinations_with_replacement(range(n), d.size):
+        w = [0] * n
+        for v in key:
+            w[v] += 1
+        k = kostka(d, w)
+        if k:
+            out[tuple(w)] = k
+    return out
+
+
 def _lead_rows(cols: list[dict[int, Fraction]]) -> list[int] | None:
     """Lead rows of columns in reduced shape, or None for any other shape.
 
@@ -205,66 +280,159 @@ class SubspaceBasis:
             raise ValueError("vector lies outside the column span")
         return x
 
-    def weights(self, first: int = 1) -> tuple[tuple[int, ...], ...]:
-        """The torus weight of every column: the count of each index value
-        first..n in its lead row's key.  Raises RuntimeError when a
-        column's support mixes weights."""
-        keys = self.space.keys()
-
-        def content(r: int) -> tuple[int, ...]:
-            counts = [0] * (self.n - first + 1)
-            for part in keys[r]:
-                for v in part:
-                    if v >= first:
-                        counts[v - first] += 1
-            return tuple(counts)
-
-        out = []
-        for j, col in enumerate(self.columns):
-            w = content(self.leads[j])
-            if any(content(r) != w for r in col):
-                raise RuntimeError(f"basis column {j} mixes torus weights")
-            out.append(w)
-        return tuple(out)
-
     def __repr__(self) -> str:
         return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
 
 
-def _presentation(d: YoungDiagram, n: int):
-    """(space, constraints) of a realization: the basis is the kernel of
-    the constraint matrix, or the whole space when constraints is None."""
+class WeightSpace:
+    """The weight-w part of a realized basis, in integers.
+
+    ``keys`` are the keys of weight w of the basis's grouped space, in
+    the space's order, and ``index`` maps each key to its position.
+    Column j is the integer vector ``columns[j]`` (key position -> int)
+    over the positive scale ``scales[j]``.  The columns are in reduced
+    shape: column j is 1 (``scales[j]`` over its scale) at the key
+    position ``leads[j]``, where every other column is 0, and the leads
+    ascend.
+    """
+
+    __slots__ = ("weight", "keys", "index", "columns", "scales", "leads", "_lead_col")
+
+    def __init__(self, weight, keys, vectors):
+        """The weight space of ``weight`` spanned by the ``Fraction``
+        vectors (key position -> value) of a canonical kernel basis."""
+        self.weight = weight
+        self.keys = keys
+        self.index = {k: i for i, k in enumerate(keys)}
+        self.columns = []
+        self.scales = []
+        for vec in vectors:
+            scale = lcm(1, *(v.denominator for v in vec.values()))
+            self.columns.append({r: v.numerator * (scale // v.denominator) for r, v in vec.items()})
+            self.scales.append(scale)
+        self.leads = [max(col) for col in self.columns]
+        self._lead_col = {r: j for j, r in enumerate(self.leads)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.columns)
+
+    def coords(self, y: dict) -> dict[int, int]:
+        """The coordinates of y / s, for a sparse integer vector y (key ->
+        nonzero int) and any scale s: the values of y at the lead keys,
+        over s.  Raises ValueError when y has a key of another weight or
+        lies outside the span, decided by its residual in integers."""
+        try:
+            y = {self.index[k]: v for k, v in y.items()}
+        except KeyError as e:
+            raise ValueError(f"key {e.args[0]} has no place in weight {self.weight}") from None
+        x = {self._lead_col[r]: v for r, v in y.items() if r in self._lead_col}
+        scale = lcm(1, *(self.scales[j] for j in x))
+        residual = {r: v * scale for r, v in y.items()}
+        for j, f in x.items():
+            f *= scale // self.scales[j]
+            for r, v in self.columns[j].items():
+                w = residual.get(r, 0) - f * v
+                if w:
+                    residual[r] = w
+                else:
+                    del residual[r]
+        if residual:
+            raise ValueError("vector lies outside the column span")
+        return x
+
+
+def _group_sizes(d: YoungDiagram) -> tuple[int, ...]:
+    """Sizes of the symmetric groups of d's presentation."""
     if len(d.rows) == 1:
-        return GroupedSpace(n, [Group(SYM, d.rows[0])]), None
+        return d.rows
     if len(d.rows) == 2:
         a, b = d.rows
-        space = GroupedSpace(n, [Group(SYM, b), Group(SYM, a)])
-        constraints, _ = sym_extend(space, 0, 1)
-        return space, constraints
+        return (b, a)
     raise ValueError(f"no presentation realizes the shape {d.rows}: one or two rows only")
 
 
-def _realize(space: GroupedSpace, constraints) -> SubspaceBasis:
-    if constraints is None:
-        return SubspaceBasis(space, ExactMatrix.identity(space.dim))
-    basis = ExactMatrix.from_columns(kernel_basis(constraints), constraints.cols)
-    return SubspaceBasis(space, basis)
+def _expand(content: tuple[int, ...]) -> tuple[int, ...]:
+    """The nondecreasing key holding content[v - 1] copies of each v."""
+    return tuple(v for v, c in enumerate(content, 1) for _ in range(c))
 
 
-def realize_irreducible(d: YoungDiagram, n: int) -> SubspaceBasis:
+def _weight_keys(sizes: tuple[int, ...], w: tuple[int, ...]) -> list:
+    """The keys of weight w of the space of one or two symmetric groups of
+    the given sizes, in the space's (lexicographic) order; a group of size
+    0 has the empty part."""
+    full = _expand(w)
+    if len(sizes) == 1:
+        return [(full,)] if len(full) == sizes[0] else []
+    keys = []
+    for first in sorted(set(combinations(full, sizes[0]))):
+        rest = list(full)
+        for v in first:
+            rest.remove(v)
+        keys.append((first, tuple(rest)))
+    return keys
+
+
+def realize_irreducible(d: YoungDiagram, n: int, weights=None):
     """Basis of the symmetry class of shape d inside the tensor power.
 
-    Results are memoized per (shape, n); the memo is transparent since
-    the construction is deterministic.
+    With ``weights``, an iterable of torus weights, the result is a dict
+    from each of them to its ``WeightSpace``.  Without, it is the whole
+    basis, a ``SubspaceBasis`` assembled from every weight space.  Both
+    are memoized: weight spaces per (shape, n, w), whole bases per
+    (shape, n); the memo is transparent since the construction is
+    deterministic.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
-    return _realize_memo(d, n)
+    if weights is None:
+        return _whole_memo(d, n)
+    return {tuple(w): _realize_memo(d, n, tuple(w)) for w in weights}
 
 
 @cache
-def _realize_memo(d: YoungDiagram, n: int) -> SubspaceBasis:
-    result = _realize(*_presentation(d, n))
+def _realize_memo(d: YoungDiagram, n: int, w: tuple[int, ...]) -> WeightSpace:
+    sizes = _group_sizes(d)
+    if len(w) != n or min(w, default=0) < 0 or sum(w) != d.size:
+        raise ValueError(f"{w} is not a weight of {d.rows} over n={n}")
+    keys = _weight_keys(sizes, w)
+    rows = []
+    if len(sizes) == 2:
+        # the rows of sym_extend(space, 0, 1) at the target keys of weight w
+        index = {k: i for i, k in enumerate(keys)}
+        for parts in _weight_keys((sizes[0] - 1, sizes[1] + 1), w):
+            rows.append(sym_extend_row(parts, 0, 1, lambda src: index[tuple(src)]))
+    part = WeightSpace(w, keys, kernel_basis(ExactMatrix.from_int_rows(len(keys), rows)))
+    expected = kostka(d, w)
+    if part.dim != expected:
+        raise RuntimeError(
+            f"realization of {d.rows} over n={n} produced {part.dim} basis "
+            f"columns of weight {w}, the Kostka number is {expected}"
+        )
+    return part
+
+
+def ordered_columns(parts: dict) -> list[tuple[tuple[int, ...], int]]:
+    """The (weight, column) pairs of a dict of weight spaces in the order
+    of the whole basis: by lead key."""
+    return sorted(
+        ((w, j) for w, part in parts.items() for j in range(part.dim)),
+        key=lambda wj: parts[wj[0]].keys[parts[wj[0]].leads[wj[1]]],
+    )
+
+
+@cache
+def _whole_memo(d: YoungDiagram, n: int) -> SubspaceBasis:
+    space = GroupedSpace(n, [Group(SYM, size) for size in _group_sizes(d)])
+    parts = {w: _realize_memo(d, n, w) for w in weight_multiplicities(d, n)}
+    cols = []
+    for w, j in ordered_columns(parts):
+        part = parts[w]
+        scale = part.scales[j]
+        cols.append({
+            space.index(part.keys[r]): Fraction(v, scale) for r, v in part.columns[j].items()
+        })
+    result = SubspaceBasis(space, ExactMatrix.from_columns(cols, space.dim))
     expected = gl_dimension(d, n)
     if result.dim != expected:
         raise RuntimeError(
@@ -274,4 +442,7 @@ def _realize_memo(d: YoungDiagram, n: int) -> SubspaceBasis:
     return result
 
 
-clear_realization_cache = _realize_memo.cache_clear
+def clear_realization_cache() -> None:
+    """Forget every memoized weight space and whole basis."""
+    _realize_memo.cache_clear()
+    _whole_memo.cache_clear()

@@ -19,8 +19,18 @@ from killingcalc.kostant import build_V, koszul_differential
 from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
 from killingcalc.poly import PolyScalar, RatScalar, monomials
 from killingcalc.prolong import _psubsets, build_partial, build_T
-from killingcalc.symspace import iota_matrix, replace_matrix
-from killingcalc.tensor import Tensor, _permute_average
+from killingcalc.symspace import (
+    ALT,
+    SYM,
+    Group,
+    GroupedSpace,
+    _add,
+    _drop_or_resize,
+    _target_key_parts,
+    sym_extend,
+)
+from killingcalc.tensor import Tensor, _permute_average, perm_sign
+from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible
 
 
 def entries(m: ExactMatrix) -> dict[tuple[int, int], Fraction]:
@@ -247,6 +257,81 @@ def assert_matches_whole(m: ExactMatrix, rhs=None) -> None:
         assert solve(m, b) == whole_solve(m, b), m
 
 
+def presentation(d: YoungDiagram, n: int):
+    """(space, constraints) of the shape's presentation on all weights: a
+    single symmetric group for one row, and for two rows (a, b) the groups
+    Sym^b and Sym^a with the ``sym_extend`` constraints, or None when
+    there are none."""
+    if len(d.rows) == 1:
+        return GroupedSpace(n, [Group(SYM, d.rows[0])]), None
+    a, b = d.rows
+    space = GroupedSpace(n, [Group(SYM, b), Group(SYM, a)])
+    return space, sym_extend(space, 0, 1)[0]
+
+
+def whole_realization(d: YoungDiagram, n: int) -> SubspaceBasis:
+    """Reference realization: the canonical kernel basis of the whole
+    constraint matrix, reduced on all weights at once."""
+    space, constraints = presentation(d, n)
+    if constraints is None:
+        return SubspaceBasis(space, ExactMatrix.identity(space.dim))
+    return SubspaceBasis(space, ExactMatrix.from_columns(kernel_basis(constraints), constraints.cols))
+
+
+def iota_matrix(space: GroupedSpace, i: int, x: int) -> tuple[ExactMatrix, GroupedSpace]:
+    """Fix the value x into one slot of symmetric group i.
+
+    The resulting tensor's value at a target key is the source value at
+    the key with x inserted back into group i.
+    """
+    if space.groups[i].kind != SYM:
+        raise ValueError("iota_matrix needs a symmetric group")
+    if not 1 <= x <= space.n:
+        raise ValueError(f"index value {x} outside 1..{space.n}")
+    tgroups, dropped = _drop_or_resize(space.groups, i, -1)
+    target = GroupedSpace(space.n, tgroups)
+    data = []
+    for tkey in target.keys():
+        parts = _target_key_parts(tkey, i if dropped else None)
+        src = list(parts)
+        src[i] = tuple(sorted(parts[i] + (x,)))
+        data.append({space.index(src): 1})
+    return ExactMatrix.from_int_rows(space.dim, data), target
+
+
+def replace_matrix(space: GroupedSpace, s_val: int, r_val: int) -> ExactMatrix:
+    """Matrix of the dual action of the elementary matrix E[r_val, s_val].
+
+    On covariant tensors the action of x is (x . T)(..., c, ...) =
+    -sum_r x[r][c] T(..., r, ...) summed over slots, so for an elementary
+    x the image value at a key is minus the sum, over slots carrying
+    s_val, of the source value with that slot set to r_val.
+    """
+    if s_val == r_val:
+        raise ValueError("substitution endpoints must differ")
+    data: list[dict[int, int]] = []
+    for tkey in space.keys():
+        row: dict[int, int] = {}
+        for g, part in enumerate(tkey):
+            kind = space.groups[g].kind
+            for t in range(len(part)):
+                if part[t] != s_val:
+                    continue
+                replaced = part[:t] + (r_val,) + part[t + 1 :]
+                if kind == ALT and r_val in part[:t] + part[t + 1 :]:
+                    continue
+                ordered = tuple(sorted(replaced))
+                sign = 1
+                if kind == ALT:
+                    rank_of = {v: p for p, v in enumerate(ordered)}
+                    sign = perm_sign([rank_of[v] for v in replaced])
+                src = list(tkey)
+                src[g] = ordered
+                _add(row, space.index(src), -sign)
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data)
+
+
 def oracle_partial(n: int, ell: int, p: int) -> ExactMatrix:
     """Reference flat differential over ``Fraction``: the iota coefficient
     matrices read off the realized component bases, each entry placed
@@ -281,7 +366,7 @@ def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
     """Reference Koszul differential over ``Fraction``: the action of x_i
     read off the realized module basis, each entry placed with its wedge
     sign (-1)^{#{s in S : s < i}}."""
-    basis = build_V(n, ell).basis
+    basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
     dim = basis.dim
     actions = []
     for i in range(1, n + 1):

@@ -79,7 +79,7 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
     """A pair's report is computed once, from its dominant weight blocks:
     one cohomology_dims and one composites_vanish call per block, and
     running the pair's checks again adds none."""
-    forms = prolong.flat_forms if module is prolong else kostant.koszul_forms
+    forms = prolong.flat_forms if module is prolong else kostant.build_V
     blocks = len(chain._dominant_weights(forms(3, 2)))
     assert blocks > 1
     calls = {"cohomology_dims": 0, "composites_vanish": 0}

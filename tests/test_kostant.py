@@ -95,3 +95,30 @@ def test_branching_piece_dims_match_prolongation_components():
     dims = build_T(4, 3).component_dims
     # ones-count grading runs opposite to the component order
     assert [p["dim"] for p in rep["pieces"]] == list(reversed(dims))
+
+
+def test_branching_check_detects_mismatches(monkeypatch):
+    """A component weight space one larger than V's fails dims_match; an
+    action image with a key of the source grade fails the grade shift."""
+    from types import SimpleNamespace
+
+    from killingcalc import kostant
+
+    realize = kostant.realize_irreducible
+
+    def padded(d, n, weights=None):
+        parts = realize(d, n, weights)
+        if n == 3:  # the components over n, not V over n + 1
+            parts = {w: SimpleNamespace(dim=p.dim + 1) for w, p in parts.items()}
+        return parts
+
+    monkeypatch.setattr(kostant, "realize_irreducible", padded)
+    rep = branching_check(3, 2)
+    assert not rep["dims_match"] and rep["action_shifts_grade"]
+    monkeypatch.undo()
+    image = kostant._x_image
+    monkeypatch.setattr(
+        kostant, "_x_image", lambda part, col, i: {**image(part, col, i), part.keys[0]: 1}
+    )
+    rep = branching_check(3, 2)
+    assert rep["dims_match"] and not rep["action_shifts_grade"]

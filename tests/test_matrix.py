@@ -16,6 +16,7 @@ from helpers import (
     entries,
     from_rows,
     hstack,
+    presentation,
     rand_matrix,
     scaled,
     submatrix,
@@ -235,7 +236,7 @@ def test_rref_separates_row_spaces():
 
 @pytest.mark.parametrize("shape, n, kind", REALIZED_SHAPES, ids=REALIZED_IDS)
 def test_block_reduction_matches_whole_on_realization_constraints(shape, n, kind):
-    _, constraints = young._presentation(young.YoungDiagram(shape), n)
+    _, constraints = presentation(young.YoungDiagram(shape), n)
     assert (constraints is None) == (kind == "row")
     if constraints is not None:
         assert_matches_whole(constraints)

@@ -272,8 +272,17 @@ def test_coordinate_system_matches_field_calculus(n, ell, max_degree):
     # at most one row per direction and column, by construction
     assert len(rows) <= n * ncols
     assert all(type(v) is int and v for row in rows.values() for v in row.values())
-    got = {(label, c): v for label, row in rows.items() for c, v in row.items()}
-    assert got == {key: v * forms.scale for key, v in want.items()}
+    oracle: dict = {}
+    for (label, c), v in want.items():
+        oracle.setdefault(label, {})[c] = v * forms.scale
+    # every row written is the oracle's row; a row with one entry says its
+    # column vanishes, and is written once per column
+    assert all(oracle[label] == row for label, row in rows.items())
+    vanishing = [c for row in rows.values() if len(row) == 1 for c in row]
+    assert len(vanishing) == len(set(vanishing))
+    for label in oracle.keys() - rows.keys():
+        (c,) = oracle[label]
+        assert c in vanishing, label
 
 
 COORDINATE_SIZES = sorted(

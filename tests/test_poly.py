@@ -126,3 +126,30 @@ def test_rat_zero_detection_after_mixed_ops():
     assert a.sub(a).is_zero()
     assert a.add(a.neg()).is_zero()
     assert not a.is_zero()
+
+
+def test_rat_add_equals_the_cross_multiplied_sum():
+    """Over shared, disjoint and differently powered denominator atoms, and
+    with a polynomial summand, a / da + b / db is (a db + b da) / (da db),
+    on the per-atom maximal powers."""
+    n = 2
+    rng = random.Random(59)
+    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
+    v = PolyScalar.const(n, 2).add(_x(n, 2))
+    p, q = rand_poly(rng, n, 2), rand_poly(rng, n, 3)
+    cases = [
+        ([(u, 1)], [(u, 1)], {1: 1}),
+        ([(u, 1)], [(v, 2)], {1: 1, 2: 2}),
+        ([(u, 2)], [(u, 1), (v, 3)], {1: 2, 2: 3}),
+        ([(u, 1), (v, 1)], [(u, 3)], {1: 3, 2: 1}),
+        ([], [(v, 1)], {2: 1}),
+    ]
+    points = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 5))) for _ in range(4)]
+    for fa, fb, powers in cases:
+        a, b = RatScalar(p, fa), RatScalar(q, fb)
+        total = a.add(b)
+        crossed = RatScalar(p.mul(b.den).add(q.mul(a.den)), fa + fb)
+        assert total == crossed, (fa, fb)
+        assert {1 if f == u else 2: k for f, k in total.factors} == powers
+        for pt in points:
+            assert total.eval(pt) == a.eval(pt) + b.eval(pt)

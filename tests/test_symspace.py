@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import symmetrize
+from helpers import iota_matrix, replace_matrix, symmetrize
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import (
     ALT,
@@ -19,8 +19,6 @@ from killingcalc.symspace import (
     Group,
     GroupedSpace,
     embed,
-    iota_matrix,
-    replace_matrix,
     skew_pair,
     sym_extend,
 )

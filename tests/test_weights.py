@@ -16,9 +16,9 @@ from dataclasses import replace
 import pytest
 
 from helpers import cochain_weights, full_complex, koszul_complex, submatrix
-from killingcalc import chain
+from killingcalc import chain, kostant, prolong
 from killingcalc.chain import ChainComplex, _orbit_size, cohomology_dims
-from killingcalc.kostant import build_V, koszul_forms, lie_algebra_cohomology
+from killingcalc.kostant import build_V, lie_algebra_cohomology
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
     _diagonal_positions,
@@ -27,8 +27,7 @@ from killingcalc.prolong import (
     flat_forms,
     graded_diagonal_complex,
 )
-from killingcalc.symspace import SYM, Group, GroupedSpace
-from killingcalc.young import SubspaceBasis
+from killingcalc.young import YoungDiagram, gl_dimension, realize_irreducible
 
 CASES = [(n, ell) for n in (2, 3, 4) for ell in (1, 2, 3)] + [(6, 2)]
 
@@ -58,9 +57,9 @@ def test_dominant_blocks_match_all_weights(n, ell):
     diagonal complex of grade d."""
     flat = (full_complex(n, ell), cochain_weights(n, build_T(n, ell).components),
             flat_forms(n, ell), complex_cohomology(n, ell).computed)
-    module = build_V(n, ell)
-    koszul = (koszul_complex(n, ell), cochain_weights(n, [module.basis], first=2),
-              koszul_forms(n, ell), lie_algebra_cohomology(n, ell).computed)
+    module = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
+    koszul = (koszul_complex(n, ell), cochain_weights(n, [module], first=2),
+              build_V(n, ell), lie_algebra_cohomology(n, ell).computed)
     by_family = {}
     for family, (cx, weights, forms, computed) in (("flat", flat), ("koszul", koszul)):
         assert cx.composites_vanish()
@@ -137,15 +136,84 @@ def test_a_flipped_sign_in_a_dominant_block_is_refused(family, monkeypatch):
 
 
 def test_a_weight_mixing_column_is_refused():
-    """A basis column e_1 + e_2 of R^2 mixes the weights (1, 0) and (0, 1);
-    a module column labelled with another column's weight sends entries
+    """A module column labelled with another column's weight sends entries
     out of its block."""
-    space = GroupedSpace(2, [Group(SYM, 1)])
-    mixed = SubspaceBasis(space, ExactMatrix.from_columns([{0: 1, 1: 1}], 2))
-    with pytest.raises(RuntimeError, match="mixes torus weights"):
-        mixed.weights()
     forms = flat_forms(3, 2)
     weights = list(forms.weights)
     weights[0], weights[-1] = weights[-1], weights[0]
     with pytest.raises(RuntimeError, match="leaves its weight block"):
         chain.weight_cohomology(replace(forms, weights=tuple(weights)))
+
+
+@pytest.mark.parametrize("family", ["flat", "koszul"])
+def test_forms_on_the_read_weights_give_the_same_blocks(family):
+    """On the weights the dominant blocks read, the forms hold fewer
+    columns (108 of 196 at n=6, ell=2; 323 of 1176 flat at n=6, ell=3;
+    423 of 1764 Koszul at n=5, ell=4), and each dominant block equals the
+    block of the forms on all weights."""
+    build, read = {
+        "flat": (flat_forms, prolong._flat_read_weights),
+        "koszul": (build_V, kostant._read_weights),
+    }[family]
+    for n, ell, held in ((3, 2, 13), (6, 2, 108)):
+        part, full = build(n, ell, read(n, ell)), build(n, ell)
+        assert (part.dim, full.dim) == (held, gl_dimension(YoungDiagram((ell, ell)), n + 1))
+        assert set(part.weights) == read(n, ell) < set(full.weights)
+        blocks = list(chain._weight_blocks(part))
+        assert [b.weight for b in blocks] == chain._dominant_weights(full)
+        for b, want in zip(blocks, chain._weight_blocks(full)):
+            assert b.complex.spaces == want.complex.spaces
+            assert b.complex.maps == want.complex.maps
+    n, ell, held = (6, 3, 323) if family == "flat" else (5, 4, 423)
+    assert build(n, ell, read(n, ell)).dim == held
+
+
+def test_weight_space_coordinates_are_verified():
+    """Coordinates are the values at the lead keys; a vector changed at a
+    key that is no lead, or holding a key of another weight, is refused."""
+    part = realize_irreducible(YoungDiagram((3, 1)), 3, [(2, 1, 1)])[(2, 1, 1)]
+    free = [k for r, k in enumerate(part.keys) if r not in part.leads]
+    assert part.dim == 2 and free
+    for j, (col, s) in enumerate(zip(part.columns, part.scales)):
+        y = {part.keys[r]: v for r, v in col.items()}
+        assert part.coords(y) == {j: s}
+        for k in free:
+            bad = {**y, k: y.get(k, 0) + 1}
+            if bad[k]:
+                with pytest.raises(ValueError, match="outside the column span"):
+                    part.coords(bad)
+    with pytest.raises(ValueError, match="no place in weight"):
+        part.coords({((1,), (1, 1, 1)): 1})
+
+
+@pytest.mark.parametrize("family", ["flat", "koszul"])
+def test_a_corrupted_action_column_is_refused(family, monkeypatch):
+    """An action image with one key of the wrong shape cannot be read in
+    any target weight space."""
+    module = prolong if family == "flat" else kostant
+    name = "_iota_image" if family == "flat" else "_x_image"
+    original = getattr(module, name)
+
+    def corrupted(source, col, a):
+        return {**original(source, col, a), source.keys[0]: 1}
+
+    monkeypatch.setattr(module, name, corrupted)
+    kostant.build_V.cache_clear()
+    with pytest.raises((ValueError, RuntimeError)):
+        complex_cohomology(3, 2) if family == "flat" else lie_algebra_cohomology(3, 2)
+
+
+@pytest.mark.parametrize("family", ["flat", "koszul"])
+def test_a_weight_left_unrealized_trips_the_orbit_certificate(family):
+    """Forms that miss one of the weights the blocks read give block
+    dimensions short of C(n, p) times the closed-form module dimension,
+    unless a block's d^2 check fails first on the maps it lost."""
+    build, read = {
+        "flat": (flat_forms, prolong._flat_read_weights),
+        "koszul": (build_V, kostant._read_weights),
+    }[family]
+    weights = read(3, 2)
+    assert chain.weight_cohomology(build(3, 2, weights)) == list(complex_cohomology(3, 2).computed)
+    for w in sorted(weights)[:: len(weights) // 3]:
+        with pytest.raises((RuntimeError, ValueError), match="times orbits|not a complex"):
+            chain.weight_cohomology(build(3, 2, weights - {w}))

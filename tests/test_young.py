@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from helpers import REALIZED_IDS, REALIZED_SHAPES, apply, symmetrize
+from helpers import REALIZED_IDS, REALIZED_SHAPES, apply, symmetrize, whole_realization
 from killingcalc import young
+from killingcalc.chain import _orbit_size
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
@@ -17,7 +20,9 @@ from killingcalc.young import (
     YoungDiagram,
     clear_realization_cache,
     gl_dimension,
+    kostka,
     realize_irreducible,
+    weight_multiplicities,
     weyl_dimension,
 )
 
@@ -224,3 +229,167 @@ def test_extract_inverts_basis_embedding():
     vec = extract(basis.space, t)
     got = basis.coords({i: v for i, v in enumerate(vec) if v})
     assert got == {j: Fraction(c) for j, c in enumerate(coeffs) if c}
+
+
+def _ssyt_contents(shape: tuple[int, ...], k: int) -> Counter:
+    """Brute-force contents of the semistandard fillings with entries in
+    1..k: how many fillings have each content (count of each entry)."""
+    cells = [(r, c) for r, row in enumerate(shape) for c in range(row)]
+    out: Counter = Counter()
+
+    def rec(i: int, filled: dict) -> None:
+        if i == len(cells):
+            out[tuple(sum(1 for v in filled.values() if v == e) for e in range(1, k + 1))] += 1
+            return
+        r, c = cells[i]
+        lo = max(filled[(r, c - 1)] if c else 1, filled[(r - 1, c)] + 1 if r else 1)
+        for v in range(lo, k + 1):
+            filled[(r, c)] = v
+            rec(i + 1, filled)
+        filled.pop((r, c), None)
+
+    rec(0, {})
+    return out
+
+
+def _partitions(m: int, most: int | None = None) -> list[tuple[int, ...]]:
+    """The partitions of m, parts at most ``most``, largest first."""
+    most = m if most is None else most
+    if m == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(m, most), 0, -1) for rest in _partitions(m - p, p)]
+
+
+def _compositions(m: int, k: int):
+    """The compositions of m into k parts."""
+    if k == 1:
+        yield (m,)
+        return
+    for x in range(m + 1):
+        for rest in _compositions(m - x, k - 1):
+            yield (x,) + rest
+
+
+def _dominates(lam, mu) -> bool:
+    a = b = 0
+    for i in range(max(len(lam), len(mu))):
+        a += lam[i] if i < len(lam) else 0
+        b += mu[i] if i < len(mu) else 0
+        if a < b:
+            return False
+    return True
+
+
+def test_kostka_matches_tableau_contents():
+    """K_{lambda, mu} counts the fillings of content mu, whatever the order
+    of mu's entries, for every shape of size at most 5 and 4 entries."""
+    for m in range(1, 6):
+        for shape in _partitions(m):
+            contents = _ssyt_contents(shape, 4)
+            for mu in _compositions(m, 4):
+                assert kostka(YoungDiagram(shape), mu) == contents[mu], (shape, mu)
+
+
+def test_kostka_diagonal_and_dominance():
+    """K_{lambda, lambda} = 1, and K_{lambda, mu} is nonzero exactly when
+    lambda dominates the sorted mu, in any order of mu's entries."""
+    for m in range(1, 9):
+        for lam in _partitions(m):
+            d = YoungDiagram(lam)
+            assert kostka(d, lam) == 1, lam
+            for mu in _partitions(m):
+                k = kostka(d, mu)
+                assert (k > 0) == _dominates(lam, mu), (lam, mu)
+                for perm in list(set(permutations(mu + (0,))))[:6]:
+                    assert kostka(d, perm) == k, (lam, perm)
+
+
+def test_kostka_table_values():
+    table = {
+        ((2, 2), (1, 1, 1, 1)): 2,
+        ((3, 1), (1, 1, 1, 1)): 3,
+        ((2, 1, 1), (1, 1, 1, 1)): 3,
+        ((3, 1), (2, 1, 1)): 2,
+        ((2, 2), (2, 1, 1)): 1,
+        ((3, 2), (2, 2, 1)): 2,
+        ((3, 3), (2, 2, 2)): 1,
+        ((4, 2), (2, 2, 1, 1)): 4,
+    }
+    for (lam, mu), k in table.items():
+        assert kostka(YoungDiagram(lam), mu) == k, (lam, mu)
+    with pytest.raises(ValueError):
+        kostka(YoungDiagram((2,)), (3, -1))
+
+
+def test_weight_spaces_sum_to_hook_content():
+    """Summed over the dominant weights mu, times their S_n orbits, the
+    Kostka numbers give the hook-content dimension, for every one- or
+    two-row shape of size at most 10 over n at most 7; the weights of
+    ``weight_multiplicities`` are those with nonzero Kostka number."""
+    for m in range(1, 11):
+        for lam in [p for p in _partitions(m) if len(p) <= 2]:
+            d = YoungDiagram(lam)
+            for n in range(1, 8):
+                dominant = [mu + (0,) * (n - len(mu)) for mu in _partitions(m) if len(mu) <= n]
+                total = sum(_orbit_size(mu) * kostka(d, mu) for mu in dominant)
+                assert total == gl_dimension(d, n), (lam, n)
+                if m <= 6 and n <= 4:
+                    mult = weight_multiplicities(d, n)
+                    assert sum(mult.values()) == total
+                    assert all(mult[w] == kostka(d, w) > 0 for w in mult)
+
+
+ORACLE_SHAPES = REALIZED_SHAPES + [((2, 2), 7, "symmetric-pair"), ((3, 3), 5, "symmetric-pair")]
+
+
+@pytest.mark.parametrize(
+    "shape, n, kind", ORACLE_SHAPES, ids=[f"{''.join(map(str, s))}-n{n}" for s, n, _ in ORACLE_SHAPES]
+)
+def test_weight_spaces_equal_the_whole_kernel(shape, n, kind):
+    """Each weight space, realized from its own constraint rows, holds
+    exactly the columns of the whole constraint matrix's canonical kernel
+    basis whose lead key has that weight, and has the Kostka dimension;
+    the whole basis assembled from them is that kernel basis."""
+    d = YoungDiagram(shape)
+    oracle = whole_realization(d, n)
+    keys = oracle.space.keys()
+
+    def weight(key):
+        return tuple(sum(part.count(v) for part in key) for v in range(1, n + 1))
+
+    by_weight: dict = {}
+    for col, lead in zip(oracle.columns, oracle.leads):
+        by_weight.setdefault(weight(keys[lead]), []).append(col)
+    mult = weight_multiplicities(d, n)
+    assert set(by_weight) == set(mult)
+    for w, part in realize_irreducible(d, n, mult).items():
+        assert part.dim == mult[w] == kostka(d, w)
+        got = [
+            {oracle.space.index(part.keys[r]): Fraction(v, s) for r, v in col.items()}
+            for col, s in zip(part.columns, part.scales)
+        ]
+        assert got == by_weight[w], w
+    whole = realize_irreducible(d, n)
+    assert whole.space.groups == oracle.space.groups
+    assert whole.coord_basis == oracle.coord_basis
+
+
+def test_a_dropped_column_trips_the_kostka_certificate(monkeypatch):
+    """A weight space that lost one kernel column is refused on its Kostka
+    number, and so is a whole basis that would contain it."""
+    original = young.kernel_basis
+
+    def drop_last(m):
+        return original(m)[:-1]
+
+    clear_realization_cache()
+    monkeypatch.setattr(young, "kernel_basis", drop_last)
+    try:
+        with pytest.raises(RuntimeError, match="Kostka number is 2"):
+            realize_irreducible(YoungDiagram((2, 2)), 4, [(1, 1, 1, 1)])
+        with pytest.raises(RuntimeError, match="Kostka number"):
+            realize_irreducible(YoungDiagram((3, 1)), 3)
+    finally:
+        monkeypatch.undo()
+        clear_realization_cache()
+    assert realize_irreducible(YoungDiagram((2, 2)), 4, [(1, 1, 1, 1)])[(1, 1, 1, 1)].dim == 2
