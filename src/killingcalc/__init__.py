@@ -23,13 +23,13 @@ _SOURCES = {
     "cohomology_dims": "chain",
     "MetricField": "metric",
     "PolyTensorField": "fields",
-    "integrability_operator": "killing",
     "killing_kernel": "killing",
     "killing_operator": "killing",
-    "killing_potential_solve": "killing",
     "branching_check": "kostant",
     "lie_algebra_cohomology": "kostant",
     "ExactMatrix": "matrix",
+    "integrability_operator": "potential",
+    "killing_potential_solve": "potential",
     "build_T": "prolong",
     "complex_cohomology": "prolong",
     "graded_diagonal_complex": "prolong",

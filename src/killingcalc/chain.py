@@ -43,7 +43,6 @@ complex that holds every module column.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple
@@ -60,23 +59,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ChainComplex:
-    spaces: tuple[int, ...]
-    maps: tuple[ExactMatrix, ...]
+    """Space dimensions and the maps between them, shapes checked."""
 
-    def __post_init__(self):
-        if len(self.maps) != len(self.spaces) - 1:
+    __slots__ = ("spaces", "maps")
+
+    def __init__(self, spaces: tuple[int, ...], maps: tuple[ExactMatrix, ...]):
+        if len(maps) != len(spaces) - 1:
             raise ValueError(
-                f"{len(self.spaces)} spaces need {len(self.spaces) - 1} maps, "
-                f"got {len(self.maps)}"
+                f"{len(spaces)} spaces need {len(spaces) - 1} maps, "
+                f"got {len(maps)}"
             )
-        for p, m in enumerate(self.maps):
-            if m.cols != self.spaces[p] or m.rows != self.spaces[p + 1]:
+        for p, m in enumerate(maps):
+            if m.cols != spaces[p] or m.rows != spaces[p + 1]:
                 raise ValueError(
                     f"map {p} is {m.rows}x{m.cols}, expected "
-                    f"{self.spaces[p + 1]}x{self.spaces[p]}"
+                    f"{spaces[p + 1]}x{spaces[p]}"
                 )
+        self.spaces = spaces
+        self.maps = maps
 
     def composites_vanish(self) -> bool:
         return all(
@@ -98,8 +99,7 @@ def cohomology_dims(complex_: ChainComplex) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class FormComplex:
+class FormComplex(NamedTuple):
     """Forms on R^n with values in a module, of which the complex holds
     the basis columns 0..dim-1: all of them, or those of some weights.
 

@@ -22,11 +22,14 @@ from fractions import Fraction
 from functools import cache
 from itertools import permutations, product
 from math import lcm
+from typing import TYPE_CHECKING
 
 from killingcalc.matrix import ExactMatrix, kernel_basis, solve
 from killingcalc.poly import PolyScalar, RatScalar, _as_rat
 from killingcalc.rationals import format_rational, parse_rational
-from killingcalc.tensor import Tensor, perm_sign
+
+if TYPE_CHECKING:  # tensor is imported where it runs: `range-check` never does
+    from killingcalc.tensor import Tensor
 
 __all__ = [
     "PolyTensorField",
@@ -235,6 +238,8 @@ def _coordinate_derivative(f: PolyTensorField) -> PolyTensorField:
 
 
 def _permuted_combination(f: PolyTensorField, positions, signed: bool) -> PolyTensorField:
+    from killingcalc.tensor import perm_sign
+
     pos = tuple(p - 1 for p in positions)
     if len(set(pos)) != len(pos) or not all(0 <= p < f.arity for p in pos):
         raise ValueError("bad slot positions")
@@ -283,6 +288,8 @@ def _integer_jet(dg: Tensor) -> tuple[dict[tuple[int, int, int], int], int]:
 
 def christoffel_closed_form(dg: Tensor) -> Tensor:
     """Pointwise (D_a g_bc + D_b g_ac - D_c g_ab)/2 from jet values."""
+    from killingcalc.tensor import Tensor
+
     jet, scale = _integer_jet(dg)
     n = dg.n
     out = {}
@@ -353,6 +360,8 @@ def christoffel_solve(dg: Tensor) -> Tensor:
     applying its cached solution operator to the jet in integers;
     independent of the closed form.
     """
+    from killingcalc.tensor import Tensor
+
     jet, scale = _integer_jet(dg)
     n = dg.n
     op = _christoffel_solver(n)

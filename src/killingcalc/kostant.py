@@ -46,9 +46,9 @@ orbits, realizing V only on the weights those blocks read;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb
+from typing import NamedTuple
 
 from killingcalc.cap import _check_args
 from killingcalc.chain import (
@@ -176,8 +176,7 @@ def cohomology_label_row(n: int, ell: int, p: int) -> tuple[int, ...]:
     return (-(ell + 1 + p),) + tail
 
 
-@dataclass(frozen=True)
-class KostantReport:
+class KostantReport(NamedTuple):
     n: int
     ell: int
     module_dim: int

@@ -45,16 +45,15 @@ wedge signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
 from killingcalc.chain import FormComplex, form_differential, read_weights, weight_cohomology
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, skew_pair, sym_extend
-from killingcalc.tensor import Tensor, antisymmetrize
 from killingcalc.young import (
     SubspaceBasis,
     YoungDiagram,
@@ -80,8 +79,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProlongationSpace:
+class ProlongationSpace(NamedTuple):
     n: int
     ell: int
     components: tuple[SubspaceBasis, ...]
@@ -251,6 +249,8 @@ def _guard_key_cap(n: int, cap: int | None) -> None:
 def key_isomorphism_check(n: int, cap: int | None = None) -> dict:
     """Skewing the first two slots maps one-form-valued two-forms
     bijectively onto two-form-valued one-forms; returns the verdict."""
+    from killingcalc.tensor import Tensor, antisymmetrize
+
     if n < 2:
         raise ValueError("base dimension must be at least 2")
     _guard_key_cap(n, cap)
@@ -292,8 +292,7 @@ def predicted_cohomology(n: int, ell: int, p: int) -> tuple[YoungDiagram, int]:
     return d, gl_dimension(d, n)
 
 
-@dataclass(frozen=True)
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     n: int
     ell: int
     space_dims: tuple[int, ...]
@@ -351,8 +350,7 @@ def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyRe
     )
 
 
-@dataclass(frozen=True)
-class DiagonalReport:
+class DiagonalReport(NamedTuple):
     n: int
     ell: int
     grade: int

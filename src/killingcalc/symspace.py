@@ -31,12 +31,14 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from typing import TYPE_CHECKING, NamedTuple
 
 from killingcalc.matrix import ExactMatrix
-from killingcalc.tensor import Tensor, perm_sign
+
+if TYPE_CHECKING:  # tensor is imported where it runs, at the Tensor boundary
+    from killingcalc.tensor import Tensor
 
 __all__ = [
     "SYM",
@@ -54,16 +56,15 @@ SYM = "sym"
 ALT = "alt"
 
 
-@dataclass(frozen=True)
-class Group:
-    kind: str
-    size: int
+class Group(NamedTuple("Group", [("kind", str), ("size", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (SYM, ALT):
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        if self.size < 1:
+    def __new__(cls, kind: str, size: int):
+        if kind not in (SYM, ALT):
+            raise ValueError(f"unknown group kind {kind!r}")
+        if size < 1:
             raise ValueError("group size must be positive")
+        return super().__new__(cls, kind, size)
 
 
 def _group_keys(n: int, g: Group) -> list[tuple[int, ...]]:
@@ -201,6 +202,8 @@ def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Grouped
 def _arrangements(part: tuple[int, ...], kind: str):
     if kind == SYM:
         return [(p, 1) for p in sorted(set(permutations(part)))]
+    from killingcalc.tensor import perm_sign
+
     out = []
     for p in permutations(range(len(part))):
         out.append((tuple(part[q] for q in p), perm_sign(p)))
@@ -209,6 +212,8 @@ def _arrangements(part: tuple[int, ...], kind: str):
 
 def embed(space: GroupedSpace, coords) -> Tensor:
     """Expand value coordinates to the full tensor."""
+    from killingcalc.tensor import Tensor
+
     if isinstance(coords, dict):
         items = coords.items()
     else:

@@ -44,11 +44,15 @@ sections is the column count minus the rank.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from killingcalc.fields import PolyTensorField, antisymmetrize_field, _s_mul
 from killingcalc.matrix import integer_rank
-from killingcalc.metric import MetricField, covariant_derivative, riemann
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import flat_forms
+
+if TYPE_CHECKING:  # metric is imported where it runs: `killing` never does
+    from killingcalc.metric import MetricField
 
 __all__ = [
     "TractorSection",
@@ -104,6 +108,8 @@ class SectionDerivative:
 def killing_lift(X: PolyTensorField, g: MetricField | None = None) -> TractorSection:
     """Lift a covector field so the derivative isolates its symmetrized
     gradient: the 2-form slot carries the skew half of the gradient."""
+    from killingcalc.metric import MetricField, covariant_derivative
+
     if X.arity != 1:
         raise ValueError("expected an arity-1 field")
     g = g if g is not None else MetricField.flat(X.n)
@@ -113,6 +119,8 @@ def killing_lift(X: PolyTensorField, g: MetricField | None = None) -> TractorSec
 
 def _derive_pair(g: MetricField, a_part: PolyTensorField, b_part: PolyTensorField):
     """One connection step; extra leading slots ride along as spectators."""
+    from killingcalc.metric import covariant_derivative, riemann
+
     n = g.n
     da = covariant_derivative(a_part, g)
     ins = {}

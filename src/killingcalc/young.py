@@ -51,7 +51,6 @@ decides membership.  No second elimination is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, combinations_with_replacement
@@ -59,7 +58,6 @@ from math import lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
 from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend_row
-from killingcalc.tensor import Tensor
 
 __all__ = [
     "YoungDiagram",
@@ -76,17 +74,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class YoungDiagram:
-    rows: tuple[int, ...]
+    """Weakly decreasing positive row lengths.  A diagram keys memos, so it
+    equals only a diagram with the same rows, never a plain tuple."""
 
-    def __post_init__(self):
-        rows = tuple(int(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(int(r) for r in rows)
         if any(r < 1 for r in rows):
             raise ValueError("row lengths must be positive")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError("row lengths must be weakly decreasing")
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, YoungDiagram) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"YoungDiagram(rows={self.rows})"
 
     @property
     def size(self) -> int:
@@ -105,14 +114,13 @@ class YoungDiagram:
                 yield i, j
 
 
-@dataclass(frozen=True)
 class DynkinLabel:
     """Highest weight labels for a special linear algebra of rank len(labels)."""
 
-    labels: tuple[int, ...]
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(a) for a in self.labels))
+    def __init__(self, labels):
+        self.labels = tuple(int(a) for a in labels)
         if any(a < 0 for a in self.labels):
             raise ValueError("Dynkin labels must be nonnegative")
 
@@ -261,7 +269,8 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.coord_basis.cols
 
-    def tensor(self, j: int) -> Tensor:
+    def tensor(self, j: int):
+        """Column j as a full ``Tensor``."""
         return embed(self.space, self.columns[j])
 
     def coords(self, y: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -14,10 +14,11 @@ from math import comb, lcm
 from killingcalc import elim, fields
 from killingcalc.chain import ChainComplex
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
-from killingcalc.killing import _require_symmetric, killing_operator
+from killingcalc.killing import killing_operator, symmetric_coordinates
 from killingcalc.kostant import build_V, koszul_differential
 from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
 from killingcalc.poly import PolyScalar, RatScalar, monomials
+from killingcalc.potential import _obstruction_terms, _require_symmetric
 from killingcalc.prolong import _psubsets, build_partial, build_T
 from killingcalc.symspace import (
     ALT,
@@ -182,6 +183,28 @@ def field_obstruction(omega: PolyTensorField) -> PolyTensorField:
         if not v.is_zero():
             comps[(a, b, c, d)] = v
     return PolyTensorField(n, 4, comps)
+
+
+def obstruction_matrix_all_rows(n: int, max_degree: int) -> ExactMatrix:
+    """``killing._obstruction_matrix`` as it was before it wrote each
+    repeated row once: a row for every (a, b, c, d) in lexicographic
+    order, then the monomials of degree <= max(max_degree - 2, 0)."""
+    mons = monomials(n, max(max_degree - 2, 0))
+    mpos = {m: i for i, m in enumerate(mons)}
+    data: list[dict[int, int]] = [{} for _ in range((n ** 4) * len(mons))]
+    col = 0
+    for (i, j), mono in symmetric_coordinates(n, 2, max_degree):
+        acc: dict = {}
+        for u, v in {(i, j), (j, i)}:
+            for (a, b, c, d), lower, coef in _obstruction_terms(u, v, mono):
+                idx = (((a - 1) * n + b - 1) * n + c - 1) * n + d - 1
+                r = idx * len(mons) + mpos[lower]
+                acc[r] = acc.get(r, 0) + coef
+        for r, value in acc.items():
+            if value:
+                data[r][col] = value
+        col += 1
+    return ExactMatrix.from_int_rows(col, data)
 
 
 # Every (shape, n) the test suite realizes, with the presentation its

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import killingcalc
-from killingcalc import chain, cli, fields, killing, kostant, prolong, young
+from killingcalc import chain, cli, fields, jobs, killing, kostant, potential, prolong, tensor, young
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
@@ -99,9 +99,9 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
     capsys.readouterr()
     once = {"cohomology_dims": blocks, "composites_vanish": blocks}
     assert calls == once
-    jobs = cli._jobs_complex if command == "complex" else cli._jobs_kostant
+    build = jobs.complex_jobs if command == "complex" else jobs.kostant_jobs
     calls.update(cohomology_dims=0, composites_vanish=0)
-    pair = jobs([(3, 2)])
+    pair = build([(3, 2)])
     for _ in range(2):
         for _, _, job in pair:
             job()
@@ -124,7 +124,7 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
     try:
         for n, ell in ((2, 1), (3, 2)):
             calls.clear()
-            for _, _, job in cli._jobs_killing([(n, ell)]):
+            for _, _, job in jobs.killing_jobs([(n, ell)]):
                 job()
             assert len(calls) == 2, (n, ell, calls)
     finally:
@@ -145,7 +145,7 @@ def test_christoffel_family_solves_once_per_slot(monkeypatch):
     fields._christoffel_solver.cache_clear()
     try:
         for _ in range(2):
-            for _, _, job in cli._jobs_christoffel([2, 3, 4]):
+            for _, _, job in jobs.christoffel_jobs([2, 3, 4]):
                 job()
         assert len(calls) == 6 + 18 + 40
     finally:
@@ -161,8 +161,8 @@ def test_a_wrong_solution_operator_fails_the_random_jets_check(monkeypatch):
     data[i][j] += op.scale
     wrong = ExactMatrix.from_int_rows(op.cols, data, op.scale)
     monkeypatch.setattr(fields, "_christoffel_solver", lambda n: wrong if n == 3 else original(n))
-    jobs = [job for job in cli._jobs_christoffel([3]) if job[0] == "christoffel.n3.random-jets"]
-    (check,) = cli._run_jobs(jobs, False)
+    picked = [job for job in jobs.christoffel_jobs([3]) if job[0] == "christoffel.n3.random-jets"]
+    (check,) = cli._run_jobs(picked, False)
     assert check["computed"]["agree"] < 50
     assert check["verdict"] == "fail"
 
@@ -188,10 +188,10 @@ def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
     class Built(Exception):
         pass
 
-    def tensor(*args):
+    def build(*args):
         raise Built
 
-    monkeypatch.setattr(prolong, "Tensor", tensor)
+    monkeypatch.setattr(tensor, "Tensor", build)
     assert main(["verify-key", "--n", "35"]) == 2
     err = capsys.readouterr().err
     assert "error: dimension cap exceeded" in err and "20825" in err
@@ -202,10 +202,10 @@ def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
 def test_verify_key_range_refused_before_its_first_check(monkeypatch, capsys):
     """n=33 and n=34 are admitted, n=35 is not: the whole range exits 2
     before the n=33 check builds a tensor, naming the first oversized n."""
-    def tensor(*args):
+    def build(*args):
         raise AssertionError("a tensor was built for a refused range")
 
-    monkeypatch.setattr(prolong, "Tensor", tensor)
+    monkeypatch.setattr(tensor, "Tensor", build)
     assert main(["verify-key", "--n", "33..35"]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[0] == (
@@ -434,8 +434,9 @@ def test_range_check_cap_refuses_before_building(tmp_path, monkeypatch, capsys):
     def build(*args):
         raise AssertionError("a matrix was built past the cap")
 
-    for name in ("_operator_matrix", "_obstruction_matrix", "integrability_operator"):
+    for name in ("_operator_matrix", "_obstruction_matrix"):
         monkeypatch.setattr(killing, name, build)
+    monkeypatch.setattr(potential, "integrability_operator", build)
     # omega_11 = x1^2 at n=20: degree-3 potentials, 20 * C(23, 3) = 35420 columns
     doc = {
         "n": 20,
@@ -460,20 +461,17 @@ def test_range_check_cap_admits_every_benchmarked_size(monkeypatch):
     # 3..5 at n=3, 4; degree 8 at n=2) and the suite's kernel solves (n <= 3,
     # potential degree <= 5)
     sizes = [(2, 8)] + [(n, d) for n in (2, 3, 4) for d in range(1, 6)]
-    columns = {size: killing._guard_potential_cap(field(size[0], size[1] - 1)) for size in sizes}
+    columns = {size: potential._guard_potential_cap(field(size[0], size[1] - 1)) for size in sizes}
     assert max(columns.values()) == columns[(4, 5)] == 504
-    monkeypatch.setattr(killing, "DEFAULT_CAP", 503)
+    monkeypatch.setattr(potential, "DEFAULT_CAP", 503)
     with pytest.raises(CapExceeded):
-        killing._guard_potential_cap(field(4, 4))
+        potential._guard_potential_cap(field(4, 4))
 
 
 def _loaded_modules(code: str) -> set[str]:
-    """The killingcalc modules a fresh interpreter holds after running code."""
+    """The modules a fresh interpreter holds after running code."""
     src = Path(killingcalc.__file__).resolve().parents[1]
-    script = code + (
-        "\nimport sys\nprint(*sorted(m for m in sys.modules "
-        "if m.partition('.')[0] == 'killingcalc'), file=sys.stderr)\n"
-    )
+    script = code + "\nimport sys\nprint(*sorted(sys.modules), file=sys.stderr)\n"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
@@ -482,12 +480,19 @@ def _loaded_modules(code: str) -> set[str]:
     return set(out.stderr.split())
 
 
+def _run_loaded(argv) -> set[str]:
+    return _loaded_modules(f"from killingcalc.cli import main\nassert main({argv!r}) == 0")
+
+
 def test_cli_import_loads_no_check_family():
     loaded = _loaded_modules("import killingcalc.cli")
-    assert loaded == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
+    package = {m for m in loaded if m.partition(".")[0] == "killingcalc"}
+    assert package == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
 
 
 def test_range_check_loads_only_the_field_modules(tmp_path):
+    """range-check runs the field layer and ``potential``: no tensor, no
+    family, no job builders and no Killing operator matrices."""
     doc = {
         "n": 2,
         "arity": 2,
@@ -495,13 +500,25 @@ def test_range_check_loads_only_the_field_modules(tmp_path):
     }
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(doc))
-    loaded = _loaded_modules(
-        "from killingcalc.cli import main\n"
-        f"assert main(['range-check', '--input', {str(path)!r}]) == 0"
-    )
-    assert "killingcalc.killing" in loaded
-    family = {"chain", "prolong", "young", "symspace", "kostant", "tractor", "metric"}
-    assert not loaded & {f"killingcalc.{m}" for m in family}
+    loaded = _run_loaded(["range-check", "--input", str(path)])
+    assert "killingcalc.potential" in loaded
+    never = {
+        "tensor", "metric", "chain", "prolong", "young", "symspace", "kostant",
+        "tractor", "killing", "jobs",
+    }
+    assert not loaded & {f"killingcalc.{m}" for m in never}
+
+
+@pytest.mark.parametrize("command", ["complex", "kostant", "killing", "suite"])
+def test_family_commands_load_no_dataclasses(command):
+    loaded = _run_loaded([command, "--n", "2", "--ell", "1"])
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_killing_loads_neither_metric_nor_kostant():
+    loaded = _run_loaded(["killing", "--n", "3", "--ell", "2"])
+    assert "killingcalc.tractor" in loaded
+    assert not loaded & {"killingcalc.metric", "killingcalc.kostant"}
 
 
 def test_parse_range():

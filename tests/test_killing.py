@@ -20,11 +20,9 @@ from killingcalc.fields import (
     lie_derivative_delta,
     symmetrize_field,
 )
-from killingcalc import killing
+from killingcalc import potential
 from killingcalc.killing import (
-    _is_symmetrized_gradient,
     _operator_matrix,
-    _radial_potential,
     field_coefficient_vector,
     field_from_coefficients,
     integrability_kernel,
@@ -36,6 +34,7 @@ from killingcalc.killing import (
     symmetric_coordinates,
 )
 from killingcalc.matrix import rref
+from killingcalc.potential import _is_symmetrized_gradient, _radial_potential
 from killingcalc.poly import PolyScalar
 from killingcalc.young import YoungDiagram, gl_dimension
 
@@ -268,7 +267,7 @@ def test_corrupted_potential_is_rejected(monkeypatch):
     # a Killing vector changes the potential, not its gradient
     assert _is_symmetrized_gradient(x.add(rotation), omega)
     assert is_potential_by_field_calculus(x.add(rotation), omega)
-    monkeypatch.setattr(killing, "_radial_potential", lambda w: x.add(bumps[0]))
+    monkeypatch.setattr(potential, "_radial_potential", lambda w: x.add(bumps[0]))
     with pytest.raises(RuntimeError, match="round-trip"):
         killing_potential_solve(omega)
 

@@ -17,7 +17,7 @@ shares the matrix's per-term rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, lcm
 
 import pytest
@@ -28,6 +28,7 @@ from helpers import (
     field_obstruction,
     flat_component_derivative,
     higher_killing_operator,
+    obstruction_matrix_all_rows,
     whole_rref,
 )
 from killingcalc.fields import PolyTensorField
@@ -35,11 +36,13 @@ from killingcalc.killing import (
     DEFAULT_DEGREE_CAP,
     _obstruction_matrix,
     _operator_matrix,
+    field_from_coefficients,
+    integrability_kernel,
     integrability_of_killing_matrix,
     killing_operator,
     symmetric_coordinates,
 )
-from killingcalc.matrix import ExactMatrix, integer_rank, rank
+from killingcalc.matrix import ExactMatrix, integer_rank, kernel_basis, rank
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T, flat_forms
 from killingcalc.symspace import extract
@@ -57,18 +60,37 @@ def _symmetric_rows(n, arity, max_degree):
     return {c: i for i, c in enumerate(coords)}, len(coords)
 
 
+def _equal_row_four(idx):
+    """The index tuples whose N values equal N_abcd on symmetric fields."""
+    a, b, c, d = idx
+    return (idx, (b, a, d, c), (c, d, a, b), (d, c, b, a))
+
+
 def _full_index_rows(n, max_degree):
-    """(a, b, c, d) in lexicographic order, then monomials."""
+    """(a, b, c, d) in lexicographic order, then monomials; only the
+    tuple that comes first among its ``_equal_row_four`` gets rows."""
     mons = monomials(n, max(max_degree, 0))
     mpos = {m: i for i, m in enumerate(mons)}
+    tuples = [t for t in product(range(1, n + 1), repeat=4) if t == min(_equal_row_four(t))]
+    tpos = {t: i for i, t in enumerate(tuples)}
 
     def row(idx, m):
-        flat = 0
-        for i in idx:
-            flat = flat * n + i - 1
-        return flat * len(mons) + mpos[m]
+        return tpos[idx] * len(mons) + mpos[m]
 
-    return row, (n ** 4) * len(mons)
+    return row, len(tuples) * len(mons)
+
+
+def _obstruction_column(image, row):
+    """The column of an obstruction image on the rows of ``_full_index_rows``,
+    once the image is checked to take equal values on each equal-row four."""
+    zero = PolyScalar.zero(image.n)
+    for idx, s in image.comps.items():
+        assert all(image.comps.get(t, zero) == s for t in _equal_row_four(idx))
+    return {
+        row(idx, m): v
+        for idx, s in image.comps.items() if idx == min(_equal_row_four(idx))
+        for m, v in s.terms.items()
+    }
 
 
 def _oracle_operator(n, ell, max_degree):
@@ -88,10 +110,7 @@ def _oracle_obstruction(n, max_degree):
     row, nrows = _full_index_rows(n, max_degree - 2)
     cols = []
     for key, mono in symmetric_coordinates(n, 2, max_degree):
-        image = field_obstruction(_unit_field(n, 2, key, mono))
-        cols.append({
-            row(idx, m): v for idx, s in image.comps.items() for m, v in s.terms.items()
-        })
+        cols.append(_obstruction_column(field_obstruction(_unit_field(n, 2, key, mono)), row))
     return ExactMatrix.from_columns(cols, nrows)
 
 
@@ -100,9 +119,7 @@ def _oracle_composite(n, max_degree):
     cols = []
     for key, mono in symmetric_coordinates(n, 1, max_degree):
         image = field_obstruction(killing_operator(_unit_field(n, 1, key, mono)))
-        cols.append({
-            row(idx, m): v for idx, s in image.comps.items() for m, v in s.terms.items()
-        })
+        cols.append(_obstruction_column(image, row))
     return ExactMatrix.from_columns(cols, nrows)
 
 
@@ -162,6 +179,22 @@ def test_obstruction_and_composite_match_field_calculus(n, max_degree):
     want = _oracle_composite(n, max_degree + 1)
     assert (m.rows, m.cols) == (want.rows, want.cols)
     assert m == want and m.is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_obstruction_rows_are_written_once(n):
+    """Against the builder that wrote a row for every (a, b, c, d): each
+    nonzero row is written once, every dropped row equals a kept row, and
+    the kernel and the composite's vanishing are unchanged."""
+    old, new = obstruction_matrix_all_rows(n, 4), _obstruction_matrix(n, 4)
+    kept = [frozenset(row.items()) for row in new.data if row]
+    assert len(set(kept)) == len(kept)
+    assert {frozenset(row.items()) for row in old.data if row} == set(kept)
+    assert integrability_kernel(n, 4) == [
+        field_from_coefficients(n, 2, 4, vec) for vec in kernel_basis(old)
+    ]
+    assert integrability_of_killing_matrix(n, 5).is_zero()
+    assert (old * _operator_matrix(n, 1, 5)).is_zero()
 
 
 # every operator and obstruction matrix size the tests and the CLI checks build

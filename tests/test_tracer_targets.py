@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,39 @@ def test_traced_signatures_and_import_sites():
     assert list(inspect.signature(matrix.solve).parameters) == ["m", "b"]
     assert list(inspect.signature(matrix.ExactMatrix.__mul__).parameters) == ["self", "other"]
     assert list(inspect.signature(prolong.build_partial).parameters) == ["n", "ell", "p"]
+
+
+def test_traced_commands_reach_moved_and_lazily_imported_code(tmp_path):
+    """In a fresh process with the tracer installed, range-check's solve
+    goes through the wrapper of ``killing.killing_potential_solve``, which
+    ``killing`` re-exports from ``potential``, and ``complex`` reaches
+    ``ChainComplex.composites_vanish`` from the job builders that ``cli``
+    imports only when the command runs."""
+    doc = tmp_path / "omega.json"
+    doc.write_text(json.dumps({
+        "n": 2,
+        "arity": 2,
+        "entries": [{"idx": [1, 1], "poly": [{"exp": [1, 0], "coef": "2"}]}],
+    }))
+    script = f"""
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+t = tracer.Tracer()
+t.install()
+from killingcalc.cli import main
+assert main(["range-check", "--input", {str(doc)!r}]) == 0
+assert main(["complex", "--n", "3", "--ell", "2"]) == 0
+print(json.dumps(t.document()), file=sys.stderr)
+"""
+    src = Path(chain.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    trace = json.loads(out.stderr.splitlines()[-1])
+    assert trace["absent"] == []
+    assert trace["spans"]["killing.killing_potential_solve"]["calls"] == 1
+    assert trace["spans"]["chain.composites_vanish"]["calls"] > 0
