@@ -26,18 +26,19 @@ GL(n)-equivariant), so blocks of weights in one S_n orbit have equal
 cohomology.  ``weight_cohomology`` therefore assembles, d^2-checks and
 ranks only the block of each dominant (non-increasing) weight mu, and
 multiplies its cohomology by the orbit size
-n! / prod(multiplicities of mu's entries)!.
+n! / prod(multiplicities of mu's entries)!, in one pass that returns
+the cohomology of every grade (weight total).
 
 The block of mu reads only the module columns of the weights mu - 1_S,
 so a ``FormComplex`` may hold just those: ``read_weights`` names them
 from the module's weights, which the caller knows without realizing any
 column (from Kostka numbers).  The bookkeeping is certified on every
-run: each block entry must land in its own weight, and the
-orbit-weighted block dimensions must add up to C(n, p) times the
-closed-form dimension of the module in every degree p, which also fails
-when a weight the blocks read was left out.  ``form_differential`` is
-the all-weights matrix, assembled by the same loop on all cochains of a
-complex that holds every module column.
+run: each block entry must land in its own weight, and in every grade g
+and degree p the orbit-weighted block dimensions must add up to C(n, p)
+times the closed-form dimension of the module's part of weight total
+g - p, which also fails when a weight the blocks read was left out.
+``form_differential`` is the all-weights matrix, assembled by the same
+loop on all cochains of a complex that holds every module column.
 """
 
 from __future__ import annotations
@@ -171,21 +172,20 @@ def _orbit_size(mu: tuple[int, ...]) -> int:
     return out
 
 
-def _dominant_lifts(w: tuple[int, ...], grade: int | None = None) -> list[tuple[int, ...]]:
-    """The dominant weights w + 1_S (of total ``grade`` if given), grown
-    one entry at a time."""
+def _dominant_lifts(w: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The dominant weights w + 1_S, grown one entry at a time."""
     prefixes = [()]
     for x in w:
         prefixes = [
             m + (x + b,) for m in prefixes for b in (0, 1) if not m or m[-1] >= x + b
         ]
-    return [mu for mu in prefixes if grade is None or sum(mu) == grade]
+    return prefixes
 
 
-def _dominant_weights(cx: FormComplex, grade: int | None = None) -> list[tuple[int, ...]]:
-    """The dominant weights of the cochains (of total ``grade`` if given),
-    in decreasing lexicographic order."""
-    return sorted({mu for w in set(cx.weights) for mu in _dominant_lifts(w, grade)}, reverse=True)
+def _dominant_weights(cx: FormComplex) -> list[tuple[int, ...]]:
+    """The dominant weights of the cochains, in decreasing lexicographic
+    order."""
+    return sorted({mu for w in set(cx.weights) for mu in _dominant_lifts(w)}, reverse=True)
 
 
 def read_weights(weights) -> frozenset:
@@ -203,15 +203,15 @@ class _WeightBlock(NamedTuple):
     complex: ChainComplex
 
 
-def _weight_blocks(cx: FormComplex, grade: int | None = None):
-    """Yield the ``_WeightBlock`` of every dominant weight (of total
-    ``grade`` if given), in the order of ``_dominant_weights``."""
+def _weight_blocks(cx: FormComplex):
+    """Yield the ``_WeightBlock`` of every dominant weight, in the order of
+    ``_dominant_weights``."""
     n = cx.n
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for t, w in enumerate(cx.weights):
         by_weight.setdefault(w, []).append(t)
     subsets = [list(combinations(range(1, n + 1), p)) for p in range(n + 1)]
-    for mu in _dominant_weights(cx, grade):
+    for mu in _dominant_weights(cx):
         cochains = []
         for p in range(n + 1):
             degree = []
@@ -226,30 +226,30 @@ def _weight_blocks(cx: FormComplex, grade: int | None = None):
         yield _WeightBlock(mu, _orbit_size(mu), ChainComplex(spaces, maps))
 
 
-def weight_cohomology(cx: FormComplex, grade: int | None = None) -> list[int]:
-    """Cohomology dimensions of the complex (or of its grade-``grade``
-    part, the weights of that total) in every degree 0..n, summed over
-    the dominant weight blocks times their orbit sizes.
+def weight_cohomology(cx: FormComplex) -> dict[int, tuple[int, ...]]:
+    """Cohomology dimensions of every grade (weight total) of the complex
+    in every degree 0..n, summed over the dominant weight blocks of that
+    grade times their orbit sizes: grade -> (h_0, ..., h_n).
 
-    Raises RuntimeError unless the orbit-weighted block dimensions equal
-    C(n, p) times the closed-form dimension of the module's part of
-    weight total grade - p (of the whole module without a grade).
+    Raises RuntimeError unless, in every grade g and degree p, the
+    orbit-weighted block dimensions equal C(n, p) times the closed-form
+    dimension of the module's part of weight total g - p.
     """
     n = cx.n
-    dims = [0] * (n + 1)
-    out = [0] * (n + 1)
-    for block in _weight_blocks(cx, grade):
-        h = cohomology_dims(block.complex)
-        for p in range(n + 1):
-            dims[p] += block.orbit * block.complex.spaces[p]
-            out[p] += block.orbit * h[p]
-    expected = [
-        comb(n, p) * (sum(cx.totals.values()) if grade is None else cx.totals.get(grade - p, 0))
-        for p in range(n + 1)
-    ]
-    if dims != expected:
-        raise RuntimeError(
-            f"weight blocks times orbits give cochain dimensions {dims}, "
-            f"expected {expected}"
-        )
-    return out
+    dims: Counter = Counter()
+    out: Counter = Counter()
+    for block in _weight_blocks(cx):
+        g = sum(block.weight)
+        for p, (d, h) in enumerate(zip(block.complex.spaces, cohomology_dims(block.complex))):
+            dims[g, p] += block.orbit * d
+            out[g, p] += block.orbit * h
+    grades = sorted({g + p for g in cx.totals for p in range(n + 1)} | {g for g, _ in dims})
+    for g in grades:
+        got = [dims[g, p] for p in range(n + 1)]
+        expected = [comb(n, p) * cx.totals.get(g - p, 0) for p in range(n + 1)]
+        if got != expected:
+            raise RuntimeError(
+                f"weight blocks of grade {g} times orbits give cochain "
+                f"dimensions {got}, expected {expected}"
+            )
+    return {g: tuple(out[g, p] for p in range(n + 1)) for g in grades}

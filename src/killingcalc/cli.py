@@ -9,8 +9,8 @@ after another in the calling thread.
 
 Exit status: 0 when every check passes, 1 when any check fails (the
 first failing id goes to stderr), 2 for usage and input errors,
-including --n below 2, --ell below 1, oversized requests and malformed
-JSON documents.
+including --n below 2, --ell below 1, oversized requests, unreadable,
+undecodable or malformed JSON documents and an unwritable --output.
 """
 
 from __future__ import annotations
@@ -27,8 +27,10 @@ SCHEMA_VERSION = 1
 __all__ = ["main", "SCHEMA_VERSION"]
 
 
-def _parse_range(text: str, minimum: int = 1) -> list[int]:
-    """'4' -> [4]; '2..5' -> [2, 3, 4, 5]; values below minimum are rejected."""
+def _parse_range(text: str, minimum: int = 1) -> range:
+    """'4' -> range(4, 5); '2..5' -> range(2, 6); values below minimum are
+    rejected.  The range is not expanded: the job builders read it one
+    size at a time and refuse an oversized size before reading on."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
@@ -38,10 +40,10 @@ def _parse_range(text: str, minimum: int = 1) -> list[int]:
         lo = hi = int(text)
     if lo < minimum:
         raise argparse.ArgumentTypeError(f"values must be at least {minimum}, got {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
-def _n_range(text: str) -> list[int]:
+def _n_range(text: str) -> range:
     return _parse_range(text, 2)
 
 
@@ -87,8 +89,12 @@ def _emit(args, command: str, arguments: dict, checks) -> int:
     }
     if getattr(args, "output", None):
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.output}: {e.strerror}", file=sys.stderr)
+            return 2
     for c in checks:
         print(f"{c['verdict'].upper():<4} {c['id']}")
     print(f"{passed}/{len(checks)} checks passed")
@@ -101,16 +107,13 @@ def _emit(args, command: str, arguments: dict, checks) -> int:
 
 def _cmd_family(args) -> int:
     """Every command but range-check: the jobs of the command's family,
-    over the n values or the (n, ell) pairs."""
+    over the n values, or the n values and ell values."""
     from killingcalc.jobs import FAMILIES
 
-    build = FAMILIES[args.command]
-    if "ell" in args:
-        arguments = {"n": args.n, "ell": args.ell}
-        jobs = build([(n, ell) for n in args.n for ell in args.ell])
-    else:
-        arguments = {"n": args.n}
-        jobs = build(args.n)
+    ranges = {"n": args.n, "ell": args.ell} if "ell" in args else {"n": args.n}
+    jobs = FAMILIES[args.command](*ranges.values())
+    # the caps admitted every size, so the ranges are short enough to echo
+    arguments = {name: list(values) for name, values in ranges.items()}
     return _emit(args, args.command, arguments, _run_jobs(jobs, args.timings))
 
 
@@ -123,6 +126,15 @@ def _cmd_range_check(args) -> int:
             data = json.load(fh)
     except OSError as e:
         print(f"error: cannot read {args.input}: {e.strerror}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(
+            f"error: cannot read {args.input}: not UTF-8 at byte {e.start}",
+            file=sys.stderr,
+        )
+        return 2
+    except RecursionError:
+        print(f"error: malformed JSON in {args.input}: nested too deeply", file=sys.stderr)
         return 2
     except json.JSONDecodeError as e:
         print(

@@ -1,19 +1,24 @@
 """The check families of the command-line front end.
 
 Each job is (id, inputs, thunk) with thunk() -> (computed, predicted);
-the verdict is plain equality of the two values.  Checks that read one
-cohomology report share it through a memo made per job list and keyed
-by (n, ell), so each complex is built and ranked once.  Each builder
-imports its own family, so a command loads only the modules it runs,
-and applies the family's size cap to every size as it builds the list,
-so an oversized range is refused before its first check runs.
+the verdict is plain equality of the two values.  The complex, kostant
+and graded checks read the cohomology tables their families memoize per
+(n, ell) and process, so each complex is ranked once.  Each builder
+imports its own family, so a command loads only the modules it runs.
+It reads its n and ell ranges one size at a time, n-major, and applies
+the family's size cap to each as it builds the list: every cap grows
+with n and ell, so a range of any length is refused at its first
+oversized size, before its first check runs.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 __all__ = ["FAMILIES"]
+
+
+def _pairs(n_values, ell_values):
+    """The (n, ell) pairs of two ranges, n-major, made as they are read."""
+    return ((n, ell) for n in n_values for ell in ell_values)
 
 
 def key_jobs(n_values):
@@ -33,12 +38,11 @@ def key_jobs(n_values):
     return jobs
 
 
-def complex_jobs(pairs):
+def complex_jobs(n_values, ell_values):
     from killingcalc.prolong import _guard_cap, complex_cohomology
 
-    report = cache(complex_cohomology)
     jobs = []
-    for n, ell in pairs:
+    for n, ell in _pairs(n_values, ell_values):
         _guard_cap(n, ell, None)
         inputs = {"n": n, "ell": ell}
 
@@ -46,15 +50,15 @@ def complex_jobs(pairs):
             # cohomology_dims raises unless every composite map of every
             # dominant weight block vanishes, so a report exists only for
             # a genuine complex
-            report(n, ell)
+            complex_cohomology(n, ell)
             return True, True
 
         def cohomology(n=n, ell=ell):
-            rep = report(n, ell)
+            rep = complex_cohomology(n, ell)
             return list(rep.computed), list(rep.predicted)
 
         def euler(n=n, ell=ell):
-            return report(n, ell).euler, 0
+            return complex_cohomology(n, ell).euler, 0
 
         jobs.append((f"complex.n{n}.ell{ell}.d-squared", inputs, d_squared))
         jobs.append((f"complex.n{n}.ell{ell}.cohomology", inputs, cohomology))
@@ -62,26 +66,25 @@ def complex_jobs(pairs):
     return jobs
 
 
-def kostant_jobs(pairs):
+def kostant_jobs(n_values, ell_values):
     from killingcalc.kostant import branching_check, lie_algebra_cohomology
     from killingcalc.prolong import _guard_cap
 
-    report = cache(lie_algebra_cohomology)
     jobs = []
-    for n, ell in pairs:
+    for n, ell in _pairs(n_values, ell_values):
         _guard_cap(n, ell, None)
         inputs = {"n": n, "ell": ell}
 
         def dims(n=n, ell=ell):
-            rep = report(n, ell)
+            rep = lie_algebra_cohomology(n, ell)
             return list(rep.computed), list(rep.predicted)
 
         def weyl(n=n, ell=ell):
-            rep = report(n, ell)
+            rep = lie_algebra_cohomology(n, ell)
             return list(rep.computed), list(rep.weyl)
 
         def euler(n=n, ell=ell):
-            rep = report(n, ell)
+            rep = lie_algebra_cohomology(n, ell)
             return sum((-1) ** p * h for p, h in enumerate(rep.computed)), 0
 
         def branching(n=n, ell=ell):
@@ -101,7 +104,7 @@ def kostant_jobs(pairs):
     return jobs
 
 
-def killing_jobs(pairs):
+def killing_jobs(n_values, ell_values):
     from killingcalc.killing import (
         _guard_killing_cap,
         killing_kernel,
@@ -113,7 +116,7 @@ def killing_jobs(pairs):
     from killingcalc.young import YoungDiagram, gl_dimension
 
     jobs = []
-    for n, ell in pairs:
+    for n, ell in _pairs(n_values, ell_values):
         _guard_killing_cap(n, ell)
         inputs = {"n": n, "ell": ell}
         # dim T, the hook-content dimension prolong.build_T certifies
@@ -237,11 +240,11 @@ def tractor_jobs(n_values):
     return jobs
 
 
-def injectivity_jobs(pairs):
+def injectivity_jobs(n_values, ell_values):
     from killingcalc.prolong import injectivity_implication_check
 
     jobs = []
-    for n, ell in pairs:
+    for n, ell in _pairs(n_values, ell_values):
         def thunk(n=n, ell=ell):
             rep = injectivity_implication_check(n, ell)
             return (
@@ -255,11 +258,11 @@ def injectivity_jobs(pairs):
     return jobs
 
 
-def graded_jobs(pairs):
+def graded_jobs(n_values, ell_values):
     from killingcalc.prolong import _guard_cap, graded_diagonal_complex
 
     jobs = []
-    for n, ell in pairs:
+    for n, ell in _pairs(n_values, ell_values):
         _guard_cap(n, ell, None)
         for d in range(ell, n + 2 * ell + 1):
             def thunk(n=n, ell=ell, d=d):
@@ -318,25 +321,24 @@ def christoffel_jobs(n_values):
     return jobs
 
 
-def suite_jobs(pairs):
-    """Every family, over the (n, ell) pairs or their n values; the range
+def suite_jobs(n_values, ell_values):
+    """Every family, over the (n, ell) pairs or the n values; the range
     theorem runs at n <= 3 only."""
-    n_values = sorted({n for n, _ in pairs})
     return (
         key_jobs(n_values)
-        + complex_jobs(pairs)
-        + kostant_jobs(pairs)
-        + killing_jobs(pairs)
+        + complex_jobs(n_values, ell_values)
+        + kostant_jobs(n_values, ell_values)
+        + killing_jobs(n_values, ell_values)
         + range_theorem_jobs([n for n in n_values if n <= 3])
         + tractor_jobs(n_values)
-        + injectivity_jobs(pairs)
-        + graded_jobs(pairs)
+        + injectivity_jobs(n_values, ell_values)
+        + graded_jobs(n_values, ell_values)
         + christoffel_jobs(n_values)
     )
 
 
 # each command's job builder: verify-key over n values, the others over
-# (n, ell) pairs
+# n values and ell values
 FAMILIES = {
     "verify-key": key_jobs,
     "complex": complex_jobs,

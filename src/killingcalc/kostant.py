@@ -38,10 +38,10 @@ space at a time, and each column of x_i is read directly off the
 realized weight spaces, in integers, and verified by its residual.  The
 action columns of one ``build_V`` are brought to one scale, the lcm of
 all their denominators, and the Koszul differentials are integer rows
-over the same scale.  ``lie_algebra_cohomology`` computes the
-kernel/image count on the dominant weight blocks alone, times their S_n
-orbits, realizing V only on the weights those blocks read;
-``koszul_differential`` is the whole differential on all weights.
+over the same scale.  ``lie_algebra_cohomology`` ranks the dominant
+weight blocks alone, times their S_n orbits, once per (n, ell), on the
+weights those blocks read; ``koszul_differential`` is the whole
+differential on all weights, with V built on every call.
 """
 
 from __future__ import annotations
@@ -106,7 +106,6 @@ def _x_image(part, col: dict[int, int], i: int) -> dict:
     return y
 
 
-@cache
 def build_V(n: int, ell: int, weights: frozenset | None = None) -> FormComplex:
     """The module of shape (ell, ell) over n + 1 with its column action,
     as the coefficients of the Koszul complex.
@@ -195,15 +194,18 @@ class KostantReport(NamedTuple):
         )
 
 
+@cache
 def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantReport:
     """Cohomology of the column action, with three-way dimension checks,
-    from its dominant weight blocks (``chain.weight_cohomology``) on the
-    weights they read; the cochain dimensions are hook-content closed
-    forms."""
+    summed over the grades of its dominant weight blocks
+    (``chain.weight_cohomology``) on the weights they read; the cochain
+    dimensions are hook-content closed forms.  Memoized: only the report
+    is kept."""
     _guard_cap(n, ell, cap)
     module_dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * module_dim for p in range(n + 1))
-    computed = tuple(weight_cohomology(build_V(n, ell, _read_weights(n, ell))))
+    table = weight_cohomology(build_V(n, ell, _read_weights(n, ell)))
+    computed = tuple(map(sum, zip(*table.values())))
     diagrams = []
     predicted = []
     rows = []

@@ -26,11 +26,11 @@ basis column's keys) by e_a while the new form slot raises it by e_a.
 ``complex_cohomology`` and ``graded_diagonal_complex`` therefore work on
 the dominant weight blocks alone, times their S_n orbits; the graded
 diagonal of total box count d = p + k + ell is the sum of the blocks
-whose weights total d.  They realize the components only on the weights
-those blocks read (``chain.read_weights``), found from the Kostka
-numbers before any realization, and take the dimensions they report
-from hook-content closed forms.  ``build_partial`` is the whole
-differential on all weights.
+whose weights total d.  Both read one table per (n, ell), ranked once
+on the weights those blocks read (``chain.read_weights``, from Kostka
+numbers), and report hook-content closed-form dimensions.
+``build_partial`` is the whole differential on all weights, built on
+every call.
 
 The differentials are written as integer rows.  Each column of A_a is
 read directly off the realized weight spaces: the integer values, at the
@@ -45,7 +45,7 @@ wedge signs.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from math import comb, gcd, lcm
 from typing import NamedTuple
@@ -215,11 +215,11 @@ def _flat_read_weights(n: int, ell: int) -> frozenset:
     return read_weights(w for d in _component_shapes(ell) for w in weight_multiplicities(d, n))
 
 
-# The forms of the last (n, ell, weights) asked for: the graded checks of
-# one pair, and build_partial's degrees, read the same forms one after
-# another.  complex_cohomology builds its own, so that no memo stays alive
-# through the checks that run after it.
-_last_flat_forms = lru_cache(maxsize=1)(flat_forms)
+@cache
+def _cohomology_by_grade(n: int, ell: int) -> dict[int, tuple[int, ...]]:
+    """``chain.weight_cohomology`` of the flat complex on the weights its
+    dominant blocks read; only this table is kept."""
+    return weight_cohomology(flat_forms(n, ell, _flat_read_weights(n, ell)))
 
 
 def _psubsets(n: int, p: int) -> list[tuple[int, ...]]:
@@ -232,7 +232,7 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     _check_args(n, ell)
     if not 0 <= p <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
-    return form_differential(_last_flat_forms(n, ell), p)
+    return form_differential(flat_forms(n, ell), p)
 
 
 def _guard_key_cap(n: int, cap: int | None) -> None:
@@ -331,14 +331,13 @@ def _guard_cap(n: int, ell: int, cap: int | None) -> None:
 
 
 def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyReport:
-    """Cohomology of the flat complex, with diagram predictions attached,
-    from its dominant weight blocks (``chain.weight_cohomology``) on the
-    weights they read; the cochain dimensions are hook-content closed
-    forms."""
+    """Cohomology of the flat complex, with diagram predictions attached:
+    the sum over grades of ``_cohomology_by_grade``; the cochain
+    dimensions are hook-content closed forms."""
     _guard_cap(n, ell, cap)
     total = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * total for p in range(n + 1))
-    computed = tuple(weight_cohomology(flat_forms(n, ell, _flat_read_weights(n, ell))))
+    computed = tuple(map(sum, zip(*_cohomology_by_grade(n, ell).values())))
     diagrams = []
     predicted = []
     for p in range(n + 1):
@@ -379,10 +378,9 @@ def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) ->
 
     A cochain of form degree p in component k has weight total
     p + k + ell, so this subcomplex is the sum of the weight blocks of
-    total d.  Its cohomology comes from the dominant ones
-    (``chain.weight_cohomology``), assembled from the same ``flat_forms``
-    actions as the full differential, so sign conventions cannot drift
-    between the graded and ungraded pictures.  Away from boxed corners
+    total d.  Its cohomology is grade d of ``_cohomology_by_grade``, the
+    table ``complex_cohomology`` sums, so the graded and ungraded
+    pictures read the same blocks.  Away from boxed corners
     the diagonal is expected to be exact; at a boxed corner (component 0
     in form degrees 0 and 1, component ell in form degrees >= 2) the
     expected cohomology is the predicted one for that form degree.
@@ -393,7 +391,7 @@ def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) ->
         raise ValueError(f"grade {d} carries no spaces for n={n}, ell={ell}")
     dims = [gl_dimension(shape, n) for shape in _component_shapes(ell)]
     spaces = tuple(comb(n, p) * dims[k] for p, k in positions)
-    h = weight_cohomology(_last_flat_forms(n, ell, _flat_read_weights(n, ell)), d)
+    h = _cohomology_by_grade(n, ell)[d]
     cohom = tuple(h[p] for p, _ in positions)
     boxed = tuple(
         (k == 0 and p <= 1) or (k == ell and p >= 2) for p, k in positions

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from killingcalc import elim, fields
+from killingcalc import elim, fields, kostant, prolong
 from killingcalc.chain import ChainComplex
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
 from killingcalc.killing import killing_operator, symmetric_coordinates
@@ -454,6 +454,13 @@ def full_complex(n: int, ell: int) -> ChainComplex:
     total = build_T(n, ell).total_dim
     spaces = tuple(comb(n, p) * total for p in range(n + 1))
     return ChainComplex(spaces, tuple(build_partial(n, ell, p) for p in range(n)))
+
+
+def clear_cohomology_memos() -> None:
+    """Forget the per-process cohomology tables of both families, so the
+    next call ranks the dominant blocks again (under a spy or a fault)."""
+    prolong._cohomology_by_grade.cache_clear()
+    kostant.lie_algebra_cohomology.cache_clear()
 
 
 def koszul_complex(n: int, ell: int) -> ChainComplex:

@@ -6,12 +6,14 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import killingcalc
+from helpers import clear_cohomology_memos
 from killingcalc import chain, cli, fields, jobs, killing, kostant, potential, prolong, tensor, young
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
@@ -76,9 +78,10 @@ def test_range_runs_match_single_pair_runs(command, tmp_path, capsys):
     "command, module", [("complex", prolong), ("kostant", kostant)]
 )
 def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsys):
-    """A pair's report is computed once, from its dominant weight blocks:
-    one cohomology_dims and one composites_vanish call per block, and
-    running the pair's checks again adds none."""
+    """A pair's report is computed once per process, from its dominant
+    weight blocks: one cohomology_dims and one composites_vanish call per
+    block, and running the pair's checks again, from new job lists, adds
+    none."""
     forms = prolong.flat_forms if module is prolong else kostant.build_V
     blocks = len(chain._dominant_weights(forms(3, 2)))
     assert blocks > 1
@@ -95,17 +98,36 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
 
     monkeypatch.setattr(chain, "cohomology_dims", counted_dims)
     monkeypatch.setattr(ChainComplex, "composites_vanish", counted_vanish)
+    clear_cohomology_memos()
     assert main([command, "--n", "3", "--ell", "2"]) == 0
     capsys.readouterr()
     once = {"cohomology_dims": blocks, "composites_vanish": blocks}
     assert calls == once
     build = jobs.complex_jobs if command == "complex" else jobs.kostant_jobs
-    calls.update(cohomology_dims=0, composites_vanish=0)
-    pair = build([(3, 2)])
     for _ in range(2):
-        for _, _, job in pair:
+        for _, _, job in build([3], [2]):
             job()
         assert calls == once
+
+
+def test_suite_ranks_each_dominant_block_once(monkeypatch, capsys):
+    """In one process, suite at n=3, ell=2 ranks each dominant block of the
+    flat complex and of the Koszul complex once: the graded checks read
+    the table the complex checks filled."""
+    blocks = len(chain._dominant_weights(prolong.flat_forms(3, 2)))
+    blocks += len(chain._dominant_weights(kostant.build_V(3, 2)))
+    calls = []
+    dims = chain.cohomology_dims
+
+    def counted(cx):
+        calls.append(cx.spaces)
+        return dims(cx)
+
+    monkeypatch.setattr(chain, "cohomology_dims", counted)
+    clear_cohomology_memos()
+    assert main(["suite", "--n", "3", "--ell", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == blocks
 
 
 def test_killing_family_computes_each_kernel_once(monkeypatch):
@@ -124,7 +146,7 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
     try:
         for n, ell in ((2, 1), (3, 2)):
             calls.clear()
-            for _, _, job in jobs.killing_jobs([(n, ell)]):
+            for _, _, job in jobs.killing_jobs([n], [ell]):
                 job()
             assert len(calls) == 2, (n, ell, calls)
     finally:
@@ -353,6 +375,60 @@ def test_range_check_malformed_json(tmp_path, capsys):
     assert "line 1 column 9" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'\xff\xfe{"n": 2}', "cannot read {}: not UTF-8 at byte 0"),
+        (b"[" * 100000 + b"]" * 100000, "malformed JSON in {}: nested too deeply"),
+    ],
+)
+def test_range_check_undecodable_or_too_deep_input(content, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["range-check", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path)}\n"
+
+
+@pytest.mark.parametrize("missing", [True, False])
+def test_an_unwritable_output_exits_2(missing, tmp_path, capsys):
+    """An --output in a missing directory, or naming a directory, exits 2
+    with one error line and no check lines."""
+    path = tmp_path / "missing" / "report.json" if missing else tmp_path
+    assert main(["verify-key", "--n", "2", "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    reason = "No such file or directory" if missing else "Is a directory"
+    assert (out, err) == ("", f"error: cannot write {path}: {reason}\n")
+
+
+@pytest.mark.parametrize(
+    "long, short",
+    [
+        ("complex --n 2 --ell 1..1000000", "complex --n 2 --ell 1..200"),
+        ("kostant --n 2..1000000 --ell 1", "kostant --n 2..20 --ell 1"),
+        ("killing --n 2..3 --ell 1..1000000", "killing --n 2..3 --ell 1..20"),
+        ("verify-key --n 2..1000000", "verify-key --n 2..40"),
+        ("suite --n 2..1000000 --ell 1", "suite --n 2..40 --ell 1"),
+        ("suite --n 2 --ell 1..1000000", "suite --n 2 --ell 1..200"),
+    ],
+)
+def test_a_long_range_is_refused_in_bounded_memory(long, short, capsys):
+    """The builders read a range one size at a time, and every cap grows
+    with n and ell, so a 10^6-long range is refused with the message of a
+    short range holding the same first oversized size, in memory that
+    does not grow with the range's length."""
+    assert main(short.split()) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: dimension cap exceeded")
+    tracemalloc.start()
+    try:
+        assert main(long.split()) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == want
+    assert peak < 2**20, peak
+
+
 def test_range_check_rejects_wrong_arity(tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"n": 2, "arity": 1, "entries": []}))
@@ -522,8 +598,8 @@ def test_killing_loads_neither_metric_nor_kostant():
 
 
 def test_parse_range():
-    assert cli._parse_range("4") == [4]
-    assert cli._parse_range("2..5") == [2, 3, 4, 5]
+    assert cli._parse_range("4") == range(4, 5)
+    assert cli._parse_range("2..5") == range(2, 6)
     import argparse
 
     with pytest.raises(argparse.ArgumentTypeError):

@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     assert_matches_whole,
     at,
+    clear_cohomology_memos,
     cochain_weights,
     entries,
     full_complex,
@@ -90,18 +91,18 @@ def test_partial_shapes():
 
 
 def _graded_maps(monkeypatch, n: int, ell: int):
-    """(grade d, maps) of every graded diagonal complex at (n, ell): every
-    map ``graded_diagonal_complex`` hands to ``cohomology_dims``."""
+    """Every map the graded diagonal complexes of every grade at (n, ell)
+    hand to ``cohomology_dims``, in order, starting from an empty memo."""
     original = chain.cohomology_dims
     out = []
 
     def spy(cx):
-        out[-1][1].extend(cx.maps)
+        out.extend(cx.maps)
         return original(cx)
 
+    clear_cohomology_memos()
     monkeypatch.setattr(chain, "cohomology_dims", spy)
     for d in range(ell, n + 2 * ell + 1):
-        out.append((d, []))
         graded_diagonal_complex(n, ell, d)
     monkeypatch.undo()
     return out
@@ -115,7 +116,7 @@ def test_block_rank_matches_full_rref_on_every_complex(monkeypatch):
     equal the rank of the rational matrix they stand for."""
     for n in (2, 3, 4):
         for ell in (1, 2, 3):
-            graded = [m for _, maps in _graded_maps(monkeypatch, n, ell) for m in maps]
+            graded = _graded_maps(monkeypatch, n, ell)
             assert graded
             maps = full_complex(n, ell).maps + koszul_complex(n, ell).maps
             for m in maps + tuple(graded):
@@ -127,8 +128,9 @@ def test_differentials_equal_the_checked_constructor(monkeypatch):
     """build_partial and koszul_differential write integer rows over one
     positive scale; rows / scale must equal the ``Fraction`` oracle built
     with the checking constructor (indices in range, no zero entry), in
-    every degree.  Every map the graded path ranks is a dominant weight
-    block, and must equal the oracle's submatrix on the block's cochains."""
+    every degree.  The graded path ranks every dominant weight block once,
+    for all grades together, and each map must equal the oracle's
+    submatrix on the block's cochains."""
     for n in (2, 3, 4):
         for ell in (1, 2, 3):
             scales = set()
@@ -150,16 +152,16 @@ def test_differentials_equal_the_checked_constructor(monkeypatch):
                         oracles.append(want)
             assert len(scales) == 1
             weights = cochain_weights(n, build_T(n, ell).components)
-            for d, maps in _graded_maps(monkeypatch, n, ell):
-                blocks = list(chain._weight_blocks(prolong.flat_forms(n, ell), d))
-                assert maps == [m for b in blocks for m in b.complex.maps], (n, ell, d)
-                for b in blocks:
-                    index = [
-                        [i for i, w in enumerate(degree) if w == b.weight] for degree in weights
-                    ]
-                    for p, m in enumerate(b.complex.maps):
-                        want = submatrix(oracles[p], index[p + 1], index[p])
-                        assert m == want, (n, ell, d, b.weight, p)
+            blocks = list(chain._weight_blocks(prolong.flat_forms(n, ell)))
+            maps = _graded_maps(monkeypatch, n, ell)
+            assert maps == [m for b in blocks for m in b.complex.maps], (n, ell)
+            for b in blocks:
+                index = [
+                    [i for i, w in enumerate(degree) if w == b.weight] for degree in weights
+                ]
+                for p, m in enumerate(b.complex.maps):
+                    want = submatrix(oracles[p], index[p + 1], index[p])
+                    assert m == want, (n, ell, b.weight, p)
 
 
 def test_recorded_scales():

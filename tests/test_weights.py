@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import cochain_weights, full_complex, koszul_complex, submatrix
+from helpers import (
+    clear_cohomology_memos,
+    cochain_weights,
+    full_complex,
+    koszul_complex,
+    submatrix,
+)
 from killingcalc import chain, kostant, prolong
 from killingcalc.chain import ChainComplex, _orbit_size, cohomology_dims
 from killingcalc.kostant import build_V, lie_algebra_cohomology
@@ -80,25 +86,64 @@ def test_dominant_blocks_match_all_weights(n, ell):
         assert list(graded_diagonal_complex(n, ell, d).cohomology) == want, d
 
 
+def _summed(table) -> list[int]:
+    """The cohomology of the whole complex from its table by grade."""
+    return [sum(h) for h in zip(*table.values())]
+
+
 def test_orbit_sizes_and_dominant_weights():
     assert _orbit_size((2, 1, 1, 0)) == 12
     assert _orbit_size((1, 1, 1)) == _orbit_size(()) == 1
     # n=2, ell=1: T_0 = R^2 of weights (1, 0), (0, 1) and T_1 of weight (1, 1)
-    assert chain._dominant_weights(flat_forms(2, 1)) == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0)]
-    assert chain._dominant_weights(flat_forms(2, 1), 3) == [(2, 1)]
+    forms = flat_forms(2, 1)
+    assert chain._dominant_weights(forms) == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0)]
+    # grade 3 holds the block (2, 1) alone, and is exact
+    assert chain.weight_cohomology(forms) == {
+        1: (2, 0, 0), 2: (0, 3, 0), 3: (0, 0, 0), 4: (0, 0, 1)
+    }
 
 
 @pytest.mark.parametrize("family", ["flat", "koszul", "graded"])
 def test_a_dropped_weight_trips_the_orbit_certificate(family, monkeypatch):
+    """Dropping the first dominant weight (of grade 5, for the graded
+    check) leaves its grade short."""
     original = chain._dominant_weights
-    monkeypatch.setattr(chain, "_dominant_weights", lambda cx, grade=None: original(cx, grade)[1:])
+    grade = 5 if family == "graded" else None
+
+    def dropped(cx):
+        weights = original(cx)
+        first = next(mu for mu in weights if grade in (None, sum(mu)))
+        return [mu for mu in weights if mu != first]
+
+    monkeypatch.setattr(chain, "_dominant_weights", dropped)
+    clear_cohomology_memos()
     run = {
         "flat": lambda: complex_cohomology(3, 2),
         "koszul": lambda: lie_algebra_cohomology(3, 2),
         "graded": lambda: graded_diagonal_complex(3, 2, 5),
     }[family]
-    with pytest.raises(RuntimeError, match="times orbits"):
+    with pytest.raises(RuntimeError, match="grade 5 times orbits" if grade else "times orbits"):
         run()
+
+
+@pytest.mark.parametrize("family", ["flat", "koszul"])
+def test_a_block_counted_in_another_grade_trips_the_orbit_certificate(family, monkeypatch):
+    """The certificate holds grade by grade: the first block, labelled
+    with a dominant weight one grade up, leaves every degree's total
+    cochain dimension as it was, and is still refused."""
+    original = chain._weight_blocks
+
+    def regraded(cx):
+        blocks = original(cx)
+        b = next(blocks)
+        yield b._replace(weight=(b.weight[0] + 1,) + b.weight[1:])
+        yield from blocks
+
+    monkeypatch.setattr(chain, "_weight_blocks", regraded)
+    clear_cohomology_memos()
+    run = complex_cohomology if family == "flat" else lie_algebra_cohomology
+    with pytest.raises(RuntimeError, match="times orbits"):
+        run(3, 2)
 
 
 def _flip_one_sign(blocks):
@@ -125,9 +170,8 @@ def _flip_one_sign(blocks):
 @pytest.mark.parametrize("family", ["flat", "koszul"])
 def test_a_flipped_sign_in_a_dominant_block_is_refused(family, monkeypatch):
     original = chain._weight_blocks
-    monkeypatch.setattr(
-        chain, "_weight_blocks", lambda cx, grade=None: _flip_one_sign(original(cx, grade))
-    )
+    monkeypatch.setattr(chain, "_weight_blocks", lambda cx: _flip_one_sign(original(cx)))
+    clear_cohomology_memos()
     run = complex_cohomology if family == "flat" else lie_algebra_cohomology
     with pytest.raises(ValueError, match="not a complex"):
         run(3, 2)
@@ -196,7 +240,7 @@ def test_a_corrupted_action_column_is_refused(family, monkeypatch):
         return {**original(source, col, a), source.keys[0]: 1}
 
     monkeypatch.setattr(module, name, corrupted)
-    kostant.build_V.cache_clear()
+    clear_cohomology_memos()
     with pytest.raises((ValueError, RuntimeError)):
         complex_cohomology(3, 2) if family == "flat" else lie_algebra_cohomology(3, 2)
 
@@ -211,7 +255,9 @@ def test_a_weight_left_unrealized_trips_the_orbit_certificate(family):
         "koszul": (build_V, kostant._read_weights),
     }[family]
     weights = read(3, 2)
-    assert chain.weight_cohomology(build(3, 2, weights)) == list(complex_cohomology(3, 2).computed)
+    assert _summed(chain.weight_cohomology(build(3, 2, weights))) == list(
+        complex_cohomology(3, 2).computed
+    )
     for w in sorted(weights)[:: len(weights) // 3]:
         with pytest.raises((RuntimeError, ValueError), match="times orbits|not a complex"):
             chain.weight_cohomology(build(3, 2, weights - {w}))
