@@ -172,6 +172,37 @@ def _orbit_size(mu: tuple[int, ...]) -> int:
     return out
 
 
+def _partitions(total: int, n: int, largest: int | None = None):
+    """The dominant weights in Z^n of entry total ``total``: non-increasing
+    and nonnegative, no entry above ``largest``, in decreasing
+    lexicographic order."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if largest is None else min(total, largest)
+    for first in range(top, -1, -1):
+        if first * n < total:
+            return
+        for rest in _partitions(total - first, n - 1, first):
+            yield (first,) + rest
+
+
+def _compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """The vectors m with 0 <= m <= bound entrywise and entry total
+    ``total``, in decreasing lexicographic order."""
+    partial = [((), 0)]  # (prefix, its total)
+    rest = sum(bound)
+    for b in bound:
+        rest -= b  # the most the later entries can add
+        partial = [
+            (m + (k,), s + k)
+            for m, s in partial
+            for k in range(min(b, total - s), max(total - s - rest, 0) - 1, -1)
+        ]
+    return [m for m, s in partial if s == total]
+
+
 def _dominant_lifts(w: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The dominant weights w + 1_S, grown one entry at a time."""
     prefixes = [()]

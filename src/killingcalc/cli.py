@@ -72,7 +72,9 @@ def _run_jobs(jobs, with_timings: bool):
     return sorted(checks, key=lambda c: c["id"])
 
 
-def _emit(args, command: str, arguments: dict, checks) -> int:
+def _emit(out, command: str, arguments: dict, checks) -> int:
+    """Write the report to the open file ``out``, if any, then print the
+    check lines and the summary; returns the exit status."""
     passed = sum(1 for c in checks if c["verdict"] == "pass")
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -87,13 +89,12 @@ def _emit(args, command: str, arguments: dict, checks) -> int:
         },
         "verdict": "pass" if passed == len(checks) else "fail",
     }
-    if getattr(args, "output", None):
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if out is not None:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            out.flush()
         except OSError as e:
-            print(f"error: cannot write {args.output}: {e.strerror}", file=sys.stderr)
+            print(f"error: cannot write {out.name}: {e.strerror}", file=sys.stderr)
             return 2
     for c in checks:
         print(f"{c['verdict'].upper():<4} {c['id']}")
@@ -107,14 +108,26 @@ def _emit(args, command: str, arguments: dict, checks) -> int:
 
 def _cmd_family(args) -> int:
     """Every command but range-check: the jobs of the command's family,
-    over the n values, or the n values and ell values."""
+    over the n values, or the n values and ell values.  ``--output`` is
+    opened once the caps have admitted every size and before the first
+    check runs, so an unwritable path costs no check and a refused size
+    leaves an existing report as it was."""
     from killingcalc.jobs import FAMILIES
 
     ranges = {"n": args.n, "ell": args.ell} if "ell" in args else {"n": args.n}
     jobs = FAMILIES[args.command](*ranges.values())
     # the caps admitted every size, so the ranges are short enough to echo
     arguments = {name: list(values) for name, values in ranges.items()}
-    return _emit(args, args.command, arguments, _run_jobs(jobs, args.timings))
+    try:
+        out = open(args.output, "w", encoding="utf-8") if args.output else None
+    except OSError as e:
+        print(f"error: cannot write {args.output}: {e.strerror}", file=sys.stderr)
+        return 2
+    try:
+        return _emit(out, args.command, arguments, _run_jobs(jobs, args.timings))
+    finally:
+        if out is not None:
+            out.close()
 
 
 def _cmd_range_check(args) -> int:

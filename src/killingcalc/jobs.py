@@ -107,11 +107,10 @@ def kostant_jobs(n_values, ell_values):
 def killing_jobs(n_values, ell_values):
     from killingcalc.killing import (
         _guard_killing_cap,
+        degree_bound_check,
         killing_kernel,
         killing_kernel_vectors,
-        symmetric_coordinates,
     )
-    from killingcalc.matrix import ExactMatrix, rref
     from killingcalc.tractor import flat_parallel_dimension
     from killingcalc.young import YoungDiagram, gl_dimension
 
@@ -126,21 +125,10 @@ def killing_jobs(n_values, ell_values):
             return len(killing_kernel(n, ell, ell)), bundle
 
         def degree_bound(n=n, ell=ell):
-            tight = killing_kernel_vectors(n, ell, ell)
-            slack = killing_kernel_vectors(n, ell, ell + 2)
-            # re-index the tight vectors into the slack coordinates
-            pos = {c: i for i, c in enumerate(symmetric_coordinates(n, ell, ell + 2))}
-            relabel = [pos[c] for c in symmetric_coordinates(n, ell, ell)]
-            ncols = len(pos)
-            va = [{relabel[i]: v for i, v in vec.items()} for vec in tight]
-            spans = [
-                rref(ExactMatrix.from_columns(vecs, ncols).transpose())
-                for vecs in (va, slack)
-            ]
-            same = spans[0] == spans[1]
+            dim_slack, same = degree_bound_check(n, ell)
             return (
-                {"dim_slack": len(slack), "same_subspace": same},
-                {"dim_slack": len(tight), "same_subspace": True},
+                {"dim_slack": dim_slack, "same_subspace": same},
+                {"dim_slack": len(killing_kernel_vectors(n, ell, ell)), "same_subspace": True},
             )
 
         def parallel(n=n, ell=ell, bundle=bundle):

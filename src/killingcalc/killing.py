@@ -18,6 +18,20 @@ the lexicographically first of those four index tuples gets rows.  The
 composite N(sym d X) is the product of the two independently built
 matrices, so its vanishing is an exact check of N o sym d = 0 and not a
 property of either construction.
+
+The degree-ell operator preserves the torus weight: coordinate
+(key, alpha) has weight count(key) + alpha, the count of each index
+value in the key plus the exponent, and it maps to rows
+(sorted(key + c), alpha - e_c) of the same weight.  It is
+GL(n)-equivariant, so S_n permutes its weight blocks, and it permutes
+the coordinates with no sign.  ``degree_bound_check`` therefore writes
+only the blocks of dominant weights, takes each block's kernel, and
+multiplies kernel dimensions by orbit sizes; equal spans on a dominant
+block mean equal spans on its orbit.  Each run certifies that every
+entry lands in a row of its block and that the orbit-weighted
+coordinate counts equal C(n + ell - 1, ell) * |monomials(n, D)|.  The
+whole kernel ``killing_kernel_vectors`` stays the reference the check
+compares with, by weight and in total.
 """
 
 from __future__ import annotations
@@ -28,12 +42,13 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from killingcalc.cap import CapExceeded, _check_args
+from killingcalc.chain import _compositions, _orbit_size, _partitions
 from killingcalc.fields import (
     PolyTensorField,
     flat_derivative,
     symmetrize_field,
 )
-from killingcalc.matrix import ExactMatrix, kernel_basis
+from killingcalc.matrix import ExactMatrix, kernel_basis, rref
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.potential import (  # noqa: F401  the public names are re-exported
     DEFAULT_DEGREE_CAP, KillingPotentialResult, _gradient_terms, _obstruction_terms,
@@ -44,6 +59,7 @@ __all__ = [
     "killing_operator",
     "killing_kernel",
     "killing_kernel_vectors",
+    "degree_bound_check",
     "symmetric_coordinates",
     "field_coefficient_vector",
     "field_from_coefficients",
@@ -56,12 +72,16 @@ __all__ = [
 ]
 
 # Limits of the killing family, in place of the shared DEFAULT_CAP.  The
-# parallel-section system is written in component coordinates, so its
-# cost follows its columns: n=4, ell=4 (34300 columns) and n=5, ell=3
-# (27440) run in seconds; n=6, ell=3 (98784) and n=5, ell=4 (222264) do
-# not.  The kernel fields cost the most at small n and large ell: the
-# whole family takes about 3 s at n=2, ell=12 (372736 field entries) and
-# 23 s at n=2, ell=15 (4456448).
+# parallel-section system and the degree-bound kernel are reduced on their
+# dominant weight blocks only, so their cost is far below what their column
+# counts suggest.  Whole `killing` commands, CPU and peak RSS on a shared
+# 2-vCPU host whose speed varied twofold between runs: 0.3-1.7 s and
+# 17-25 MB each at n=4, ell=4 (34300 columns), n=5, ell=3 (27440), n=3,
+# ell=6 and n=8, ell=2; with both caps lifted, 1.2-2.2 s / 21 MB at n=6,
+# ell=3 (98784) and 3.6-6.4 s / 37 MB at n=5, ell=4 (222264).  At n=2 and large ell nearly every weight of T is read, and
+# its realization and the dim check's kernel fields cost the most: 3.4 s
+# at n=2, ell=12 (372736 field entries) and, caps lifted, 141 s at n=2,
+# ell=15 (4456448).
 KILLING_CAP = 40000
 KILLING_FIELD_CAP = 400000
 
@@ -185,6 +205,97 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
         field_from_coefficients(n, ell, max_degree, vec)
         for vec in killing_kernel_vectors(n, ell, max_degree)
     ]
+
+
+def _key(counts) -> tuple[int, ...]:
+    """The sorted index tuple with the given count of each value 1..n."""
+    return tuple(i for i, c in enumerate(counts, 1) for _ in range(c))
+
+
+def _operator_blocks(n: int, ell: int, max_degree: int):
+    """Yield (mu, coordinates, block) for every dominant weight mu of the
+    degree-ell operator on coefficients of degree <= max_degree: the
+    block's coordinates (key, alpha), those with count(key) + alpha = mu,
+    and the block of ``_operator_matrix`` on them, its rows the
+    (sorted(key + c), alpha - e_c) of weight mu.  Every coordinate of the
+    block has monomial degree |mu| - ell, so the block's keys are fixed by
+    their monomials.  An entry outside the block's rows raises
+    RuntimeError."""
+    for d in range(max_degree + 1):
+        for mu in _partitions(ell + d, n):
+            coords = [
+                (_key(x - y for x, y in zip(mu, alpha)), alpha)
+                for alpha in _compositions(mu, d)
+            ]
+            rows = {
+                (_key(x - y for x, y in zip(mu, beta)), beta): i
+                for i, beta in enumerate(_compositions(mu, d - 1) if d else ())
+            }
+            data: list[dict[int, int]] = [{} for _ in rows]
+            for j, (key, alpha) in enumerate(coords):
+                for up, lower, coef in _gradient_terms(key, alpha):
+                    i = rows.get((up, lower))
+                    if i is None:
+                        raise RuntimeError(
+                            f"operator entry from {(key, alpha)} to {(up, lower)} "
+                            f"leaves the block of weight {mu}"
+                        )
+                    data[i][j] = coef
+            yield mu, coords, ExactMatrix.from_int_rows(len(coords), data, ell + 1)
+
+
+def _dominant_kernels(n: int, ell: int, max_degree: int) -> dict:
+    """weight -> (coordinates, kernel basis on their positions) of every
+    dominant block of ``_operator_blocks``.
+
+    Raises RuntimeError unless the orbit-weighted coordinate counts equal
+    C(n + ell - 1, ell) * |monomials(n, max_degree)|, the whole system's.
+    """
+    out = {}
+    columns = 0
+    for mu, coords, block in _operator_blocks(n, ell, max_degree):
+        columns += _orbit_size(mu) * len(coords)
+        out[mu] = coords, kernel_basis(block)
+    want = comb(n + ell - 1, ell) * comb(n + max_degree, n)
+    if columns != want:
+        raise RuntimeError(
+            f"operator blocks times orbits give {columns} columns, expected {want}"
+        )
+    return out
+
+
+def _span(vectors, ncols: int):
+    """The reduced echelon form of the span of sparse vectors on ncols
+    coordinates."""
+    return rref(ExactMatrix.from_columns(vectors, ncols).transpose())
+
+
+def degree_bound_check(n: int, ell: int) -> tuple[int, bool]:
+    """The kernel with entries of degree <= ell + 2 against the whole
+    kernel with degree <= ell, on the dominant weight blocks: (the slack
+    kernel's dimension, the block kernels times their orbit sizes; whether
+    each block kernel spans what the whole kernel's vectors of its weight
+    span).  S_n permutes the coordinates with no sign, so equal spans on
+    a dominant block mean equal spans on its whole orbit.  Raises
+    RuntimeError if a vector of the whole kernel spans several weights.
+    """
+    coords = symmetric_coordinates(n, ell, ell)
+    tight: dict = {}
+    for vec in killing_kernel_vectors(n, ell, ell):
+        weights = {
+            tuple(m + key.count(i) for i, m in enumerate(mono, 1))
+            for key, mono in (coords[i] for i in vec)
+        }
+        if len(weights) != 1:
+            raise RuntimeError(f"a kernel vector spans the weights {sorted(weights)}")
+        tight.setdefault(weights.pop(), []).append({coords[i]: v for i, v in vec.items()})
+    dim, same = 0, True
+    for mu, (cols, kernel) in _dominant_kernels(n, ell, ell + 2).items():
+        dim += _orbit_size(mu) * len(kernel)
+        local = {c: j for j, c in enumerate(cols)}
+        inner = [{local[c]: v for c, v in vec.items()} for vec in tight.get(mu, ())]
+        same = same and _span(inner, len(cols)) == _span(kernel, len(cols))
+    return dim, same
 
 
 def _guard_killing_cap(n: int, ell: int) -> int:

@@ -12,13 +12,13 @@ exactly when the integer product AB is.  Scales are never normalized,
 so two matrices are equal when A b == B a, not when their rows are.
 
 All eliminations go through the integer kernel in
-:mod:`killingcalc.elim`, by one path: rows that repeat exactly are
-dropped, the rest are split into blocks, reduced fraction-free, and
-converted back.  So results are exact and the reduced echelon form
-(hence ranks, kernels and solutions) is canonical.  Dropping a repeat
-removes a row already present, which leaves the row space, and the
-reduced echelon form depends on the row space alone.  ``integer_rank``
-takes integer rows that are not wrapped in a matrix.
+:mod:`killingcalc.elim`, by one path: the nonzero rows are split into
+blocks, reduced fraction-free, and converted back.  So results are exact
+and the reduced echelon form (hence ranks, kernels and solutions) is
+canonical.  A row that repeats another reduces to zero and leaves the
+row space as it is, and the reduced echelon form depends on the row
+space alone.  ``integer_rank`` takes integer rows that are not wrapped
+in a matrix.
 
 Every elimination reduces one connected component of the nonzero
 pattern at a time (rows and columns joined by shared entries), so no
@@ -168,13 +168,13 @@ def over_common_scale(matrices) -> list[ExactMatrix]:
 
 def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
     """Connected components of the nonzero pattern of integer rows on
-    ncols columns, as lists of rows, with exact repeats dropped.
+    ncols columns, as lists of rows.
 
     A union-find over the columns joins the columns of each row, in
     O(nnz); a row's block is the one of its first column.  Zero rows
     and zero columns belong to no block.
     """
-    unique = list({frozenset(row.items()): row for row in rows if row}.values())
+    rows = [row for row in rows if row]
     parent = list(range(ncols))
 
     def find(x: int) -> int:
@@ -183,7 +183,7 @@ def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
             x = parent[x]
         return x
 
-    for row in unique:
+    for row in rows:
         it = iter(row)
         a = find(next(it))
         for c in it:
@@ -191,7 +191,7 @@ def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
             if a != b:
                 parent[b] = a
     blocks: dict[int, list[dict[int, int]]] = {}
-    for row in unique:
+    for row in rows:
         blocks.setdefault(find(next(iter(row))), []).append(row)
     return list(blocks.values())
 

@@ -36,20 +36,37 @@ and certifies them by their residual.  The T_k-valued equation therefore
 vanishes exactly when its coordinates do, and the system has at most
 n * columns rows by construction.  A row with one entry says that its
 column vanishes; of the rows that say so for one column, only the first
-is written, which leaves the row space as it is.  Every
-entry is a Python int, so the
-rows go straight to ``matrix.integer_rank``; the number of parallel
-sections is the column count minus the rank.
+is written, which leaves the row space as it is.  Every entry is a
+Python int, so the rows go straight to ``matrix.integer_rank``.
+
+The system is written and ranked by torus weight.  Column (t, m) has
+weight wt(t) + m and row (a, r, m) has weight wt(r) + m + e_a; both
+entry kinds join a column and a row of one weight, because A_a lowers
+the weight of T by e_a.  The connection is GL(n)-equivariant, so S_n
+permutes the weight blocks, and blocks of one S_n orbit have equal
+kernels.  ``flat_parallel_dimension`` therefore writes the rows of the
+dominant (non-increasing) weights mu alone, ranks each such block, and
+multiplies its kernel dimension by the orbit size of mu.  T is realized
+only on the weights those blocks read, found from Kostka numbers.  Each
+run certifies the bookkeeping: every entry must land in a column of its
+block, and the orbit-weighted counts of block columns and row labels
+must equal dim T * |monomials(n, D)| and n times that, which also fails
+when a weight the blocks read was left unrealized.  A parallel section
+is fixed by its value at the origin, so the kernel of block mu has the
+dimension of T's weight space mu; the tests check that character.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import TYPE_CHECKING
 
+from killingcalc.chain import _compositions, _orbit_size, _partitions
 from killingcalc.fields import PolyTensorField, antisymmetrize_field, _s_mul
 from killingcalc.matrix import integer_rank
-from killingcalc.poly import PolyScalar, monomials
-from killingcalc.prolong import flat_forms
+from killingcalc.poly import PolyScalar
+from killingcalc.prolong import _component_shapes, flat_forms
+from killingcalc.young import YoungDiagram, gl_dimension, weight_multiplicities
 
 if TYPE_CHECKING:  # metric is imported where it runs: `killing` never does
     from killingcalc.metric import MetricField
@@ -202,42 +219,120 @@ def tractor_curvature(g: MetricField) -> TractorCurvature:
     return TractorCurvature(g.n, g.mode, pieces)
 
 
-def _coordinate_rows(forms, mons):
-    """Integer rows of the flat connection on polynomial sections with
-    the monomials mons, in component coordinates by the rule of the module
-    docstring, over the scale of ``forms = flat_forms(n, ell)``: yields
-    (row label (a, r, m), row {column: int}), zero rows left out.  A row
-    with one entry says that its column vanishes, so only the first such
-    row of each column is written."""
-    per = len(mons)
-    mpos = {m: i for i, m in enumerate(mons)}
-    vanishing = set()
-    for a, iota in enumerate(forms.columns, 1):
-        # A_a by rows: r -> {t: A_a[r, t]}
-        by_row: dict = {}
+def _lift_cost(w: tuple[int, ...]) -> int:
+    """The least entry total of an m >= 0 with w + m dominant: each entry
+    raised to the largest entry at or after it."""
+    cost = top = 0
+    for x in reversed(w):
+        top = max(top, x)
+        cost += top - x
+    return cost
+
+
+def _parallel_read_weights(n: int, ell: int, max_degree: int) -> frozenset:
+    """The weights of T that the dominant blocks read, from the Kostka
+    numbers alone: those w with a dominant w + m, |m| <= max_degree + 1.
+    A column (t, m) has |m| <= max_degree, and a row (a, r, m) reads
+    wt(r) = mu - m - e_a."""
+    return frozenset(
+        w
+        for d in _component_shapes(ell)
+        for w in weight_multiplicities(d, n)
+        if _lift_cost(w) <= max_degree + 1
+    )
+
+
+def _parallel_blocks(forms, max_degree: int):
+    """Yield (mu, columns, labels, rows) for every dominant weight mu of the
+    flat connection on polynomial sections of degree <= max_degree, over
+    the scale of ``forms``, a ``flat_forms`` that holds every weight the
+    block reads: the block's columns (t, m), its row labels (a, r, m), and
+    their rows by the rule of the module docstring as {position in
+    columns: int}, zero rows left out.  A row with one entry says that its
+    column vanishes, so only the first such row of each column is written.
+    An entry whose column is not in the block raises RuntimeError."""
+    n = forms.n
+    by_weight: dict[tuple[int, ...], list[int]] = {}
+    for t, w in enumerate(forms.weights):
+        by_weight.setdefault(w, []).append(t)
+    # -A_a by rows: r -> {t: -A_a[r, t]}
+    by_row: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+    for a, iota in enumerate(forms.columns):
         for t, col in iota.items():
             for r, v in col.items():
-                by_row.setdefault(r, {})[t] = v
-        for r in range(forms.dim):
-            entries = by_row.get(r, {})
-            for i, m in enumerate(mons):
-                row = {t * per + i: -v for t, v in entries.items()}
-                # the derivative of column (r, m + e_a) lands here
-                e = m[a - 1] + 1
-                j = mpos.get(m[: a - 1] + (e,) + m[a:])
-                if j is not None:
-                    row[r * per + j] = forms.scale * e
-                if len(row) == 1:
-                    (c,) = row
-                    if c in vanishing:
-                        continue
-                    vanishing.add(c)
-                if row:
-                    yield (a, r, m), row
+                by_row[a].setdefault(r, {})[t] = -v
+    totals = {sum(w) for w in by_weight}
+    # an entry of mu is at most an entry of a weight of T plus |m| + 1
+    largest = max(map(max, by_weight)) + max_degree + 1
+    for g in range(min(totals), max(totals) + max_degree + 2):
+        for mu in _partitions(g, n, largest):
+            columns = {}
+            for s in range(max_degree + 1):
+                for m in _compositions(mu, s):
+                    for t in by_weight.get(tuple(x - y for x, y in zip(mu, m)), ()):
+                        columns[t, m] = len(columns)
+
+            def at(c):
+                j = columns.get(c)
+                if j is None:
+                    raise RuntimeError(
+                        f"parallel-system entry at column {c} leaves the block of weight {mu}"
+                    )
+                return j
+
+            labels, rows, vanishing = [], [], set()
+            for a in range(n):
+                if not mu[a]:
+                    continue
+                low = mu[:a] + (mu[a] - 1,) + mu[a + 1:]
+                for s in range(max_degree + 1):
+                    for m in _compositions(low, s):
+                        up = m[:a] + (m[a] + 1,) + m[a + 1:]
+                        for r in by_weight.get(tuple(x - y for x, y in zip(low, m)), ()):
+                            labels.append((a + 1, r, m))
+                            row = {at((t, m)): v for t, v in by_row[a].get(r, {}).items()}
+                            if s < max_degree:
+                                # the derivative of column (r, m + e_a) lands here
+                                row[at((r, up))] = forms.scale * up[a]
+                            if len(row) == 1:
+                                (c,) = row
+                                if c in vanishing:
+                                    continue
+                                vanishing.add(c)
+                            if row:
+                                rows.append(row)
+            yield mu, list(columns), labels, rows
+
+
+def _parallel_kernels(n: int, ell: int, max_degree: int) -> dict[tuple[int, ...], int]:
+    """The kernel dimension of every dominant block with columns, by weight.
+
+    Raises RuntimeError unless the orbit-weighted counts of the blocks'
+    columns and row labels equal the closed forms of the whole system,
+    dim T * |monomials(n, max_degree)| and n times that; a weight the
+    blocks read but ``flat_forms`` left out fails it too.
+    """
+    forms = flat_forms(n, ell, _parallel_read_weights(n, ell, max_degree))
+    kernels = {}
+    columns = labels = 0
+    for mu, cols, labs, rows in _parallel_blocks(forms, max_degree):
+        orbit = _orbit_size(mu)
+        columns += orbit * len(cols)
+        labels += orbit * len(labs)
+        if cols:
+            kernels[mu] = len(cols) - integer_rank(rows, len(cols))
+    want = gl_dimension(YoungDiagram((ell, ell)), n + 1) * comb(n + max_degree, n)
+    if (columns, labels) != (want, n * want):
+        raise RuntimeError(
+            f"parallel-system blocks times orbits give {columns} columns and "
+            f"{labels} row labels, expected {want} and {n * want}"
+        )
+    return kernels
 
 
 def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> int:
-    """Dimension of the space of polynomial parallel sections.
+    """Dimension of the space of polynomial parallel sections: the kernel
+    dimensions of the dominant blocks times their orbit sizes.
 
     Parallel sections are exactly the prolonged Killing tensors, so
     this equals the bundle dimension; the default degree bound ell is
@@ -245,7 +340,5 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     """
     if max_degree is None:
         max_degree = ell
-    forms = flat_forms(n, ell)
-    mons = monomials(n, max_degree)
-    ncols = forms.dim * len(mons)
-    return ncols - integer_rank((row for _, row in _coordinate_rows(forms, mons)), ncols)
+    kernels = _parallel_kernels(n, ell, max_degree)
+    return sum(_orbit_size(mu) * k for mu, k in kernels.items())

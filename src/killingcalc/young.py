@@ -132,15 +132,14 @@ def gl_dimension(d: YoungDiagram, n: int) -> int:
     if len(d.rows) > n:
         return 0
     cols = d.conjugate()
-    num = Fraction(1)
+    num = den = 1
     for i, j in d.cells():
-        content = j - i
-        arm = d.rows[i - 1] - j
-        leg = cols[j - 1] - i
-        num *= Fraction(n + content, arm + leg + 1)
-    if num.denominator != 1:
+        num *= n + j - i  # the content j - i
+        den *= d.rows[i - 1] - j + cols[j - 1] - i + 1  # the hook: arm + leg + 1
+    dim, rest = divmod(num, den)
+    if rest:
         raise RuntimeError("hook-content product is not an integer")
-    return int(num)
+    return dim
 
 
 def weyl_dimension(label) -> int:
@@ -149,15 +148,17 @@ def weyl_dimension(label) -> int:
     if any(int(a) < 0 for a in labels):
         raise ValueError("Dynkin labels must be nonnegative")
     r = len(labels)
-    out = Fraction(1)
+    num = den = 1
     for i in range(r):
         total = 0
         for j in range(i, r):
-            total += labels[j]
-            out *= Fraction(total + j - i + 1, j - i + 1)
-    if out.denominator != 1:
+            total += int(labels[j])
+            num *= total + j - i + 1
+            den *= j - i + 1
+    dim, rest = divmod(num, den)
+    if rest:
         raise RuntimeError("Weyl dimension product is not an integer")
-    return int(out)
+    return dim
 
 
 def kostka(d: YoungDiagram, mu) -> int:

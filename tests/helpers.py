@@ -14,9 +14,11 @@ from math import comb, lcm
 from killingcalc import elim, fields, kostant, prolong
 from killingcalc.chain import ChainComplex
 from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
-from killingcalc.killing import killing_operator, symmetric_coordinates
+from killingcalc.killing import killing_kernel_vectors, killing_operator, symmetric_coordinates
 from killingcalc.kostant import build_V, koszul_differential
-from killingcalc.matrix import ExactMatrix, kernel_basis, over_common_scale, rank, rref, solve
+from killingcalc.matrix import (
+    ExactMatrix, integer_rank, kernel_basis, over_common_scale, rank, rref, solve,
+)
 from killingcalc.poly import PolyScalar, RatScalar, monomials
 from killingcalc.potential import _obstruction_terms, _require_symmetric
 from killingcalc.prolong import _psubsets, build_partial, build_T
@@ -440,6 +442,64 @@ def ambient_parallel_system(n: int, ell: int, max_degree: int):
                         rows.setdefault((k - 1, idx, m), {})[col] = -v
                 col += 1
     return rows, col
+
+
+def coordinate_rows(forms, mons):
+    """Reference flat connection on component coordinates, on all weights
+    at once: the rows of ``tractor._parallel_blocks`` for every weight,
+    not only the dominant ones, with column (t, m) at t * |mons| + the
+    position of m in mons.  Yields (row label (a, r, m), row {column:
+    int}), zero rows left out; of the one-entry rows that say a column
+    vanishes, only the first is written."""
+    per = len(mons)
+    mpos = {m: i for i, m in enumerate(mons)}
+    vanishing = set()
+    for a, iota in enumerate(forms.columns, 1):
+        # A_a by rows: r -> {t: A_a[r, t]}
+        by_row: dict = {}
+        for t, col in iota.items():
+            for r, v in col.items():
+                by_row.setdefault(r, {})[t] = v
+        for r in range(forms.dim):
+            entries = by_row.get(r, {})
+            for i, m in enumerate(mons):
+                row = {t * per + i: -v for t, v in entries.items()}
+                # the derivative of column (r, m + e_a) lands here
+                e = m[a - 1] + 1
+                j = mpos.get(m[: a - 1] + (e,) + m[a:])
+                if j is not None:
+                    row[r * per + j] = forms.scale * e
+                if len(row) == 1:
+                    (c,) = row
+                    if c in vanishing:
+                        continue
+                    vanishing.add(c)
+                if row:
+                    yield (a, r, m), row
+
+
+def whole_parallel_dimension(n: int, ell: int, max_degree: int) -> int:
+    """Reference count of parallel sections: the columns minus the rank of
+    ``coordinate_rows`` on every weight of ``flat_forms(n, ell)``."""
+    forms = prolong.flat_forms(n, ell)
+    mons = monomials(n, max_degree)
+    ncols = forms.dim * len(mons)
+    return ncols - integer_rank((row for _, row in coordinate_rows(forms, mons)), ncols)
+
+
+def whole_degree_bound(n: int, ell: int) -> tuple[int, bool]:
+    """Reference degree-bound check on the whole operator matrices: (the
+    kernel dimension at max_degree ell + 2, whether the kernels at ell and
+    ell + 2 span one subspace of the ell + 2 coordinates)."""
+    tight = killing_kernel_vectors(n, ell, ell)
+    slack = killing_kernel_vectors(n, ell, ell + 2)
+    pos = {c: i for i, c in enumerate(symmetric_coordinates(n, ell, ell + 2))}
+    relabel = [pos[c] for c in symmetric_coordinates(n, ell, ell)]
+    va = [{relabel[i]: v for i, v in vec.items()} for vec in tight]
+    spans = [
+        rref(ExactMatrix.from_columns(vecs, len(pos)).transpose()) for vecs in (va, slack)
+    ]
+    return len(slack), spans[0] == spans[1]
 
 
 def is_potential_by_field_calculus(x: PolyTensorField, omega: PolyTensorField) -> bool:

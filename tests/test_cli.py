@@ -131,9 +131,10 @@ def test_suite_ranks_each_dominant_block_once(monkeypatch, capsys):
 
 
 def test_killing_family_computes_each_kernel_once(monkeypatch):
-    """dim and degree-bound share the memoized kernel at max_degree ell;
-    only degree-bound's slack kernel at ell + 2 is new, and parallel
-    ranks its system without a kernel."""
+    """dim and degree-bound share the memoized whole kernel at max_degree
+    ell, computed once; degree-bound then takes one kernel per dominant
+    block at max_degree ell + 2 and never the whole system there, and
+    parallel ranks its system without a kernel."""
     calls = []
     original = killing.kernel_basis
 
@@ -148,7 +149,9 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
             calls.clear()
             for _, _, job in jobs.killing_jobs([n], [ell]):
                 job()
-            assert len(calls) == 2, (n, ell, calls)
+            whole = killing._operator_matrix(n, ell, ell)
+            blocks = [b for _, _, b in killing._operator_blocks(n, ell, ell + 2)]
+            assert calls == [(whole.rows, whole.cols)] + [(b.rows, b.cols) for b in blocks]
     finally:
         killing.killing_kernel_vectors.cache_clear()
 
@@ -317,11 +320,7 @@ def test_out_of_range_sizes_are_usage_errors(argv, capsys):
 def test_failing_check_exit_code(capsys):
     checks = cli._run_jobs([("z.fake", {"n": 2}, lambda: (1, 2))], False)
     assert checks[0]["verdict"] == "fail"
-
-    class Args:
-        output = None
-
-    assert cli._emit(Args(), "suite", {}, checks) == 1
+    assert cli._emit(None, "suite", {}, checks) == 1
     captured = capsys.readouterr()
     assert "failed: z.fake" in captured.err
     assert "0/1 checks passed" in captured.out
@@ -398,6 +397,32 @@ def test_an_unwritable_output_exits_2(missing, tmp_path, capsys):
     out, err = capsys.readouterr()
     reason = "No such file or directory" if missing else "Is a directory"
     assert (out, err) == ("", f"error: cannot write {path}: {reason}\n")
+
+
+def test_an_unwritable_output_is_refused_before_the_first_check(tmp_path, monkeypatch, capsys):
+    """suite --output in a missing directory exits 2 before any check runs:
+    no thunk is called and no PASS line is printed."""
+    ran = []
+    original = cli._run_jobs
+
+    def run(jobs, with_timings):
+        ran.append(len(jobs))
+        return original(jobs, with_timings)
+
+    monkeypatch.setattr(cli, "_run_jobs", run)
+    path = tmp_path / "missing" / "r.json"
+    assert main(["suite", "--n", "2", "--ell", "1", "--output", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "PASS" not in out and ran == []
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_a_refused_size_leaves_an_existing_report(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    path.write_text("kept")
+    assert main(["complex", "--n", "5", "--ell", "4", "--output", str(path)]) == 2
+    capsys.readouterr()
+    assert path.read_text() == "kept"
 
 
 @pytest.mark.parametrize(

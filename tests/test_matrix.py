@@ -154,8 +154,8 @@ def _with_repeated_rows(rng, m, copies):
 
 
 def test_repeated_rows_match_whole_reduction():
-    """Exact repeats among the integer rows are dropped before the block
-    split; rank, rref, kernel_basis and solve must still equal the
+    """Exact repeats among the integer rows go into their block and reduce
+    to zero there; rank, rref, kernel_basis and solve must equal the
     reduction of the whole matrix, repeats and zero rows included."""
     rng = random.Random(59)
     cases = []

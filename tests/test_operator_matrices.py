@@ -24,6 +24,7 @@ import pytest
 
 from helpers import (
     ambient_parallel_system,
+    coordinate_rows,
     entries,
     field_obstruction,
     flat_component_derivative,
@@ -47,7 +48,7 @@ from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import build_T, flat_forms
 from killingcalc.symspace import extract
 from killingcalc.tensor import Tensor
-from killingcalc.tractor import _coordinate_rows, flat_parallel_dimension
+from killingcalc.tractor import flat_parallel_dimension
 
 
 def _unit_field(n, arity, key, mono):
@@ -259,8 +260,8 @@ def test_parallel_system_matches_field_calculus(n, ell, max_degree):
 
 @pytest.mark.parametrize("n, ell", [(2, 1), (2, 2), (3, 1), (3, 2)])
 def test_parallel_rank_matches_oracle_matrix(n, ell):
-    """integer_rank of the scaled integer rows, with repeated rows
-    dropped, equals the rank of the unscaled field-calculus matrix."""
+    """integer_rank of the scaled integer rows, repeated rows included,
+    equals the rank of the unscaled field-calculus matrix."""
     rows, ncols = ambient_parallel_system(n, ell, ell)
     want, cols = _oracle_parallel(n, ell, ell)
     label_pos: dict = {}
@@ -298,7 +299,7 @@ def _oracle_coordinates(n, ell, max_degree):
 def test_coordinate_system_matches_field_calculus(n, ell, max_degree):
     forms = flat_forms(n, ell)
     mons = monomials(n, max_degree)
-    rows = dict(_coordinate_rows(forms, mons))
+    rows = dict(coordinate_rows(forms, mons))
     ncols = forms.dim * len(mons)
     want, cols = _oracle_coordinates(n, ell, max_degree)
     assert ncols == cols

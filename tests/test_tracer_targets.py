@@ -61,7 +61,10 @@ def test_traced_commands_reach_moved_and_lazily_imported_code(tmp_path):
     goes through the wrapper of ``killing.killing_potential_solve``, which
     ``killing`` re-exports from ``potential``, and ``complex`` reaches
     ``ChainComplex.composites_vanish`` from the job builders that ``cli``
-    imports only when the command runs."""
+    imports only when the command runs.  ``killing`` records the layers
+    the benchmark reads from it: the dim job's whole kernel, the
+    degree-bound job's block kernels and span comparisons, and the
+    parallel-section system's eliminations."""
     doc = tmp_path / "omega.json"
     doc.write_text(json.dumps({
         "n": 2,
@@ -79,6 +82,8 @@ from killingcalc.cli import main
 assert main(["range-check", "--input", {str(doc)!r}]) == 0
 assert main(["complex", "--n", "3", "--ell", "2"]) == 0
 print(json.dumps(t.document()), file=sys.stderr)
+assert main(["killing", "--n", "3", "--ell", "2"]) == 0
+print(json.dumps(t.document()), file=sys.stderr)
 """
     src = Path(chain.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -86,7 +91,15 @@ print(json.dumps(t.document()), file=sys.stderr)
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.returncode == 0, out.stderr
-    trace = json.loads(out.stderr.splitlines()[-1])
+    before, trace = (json.loads(line) for line in out.stderr.splitlines()[-2:])
     assert trace["absent"] == []
     assert trace["spans"]["killing.killing_potential_solve"]["calls"] == 1
     assert trace["spans"]["chain.composites_vanish"]["calls"] > 0
+    for name in (
+        "matrix.kernel_basis",
+        "matrix.rref",
+        "killing.killing_kernel",
+        "tractor.flat_parallel_dimension",
+        "elim.rref_int",
+    ):
+        assert trace["spans"][name]["calls"] > before["spans"][name]["calls"], name
