@@ -37,22 +37,27 @@ run: each block entry must land in its own weight, and in every grade g
 and degree p the orbit-weighted block dimensions must add up to C(n, p)
 times the closed-form dimension of the module's part of weight total
 g - p, which also fails when a weight the blocks read was left out.
-``form_differential`` is the all-weights matrix, assembled by the same
-loop on all cochains of a complex that holds every module column.
+``form_differential`` is the all-weights matrix, written by the same
+``block_rows`` on all cochains of a complex that holds every module
+column.  ``block_rows`` writes the parallel-section system of
+``tractor`` and the Killing operator of ``killing`` too, and its check
+that no entry leaves its block is the only one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple
 
 from killingcalc.matrix import ExactMatrix, rank
+from killingcalc.young import orbit_size
 
 __all__ = [
     "ChainComplex",
     "FormComplex",
+    "block_rows",
     "cohomology_dims",
     "form_differential",
     "read_weights",
@@ -129,29 +134,39 @@ class FormComplex(NamedTuple):
         return (-1) ** sum(1 for x in s if x > a)
 
 
-def _block_map(cx: FormComplex, source, target) -> ExactMatrix:
+def block_rows(mu, source, target, entries) -> list[dict[int, int]]:
+    """The block of weight mu of a weight-preserving map from the labels
+    ``source`` to the labels ``target``: one row {source position: int}
+    per target label, column j written from ``entries(source[j])``, an
+    iterable of (target label, nonzero int).  An entry whose label is not
+    in ``target`` leaves the block and raises RuntimeError naming mu,
+    None for a map written on all weights."""
+    index = {label: i for i, label in enumerate(target)}
+    rows: list[dict[int, int]] = [{} for _ in target]
+    for j, label in enumerate(source):
+        for to, v in entries(label):
+            i = index.get(to)
+            if i is None:
+                raise RuntimeError(f"entry from {label} to {to} leaves the block of weight {mu}")
+            rows[i][j] = v
+    return rows
+
+
+def _block_map(cx: FormComplex, mu, source, target) -> ExactMatrix:
     """The differential from the degree-p cochains ``source`` to the
-    degree-(p + 1) cochains ``target``, each a list of (p-subset, module
-    column); an entry that lands outside ``target`` leaves the weight
-    block and raises RuntimeError."""
-    index = {c: i for i, c in enumerate(target)}
-    data: list[dict[int, int]] = [{} for _ in target]
-    for j, (s, t) in enumerate(source):
+    degree-(p + 1) cochains ``target`` of the weight block mu, each a list
+    of (p-subset, module column), by ``block_rows``."""
+    def entries(cochain):
+        s, t = cochain
         for a in range(1, cx.n + 1):
             col = cx.columns[a - 1].get(t)
-            if not col or a in s:
-                continue
-            sign = cx.sign(s, a)
-            s2 = tuple(sorted(s + (a,)))
-            for t2, v in col.items():
-                i = index.get((s2, t2))
-                if i is None:
-                    raise RuntimeError(
-                        f"differential entry from {(s, t)} to {(s2, t2)} "
-                        "leaves its weight block"
-                    )
-                data[i][j] = sign * v
-    return ExactMatrix.from_int_rows(len(source), data, cx.scale)
+            if col and a not in s:
+                sign = cx.sign(s, a)
+                s2 = tuple(sorted(s + (a,)))
+                for t2, v in col.items():
+                    yield (s2, t2), sign * v
+
+    return ExactMatrix.from_int_rows(len(source), block_rows(mu, source, target, entries), cx.scale)
 
 
 def form_differential(cx: FormComplex, p: int) -> ExactMatrix:
@@ -161,46 +176,7 @@ def form_differential(cx: FormComplex, p: int) -> ExactMatrix:
     def cochains(q):
         return [(s, t) for s in combinations(range(1, cx.n + 1), q) for t in range(cx.dim)]
 
-    return _block_map(cx, cochains(p), cochains(p + 1))
-
-
-def _orbit_size(mu: tuple[int, ...]) -> int:
-    """Number of distinct permutations of mu: its S_n orbit."""
-    out = factorial(len(mu))
-    for m in Counter(mu).values():
-        out //= factorial(m)
-    return out
-
-
-def _partitions(total: int, n: int, largest: int | None = None):
-    """The dominant weights in Z^n of entry total ``total``: non-increasing
-    and nonnegative, no entry above ``largest``, in decreasing
-    lexicographic order."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    top = total if largest is None else min(total, largest)
-    for first in range(top, -1, -1):
-        if first * n < total:
-            return
-        for rest in _partitions(total - first, n - 1, first):
-            yield (first,) + rest
-
-
-def _compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
-    """The vectors m with 0 <= m <= bound entrywise and entry total
-    ``total``, in decreasing lexicographic order."""
-    partial = [((), 0)]  # (prefix, its total)
-    rest = sum(bound)
-    for b in bound:
-        rest -= b  # the most the later entries can add
-        partial = [
-            (m + (k,), s + k)
-            for m, s in partial
-            for k in range(min(b, total - s), max(total - s - rest, 0) - 1, -1)
-        ]
-    return [m for m, s in partial if s == total]
+    return _block_map(cx, None, cochains(p), cochains(p + 1))
 
 
 def _dominant_lifts(w: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -252,9 +228,9 @@ def _weight_blocks(cx: FormComplex):
                     w[a - 1] -= 1
                 degree.extend((s, t) for t in by_weight.get(tuple(w), ()))
             cochains.append(degree)
-        maps = tuple(_block_map(cx, cochains[p], cochains[p + 1]) for p in range(n))
+        maps = tuple(_block_map(cx, mu, cochains[p], cochains[p + 1]) for p in range(n))
         spaces = tuple(len(c) for c in cochains)
-        yield _WeightBlock(mu, _orbit_size(mu), ChainComplex(spaces, maps))
+        yield _WeightBlock(mu, orbit_size(mu), ChainComplex(spaces, maps))
 
 
 def weight_cohomology(cx: FormComplex) -> dict[int, tuple[int, ...]]:

@@ -118,7 +118,7 @@ def killing_jobs(n_values, ell_values):
     for n, ell in _pairs(n_values, ell_values):
         _guard_killing_cap(n, ell)
         inputs = {"n": n, "ell": ell}
-        # dim T, the hook-content dimension prolong.build_T certifies
+        # dim T, the hook-content dimension of (ell, ell) over n + 1
         bundle = gl_dimension(YoungDiagram((ell, ell)), n + 1)
 
         def dim(n=n, ell=ell, bundle=bundle):

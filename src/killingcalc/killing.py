@@ -42,7 +42,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 
 from killingcalc.cap import CapExceeded, _check_args
-from killingcalc.chain import _compositions, _orbit_size, _partitions
+from killingcalc.chain import block_rows
 from killingcalc.fields import (
     PolyTensorField,
     flat_derivative,
@@ -53,6 +53,9 @@ from killingcalc.poly import PolyScalar, monomials
 from killingcalc.potential import (  # noqa: F401  the public names are re-exported
     DEFAULT_DEGREE_CAP, KillingPotentialResult, _gradient_terms, _obstruction_terms,
     _require_symmetric, integrability_operator, killing_potential_solve,
+)
+from killingcalc.young import (
+    YoungDiagram, bounded_compositions, dominant_weights, gl_dimension, orbit_size, weight_key,
 )
 
 __all__ = [
@@ -78,10 +81,11 @@ __all__ = [
 # 2-vCPU host whose speed varied twofold between runs: 0.3-1.7 s and
 # 17-25 MB each at n=4, ell=4 (34300 columns), n=5, ell=3 (27440), n=3,
 # ell=6 and n=8, ell=2; with both caps lifted, 1.2-2.2 s / 21 MB at n=6,
-# ell=3 (98784) and 3.6-6.4 s / 37 MB at n=5, ell=4 (222264).  At n=2 and large ell nearly every weight of T is read, and
-# its realization and the dim check's kernel fields cost the most: 3.4 s
-# at n=2, ell=12 (372736 field entries) and, caps lifted, 141 s at n=2,
-# ell=15 (4456448).
+# ell=3 (98784) and 3.6-6.4 s / 37 MB at n=5, ell=4 (222264).  At n=2
+# and large ell the dim check's kernel fields, written at every ordering
+# of their keys, cost the most: 2.8-2.9 s / 50 MB at n=2, ell=12 (372736
+# field entries, 5.7 of 7.1 s under cProfile) and, caps lifted, 33 s /
+# 457 MB at n=2, ell=15 (4456448).
 KILLING_CAP = 40000
 KILLING_FIELD_CAP = 400000
 
@@ -93,27 +97,10 @@ def killing_operator(X: PolyTensorField) -> PolyTensorField:
     return symmetrize_field(flat_derivative(X), (1, 2))
 
 
-def _sym_keys(n: int, arity: int):
-    return list(combinations_with_replacement(range(1, n + 1), arity))
-
-
 def symmetric_coordinates(n: int, arity: int, max_degree: int):
     """(key, monomial) coordinate list for symmetric fields, key-major."""
     mons = monomials(n, max_degree)
-    return [(key, m) for key in _sym_keys(n, arity) for m in mons]
-
-
-@cache
-def _coordinate_positions(n: int, arity: int, max_degree: int):
-    """Position maps of ``symmetric_coordinates``: (key -> key index,
-    monomial -> monomial index, monomials per key); the coordinate
-    (key, m) sits at key index * monomials per key + monomial index."""
-    mons = monomials(n, max_degree)
-    return (
-        {key: i for i, key in enumerate(_sym_keys(n, arity))},
-        {m: i for i, m in enumerate(mons)},
-        len(mons),
-    )
+    return [(key, m) for key in combinations_with_replacement(range(1, n + 1), arity) for m in mons]
 
 
 def field_coefficient_vector(f: PolyTensorField, max_degree: int):
@@ -123,14 +110,13 @@ def field_coefficient_vector(f: PolyTensorField, max_degree: int):
     _require_symmetric(f)
     if f.degree() > max_degree:
         raise ValueError("field degree exceeds the requested bound")
-    key_pos, mon_pos, per_key = _coordinate_positions(f.n, f.arity, max_degree)
-    out = [Fraction(0)] * (len(key_pos) * per_key)
+    pos = {c: i for i, c in enumerate(symmetric_coordinates(f.n, f.arity, max_degree))}
+    out = [Fraction(0)] * len(pos)
     for idx, s in f.comps.items():
-        base = key_pos.get(idx)
-        if base is None:
-            continue  # an unsorted copy of a stored sorted key
         for m, v in s.terms.items():
-            out[base * per_key + mon_pos[m]] = v
+            i = pos.get((idx, m))
+            if i is not None:  # None on an unsorted copy of a stored sorted key
+                out[i] = v
     return out
 
 
@@ -165,21 +151,21 @@ def _orderings(key: tuple[int, ...]):
             yield (v,) + rest
 
 
-@cache
+def _gradient_entries(coordinate):
+    """The entries (row coordinate (key, alpha), int) that the column of a
+    coordinate has in the operator matrix, by ``_gradient_terms``."""
+    return (((up, lower), coef) for up, lower, coef in _gradient_terms(*coordinate))
+
+
 def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     """Degree-ell operator on coefficient vectors, columns = inputs;
     entries by the symmetrized-gradient rule of ``potential``, written
-    as the integers (mult_K(c) + 1) * alpha_c over scale ell + 1."""
-    key_pos, mon_pos, per_key = _coordinate_positions(n, ell + 1, max_degree - 1)
-    mons = monomials(n, max_degree)
-    data: list[dict[int, int]] = [{} for _ in range(len(key_pos) * per_key)]
-    col = 0
-    for key in _sym_keys(n, ell):
-        for mono in mons:
-            for up, lower, coef in _gradient_terms(key, mono):
-                data[key_pos[up] * per_key + mon_pos[lower]][col] = coef
-            col += 1
-    return ExactMatrix.from_int_rows(col, data, ell + 1)
+    as the integers (mult_K(c) + 1) * alpha_c over scale ell + 1 on all
+    weights by ``chain.block_rows``."""
+    coords = symmetric_coordinates(n, ell, max_degree)
+    rows = symmetric_coordinates(n, ell + 1, max_degree - 1)
+    data = block_rows(None, coords, rows, _gradient_entries)
+    return ExactMatrix.from_int_rows(len(coords), data, ell + 1)
 
 
 @cache
@@ -207,9 +193,12 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
     ]
 
 
-def _key(counts) -> tuple[int, ...]:
-    """The sorted index tuple with the given count of each value 1..n."""
-    return tuple(i for i, c in enumerate(counts, 1) for _ in range(c))
+def _block_coordinates(mu: tuple[int, ...], degree: int) -> list:
+    """The coordinates (key, alpha) of weight mu with |alpha| = degree."""
+    return [
+        (weight_key(x - y for x, y in zip(mu, alpha)), alpha)
+        for alpha in bounded_compositions(mu, degree)
+    ]
 
 
 def _operator_blocks(n: int, ell: int, max_degree: int):
@@ -217,30 +206,14 @@ def _operator_blocks(n: int, ell: int, max_degree: int):
     degree-ell operator on coefficients of degree <= max_degree: the
     block's coordinates (key, alpha), those with count(key) + alpha = mu,
     and the block of ``_operator_matrix`` on them, its rows the
-    (sorted(key + c), alpha - e_c) of weight mu.  Every coordinate of the
-    block has monomial degree |mu| - ell, so the block's keys are fixed by
-    their monomials.  An entry outside the block's rows raises
-    RuntimeError."""
+    (sorted(key + c), alpha - e_c) of weight mu, written by
+    ``chain.block_rows``.  Every coordinate of the block has monomial
+    degree |mu| - ell, so the block's keys are fixed by their
+    monomials."""
     for d in range(max_degree + 1):
-        for mu in _partitions(ell + d, n):
-            coords = [
-                (_key(x - y for x, y in zip(mu, alpha)), alpha)
-                for alpha in _compositions(mu, d)
-            ]
-            rows = {
-                (_key(x - y for x, y in zip(mu, beta)), beta): i
-                for i, beta in enumerate(_compositions(mu, d - 1) if d else ())
-            }
-            data: list[dict[int, int]] = [{} for _ in rows]
-            for j, (key, alpha) in enumerate(coords):
-                for up, lower, coef in _gradient_terms(key, alpha):
-                    i = rows.get((up, lower))
-                    if i is None:
-                        raise RuntimeError(
-                            f"operator entry from {(key, alpha)} to {(up, lower)} "
-                            f"leaves the block of weight {mu}"
-                        )
-                    data[i][j] = coef
+        for mu in dominant_weights(ell + d, n):
+            coords = _block_coordinates(mu, d)
+            data = block_rows(mu, coords, _block_coordinates(mu, d - 1), _gradient_entries)
             yield mu, coords, ExactMatrix.from_int_rows(len(coords), data, ell + 1)
 
 
@@ -254,7 +227,7 @@ def _dominant_kernels(n: int, ell: int, max_degree: int) -> dict:
     out = {}
     columns = 0
     for mu, coords, block in _operator_blocks(n, ell, max_degree):
-        columns += _orbit_size(mu) * len(coords)
+        columns += orbit_size(mu) * len(coords)
         out[mu] = coords, kernel_basis(block)
     want = comb(n + ell - 1, ell) * comb(n + max_degree, n)
     if columns != want:
@@ -291,7 +264,7 @@ def degree_bound_check(n: int, ell: int) -> tuple[int, bool]:
         tight.setdefault(weights.pop(), []).append({coords[i]: v for i, v in vec.items()})
     dim, same = 0, True
     for mu, (cols, kernel) in _dominant_kernels(n, ell, ell + 2).items():
-        dim += _orbit_size(mu) * len(kernel)
+        dim += orbit_size(mu) * len(kernel)
         local = {c: j for j, c in enumerate(cols)}
         inner = [{local[c]: v for c, v in vec.items()} for vec in tight.get(mu, ())]
         same = same and _span(inner, len(cols)) == _span(kernel, len(cols))
@@ -312,8 +285,6 @@ def _guard_killing_cap(n: int, ell: int) -> int:
     hook-content product is quadratic in ell and runs only on sizes that
     count admits.
     """
-    from killingcalc.young import YoungDiagram, gl_dimension
-
     _check_args(n, ell)
     columns = comb(n + ell - 1, ell) * comb(n + ell + 2, n)
     if columns <= KILLING_CAP:

@@ -53,7 +53,6 @@ from typing import NamedTuple
 from killingcalc.cap import _check_args
 from killingcalc.chain import (
     FormComplex,
-    _orbit_size,
     form_differential,
     read_weights,
     weight_cohomology,
@@ -70,6 +69,7 @@ from killingcalc.prolong import (
 from killingcalc.young import (
     YoungDiagram,
     gl_dimension,
+    orbit_size,
     realize_irreducible,
     weight_multiplicities,
     weyl_dimension,
@@ -260,8 +260,8 @@ def branching_check(n: int, ell: int) -> dict:
         for nu in dominant[c]:
             part, comp = parts[(c,) + nu], comps[nu]
             ok = ok and part.dim == comp.dim
-            got += _orbit_size(nu) * part.dim
-            want += _orbit_size(nu) * comp.dim
+            got += orbit_size(nu) * part.dim
+            want += orbit_size(nu) * comp.dim
             shifts = shifts and all(
                 sum(group.count(1) for group in key) == c + 1
                 for col in part.columns

@@ -124,8 +124,10 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not any(self.data)
 
-    def __eq__(self, other: "ExactMatrix") -> bool:
+    def __eq__(self, other) -> bool:
         """A / a == B / b for another ``ExactMatrix``, compared as A b == B a."""
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
         a, b = self.scale, other.scale

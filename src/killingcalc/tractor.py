@@ -34,21 +34,23 @@ with the coordinates of v_k; iota_a v_{k+1} lies in T_k too, and
 ``flat_forms`` reads its coordinates off the lead rows of T_k's basis
 and certifies them by their residual.  The T_k-valued equation therefore
 vanishes exactly when its coordinates do, and the system has at most
-n * columns rows by construction.  A row with one entry says that its
-column vanishes; of the rows that say so for one column, only the first
-is written, which leaves the row space as it is.  Every entry is a
-Python int, so the rows go straight to ``matrix.integer_rank``.
+n * columns rows by construction.  It is written by column, as the form
+differentials of ``chain`` are, with one row per row label.  A row with
+one entry says that its column vanishes, and several rows may say so
+for one column; a repeated row reduces to zero and leaves the rank as it
+is.  Every entry is a Python int, so the rows go straight to
+``matrix.integer_rank``.
 
 The system is written and ranked by torus weight.  Column (t, m) has
 weight wt(t) + m and row (a, r, m) has weight wt(r) + m + e_a; both
 entry kinds join a column and a row of one weight, because A_a lowers
 the weight of T by e_a.  The connection is GL(n)-equivariant, so S_n
 permutes the weight blocks, and blocks of one S_n orbit have equal
-kernels.  ``flat_parallel_dimension`` therefore writes the rows of the
+kernels.  ``flat_parallel_dimension`` therefore writes the blocks of the
 dominant (non-increasing) weights mu alone, ranks each such block, and
 multiplies its kernel dimension by the orbit size of mu.  T is realized
 only on the weights those blocks read, found from Kostka numbers.  Each
-run certifies the bookkeeping: every entry must land in a column of its
+run certifies the bookkeeping: every entry must land in a row of its
 block, and the orbit-weighted counts of block columns and row labels
 must equal dim T * |monomials(n, D)| and n times that, which also fails
 when a weight the blocks read was left unrealized.  A parallel section
@@ -61,12 +63,15 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
-from killingcalc.chain import _compositions, _orbit_size, _partitions
+from killingcalc.chain import block_rows
 from killingcalc.fields import PolyTensorField, antisymmetrize_field, _s_mul
 from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import _component_shapes, flat_forms
-from killingcalc.young import YoungDiagram, gl_dimension, weight_multiplicities
+from killingcalc.young import (
+    YoungDiagram, bounded_compositions, dominant_weights, gl_dimension, orbit_size,
+    weight_multiplicities,
+)
 
 if TYPE_CHECKING:  # metric is imported where it runs: `killing` never does
     from killingcalc.metric import MetricField
@@ -247,61 +252,43 @@ def _parallel_blocks(forms, max_degree: int):
     flat connection on polynomial sections of degree <= max_degree, over
     the scale of ``forms``, a ``flat_forms`` that holds every weight the
     block reads: the block's columns (t, m), its row labels (a, r, m), and
-    their rows by the rule of the module docstring as {position in
-    columns: int}, zero rows left out.  A row with one entry says that its
-    column vanishes, so only the first such row of each column is written.
-    An entry whose column is not in the block raises RuntimeError."""
+    their rows {position in columns: int}, written by column by the rule
+    of the module docstring with ``chain.block_rows``.  The row labels
+    of direction a are the columns of weight mu - e_a."""
     n = forms.n
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for t, w in enumerate(forms.weights):
         by_weight.setdefault(w, []).append(t)
-    # -A_a by rows: r -> {t: -A_a[r, t]}
-    by_row: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-    for a, iota in enumerate(forms.columns):
-        for t, col in iota.items():
-            for r, v in col.items():
-                by_row[a].setdefault(r, {})[t] = -v
+
+    def columns(nu):
+        return [
+            (t, m)
+            for s in range(max_degree + 1)
+            for m in bounded_compositions(nu, s)
+            for t in by_weight.get(tuple(x - y for x, y in zip(nu, m)), ())
+        ]
+
+    def entries(column):
+        t, m = column
+        for a in range(1, n + 1):
+            if m[a - 1]:
+                yield (a, t, m[:a - 1] + (m[a - 1] - 1,) + m[a:]), forms.scale * m[a - 1]
+            for r, v in forms.columns[a - 1].get(t, {}).items():
+                yield (a, r, m), -v
+
     totals = {sum(w) for w in by_weight}
     # an entry of mu is at most an entry of a weight of T plus |m| + 1
     largest = max(map(max, by_weight)) + max_degree + 1
     for g in range(min(totals), max(totals) + max_degree + 2):
-        for mu in _partitions(g, n, largest):
-            columns = {}
-            for s in range(max_degree + 1):
-                for m in _compositions(mu, s):
-                    for t in by_weight.get(tuple(x - y for x, y in zip(mu, m)), ()):
-                        columns[t, m] = len(columns)
-
-            def at(c):
-                j = columns.get(c)
-                if j is None:
-                    raise RuntimeError(
-                        f"parallel-system entry at column {c} leaves the block of weight {mu}"
-                    )
-                return j
-
-            labels, rows, vanishing = [], [], set()
-            for a in range(n):
-                if not mu[a]:
-                    continue
-                low = mu[:a] + (mu[a] - 1,) + mu[a + 1:]
-                for s in range(max_degree + 1):
-                    for m in _compositions(low, s):
-                        up = m[:a] + (m[a] + 1,) + m[a + 1:]
-                        for r in by_weight.get(tuple(x - y for x, y in zip(low, m)), ()):
-                            labels.append((a + 1, r, m))
-                            row = {at((t, m)): v for t, v in by_row[a].get(r, {}).items()}
-                            if s < max_degree:
-                                # the derivative of column (r, m + e_a) lands here
-                                row[at((r, up))] = forms.scale * up[a]
-                            if len(row) == 1:
-                                (c,) = row
-                                if c in vanishing:
-                                    continue
-                                vanishing.add(c)
-                            if row:
-                                rows.append(row)
-            yield mu, list(columns), labels, rows
+        for mu in dominant_weights(g, n, largest):
+            cols = columns(mu)
+            labels = [
+                (a, r, m)
+                for a in range(1, n + 1)
+                if mu[a - 1]
+                for r, m in columns(mu[:a - 1] + (mu[a - 1] - 1,) + mu[a:])
+            ]
+            yield mu, cols, labels, block_rows(mu, cols, labels, entries)
 
 
 def _parallel_kernels(n: int, ell: int, max_degree: int) -> dict[tuple[int, ...], int]:
@@ -316,7 +303,7 @@ def _parallel_kernels(n: int, ell: int, max_degree: int) -> dict[tuple[int, ...]
     kernels = {}
     columns = labels = 0
     for mu, cols, labs, rows in _parallel_blocks(forms, max_degree):
-        orbit = _orbit_size(mu)
+        orbit = orbit_size(mu)
         columns += orbit * len(cols)
         labels += orbit * len(labs)
         if cols:
@@ -341,4 +328,4 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     if max_degree is None:
         max_degree = ell
     kernels = _parallel_kernels(n, ell, max_degree)
-    return sum(_orbit_size(mu) * k for mu, k in kernels.items())
+    return sum(orbit_size(mu) * k for mu, k in kernels.items())

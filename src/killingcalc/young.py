@@ -17,7 +17,12 @@ increasing and columns strictly increasing.  It is the dimension of the
 weight-mu space of the GL(n) module of shape lambda, and it does not
 depend on the order of mu's entries (Macdonald, *Symmetric Functions and
 Hall Polynomials*, ch. I).  A torus weight is a vector in Z^n: the count
-of each index value 1..n in a key.
+of each index value 1..n in a key, and ``weight_key`` is the
+nondecreasing key of a weight.  S_n permutes the entries of a weight;
+it is dominant when they do not increase, and ``orbit_size`` counts its
+distinct permutations.  The weight-blocked systems of ``chain``,
+``tractor`` and ``killing`` enumerate their weights with
+``dominant_weights`` and ``bounded_compositions``.
 
 ``realize_irreducible`` produces an explicit basis of a subspace of a
 tensor power carrying the given symmetry type.  The diagram's row count
@@ -51,10 +56,11 @@ decides membership.  No second elimination is needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
-from math import lcm
+from itertools import combinations_with_replacement
+from math import factorial, lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
 from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend_row
@@ -68,6 +74,10 @@ __all__ = [
     "weyl_dimension",
     "kostka",
     "weight_multiplicities",
+    "orbit_size",
+    "dominant_weights",
+    "bounded_compositions",
+    "weight_key",
     "realize_irreducible",
     "ordered_columns",
     "clear_realization_cache",
@@ -213,6 +223,55 @@ def weight_multiplicities(d: YoungDiagram, n: int) -> dict[tuple[int, ...], int]
         if k:
             out[tuple(w)] = k
     return out
+
+
+def orbit_size(mu) -> int:
+    """Number of distinct permutations of the weight mu: its S_n orbit."""
+    out = factorial(len(mu))
+    for m in Counter(mu).values():
+        out //= factorial(m)
+    return out
+
+
+def dominant_weights(total: int, n: int, largest: int | None = None):
+    """The dominant weights in Z^n of entry total ``total``: non-increasing
+    and nonnegative, no entry above ``largest``, in decreasing
+    lexicographic order."""
+    if n == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total if largest is None else min(total, largest)
+    for first in range(top, -1, -1):
+        if first * n < total:
+            return
+        for rest in dominant_weights(total - first, n - 1, first):
+            yield (first,) + rest
+
+
+def bounded_compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+    """The weights m with 0 <= m <= bound entrywise and entry total
+    ``total``, in decreasing lexicographic order: the order of increasing
+    ``weight_key``."""
+    partial = [((), total)]  # (prefix, what the later entries must add)
+    rest = sum(bound)
+    for b in bound:
+        rest -= b  # the most the later entries can add
+        if not b:
+            partial = [(m + (0,), left) for m, left in partial]
+            continue
+        partial = [
+            (m + (k,), left - k)
+            for m, left in partial
+            for k in range(min(b, left), max(left - rest, 0) - 1, -1)
+        ]
+    return [m for m, left in partial if not left]
+
+
+def weight_key(w) -> tuple[int, ...]:
+    """The nondecreasing key of the torus weight w: w[v - 1] copies of
+    each index value v."""
+    return sum(((v,) * c for v, c in enumerate(w, 1)), ())
 
 
 def _lead_rows(cols: list[dict[int, Fraction]]) -> list[int] | None:
@@ -362,25 +421,17 @@ def _group_sizes(d: YoungDiagram) -> tuple[int, ...]:
     raise ValueError(f"no presentation realizes the shape {d.rows}: one or two rows only")
 
 
-def _expand(content: tuple[int, ...]) -> tuple[int, ...]:
-    """The nondecreasing key holding content[v - 1] copies of each v."""
-    return tuple(v for v, c in enumerate(content, 1) for _ in range(c))
-
-
 def _weight_keys(sizes: tuple[int, ...], w: tuple[int, ...]) -> list:
     """The keys of weight w of the space of one or two symmetric groups of
     the given sizes, in the space's (lexicographic) order; a group of size
-    0 has the empty part."""
-    full = _expand(w)
+    0 has the empty part.  The first group of a two-group key holds the
+    weight c <= w of total sizes[0], the second w - c."""
     if len(sizes) == 1:
-        return [(full,)] if len(full) == sizes[0] else []
-    keys = []
-    for first in sorted(set(combinations(full, sizes[0]))):
-        rest = list(full)
-        for v in first:
-            rest.remove(v)
-        keys.append((first, tuple(rest)))
-    return keys
+        return [(weight_key(w),)] if sum(w) == sizes[0] else []
+    return [
+        (weight_key(c), weight_key(x - y for x, y in zip(w, c)))
+        for c in bounded_compositions(w, sizes[0])
+    ]
 
 
 def realize_irreducible(d: YoungDiagram, n: int, weights=None):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 
 from killingcalc import elim, fields, kostant, prolong
@@ -294,6 +294,22 @@ def presentation(d: YoungDiagram, n: int):
     return space, sym_extend(space, 0, 1)[0]
 
 
+def weight_keys_by_combinations(sizes: tuple[int, ...], w: tuple[int, ...]) -> list:
+    """Reference ``young._weight_keys``: the sub-multisets of size
+    sizes[0] of w's full key, by ``combinations``, de-duplicated and
+    sorted, each with the rest of the key as its second group."""
+    full = tuple(v for v, c in enumerate(w, 1) for _ in range(c))
+    if len(sizes) == 1:
+        return [(full,)] if len(full) == sizes[0] else []
+    keys = []
+    for first in sorted(set(combinations(full, sizes[0]))):
+        rest = list(full)
+        for v in first:
+            rest.remove(v)
+        keys.append((first, tuple(rest)))
+    return keys
+
+
 def whole_realization(d: YoungDiagram, n: int) -> SubspaceBasis:
     """Reference realization: the canonical kernel basis of the whole
     constraint matrix, reduced on all weights at once."""
@@ -446,11 +462,12 @@ def ambient_parallel_system(n: int, ell: int, max_degree: int):
 
 def coordinate_rows(forms, mons):
     """Reference flat connection on component coordinates, on all weights
-    at once: the rows of ``tractor._parallel_blocks`` for every weight,
-    not only the dominant ones, with column (t, m) at t * |mons| + the
-    position of m in mons.  Yields (row label (a, r, m), row {column:
-    int}), zero rows left out; of the one-entry rows that say a column
-    vanishes, only the first is written."""
+    at once and row by row: the system ``tractor._parallel_blocks`` writes
+    by column, for every weight, not only the dominant ones, with column
+    (t, m) at t * |mons| + the position of m in mons.  Yields (row label
+    (a, r, m), row {column: int}), zero rows left out; of the one-entry
+    rows that say a column vanishes, only the first is written, which
+    leaves the rank as it is."""
     per = len(mons)
     mpos = {m: i for i, m in enumerate(mons)}
     vanishing = set()

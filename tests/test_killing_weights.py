@@ -17,11 +17,11 @@ import pytest
 
 from helpers import coordinate_rows, whole_degree_bound, whole_parallel_dimension
 from killingcalc import killing, tractor
-from killingcalc.chain import FormComplex, _orbit_size
+from killingcalc.chain import FormComplex
 from killingcalc.killing import degree_bound_check, killing_kernel_vectors
 from killingcalc.poly import monomials
 from killingcalc.prolong import _component_shapes, flat_forms
-from killingcalc.young import kostka, weight_multiplicities
+from killingcalc.young import kostka, orbit_size, weight_multiplicities
 
 CHARACTER_SIZES = [(n, ell) for n in (2, 3, 4, 5) for ell in (1, 2, 3)]
 
@@ -215,7 +215,7 @@ def test_an_operator_entry_outside_its_block_is_refused(monkeypatch):
 def test_orbit_weighted_columns_are_the_closed_forms():
     n, ell, max_degree = 4, 2, 2
     forms = flat_forms(n, ell, tractor._parallel_read_weights(n, ell, max_degree))
-    cols = sum(_orbit_size(mu) * len(c) for mu, c, _, _ in tractor._parallel_blocks(forms, max_degree))
+    cols = sum(orbit_size(mu) * len(c) for mu, c, _, _ in tractor._parallel_blocks(forms, max_degree))
     assert cols == flat_forms(n, ell).dim * len(monomials(n, max_degree))
-    cols = sum(_orbit_size(mu) * len(c) for mu, c, _ in killing._operator_blocks(n, ell, max_degree))
+    cols = sum(orbit_size(mu) * len(c) for mu, c, _ in killing._operator_blocks(n, ell, max_degree))
     assert cols == len(killing.symmetric_coordinates(n, ell, max_degree))

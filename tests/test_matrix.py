@@ -313,6 +313,7 @@ def test_equality_compares_across_scales():
     assert ExactMatrix.identity(2) == ExactMatrix.from_int_rows(2, [{0: 7}, {1: 7}], 7)
     assert ExactMatrix(0, 3) == ExactMatrix.from_int_rows(3, [], 5)
     assert ExactMatrix(0, 3) != ExactMatrix(0, 2)
+    assert m != None and not m == None and m != m.data  # noqa: E711
 
 
 def test_over_common_scale_and_vstack_bring_scales_together():

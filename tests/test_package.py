@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -62,3 +63,34 @@ def test_environment_variables_in_code_are_the_documented_ones():
     read = _variable_names((ROOT / "src" / "killingcalc").glob("*.py"))
     documented = _variable_names([ROOT / "docs" / "report_schema.md", ROOT / "README.md"])
     assert read == documented
+
+
+def _package_imports_and_uses(tree: ast.Module):
+    """(names bound by ``from killingcalc... import``, names the module
+    reads, string constants of its ``__all__``)."""
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "killingcalc":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    return imported, used, exported
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "killingcalc").glob("*.py")), ids=lambda p: p.name
+)
+def test_every_package_import_is_used_or_exported(path):
+    """Each name a module imports from ``killingcalc`` is read in that
+    module or listed in its ``__all__``, so a helper moved to another
+    module leaves no dead import behind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used, exported = _package_imports_and_uses(tree)
+    assert sorted(imported - used - exported) == [], path.name

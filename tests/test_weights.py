@@ -21,7 +21,7 @@ from helpers import (
     submatrix,
 )
 from killingcalc import chain, kostant, prolong
-from killingcalc.chain import ChainComplex, _orbit_size, cohomology_dims
+from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.kostant import build_V, lie_algebra_cohomology
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
@@ -31,7 +31,7 @@ from killingcalc.prolong import (
     flat_forms,
     graded_diagonal_complex,
 )
-from killingcalc.young import YoungDiagram, gl_dimension, realize_irreducible
+from killingcalc.young import YoungDiagram, gl_dimension, orbit_size, realize_irreducible
 
 CASES = [(n, ell) for n in (2, 3, 4) for ell in (1, 2, 3)] + [(6, 2)]
 
@@ -92,8 +92,8 @@ def _summed(table) -> list[int]:
 
 
 def test_orbit_sizes_and_dominant_weights():
-    assert _orbit_size((2, 1, 1, 0)) == 12
-    assert _orbit_size((1, 1, 1)) == _orbit_size(()) == 1
+    assert orbit_size((2, 1, 1, 0)) == 12
+    assert orbit_size((1, 1, 1)) == orbit_size(()) == 1
     # n=2, ell=1: T_0 = R^2 of weights (1, 0), (0, 1) and T_1 of weight (1, 1)
     forms = flat_forms(2, 1)
     assert chain._dominant_weights(forms) == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0)]
@@ -183,7 +183,7 @@ def test_a_weight_mixing_column_is_refused():
     forms = flat_forms(3, 2)
     weights = list(forms.weights)
     weights[0], weights[-1] = weights[-1], weights[0]
-    with pytest.raises(RuntimeError, match="leaves its weight block"):
+    with pytest.raises(RuntimeError, match="leaves the block of weight"):
         chain.weight_cohomology(forms._replace(weights=tuple(weights)))
 
 

@@ -8,9 +8,15 @@ from itertools import permutations
 
 import pytest
 
-from helpers import REALIZED_IDS, REALIZED_SHAPES, apply, symmetrize, whole_realization
+from helpers import (
+    REALIZED_IDS,
+    REALIZED_SHAPES,
+    apply,
+    symmetrize,
+    weight_keys_by_combinations,
+    whole_realization,
+)
 from killingcalc import young
-from killingcalc.chain import _orbit_size
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
@@ -21,6 +27,7 @@ from killingcalc.young import (
     clear_realization_cache,
     gl_dimension,
     kostka,
+    orbit_size,
     realize_irreducible,
     weight_multiplicities,
     weyl_dimension,
@@ -331,12 +338,26 @@ def test_weight_spaces_sum_to_hook_content():
             d = YoungDiagram(lam)
             for n in range(1, 8):
                 dominant = [mu + (0,) * (n - len(mu)) for mu in _partitions(m) if len(mu) <= n]
-                total = sum(_orbit_size(mu) * kostka(d, mu) for mu in dominant)
+                total = sum(orbit_size(mu) * kostka(d, mu) for mu in dominant)
                 assert total == gl_dimension(d, n), (lam, n)
                 if m <= 6 and n <= 4:
                     mult = weight_multiplicities(d, n)
                     assert sum(mult.values()) == total
                     assert all(mult[w] == kostka(d, w) > 0 for w in mult)
+
+
+def test_weight_keys_match_the_combinations_oracle():
+    """``_weight_keys`` gives the keys of the oracle, in its order, on every
+    weight of every one- or two-row shape of size at most 7 over n at
+    most 5, for the shape's groups and for its constraint rows' groups."""
+    for m in range(1, 8):
+        for lam in [p for p in _partitions(m) if len(p) <= 2]:
+            sizes = young._group_sizes(YoungDiagram(lam))
+            groups = [sizes] + ([(sizes[0] - 1, sizes[1] + 1)] if len(sizes) == 2 else [])
+            for n in range(1, 6):
+                for w in _compositions(m, n):
+                    for s in groups:
+                        assert young._weight_keys(s, w) == weight_keys_by_combinations(s, w), (s, w)
 
 
 ORACLE_SHAPES = REALIZED_SHAPES + [((2, 2), 7, "symmetric-pair"), ((3, 3), 5, "symmetric-pair")]
