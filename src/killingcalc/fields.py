@@ -2,8 +2,11 @@
 
 Components are polynomials, or rational functions in factored form when a
 non-flat metric forces division (metrics live in :mod:`killingcalc.metric`).
-A field is in rational mode as soon as any entry is rational; modes never
-mix inside one field.
+A field stores the entries it is given, so one field may hold both kinds:
+the scalars do their own mixed arithmetic and compare across kinds, and a
+missing entry reads as the zero polynomial.  A field is rational as soon
+as any entry is; degrees, the JSON form and the flat derivative are
+refused for rational fields.
 
 Connection coefficients at a point come in two independent ways from a
 raw first jet Dg, both evaluated on the jet brought to integers over the
@@ -25,7 +28,7 @@ from math import lcm
 from typing import TYPE_CHECKING
 
 from killingcalc.matrix import ExactMatrix, kernel_basis, solve
-from killingcalc.poly import PolyScalar, RatScalar, _as_rat
+from killingcalc.poly import PolyScalar, RatScalar
 from killingcalc.rationals import format_rational, parse_rational
 
 if TYPE_CHECKING:  # tensor is imported where it runs: `range-check` never does
@@ -44,17 +47,6 @@ __all__ = [
 ]
 
 
-def _is_rat(s) -> bool:
-    return isinstance(s, RatScalar)
-
-
-def _coerce(scalars, n: int):
-    vals = list(scalars)
-    if any(_is_rat(s) for s in vals):
-        return [_as_rat(s, n) for s in vals], True
-    return vals, False
-
-
 def _json_int(value, what: str) -> int:
     """An integer of a field document; floats, strings and bools are refused
     rather than truncated or converted."""
@@ -63,38 +55,34 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _s_zero(n: int, rational: bool):
-    return RatScalar.const(n, 0) if rational else PolyScalar.zero(n)
-
-
 class PolyTensorField:
     """Sparse tensor field: index tuple (1-based) -> scalar entry."""
 
-    __slots__ = ("n", "arity", "comps", "rational")
+    __slots__ = ("n", "arity", "comps")
 
     def __init__(self, n: int, arity: int, comps=None):
         if n < 1 or arity < 0:
             raise ValueError("need n >= 1 and arity >= 0")
         self.n = n
         self.arity = arity
-        items = list((comps or {}).items())
-        for idx, _ in items:
+        self.comps = {}
+        for idx, s in (comps or {}).items():
             if len(idx) != arity or not all(1 <= i <= n for i in idx):
                 raise ValueError(f"bad index tuple {idx}")
-        vals, rational = _coerce((s for _, s in items), n)
-        self.rational = rational
-        self.comps = {
-            tuple(idx): s
-            for (idx, _), s in zip(items, vals)
-            if not s.is_zero()
-        }
+            if not s.is_zero():
+                self.comps[tuple(idx)] = s
 
     @classmethod
     def zero(cls, n: int, arity: int) -> "PolyTensorField":
         return cls(n, arity)
 
+    @property
+    def rational(self) -> bool:
+        return any(isinstance(s, RatScalar) for s in self.comps.values())
+
     def at(self, *idx):
-        return self.comps.get(tuple(idx), _s_zero(self.n, self.rational))
+        """The entry at idx; a missing entry is the zero polynomial."""
+        return self.comps.get(idx) or PolyScalar.zero(self.n)
 
     def is_zero(self) -> bool:
         return not self.comps
@@ -104,7 +92,7 @@ class PolyTensorField:
         out = dict(self.comps)
         for idx, s in other.comps.items():
             cur = out.get(idx)
-            out[idx] = s if cur is None else _s_add(cur, s)
+            out[idx] = s if cur is None else cur.add(s)
         return PolyTensorField(self.n, self.arity, out)
 
     def neg(self) -> "PolyTensorField":
@@ -131,22 +119,19 @@ class PolyTensorField:
             return NotImplemented
         if other.n != self.n or other.arity != self.arity:
             return False
-        for idx in set(self.comps) | set(other.comps):
-            if not _s_eq(self.at(*idx), other.at(*idx)):
-                return False
-        return True
+        return all(self.at(*i) == other.at(*i) for i in set(self.comps) | set(other.comps))
 
     __hash__ = None
 
     def degree(self) -> int:
-        """Maximal entry degree; polynomial mode only."""
+        """Maximal entry degree; polynomial fields only."""
         if self.rational:
-            raise ValueError("degree bookkeeping applies to polynomial mode")
+            raise ValueError("degree bookkeeping applies to polynomial fields")
         return max((s.degree() for s in self.comps.values()), default=-1)
 
     def to_json_dict(self) -> dict:
         if self.rational:
-            raise ValueError("JSON form covers polynomial mode only")
+            raise ValueError("JSON form covers polynomial fields only")
         entries = []
         for idx in sorted(self.comps):
             poly = [
@@ -177,7 +162,8 @@ class PolyTensorField:
                 exp = tuple(_json_int(e, "exponent") for e in t["exp"])
                 if len(exp) != n:
                     raise ValueError(f"exponent vector {exp} has wrong length")
-                terms[exp] = parse_rational(t["coef"])
+                c = parse_rational(t["coef"])
+                terms[exp] = terms[exp] + c if exp in terms else c
             prev = comps.get(idx)
             p = PolyScalar(n, terms)
             comps[idx] = p if prev is None else prev.add(p)
@@ -190,28 +176,6 @@ class PolyTensorField:
         )
 
 
-def _s_add(a, b):
-    if _is_rat(a) or _is_rat(b):
-        return _as_rat(a, _scalar_n(a)).add(b)
-    return a.add(b)
-
-
-def _s_mul(a, b):
-    if _is_rat(a) or _is_rat(b):
-        return _as_rat(a, _scalar_n(a)).mul(b)
-    return a.mul(b)
-
-
-def _s_eq(a, b) -> bool:
-    if _is_rat(a) or _is_rat(b):
-        return _as_rat(a, _scalar_n(a)) == _as_rat(b, _scalar_n(b))
-    return a == b
-
-
-def _scalar_n(s) -> int:
-    return s.n
-
-
 def delta_field(n: int) -> PolyTensorField:
     return PolyTensorField(
         n, 2, {(i, i): PolyScalar.const(n, 1) for i in range(1, n + 1)}
@@ -219,10 +183,10 @@ def delta_field(n: int) -> PolyTensorField:
 
 
 def flat_derivative(f: PolyTensorField) -> PolyTensorField:
-    """Coordinate derivative, new index first; polynomial mode only."""
+    """Coordinate derivative, new index first; polynomial fields only."""
     if f.rational:
         raise ValueError(
-            "rational mode has no flat derivative: use covariant_derivative"
+            "a rational field has no flat derivative: use covariant_derivative"
         )
     return _coordinate_derivative(f)
 
@@ -253,7 +217,7 @@ def _permuted_combination(f: PolyTensorField, positions, signed: bool) -> PolyTe
             tgt = tuple(tgt)
             term = s.scale(sign)
             cur = out.get(tgt)
-            out[tgt] = term if cur is None else _s_add(cur, term)
+            out[tgt] = term if cur is None else cur.add(term)
     k = 1
     for i in range(2, len(pos) + 1):
         k *= i
@@ -399,9 +363,9 @@ def lie_derivative_delta(X: PolyTensorField) -> PolyTensorField:
         for c in range(1, n + 1):
             total = PolyScalar.zero(n)
             for a in range(1, n + 1):
-                total = total.add(_s_mul(X.at(a), dg.at(a, b, c)))
-                total = total.add(_s_mul(g.at(a, c), dX.at(b, a)))
-                total = total.add(_s_mul(g.at(b, a), dX.at(c, a)))
+                total = total.add(X.at(a).mul(dg.at(a, b, c)))
+                total = total.add(g.at(a, c).mul(dX.at(b, a)))
+                total = total.add(g.at(b, a).mul(dX.at(c, a)))
             if not total.is_zero():
                 comps[(b, c)] = total
     return PolyTensorField(n, 2, comps)

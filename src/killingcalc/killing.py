@@ -106,7 +106,7 @@ def symmetric_coordinates(n: int, arity: int, max_degree: int):
 def field_coefficient_vector(f: PolyTensorField, max_degree: int):
     """Coefficients of a symmetric polynomial field on the standard coords."""
     if f.rational:
-        raise ValueError("coefficient vectors apply to polynomial mode")
+        raise ValueError("coefficient vectors apply to polynomial fields")
     _require_symmetric(f)
     if f.degree() > max_degree:
         raise ValueError("field degree exceeds the requested bound")

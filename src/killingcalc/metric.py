@@ -8,7 +8,12 @@ a non-flat metric forces division (see :mod:`killingcalc.fields`).
 
 Connection coefficients on fields use the closed form
 Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, raised with the exact
-inverse.  All curvature conventions follow
+inverse.  A metric computes its inverse, both forms of the coefficients
+and its curvature once each, as ``functools.cached_property`` values.
+No model is special-cased: when the lowered coefficients vanish, as for
+the flat delta, they serve as the raised ones without an inverse being
+formed, and the covariant derivative and the curvature return at once.
+The model name is a label only.  All curvature conventions follow
 [nabla_a, nabla_b] X^c = R_ab{}^c{}_d X^d; the stored Riemann field is
 indexed (a, b, c, d) with c the raised slot.  Of the commands, only the
 tractor checks read this module; the pointwise Christoffel checks work
@@ -18,17 +23,11 @@ on raw jets in :mod:`killingcalc.fields`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
 
-from killingcalc.fields import (
-    PolyTensorField,
-    _coordinate_derivative,
-    _s_add,
-    _s_eq,
-    _s_mul,
-    delta_field,
-)
-from killingcalc.poly import PolyScalar, RatScalar, _as_rat
+from killingcalc.fields import PolyTensorField, _coordinate_derivative, delta_field
+from killingcalc.poly import PolyScalar, RatScalar
 from killingcalc.tensor import Tensor, perm_sign
 
 __all__ = [
@@ -42,20 +41,15 @@ __all__ = [
 class MetricField:
     """Symmetric two-tensor with an exactly invertible component matrix."""
 
-    def __init__(self, n: int, field: PolyTensorField, mode: str, kappa=None):
+    def __init__(self, n: int, field: PolyTensorField, mode: str):
         if field.n != n or field.arity != 2:
             raise ValueError("metric must be an arity-2 field")
         for (a, b), s in field.comps.items():
-            if not _s_eq(s, field.at(b, a)):
+            if s != field.at(b, a):
                 raise ValueError("metric must be symmetric")
         self.n = n
         self.field = field
         self.mode = mode
-        self.kappa = kappa
-        self._inverse = None
-        self._gamma = None
-        self._gamma_up = None
-        self._riemann = None
 
     @classmethod
     def flat(cls, n: int) -> "MetricField":
@@ -74,7 +68,7 @@ class MetricField:
                 comps[(i, i)] = RatScalar(PolyScalar.const(n, 4), [(u, 2)])
             else:
                 comps[(i, i)] = RatScalar.const(n, 4)
-        return cls(n, PolyTensorField(n, 2, comps), "stereographic", kappa)
+        return cls(n, PolyTensorField(n, 2, comps), "stereographic")
 
     @classmethod
     def from_jet2(cls, g0: Tensor, dg0: Tensor, ddg0: Tensor) -> "MetricField":
@@ -122,88 +116,95 @@ class MetricField:
         return cls(n, PolyTensorField(n, 2, comps), "sample")
 
     def inverse(self) -> PolyTensorField:
-        """Inverse component matrix as a rational-mode field."""
-        if self._inverse is not None:
-            return self._inverse
+        """Inverse component matrix; its entries are rational functions."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> PolyTensorField:
         n = self.n
-        if self.mode == "flat":
-            self._inverse = delta_field(n)
-            return self._inverse
-        entries = [
-            [_as_rat(self.field.at(i, j), n) for j in range(1, n + 1)]
-            for i in range(1, n + 1)
-        ]
-        det = RatScalar.const(n, 0)
-        for perm in permutations(range(n)):
-            term = RatScalar.const(n, perm_sign(perm))
-            for i in range(n):
-                term = term.mul(entries[i][perm[i]])
-            det = det.add(term)
+        entries = [[self.field.at(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+        det = _determinant(n, entries)
         if det.is_zero():
             raise ValueError("metric is not invertible")
         comps = {}
-        for i in range(n):
-            for j in range(n):
-                minor_rows = [r for r in range(n) if r != j]
-                minor_cols = [c for c in range(n) if c != i]
-                cof = RatScalar.const(n, 0)
-                for perm in permutations(range(n - 1)):
-                    term = RatScalar.const(n, perm_sign(perm))
-                    for a in range(n - 1):
-                        term = term.mul(entries[minor_rows[a]][minor_cols[perm[a]]])
-                    cof = cof.add(term)
-                sign = (-1) ** (i + j)
-                val = cof.scale(sign).div(det)
-                if not val.is_zero():
-                    comps[(i + 1, j + 1)] = val
-        self._inverse = PolyTensorField(n, 2, comps)
-        return self._inverse
+        for i, j in product(range(n), repeat=2):
+            # entry (i, j) is the (j, i) cofactor over the determinant
+            minor = [row[:i] + row[i + 1:] for row in entries[:j] + entries[j + 1:]]
+            comps[(i + 1, j + 1)] = _determinant(n, minor).scale((-1) ** (i + j)).div(det)
+        return PolyTensorField(n, 2, comps)
+
+    @cached_property
+    def _christoffel(self) -> PolyTensorField:
+        n = self.n
+        dg = _coordinate_derivative(self.field)
+        comps = {}
+        for a, b, c in product(range(1, n + 1), repeat=3):
+            v = dg.at(a, b, c).add(dg.at(b, a, c)).sub(dg.at(c, a, b)).scale(Fraction(1, 2))
+            if not v.is_zero():
+                comps[(a, b, c)] = v
+        return PolyTensorField(n, 3, comps)
+
+    @cached_property
+    def _christoffel_up(self) -> PolyTensorField:
+        """Entry (a, b, c) = Gamma_ab^c.  When the lowered coefficients
+        vanish they are returned as they are, and no inverse is formed."""
+        low = self._christoffel
+        if low.is_zero():
+            return low
+        n = self.n
+        inv = self.inverse()
+        comps = {}
+        for a, b, c in product(range(1, n + 1), repeat=3):
+            total = None
+            for d in range(1, n + 1):
+                lo = low.at(a, b, d)
+                gi = inv.at(c, d)
+                if lo.is_zero() or gi.is_zero():
+                    continue
+                term = gi.mul(lo)
+                total = term if total is None else total.add(term)
+            if total is not None:
+                comps[(a, b, c)] = total
+        return PolyTensorField(n, 3, comps)
+
+    @cached_property
+    def _riemann(self) -> PolyTensorField:
+        n = self.n
+        gamma = self._christoffel_up
+        if gamma.is_zero():
+            return PolyTensorField.zero(n, 4)
+        dgamma = _coordinate_derivative(gamma)
+        comps: dict = {}
+        for a, b, c, d in product(range(1, n + 1), repeat=4):
+            if a == b:
+                continue
+            total = dgamma.at(a, b, d, c).sub(dgamma.at(b, a, d, c))
+            for e in range(1, n + 1):
+                t1a, t1b = gamma.at(a, e, c), gamma.at(b, d, e)
+                if not (t1a.is_zero() or t1b.is_zero()):
+                    total = total.add(t1a.mul(t1b))
+                t2a, t2b = gamma.at(b, e, c), gamma.at(a, d, e)
+                if not (t2a.is_zero() or t2b.is_zero()):
+                    total = total.sub(t2a.mul(t2b))
+            comps[(a, b, c, d)] = total
+        return PolyTensorField(n, 4, comps)
+
+
+def _determinant(n: int, rows) -> RatScalar:
+    """Permutation expansion of the determinant of a square list of rows of
+    scalars in n variables; the empty matrix has determinant 1."""
+    total = RatScalar.const(n, 0)
+    for perm in permutations(range(len(rows))):
+        term = RatScalar.const(n, perm_sign(perm))
+        for row, j in zip(rows, perm):
+            term = term.mul(row[j])
+        total = total.add(term)
+    return total
+
 
 def christoffel_field(g: MetricField) -> PolyTensorField:
     """All-lower connection coefficients of the metric, indexed (a, b, c)."""
-    if g._gamma is not None:
-        return g._gamma
-    n = g.n
-    if g.mode == "flat":
-        g._gamma = PolyTensorField.zero(n, 3)
-        return g._gamma
-    dg = _coordinate_derivative(g.field)
-    comps = {}
-    for a, b, c in product(range(1, n + 1), repeat=3):
-        v = _s_add(
-            _s_add(dg.at(a, b, c), dg.at(b, a, c)),
-            dg.at(c, a, b).neg(),
-        ).scale(Fraction(1, 2))
-        if not v.is_zero():
-            comps[(a, b, c)] = v
-    g._gamma = PolyTensorField(n, 3, comps)
-    return g._gamma
-
-
-def _christoffel_up(g: MetricField) -> PolyTensorField:
-    """Coefficients with the last index raised: entry (a, b, c) = Gamma_ab^c."""
-    if g._gamma_up is not None:
-        return g._gamma_up
-    n = g.n
-    if g.mode == "flat":
-        g._gamma_up = PolyTensorField.zero(n, 3)
-        return g._gamma_up
-    low = christoffel_field(g)
-    inv = g.inverse()
-    comps = {}
-    for a, b, c in product(range(1, n + 1), repeat=3):
-        total = None
-        for d in range(1, n + 1):
-            lo = low.at(a, b, d)
-            gi = inv.at(c, d)
-            if lo.is_zero() or gi.is_zero():
-                continue
-            term = _s_mul(gi, lo)
-            total = term if total is None else _s_add(total, term)
-        if total is not None and not total.is_zero():
-            comps[(a, b, c)] = total
-    g._gamma_up = PolyTensorField(n, 3, comps)
-    return g._gamma_up
+    return g._christoffel
 
 
 def covariant_derivative(f: PolyTensorField, g: MetricField, variance=None) -> PolyTensorField:
@@ -217,10 +218,10 @@ def covariant_derivative(f: PolyTensorField, g: MetricField, variance=None) -> P
     variance = tuple(variance or "-" * f.arity)
     if len(variance) != f.arity or any(v not in "+-" for v in variance):
         raise ValueError("variance must mark each slot '+' or '-'")
-    if g.mode == "flat":
-        return _coordinate_derivative(f)
-    gamma = _christoffel_up(g)
     out = _coordinate_derivative(f)
+    gamma = g._christoffel_up
+    if gamma.is_zero():
+        return out
     n = f.n
     corrections: dict = {}
     for idx, s in f.comps.items():
@@ -236,37 +237,12 @@ def covariant_derivative(f: PolyTensorField, g: MetricField, variance=None) -> P
                     if coef.is_zero():
                         continue
                     tgt = (a,) + idx[:j] + (e,) + idx[j + 1 :]
-                    term = _s_mul(coef, s).scale(sign)
+                    term = coef.mul(s).scale(sign)
                     cur = corrections.get(tgt)
-                    corrections[tgt] = term if cur is None else _s_add(cur, term)
+                    corrections[tgt] = term if cur is None else cur.add(term)
     return out.add(PolyTensorField(n, f.arity + 1, corrections))
 
 
 def riemann(g: MetricField) -> PolyTensorField:
     """Curvature R_ab{}^c{}_d as a field indexed (a, b, c, d)."""
-    if g._riemann is not None:
-        return g._riemann
-    n = g.n
-    if g.mode == "flat":
-        g._riemann = PolyTensorField.zero(n, 4)
-        return g._riemann
-    gamma = _christoffel_up(g)
-    dgamma = _coordinate_derivative(gamma)
-    comps: dict = {}
-    for a, b, c, d in product(range(1, n + 1), repeat=4):
-        if a == b:
-            continue
-        total = _s_add(
-            dgamma.at(a, b, d, c), dgamma.at(b, a, d, c).neg()
-        )
-        for e in range(1, n + 1):
-            t1a, t1b = gamma.at(a, e, c), gamma.at(b, d, e)
-            if not (t1a.is_zero() or t1b.is_zero()):
-                total = _s_add(total, _s_mul(t1a, t1b))
-            t2a, t2b = gamma.at(b, e, c), gamma.at(a, d, e)
-            if not (t2a.is_zero() or t2b.is_zero()):
-                total = _s_add(total, _s_mul(t2a, t2b).neg())
-        if not total.is_zero():
-            comps[(a, b, c, d)] = total
-    g._riemann = PolyTensorField(n, 4, comps)
     return g._riemann

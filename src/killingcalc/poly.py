@@ -6,6 +6,10 @@ polynomial atoms with integer powers; arithmetic cancels atoms against
 the numerator by exact division, so denominators never grow past the
 atoms actually introduced (metric conformal factors, determinants).
 Equality is decided by cross multiplication and needs no gcd.
+
+The two kinds mix freely: a PolyScalar given a RatScalar operand hands
+the sum or product to RatScalar, which takes PolyScalar operands, and
+``==`` compares either kind with either.
 """
 
 from __future__ import annotations
@@ -79,7 +83,9 @@ class PolyScalar:
         if not isinstance(other, PolyScalar) or other.n != self.n:
             raise ValueError("mixed polynomial rings")
 
-    def add(self, other: "PolyScalar") -> "PolyScalar":
+    def add(self, other: "PolyScalar | RatScalar") -> "PolyScalar | RatScalar":
+        if isinstance(other, RatScalar):
+            return RatScalar(self).add(other)
         self._same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -93,14 +99,16 @@ class PolyScalar:
     def neg(self) -> "PolyScalar":
         return PolyScalar(self.n, {e: -c for e, c in self.terms.items()})
 
-    def sub(self, other: "PolyScalar") -> "PolyScalar":
+    def sub(self, other: "PolyScalar | RatScalar") -> "PolyScalar | RatScalar":
         return self.add(other.neg())
 
     def scale(self, c) -> "PolyScalar":
         c = _fr(c)
         return PolyScalar(self.n, {e: c * v for e, v in self.terms.items()})
 
-    def mul(self, other: "PolyScalar") -> "PolyScalar":
+    def mul(self, other: "PolyScalar | RatScalar") -> "PolyScalar | RatScalar":
+        if isinstance(other, RatScalar):
+            return RatScalar(self).mul(other)
         self._same(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():

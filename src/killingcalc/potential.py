@@ -141,7 +141,7 @@ def integrability_operator(omega: PolyTensorField) -> PolyTensorField:
     if omega.arity != 2:
         raise ValueError("expected an arity-2 field")
     if omega.rational:
-        raise ValueError("obstruction applies to polynomial mode")
+        raise ValueError("obstruction applies to polynomial fields")
     _require_symmetric(omega)
     # sums run over integers: omega times the lcm of its denominators
     scale = lcm(*(w.denominator for s in omega.comps.values() for w in s.terms.values()))
@@ -253,7 +253,7 @@ def killing_potential_solve(
     if omega.arity != 2:
         raise ValueError("expected an arity-2 field")
     if omega.rational:
-        raise ValueError("potential solve applies to polynomial mode")
+        raise ValueError("potential solve applies to polynomial fields")
     n = omega.n
     if omega.is_zero():
         return KillingPotentialResult(True, PolyTensorField.zero(n, 1))

@@ -64,7 +64,7 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from killingcalc.chain import block_rows
-from killingcalc.fields import PolyTensorField, antisymmetrize_field, _s_mul
+from killingcalc.fields import PolyTensorField, antisymmetrize_field
 from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import _component_shapes, flat_forms
@@ -163,7 +163,7 @@ def _derive_pair(g: MetricField, a_part: PolyTensorField, b_part: PolyTensorFiel
                         if coef.is_zero():
                             continue
                         tgt = (a,) + mm + (c, d)
-                        term = _s_mul(coef, s).neg()
+                        term = coef.mul(s).neg()
                         cur = corr.get(tgt)
                         corr[tgt] = term if cur is None else cur.add(term)
     out_b = db.add(PolyTensorField(n, b_part.arity + 1, corr))

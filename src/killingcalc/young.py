@@ -67,7 +67,6 @@ from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend_row
 
 __all__ = [
     "YoungDiagram",
-    "DynkinLabel",
     "SubspaceBasis",
     "WeightSpace",
     "gl_dimension",
@@ -124,17 +123,6 @@ class YoungDiagram:
                 yield i, j
 
 
-class DynkinLabel:
-    """Highest weight labels for a special linear algebra of rank len(labels)."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        self.labels = tuple(int(a) for a in labels)
-        if any(a < 0 for a in self.labels):
-            raise ValueError("Dynkin labels must be nonnegative")
-
-
 def gl_dimension(d: YoungDiagram, n: int) -> int:
     """Hook-content dimension of the GL(n) module of shape d."""
     if n < 1:
@@ -154,7 +142,7 @@ def gl_dimension(d: YoungDiagram, n: int) -> int:
 
 def weyl_dimension(label) -> int:
     """Dimension of the sl representation with the given Dynkin labels."""
-    labels = label.labels if isinstance(label, DynkinLabel) else tuple(label)
+    labels = tuple(label)
     if any(int(a) < 0 for a in labels):
         raise ValueError("Dynkin labels must be nonnegative")
     r = len(labels)

@@ -344,6 +344,22 @@ def test_range_check_solvable(tmp_path, capsys):
     }
 
 
+def test_range_check_accumulates_repeated_exponents(tmp_path, capsys):
+    # x1 - x1 in one poly list is the zero entry, as it is over two idx entries
+    terms = [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"}]
+    outputs = []
+    for entries in (
+        [{"idx": [1, 1], "poly": terms}],
+        [{"idx": [1, 1], "poly": [t]} for t in terms],
+    ):
+        path = tmp_path / "omega.json"
+        path.write_text(json.dumps({"n": 2, "arity": 2, "entries": entries}))
+        assert main(["range-check", "--n", "2", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]) == {"n": 2, "arity": 1, "entries": []}
+
+
 def test_range_check_certificate(tmp_path, capsys):
     # omega_11 = x2^2 is obstructed with N_1212 = 2
     doc = {

@@ -18,8 +18,9 @@ from killingcalc.fields import (
     symmetrize_field,
 )
 from killingcalc.metric import MetricField, christoffel_field, covariant_derivative, riemann
-from killingcalc.poly import PolyScalar, RatScalar, _as_rat
+from killingcalc.poly import PolyScalar, RatScalar
 from killingcalc.tensor import Tensor
+from killingcalc.tractor import tractor_curvature
 
 P = PolyScalar
 
@@ -184,17 +185,17 @@ def test_stereographic_curvature_identity():
                     for d in range(1, n + 1):
                         want = RatScalar.const(n, 0)
                         if a == c:
-                            want = want.add(_as_rat(g.field.at(b, d), n))
+                            want = want.add(g.field.at(b, d))
                         if b == c:
-                            want = want.sub(_as_rat(g.field.at(a, d), n))
+                            want = want.sub(g.field.at(a, d))
                         want = want.scale(kappa)
-                        assert _as_rat(R.at(a, b, c, d), n) == want
+                        assert R.at(a, b, c, d) == want
 
 
 def test_stereographic_kappa_zero_is_constant():
     g = MetricField.stereographic(2, 0)
     assert riemann(g).is_zero()
-    assert g.field.at(1, 1) == _as_rat(P.const(2, 4), 2)
+    assert g.field.at(1, 1) == P.const(2, 4)
 
 
 def test_metric_inverse():
@@ -205,9 +206,7 @@ def test_metric_inverse():
             for b in range(1, n + 1):
                 acc = RatScalar.const(n, 0)
                 for e in range(1, n + 1):
-                    acc = acc.add(
-                        _as_rat(g.field.at(a, e), n).mul(_as_rat(inv.at(e, b), n))
-                    )
+                    acc = acc.add(g.field.at(a, e).mul(inv.at(e, b)))
                 assert acc == RatScalar.const(n, 1 if a == b else 0)
 
 
@@ -262,12 +261,10 @@ def test_commutator_convention():
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 for c in range(1, n + 1):
-                    lhs = _as_rat(nnX.at(a, b, c), n).sub(_as_rat(nnX.at(b, a, c), n))
+                    lhs = nnX.at(a, b, c).sub(nnX.at(b, a, c))
                     rhs = RatScalar.const(n, 0)
                     for d in range(1, n + 1):
-                        rhs = rhs.add(
-                            _as_rat(R.at(a, b, c, d), n).mul(_as_rat(X.at(d), n))
-                        )
+                        rhs = rhs.add(R.at(a, b, c, d).mul(X.at(d)))
                     assert lhs == rhs
 
 
@@ -292,3 +289,61 @@ def test_duplicate_json_indices_accumulate():
     }
     f = PolyTensorField.from_json_dict(doc)
     assert f.at(1) == P(2, {(1, 0): Fraction(5)})
+
+
+def test_repeated_json_exponents_accumulate():
+    """Repeated exponents inside one poly list add up, as repeated idx
+    entries do: x1 - x1 is the zero entry."""
+    doc = {
+        "n": 2,
+        "arity": 1,
+        "entries": [
+            {"idx": [1], "poly": [{"exp": [1, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"}]},
+            {"idx": [2], "poly": [{"exp": [0, 1], "coef": "2"}, {"exp": [0, 1], "coef": "1/3"}]},
+        ],
+    }
+    f = PolyTensorField.from_json_dict(doc)
+    assert f.at(1).is_zero()
+    assert f.at(2) == P(2, {(0, 1): Fraction(7, 3)})
+
+
+def _mixed_field():
+    """A field whose entries are of both kinds, and its all-RatScalar form."""
+    u = P.const(2, 1).add(P.variable(2, 1).mul(P.variable(2, 1)))
+    comps = {(1, 1): P.variable(2, 2), (1, 2): RatScalar(P.const(2, 3), [(u, 1)])}
+    rat = {idx: s if isinstance(s, RatScalar) else RatScalar(s) for idx, s in comps.items()}
+    return PolyTensorField(2, 2, comps), PolyTensorField(2, 2, rat)
+
+
+def test_mixed_entries_make_a_rational_field():
+    mixed, rat = _mixed_field()
+    assert mixed.rational and rat.rational
+    assert not _rotation_field().rational
+    assert isinstance(mixed.at(1, 1), PolyScalar)  # entries are kept as given
+    assert mixed.at(2, 2) == P.zero(2)
+    for refused in (mixed.degree, mixed.to_json_dict, lambda: flat_derivative(mixed)):
+        with pytest.raises(ValueError):
+            refused()
+
+
+def test_mixed_fields_equal_their_rational_form():
+    mixed, rat = _mixed_field()
+    assert mixed == rat and rat == mixed
+    assert mixed.add(rat) == rat.scale(2)
+    assert mixed.sub(rat).is_zero()
+    assert mixed != rat.scale(2)
+
+
+def test_flat_metric_forms_no_inverse():
+    """Vanishing Christoffel symbols short-cut the raised ones, the
+    covariant derivative and the curvature: no inverse is formed."""
+    g = MetricField.flat(4)
+    assert tractor_curvature(g).is_zero()
+    assert "_inverse" not in vars(g)
+
+
+def test_metric_calculus_is_memoized():
+    g = _sample_metric()
+    assert christoffel_field(g) is christoffel_field(g)
+    assert riemann(g) is riemann(g)
+    assert g.inverse() is g.inverse()

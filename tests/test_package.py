@@ -94,3 +94,41 @@ def test_every_package_import_is_used_or_exported(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported, used, exported = _package_imports_and_uses(tree)
     assert sorted(imported - used - exported) == [], path.name
+
+
+def _guarded_memo_returns(tree: ast.Module) -> list[str]:
+    """Functions that return ``obj._name`` under ``if obj._name is not None``:
+    a memo slot kept by hand."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            test = node.test if isinstance(node, ast.If) else None
+            if not (
+                isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Attribute)
+                and test.left.attr.startswith("_")
+                and [type(op) for op in test.ops] == [ast.IsNot]
+                and isinstance(test.comparators[0], ast.Constant)
+                and test.comparators[0].value is None
+            ):
+                continue
+            slot = ast.dump(test.left)
+            if any(
+                isinstance(r, ast.Return) and r.value is not None and ast.dump(r.value) == slot
+                for stmt in node.body
+                for r in ast.walk(stmt)
+            ):
+                found.append(f"{func.name}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "killingcalc").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_hand_rolled_memo_slots(path):
+    """Memos are ``functools`` memos (``cache``, ``cached_property``), not
+    attributes tested against None before they are returned."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _guarded_memo_returns(tree) == [], path.name

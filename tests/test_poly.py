@@ -153,3 +153,22 @@ def test_rat_add_equals_the_cross_multiplied_sum():
         assert {1 if f == u else 2: k for f, k in total.factors} == powers
         for pt in points:
             assert total.eval(pt) == a.eval(pt) + b.eval(pt)
+
+
+def test_poly_hands_mixed_arithmetic_to_rat():
+    """PolyScalar add/sub/mul with a RatScalar operand give the RatScalar
+    side's result, in both orders, and == compares across the kinds."""
+    rng = random.Random(67)
+    n = 2
+    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
+    for _ in range(20):
+        p = rand_poly(rng, n, 3)
+        r = rat_quotient(rand_poly(rng, n, 2), u if rng.random() < 0.5 else u.mul(u))
+        for op in ("add", "sub", "mul"):
+            got = getattr(p, op)(r)
+            assert isinstance(got, RatScalar)
+            assert got == getattr(RatScalar(p), op)(r)
+        assert p.add(r) == r.add(p) and r.add(p) == p.add(r)
+        assert p.mul(r) == r.mul(p)
+        assert p.sub(r) == r.sub(p).neg()
+        assert p == RatScalar(p) and RatScalar(p) == p

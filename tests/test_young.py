@@ -22,7 +22,6 @@ from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM, extract
 from killingcalc.tensor import antisymmetrize
 from killingcalc.young import (
-    DynkinLabel,
     YoungDiagram,
     clear_realization_cache,
     gl_dimension,
@@ -109,9 +108,7 @@ def test_weyl_and_hook_content_agree():
             assert gl_dimension(YoungDiagram(shape), n) == weyl_dimension(label)
 
 
-def test_dynkin_label_rejects_negative_entries():
-    with pytest.raises(ValueError):
-        DynkinLabel((-1, 2))
+def test_weyl_dimension_rejects_negative_labels():
     with pytest.raises(ValueError):
         weyl_dimension((-2, 1))
 
