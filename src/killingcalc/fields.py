@@ -1,7 +1,8 @@
 """Tensor fields over flat coordinates, and connection coefficients at a point.
 
 Components are polynomials, or rational functions in factored form when a
-non-flat metric forces division (metrics live in :mod:`killingcalc.metric`).
+non-flat metric forces division (metrics and their ``RatScalar`` entries
+live in :mod:`killingcalc.metric`; this module never imports it).
 A field stores the entries it is given, so one field may hold both kinds:
 the scalars do their own mixed arithmetic and compare across kinds, and a
 missing entry reads as the zero polynomial.  A field is rational as soon
@@ -16,7 +17,9 @@ torsion-free metric-compatibility system.  That system depends on n
 alone, so it is eliminated once per n into a cached integer solution
 operator, which each jet is multiplied by.  The two routes are not
 merged: the suite's ``christoffel.*.random-jets`` checks and the tests
-compare them on every jet they draw.
+compare them on every jet they draw.  Only those routes run the matrix
+kernel, so they import it where they run and ``range-check``, which
+reads fields but solves no jet, never compiles it.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from itertools import permutations, product
 from math import lcm
 from typing import TYPE_CHECKING
 
-from killingcalc.matrix import ExactMatrix, kernel_basis, solve
-from killingcalc.poly import PolyScalar, RatScalar
+from killingcalc.poly import PolyScalar
 from killingcalc.rationals import format_rational, parse_rational
 
-if TYPE_CHECKING:  # tensor is imported where it runs: `range-check` never does
+if TYPE_CHECKING:  # imported where they run: `range-check` runs neither
+    from killingcalc.matrix import ExactMatrix
     from killingcalc.tensor import Tensor
 
 __all__ = [
@@ -78,7 +81,7 @@ class PolyTensorField:
 
     @property
     def rational(self) -> bool:
-        return any(isinstance(s, RatScalar) for s in self.comps.values())
+        return any(not isinstance(s, PolyScalar) for s in self.comps.values())
 
     def at(self, *idx):
         """The entry at idx; a missing entry is the zero polynomial."""
@@ -275,6 +278,8 @@ def _slots(n: int):
 @cache
 def _christoffel_system(n: int) -> ExactMatrix:
     """Rows: vanishing antisymmetric part, then prescribed symmetric part."""
+    from killingcalc.matrix import ExactMatrix
+
     trip, sym = _slots(n)
     pos = {t: i for i, t in enumerate(trip)}
     rows = [{pos[(a, b, c)]: 1, pos[(b, a, c)]: -1} for a, b, c in trip if a < b]
@@ -298,6 +303,8 @@ def _christoffel_solver(n: int) -> ExactMatrix:
     antisymmetric-part equations always have right-hand side 0, so S Dg
     is the solution ``solve`` gives for the jet Dg itself.
     """
+    from killingcalc.matrix import ExactMatrix, solve
+
     m = _christoffel_system(n)
     trip, sym = _slots(n)
     first = m.rows - len(sym)
@@ -343,6 +350,8 @@ def christoffel_solve(dg: Tensor) -> Tensor:
 def christoffel_homogeneous_kernel_dim(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
+    from killingcalc.matrix import kernel_basis
+
     return len(kernel_basis(_christoffel_system(n)))
 
 

@@ -3,8 +3,19 @@
 Metric models: the flat delta, the conformally flat constant-curvature
 form 4/(1 + kappa |x|^2)^2 delta with rational kappa, and second-order
 Taylor samples built from raw jet values at the origin.  Their
-components are polynomials, or rational functions in factored form when
-a non-flat metric forces division (see :mod:`killingcalc.fields`).
+components are polynomials, or rational functions when a non-flat metric
+forces division.
+
+The rational functions are this module's ``RatScalar``: it keeps its
+denominator as a product of content-normalized polynomial atoms with
+integer powers, and arithmetic cancels atoms against the numerator by
+exact division, so denominators never grow past the atoms actually
+introduced (conformal factors, determinants).  Equality is decided by
+cross multiplication and needs no gcd.  A RatScalar takes PolyScalar
+operands, and a PolyScalar hands it any mixed sum or product, so fields
+hold both kinds (see :mod:`killingcalc.fields`).  Only metrics build
+rational entries, so the commands that never read a metric never
+compile this class.
 
 Connection coefficients on fields use the closed form
 Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, raised with the exact
@@ -25,17 +36,223 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
+from math import gcd
 
 from killingcalc.fields import PolyTensorField, _coordinate_derivative, delta_field
-from killingcalc.poly import PolyScalar, RatScalar
+from killingcalc.poly import PolyScalar
 from killingcalc.tensor import Tensor, perm_sign
 
 __all__ = [
+    "RatScalar",
     "MetricField",
     "christoffel_field",
     "covariant_derivative",
     "riemann",
 ]
+
+
+def _atom_key(p: PolyScalar):
+    return tuple(sorted(p.terms.items()))
+
+
+def _normalize_atom(p: PolyScalar) -> tuple[PolyScalar, Fraction]:
+    """Scale to coprime integer coefficients with positive leading one.
+
+    Returns the atom and the factor r with input = r * atom.
+    """
+    if p.is_zero():
+        raise ZeroDivisionError("denominator is the zero polynomial")
+    den_lcm = 1
+    for c in p.terms.values():
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    num_gcd = 0
+    for c in p.terms.values():
+        num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
+    r = Fraction(num_gcd, den_lcm)
+    if p.leading()[1] < 0:
+        r = -r
+    return p.scale(1 / r), r
+
+
+class RatScalar:
+    """Exact rational function with a factored denominator."""
+
+    __slots__ = ("num", "factors")
+
+    def __init__(self, num: PolyScalar, factors=()):
+        if not isinstance(num, PolyScalar):
+            raise TypeError("numerator must be a polynomial")
+        flist = []
+        for f, k in factors:
+            if not isinstance(f, PolyScalar) or f.n != num.n:
+                raise ValueError("factor from a different ring")
+            if k < 0:
+                raise ValueError("factor powers must be nonnegative")
+            if k:
+                flist.append((f, int(k)))
+        self.num = num
+        self.factors = tuple(
+            sorted(flist, key=lambda fk: _atom_key(fk[0]))
+        )
+        self._cancel()
+
+    def _cancel(self) -> None:
+        if self.num.is_zero():
+            self.factors = ()
+            return
+        out = []
+        num = self.num
+        for f, k in self.factors:
+            while k > 0:
+                q = num.exact_div(f)
+                if q is None:
+                    break
+                num, k = q, k - 1
+            if k:
+                out.append((f, k))
+        self.num = num
+        self.factors = tuple(out)
+
+    def _with_num(self, num: PolyScalar) -> "RatScalar":
+        """num over this denominator, for num a constant multiple of this
+        numerator.  No factor left here divides this numerator, so none
+        divides a nonzero multiple of it either, and ``_cancel`` would
+        find nothing to divide."""
+        out = object.__new__(RatScalar)
+        out.num = num
+        out.factors = self.factors if not num.is_zero() else ()
+        return out
+
+    @property
+    def n(self) -> int:
+        return self.num.n
+
+    @property
+    def den(self) -> PolyScalar:
+        out = PolyScalar.const(self.num.n, 1)
+        for f, k in self.factors:
+            for _ in range(k):
+                out = out.mul(f)
+        return out
+
+    @classmethod
+    def const(cls, n: int, c) -> "RatScalar":
+        return cls(PolyScalar.const(n, c))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def _merged_factors(self, other: "RatScalar"):
+        """Common denominator: per-atom max power and the two multipliers,
+        None where a multiplier is the constant 1."""
+        mine = {_atom_key(f): (f, k) for f, k in self.factors}
+        theirs = {_atom_key(f): (f, k) for f, k in other.factors}
+        union = []
+        lift_a = lift_b = None
+        for key in sorted(set(mine) | set(theirs)):
+            f, ka = mine.get(key, (None, 0))
+            fb, kb = theirs.get(key, (None, 0))
+            f = f if f is not None else fb
+            k = max(ka, kb)
+            union.append((f, k))
+            for _ in range(k - ka):
+                lift_a = f if lift_a is None else lift_a.mul(f)
+            for _ in range(k - kb):
+                lift_b = f if lift_b is None else lift_b.mul(f)
+        return union, lift_a, lift_b
+
+    def add(self, other: "RatScalar") -> "RatScalar":
+        other = _as_rat(other, self.n)
+        union, la, lb = self._merged_factors(other)
+        a = self.num if la is None else self.num.mul(la)
+        b = other.num if lb is None else other.num.mul(lb)
+        return RatScalar(a.add(b), union)
+
+    def neg(self) -> "RatScalar":
+        return self._with_num(self.num.neg())
+
+    def sub(self, other: "RatScalar") -> "RatScalar":
+        return self.add(_as_rat(other, self.n).neg())
+
+    def scale(self, c) -> "RatScalar":
+        return self._with_num(self.num.scale(c))
+
+    def mul(self, other: "RatScalar") -> "RatScalar":
+        other = _as_rat(other, self.n)
+        merged: dict = {}
+        for f, k in list(self.factors) + list(other.factors):
+            key = _atom_key(f)
+            f0, k0 = merged.get(key, (f, 0))
+            merged[key] = (f0, k0 + k)
+        return RatScalar(self.num.mul(other.num), list(merged.values()))
+
+    def div(self, other: "RatScalar") -> "RatScalar":
+        other = _as_rat(other, self.n)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        atom, r = _normalize_atom(other.num)
+        flipped_num = PolyScalar.const(self.n, 1 / r)
+        for f, k in other.factors:
+            for _ in range(k):
+                flipped_num = flipped_num.mul(f)
+        flipped = RatScalar(
+            flipped_num, [(atom, 1)] if atom.degree() > 0 else []
+        )
+        if atom.degree() == 0:
+            flipped = RatScalar(
+                flipped.num.scale(Fraction(1, atom.terms[(0,) * self.n]))
+            )
+        return self.mul(flipped)
+
+    def diff(self, i: int) -> "RatScalar":
+        p = self.num
+        if not self.factors:
+            return RatScalar(p.diff(i))
+        prod_atoms = PolyScalar.const(self.n, 1)
+        for f, _ in self.factors:
+            prod_atoms = prod_atoms.mul(f)
+        out = p.diff(i).mul(prod_atoms)
+        for idx, (f, k) in enumerate(self.factors):
+            rest = PolyScalar.const(self.n, 1)
+            for jdx, (g, _) in enumerate(self.factors):
+                if jdx != idx:
+                    rest = rest.mul(g)
+            out = out.sub(p.mul(f.diff(i)).mul(rest).scale(k))
+        return RatScalar(out, [(f, k + 1) for f, k in self.factors])
+
+    def eval(self, point) -> Fraction:
+        den = Fraction(1)
+        for f, k in self.factors:
+            v = f.eval(point)
+            if v == 0:
+                raise ZeroDivisionError("denominator vanishes at the point")
+            den *= v ** k
+        return self.num.eval(point) / den
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PolyScalar):
+            other = RatScalar(other)
+        if not isinstance(other, RatScalar):
+            return NotImplemented
+        return self.num.mul(other.den) == other.num.mul(self.den)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        if not self.factors:
+            return repr(self.num)
+        fac = " * ".join(
+            f"({f!r})" + (f"^{k}" if k > 1 else "") for f, k in self.factors
+        )
+        return f"({self.num!r}) / ({fac})"
+
+
+def _as_rat(v, n: int) -> RatScalar:
+    if isinstance(v, RatScalar):
+        return v
+    if isinstance(v, PolyScalar):
+        return RatScalar(v)
+    return RatScalar(PolyScalar.const(n, v))
 
 
 class MetricField:

@@ -260,13 +260,20 @@ def _parallel_blocks(forms, max_degree: int):
     for t, w in enumerate(forms.weights):
         by_weight.setdefault(w, []).append(t)
 
+    read: dict[tuple[int, ...], list] = {}
+
     def columns(nu):
-        return [
-            (t, m)
-            for s in range(max_degree + 1)
-            for m in bounded_compositions(nu, s)
-            for t in by_weight.get(tuple(x - y for x, y in zip(nu, m)), ())
-        ]
+        # each weight is the block of one mu and a row weight of up to n
+        # others: list its columns once
+        cols = read.get(nu)
+        if cols is None:
+            cols = read[nu] = [
+                (t, m)
+                for s in range(max_degree + 1)
+                for m in bounded_compositions(nu, s)
+                for t in by_weight.get(tuple(x - y for x, y in zip(nu, m)), ())
+            ]
+        return cols
 
     def entries(column):
         t, m = column

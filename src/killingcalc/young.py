@@ -243,17 +243,19 @@ def bounded_compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, 
     ``weight_key``."""
     partial = [((), total)]  # (prefix, what the later entries must add)
     rest = sum(bound)
+    zeros = ()  # the zero entries of the bound since the last nonzero one
     for b in bound:
-        rest -= b  # the most the later entries can add
         if not b:
-            partial = [(m + (0,), left) for m, left in partial]
+            zeros += (0,)
             continue
+        rest -= b  # the most the later entries can add
         partial = [
-            (m + (k,), left - k)
+            (m + zeros + (k,), left - k)
             for m, left in partial
             for k in range(min(b, left), max(left - rest, 0) - 1, -1)
         ]
-    return [m for m, left in partial if not left]
+        zeros = ()
+    return [m + zeros for m, left in partial if not left]
 
 
 def weight_key(w) -> tuple[int, ...]:

@@ -19,7 +19,8 @@ from killingcalc.kostant import build_V, koszul_differential
 from killingcalc.matrix import (
     ExactMatrix, integer_rank, kernel_basis, over_common_scale, rank, rref, solve,
 )
-from killingcalc.poly import PolyScalar, RatScalar, monomials
+from killingcalc.metric import RatScalar
+from killingcalc.poly import PolyScalar, monomials
 from killingcalc.potential import _obstruction_terms, _require_symmetric
 from killingcalc.prolong import _psubsets, build_partial, build_T
 from killingcalc.symspace import (

@@ -14,7 +14,9 @@ import pytest
 
 import killingcalc
 from helpers import clear_cohomology_memos
-from killingcalc import chain, cli, fields, jobs, killing, kostant, potential, prolong, tensor, young
+from killingcalc import (
+    chain, cli, fields, jobs, killing, kostant, matrix, potential, prolong, tensor, young,
+)
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
 from killingcalc.cli import main
@@ -158,15 +160,17 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
 
 def test_christoffel_family_solves_once_per_slot(monkeypatch):
     """The solution operator is eliminated once per n, one solve per
-    symmetric slot (6, 18 and 40 at n = 2, 3, 4), not once per jet."""
+    symmetric slot (6, 18 and 40 at n = 2, 3, 4), not once per jet.
+    ``fields`` imports ``solve`` where it runs, so the spy sits on
+    ``matrix``."""
     calls = []
-    original = fields.solve
+    original = matrix.solve
 
     def counted(m, b):
         calls.append(b)
         return original(m, b)
 
-    monkeypatch.setattr(fields, "solve", counted)
+    monkeypatch.setattr(matrix, "solve", counted)
     fields._christoffel_solver.cache_clear()
     try:
         for _ in range(2):
@@ -607,9 +611,7 @@ def test_cli_import_loads_no_check_family():
     assert package == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
 
 
-def test_range_check_loads_only_the_field_modules(tmp_path):
-    """range-check runs the field layer and ``potential``: no tensor, no
-    family, no job builders and no Killing operator matrices."""
+def _omega_argv(tmp_path) -> list[str]:
     doc = {
         "n": 2,
         "arity": 2,
@@ -617,13 +619,45 @@ def test_range_check_loads_only_the_field_modules(tmp_path):
     }
     path = tmp_path / "omega.json"
     path.write_text(json.dumps(doc))
-    loaded = _run_loaded(["range-check", "--input", str(path)])
+    return ["range-check", "--input", str(path)]
+
+
+def test_range_check_loads_only_the_field_modules(tmp_path):
+    """range-check runs the field layer and ``potential``: no tensor, no
+    metric, no matrix kernel, no family, no job builders and no Killing
+    operator matrices."""
+    loaded = _run_loaded(_omega_argv(tmp_path))
     assert "killingcalc.potential" in loaded
     never = {
-        "tensor", "metric", "chain", "prolong", "young", "symspace", "kostant",
-        "tractor", "killing", "jobs",
+        "tensor", "metric", "matrix", "elim", "chain", "prolong", "young", "symspace",
+        "kostant", "tractor", "killing", "jobs",
     }
     assert not loaded & {f"killingcalc.{m}" for m in never}
+
+
+_STARTUP = {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
+_FAMILY = _STARTUP | {
+    f"killingcalc.{m}" for m in ("chain", "elim", "jobs", "matrix", "prolong", "symspace", "young")
+}
+_FIELDS = {f"killingcalc.{m}" for m in ("fields", "poly", "potential", "rationals")}
+
+
+@pytest.mark.parametrize("command, package", [
+    ("range-check", _STARTUP | _FIELDS),
+    ("complex", _FAMILY),
+    ("kostant", _FAMILY | {"killingcalc.kostant"}),
+    ("killing", _FAMILY | _FIELDS | {"killingcalc.killing", "killingcalc.tractor"}),
+])
+def test_benchmarked_commands_load_exactly_their_modules(command, package, tmp_path):
+    """A fresh process of each command the benchmark runs compiles exactly
+    these package modules, so a new top-level import that adds compile
+    cost to one of them fails here."""
+    if command == "range-check":
+        argv = _omega_argv(tmp_path)
+    else:
+        argv = [command, "--n", "3", "--ell", "1"]
+    loaded = _run_loaded(argv)
+    assert {m for m in loaded if m.partition(".")[0] == "killingcalc"} == package
 
 
 @pytest.mark.parametrize("command", ["complex", "kostant", "killing", "suite"])

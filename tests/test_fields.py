@@ -17,8 +17,10 @@ from killingcalc.fields import (
     lie_derivative_delta,
     symmetrize_field,
 )
-from killingcalc.metric import MetricField, christoffel_field, covariant_derivative, riemann
-from killingcalc.poly import PolyScalar, RatScalar
+from killingcalc.metric import (
+    MetricField, RatScalar, christoffel_field, covariant_derivative, riemann,
+)
+from killingcalc.poly import PolyScalar
 from killingcalc.tensor import Tensor
 from killingcalc.tractor import tractor_curvature
 

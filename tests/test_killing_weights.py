@@ -13,6 +13,8 @@ unrealized and an entry that leaves its block.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from helpers import coordinate_rows, whole_degree_bound, whole_parallel_dimension
@@ -42,6 +44,27 @@ def test_parallel_blocks_are_the_whole_system_on_dominant_weights(n, ell, max_de
     """On all-weight forms, block mu has the whole system's row labels of
     weight mu, its rows with two or more entries, and its vanishing
     columns: the whole rows are block-diagonal and the blocks miss none."""
+    _assert_blocks_are_the_whole_system(n, ell, max_degree)
+
+
+@pytest.mark.parametrize("n, ell, max_degree", [(3, 3, 2), (4, 2, 2)])
+def test_parallel_blocks_list_each_weight_once(n, ell, max_degree, monkeypatch):
+    """A weight's columns are listed once, though they serve its own block
+    and the row labels of up to n others, and the blocks stay the whole
+    system's."""
+    calls = Counter()
+    original = tractor.bounded_compositions
+
+    def counted(nu, s):
+        calls[nu, s] += 1
+        return original(nu, s)
+
+    monkeypatch.setattr(tractor, "bounded_compositions", counted)
+    _assert_blocks_are_the_whole_system(n, ell, max_degree)
+    assert calls and max(calls.values()) == 1
+
+
+def _assert_blocks_are_the_whole_system(n, ell, max_degree):
     forms = flat_forms(n, ell)
     mons = monomials(n, max_degree)
     mpos = {m: i for i, m in enumerate(mons)}

@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from helpers import rand_poly, rat_quotient
-from killingcalc.poly import PolyScalar, RatScalar, monomials
+from killingcalc.metric import RatScalar
+from killingcalc.poly import PolyScalar, monomials
 
 
 def _x(n, i):
@@ -172,3 +173,25 @@ def test_poly_hands_mixed_arithmetic_to_rat():
         assert p.mul(r) == r.mul(p)
         assert p.sub(r) == r.sub(p).neg()
         assert p == RatScalar(p) and RatScalar(p) == p
+
+
+def test_rat_scale_and_neg_skip_the_cancellation_they_cannot_need():
+    """``scale`` and ``neg`` keep the denominator as it is; on seeded
+    values, zero multiples and numerators with a factor to cancel among
+    them, they give exactly what ``__init__``'s cancelling route gives."""
+    rng = random.Random(71)
+    n = 2
+    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
+    v = PolyScalar.const(n, 2).add(_x(n, 2))
+    for _ in range(30):
+        num = rand_poly(rng, n, 3)
+        if rng.random() < 0.3:
+            num = num.mul(u)
+        r = RatScalar(num, [(u, rng.randint(0, 2)), (v, rng.randint(0, 2))])
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        for got, want in (
+            (r.scale(c), RatScalar(r.num.scale(c), r.factors)),
+            (r.neg(), RatScalar(r.num.neg(), r.factors)),
+        ):
+            assert got.num.terms == want.num.terms
+            assert got.factors == want.factors

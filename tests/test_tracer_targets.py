@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from killingcalc import chain, elim, fields, killing, matrix, prolong, young
+from killingcalc import chain, elim, killing, matrix, prolong, young
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -40,15 +40,16 @@ def test_every_target_resolves(name, modname, path):
 
 def test_traced_signatures_and_import_sites():
     """The recorders read rref_int's (rows, ncols) and its (pivots, rows)
-    result; the matrix wrappers reach chain, prolong, killing, fields and
-    young through their by-name imports."""
+    result; the matrix wrappers reach chain, prolong, killing and young
+    through their by-name imports.  ``fields`` imports ``solve`` and
+    ``kernel_basis`` where it runs, so the wrappers reach it by the
+    module attribute (checked in a traced process below)."""
     assert list(inspect.signature(elim.rref_int).parameters) == ["rows", "ncols"]
     pivots, rows = elim.rref_int([{0: 2, 1: 4}], 2)
     assert pivots == [0] and rows == [{0: 1, 1: 2}]
     assert chain.rank is matrix.rank
     assert prolong.rank is matrix.rank
     assert killing.kernel_basis is young.kernel_basis is matrix.kernel_basis
-    assert fields.kernel_basis is matrix.kernel_basis and fields.solve is matrix.solve
     for fn in (matrix.rank, matrix.kernel_basis, matrix.rref):
         assert list(inspect.signature(fn).parameters) == ["m"]
     assert list(inspect.signature(matrix.solve).parameters) == ["m", "b"]
@@ -64,7 +65,9 @@ def test_traced_commands_reach_moved_and_lazily_imported_code(tmp_path):
     imports only when the command runs.  ``killing`` records the layers
     the benchmark reads from it: the dim job's whole kernel, the
     degree-bound job's block kernels and span comparisons, and the
-    parallel-section system's eliminations."""
+    parallel-section system's eliminations.  The Christoffel routes,
+    which import the matrix kernel only when they run, go through the
+    ``matrix.solve`` and ``matrix.kernel_basis`` wrappers."""
     doc = tmp_path / "omega.json"
     doc.write_text(json.dumps({
         "n": 2,
@@ -84,6 +87,12 @@ assert main(["complex", "--n", "3", "--ell", "2"]) == 0
 print(json.dumps(t.document()), file=sys.stderr)
 assert main(["killing", "--n", "3", "--ell", "2"]) == 0
 print(json.dumps(t.document()), file=sys.stderr)
+from killingcalc import fields
+from killingcalc.tensor import Tensor
+fields._christoffel_solver.cache_clear()
+fields.christoffel_solve(Tensor(2, 3, {{}}))
+fields.christoffel_homogeneous_kernel_dim(3)
+print(json.dumps(t.document()), file=sys.stderr)
 """
     src = Path(chain.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -91,7 +100,7 @@ print(json.dumps(t.document()), file=sys.stderr)
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.returncode == 0, out.stderr
-    before, trace = (json.loads(line) for line in out.stderr.splitlines()[-2:])
+    before, trace, jets = (json.loads(line) for line in out.stderr.splitlines()[-3:])
     assert trace["absent"] == []
     assert trace["spans"]["killing.killing_potential_solve"]["calls"] == 1
     assert trace["spans"]["chain.composites_vanish"]["calls"] > 0
@@ -103,3 +112,5 @@ print(json.dumps(t.document()), file=sys.stderr)
         "elim.rref_int",
     ):
         assert trace["spans"][name]["calls"] > before["spans"][name]["calls"], name
+    for name in ("matrix.solve", "matrix.kernel_basis", "fields.christoffel_solve"):
+        assert jets["spans"][name]["calls"] > trace["spans"][name]["calls"], name

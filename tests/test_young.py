@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -341,6 +341,20 @@ def test_weight_spaces_sum_to_hook_content():
                     mult = weight_multiplicities(d, n)
                     assert sum(mult.values()) == total
                     assert all(mult[w] == kostka(d, w) > 0 for w in mult)
+
+
+def test_bounded_compositions_match_a_product_filter():
+    """On seeded bounds with zero entries, the compositions are those of
+    the whole box with the given total, in decreasing lexicographic order."""
+    rng = random.Random(73)
+    for _ in range(200):
+        bound = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(1, 6)))
+        total = rng.randint(0, sum(bound) + 1)
+        want = sorted(
+            (m for m in product(*(range(b + 1) for b in bound)) if sum(m) == total),
+            reverse=True,
+        )
+        assert young.bounded_compositions(bound, total) == want, (bound, total)
 
 
 def test_weight_keys_match_the_combinations_oracle():
