@@ -22,7 +22,7 @@ _SOURCES = {
     "ChainComplex": "chain",
     "cohomology_dims": "chain",
     "MetricField": "metric",
-    "PolyTensorField": "fields",
+    "PolyTensorField": "poly",
     "killing_kernel": "killing",
     "killing_operator": "killing",
     "branching_check": "kostant",

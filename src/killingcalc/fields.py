@@ -1,13 +1,13 @@
-"""Tensor fields over flat coordinates, and connection coefficients at a point.
+"""Calculus on tensor fields over flat coordinates, and connection
+coefficients at a point.
 
-Components are polynomials, or rational functions in factored form when a
-non-flat metric forces division (metrics and their ``RatScalar`` entries
-live in :mod:`killingcalc.metric`; this module never imports it).
-A field stores the entries it is given, so one field may hold both kinds:
-the scalars do their own mixed arithmetic and compare across kinds, and a
-missing entry reads as the zero polynomial.  A field is rational as soon
-as any entry is; degrees, the JSON form and the flat derivative are
-refused for rational fields.
+The fields themselves (``PolyTensorField``, with their JSON form) live in
+:mod:`killingcalc.poly`, so ``range-check``, which reads and writes
+fields but differentiates none, never compiles this module; the class is
+re-exported here.  This module holds the flat derivative, the
+(anti)symmetrizers, the flat delta and its Lie derivative.  The flat
+derivative is refused for rational fields (their entries come from
+:mod:`killingcalc.metric`, which this module never imports).
 
 Connection coefficients at a point come in two independent ways from a
 raw first jet Dg, both evaluated on the jet brought to integers over the
@@ -18,8 +18,7 @@ alone, so it is eliminated once per n into a cached integer solution
 operator, which each jet is multiplied by.  The two routes are not
 merged: the suite's ``christoffel.*.random-jets`` checks and the tests
 compare them on every jet they draw.  Only those routes run the matrix
-kernel, so they import it where they run and ``range-check``, which
-reads fields but solves no jet, never compiles it.
+kernel, so they import it where they run.
 """
 
 from __future__ import annotations
@@ -30,10 +29,12 @@ from itertools import permutations, product
 from math import lcm
 from typing import TYPE_CHECKING
 
-from killingcalc.poly import PolyScalar
-from killingcalc.rationals import format_rational, parse_rational
+# PolyTensorField lives in poly, so `range-check` compiles none of this
+# module.  It is re-exported here because perfbench's tracer target
+# `fields.PolyTensorField.__init__` resolves the class through this module.
+from killingcalc.poly import PolyScalar, PolyTensorField
 
-if TYPE_CHECKING:  # imported where they run: `range-check` runs neither
+if TYPE_CHECKING:  # imported where they run: only the Christoffel routes need them
     from killingcalc.matrix import ExactMatrix
     from killingcalc.tensor import Tensor
 
@@ -48,135 +49,6 @@ __all__ = [
     "symmetrize_field",
     "antisymmetrize_field",
 ]
-
-
-def _json_int(value, what: str) -> int:
-    """An integer of a field document; floats, strings and bools are refused
-    rather than truncated or converted."""
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-class PolyTensorField:
-    """Sparse tensor field: index tuple (1-based) -> scalar entry."""
-
-    __slots__ = ("n", "arity", "comps")
-
-    def __init__(self, n: int, arity: int, comps=None):
-        if n < 1 or arity < 0:
-            raise ValueError("need n >= 1 and arity >= 0")
-        self.n = n
-        self.arity = arity
-        self.comps = {}
-        for idx, s in (comps or {}).items():
-            if len(idx) != arity or not all(1 <= i <= n for i in idx):
-                raise ValueError(f"bad index tuple {idx}")
-            if not s.is_zero():
-                self.comps[tuple(idx)] = s
-
-    @classmethod
-    def zero(cls, n: int, arity: int) -> "PolyTensorField":
-        return cls(n, arity)
-
-    @property
-    def rational(self) -> bool:
-        return any(not isinstance(s, PolyScalar) for s in self.comps.values())
-
-    def at(self, *idx):
-        """The entry at idx; a missing entry is the zero polynomial."""
-        return self.comps.get(idx) or PolyScalar.zero(self.n)
-
-    def is_zero(self) -> bool:
-        return not self.comps
-
-    def add(self, other: "PolyTensorField") -> "PolyTensorField":
-        self._compatible(other)
-        out = dict(self.comps)
-        for idx, s in other.comps.items():
-            cur = out.get(idx)
-            out[idx] = s if cur is None else cur.add(s)
-        return PolyTensorField(self.n, self.arity, out)
-
-    def neg(self) -> "PolyTensorField":
-        return PolyTensorField(
-            self.n, self.arity, {i: s.neg() for i, s in self.comps.items()}
-        )
-
-    def sub(self, other: "PolyTensorField") -> "PolyTensorField":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "PolyTensorField":
-        return PolyTensorField(
-            self.n, self.arity, {i: s.scale(c) for i, s in self.comps.items()}
-        )
-
-    def _compatible(self, other: "PolyTensorField") -> None:
-        if not isinstance(other, PolyTensorField):
-            raise TypeError("expected a tensor field")
-        if other.n != self.n or other.arity != self.arity:
-            raise ValueError("field shape mismatch")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolyTensorField):
-            return NotImplemented
-        if other.n != self.n or other.arity != self.arity:
-            return False
-        return all(self.at(*i) == other.at(*i) for i in set(self.comps) | set(other.comps))
-
-    __hash__ = None
-
-    def degree(self) -> int:
-        """Maximal entry degree; polynomial fields only."""
-        if self.rational:
-            raise ValueError("degree bookkeeping applies to polynomial fields")
-        return max((s.degree() for s in self.comps.values()), default=-1)
-
-    def to_json_dict(self) -> dict:
-        if self.rational:
-            raise ValueError("JSON form covers polynomial fields only")
-        entries = []
-        for idx in sorted(self.comps):
-            poly = [
-                {"exp": list(e), "coef": format_rational(c)}
-                for e, c in sorted(
-                    self.comps[idx].terms.items(), key=lambda t: (sum(t[0]), t[0])
-                )
-            ]
-            entries.append({"idx": list(idx), "poly": poly})
-        return {"n": self.n, "arity": self.arity, "entries": entries}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "PolyTensorField":
-        if not isinstance(data, dict):
-            raise ValueError("field document must be an object")
-        try:
-            n, arity, raw = data["n"], data["arity"], data["entries"]
-        except KeyError as e:
-            raise ValueError(f"field document missing n/arity/entries: {e}")
-        n, arity = _json_int(n, "n"), _json_int(arity, "arity")
-        comps = {}
-        if not isinstance(raw, list):
-            raise ValueError("entries must be a list")
-        for item in raw:
-            idx = tuple(_json_int(i, "index") for i in item["idx"])
-            terms = {}
-            for t in item["poly"]:
-                exp = tuple(_json_int(e, "exponent") for e in t["exp"])
-                if len(exp) != n:
-                    raise ValueError(f"exponent vector {exp} has wrong length")
-                c = parse_rational(t["coef"])
-                terms[exp] = terms[exp] + c if exp in terms else c
-            prev = comps.get(idx)
-            p = PolyScalar(n, terms)
-            comps[idx] = p if prev is None else prev.add(p)
-        return cls(n, arity, comps)
-
-    def __repr__(self) -> str:
-        return (
-            f"PolyTensorField(n={self.n}, arity={self.arity}, "
-            f"{len(self.comps)} nonzero)"
-        )
 
 
 def delta_field(n: int) -> PolyTensorField:

@@ -143,9 +143,8 @@ def killing_jobs(n_values, ell_values):
 def range_theorem_jobs(n_values):
     from fractions import Fraction
 
-    from killingcalc.fields import PolyTensorField
     from killingcalc.killing import integrability_kernel, integrability_of_killing_matrix
-    from killingcalc.poly import PolyScalar
+    from killingcalc.poly import PolyScalar, PolyTensorField
     from killingcalc.potential import killing_potential_solve
 
     jobs = []

@@ -43,13 +43,8 @@ from math import comb
 
 from killingcalc.cap import CapExceeded, _check_args
 from killingcalc.chain import block_rows
-from killingcalc.fields import (
-    PolyTensorField,
-    flat_derivative,
-    symmetrize_field,
-)
 from killingcalc.matrix import ExactMatrix, kernel_basis, rref
-from killingcalc.poly import PolyScalar, monomials
+from killingcalc.poly import PolyScalar, PolyTensorField, monomials
 from killingcalc.potential import (  # noqa: F401  the public names are re-exported
     DEFAULT_DEGREE_CAP, KillingPotentialResult, _gradient_terms, _obstruction_terms,
     _require_symmetric, integrability_operator, killing_potential_solve,
@@ -92,6 +87,8 @@ KILLING_FIELD_CAP = 400000
 
 def killing_operator(X: PolyTensorField) -> PolyTensorField:
     """Symmetrized gradient (d_a X_b + d_b X_a) / 2 of a covector field."""
+    from killingcalc.fields import flat_derivative, symmetrize_field
+
     if X.arity != 1:
         raise ValueError("expected an arity-1 field")
     return symmetrize_field(flat_derivative(X), (1, 2))

@@ -13,7 +13,7 @@ exact division, so denominators never grow past the atoms actually
 introduced (conformal factors, determinants).  Equality is decided by
 cross multiplication and needs no gcd.  A RatScalar takes PolyScalar
 operands, and a PolyScalar hands it any mixed sum or product, so fields
-hold both kinds (see :mod:`killingcalc.fields`).  Only metrics build
+hold both kinds (see :mod:`killingcalc.poly`).  Only metrics build
 rational entries, so the commands that never read a metric never
 compile this class.
 
@@ -38,8 +38,8 @@ from functools import cached_property
 from itertools import permutations, product
 from math import gcd
 
-from killingcalc.fields import PolyTensorField, _coordinate_derivative, delta_field
-from killingcalc.poly import PolyScalar
+from killingcalc.fields import _coordinate_derivative, delta_field
+from killingcalc.poly import PolyScalar, PolyTensorField
 from killingcalc.tensor import Tensor, perm_sign
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Exact multivariate polynomial scalars.
+"""Exact multivariate polynomial scalars and the tensor fields made of them.
 
 PolyScalar is a sparse exponent-vector map with Fraction coefficients.
 Rational functions (``RatScalar``) live in :mod:`killingcalc.metric`,
@@ -7,13 +7,23 @@ PolyScalar given an operand of another kind hands the sum or product to
 that operand, which takes PolyScalar operands (both operations
 commute), so this module never imports the rational one; ``==``
 compares either kind with either.
+
+PolyTensorField is a sparse map from index tuples to scalar entries.  A
+field stores the entries it is given, so one field may hold both kinds,
+and a missing entry reads as the zero polynomial.  A field is rational
+as soon as any entry is; degrees and the JSON form are refused for
+rational fields.  Its calculus (derivatives, symmetrizers) is in
+:mod:`killingcalc.fields`; ``range-check`` needs this module, not that
+one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["PolyScalar", "monomials"]
+from killingcalc.rationals import format_rational, parse_rational
+
+__all__ = ["PolyScalar", "PolyTensorField", "monomials"]
 
 
 def _fr(v) -> Fraction:
@@ -191,3 +201,132 @@ class PolyScalar:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _json_int(value, what: str) -> int:
+    """An integer of a field document; floats, strings and bools are refused
+    rather than truncated or converted."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+class PolyTensorField:
+    """Sparse tensor field: index tuple (1-based) -> scalar entry."""
+
+    __slots__ = ("n", "arity", "comps")
+
+    def __init__(self, n: int, arity: int, comps=None):
+        if n < 1 or arity < 0:
+            raise ValueError("need n >= 1 and arity >= 0")
+        self.n = n
+        self.arity = arity
+        self.comps = {}
+        for idx, s in (comps or {}).items():
+            if len(idx) != arity or not all(1 <= i <= n for i in idx):
+                raise ValueError(f"bad index tuple {idx}")
+            if not s.is_zero():
+                self.comps[tuple(idx)] = s
+
+    @classmethod
+    def zero(cls, n: int, arity: int) -> "PolyTensorField":
+        return cls(n, arity)
+
+    @property
+    def rational(self) -> bool:
+        return any(not isinstance(s, PolyScalar) for s in self.comps.values())
+
+    def at(self, *idx):
+        """The entry at idx; a missing entry is the zero polynomial."""
+        return self.comps.get(idx) or PolyScalar.zero(self.n)
+
+    def is_zero(self) -> bool:
+        return not self.comps
+
+    def add(self, other: "PolyTensorField") -> "PolyTensorField":
+        self._compatible(other)
+        out = dict(self.comps)
+        for idx, s in other.comps.items():
+            cur = out.get(idx)
+            out[idx] = s if cur is None else cur.add(s)
+        return PolyTensorField(self.n, self.arity, out)
+
+    def neg(self) -> "PolyTensorField":
+        return PolyTensorField(
+            self.n, self.arity, {i: s.neg() for i, s in self.comps.items()}
+        )
+
+    def sub(self, other: "PolyTensorField") -> "PolyTensorField":
+        return self.add(other.neg())
+
+    def scale(self, c) -> "PolyTensorField":
+        return PolyTensorField(
+            self.n, self.arity, {i: s.scale(c) for i, s in self.comps.items()}
+        )
+
+    def _compatible(self, other: "PolyTensorField") -> None:
+        if not isinstance(other, PolyTensorField):
+            raise TypeError("expected a tensor field")
+        if other.n != self.n or other.arity != self.arity:
+            raise ValueError("field shape mismatch")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolyTensorField):
+            return NotImplemented
+        if other.n != self.n or other.arity != self.arity:
+            return False
+        return all(self.at(*i) == other.at(*i) for i in set(self.comps) | set(other.comps))
+
+    __hash__ = None
+
+    def degree(self) -> int:
+        """Maximal entry degree; polynomial fields only."""
+        if self.rational:
+            raise ValueError("degree bookkeeping applies to polynomial fields")
+        return max((s.degree() for s in self.comps.values()), default=-1)
+
+    def to_json_dict(self) -> dict:
+        if self.rational:
+            raise ValueError("JSON form covers polynomial fields only")
+        entries = []
+        for idx in sorted(self.comps):
+            poly = [
+                {"exp": list(e), "coef": format_rational(c)}
+                for e, c in sorted(
+                    self.comps[idx].terms.items(), key=lambda t: (sum(t[0]), t[0])
+                )
+            ]
+            entries.append({"idx": list(idx), "poly": poly})
+        return {"n": self.n, "arity": self.arity, "entries": entries}
+
+    @classmethod
+    def from_json_dict(cls, data) -> "PolyTensorField":
+        if not isinstance(data, dict):
+            raise ValueError("field document must be an object")
+        try:
+            n, arity, raw = data["n"], data["arity"], data["entries"]
+        except KeyError as e:
+            raise ValueError(f"field document missing n/arity/entries: {e}")
+        n, arity = _json_int(n, "n"), _json_int(arity, "arity")
+        comps = {}
+        if not isinstance(raw, list):
+            raise ValueError("entries must be a list")
+        for item in raw:
+            idx = tuple(_json_int(i, "index") for i in item["idx"])
+            terms = {}
+            for t in item["poly"]:
+                exp = tuple(_json_int(e, "exponent") for e in t["exp"])
+                if len(exp) != n:
+                    raise ValueError(f"exponent vector {exp} has wrong length")
+                c = parse_rational(t["coef"])
+                terms[exp] = terms[exp] + c if exp in terms else c
+            prev = comps.get(idx)
+            p = PolyScalar(n, terms)
+            comps[idx] = p if prev is None else prev.add(p)
+        return cls(n, arity, comps)
+
+    def __repr__(self) -> str:
+        return (
+            f"PolyTensorField(n={self.n}, arity={self.arity}, "
+            f"{len(self.comps)} nonzero)"
+        )

@@ -1,8 +1,8 @@
 """The range of the symmetrized gradient: obstruction and potential.
 
-``range-check`` needs only this module and ``fields``; nothing here
-builds a matrix.  The second-order obstruction N takes a symmetric
-2-tensor omega to
+``range-check`` needs only this module and the fields of ``poly``; it
+compiles no field calculus, and nothing here builds a matrix.  The
+second-order obstruction N takes a symmetric 2-tensor omega to
 
     N_abcd = d_a d_c w_bd - d_b d_c w_ad - d_a d_d w_bc + d_b d_d w_ac,
 
@@ -51,8 +51,7 @@ from itertools import permutations
 from math import comb, lcm
 
 from killingcalc.cap import DEFAULT_CAP, CapExceeded
-from killingcalc.fields import PolyTensorField
-from killingcalc.poly import PolyScalar
+from killingcalc.poly import PolyScalar, PolyTensorField
 
 __all__ = [
     "integrability_operator",

@@ -64,9 +64,8 @@ from math import comb
 from typing import TYPE_CHECKING
 
 from killingcalc.chain import block_rows
-from killingcalc.fields import PolyTensorField, antisymmetrize_field
 from killingcalc.matrix import integer_rank
-from killingcalc.poly import PolyScalar
+from killingcalc.poly import PolyScalar, PolyTensorField
 from killingcalc.prolong import _component_shapes, flat_forms
 from killingcalc.young import (
     YoungDiagram, bounded_compositions, dominant_weights, gl_dimension, orbit_size,
@@ -97,6 +96,8 @@ class TractorSection:
             raise ValueError("section parts must have arities 1 and 2")
         if x_part.n != k_part.n:
             raise ValueError("section parts live over different dimensions")
+        from killingcalc.fields import antisymmetrize_field
+
         if k_part != antisymmetrize_field(k_part, (1, 2)):
             raise ValueError("2-tensor part must be antisymmetric")
         self.n = x_part.n
@@ -130,6 +131,7 @@ class SectionDerivative:
 def killing_lift(X: PolyTensorField, g: MetricField | None = None) -> TractorSection:
     """Lift a covector field so the derivative isolates its symmetrized
     gradient: the 2-form slot carries the skew half of the gradient."""
+    from killingcalc.fields import antisymmetrize_field
     from killingcalc.metric import MetricField, covariant_derivative
 
     if X.arity != 1:
@@ -214,6 +216,8 @@ class TractorCurvature:
 
 def tractor_curvature(g: MetricField) -> TractorCurvature:
     """Antisymmetrized second derivative on the constant section basis."""
+    from killingcalc.fields import antisymmetrize_field
+
     pieces = []
     for label, s in _constant_basis_sections(g.n):
         a1, b1 = _derive_pair(g, s.x_part, s.k_part)

@@ -321,6 +321,92 @@ def test_out_of_range_sizes_are_usage_errors(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+_CHOICES = "'verify-key', 'complex', 'kostant', 'killing', 'range-check', 'suite'"
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (["verify-key", "--n", "1"],
+         "killingcalc verify-key: error: argument --n: values must be at least 2, got '1'"),
+        (["complex", "--n", "1", "--ell", "1"],
+         "killingcalc complex: error: argument --n: values must be at least 2, got '1'"),
+        (["kostant", "--n", "2", "--ell", "0"],
+         "killingcalc kostant: error: argument --ell: values must be at least 1, got '0'"),
+        (["killing", "--n", "1..3", "--ell", "1"],
+         "killingcalc killing: error: argument --n: values must be at least 2, got '1..3'"),
+        (["suite", "--n", "2", "--ell", "0..1"],
+         "killingcalc suite: error: argument --ell: values must be at least 1, got '0..1'"),
+        (["complex", "--n", "2"],
+         "killingcalc complex: error: the following arguments are required: --ell"),
+        ([], "killingcalc: error: the following arguments are required: command"),
+        (["bogus"],
+         f"killingcalc: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})"),
+        (["complex", "--n", "2", "--ell", "1", "--foo"],
+         "killingcalc: error: unrecognized arguments: --foo"),
+        (["range-check", "--input", "omega.json", "--degree-cap", "abc"],
+         "killingcalc range-check: error: argument --degree-cap: invalid int value: 'abc'"),
+        (["complex", "--n", "2", "--ell", "5..2"],
+         "killingcalc complex: error: argument --ell: empty range '5..2'"),
+    ],
+)
+def test_usage_errors_print_usage_then_argparse_message(argv, last_line):
+    """A usage error exits 2 from a fresh process with the usage line, then
+    the message argparse printed for the same command line, and no
+    traceback."""
+    src = Path(killingcalc.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-m", "killingcalc.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("usage: killingcalc")
+    assert out.stderr.splitlines()[-1] == last_line
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], *([c, "-h"] for c in cli._COMMANDS)])
+def test_help_lists_every_option(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: killingcalc {argv[0] + ' ' if len(argv) == 2 else ''}[-h]")
+    assert "-h, --help" in out
+    if len(argv) == 1:
+        names = list(cli._COMMANDS)
+    else:
+        names = [name for name, *_ in cli._COMMANDS[argv[0]][1]]
+    for name in names:
+        assert f"  {name} " in out
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["complex", "--n=2..3", "--ell=1"],
+         {"n": range(2, 4), "ell": range(1, 2), "output": None, "timings": False}),
+        (["suite", "--n", "2", "--ell", "1", "--out", "r.json", "--tim"],
+         {"n": range(2, 3), "ell": range(1, 2), "output": "r.json", "timings": True}),
+        (["killing", "--n", "2", "--n", "3", "--e", "1", "--out=a", "--output", "b"],
+         {"n": range(3, 4), "ell": range(1, 2), "output": "b", "timings": False}),
+        (["range-check", "--in", "f.json"], {"n": None, "input": "f.json", "degree_cap": 6}),
+        (["range-check", "--input=f.json", "--degree-cap=3", "--n", "-3"],
+         {"n": -3, "input": "f.json", "degree_cap": 3}),
+    ],
+)
+def test_attached_values_prefixes_and_repeats_parse_as_argparse_did(argv, parsed):
+    assert cli._parse(argv) == (argv[0], parsed)
+
+
+def test_an_abbreviated_option_writes_the_same_report(tmp_path, capsys):
+    full, short = tmp_path / "full.json", tmp_path / "short.json"
+    assert main(["complex", "--n", "2", "--ell", "1", "--output", str(full)]) == 0
+    assert main(["complex", "--n=2", "--ell=1", "--out", str(short)]) == 0
+    assert short.read_bytes() == full.read_bytes()
+
+
 def test_failing_check_exit_code(capsys):
     checks = cli._run_jobs([("z.fake", {"n": 2}, lambda: (1, 2))], False)
     assert checks[0]["verdict"] == "fail"
@@ -605,10 +691,16 @@ def _run_loaded(argv) -> set[str]:
     return _loaded_modules(f"from killingcalc.cli import main\nassert main({argv!r}) == 0")
 
 
+# importing argparse (which pulls in gettext and locale) and building its
+# parser cost every fresh process several ms; the CLI reads its own table
+_ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 def test_cli_import_loads_no_check_family():
     loaded = _loaded_modules("import killingcalc.cli")
     package = {m for m in loaded if m.partition(".")[0] == "killingcalc"}
     assert package == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
+    assert not loaded & _ARGPARSE
 
 
 def _omega_argv(tmp_path) -> list[str]:
@@ -623,14 +715,14 @@ def _omega_argv(tmp_path) -> list[str]:
 
 
 def test_range_check_loads_only_the_field_modules(tmp_path):
-    """range-check runs the field layer and ``potential``: no tensor, no
-    metric, no matrix kernel, no family, no job builders and no Killing
-    operator matrices."""
+    """range-check runs the fields of ``poly`` and ``potential``: no field
+    calculus, no tensor, no metric, no matrix kernel, no family, no job
+    builders and no Killing operator matrices."""
     loaded = _run_loaded(_omega_argv(tmp_path))
     assert "killingcalc.potential" in loaded
     never = {
-        "tensor", "metric", "matrix", "elim", "chain", "prolong", "young", "symspace",
-        "kostant", "tractor", "killing", "jobs",
+        "fields", "tensor", "metric", "matrix", "elim", "chain", "prolong", "young",
+        "symspace", "kostant", "tractor", "killing", "jobs",
     }
     assert not loaded & {f"killingcalc.{m}" for m in never}
 
@@ -639,7 +731,9 @@ _STARTUP = {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
 _FAMILY = _STARTUP | {
     f"killingcalc.{m}" for m in ("chain", "elim", "jobs", "matrix", "prolong", "symspace", "young")
 }
-_FIELDS = {f"killingcalc.{m}" for m in ("fields", "poly", "potential", "rationals")}
+# the fields and the potential solver; the field calculus (``fields``) is
+# loaded by neither range-check nor killing
+_FIELDS = {f"killingcalc.{m}" for m in ("poly", "potential", "rationals")}
 
 
 @pytest.mark.parametrize("command, package", [
@@ -658,6 +752,7 @@ def test_benchmarked_commands_load_exactly_their_modules(command, package, tmp_p
         argv = [command, "--n", "3", "--ell", "1"]
     loaded = _run_loaded(argv)
     assert {m for m in loaded if m.partition(".")[0] == "killingcalc"} == package
+    assert not loaded & _ARGPARSE
 
 
 @pytest.mark.parametrize("command", ["complex", "kostant", "killing", "suite"])
@@ -675,9 +770,7 @@ def test_killing_loads_neither_metric_nor_kostant():
 def test_parse_range():
     assert cli._parse_range("4") == range(4, 5)
     assert cli._parse_range("2..5") == range(2, 6)
-    import argparse
-
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(cli.UsageError, match="empty range"):
         cli._parse_range("5..2")
 
 
