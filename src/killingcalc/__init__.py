@@ -30,14 +30,11 @@ _SOURCES = {
     "ExactMatrix": "matrix",
     "integrability_operator": "potential",
     "killing_potential_solve": "potential",
-    "build_T": "prolong",
     "complex_cohomology": "prolong",
     "graded_diagonal_complex": "prolong",
     "key_isomorphism_check": "prolong",
     "Fraction": "rationals",
-    "killing_lift": "tractor",
     "tractor_curvature": "tractor",
-    "tractor_derivative": "tractor",
     "YoungDiagram": "young",
     "gl_dimension": "young",
     "realize_irreducible": "young",

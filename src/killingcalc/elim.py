@@ -3,21 +3,33 @@
 The two hot loops behind every rank, kernel and cohomology computation
 in the package:
 
-* ``rref_int``    fraction-free Gauss-Jordan reduction of a sparse
-                  integer matrix,
+* ``rref_int``    fraction-free elimination of a sparse integer matrix:
+                  Gauss-Jordan, or forward only for a rank,
 * ``spmul_int``   sparse integer matrix product.
 
 Keeping the arithmetic in Python integers (no fixed-width types) makes
 both exact for arbitrarily large entries.
 
-Rows and columns are sparse dicts mapping index -> nonzero int.  Instead
-of strict single-step exact division, each row is reduced by its content
-(gcd of the entries) after every update; under the skip-ahead pivot
-search used here this keeps entries small while staying division-safe on
-rows whose leading columns vanish.  The reduced rows returned by
-``rref_int`` have content 1 and a positive pivot entry, so dividing row i
-by its pivot yields the canonical rational RREF, which is what the
-callers in ``killingcalc.matrix`` do.
+Rows and columns are sparse dicts mapping index -> nonzero int.  Columns
+are eliminated left to right.  The pivot of a column is the remaining
+row with the fewest entries that is nonzero there (the row half of
+Markowitz pivoting), which limits fill-in and coefficient growth; the
+scan stops early at a row with one entry, which cannot be beaten.  The
+remaining rows are filed by their least column, so the candidates of a
+column are read off at once, never searched for among the other rows.
+Instead of strict single-step exact division, each row is reduced by its
+content (gcd of the entries) after every update.  The reduced rows
+returned by ``rref_int`` have content 1 and a positive pivot entry, so
+dividing row i by its pivot yields the canonical rational RREF, which is
+what the callers in ``killingcalc.matrix`` do.  The reduced echelon form
+of a row space is unique, so the pivot rule changes the work, never the
+result.
+
+With ``reduced=False`` a column is eliminated only from the rows that
+are still candidates for later pivots, not from the pivot rows above.
+That is a forward echelon form: its pivot count is the rank over Q, and
+its rows span the row space, but they are not reduced.  Only
+``matrix.integer_rank`` asks for it.
 """
 
 from math import gcd
@@ -25,64 +37,75 @@ from math import gcd
 
 def _reduce_content(row, lead):
     """Divide ``row`` through by its content; sign fixed by column ``lead``."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g == 0:
+    if not row:
         return
-    if lead is not None and row.get(lead, 0) < 0:
+    g = gcd(*row.values())
+    if lead is not None and row[lead] < 0:
         g = -g
     if g != 1:
         for k in row:
             row[k] //= g
 
 
-def rref_int(rows, ncols):
-    """Reduce sparse integer rows; returns (pivot columns, reduced rows).
+def rref_int(rows, ncols, reduced=True):
+    """Reduce sparse integer rows; returns (pivot columns, pivot rows).
 
-    Pivot selection scans columns left to right and takes the first
-    remaining row with a nonzero entry in that column.  The result is the
-    (unique) reduced row echelon form up to positive row scaling.
+    Columns are taken left to right, and the pivot of a column is the
+    shortest remaining row that is nonzero there.  The remaining rows
+    are kept by their least column: eliminating each column from every
+    remaining row that holds it leaves them all starting to its right,
+    so the candidates of a column are exactly the rows that start there.
+    With ``reduced`` the column is cleared from the pivot rows above as
+    well, and the result is the (unique) reduced row echelon form up to
+    positive row scaling; without, the pivot count is the rank.
     """
-    rows = [dict(r) for r in rows]
-    nrows = len(rows)
+    by_lead: dict[int, list[dict]] = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(dict(row))
     pivots = []
-    r = 0
+    done = []
     for c in range(ncols):
-        if r == nrows:
+        if not by_lead:
             break
-        src = -1
-        for i in range(r, nrows):
-            if rows[i].get(c, 0):
-                src = i
-                break
-        if src < 0:
+        cands = by_lead.pop(c, None)
+        if cands is None:
             continue
-        rows[r], rows[src] = rows[src], rows[r]
-        piv_row = rows[r]
+        piv_row = cands[0]
+        for row in cands:
+            if len(row) < len(piv_row):
+                piv_row = row
+                if len(row) == 1:
+                    break
         _reduce_content(piv_row, c)
-        piv = piv_row[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            row = rows[i]
-            f = row.get(c, 0)
-            if not f:
-                continue
-            new = {}
-            for k, v in row.items():
-                new[k] = v * piv
-            for k, v in piv_row.items():
-                w = new.get(k, 0) - f * v
-                if w:
-                    new[k] = w
-                elif k in new:
-                    del new[k]
-            _reduce_content(new, None)
-            rows[i] = new
+        for row in cands:
+            if row is not piv_row:
+                row = _eliminate(row, piv_row, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(row)
+        if reduced:
+            for i, row in enumerate(done):
+                if c in row:
+                    done[i] = _eliminate(row, piv_row, c)
         pivots.append(c)
-        r += 1
-    return pivots, rows[:r]
+        done.append(piv_row)
+    return pivots, done
+
+
+def _eliminate(row, piv_row, c):
+    """``row`` with column c cleared by the pivot row of column c, as a
+    new row of content 1."""
+    f = row[c]
+    piv = piv_row[c]
+    new = dict(row) if piv == 1 else {k: v * piv for k, v in row.items()}
+    for k, v in piv_row.items():
+        w = new.get(k, 0) - f * v
+        if w:
+            new[k] = w
+        else:
+            del new[k]
+    _reduce_content(new, None)
+    return new
 
 
 def spmul_int(a_cols, b_cols):

@@ -5,9 +5,9 @@ The fields themselves (``PolyTensorField``, with their JSON form) live in
 :mod:`killingcalc.poly`, so ``range-check``, which reads and writes
 fields but differentiates none, never compiles this module; the class is
 re-exported here.  This module holds the flat derivative, the
-(anti)symmetrizers, the flat delta and its Lie derivative.  The flat
-derivative is refused for rational fields (their entries come from
-:mod:`killingcalc.metric`, which this module never imports).
+(anti)symmetrizers and the flat delta.  The flat derivative is refused
+for rational fields (their entries come from :mod:`killingcalc.metric`,
+which this module never imports).
 
 Connection coefficients at a point come in two independent ways from a
 raw first jet Dg, both evaluated on the jet brought to integers over the
@@ -45,7 +45,6 @@ __all__ = [
     "christoffel_closed_form",
     "christoffel_solve",
     "christoffel_homogeneous_kernel_dim",
-    "lie_derivative_delta",
     "symmetrize_field",
     "antisymmetrize_field",
 ]
@@ -225,28 +224,3 @@ def christoffel_homogeneous_kernel_dim(n: int) -> int:
     from killingcalc.matrix import kernel_basis
 
     return len(kernel_basis(_christoffel_system(n)))
-
-
-def lie_derivative_delta(X: PolyTensorField) -> PolyTensorField:
-    """Lie derivative of the flat delta along X, term by term.
-
-    Computed as X^a D_a g_bc + g_ac D_b X^a + g_ba D_c X^a with g = delta,
-    keeping the (vanishing) transport term explicit.
-    """
-    if X.arity != 1 or X.rational:
-        raise ValueError("expected a polynomial vector field")
-    n = X.n
-    g = delta_field(n)
-    dg = _coordinate_derivative(g)
-    dX = _coordinate_derivative(X)
-    comps: dict = {}
-    for b in range(1, n + 1):
-        for c in range(1, n + 1):
-            total = PolyScalar.zero(n)
-            for a in range(1, n + 1):
-                total = total.add(X.at(a).mul(dg.at(a, b, c)))
-                total = total.add(g.at(a, c).mul(dX.at(b, a)))
-                total = total.add(g.at(b, a).mul(dX.at(c, a)))
-            if not total.is_zero():
-                comps[(b, c)] = total
-    return PolyTensorField(n, 2, comps)

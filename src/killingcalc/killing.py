@@ -179,7 +179,13 @@ def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> tuple[dict, ...
         raise ValueError("ell must be at least 1")
     if max_degree < ell:
         raise ValueError("max_degree must be at least ell")
-    return tuple(kernel_basis(_operator_matrix(n, ell, max_degree)))
+    return tuple(_fractions(kernel_basis(_operator_matrix(n, ell, max_degree))))
+
+
+def _fractions(kernel):
+    """The vectors {position: ``Fraction``} of the (integer column,
+    scale) pairs of ``matrix.kernel_basis``."""
+    return ({r: Fraction(v, scale) for r, v in col.items()} for col, scale in kernel)
 
 
 def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
@@ -215,8 +221,8 @@ def _operator_blocks(n: int, ell: int, max_degree: int):
 
 
 def _dominant_kernels(n: int, ell: int, max_degree: int) -> dict:
-    """weight -> (coordinates, kernel basis on their positions) of every
-    dominant block of ``_operator_blocks``.
+    """weight -> (coordinates, kernel basis on their positions, as integer
+    columns) of every dominant block of ``_operator_blocks``.
 
     Raises RuntimeError unless the orbit-weighted coordinate counts equal
     C(n + ell - 1, ell) * |monomials(n, max_degree)|, the whole system's.
@@ -225,7 +231,7 @@ def _dominant_kernels(n: int, ell: int, max_degree: int) -> dict:
     columns = 0
     for mu, coords, block in _operator_blocks(n, ell, max_degree):
         columns += orbit_size(mu) * len(coords)
-        out[mu] = coords, kernel_basis(block)
+        out[mu] = coords, [col for col, _ in kernel_basis(block)]
     want = comb(n + ell - 1, ell) * comb(n + max_degree, n)
     if columns != want:
         raise RuntimeError(
@@ -333,10 +339,7 @@ def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
     """Canonical basis of symmetric 2-tensor fields killed by the
     obstruction, entries of degree <= max_degree."""
     m = _obstruction_matrix(n, max_degree)
-    return [
-        field_from_coefficients(n, 2, max_degree, vec)
-        for vec in kernel_basis(m)
-    ]
+    return [field_from_coefficients(n, 2, max_degree, vec) for vec in _fractions(kernel_basis(m))]
 
 
 def integrability_of_killing_matrix(n: int, max_degree: int) -> ExactMatrix:

@@ -18,7 +18,11 @@ and the reduced echelon form (hence ranks, kernels and solutions) is
 canonical.  A row that repeats another reduces to zero and leaves the
 row space as it is, and the reduced echelon form depends on the row
 space alone.  ``integer_rank`` takes integer rows that are not wrapped
-in a matrix.
+in a matrix and, since a rank is a pivot count, eliminates forward
+only.  ``kernel_basis`` returns integer columns with their scales, so
+no elimination result passes through ``Fraction``; only the
+constructor, ``columns`` and ``solve`` handle ``Fraction`` values, and
+they import it where they run.
 
 Every elimination reduces one connected component of the nonzero
 pattern at a time (rows and columns joined by shared entries), so no
@@ -36,10 +40,13 @@ torus-weight blocks.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from killingcalc import elim
+
+if TYPE_CHECKING:  # imported where the values are: the constructor, columns, solve
+    from fractions import Fraction
 
 __all__ = [
     "ExactMatrix",
@@ -66,6 +73,8 @@ class ExactMatrix:
         """The matrix of a dict (row, col) -> value, zero values skipped;
         values are coerced by ``Fraction`` and cleared to integers by the
         lcm of their denominators."""
+        from fractions import Fraction
+
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         values = {}
@@ -108,6 +117,8 @@ class ExactMatrix:
 
     def columns(self) -> list[dict[int, Fraction]]:
         """The columns as sparse dicts row -> ``Fraction``, rows ascending."""
+        from fractions import Fraction
+
         cols: list[dict[int, Fraction]] = [dict() for _ in range(self.cols)]
         for r, row in enumerate(self.data):
             for c, v in row.items():
@@ -198,7 +209,7 @@ def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:
     return list(blocks.values())
 
 
-def _reduce(block: list[dict[int, int]]):
+def _reduce(block: list[dict[int, int]], reduced: bool = True):
     """(cols, pivots, rows) of one block: ``elim.rref_int`` of its rows on
     its columns renumbered 0.. in ascending order, so that local pivots
     ascend with global ones; ``cols[k]`` is the global index of local
@@ -206,14 +217,15 @@ def _reduce(block: list[dict[int, int]]):
     cols = sorted({c for row in block for c in row})
     local = {c: k for k, c in enumerate(cols)}
     int_rows = [{local[c]: v for c, v in row.items()} for row in block]
-    pivots, rows = elim.rref_int(int_rows, len(cols))
+    pivots, rows = elim.rref_int(int_rows, len(cols), reduced)
     return cols, pivots, rows
 
 
 def integer_rank(rows, ncols: int) -> int:
     """Rank of the sparse integer rows (dicts column -> nonzero int) on
-    ncols columns: the summed pivot counts of their blocks."""
-    return sum(len(_reduce(block)[1]) for block in _blocks(rows, ncols))
+    ncols columns: the summed pivot counts of their blocks, each
+    eliminated forward only."""
+    return sum(len(_reduce(block, False)[1]) for block in _blocks(rows, ncols))
 
 
 def _rref_rows(m: ExactMatrix) -> list[tuple[int, dict[int, int]]]:
@@ -242,25 +254,35 @@ def rank(m: ExactMatrix) -> int:
     return integer_rank(m.data, m.cols)
 
 
-def kernel_basis(m: ExactMatrix) -> list[dict[int, Fraction]]:
-    """Canonical basis of the right kernel, one sparse column per free column.
+def kernel_basis(m: ExactMatrix) -> list[tuple[dict[int, int], int]]:
+    """Canonical basis of the right kernel, one vector per free column,
+    in integers: a list of (column, scale) pairs, the vector being
+    column / scale.
 
-    The vector for free column f has a 1 in slot f, the negated reduced
-    column above the pivots, and zeros elsewhere; vectors are ordered by
-    ascending free column, and each one's slots ascend.
+    The vector for free column f has a 1 in slot f and the negated
+    reduced column above the pivots: with pivot row ``row`` of pivot p
+    holding v at f, the value at p is -v / row[p].  The scale is the lcm
+    of those denominators in lowest terms, so the column holds
+    -v * scale // row[p] at p and ``scale`` at f, and has content 1.
+    Vectors are ordered by ascending free column, and each one's slots
+    ascend.
     """
     red = _rref_rows(m)
     pivots = {p for p, _ in red}
-    vecs: dict[int, dict[int, Fraction]] = {
-        f: {} for f in range(m.cols) if f not in pivots
+    entries: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(m.cols) if f not in pivots
     }
     for p, row in red:
         for c, v in row.items():
             if c != p:
-                vecs[c][p] = Fraction(-v, row[p])
-    for f, vec in vecs.items():
-        vec[f] = Fraction(1)
-    return list(vecs.values())
+                entries[c].append((p, v, row[p]))
+    out = []
+    for f, slots in entries.items():
+        scale = lcm(1, *(d // gcd(v, d) for _, v, d in slots))
+        col = {p: -v * scale // d for p, v, d in slots}
+        col[f] = scale
+        out.append((col, scale))
+    return out
 
 
 def solve(m: ExactMatrix, b) -> list[Fraction] | None:
@@ -273,6 +295,8 @@ def solve(m: ExactMatrix, b) -> list[Fraction] | None:
     block has a zero right-hand side, so it is consistent and its pivot
     variables are 0.
     """
+    from fractions import Fraction
+
     bvec = list(b)
     if len(bvec) != m.rows:
         raise ValueError("right-hand side length mismatch")

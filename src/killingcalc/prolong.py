@@ -55,7 +55,6 @@ from killingcalc.chain import FormComplex, form_differential, read_weights, weig
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, skew_pair, sym_extend
 from killingcalc.young import (
-    SubspaceBasis,
     YoungDiagram,
     gl_dimension,
     ordered_columns,
@@ -65,10 +64,8 @@ from killingcalc.young import (
 
 __all__ = [
     "CapExceeded",
-    "ProlongationSpace",
     "CohomologyReport",
     "DiagonalReport",
-    "build_T",
     "build_partial",
     "key_isomorphism_check",
     "predicted_cohomology",
@@ -79,37 +76,9 @@ __all__ = [
 ]
 
 
-class ProlongationSpace(NamedTuple):
-    n: int
-    ell: int
-    components: tuple[SubspaceBasis, ...]
-
-    @property
-    def component_dims(self) -> tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
-
-    @property
-    def total_dim(self) -> int:
-        return sum(self.component_dims)
-
-
 def _component_shapes(ell: int) -> list[YoungDiagram]:
     """The diagrams of T_0, ..., T_ell: (ell) and (ell, k)."""
     return [YoungDiagram((ell,))] + [YoungDiagram((ell, k)) for k in range(1, ell + 1)]
-
-
-@cache
-def build_T(n: int, ell: int) -> ProlongationSpace:
-    """Component bases of the prolongation space, checked against hooks."""
-    _check_args(n, ell)
-    comps = tuple(realize_irreducible(d, n) for d in _component_shapes(ell))
-    space = ProlongationSpace(n, ell, comps)
-    expected = gl_dimension(YoungDiagram((ell, ell)), n + 1)
-    if space.total_dim != expected:
-        raise RuntimeError(
-            f"prolongation components sum to {space.total_dim}, expected {expected}"
-        )
-    return space
 
 
 def _number_columns(comps) -> tuple[list[dict], tuple[tuple[int, ...], ...]]:

@@ -14,8 +14,8 @@ alone.
 
 Working in value coordinates keeps every elimination at its natural
 size: a symmetry-constrained subspace of (R^n)^{tensor k} is cut out of
-a space of dimension like C(n+k-1, k) instead of n^k.  Expansion to full
-index grids (``embed``) happens only at the Tensor interface boundary.
+a space of dimension like C(n+k-1, k) instead of n^k.  No command
+expands them to full index grids; the tests do, as an oracle.
 
 Conventions used throughout:
 
@@ -31,14 +31,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import TYPE_CHECKING, NamedTuple
+from itertools import combinations, combinations_with_replacement, product
+from typing import NamedTuple
 
 from killingcalc.matrix import ExactMatrix
-
-if TYPE_CHECKING:  # tensor is imported where it runs, at the Tensor boundary
-    from killingcalc.tensor import Tensor
 
 __all__ = [
     "SYM",
@@ -48,8 +44,6 @@ __all__ = [
     "sym_extend",
     "sym_extend_row",
     "skew_pair",
-    "embed",
-    "extract",
 ]
 
 SYM = "sym"
@@ -197,54 +191,3 @@ def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, Grouped
             _add(row, space.index(src), sign)
         data.append(row)
     return ExactMatrix.from_int_rows(space.dim, data, 2), target
-
-
-def _arrangements(part: tuple[int, ...], kind: str):
-    if kind == SYM:
-        return [(p, 1) for p in sorted(set(permutations(part)))]
-    from killingcalc.tensor import perm_sign
-
-    out = []
-    for p in permutations(range(len(part))):
-        out.append((tuple(part[q] for q in p), perm_sign(p)))
-    return out
-
-
-def embed(space: GroupedSpace, coords) -> Tensor:
-    """Expand value coordinates to the full tensor."""
-    from killingcalc.tensor import Tensor
-
-    if isinstance(coords, dict):
-        items = coords.items()
-    else:
-        items = [(i, v) for i, v in enumerate(coords) if v]
-    entries: dict[tuple[int, ...], Fraction] = {}
-    keys = space.keys()
-    for ki, v in items:
-        v = Fraction(v)
-        if not v:
-            continue
-        key = keys[ki]
-        pools = [
-            _arrangements(part, g.kind) for part, g in zip(key, space.groups)
-        ]
-        for combo in product(*pools):
-            idx = tuple(i for arr, _ in combo for i in arr)
-            sign = 1
-            for _, s in combo:
-                sign *= s
-            entries[idx] = v * sign
-    return Tensor(space.n, space.arity, entries)
-
-
-def extract(space: GroupedSpace, t: Tensor) -> list[Fraction]:
-    """Read value coordinates off a tensor; rejects wrong symmetry type."""
-    if t.n != space.n or t.arity != space.arity:
-        raise ValueError("tensor shape does not match the space")
-    coords = []
-    for key in space.keys():
-        idx = tuple(i for part in key for i in part)
-        coords.append(t.entries.get(idx, Fraction(0)))
-    if embed(space, coords) != t:
-        raise ValueError("tensor lacks the required group symmetries")
-    return coords

@@ -77,9 +77,6 @@ if TYPE_CHECKING:  # metric is imported where it runs: `killing` never does
 
 __all__ = [
     "TractorSection",
-    "SectionDerivative",
-    "killing_lift",
-    "tractor_derivative",
     "TractorCurvature",
     "tractor_curvature",
     "flat_parallel_dimension",
@@ -111,36 +108,6 @@ class TractorSection:
         return f"TractorSection(n={self.n})"
 
 
-class SectionDerivative:
-    """Derivative values of a section; leading slot is the direction."""
-
-    __slots__ = ("n", "x_part", "k_part")
-
-    def __init__(self, x_part: PolyTensorField, k_part: PolyTensorField):
-        self.n = x_part.n
-        self.x_part = x_part
-        self.k_part = k_part
-
-    def is_zero(self) -> bool:
-        return self.x_part.is_zero() and self.k_part.is_zero()
-
-    def __repr__(self) -> str:
-        return f"SectionDerivative(n={self.n})"
-
-
-def killing_lift(X: PolyTensorField, g: MetricField | None = None) -> TractorSection:
-    """Lift a covector field so the derivative isolates its symmetrized
-    gradient: the 2-form slot carries the skew half of the gradient."""
-    from killingcalc.fields import antisymmetrize_field
-    from killingcalc.metric import MetricField, covariant_derivative
-
-    if X.arity != 1:
-        raise ValueError("expected an arity-1 field")
-    g = g if g is not None else MetricField.flat(X.n)
-    dX = covariant_derivative(X, g)
-    return TractorSection(X, antisymmetrize_field(dX, (1, 2)))
-
-
 def _derive_pair(g: MetricField, a_part: PolyTensorField, b_part: PolyTensorField):
     """One connection step; extra leading slots ride along as spectators."""
     from killingcalc.metric import covariant_derivative, riemann
@@ -170,14 +137,6 @@ def _derive_pair(g: MetricField, a_part: PolyTensorField, b_part: PolyTensorFiel
                         corr[tgt] = term if cur is None else cur.add(term)
     out_b = db.add(PolyTensorField(n, b_part.arity + 1, corr))
     return out_a, out_b
-
-
-def tractor_derivative(s: TractorSection, g: MetricField) -> SectionDerivative:
-    """Connection applied to a section; zero means parallel."""
-    if s.n != g.n:
-        raise ValueError("section and metric dimensions disagree")
-    out_x, out_k = _derive_pair(g, s.x_part, s.k_part)
-    return SectionDerivative(out_x, out_k)
 
 
 def _constant_basis_sections(n: int):

@@ -24,9 +24,9 @@ distinct permutations.  The weight-blocked systems of ``chain``,
 ``tractor`` and ``killing`` enumerate their weights with
 ``dominant_weights`` and ``bounded_compositions``.
 
-``realize_irreducible`` produces an explicit basis of a subspace of a
-tensor power carrying the given symmetry type.  The diagram's row count
-picks one of two presentations:
+``realize_irreducible`` produces explicit weight spaces of a subspace of
+a tensor power carrying the given symmetry type.  The diagram's row
+count picks one of two presentations:
 
 * one row (a): a single symmetric group of a indices;
 * two rows (a, b): tensors symmetric in a first group of b and a second
@@ -41,13 +41,14 @@ is block-diagonal by weight, and the canonical kernel basis of a
 block-diagonal matrix is the union of its blocks' canonical kernel
 bases: the weight-w columns come from the weight-w rows alone.  Each
 weight space is memoized per (shape, n, w), kept as integer columns over
-a per-column scale, and certified: its dimension must be the Kostka
-number of its weight.  A whole basis is the union of every weight space,
-in the same column order, and its dimension is checked against the
-hook-content product too.
+a per-column scale exactly as ``matrix.kernel_basis`` returns them, and
+certified: its dimension must be the Kostka number of its weight.  The
+union of every weight space, ordered by lead key (``ordered_columns``),
+is the whole basis; the callers number their columns in that order and
+never assemble it.
 
-Every basis is in reduced shape: its columns are the canonical kernel
-basis of the constraint matrix (the identity when there are no
+Every weight space is in reduced shape: its columns are the canonical
+kernel basis of its constraint rows (the identity when there are no
 constraints), so each column has a 1 at its own lead row where every
 other column is 0.  That makes coordinates cheap: the coordinates of a
 vector of the span are its values at the lead rows, and one residual
@@ -57,17 +58,15 @@ decides membership.  No second elimination is needed.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
-from killingcalc.symspace import SYM, Group, GroupedSpace, embed, sym_extend_row
+from killingcalc.symspace import sym_extend_row
 
 __all__ = [
     "YoungDiagram",
-    "SubspaceBasis",
     "WeightSpace",
     "gl_dimension",
     "weyl_dimension",
@@ -79,7 +78,6 @@ __all__ = [
     "weight_key",
     "realize_irreducible",
     "ordered_columns",
-    "clear_realization_cache",
 ]
 
 
@@ -264,85 +262,6 @@ def weight_key(w) -> tuple[int, ...]:
     return sum(((v,) * c for v, c in enumerate(w, 1)), ())
 
 
-def _lead_rows(cols: list[dict[int, Fraction]]) -> list[int] | None:
-    """Lead rows of columns in reduced shape, or None for any other shape.
-
-    Reduced shape is the shape of a kernel basis from ``kernel_basis``:
-    each column ends in a 1, at a row later than the previous column's
-    lead, and no other column is nonzero at that row.  The kernel vector
-    of free column f has its 1 at f and its other entries at pivot
-    columns before f, and no kernel vector is nonzero at another free
-    column.  Such columns are independent, and a subspace has exactly one
-    basis of this shape.
-    """
-    if not all(cols):
-        return None
-    leads = [max(col) for col in cols]
-    if any(a >= b for a, b in zip(leads, leads[1:])):
-        return None
-    lead_set = set(leads)
-    if all(
-        col[lead] == 1 and len(lead_set.intersection(col)) == 1
-        for col, lead in zip(cols, leads)
-    ):
-        return leads
-    return None
-
-
-class SubspaceBasis:
-    """Explicit basis of a symmetry-constrained subspace of a tensor power.
-
-    ``coord_basis`` holds the basis in the value coordinates of
-    ``space``, and ``columns`` its columns as sparse dicts.  The basis is
-    canonical and in reduced shape (see ``_lead_rows``): column j is the
-    only one nonzero at its lead row ``leads[j]``, where it is 1.  So the
-    coordinates of a vector y of the span are its values at the lead
-    rows, read off y's support, and y lies in the span exactly when the
-    residual y - B x of those coordinates x is zero.
-    """
-
-    def __init__(self, space: GroupedSpace, coord_basis: ExactMatrix):
-        if coord_basis.rows != space.dim:
-            raise ValueError("coordinate basis does not match the space")
-        self.space = space
-        self.n = space.n
-        self.arity = space.arity
-        self.coord_basis = coord_basis
-        self.columns = coord_basis.columns()
-        leads = _lead_rows(self.columns)
-        if leads is None:
-            raise ValueError("coordinate basis is not in reduced shape")
-        self.leads = leads
-        self._lead_col = {r: j for j, r in enumerate(leads)}
-
-    @property
-    def dim(self) -> int:
-        return self.coord_basis.cols
-
-    def tensor(self, j: int):
-        """Column j as a full ``Tensor``."""
-        return embed(self.space, self.columns[j])
-
-    def coords(self, y: dict[int, Fraction]) -> dict[int, Fraction]:
-        """The sparse x with B x = y; raises ValueError when y, a sparse
-        vector in the value coordinates, lies outside the span."""
-        x = {self._lead_col[r]: v for r, v in y.items() if v and r in self._lead_col}
-        residual = {r: v for r, v in y.items() if v}
-        for j, f in x.items():
-            for r, v in self.columns[j].items():
-                w = residual.get(r, 0) - f * v
-                if w:
-                    residual[r] = w
-                else:
-                    del residual[r]
-        if residual:
-            raise ValueError("vector lies outside the column span")
-        return x
-
-    def __repr__(self) -> str:
-        return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
-
-
 class WeightSpace:
     """The weight-w part of a realized basis, in integers.
 
@@ -358,17 +277,14 @@ class WeightSpace:
     __slots__ = ("weight", "keys", "index", "columns", "scales", "leads", "_lead_col")
 
     def __init__(self, weight, keys, vectors):
-        """The weight space of ``weight`` spanned by the ``Fraction``
-        vectors (key position -> value) of a canonical kernel basis."""
+        """The weight space of ``weight`` spanned by the vectors of a
+        canonical kernel basis, given as the (integer column over key
+        positions, scale) pairs of ``matrix.kernel_basis``."""
         self.weight = weight
         self.keys = keys
         self.index = {k: i for i, k in enumerate(keys)}
-        self.columns = []
-        self.scales = []
-        for vec in vectors:
-            scale = lcm(1, *(v.denominator for v in vec.values()))
-            self.columns.append({r: v.numerator * (scale // v.denominator) for r, v in vec.items()})
-            self.scales.append(scale)
+        self.columns = [col for col, _ in vectors]
+        self.scales = [scale for _, scale in vectors]
         self.leads = [max(col) for col in self.columns]
         self._lead_col = {r: j for j, r in enumerate(self.leads)}
 
@@ -424,20 +340,14 @@ def _weight_keys(sizes: tuple[int, ...], w: tuple[int, ...]) -> list:
     ]
 
 
-def realize_irreducible(d: YoungDiagram, n: int, weights=None):
-    """Basis of the symmetry class of shape d inside the tensor power.
-
-    With ``weights``, an iterable of torus weights, the result is a dict
-    from each of them to its ``WeightSpace``.  Without, it is the whole
-    basis, a ``SubspaceBasis`` assembled from every weight space.  Both
-    are memoized: weight spaces per (shape, n, w), whole bases per
-    (shape, n); the memo is transparent since the construction is
-    deterministic.
+def realize_irreducible(d: YoungDiagram, n: int, weights) -> dict:
+    """The weight spaces of the symmetry class of shape d inside the
+    tensor power: a dict from each torus weight of the iterable
+    ``weights`` to its ``WeightSpace``, memoized per (shape, n, w); the
+    memo is transparent since the construction is deterministic.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
-    if weights is None:
-        return _whole_memo(d, n)
     return {tuple(w): _realize_memo(d, n, tuple(w)) for w in weights}
 
 
@@ -470,30 +380,3 @@ def ordered_columns(parts: dict) -> list[tuple[tuple[int, ...], int]]:
         ((w, j) for w, part in parts.items() for j in range(part.dim)),
         key=lambda wj: parts[wj[0]].keys[parts[wj[0]].leads[wj[1]]],
     )
-
-
-@cache
-def _whole_memo(d: YoungDiagram, n: int) -> SubspaceBasis:
-    space = GroupedSpace(n, [Group(SYM, size) for size in _group_sizes(d)])
-    parts = {w: _realize_memo(d, n, w) for w in weight_multiplicities(d, n)}
-    cols = []
-    for w, j in ordered_columns(parts):
-        part = parts[w]
-        scale = part.scales[j]
-        cols.append({
-            space.index(part.keys[r]): Fraction(v, scale) for r, v in part.columns[j].items()
-        })
-    result = SubspaceBasis(space, ExactMatrix.from_columns(cols, space.dim))
-    expected = gl_dimension(d, n)
-    if result.dim != expected:
-        raise RuntimeError(
-            f"realization of {d.rows} over n={n} produced {result.dim} basis "
-            f"columns, hook content gives {expected}"
-        )
-    return result
-
-
-def clear_realization_cache() -> None:
-    """Forget every memoized weight space and whole basis."""
-    _realize_memo.cache_clear()
-    _whole_memo.cache_clear()

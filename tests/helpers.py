@@ -1,28 +1,42 @@
-"""Seeded random generators shared by the test modules.
+"""Seeded random generators and reference oracles shared by the test
+modules.
 
 Every test that uses randomness constructs its own ``random.Random(seed)``
 so failures replay exactly; nothing here touches global RNG state.
+
+The oracles include code that no command runs, kept here to check the
+library against: the first-row Gauss-Jordan kernel ``first_row_rref_int``,
+the whole-basis realization (``SubspaceBasis``, ``whole_basis``,
+``build_T``, ``embed``/``extract``) and the covector connection of one
+section (``killing_lift``, ``tractor_derivative``) with the Lie
+derivative of the flat delta (``lie_derivative_delta``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, lcm
+from functools import cache
+from itertools import combinations, permutations, product
+from math import comb, gcd, lcm
+from typing import NamedTuple
 
-from killingcalc import elim, fields, kostant, prolong
+from killingcalc import elim, fields, kostant, prolong, young
+from killingcalc.cap import _check_args
 from killingcalc.chain import ChainComplex
-from killingcalc.fields import PolyTensorField, flat_derivative, symmetrize_field
+from killingcalc.fields import (
+    PolyTensorField, _coordinate_derivative, antisymmetrize_field, delta_field, flat_derivative,
+    symmetrize_field,
+)
 from killingcalc.killing import killing_kernel_vectors, killing_operator, symmetric_coordinates
 from killingcalc.kostant import build_V, koszul_differential
 from killingcalc.matrix import (
     ExactMatrix, integer_rank, kernel_basis, over_common_scale, rank, rref, solve,
 )
-from killingcalc.metric import RatScalar
+from killingcalc.metric import MetricField, RatScalar, covariant_derivative
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.potential import _obstruction_terms, _require_symmetric
-from killingcalc.prolong import _psubsets, build_partial, build_T
+from killingcalc.prolong import _component_shapes, _psubsets, build_partial
 from killingcalc.symspace import (
     ALT,
     SYM,
@@ -34,7 +48,10 @@ from killingcalc.symspace import (
     sym_extend,
 )
 from killingcalc.tensor import Tensor, _permute_average, perm_sign
-from killingcalc.young import SubspaceBasis, YoungDiagram, realize_irreducible
+from killingcalc.tractor import TractorSection, _derive_pair
+from killingcalc.young import (
+    YoungDiagram, gl_dimension, ordered_columns, realize_irreducible, weight_multiplicities,
+)
 
 
 def entries(m: ExactMatrix) -> dict[tuple[int, int], Fraction]:
@@ -252,6 +269,12 @@ def whole_kernel(m: ExactMatrix):
     return out
 
 
+def kernel_fractions(kernel) -> list[dict[int, Fraction]]:
+    """The vectors {slot: ``Fraction``} of the (integer column, scale)
+    pairs of ``matrix.kernel_basis``."""
+    return [{r: Fraction(v, s) for r, v in col.items()} for col, s in kernel]
+
+
 def whole_solve(m: ExactMatrix, b):
     """Free-variables-zero solution of m x = b from ``whole_rref`` of [m | b]."""
     aug = hstack(m, ExactMatrix(m.rows, 1, {(r, 0): v for r, v in enumerate(b) if v}))
@@ -272,8 +295,9 @@ def assert_matches_whole(m: ExactMatrix, rhs=None) -> None:
     assert rank(m) == len(pivots), m
     assert rref(m) == (pivots, red), m
     ker = kernel_basis(m)
-    assert ker == whole_kernel(m), m
-    assert all(list(v) == sorted(v) for v in ker), m
+    assert kernel_fractions(ker) == whole_kernel(m), m
+    assert all(list(col) == sorted(col) for col, _ in ker), m
+    assert all(gcd(*col.values()) == 1 and col[max(col)] == s for col, s in ker), m
     if rhs is None:
         image = apply(m, {c: Fraction(1) for c in range(m.cols)})
         rhs = [[image.get(r, Fraction(0)) for r in range(m.rows)]]
@@ -317,7 +341,8 @@ def whole_realization(d: YoungDiagram, n: int) -> SubspaceBasis:
     space, constraints = presentation(d, n)
     if constraints is None:
         return SubspaceBasis(space, ExactMatrix.identity(space.dim))
-    return SubspaceBasis(space, ExactMatrix.from_columns(kernel_basis(constraints), constraints.cols))
+    kernel = kernel_fractions(kernel_basis(constraints))
+    return SubspaceBasis(space, ExactMatrix.from_columns(kernel, constraints.cols))
 
 
 def iota_matrix(space: GroupedSpace, i: int, x: int) -> tuple[ExactMatrix, GroupedSpace]:
@@ -408,7 +433,7 @@ def oracle_koszul(n: int, ell: int, p: int) -> ExactMatrix:
     """Reference Koszul differential over ``Fraction``: the action of x_i
     read off the realized module basis, each entry placed with its wedge
     sign (-1)^{#{s in S : s < i}}."""
-    basis = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
+    basis = whole_basis(YoungDiagram((ell, ell)), n + 1)
     dim = basis.dim
     actions = []
     for i in range(1, n + 1):
@@ -598,3 +623,319 @@ def christoffel_by_elimination(dg: Tensor) -> Tensor:
     x = solve(m, b)
     assert x is not None
     return Tensor(n, 3, {t: x[i] for i, t in enumerate(trip) if x[i]})
+
+
+# --- the elimination kernel before its pivot rule --------------------------
+
+
+def _first_row_reduce_content(row, lead):
+    """Divide ``row`` through by its content; sign fixed by column ``lead``."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if g == 0:
+        return
+    if lead is not None and row.get(lead, 0) < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+
+
+def first_row_rref_int(rows, ncols):
+    """Reference reduction: ``elim.rref_int`` as it was before the
+    shortest-row pivot, taking as pivot the first remaining row that is
+    nonzero in the column.  Returns (pivot columns, reduced rows)."""
+    rows = [dict(r) for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        src = -1
+        for i in range(r, nrows):
+            if rows[i].get(c, 0):
+                src = i
+                break
+        if src < 0:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        piv_row = rows[r]
+        _first_row_reduce_content(piv_row, c)
+        piv = piv_row[c]
+        for i in range(nrows):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row.get(c, 0)
+            if not f:
+                continue
+            new = {}
+            for k, v in row.items():
+                new[k] = v * piv
+            for k, v in piv_row.items():
+                w = new.get(k, 0) - f * v
+                if w:
+                    new[k] = w
+                elif k in new:
+                    del new[k]
+            _first_row_reduce_content(new, None)
+            rows[i] = new
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r]
+
+
+# --- the whole-basis realization --------------------------------------------
+
+
+def _arrangements(part: tuple[int, ...], kind: str):
+    if kind == SYM:
+        return [(p, 1) for p in sorted(set(permutations(part)))]
+    out = []
+    for p in permutations(range(len(part))):
+        out.append((tuple(part[q] for q in p), perm_sign(p)))
+    return out
+
+
+def embed(space: GroupedSpace, coords) -> Tensor:
+    """Expand value coordinates to the full tensor: a symmetric-group
+    value at every arrangement of its key, an antisymmetric-group value
+    at every permutation with its sign."""
+    if isinstance(coords, dict):
+        items = coords.items()
+    else:
+        items = [(i, v) for i, v in enumerate(coords) if v]
+    entries: dict[tuple[int, ...], Fraction] = {}
+    keys = space.keys()
+    for ki, v in items:
+        v = Fraction(v)
+        if not v:
+            continue
+        key = keys[ki]
+        pools = [
+            _arrangements(part, g.kind) for part, g in zip(key, space.groups)
+        ]
+        for combo in product(*pools):
+            idx = tuple(i for arr, _ in combo for i in arr)
+            sign = 1
+            for _, s in combo:
+                sign *= s
+            entries[idx] = v * sign
+    return Tensor(space.n, space.arity, entries)
+
+
+def extract(space: GroupedSpace, t: Tensor) -> list[Fraction]:
+    """Read value coordinates off a tensor; rejects wrong symmetry type."""
+    if t.n != space.n or t.arity != space.arity:
+        raise ValueError("tensor shape does not match the space")
+    coords = []
+    for key in space.keys():
+        idx = tuple(i for part in key for i in part)
+        coords.append(t.entries.get(idx, Fraction(0)))
+    if embed(space, coords) != t:
+        raise ValueError("tensor lacks the required group symmetries")
+    return coords
+
+
+def lead_rows(cols: list[dict[int, Fraction]]) -> list[int] | None:
+    """Lead rows of columns in reduced shape, or None for any other shape.
+
+    Reduced shape is the shape of a kernel basis from ``kernel_basis``:
+    each column ends in a 1, at a row later than the previous column's
+    lead, and no other column is nonzero at that row.  The kernel vector
+    of free column f has its 1 at f and its other entries at pivot
+    columns before f, and no kernel vector is nonzero at another free
+    column.  Such columns are independent, and a subspace has exactly one
+    basis of this shape.
+    """
+    if not all(cols):
+        return None
+    leads = [max(col) for col in cols]
+    if any(a >= b for a, b in zip(leads, leads[1:])):
+        return None
+    lead_set = set(leads)
+    if all(
+        col[lead] == 1 and len(lead_set.intersection(col)) == 1
+        for col, lead in zip(cols, leads)
+    ):
+        return leads
+    return None
+
+
+class SubspaceBasis:
+    """Explicit basis of a symmetry-constrained subspace of a tensor power.
+
+    ``coord_basis`` holds the basis in the value coordinates of
+    ``space``, and ``columns`` its columns as sparse dicts.  The basis is
+    canonical and in reduced shape (see ``lead_rows``): column j is the
+    only one nonzero at its lead row ``leads[j]``, where it is 1.  So the
+    coordinates of a vector y of the span are its values at the lead
+    rows, read off y's support, and y lies in the span exactly when the
+    residual y - B x of those coordinates x is zero.
+    """
+
+    def __init__(self, space: GroupedSpace, coord_basis: ExactMatrix):
+        if coord_basis.rows != space.dim:
+            raise ValueError("coordinate basis does not match the space")
+        self.space = space
+        self.n = space.n
+        self.arity = space.arity
+        self.coord_basis = coord_basis
+        self.columns = coord_basis.columns()
+        leads = lead_rows(self.columns)
+        if leads is None:
+            raise ValueError("coordinate basis is not in reduced shape")
+        self.leads = leads
+        self._lead_col = {r: j for j, r in enumerate(leads)}
+
+    @property
+    def dim(self) -> int:
+        return self.coord_basis.cols
+
+    def tensor(self, j: int):
+        """Column j as a full ``Tensor``."""
+        return embed(self.space, self.columns[j])
+
+    def coords(self, y: dict[int, Fraction]) -> dict[int, Fraction]:
+        """The sparse x with B x = y; raises ValueError when y, a sparse
+        vector in the value coordinates, lies outside the span."""
+        x = {self._lead_col[r]: v for r, v in y.items() if v and r in self._lead_col}
+        residual = {r: v for r, v in y.items() if v}
+        for j, f in x.items():
+            for r, v in self.columns[j].items():
+                w = residual.get(r, 0) - f * v
+                if w:
+                    residual[r] = w
+                else:
+                    del residual[r]
+        if residual:
+            raise ValueError("vector lies outside the column span")
+        return x
+
+    def __repr__(self) -> str:
+        return f"SubspaceBasis(n={self.n}, arity={self.arity}, dim={self.dim})"
+
+
+@cache
+def whole_basis(d: YoungDiagram, n: int) -> SubspaceBasis:
+    """The whole basis of shape d over n, assembled from every weight
+    space of ``realize_irreducible`` in the order of ``ordered_columns``
+    and checked against the hook-content dimension; memoized per
+    (shape, n)."""
+    space = GroupedSpace(n, [Group(SYM, size) for size in young._group_sizes(d)])
+    parts = realize_irreducible(d, n, weight_multiplicities(d, n))
+    cols = []
+    for w, j in ordered_columns(parts):
+        part = parts[w]
+        scale = part.scales[j]
+        cols.append({
+            space.index(part.keys[r]): Fraction(v, scale) for r, v in part.columns[j].items()
+        })
+    result = SubspaceBasis(space, ExactMatrix.from_columns(cols, space.dim))
+    expected = gl_dimension(d, n)
+    if result.dim != expected:
+        raise RuntimeError(
+            f"realization of {d.rows} over n={n} produced {result.dim} basis "
+            f"columns, hook content gives {expected}"
+        )
+    return result
+
+
+def clear_realization_cache() -> None:
+    """Forget every memoized weight space and whole basis."""
+    young._realize_memo.cache_clear()
+    whole_basis.cache_clear()
+
+
+class ProlongationSpace(NamedTuple):
+    n: int
+    ell: int
+    components: tuple[SubspaceBasis, ...]
+
+    @property
+    def component_dims(self) -> tuple[int, ...]:
+        return tuple(c.dim for c in self.components)
+
+    @property
+    def total_dim(self) -> int:
+        return sum(self.component_dims)
+
+
+@cache
+def build_T(n: int, ell: int) -> ProlongationSpace:
+    """Whole component bases of the prolongation space, checked against
+    the hook-content dimension of (ell, ell) over n + 1."""
+    _check_args(n, ell)
+    comps = tuple(whole_basis(d, n) for d in _component_shapes(ell))
+    space = ProlongationSpace(n, ell, comps)
+    expected = gl_dimension(YoungDiagram((ell, ell)), n + 1)
+    if space.total_dim != expected:
+        raise RuntimeError(
+            f"prolongation components sum to {space.total_dim}, expected {expected}"
+        )
+    return space
+
+
+# --- the covector connection of one section ---------------------------------
+
+
+class SectionDerivative:
+    """Derivative values of a section; leading slot is the direction."""
+
+    __slots__ = ("n", "x_part", "k_part")
+
+    def __init__(self, x_part: PolyTensorField, k_part: PolyTensorField):
+        self.n = x_part.n
+        self.x_part = x_part
+        self.k_part = k_part
+
+    def is_zero(self) -> bool:
+        return self.x_part.is_zero() and self.k_part.is_zero()
+
+    def __repr__(self) -> str:
+        return f"SectionDerivative(n={self.n})"
+
+
+def killing_lift(X: PolyTensorField, g: MetricField | None = None) -> TractorSection:
+    """Lift a covector field so the derivative isolates its symmetrized
+    gradient: the 2-form slot carries the skew half of the gradient."""
+    if X.arity != 1:
+        raise ValueError("expected an arity-1 field")
+    g = g if g is not None else MetricField.flat(X.n)
+    dX = covariant_derivative(X, g)
+    return TractorSection(X, antisymmetrize_field(dX, (1, 2)))
+
+
+def tractor_derivative(s: TractorSection, g: MetricField) -> SectionDerivative:
+    """Connection applied to a section; zero means parallel."""
+    if s.n != g.n:
+        raise ValueError("section and metric dimensions disagree")
+    out_x, out_k = _derive_pair(g, s.x_part, s.k_part)
+    return SectionDerivative(out_x, out_k)
+
+
+def lie_derivative_delta(X: PolyTensorField) -> PolyTensorField:
+    """Lie derivative of the flat delta along X, term by term.
+
+    Computed as X^a D_a g_bc + g_ac D_b X^a + g_ba D_c X^a with g = delta,
+    keeping the (vanishing) transport term explicit.
+    """
+    if X.arity != 1 or X.rational:
+        raise ValueError("expected a polynomial vector field")
+    n = X.n
+    g = delta_field(n)
+    dg = _coordinate_derivative(g)
+    dX = _coordinate_derivative(X)
+    comps: dict = {}
+    for b in range(1, n + 1):
+        for c in range(1, n + 1):
+            total = PolyScalar.zero(n)
+            for a in range(1, n + 1):
+                total = total.add(X.at(a).mul(dg.at(a, b, c)))
+                total = total.add(g.at(a, c).mul(dX.at(b, a)))
+                total = total.add(g.at(b, a).mul(dX.at(c, a)))
+            if not total.is_zero():
+                comps[(b, c)] = total
+    return PolyTensorField(n, 2, comps)

@@ -13,7 +13,7 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import from_rows, full_complex
+from helpers import build_T, from_rows, full_complex
 from killingcalc.fields import (
     PolyTensorField,
     christoffel_closed_form,
@@ -33,7 +33,6 @@ from killingcalc.matrix import rref
 from killingcalc.metric import MetricField, riemann
 from killingcalc.poly import PolyScalar
 from killingcalc.prolong import (
-    build_T,
     complex_cohomology,
     graded_diagonal_complex,
     injectivity_implication_check,

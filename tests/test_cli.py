@@ -761,6 +761,15 @@ def test_family_commands_load_no_dataclasses(command):
     assert not loaded & {"dataclasses", "inspect"}
 
 
+@pytest.mark.parametrize("command", ["complex", "kostant"])
+def test_cohomology_commands_load_no_fractions(command):
+    """The cohomology path runs in integers end to end: realization,
+    coefficient columns, block assembly and ranks.  ``fractions`` (which
+    imports ``decimal``) is never loaded."""
+    loaded = _run_loaded([command, "--n", "3", "--ell", "2"])
+    assert not loaded & {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+
 def test_killing_loads_neither_metric_nor_kostant():
     loaded = _run_loaded(["killing", "--n", "3", "--ell", "2"])
     assert "killingcalc.tractor" in loaded

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import christoffel_by_elimination, evaluate, rand_field
+from helpers import christoffel_by_elimination, evaluate, lie_derivative_delta, rand_field
 from killingcalc.fields import (
     PolyTensorField,
     antisymmetrize_field,
@@ -14,7 +14,6 @@ from killingcalc.fields import (
     christoffel_solve,
     delta_field,
     flat_derivative,
-    lie_derivative_delta,
     symmetrize_field,
 )
 from killingcalc.metric import (

@@ -11,13 +11,13 @@ from helpers import (
     from_rows,
     higher_killing_operator,
     is_potential_by_field_calculus,
+    lie_derivative_delta,
     rand_field,
     rand_symmetric_field,
     whole_solve,
 )
 from killingcalc.fields import (
     PolyTensorField,
-    lie_derivative_delta,
     symmetrize_field,
 )
 from killingcalc import potential

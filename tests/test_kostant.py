@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from helpers import koszul_complex
+from helpers import build_T, koszul_complex
 from killingcalc.kostant import (
     branching_check,
     build_V,
@@ -89,8 +89,6 @@ def test_branching():
 
 
 def test_branching_piece_dims_match_prolongation_components():
-    from killingcalc.prolong import build_T
-
     rep = branching_check(4, 3)
     dims = build_T(4, 3).component_dims
     # ones-count grading runs opposite to the component order

@@ -202,10 +202,30 @@ def test_kernel_vectors_annihilated():
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         ker = kernel_basis(m)
         assert len(ker) == m.cols - rank(m)
-        for v in ker:
-            assert apply(m, v) == {}
-        rows = [[v.get(i, 0) for i in range(m.cols)] for v in ker]
+        for col, scale in ker:
+            assert apply(m, col) == {}
+            assert col[max(col)] == scale > 0
+        rows = [[col.get(i, 0) for i in range(m.cols)] for col, _ in ker]
         assert rank(rref(from_rows(rows))[1]) == len(ker)
+
+
+def test_kernel_columns_are_the_cleared_canonical_vectors():
+    """Each kernel column is its canonical vector (1 at the free column,
+    the negated reduced column at the pivots) cleared by the lcm of its
+    denominators: the integers and the scale a weight space stores."""
+    rng = random.Random(29)
+    for _ in range(40):
+        m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 7), density=0.4)
+        pivots, red = rref(m)
+        free = [f for f in range(m.cols) if f not in pivots]
+        ker = kernel_basis(m)
+        assert len(ker) == len(free)
+        for f, (col, scale) in zip(free, ker):
+            vec = {p: -at(red, i, f) for i, p in enumerate(pivots) if at(red, i, f)}
+            vec[f] = Fraction(1)
+            want = lcm(*(v.denominator for v in vec.values()))
+            assert scale == want
+            assert col == {r: v.numerator * (want // v.denominator) for r, v in vec.items()}
 
 
 def test_solve_consistent_and_inconsistent():

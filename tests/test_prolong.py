@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     assert_matches_whole,
     at,
+    build_T,
     clear_cohomology_memos,
     cochain_weights,
     entries,
@@ -21,7 +22,6 @@ from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.prolong import (
     CapExceeded,
     _guard_key_cap,
-    build_T,
     build_partial,
     complex_cohomology,
     graded_diagonal_complex,

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import iota_matrix, replace_matrix, symmetrize
+from helpers import embed, iota_matrix, replace_matrix, symmetrize
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import (
     ALT,
     SYM,
     Group,
     GroupedSpace,
-    embed,
     skew_pair,
     sym_extend,
 )

@@ -39,14 +39,17 @@ def test_every_target_resolves(name, modname, path):
 
 
 def test_traced_signatures_and_import_sites():
-    """The recorders read rref_int's (rows, ncols) and its (pivots, rows)
-    result; the matrix wrappers reach chain, prolong, killing and young
-    through their by-name imports.  ``fields`` imports ``solve`` and
-    ``kernel_basis`` where it runs, so the wrappers reach it by the
-    module attribute (checked in a traced process below)."""
-    assert list(inspect.signature(elim.rref_int).parameters) == ["rows", "ncols"]
+    """The recorders read rref_int's first two arguments, (rows, ncols),
+    and its (pivots, rows) result, in both modes; the matrix wrappers
+    reach chain, prolong, killing and young through their by-name
+    imports.  ``fields`` imports ``solve`` and ``kernel_basis`` where it
+    runs, so the wrappers reach it by the module attribute (checked in a
+    traced process below)."""
+    assert list(inspect.signature(elim.rref_int).parameters) == ["rows", "ncols", "reduced"]
     pivots, rows = elim.rref_int([{0: 2, 1: 4}], 2)
     assert pivots == [0] and rows == [{0: 1, 1: 2}]
+    pivots, rows = elim.rref_int([{0: 2, 1: 4}, {0: -3}], 2, reduced=False)
+    assert pivots == [0, 1] and rows == [{0: 1}, {1: 1}]
     assert chain.rank is matrix.rank
     assert prolong.rank is matrix.rank
     assert killing.kernel_basis is young.kernel_basis is matrix.kernel_basis

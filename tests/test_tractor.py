@@ -6,19 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import flat_component_derivative, rand_field
+from helpers import build_T, flat_component_derivative, killing_lift, rand_field, tractor_derivative
 from killingcalc.fields import PolyTensorField
 from killingcalc.metric import MetricField
 from killingcalc.killing import killing_kernel, killing_operator
 from killingcalc.poly import PolyScalar
-from killingcalc.prolong import build_T
 from killingcalc.tensor import Tensor
 from killingcalc.tractor import (
     TractorSection,
     flat_parallel_dimension,
-    killing_lift,
     tractor_curvature,
-    tractor_derivative,
 )
 
 P = PolyScalar

@@ -14,11 +14,13 @@ from __future__ import annotations
 import pytest
 
 from helpers import (
+    build_T,
     clear_cohomology_memos,
     cochain_weights,
     full_complex,
     koszul_complex,
     submatrix,
+    whole_basis,
 )
 from killingcalc import chain, kostant, prolong
 from killingcalc.chain import ChainComplex, cohomology_dims
@@ -26,7 +28,6 @@ from killingcalc.kostant import build_V, lie_algebra_cohomology
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
     _diagonal_positions,
-    build_T,
     complex_cohomology,
     flat_forms,
     graded_diagonal_complex,
@@ -61,7 +62,7 @@ def test_dominant_blocks_match_all_weights(n, ell):
     diagonal complex of grade d."""
     flat = (full_complex(n, ell), cochain_weights(n, build_T(n, ell).components),
             flat_forms(n, ell), complex_cohomology(n, ell).computed)
-    module = realize_irreducible(YoungDiagram((ell, ell)), n + 1)
+    module = whole_basis(YoungDiagram((ell, ell)), n + 1)
     koszul = (koszul_complex(n, ell), cochain_weights(n, [module], first=2),
               build_V(n, ell), lie_algebra_cohomology(n, ell).computed)
     by_family = {}

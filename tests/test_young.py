@@ -11,19 +11,22 @@ import pytest
 from helpers import (
     REALIZED_IDS,
     REALIZED_SHAPES,
+    SubspaceBasis,
     apply,
+    clear_realization_cache,
+    extract,
     symmetrize,
     weight_keys_by_combinations,
+    whole_basis,
     whole_realization,
 )
 from killingcalc import young
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
-from killingcalc.symspace import GroupedSpace, Group, SYM, extract
+from killingcalc.symspace import GroupedSpace, Group, SYM
 from killingcalc.tensor import antisymmetrize
 from killingcalc.young import (
     YoungDiagram,
-    clear_realization_cache,
     gl_dimension,
     kostka,
     orbit_size,
@@ -116,7 +119,7 @@ def test_weyl_dimension_rejects_negative_labels():
 def test_realized_bases_have_predicted_rank():
     for shape in [(2,), (2, 1), (2, 2), (3, 1), (1, 1)]:
         for n in (2, 3):
-            basis = realize_irreducible(YoungDiagram(shape), n)
+            basis = whole_basis(YoungDiagram(shape), n)
             assert basis.dim == gl_dimension(YoungDiagram(shape), n)
             if basis.dim:
                 # each basis tensor extracts back to a unit coordinate vector
@@ -125,7 +128,7 @@ def test_realized_bases_have_predicted_rank():
 
 
 def test_symmetric_pair_basis_tensors_have_stated_symmetries():
-    basis = realize_irreducible(YoungDiagram((2, 1)), 3)
+    basis = whole_basis(YoungDiagram((2, 1)), 3)
     # grouped layout (SYM 1, SYM 2): slot 1 then a symmetric pair
     for j in range(basis.dim):
         t = basis.tensor(j)
@@ -136,12 +139,12 @@ def test_symmetric_pair_basis_tensors_have_stated_symmetries():
 
 
 def test_row_and_column_presentations():
-    row = realize_irreducible(YoungDiagram((3,)), 2)
+    row = whole_basis(YoungDiagram((3,)), 2)
     assert row.dim == gl_dimension(YoungDiagram((3,)), 2) == 4
     assert [g.size for g in row.space.groups] == [3]
     # the column (1, 1) comes out through two size-1 groups whose
     # symmetrization vanishes: the skew 2-tensors
-    col = realize_irreducible(YoungDiagram((1, 1)), 3)
+    col = whole_basis(YoungDiagram((1, 1)), 3)
     assert col.dim == 3
     for j in range(col.dim):
         t = col.tensor(j)
@@ -153,30 +156,34 @@ def test_row_count_picks_the_presentation():
     and Sym^a with the symmetrization constraint, and three or more rows
     have no presentation."""
     for shape in ((1, 1, 1), (2, 1, 1), (1, 1, 1, 1)):
+        d = YoungDiagram(shape)
         with pytest.raises(ValueError, match=re.escape(str(shape))):
-            realize_irreducible(YoungDiagram(shape), 3)
+            realize_irreducible(d, 4, weight_multiplicities(d, 4))
     hook_content = {((1, 1), 2): 1, ((1, 1), 3): 3, ((2, 2), 2): 1, ((2, 2), 3): 6}
     for (shape, n), dim in hook_content.items():
-        basis = realize_irreducible(YoungDiagram(shape), n)
+        basis = whole_basis(YoungDiagram(shape), n)
         assert [(g.kind, g.size) for g in basis.space.groups] == [(SYM, shape[1]), (SYM, shape[0])]
         assert basis.dim == gl_dimension(YoungDiagram(shape), n) == dim
 
 
 def test_cache_returns_identical_object():
+    d = YoungDiagram((2, 1))
     clear_realization_cache()
-    a = realize_irreducible(YoungDiagram((2, 1)), 3)
-    b = realize_irreducible(YoungDiagram((2, 1)), 3)
-    assert a is b
+    a = realize_irreducible(d, 3, weight_multiplicities(d, 3))
+    b = realize_irreducible(d, 3, weight_multiplicities(d, 3))
+    assert a.keys() == b.keys() and all(a[w] is b[w] for w in a)
 
 
 def test_realization_deterministic_across_cache_clear():
+    d = YoungDiagram((2, 2))
     clear_realization_cache()
-    a = realize_irreducible(YoungDiagram((2, 2)), 3)
+    a = realize_irreducible(d, 3, weight_multiplicities(d, 3))
     clear_realization_cache()
-    b = realize_irreducible(YoungDiagram((2, 2)), 3)
-    assert a is not b
-    assert a.coord_basis == b.coord_basis
-    assert a.space.groups == b.space.groups
+    b = realize_irreducible(d, 3, weight_multiplicities(d, 3))
+    assert a.keys() == b.keys()
+    for w in a:
+        assert a[w] is not b[w]
+        assert (a[w].keys, a[w].columns, a[w].scales) == (b[w].keys, b[w].columns, b[w].scales)
 
 
 def test_cache_dir_variable_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -184,7 +191,7 @@ def test_cache_dir_variable_writes_nothing(tmp_path, monkeypatch, capsys):
     KILLINGCALC_CACHE_DIR."""
     monkeypatch.setenv("KILLINGCALC_CACHE_DIR", str(tmp_path))
     clear_realization_cache()
-    realize_irreducible(YoungDiagram((2, 1)), 3)
+    realize_irreducible(YoungDiagram((2, 1)), 3, [(1, 1, 1)])
     assert main(["complex", "--n", "2", "--ell", "1"]) == 0
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
@@ -195,7 +202,7 @@ def test_lead_row_coordinates_round_trip_and_reject(shape, n, kind):
     """Coordinates are the values at the lead rows: every member of the
     span gets its own coefficients back, and a member changed at a row
     that is no column's lead (so off the span) is rejected."""
-    basis = realize_irreducible(YoungDiagram(shape), n)
+    basis = whole_basis(YoungDiagram(shape), n)
     rng = random.Random(f"{shape} {n} {kind}")
     cols = basis.columns
     for j, col in enumerate(cols):
@@ -217,13 +224,13 @@ def test_subspace_basis_rejects_unreduced_columns():
     space = GroupedSpace(2, [Group(SYM, 2)])  # dimension 3
     for cols in ([{0: 1, 1: 1}, {1: 1}], [{1: 1}, {0: 1}], [{0: 2}], [{}], [{0: 1, 2: 1}, {2: 1}]):
         with pytest.raises(ValueError, match="reduced shape"):
-            young.SubspaceBasis(space, ExactMatrix.from_columns(cols, 3))
-    young.SubspaceBasis(space, ExactMatrix.from_columns([{0: 1}, {1: 5, 2: 1}], 3))
+            SubspaceBasis(space, ExactMatrix.from_columns(cols, 3))
+    SubspaceBasis(space, ExactMatrix.from_columns([{0: 1}, {1: 5, 2: 1}], 3))
 
 
 def test_extract_inverts_basis_embedding():
     rng = random.Random(67)
-    basis = realize_irreducible(YoungDiagram((2, 1)), 3)
+    basis = whole_basis(YoungDiagram((2, 1)), 3)
     # a random combination of basis tensors must extract back exactly
     coeffs = [rng.randint(-3, 3) for _ in range(basis.dim)]
     t = None
@@ -401,7 +408,7 @@ def test_weight_spaces_equal_the_whole_kernel(shape, n, kind):
             for col, s in zip(part.columns, part.scales)
         ]
         assert got == by_weight[w], w
-    whole = realize_irreducible(d, n)
+    whole = whole_basis(d, n)
     assert whole.space.groups == oracle.space.groups
     assert whole.coord_basis == oracle.coord_basis
 
@@ -420,7 +427,7 @@ def test_a_dropped_column_trips_the_kostka_certificate(monkeypatch):
         with pytest.raises(RuntimeError, match="Kostka number is 2"):
             realize_irreducible(YoungDiagram((2, 2)), 4, [(1, 1, 1, 1)])
         with pytest.raises(RuntimeError, match="Kostka number"):
-            realize_irreducible(YoungDiagram((3, 1)), 3)
+            whole_basis(YoungDiagram((3, 1)), 3)
     finally:
         monkeypatch.undo()
         clear_realization_cache()
