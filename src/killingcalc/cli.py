@@ -29,7 +29,7 @@ import json
 import sys
 import time
 
-from killingcalc.cap import CapExceeded
+from killingcalc.cap import CapExceeded, potential_guard
 
 SCHEMA_VERSION = 1
 
@@ -87,8 +87,6 @@ _COMMANDS = {
         (
             ("--n", int, None, "expected base dimension"),
             ("--input", str, _REQUIRED, "field document (JSON)"),
-            ("--degree-cap", int, 6,
-             "largest potential degree the solver may attempt (default 6)"),
         ),
     ),
     "suite": ("run every check family over ranges", (_N, _ELL, *_REPORT)),
@@ -334,7 +332,7 @@ def _cmd_family(command: str, opts: dict) -> int:
 
 def _cmd_range_check(opts: dict) -> int:
     from killingcalc.poly import PolyTensorField
-    from killingcalc.potential import _guard_potential_cap, killing_potential_solve
+    from killingcalc.potential import killing_potential_solve
 
     path = opts["input"]
     try:
@@ -370,9 +368,9 @@ def _cmd_range_check(opts: dict) -> int:
             file=sys.stderr,
         )
         return 2
-    _guard_potential_cap(field)
+    potential_guard(field.n, field.degree() + 1)
     try:
-        result = killing_potential_solve(field, opts["degree_cap"])
+        result = killing_potential_solve(field)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,12 +6,14 @@ and graded checks read the cohomology tables their families memoize per
 (n, ell) and process, so each complex is ranked once.  Each builder
 imports its own family, so a command loads only the modules it runs.
 It reads its n and ell ranges one size at a time, n-major, and applies
-the family's size cap to each as it builds the list: every cap grows
-with n and ell, so a range of any length is refused at its first
-oversized size, before its first check runs.
+the family's guard from ``cap`` to each as it builds the list: every
+cap grows with n and ell, so a range of any length is refused at its
+first oversized size, before its first check runs.
 """
 
 from __future__ import annotations
+
+from killingcalc.cap import complex_guard, key_guard, killing_guard
 
 __all__ = ["FAMILIES"]
 
@@ -22,11 +24,11 @@ def _pairs(n_values, ell_values):
 
 
 def key_jobs(n_values):
-    from killingcalc.prolong import _guard_key_cap, key_isomorphism_check
+    from killingcalc.prolong import key_isomorphism_check
 
     jobs = []
     for n in n_values:
-        _guard_key_cap(n, None)
+        key_guard(n)
 
         def thunk(n=n):
             rep = key_isomorphism_check(n)
@@ -39,11 +41,11 @@ def key_jobs(n_values):
 
 
 def complex_jobs(n_values, ell_values):
-    from killingcalc.prolong import _guard_cap, complex_cohomology
+    from killingcalc.prolong import complex_cohomology
 
     jobs = []
     for n, ell in _pairs(n_values, ell_values):
-        _guard_cap(n, ell, None)
+        complex_guard(n, ell)
         inputs = {"n": n, "ell": ell}
 
         def d_squared(n=n, ell=ell):
@@ -68,11 +70,10 @@ def complex_jobs(n_values, ell_values):
 
 def kostant_jobs(n_values, ell_values):
     from killingcalc.kostant import branching_check, lie_algebra_cohomology
-    from killingcalc.prolong import _guard_cap
 
     jobs = []
     for n, ell in _pairs(n_values, ell_values):
-        _guard_cap(n, ell, None)
+        complex_guard(n, ell)
         inputs = {"n": n, "ell": ell}
 
         def dims(n=n, ell=ell):
@@ -105,18 +106,13 @@ def kostant_jobs(n_values, ell_values):
 
 
 def killing_jobs(n_values, ell_values):
-    from killingcalc.killing import (
-        _guard_killing_cap,
-        degree_bound_check,
-        killing_kernel,
-        killing_kernel_vectors,
-    )
+    from killingcalc.killing import degree_bound_check, killing_kernel, killing_kernel_vectors
     from killingcalc.tractor import flat_parallel_dimension
     from killingcalc.young import YoungDiagram, gl_dimension
 
     jobs = []
     for n, ell in _pairs(n_values, ell_values):
-        _guard_killing_cap(n, ell)
+        killing_guard(n, ell)
         inputs = {"n": n, "ell": ell}
         # dim T, the hook-content dimension of (ell, ell) over n + 1
         bundle = gl_dimension(YoungDiagram((ell, ell)), n + 1)
@@ -246,11 +242,11 @@ def injectivity_jobs(n_values, ell_values):
 
 
 def graded_jobs(n_values, ell_values):
-    from killingcalc.prolong import _guard_cap, graded_diagonal_complex
+    from killingcalc.prolong import graded_diagonal_complex
 
     jobs = []
     for n, ell in _pairs(n_values, ell_values):
-        _guard_cap(n, ell, None)
+        complex_guard(n, ell)
         for d in range(ell, n + 2 * ell + 1):
             def thunk(n=n, ell=ell, d=d):
                 rep = graded_diagonal_complex(n, ell, d)

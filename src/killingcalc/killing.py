@@ -41,17 +41,14 @@ from functools import cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from killingcalc.cap import CapExceeded, _check_args
 from killingcalc.chain import block_rows
 from killingcalc.matrix import ExactMatrix, kernel_basis, rref
 from killingcalc.poly import PolyScalar, PolyTensorField, monomials
 from killingcalc.potential import (  # noqa: F401  the public names are re-exported
-    DEFAULT_DEGREE_CAP, KillingPotentialResult, _gradient_terms, _obstruction_terms,
+    KillingPotentialResult, _gradient_terms, _obstruction_terms,
     _require_symmetric, integrability_operator, killing_potential_solve,
 )
-from killingcalc.young import (
-    YoungDiagram, bounded_compositions, dominant_weights, gl_dimension, orbit_size, weight_key,
-)
+from killingcalc.young import bounded_compositions, dominant_weights, orbit_size, weight_key
 
 __all__ = [
     "killing_operator",
@@ -66,24 +63,7 @@ __all__ = [
     "integrability_of_killing_matrix",
     "KillingPotentialResult",
     "killing_potential_solve",
-    "DEFAULT_DEGREE_CAP",
 ]
-
-# Limits of the killing family, in place of the shared DEFAULT_CAP.  The
-# parallel-section system and the degree-bound kernel are reduced on their
-# dominant weight blocks only, so their cost is far below what their column
-# counts suggest.  Whole `killing` commands, CPU and peak RSS on a shared
-# 2-vCPU host whose speed varied twofold between runs: 0.3-1.7 s and
-# 17-25 MB each at n=4, ell=4 (34300 columns), n=5, ell=3 (27440), n=3,
-# ell=6 and n=8, ell=2; with both caps lifted, 1.2-2.2 s / 21 MB at n=6,
-# ell=3 (98784) and 3.6-6.4 s / 37 MB at n=5, ell=4 (222264).  At n=2
-# and large ell the dim check's kernel fields, written at every ordering
-# of their keys, cost the most: 2.8-2.9 s / 50 MB at n=2, ell=12 (372736
-# field entries, 5.7 of 7.1 s under cProfile) and, caps lifted, 33 s /
-# 457 MB at n=2, ell=15 (4456448).
-KILLING_CAP = 40000
-KILLING_FIELD_CAP = 400000
-
 
 def killing_operator(X: PolyTensorField) -> PolyTensorField:
     """Symmetrized gradient (d_a X_b + d_b X_a) / 2 of a covector field."""
@@ -272,39 +252,6 @@ def degree_bound_check(n: int, ell: int) -> tuple[int, bool]:
         inner = [{local[c]: v for c, v in vec.items()} for vec in tight.get(mu, ())]
         same = same and _span(inner, len(cols)) == _span(kernel, len(cols))
     return dim, same
-
-
-def _guard_killing_cap(n: int, ell: int) -> int:
-    """Refuse a killing-family size whose largest system has more columns
-    than ``KILLING_CAP``, or whose kernel fields have more entries than
-    ``KILLING_FIELD_CAP``; returns the column count.  Closed forms only, so
-    it runs before anything is realized: the parallel-section system has
-    dim T * |monomials(n, ell)| columns, dim T the hook-content dimension
-    of (ell, ell) over n + 1, and the degree-bound kernel
-    C(n + ell - 1, ell) * |monomials(n, ell + 2)|.  The dim check writes
-    its dim T kernel fields at every index tuple, at most dim T * n^ell
-    entries, which grows past the columns when n is small and ell large.
-    The degree-bound count, binomials only, is tested first: the
-    hook-content product is quadratic in ell and runs only on sizes that
-    count admits.
-    """
-    _check_args(n, ell)
-    columns = comb(n + ell - 1, ell) * comb(n + ell + 2, n)
-    if columns <= KILLING_CAP:
-        dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
-        columns = max(columns, dim * comb(n + ell, n))
-    if columns > KILLING_CAP:
-        raise CapExceeded(
-            f"killing checks for n={n}, ell={ell} build a system with "
-            f"{columns} columns, cap is {KILLING_CAP}"
-        )
-    entries = dim * n ** ell
-    if entries > KILLING_FIELD_CAP:
-        raise CapExceeded(
-            f"killing checks for n={n}, ell={ell} write kernel fields with "
-            f"{entries} entries, cap is {KILLING_FIELD_CAP}"
-        )
-    return columns
 
 
 @cache

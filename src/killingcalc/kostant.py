@@ -60,7 +60,6 @@ from killingcalc.chain import (
 from killingcalc.matrix import ExactMatrix
 from killingcalc.prolong import (
     _component_shapes,
-    _guard_cap,
     _map_columns,
     _number_columns,
     _over_one_scale,
@@ -195,13 +194,13 @@ class KostantReport(NamedTuple):
 
 
 @cache
-def lie_algebra_cohomology(n: int, ell: int, cap: int | None = None) -> KostantReport:
+def lie_algebra_cohomology(n: int, ell: int) -> KostantReport:
     """Cohomology of the column action, with three-way dimension checks,
     summed over the grades of its dominant weight blocks
     (``chain.weight_cohomology``) on the weights they read; the cochain
     dimensions are hook-content closed forms.  Memoized: only the report
     is kept."""
-    _guard_cap(n, ell, cap)
+    _check_args(n, ell)
     module_dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * module_dim for p in range(n + 1))
     table = weight_cohomology(build_V(n, ell, _read_weights(n, ell)))

@@ -211,6 +211,22 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_member(obj, name: str, what: str, kind: type | None = None):
+    """Member ``name`` of ``obj``, ``what`` in a field document, which must
+    be an object; a missing member, or one that is not a ``kind``, is
+    refused by name."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be an object, got {type(obj).__name__}")
+    if name not in obj:
+        raise ValueError(f"{what} has no {name!r} member")
+    value = obj[name]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(
+            f"{name!r} of {what} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 class PolyTensorField:
     """Sparse tensor field: index tuple (1-based) -> scalar entry."""
 
@@ -312,13 +328,15 @@ class PolyTensorField:
         if not isinstance(raw, list):
             raise ValueError("entries must be a list")
         for item in raw:
-            idx = tuple(_json_int(i, "index") for i in item["idx"])
+            idx = _json_member(item, "idx", "an entry", list)
+            idx = tuple(_json_int(i, "index") for i in idx)
             terms = {}
-            for t in item["poly"]:
-                exp = tuple(_json_int(e, "exponent") for e in t["exp"])
+            for t in _json_member(item, "poly", "an entry", list):
+                exp = _json_member(t, "exp", "a term", list)
+                exp = tuple(_json_int(e, "exponent") for e in exp)
                 if len(exp) != n:
                     raise ValueError(f"exponent vector {exp} has wrong length")
-                c = parse_rational(t["coef"])
+                c = parse_rational(_json_member(t, "coef", "a term"))
                 terms[exp] = terms[exp] + c if exp in terms else c
             prev = comps.get(idx)
             p = PolyScalar(n, terms)

@@ -48,19 +48,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import comb, lcm
+from math import lcm
 
-from killingcalc.cap import DEFAULT_CAP, CapExceeded
 from killingcalc.poly import PolyScalar, PolyTensorField
 
 __all__ = [
     "integrability_operator",
     "KillingPotentialResult",
     "killing_potential_solve",
-    "DEFAULT_DEGREE_CAP",
 ]
-
-DEFAULT_DEGREE_CAP = 6
 
 
 def _require_symmetric(f: PolyTensorField) -> None:
@@ -82,23 +78,6 @@ def _gradient_terms(key, mono):
         if a:
             lower = mono[: c - 1] + (a - 1,) + mono[c:]
             yield tuple(sorted(key + (c,))), lower, (key.count(c) + 1) * a
-
-
-def _guard_potential_cap(omega: PolyTensorField) -> int:
-    """Refuse a field whose potential has more coefficients than
-    ``DEFAULT_CAP``; returns that count.  The potential has degree at most
-    D = deg omega + 1, so n * C(n + D, n) coefficients (the columns of
-    the arity-1 operator at degree D); it is sized before the obstruction
-    is evaluated.
-    """
-    n, degree = omega.n, omega.degree() + 1
-    columns = n * comb(n + degree, n)
-    if columns > DEFAULT_CAP:
-        raise CapExceeded(
-            f"the potential system for n={n}, degree {degree} has "
-            f"{columns} columns, cap is {DEFAULT_CAP}"
-        )
-    return columns
 
 
 @cache
@@ -240,9 +219,7 @@ def _is_symmetrized_gradient(x: PolyTensorField, omega: PolyTensorField) -> bool
     return got == {key: s.terms for key, s in omega.comps.items() if key[0] <= key[1]}
 
 
-def killing_potential_solve(
-    omega: PolyTensorField, degree_cap: int = DEFAULT_DEGREE_CAP
-) -> KillingPotentialResult:
+def killing_potential_solve(omega: PolyTensorField) -> KillingPotentialResult:
     """Invert the symmetrized gradient, or certify that none exists.
 
     The obstruction is evaluated first; a nonzero value is returned as
@@ -259,11 +236,6 @@ def killing_potential_solve(
     cert = integrability_operator(omega)
     if not cert.is_zero():
         return KillingPotentialResult(False, certificate=cert)
-    degree = omega.degree() + 1
-    if degree > degree_cap:
-        raise ValueError(
-            f"potential degree {degree} exceeds the cap {degree_cap}"
-        )
     x = _radial_potential(omega)
     if not _is_symmetrized_gradient(x, omega):
         raise RuntimeError("potential failed its round-trip check")

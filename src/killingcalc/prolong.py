@@ -50,7 +50,7 @@ from itertools import combinations
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from killingcalc.cap import DEFAULT_CAP, CapExceeded, _check_args
+from killingcalc.cap import _check_args
 from killingcalc.chain import FormComplex, form_differential, read_weights, weight_cohomology
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.symspace import GroupedSpace, Group, SYM, skew_pair, sym_extend
@@ -63,7 +63,6 @@ from killingcalc.young import (
 )
 
 __all__ = [
-    "CapExceeded",
     "CohomologyReport",
     "DiagonalReport",
     "build_partial",
@@ -72,7 +71,6 @@ __all__ = [
     "complex_cohomology",
     "graded_diagonal_complex",
     "injectivity_implication_check",
-    "DEFAULT_CAP",
 ]
 
 
@@ -204,25 +202,13 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     return form_differential(flat_forms(n, ell), p)
 
 
-def _guard_key_cap(n: int, cap: int | None) -> None:
-    """Refuse key isomorphisms whose dimension n C(n, 2) exceeds the cap;
-    checked before any tensor is built."""
-    cap = DEFAULT_CAP if cap is None else cap
-    dim = n * comb(n, 2)
-    if dim > cap:
-        raise CapExceeded(
-            f"key isomorphism for n={n} has dimension {dim}, cap is {cap}"
-        )
-
-
-def key_isomorphism_check(n: int, cap: int | None = None) -> dict:
+def key_isomorphism_check(n: int) -> dict:
     """Skewing the first two slots maps one-form-valued two-forms
     bijectively onto two-form-valued one-forms; returns the verdict."""
     from killingcalc.tensor import Tensor, antisymmetrize
 
     if n < 2:
         raise ValueError("base dimension must be at least 2")
-    _guard_key_cap(n, cap)
     pairs = _psubsets(n, 2)
     pair_pos = {pair: i for i, pair in enumerate(pairs)}
     dim = n * len(pairs)
@@ -278,32 +264,11 @@ class CohomologyReport(NamedTuple):
         return sum((-1) ** p * h for p, h in enumerate(self.computed))
 
 
-def _guard_cap(n: int, ell: int, cap: int | None) -> None:
-    """Refuse complexes whose cochains, summed over all degrees, exceed
-    the cap; checked before anything is realized.  The component Sym^ell
-    bounds the total below by 2^n C(n + ell - 1, ell), which refuses
-    large ell before the hook-content product, quadratic in ell, runs."""
-    _check_args(n, ell)
-    cap = DEFAULT_CAP if cap is None else cap
-    bound = (2 ** n) * comb(n + ell - 1, ell)
-    if bound > cap:
-        raise CapExceeded(
-            f"complex for n={n}, ell={ell} has total dimension at least "
-            f"{bound}, cap is {cap}"
-        )
-    total = (2 ** n) * gl_dimension(YoungDiagram((ell, ell)), n + 1)
-    if total > cap:
-        raise CapExceeded(
-            f"complex for n={n}, ell={ell} has total dimension {total}, "
-            f"cap is {cap}"
-        )
-
-
-def complex_cohomology(n: int, ell: int, cap: int | None = None) -> CohomologyReport:
+def complex_cohomology(n: int, ell: int) -> CohomologyReport:
     """Cohomology of the flat complex, with diagram predictions attached:
     the sum over grades of ``_cohomology_by_grade``; the cochain
     dimensions are hook-content closed forms."""
-    _guard_cap(n, ell, cap)
+    _check_args(n, ell)
     total = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * total for p in range(n + 1))
     computed = tuple(map(sum, zip(*_cohomology_by_grade(n, ell).values())))
@@ -342,7 +307,7 @@ def _diagonal_positions(n: int, ell: int, d: int) -> list[tuple[int, int]]:
     return out
 
 
-def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) -> DiagonalReport:
+def graded_diagonal_complex(n: int, ell: int, d: int) -> DiagonalReport:
     """Subcomplex of fixed total box grade d = p + k + ell.
 
     A cochain of form degree p in component k has weight total
@@ -354,7 +319,7 @@ def graded_diagonal_complex(n: int, ell: int, d: int, cap: int | None = None) ->
     in form degrees 0 and 1, component ell in form degrees >= 2) the
     expected cohomology is the predicted one for that form degree.
     """
-    _guard_cap(n, ell, cap)
+    _check_args(n, ell)
     positions = _diagonal_positions(n, ell, d)
     if not positions:
         raise ValueError(f"grade {d} carries no spaces for n={n}, ell={ell}")

@@ -19,12 +19,14 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse a fraction string; only integer and p/q forms are accepted."""
+    """Parse a fraction string; only integer and p/q forms in ASCII
+    digits are accepted."""
     if not isinstance(s, str):
         raise ValueError(f"rational must be given as a string, got {type(s).__name__}")
     t = s.strip()
     body = t[1:] if t[:1] in "+-" else t
-    if not body or not all(part.isdigit() for part in body.split("/", 1)):
+    # str.isdigit alone also admits the digits of other scripts
+    if not body or not all(part.isascii() and part.isdigit() for part in body.split("/", 1)):
         raise ValueError(f"not a rational literal: {s!r}")
     try:
         return Fraction(t)

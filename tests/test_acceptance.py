@@ -83,7 +83,7 @@ def test_a3_cohomology_matches_predictions(capsys):
     def body():
         for n in (2, 3, 4):
             for ell in (1, 2, 3):
-                rep = complex_cohomology(n, ell, cap=10**6)
+                rep = complex_cohomology(n, ell)
                 assert rep.all_match, (n, ell, rep.computed, rep.predicted)
         assert list(complex_cohomology(3, 1).computed) == [3, 6, 6, 3]
 
@@ -211,10 +211,11 @@ def test_a11_christoffel_recovery(capsys):
 
 def test_a12_reach_n7_ell2(capsys):
     """Both families at n=7, ell=2 (43008 cochain dimensions, past the
-    default cap) from their dominant weight blocks."""
+    command line's cap; the library applies none) from their dominant
+    weight blocks."""
     def body():
-        flat = complex_cohomology(7, 2, cap=10**7)
-        koszul = lie_algebra_cohomology(7, 2, cap=10**7)
+        flat = complex_cohomology(7, 2)
+        koszul = lie_algebra_cohomology(7, 2)
         assert flat.all_match and koszul.all_match
         assert flat.computed == koszul.computed == (28, 84, 1176, 3528, 4704, 3360, 1260, 196)
 

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +14,7 @@ import pytest
 import killingcalc
 from helpers import clear_cohomology_memos
 from killingcalc import (
-    chain, cli, fields, jobs, killing, kostant, matrix, potential, prolong, tensor, young,
+    cap, chain, cli, fields, jobs, killing, kostant, matrix, potential, prolong, tensor, young,
 )
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
@@ -260,6 +259,52 @@ def test_killing_range_refused_before_its_first_check(monkeypatch, capsys):
     )
 
 
+def _omega_doc(n: int, degree: int, coef: str = "1") -> dict:
+    """The field document of omega_11 = coef x1^degree at base dimension n."""
+    term = {"exp": [degree] + [0] * (n - 1), "coef": coef}
+    return {"n": n, "arity": 2, "entries": [{"idx": [1, 1], "poly": [term]}]}
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("verify-key --n 35", "key isomorphism for n=35 has dimension 20825, cap is 20000"),
+        ("complex --n 5 --ell 4",
+         "complex for n=5, ell=4 has total dimension 56448, cap is 20000"),
+        ("kostant --n 5 --ell 4",
+         "complex for n=5, ell=4 has total dimension 56448, cap is 20000"),
+        ("complex --n 2 --ell 1..1000000000",
+         "complex for n=2, ell=99 has total dimension 20200, cap is 20000"),
+        ("killing --n 6 --ell 3",
+         "killing checks for n=6, ell=3 build a system with 98784 columns, cap is 40000"),
+        ("killing --n 2 --ell 13",
+         "killing checks for n=2, ell=13 write kernel fields with 860160 entries, "
+         "cap is 400000"),
+        ("killing --n 9 --ell 4",
+         "killing checks for n=9, ell=4 build a system with 2477475 columns, cap is 40000"),
+        ("suite --n 2..40 --ell 1",
+         "key isomorphism for n=35 has dimension 20825, cap is 20000"),
+        ("suite --n 5 --ell 4",
+         "complex for n=5, ell=4 has total dimension 56448, cap is 20000"),
+        pytest.param(_omega_doc(20, 2),
+                     "the potential system for n=20, degree 3 has 35420 columns, cap is 20000",
+                     id="range-check n=20 degree 2"),
+        pytest.param(_omega_doc(2, 139),
+                     "the potential system for n=2, degree 140 has 20022 columns, cap is 20000",
+                     id="range-check n=2 degree 139"),
+    ],
+)
+def test_every_documented_refusal_prints_its_line(command, message, tmp_path, capsys):
+    """Each size docs/report_schema.md names as refused exits 2 with one
+    stderr line and no check line; ell = 10^6, refused on binomials, is
+    ``test_cap_refuses_a_huge_valence_on_binomials``."""
+    if isinstance(command, dict):
+        assert _range_check_doc(tmp_path, command) == 2
+    else:
+        assert main(command.split()) == 2
+    assert capsys.readouterr() == ("", f"error: dimension cap exceeded: {message}\n")
+
+
 def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
     def realize(*args):
         raise AssertionError("a basis was realized past the cap")
@@ -267,6 +312,14 @@ def test_killing_cap_refuses_before_realizing(monkeypatch, capsys):
     monkeypatch.setattr(young, "_realize_memo", realize)
     assert main(["killing", "--n", "9", "--ell", "4"]) == 2
     assert "error: dimension cap exceeded" in capsys.readouterr().err
+
+
+_HUGE_VALENCE = {
+    "complex": "complex for n=2, ell=1000000 has total dimension at least 4000004, cap is 20000",
+    "killing": "killing checks for n=2, ell=1000000 build a system with 500004000009500006 "
+               "columns, cap is 40000",
+}
+_HUGE_VALENCE["kostant"] = _HUGE_VALENCE["complex"]
 
 
 @pytest.mark.parametrize("command", ["complex", "kostant", "killing"])
@@ -277,31 +330,31 @@ def test_cap_refuses_a_huge_valence_on_binomials(command, monkeypatch, capsys):
         raise AssertionError("hook-content product formed past the cap")
 
     monkeypatch.setattr(young, "gl_dimension", product)
-    monkeypatch.setattr(prolong, "gl_dimension", product)
     start = time.process_time()
     assert main([command, "--n", "2", "--ell", "1000000"]) == 2
     assert time.process_time() - start < 1
-    assert "error: dimension cap exceeded" in capsys.readouterr().err
+    message = f"error: dimension cap exceeded: {_HUGE_VALENCE[command]}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_killing_cap_admits_every_benchmarked_size(monkeypatch):
     # killing and suite sizes of the tests and the benchmark workloads
     sizes = [(n, ell) for n in (2, 3, 4) for ell in (1, 2)] + [(2, 3), (3, 3)]
-    columns = {size: killing._guard_killing_cap(*size) for size in sizes}
+    columns = {size: cap.killing_guard(*size) for size in sizes}
     assert max(columns.values()) == columns[(3, 3)] == 1000
     # the parallel systems the coordinate rows make cheap: 490 bundle
     # dimensions x 70 monomials at n=4, ell=4 and x 56 at n=5, ell=3
-    assert killing._guard_killing_cap(4, 4) == 34300
-    assert killing._guard_killing_cap(5, 3) == 27440
+    assert cap.killing_guard(4, 4) == 34300
+    assert cap.killing_guard(5, 3) == 27440
     # n=2, ell=12 writes 91 kernel fields of up to 2^12 entries each
-    assert killing._guard_killing_cap(2, 12) == 8281
-    with pytest.raises(prolong.CapExceeded, match="860160 entries"):
-        killing._guard_killing_cap(2, 13)
+    assert cap.killing_guard(2, 12) == 8281
+    with pytest.raises(CapExceeded, match="860160 entries"):
+        cap.killing_guard(2, 13)
     # the parallel system at n=3, ell=3: 50 bundle dimensions x 20 monomials;
     # a cap one below that refuses it
-    monkeypatch.setattr(killing, "KILLING_CAP", 999)
-    with pytest.raises(prolong.CapExceeded):
-        killing._guard_killing_cap(3, 3)
+    monkeypatch.setattr(cap, "KILLING_CAP", 999)
+    with pytest.raises(CapExceeded):
+        cap.killing_guard(3, 3)
 
 
 @pytest.mark.parametrize(
@@ -344,10 +397,12 @@ _CHOICES = "'verify-key', 'complex', 'kostant', 'killing', 'range-check', 'suite
          f"killingcalc: error: argument command: invalid choice: 'bogus' (choose from {_CHOICES})"),
         (["complex", "--n", "2", "--ell", "1", "--foo"],
          "killingcalc: error: unrecognized arguments: --foo"),
-        (["range-check", "--input", "omega.json", "--degree-cap", "abc"],
-         "killingcalc range-check: error: argument --degree-cap: invalid int value: 'abc'"),
+        (["range-check", "--input", "omega.json", "--n", "abc"],
+         "killingcalc range-check: error: argument --n: invalid int value: 'abc'"),
         (["complex", "--n", "2", "--ell", "5..2"],
          "killingcalc complex: error: argument --ell: empty range '5..2'"),
+        (["range-check", "--input", "omega.json", "--degree-cap", "6"],
+         "killingcalc: error: unrecognized arguments: --degree-cap 6"),
     ],
 )
 def test_usage_errors_print_usage_then_argparse_message(argv, last_line):
@@ -391,9 +446,8 @@ def test_help_lists_every_option(argv, capsys):
          {"n": range(2, 3), "ell": range(1, 2), "output": "r.json", "timings": True}),
         (["killing", "--n", "2", "--n", "3", "--e", "1", "--out=a", "--output", "b"],
          {"n": range(3, 4), "ell": range(1, 2), "output": "b", "timings": False}),
-        (["range-check", "--in", "f.json"], {"n": None, "input": "f.json", "degree_cap": 6}),
-        (["range-check", "--input=f.json", "--degree-cap=3", "--n", "-3"],
-         {"n": -3, "input": "f.json", "degree_cap": 3}),
+        (["range-check", "--in", "f.json"], {"n": None, "input": "f.json"}),
+        (["range-check", "--input=f.json", "--n", "-3"], {"n": -3, "input": "f.json"}),
     ],
 )
 def test_attached_values_prefixes_and_repeats_parse_as_argparse_did(argv, parsed):
@@ -582,16 +636,17 @@ def test_range_check_dimension_mismatch(tmp_path, capsys):
     assert "does not match --n" in capsys.readouterr().err
 
 
-def test_range_check_degree_cap(tmp_path, capsys):
-    doc = {
+@pytest.mark.parametrize("degree", [7, 138])
+def test_range_check_prints_a_high_degree_potential(degree, tmp_path, capsys):
+    """omega_11 = (d + 1) x1^d has the potential (x1^(d + 1), 0); only the
+    column cap bounds the degree, and n=2, d=138 is its last admitted
+    degree (19740 potential coefficients)."""
+    assert _range_check_doc(tmp_path, _omega_doc(2, degree, str(degree + 1))) == 0
+    assert json.loads(capsys.readouterr().out) == {
         "n": 2,
-        "arity": 2,
-        "entries": [{"idx": [1, 1], "poly": [{"exp": [7, 0], "coef": "8"}]}],
+        "arity": 1,
+        "entries": [{"idx": [1], "poly": [{"exp": [degree + 1, 0], "coef": "1"}]}],
     }
-    path = tmp_path / "omega.json"
-    path.write_text(json.dumps(doc))
-    assert main(["range-check", "--input", str(path), "--degree-cap", "4"]) == 2
-    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def _range_check_doc(tmp_path, doc):
@@ -613,66 +668,70 @@ def test_range_check_zero_denominator(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "key, value",
+    "key, value, message",
     [
-        pytest.param("n", 3.9, id="n-float"),
-        pytest.param("n", True, id="n-bool"),
-        pytest.param("n", "3", id="n-string"),
-        pytest.param("arity", 2.0, id="arity-float"),
-        pytest.param("idx", [1, 1.7], id="idx-float"),
-        pytest.param("idx", [True, 1], id="idx-bool"),
-        pytest.param("exp", [0, 0, 2.9], id="exp-float"),
-        pytest.param("exp", [False, 0, 2], id="exp-bool"),
+        pytest.param("n", 3.9, "n must be an integer, got 3.9", id="n-float"),
+        pytest.param("n", True, "n must be an integer, got True", id="n-bool"),
+        pytest.param("n", "3", "n must be an integer, got '3'", id="n-string"),
+        pytest.param("arity", 2.0, "arity must be an integer, got 2.0", id="arity-float"),
+        pytest.param("idx", [1, 1.7], "index must be an integer, got 1.7", id="idx-float"),
+        pytest.param("idx", [True, 1], "index must be an integer, got True", id="idx-bool"),
+        pytest.param("exp", [0, 0, 2.9], "exponent must be an integer, got 2.9", id="exp-float"),
+        pytest.param("exp", [False, 0, 2], "exponent must be an integer, got False", id="exp-bool"),
+        # digits of other scripts: Arabic-Indic three, superscript two
+        pytest.param("coef", "\u0663", "not a rational literal: '\u0663'", id="coef-arabic-indic"),
+        pytest.param("coef", "\u00b2", "not a rational literal: '\u00b2'", id="coef-superscript"),
     ],
 )
-def test_range_check_rejects_non_integer_fields(key, value, tmp_path, capsys):
+def test_range_check_rejects_non_integer_fields(key, value, message, tmp_path, capsys):
+    """Integers and the integers of a coefficient are ASCII digits; any
+    other value exits 2 with one line naming it."""
     term = {"exp": [0, 0, 2], "coef": "1"}
     entry = {"idx": [1, 1], "poly": [term]}
     doc = {"n": 3, "arity": 2, "entries": [entry]}
-    {"n": doc, "arity": doc, "idx": entry, "exp": term}[key][key] = value
+    {"n": doc, "arity": doc, "idx": entry, "exp": term, "coef": term}[key][key] = value
     assert _range_check_doc(tmp_path, doc) == 2
-    captured = capsys.readouterr()
-    assert "invalid field document" in captured.err
-    assert "must be an integer" in captured.err
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", f"error: invalid field document: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        pytest.param({"idx": [1, 1]}, "an entry has no 'poly' member", id="no-poly"),
+        pytest.param({"idx": [1, 1], "poly": {"exp": [2, 0], "coef": "1"}},
+                     "'poly' of an entry must be a list, got dict", id="poly-object"),
+        pytest.param({"idx": [1, 1], "poly": [[2, 0]]},
+                     "a term must be an object, got list", id="term-list"),
+    ],
+)
+def test_range_check_names_a_malformed_member(entry, message, tmp_path, capsys):
+    assert _range_check_doc(tmp_path, {"n": 2, "arity": 2, "entries": [entry]}) == 2
+    assert capsys.readouterr() == ("", f"error: invalid field document: {message}\n")
 
 
 def test_range_check_cap_refuses_before_building(tmp_path, monkeypatch, capsys):
     def build(*args):
-        raise AssertionError("a matrix was built past the cap")
+        raise AssertionError("an obstruction or a potential was formed past the cap")
 
-    for name in ("_operator_matrix", "_obstruction_matrix"):
-        monkeypatch.setattr(killing, name, build)
-    monkeypatch.setattr(potential, "integrability_operator", build)
+    for name in ("integrability_operator", "_radial_potential"):
+        monkeypatch.setattr(potential, name, build)
     # omega_11 = x1^2 at n=20: degree-3 potentials, 20 * C(23, 3) = 35420 columns
-    doc = {
-        "n": 20,
-        "arity": 2,
-        "entries": [{"idx": [1, 1], "poly": [{"exp": [2] + [0] * 19, "coef": "1"}]}],
-    }
-    assert _range_check_doc(tmp_path, doc) == 2
+    assert _range_check_doc(tmp_path, _omega_doc(20, 2)) == 2
     err = capsys.readouterr().err
     assert "error: dimension cap exceeded" in err
     assert "35420 columns" in err
 
 
 def test_range_check_cap_admits_every_benchmarked_size(monkeypatch):
-    from killingcalc.fields import PolyTensorField
-    from killingcalc.poly import PolyScalar
-
-    def field(n, degree):
-        mono = (degree,) + (0,) * (n - 1)
-        return PolyTensorField(n, 2, {(1, 1): PolyScalar(n, {mono: Fraction(1)})})
-
     # range-check documents of the tests and the benchmark (potential degree
     # 3..5 at n=3, 4; degree 8 at n=2) and the suite's kernel solves (n <= 3,
     # potential degree <= 5)
     sizes = [(2, 8)] + [(n, d) for n in (2, 3, 4) for d in range(1, 6)]
-    columns = {size: potential._guard_potential_cap(field(size[0], size[1] - 1)) for size in sizes}
+    columns = {size: cap.potential_guard(*size) for size in sizes}
     assert max(columns.values()) == columns[(4, 5)] == 504
-    monkeypatch.setattr(potential, "DEFAULT_CAP", 503)
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 503)
     with pytest.raises(CapExceeded):
-        potential._guard_potential_cap(field(4, 4))
+        cap.potential_guard(4, 5)
 
 
 def _loaded_modules(code: str) -> set[str]:

@@ -294,16 +294,6 @@ def test_zero_input_returns_zero_potential():
     assert res.solvable and res.potential.is_zero()
 
 
-def test_degree_cap_on_the_solvable_path():
-    rng = random.Random(131)
-    omega = killing_operator(rand_field(rng, 2, 1, 7))
-    assert omega.degree() == 6
-    with pytest.raises(ValueError, match="cap"):
-        killing_potential_solve(omega, degree_cap=6)
-    res = killing_potential_solve(omega, degree_cap=7)
-    assert res.solvable
-
-
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         killing_potential_solve(PolyTensorField.zero(2, 1))  # arity

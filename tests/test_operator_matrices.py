@@ -37,7 +37,6 @@ from helpers import (
 )
 from killingcalc.fields import PolyTensorField
 from killingcalc.killing import (
-    DEFAULT_DEGREE_CAP,
     _obstruction_matrix,
     _operator_matrix,
     field_from_coefficients,
@@ -200,10 +199,14 @@ def test_obstruction_rows_are_written_once(n):
     assert (old * _operator_matrix(n, 1, 5)).is_zero()
 
 
+# the potential degrees the suite's kernel solves and the benchmark's
+# range-check documents reach (at most 5), and one more
+MAX_POTENTIAL_DEGREE = 6
+
 # every operator and obstruction matrix size the tests and the CLI checks build
 TRUSTED_OPERATOR_SIZES = sorted(
     {(n, ell, d) for n in (2, 3, 4) for ell in (1, 2, 3) for d in range(ell, ell + 3)}
-    | {(n, 1, d) for n in (2, 3, 4) for d in range(1, DEFAULT_DEGREE_CAP + 1)}
+    | {(n, 1, d) for n in (2, 3, 4) for d in range(1, MAX_POTENTIAL_DEGREE + 1)}
 )
 TRUSTED_OBSTRUCTION_SIZES = [(n, d) for n in (2, 3, 4) for d in range(6)]
 
@@ -339,6 +342,6 @@ def test_coordinate_rank_matches_ambient_oracle(n, ell, max_degree):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_potential_operator_kernel_is_the_killing_vectors(n):
     # translations plus rotations, at every degree the potential solve uses
-    for degree in range(1, DEFAULT_DEGREE_CAP + 1):
+    for degree in range(1, MAX_POTENTIAL_DEGREE + 1):
         m = _operator_matrix(n, 1, degree)
         assert m.cols - rank(m) == n + comb(n, 2)

@@ -132,3 +132,28 @@ def test_no_hand_rolled_memo_slots(path):
     attributes tested against None before they are returned."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert _guarded_memo_returns(tree) == [], path.name
+
+
+def _cap_policy_breaches(path: Path) -> list[str]:
+    """``raise CapExceeded(...)`` outside ``cap.py``, and every function
+    parameter named ``cap`` or ``degree_cap``: the size policy lives in
+    ``cap``, applied by the commands, never by the library's callers."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None and path.name != "cap.py":
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if ast.unparse(exc).endswith("CapExceeded"):
+                found.append(f"raise CapExceeded:{node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg):
+                if arg is not None and arg.arg in ("cap", "degree_cap"):
+                    found.append(f"parameter {arg.arg}:{node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "killingcalc").glob("*.py")), ids=lambda p: p.name
+)
+def test_only_cap_refuses_a_size(path):
+    assert _cap_policy_breaches(path) == [], path.name

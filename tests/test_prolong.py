@@ -15,13 +15,12 @@ from helpers import (
     oracle_partial,
     submatrix,
 )
-from killingcalc import chain, prolong
+from killingcalc import cap, chain, prolong
 from killingcalc.chain import ChainComplex, cohomology_dims
 from killingcalc.kostant import koszul_differential
 from killingcalc.matrix import ExactMatrix, rank
+from killingcalc.cap import CapExceeded
 from killingcalc.prolong import (
-    CapExceeded,
-    _guard_key_cap,
     build_partial,
     complex_cohomology,
     graded_diagonal_complex,
@@ -63,17 +62,17 @@ def test_key_isomorphism():
         assert rep["rank"] == rep["dimension"]
 
 
-def test_key_isomorphism_cap_boundary():
-    """n C(n, 2) is 19074 at n=34, admitted, and 20825 at n=35, refused
-    before any tensor is built; an explicit cap moves the boundary."""
-    _guard_key_cap(34, None)
-    with pytest.raises(CapExceeded, match="20825.*20000"):
-        _guard_key_cap(35, None)
-    with pytest.raises(CapExceeded, match="key isomorphism for n=35"):
-        key_isomorphism_check(35)
-    with pytest.raises(CapExceeded):
-        key_isomorphism_check(5, cap=49)
-    assert key_isomorphism_check(5, cap=50)["bijective"]
+def test_key_isomorphism_cap_boundary(monkeypatch):
+    """n C(n, 2) is 19074 at n=34, admitted, and 20825 at n=35, refused;
+    the boundary moves with ``DEFAULT_CAP``."""
+    cap.key_guard(34)
+    with pytest.raises(CapExceeded, match="n=35 has dimension 20825, cap is 20000"):
+        cap.key_guard(35)
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 49)
+    with pytest.raises(CapExceeded, match="dimension 50, cap is 49"):
+        cap.key_guard(5)
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 50)
+    cap.key_guard(5)
 
 
 def test_partials_compose_to_zero():
@@ -232,11 +231,9 @@ def test_cohomology_small_instances():
 
 def test_cap_enforced():
     with pytest.raises(CapExceeded) as e:
-        complex_cohomology(5, 4)
+        cap.complex_guard(5, 4)
     assert "56448" in str(e.value) and "20000" in str(e.value)
-    # raising the cap explicitly is allowed
-    rep = complex_cohomology(2, 3, cap=10**6)
-    assert rep.all_match
+    cap.complex_guard(2, 3)
 
 
 def test_graded_diagonal_reports():
