@@ -636,6 +636,30 @@ def test_range_check_dimension_mismatch(tmp_path, capsys):
     assert "does not match --n" in capsys.readouterr().err
 
 
+def test_range_check_degree_cap(tmp_path, monkeypatch, capsys):
+    """The degree of a potential is bounded by the column cap alone: the
+    degree-8 potential of omega_11 = 8 x1^7 at n=2 has 2 * C(10, 2) = 90
+    coefficients, refused under a cap of 89 and answered under 90; the old
+    ``--degree-cap`` option is a usage error."""
+    doc = _omega_doc(2, 7, "8")
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 89)
+    assert _range_check_doc(tmp_path, doc) == 2
+    assert capsys.readouterr().err == (
+        "error: dimension cap exceeded: the potential system for n=2, degree 8 "
+        "has 90 columns, cap is 89\n"
+    )
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 90)
+    assert _range_check_doc(tmp_path, doc) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [
+        {"idx": [1], "poly": [{"exp": [8, 0], "coef": "1"}]}
+    ]
+    path = tmp_path / "omega.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["range-check", "--input", str(path), "--degree-cap", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree-cap 4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("degree", [7, 138])
 def test_range_check_prints_a_high_degree_potential(degree, tmp_path, capsys):
     """omega_11 = (d + 1) x1^d has the potential (x1^(d + 1), 0); only the

@@ -20,7 +20,8 @@ from killingcalc.fields import (
     PolyTensorField,
     symmetrize_field,
 )
-from killingcalc import potential
+from killingcalc import cap, potential
+from killingcalc.cap import CapExceeded
 from killingcalc.killing import (
     _operator_matrix,
     field_coefficient_vector,
@@ -292,6 +293,22 @@ def test_certificate_path():
 def test_zero_input_returns_zero_potential():
     res = killing_potential_solve(PolyTensorField.zero(3, 2))
     assert res.solvable and res.potential.is_zero()
+
+
+def test_degree_cap_on_the_solvable_path(monkeypatch):
+    """The library solve applies no cap; the degree bound of a command is
+    ``cap.potential_guard``, which counts the degree-7 potential of this
+    degree-6 omega at n=2 as 2 * C(9, 2) = 72 coefficients."""
+    rng = random.Random(131)
+    omega = killing_operator(rand_field(rng, 2, 1, 7))
+    assert omega.degree() == 6
+    assert cap.potential_guard(2, omega.degree() + 1) == 72
+    monkeypatch.setattr(cap, "DEFAULT_CAP", 71)
+    with pytest.raises(CapExceeded, match="degree 7 has 72 columns, cap is 71"):
+        cap.potential_guard(2, omega.degree() + 1)
+    res = killing_potential_solve(omega)
+    assert res.solvable
+    assert killing_operator(res.potential) == omega
 
 
 def test_solver_input_validation():
