@@ -40,17 +40,30 @@ class UsageError(Exception):
     """A command line the table refuses; reported as a usage error."""
 
 
+def _int(text: str) -> int:
+    """ASCII decimal digits after an optional '-'; ``int`` alone also
+    reads '1_0', '+3', ' 3' and the digits of other scripts."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # the name a usage error gives, as argparse's type=int
+
+
 def _parse_range(text: str, minimum: int = 1) -> range:
-    """'4' -> range(4, 5); '2..5' -> range(2, 6); values below minimum are
-    rejected.  The range is not expanded: the job builders read it one
-    size at a time and refuse an oversized size before reading on."""
+    """'4' -> range(4, 5); '2..5' -> range(2, 6), in ASCII digits; values
+    below minimum are rejected.  The range is not expanded: the job
+    builders read it one size at a time and refuse an oversized size
+    before reading on."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int(lo), _int(hi)
         if hi < lo:
             raise UsageError(f"empty range {text!r}")
     else:
-        lo = hi = int(text)
+        lo = hi = _int(text)
     if lo < minimum:
         raise UsageError(f"values must be at least {minimum}, got {text!r}")
     return range(lo, hi + 1)
@@ -85,7 +98,7 @@ _COMMANDS = {
         "solve for a potential of a symmetric 2-tensor field, "
         "or print the obstruction certificate",
         (
-            ("--n", int, None, "expected base dimension"),
+            ("--n", _int, None, "expected base dimension"),
             ("--input", str, _REQUIRED, "field document (JSON)"),
         ),
     ),

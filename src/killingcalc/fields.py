@@ -5,13 +5,17 @@ The fields themselves (``PolyTensorField``, with their JSON form) live in
 :mod:`killingcalc.poly`, so ``range-check``, which reads and writes
 fields but differentiates none, never compiles this module; the class is
 re-exported here.  This module holds the flat derivative, the
-(anti)symmetrizers and the flat delta.  The flat derivative is refused
-for rational fields (their entries come from :mod:`killingcalc.metric`,
-which this module never imports).
+(anti)symmetrizers with ``perm_sign``, and the flat delta.  The flat
+derivative is refused for rational fields (their entries come from
+:mod:`killingcalc.metric`, which this module never imports).
 
-Connection coefficients at a point come in two independent ways from a
-raw first jet Dg, both evaluated on the jet brought to integers over the
-lcm of its denominators: the closed form
+A jet is a plain dict from 1-based index tuples to int or ``Fraction``
+values, with the base dimension n passed beside it; a zero value reads
+as absent.  Connection coefficients at a point come in two independent
+ways from a raw first jet Dg, ``christoffel_closed_form(n, dg)`` and
+``christoffel_solve(n, dg)``, both returning such a dict and both
+evaluated on the jet brought to integers over the lcm of its
+denominators: the closed form
 Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, and the solution of the
 torsion-free metric-compatibility system.  That system depends on n
 alone, so it is eliminated once per n into a cached integer solution
@@ -36,10 +40,10 @@ from killingcalc.poly import PolyScalar, PolyTensorField
 
 if TYPE_CHECKING:  # imported where they run: only the Christoffel routes need them
     from killingcalc.matrix import ExactMatrix
-    from killingcalc.tensor import Tensor
 
 __all__ = [
     "PolyTensorField",
+    "perm_sign",
     "delta_field",
     "flat_derivative",
     "christoffel_closed_form",
@@ -48,6 +52,17 @@ __all__ = [
     "symmetrize_field",
     "antisymmetrize_field",
 ]
+
+
+def perm_sign(perm) -> int:
+    """Sign of a permutation given as a tuple of distinct items."""
+    perm = list(perm)
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 def delta_field(n: int) -> PolyTensorField:
@@ -76,8 +91,6 @@ def _coordinate_derivative(f: PolyTensorField) -> PolyTensorField:
 
 
 def _permuted_combination(f: PolyTensorField, positions, signed: bool) -> PolyTensorField:
-    from killingcalc.tensor import perm_sign
-
     pos = tuple(p - 1 for p in positions)
     if len(set(pos)) != len(pos) or not all(0 <= p < f.arity for p in pos):
         raise ValueError("bad slot positions")
@@ -110,32 +123,45 @@ def antisymmetrize_field(f: PolyTensorField, positions) -> PolyTensorField:
     return _permuted_combination(f, positions, signed=True)
 
 
-def _integer_jet(dg: Tensor) -> tuple[dict[tuple[int, int, int], int], int]:
+def _jet_values(n: int, jet: dict, arity: int) -> dict:
+    """The nonzero values of a jet, a dict from index tuples to int or
+    ``Fraction`` values; every index tuple must have the arity and
+    entries in 1..n, and a zero value reads as absent."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    values = {}
+    for idx, v in jet.items():
+        if len(idx) != arity or not all(1 <= i <= n for i in idx):
+            raise ValueError(
+                f"jet index {idx} invalid: need arity {arity}, entries in 1..{n}"
+            )
+        if v:
+            values[tuple(idx)] = v
+    return values
+
+
+def _integer_jet(n: int, dg: dict) -> tuple[dict[tuple[int, int, int], int], int]:
     """The derivative jet as integer entries over one positive scale, the
-    lcm of its denominators, once its arity and its symmetry in the last
-    two slots are checked."""
-    if dg.arity != 3:
-        raise ValueError("derivative jet must have arity 3")
-    scale = lcm(1, *(v.denominator for v in dg.entries.values()))
-    jet = {t: v.numerator * (scale // v.denominator) for t, v in dg.entries.items()}
+    lcm of its denominators, once its indices and its symmetry in the
+    last two slots are checked."""
+    dg = _jet_values(n, dg, 3)
+    scale = lcm(1, *(v.denominator for v in dg.values()))
+    jet = {t: v.numerator * (scale // v.denominator) for t, v in dg.items()}
     for (a, b, c), v in jet.items():
         if jet.get((a, c, b)) != v:
             raise ValueError("jet not symmetric in the last two slots")
     return jet, scale
 
 
-def christoffel_closed_form(dg: Tensor) -> Tensor:
+def christoffel_closed_form(n: int, dg: dict) -> dict:
     """Pointwise (D_a g_bc + D_b g_ac - D_c g_ab)/2 from jet values."""
-    from killingcalc.tensor import Tensor
-
-    jet, scale = _integer_jet(dg)
-    n = dg.n
+    jet, scale = _integer_jet(n, dg)
     out = {}
     for a, b, c in product(range(1, n + 1), repeat=3):
         v = jet.get((a, b, c), 0) + jet.get((b, a, c), 0) - jet.get((c, a, b), 0)
         if v:
             out[(a, b, c)] = Fraction(v, 2 * scale)
-    return Tensor(n, 3, out)
+    return out
 
 
 @cache
@@ -195,17 +221,14 @@ def _christoffel_solver(n: int) -> ExactMatrix:
     return ExactMatrix.from_int_rows(len(sym), data, scale)
 
 
-def christoffel_solve(dg: Tensor) -> Tensor:
+def christoffel_solve(n: int, dg: dict) -> dict:
     """Unique torsion-free metric-compatible coefficients at a point.
 
     Solves the linear system Gamma_[ab]c = 0, Gamma_a(bc) = Dg_abc / 2 by
     applying its cached solution operator to the jet in integers;
     independent of the closed form.
     """
-    from killingcalc.tensor import Tensor
-
-    jet, scale = _integer_jet(dg)
-    n = dg.n
+    jet, scale = _integer_jet(n, dg)
     op = _christoffel_solver(n)
     trip, sym = _slots(n)
     rhs = [jet.get(t, 0) for t in sym]
@@ -215,7 +238,7 @@ def christoffel_solve(dg: Tensor) -> Tensor:
         v = sum(x * rhs[j] for j, x in row.items())
         if v:
             out[t] = Fraction(v, den)
-    return Tensor(n, 3, out)
+    return out
 
 
 def christoffel_homogeneous_kernel_dim(n: int) -> int:

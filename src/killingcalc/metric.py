@@ -2,7 +2,9 @@
 
 Metric models: the flat delta, the conformally flat constant-curvature
 form 4/(1 + kappa |x|^2)^2 delta with rational kappa, and second-order
-Taylor samples built from raw jet values at the origin.  Their
+Taylor samples built from raw jet values at the origin by
+``MetricField.from_jet2(n, g0, dg0, ddg0)``, the jets being plain dicts
+as in :mod:`killingcalc.fields`.  Their
 components are polynomials, or rational functions when a non-flat metric
 forces division.
 
@@ -38,9 +40,8 @@ from functools import cached_property
 from itertools import permutations, product
 from math import gcd
 
-from killingcalc.fields import _coordinate_derivative, delta_field
+from killingcalc.fields import _coordinate_derivative, _jet_values, delta_field, perm_sign
 from killingcalc.poly import PolyScalar, PolyTensorField
-from killingcalc.tensor import Tensor, perm_sign
 
 __all__ = [
     "RatScalar",
@@ -288,38 +289,36 @@ class MetricField:
         return cls(n, PolyTensorField(n, 2, comps), "stereographic")
 
     @classmethod
-    def from_jet2(cls, g0: Tensor, dg0: Tensor, ddg0: Tensor) -> "MetricField":
+    def from_jet2(cls, n: int, g0: dict, dg0: dict, ddg0: dict) -> "MetricField":
         """Second-order Taylor metric from jet values at the origin.
 
-        dg0 is indexed (c, a, b) for the c-derivative of g_ab; ddg0 is
-        (c, d, a, b), symmetric in cd and in ab.  The sample point is
-        the origin, where the metric matches the given jet exactly.
+        The jets are dicts from index tuples to int or ``Fraction``
+        values, as in :mod:`killingcalc.fields`: g0 is indexed (a, b),
+        dg0 (c, a, b) for the c-derivative of g_ab, and ddg0 (c, d, a, b),
+        symmetric in cd and in ab.  The sample point is the origin, where
+        the metric matches the given jet exactly.
         """
-        n = g0.n
-        if g0.arity != 2 or dg0.arity != 3 or ddg0.arity != 4:
-            raise ValueError("jet arities must be 2, 3, 4")
-        if dg0.n != n or ddg0.n != n:
-            raise ValueError("jet base dimensions disagree")
+        g0, dg0, ddg0 = (_jet_values(n, j, k) for j, k in ((g0, 2), (dg0, 3), (ddg0, 4)))
         comps = {}
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 terms = {}
-                c0 = g0.at(a, b)
-                if g0.at(b, a) != c0:
+                c0 = g0.get((a, b), 0)
+                if g0.get((b, a), 0) != c0:
                     raise ValueError("jet value tensor must be symmetric")
                 if c0:
                     terms[(0,) * n] = c0
                 for c in range(1, n + 1):
-                    v = dg0.at(c, a, b)
-                    if dg0.at(c, b, a) != v:
+                    v = dg0.get((c, a, b), 0)
+                    if dg0.get((c, b, a), 0) != v:
                         raise ValueError("first jet must be symmetric in ab")
                     if v:
                         e = tuple(1 if j == c else 0 for j in range(1, n + 1))
                         terms[e] = terms.get(e, Fraction(0)) + v
                 for c in range(1, n + 1):
                     for d in range(1, n + 1):
-                        v = ddg0.at(c, d, a, b)
-                        if v != ddg0.at(d, c, a, b) or v != ddg0.at(c, d, b, a):
+                        v = ddg0.get((c, d, a, b), 0)
+                        if v != ddg0.get((d, c, a, b), 0) or v != ddg0.get((c, d, b, a), 0):
                             raise ValueError("second jet symmetry violated")
                         if v:
                             e = tuple(

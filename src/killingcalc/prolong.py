@@ -46,7 +46,7 @@ wedge signs.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -202,34 +202,40 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     return form_differential(flat_forms(n, ell), p)
 
 
-def key_isomorphism_check(n: int) -> dict:
-    """Skewing the first two slots maps one-form-valued two-forms
-    bijectively onto two-form-valued one-forms; returns the verdict."""
-    from killingcalc.tensor import Tensor, antisymmetrize
+def _key_matrix(n: int) -> ExactMatrix:
+    """The skew of the first two slots, from one-form-valued two-forms
+    (a, b < c) to two-form-valued one-forms (x < y, z), over scale 2.
 
-    if n < 2:
-        raise ValueError("base dimension must be at least 2")
+    The source basis element is e_abc - e_acb; its skew in the first two
+    slots is (e_abc - e_bac - e_acb + e_cab) / 2.  So column (a, b < c)
+    holds +-1 at row ((a, b) sorted, c) when a != b and -+1 at row
+    ((a, c) sorted, b) when a != c, the upper sign when a is the smaller
+    index.  The two rows differ in their last index.
+    """
     pairs = _psubsets(n, 2)
     pair_pos = {pair: i for i, pair in enumerate(pairs)}
     dim = n * len(pairs)
-    cols = []
-    for a in range(1, n + 1):
-        for (b, c) in pairs:
-            t = Tensor(n, 3, {(a, b, c): 1, (a, c, b): -1})
-            image = antisymmetrize(t, (1, 2))
-            # the image is skew in its first two slots: read the x < y half
-            cols.append({
-                pair_pos[(x, y)] * n + (z - 1): v
-                for (x, y, z), v in image.entries.items()
-                if x < y
-            })
-    m = ExactMatrix.from_columns(cols, dim)
+    data: list[dict[int, int]] = [{} for _ in range(dim)]
+    for col, (a, (b, c)) in enumerate(product(range(1, n + 1), pairs)):
+        if a != b:
+            data[pair_pos[(min(a, b), max(a, b))] * n + c - 1][col] = 1 if a < b else -1
+        if a != c:
+            data[pair_pos[(min(a, c), max(a, c))] * n + b - 1][col] = -1 if a < c else 1
+    return ExactMatrix.from_int_rows(dim, data, 2)
+
+
+def key_isomorphism_check(n: int) -> dict:
+    """Skewing the first two slots maps one-form-valued two-forms
+    bijectively onto two-form-valued one-forms; returns the verdict."""
+    if n < 2:
+        raise ValueError("base dimension must be at least 2")
+    m = _key_matrix(n)
     r = rank(m)
     return {
         "n": n,
-        "dimension": dim,
+        "dimension": m.rows,
         "rank": r,
-        "bijective": r == dim and m.rows == m.cols,
+        "bijective": r == m.rows == m.cols,
     }
 
 

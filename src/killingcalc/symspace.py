@@ -26,7 +26,7 @@ Conventions used throughout:
   of the permutation;
 * symmetrization over k slots means the average over all k!
   rearrangements, antisymmetrization the signed average, matching
-  :mod:`killingcalc.tensor`.
+  ``fields.symmetrize_field`` and ``fields.antisymmetrize_field``.
 """
 
 from __future__ import annotations

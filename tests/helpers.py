@@ -26,7 +26,7 @@ from killingcalc.cap import _check_args
 from killingcalc.chain import ChainComplex
 from killingcalc.fields import (
     PolyTensorField, _coordinate_derivative, antisymmetrize_field, delta_field, flat_derivative,
-    symmetrize_field,
+    perm_sign, symmetrize_field,
 )
 from killingcalc.killing import killing_kernel_vectors, killing_operator, symmetric_coordinates
 from killingcalc.kostant import build_V, koszul_differential
@@ -47,7 +47,6 @@ from killingcalc.symspace import (
     _target_key_parts,
     sym_extend,
 )
-from killingcalc.tensor import Tensor, _permute_average, perm_sign
 from killingcalc.tractor import TractorSection, _derive_pair
 from killingcalc.young import (
     YoungDiagram, gl_dimension, ordered_columns, realize_irreducible, weight_multiplicities,
@@ -149,14 +148,16 @@ def rand_matrix(rng: random.Random, rows: int, cols: int, density: float = 0.6) 
     return ExactMatrix(rows, cols, values)
 
 
-def rand_tensor(rng: random.Random, n: int, arity: int, density: float = 0.5) -> Tensor:
+def rand_tensor(rng: random.Random, n: int, arity: int, density: float = 0.5) -> dict:
+    """A random full-index tensor: a dict from index tuples in 1..n to
+    nonzero ``Fraction`` values."""
     values = {}
     for idx in product(range(1, n + 1), repeat=arity):
         if rng.random() < density:
             v = rng.randint(-5, 5)
             if v:
                 values[idx] = Fraction(v)
-    return Tensor(n, arity, values)
+    return values
 
 
 def rand_poly(rng: random.Random, n: int, max_degree: int, nterms: int = 4) -> PolyScalar:
@@ -473,7 +474,7 @@ def ambient_parallel_system(n: int, ell: int, max_degree: int):
     col = 0
     for k, comp in enumerate(pro.components):
         for j in range(comp.dim):
-            entries = comp.tensor(j).entries
+            entries = comp.tensor(j)
             scale = lcm(*(v.denominator for v in entries.values()))
             base = [(idx, v.numerator * (scale // v.denominator)) for idx, v in entries.items()]
             for m, lower in zip(mons, lowers):
@@ -601,28 +602,73 @@ def rat_quotient(num: PolyScalar, den: PolyScalar) -> RatScalar:
     return RatScalar(num).div(RatScalar(den))
 
 
-def evaluate(f: PolyTensorField, point) -> Tensor:
+# Full-index tensors are plain dicts from 1-based index tuples to nonzero
+# ``Fraction`` values, as the jets of ``fields`` are.
+
+def add_tensors(s: dict, t: dict, c=1) -> dict:
+    """s + c t, zero sums dropped."""
+    out = dict(s)
+    for idx, v in t.items():
+        w = out.get(idx, 0) + c * v
+        if w:
+            out[idx] = w
+        else:
+            out.pop(idx, None)
+    return out
+
+
+def evaluate(f: PolyTensorField, point) -> dict:
     """The tensor of f's values at a point."""
-    return Tensor(f.n, f.arity, {idx: s.eval(point) for idx, s in f.comps.items()})
+    values = {idx: s.eval(point) for idx, s in f.comps.items()}
+    return {idx: v for idx, v in values.items() if v}
 
 
-def symmetrize(t: Tensor, positions) -> Tensor:
-    """Average of t over all rearrangements of the given slots."""
-    return _permute_average(t, positions, signed=False)
+def slot_average(t: dict, positions, signed: bool = False) -> dict:
+    """Average of t over all rearrangements of the given 1-based slots,
+    each weighted by its sign when ``signed``: the symmetrization, or the
+    antisymmetrization, an idempotent projection either way."""
+    slots = [p - 1 for p in positions]
+    if len(set(slots)) != len(slots):
+        raise ValueError("positions must be distinct")
+    perms = list(permutations(range(len(slots))))
+    acc: dict = {}
+    for idx, v in t.items():
+        for perm in perms:
+            new = list(idx)
+            for slot, src in zip(slots, perm):
+                new[slot] = idx[slots[src]]
+            key = tuple(new)
+            acc[key] = acc.get(key, 0) + (v * perm_sign(perm) if signed else v)
+    return {idx: Fraction(v, len(perms)) for idx, v in acc.items() if v}
 
 
-def christoffel_by_elimination(dg: Tensor) -> Tensor:
+def christoffel_by_elimination(n: int, dg: dict) -> dict:
     """Connection coefficients of one jet by eliminating the
     compatibility system with that jet's own right-hand side: zeros for
     the antisymmetric-part rows, then Dg_abc for each b <= c."""
-    n = dg.n
     m = fields._christoffel_system(n)
     trip = list(product(range(1, n + 1), repeat=3))
     b = [Fraction(0)] * (n * n * (n - 1) // 2)
-    b += [dg.at(a, bb, c) for a, bb, c in trip if bb <= c]
+    b += [dg.get((a, bb, c), 0) for a, bb, c in trip if bb <= c]
     x = solve(m, b)
     assert x is not None
-    return Tensor(n, 3, {t: x[i] for i, t in enumerate(trip) if x[i]})
+    return {t: x[i] for i, t in enumerate(trip) if x[i]}
+
+
+def key_map_by_antisymmetrization(n: int) -> ExactMatrix:
+    """The matrix of ``prolong.key_isomorphism_check`` by the full-index
+    route: column (a, b < c) is the skew of e_abc - e_acb in its first
+    two slots, read at the rows (x < y, z)."""
+    pairs = _psubsets(n, 2)
+    pair_pos = {pair: i for i, pair in enumerate(pairs)}
+    cols = []
+    for a in range(1, n + 1):
+        for b, c in pairs:
+            image = slot_average({(a, b, c): 1, (a, c, b): -1}, (1, 2), signed=True)
+            cols.append({
+                pair_pos[(x, y)] * n + z - 1: v for (x, y, z), v in image.items() if x < y
+            })
+    return ExactMatrix.from_columns(cols, n * len(pairs))
 
 
 # --- the elimination kernel before its pivot rule --------------------------
@@ -699,7 +745,7 @@ def _arrangements(part: tuple[int, ...], kind: str):
     return out
 
 
-def embed(space: GroupedSpace, coords) -> Tensor:
+def embed(space: GroupedSpace, coords) -> dict:
     """Expand value coordinates to the full tensor: a symmetric-group
     value at every arrangement of its key, an antisymmetric-group value
     at every permutation with its sign."""
@@ -723,17 +769,15 @@ def embed(space: GroupedSpace, coords) -> Tensor:
             for _, s in combo:
                 sign *= s
             entries[idx] = v * sign
-    return Tensor(space.n, space.arity, entries)
+    return entries
 
 
-def extract(space: GroupedSpace, t: Tensor) -> list[Fraction]:
+def extract(space: GroupedSpace, t: dict) -> list[Fraction]:
     """Read value coordinates off a tensor; rejects wrong symmetry type."""
-    if t.n != space.n or t.arity != space.arity:
-        raise ValueError("tensor shape does not match the space")
     coords = []
     for key in space.keys():
         idx = tuple(i for part in key for i in part)
-        coords.append(t.entries.get(idx, Fraction(0)))
+        coords.append(Fraction(t.get(idx, 0)))
     if embed(space, coords) != t:
         raise ValueError("tensor lacks the required group symmetries")
     return coords
@@ -794,8 +838,8 @@ class SubspaceBasis:
     def dim(self) -> int:
         return self.coord_basis.cols
 
-    def tensor(self, j: int):
-        """Column j as a full ``Tensor``."""
+    def tensor(self, j: int) -> dict:
+        """Column j as a full-index tensor."""
         return embed(self.space, self.columns[j])
 
     def coords(self, y: dict[int, Fraction]) -> dict[int, Fraction]:

@@ -14,7 +14,7 @@ import pytest
 import killingcalc
 from helpers import clear_cohomology_memos
 from killingcalc import (
-    cap, chain, cli, fields, jobs, killing, kostant, matrix, potential, prolong, tensor, young,
+    cap, chain, cli, fields, jobs, killing, kostant, matrix, potential, prolong, young,
 )
 from killingcalc.cap import CapExceeded
 from killingcalc.chain import ChainComplex
@@ -210,16 +210,16 @@ def test_cap_exceeded_exit_code(capsys):
 
 
 def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
-    """n C(n, 2) is 20825 at n=35, refused with exit 2 before any tensor
-    is built, and 19074 at n=34, admitted: that run gets as far as
-    building its first tensor."""
+    """n C(n, 2) is 20825 at n=35, refused with exit 2 before the key
+    matrix is built, and 19074 at n=34, admitted: that run gets as far as
+    building its key matrix."""
     class Built(Exception):
         pass
 
     def build(*args):
         raise Built
 
-    monkeypatch.setattr(tensor, "Tensor", build)
+    monkeypatch.setattr(prolong, "_key_matrix", build)
     assert main(["verify-key", "--n", "35"]) == 2
     err = capsys.readouterr().err
     assert "error: dimension cap exceeded" in err and "20825" in err
@@ -229,11 +229,12 @@ def test_verify_key_cap_refuses_before_building(monkeypatch, capsys):
 
 def test_verify_key_range_refused_before_its_first_check(monkeypatch, capsys):
     """n=33 and n=34 are admitted, n=35 is not: the whole range exits 2
-    before the n=33 check builds a tensor, naming the first oversized n."""
+    before the n=33 check builds its key matrix, naming the first
+    oversized n."""
     def build(*args):
-        raise AssertionError("a tensor was built for a refused range")
+        raise AssertionError("a key matrix was built for a refused range")
 
-    monkeypatch.setattr(tensor, "Tensor", build)
+    monkeypatch.setattr(prolong, "_key_matrix", build)
     assert main(["verify-key", "--n", "33..35"]) == 2
     err = capsys.readouterr().err
     assert err.splitlines()[0] == (
@@ -403,6 +404,21 @@ _CHOICES = "'verify-key', 'complex', 'kostant', 'killing', 'range-check', 'suite
          "killingcalc complex: error: argument --ell: empty range '5..2'"),
         (["range-check", "--input", "omega.json", "--degree-cap", "6"],
          "killingcalc: error: unrecognized arguments: --degree-cap 6"),
+        # sizes are ASCII decimal digits, not any spelling int() reads
+        (["verify-key", "--n", "1_0"],
+         "killingcalc verify-key: error: argument --n: invalid _n_range value: '1_0'"),
+        (["verify-key", "--n", "\u0663"],
+         "killingcalc verify-key: error: argument --n: invalid _n_range value: '\u0663'"),
+        (["verify-key", "--n", "+3"],
+         "killingcalc verify-key: error: argument --n: invalid _n_range value: '+3'"),
+        (["verify-key", "--n", " 3"],
+         "killingcalc verify-key: error: argument --n: invalid _n_range value: ' 3'"),
+        (["complex", "--n", "2", "--ell", "1..\u0662"],
+         "killingcalc complex: error: argument --ell: invalid _parse_range value: '1..\u0662'"),
+        (["range-check", "--input", "omega.json", "--n", "\u0662"],
+         "killingcalc range-check: error: argument --n: invalid int value: '\u0662'"),
+        (["range-check", "--input", "omega.json", "--n", "-\uff13"],
+         "killingcalc range-check: error: argument --n: invalid int value: '-\uff13'"),
     ],
 )
 def test_usage_errors_print_usage_then_argparse_message(argv, last_line):
@@ -851,6 +867,25 @@ def test_cohomology_commands_load_no_fractions(command):
     imports ``decimal``) is never loaded."""
     loaded = _run_loaded([command, "--n", "3", "--ell", "2"])
     assert not loaded & {"fractions", "decimal", "_decimal", "_pydecimal"}
+
+
+def test_verify_key_loads_no_fractions():
+    """The key check writes its integer rows from the skew rule and ranks
+    them: no ``fractions``, no ``decimal``, and no full-index tensor
+    module."""
+    loaded = _run_loaded(["verify-key", "--n", "3"])
+    assert "killingcalc.prolong" in loaded
+    assert not loaded & {"fractions", "decimal", "_decimal", "_pydecimal", "killingcalc.tensor"}
+
+
+def test_suite_loads_every_package_module():
+    """``suite`` at small sizes runs every module of the package, so a
+    module that only the tests use cannot sit in it."""
+    package = Path(killingcalc.__file__).resolve().parent
+    modules = {"killingcalc"} | {f"killingcalc.{p.stem}" for p in package.glob("*.py")}
+    modules.discard("killingcalc.__init__")
+    loaded = _run_loaded(["suite", "--n", "2..3", "--ell", "1..2"])
+    assert modules - loaded == set()
 
 
 def test_killing_loads_neither_metric_nor_kostant():

@@ -48,7 +48,6 @@ from killingcalc.killing import (
 from killingcalc.matrix import ExactMatrix, integer_rank, kernel_basis, rank
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.prolong import flat_forms
-from killingcalc.tensor import Tensor
 from killingcalc.tractor import flat_parallel_dimension
 
 
@@ -138,7 +137,7 @@ def _oracle_parallel(n, ell, max_degree):
                 parts = [PolyTensorField.zero(n, c.arity) for c in pro.components]
                 p = PolyScalar(n, {m: Fraction(1)})
                 parts[k] = PolyTensorField(
-                    n, comp.arity, {idx: p.scale(v) for idx, v in base.entries.items()}
+                    n, comp.arity, {idx: p.scale(v) for idx, v in base.items()}
                 )
                 for kk, f in enumerate(flat_component_derivative(parts)):
                     for idx, s in f.comps.items():
@@ -246,7 +245,7 @@ def _column_scales(n, ell, max_degree):
     scales = []
     for comp in build_T(n, ell).components:
         for j in range(comp.dim):
-            scale = lcm(*(v.denominator for v in comp.tensor(j).entries.values()))
+            scale = lcm(*(v.denominator for v in comp.tensor(j).values()))
             scales += [scale] * len(monomials(n, max_degree))
     return scales
 
@@ -294,7 +293,7 @@ def _oracle_coordinates(n, ell, max_degree):
     out = {}
     for (col, kk, mm, a), part in slices.items():
         comp = comps[kk]
-        y = extract(comp.space, Tensor(n, comp.arity, part))
+        y = extract(comp.space, part)
         for r, v in comp.coords({i: v for i, v in enumerate(y) if v}).items():
             out[((a, offsets[kk] + r, mm), col)] = v
     return out, cols

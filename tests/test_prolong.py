@@ -10,6 +10,7 @@ from helpers import (
     cochain_weights,
     entries,
     full_complex,
+    key_map_by_antisymmetrization,
     koszul_complex,
     oracle_koszul,
     oracle_partial,
@@ -60,6 +61,17 @@ def test_key_isomorphism():
         rep = key_isomorphism_check(n)
         assert rep["bijective"]
         assert rep["rank"] == rep["dimension"]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_key_matrix_matches_antisymmetrization(n):
+    """The integer rows written from the skew rule are, as a rational
+    matrix, the skews of full-index tensors read at the rows (x < y, z)."""
+    m = prolong._key_matrix(n)
+    want = key_map_by_antisymmetrization(n)
+    assert (m.rows, m.cols, m.scale) == (want.rows, want.cols, 2)
+    assert all(v in (1, -1) for row in m.data for v in row.values())
+    assert entries(m) == entries(want)
 
 
 def test_key_isomorphism_cap_boundary(monkeypatch):

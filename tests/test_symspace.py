@@ -2,16 +2,16 @@
 
 Each builder writes integer rows over a closed-form scale.  The oracle
 embeds every source coordinate vector as a full tensor, applies the
-defining operation with ``helpers.symmetrize``, ``tensor.antisymmetrize`` or plain
-index reads, reads the values at the target keys, and builds the matrix
-with the checking ``ExactMatrix`` constructor.
+defining operation with ``helpers.slot_average`` or plain index reads,
+reads the values at the target keys, and builds the matrix with the
+checking ``ExactMatrix`` constructor.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from helpers import embed, iota_matrix, replace_matrix, symmetrize
+from helpers import embed, iota_matrix, replace_matrix, slot_average
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import (
     ALT,
@@ -21,7 +21,6 @@ from killingcalc.symspace import (
     skew_pair,
     sym_extend,
 )
-from killingcalc.tensor import antisymmetrize
 
 
 def _starts(space: GroupedSpace) -> list[int]:
@@ -50,7 +49,7 @@ def _oracle(space, target, dropped, read, prepare=lambda t: t) -> ExactMatrix:
 
 
 def _at(t, parts):
-    return t.at(*(v for part in parts for v in part))
+    return t.get(tuple(v for part in parts for v in part), 0)
 
 
 def _assert_integer_rows(m: ExactMatrix, scale: int) -> None:
@@ -86,7 +85,7 @@ def test_iota_and_replace_match_their_oracles(n):
                 def read(t, parts):
                     idx = [v for part in parts for v in part]
                     return -sum(
-                        t.at(*idx[:q], r, *idx[q + 1:]) for q, v in enumerate(idx) if v == s
+                        t.get((*idx[:q], r, *idx[q + 1:]), 0) for q, v in enumerate(idx) if v == s
                     )
 
                 assert m == _oracle(space, space, None, read), (n, groups, s, r)
@@ -110,7 +109,7 @@ def test_extensions_match_their_oracles(n):
             return _at(t, src)
 
         want = _oracle(space, target, i if groups[i][1] == 1 else None, read,
-                       lambda t: symmetrize(t, slots))
+                       lambda t: slot_average(t, slots))
         assert m == want, (n, groups, i, j)
     for groups, j in ((((SYM, 1), (SYM, 1)), 1), (((SYM, 1), (SYM, 1), (SYM, 2)), 2)):
         space = _space(n, *groups)
@@ -125,5 +124,5 @@ def test_extensions_match_their_oracles(n):
             return _at(t, src)
 
         want = _oracle(space, target, j if groups[j][1] == 1 else None, read,
-                       lambda t: antisymmetrize(t, slots))
+                       lambda t: slot_average(t, slots, signed=True))
         assert m == want, (n, groups, j)

@@ -91,9 +91,8 @@ print(json.dumps(t.document()), file=sys.stderr)
 assert main(["killing", "--n", "3", "--ell", "2"]) == 0
 print(json.dumps(t.document()), file=sys.stderr)
 from killingcalc import fields
-from killingcalc.tensor import Tensor
 fields._christoffel_solver.cache_clear()
-fields.christoffel_solve(Tensor(2, 3, {{}}))
+fields.christoffel_solve(2, {{}})
 fields.christoffel_homogeneous_kernel_dim(3)
 print(json.dumps(t.document()), file=sys.stderr)
 """

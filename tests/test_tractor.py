@@ -11,7 +11,6 @@ from killingcalc.fields import PolyTensorField
 from killingcalc.metric import MetricField
 from killingcalc.killing import killing_kernel, killing_operator
 from killingcalc.poly import PolyScalar
-from killingcalc.tensor import Tensor
 from killingcalc.tractor import (
     TractorSection,
     flat_parallel_dimension,
@@ -29,10 +28,9 @@ def _rotation():
 
 def _sample_metric(n=2, seed=None):
     """Second-order Taylor metric; with a seed, a random symmetric jet."""
-    g0 = Tensor(n, 2, {(i, i): Fraction(1) for i in range(1, n + 1)})
+    g0 = {(i, i): Fraction(1) for i in range(1, n + 1)}
     if seed is None:
-        ddg0 = Tensor(n, 4, {(2, 2, 1, 1): Fraction(2)})
-        return MetricField.from_jet2(g0, Tensor(n, 3, {}), ddg0)
+        return MetricField.from_jet2(n, g0, {}, {(2, 2, 1, 1): Fraction(2)})
     rng = random.Random(seed)
     dg = {}
     for c in range(1, n + 1):
@@ -52,7 +50,7 @@ def _sample_metric(n=2, seed=None):
                         for cc, dd in {(c, d), (d, c)}:
                             for aa, bb in {(a, b), (b, a)}:
                                 ddg[(cc, dd, aa, bb)] = v
-    return MetricField.from_jet2(g0, Tensor(n, 3, dg), Tensor(n, 4, ddg))
+    return MetricField.from_jet2(n, g0, dg, ddg)
 
 
 def test_section_validation():

@@ -12,10 +12,11 @@ from helpers import (
     REALIZED_IDS,
     REALIZED_SHAPES,
     SubspaceBasis,
+    add_tensors,
     apply,
     clear_realization_cache,
     extract,
-    symmetrize,
+    slot_average,
     weight_keys_by_combinations,
     whole_basis,
     whole_realization,
@@ -24,7 +25,6 @@ from killingcalc import young
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
 from killingcalc.symspace import GroupedSpace, Group, SYM
-from killingcalc.tensor import antisymmetrize
 from killingcalc.young import (
     YoungDiagram,
     gl_dimension,
@@ -132,10 +132,10 @@ def test_symmetric_pair_basis_tensors_have_stated_symmetries():
     # grouped layout (SYM 1, SYM 2): slot 1 then a symmetric pair
     for j in range(basis.dim):
         t = basis.tensor(j)
-        assert symmetrize(t, (2, 3)) == t
+        assert slot_average(t, (2, 3)) == t
         # trailing-slot symmetrization over all three slots vanishes:
         # that is the constraint cutting (2,1) out of sym1 x sym2
-        assert symmetrize(t, (1, 2, 3)).is_zero()
+        assert not slot_average(t, (1, 2, 3))
 
 
 def test_row_and_column_presentations():
@@ -148,7 +148,7 @@ def test_row_and_column_presentations():
     assert col.dim == 3
     for j in range(col.dim):
         t = col.tensor(j)
-        assert antisymmetrize(t, (1, 2)) == t
+        assert slot_average(t, (1, 2), signed=True) == t
 
 
 def test_row_count_picks_the_presentation():
@@ -233,10 +233,9 @@ def test_extract_inverts_basis_embedding():
     basis = whole_basis(YoungDiagram((2, 1)), 3)
     # a random combination of basis tensors must extract back exactly
     coeffs = [rng.randint(-3, 3) for _ in range(basis.dim)]
-    t = None
+    t = {}
     for j, c in enumerate(coeffs):
-        term = basis.tensor(j).scale(c)
-        t = term if t is None else t + term
+        t = add_tensors(t, basis.tensor(j), c)
     vec = extract(basis.space, t)
     got = basis.coords({i: v for i, v in enumerate(vec) if v})
     assert got == {j: Fraction(c) for j, c in enumerate(coeffs) if c}
