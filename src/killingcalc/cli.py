@@ -27,13 +27,20 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 
 from killingcalc.cap import CapExceeded, potential_guard
 
-SCHEMA_VERSION = 1
+__all__ = ["main"]
 
-__all__ = ["main", "SCHEMA_VERSION"]
+
+def __getattr__(name: str):
+    """``SCHEMA_VERSION``, re-exported from ``jobs`` on first access
+    (PEP 562), so importing this module loads no job code."""
+    if name != "SCHEMA_VERSION":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from killingcalc.jobs import SCHEMA_VERSION
+
+    return SCHEMA_VERSION
 
 
 class UsageError(Exception):
@@ -261,87 +268,11 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# execution and report assembly.  The checks come from ``jobs``, imported
-# only when a family command runs: ``python -m killingcalc.cli`` compiles
-# this file as ``__main__`` on every run, never from a cached ``.pyc``, so
-# it holds no check code, and ``range-check`` compiles no family.
-
-def _run_jobs(jobs, with_timings: bool):
-    checks = []
-    for cid, inputs, thunk in jobs:
-        t0 = time.perf_counter()
-        computed, predicted = thunk()
-        seconds = time.perf_counter() - t0
-        check = {
-            "id": cid,
-            "inputs": inputs,
-            "computed": computed,
-            "predicted": predicted,
-            "verdict": "pass" if computed == predicted else "fail",
-        }
-        if with_timings:
-            check["seconds"] = round(seconds, 6)
-        checks.append(check)
-    return sorted(checks, key=lambda c: c["id"])
-
-
-def _emit(out, command: str, arguments: dict, checks) -> int:
-    """Write the report to the open file ``out``, if any, then print the
-    check lines and the summary; returns the exit status."""
-    passed = sum(1 for c in checks if c["verdict"] == "pass")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "killingcalc",
-        "command": command,
-        "arguments": arguments,
-        "checks": checks,
-        "summary": {
-            "total": len(checks),
-            "passed": passed,
-            "failed": len(checks) - passed,
-        },
-        "verdict": "pass" if passed == len(checks) else "fail",
-    }
-    if out is not None:
-        try:
-            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-            out.flush()
-        except OSError as e:
-            print(f"error: cannot write {out.name}: {e.strerror}", file=sys.stderr)
-            return 2
-    for c in checks:
-        print(f"{c['verdict'].upper():<4} {c['id']}")
-    print(f"{passed}/{len(checks)} checks passed")
-    if passed != len(checks):
-        first = next(c for c in checks if c["verdict"] == "fail")
-        print(f"failed: {first['id']}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_family(command: str, opts: dict) -> int:
-    """Every command but range-check: the jobs of the command's family,
-    over the n values, or the n values and ell values.  ``--output`` is
-    opened once the caps have admitted every size and before the first
-    check runs, so an unwritable path costs no check and a refused size
-    leaves an existing report as it was."""
-    from killingcalc.jobs import FAMILIES
-
-    ranges = {name: opts[name] for name in ("n", "ell") if name in opts}
-    jobs = FAMILIES[command](*ranges.values())
-    # the caps admitted every size, so the ranges are short enough to echo
-    arguments = {name: list(values) for name, values in ranges.items()}
-    try:
-        out = open(opts["output"], "w", encoding="utf-8") if opts["output"] else None
-    except OSError as e:
-        print(f"error: cannot write {opts['output']}: {e.strerror}", file=sys.stderr)
-        return 2
-    try:
-        return _emit(out, command, arguments, _run_jobs(jobs, opts["timings"]))
-    finally:
-        if out is not None:
-            out.close()
-
+# execution.  Every command but range-check runs and reports its checks
+# in ``jobs``, imported only when such a command runs: ``python -m
+# killingcalc.cli`` compiles this file as ``__main__`` on every run,
+# never from a cached ``.pyc``, so it holds no check or report code, and
+# ``range-check`` compiles no family.
 
 def _cmd_range_check(opts: dict) -> int:
     from killingcalc.poly import PolyTensorField
@@ -397,6 +328,8 @@ def main(argv=None) -> int:
     try:
         if command == "range-check":
             return _cmd_range_check(opts)
+        from killingcalc.jobs import _cmd_family
+
         return _cmd_family(command, opts)
     except CapExceeded as e:
         print(f"error: dimension cap exceeded: {e}", file=sys.stderr)

@@ -18,7 +18,8 @@ evaluated on the jet brought to integers over the lcm of its
 denominators: the closed form
 Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, and the solution of the
 torsion-free metric-compatibility system.  That system depends on n
-alone, so it is eliminated once per n into a cached integer solution
+alone, so it is reduced once per n, by one ``rref`` of the system beside
+the unit columns of its right-hand sides, into a cached integer solution
 operator, which each jet is multiplied by.  The two routes are not
 merged: the suite's ``christoffel.*.random-jets`` checks and the tests
 compare them on every jet they draw.  Only those routes run the matrix
@@ -123,20 +124,31 @@ def antisymmetrize_field(f: PolyTensorField, positions) -> PolyTensorField:
     return _permuted_combination(f, positions, signed=True)
 
 
+@cache
+def _jet_indices(n: int, arity: int) -> frozenset:
+    """The valid index tuples of a jet: the given arity, entries in 1..n."""
+    return frozenset(product(range(1, n + 1), repeat=arity))
+
+
 def _jet_values(n: int, jet: dict, arity: int) -> dict:
     """The nonzero values of a jet, a dict from index tuples to int or
     ``Fraction`` values; every index tuple must have the arity and
     entries in 1..n, and a zero value reads as absent."""
     if n < 1:
         raise ValueError("need n >= 1")
+    valid = _jet_indices(n, arity)
     values = {}
     for idx, v in jet.items():
-        if len(idx) != arity or not all(1 <= i <= n for i in idx):
+        if idx not in valid:
             raise ValueError(
                 f"jet index {idx} invalid: need arity {arity}, entries in 1..{n}"
             )
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(
+                f"jet value at {idx} must be an int or Fraction, got {type(v).__name__}"
+            )
         if v:
-            values[tuple(idx)] = v
+            values[idx] = v
     return values
 
 
@@ -194,31 +206,26 @@ def _christoffel_solver(n: int) -> ExactMatrix:
     (symmetric slots) matrix S with Gamma = S Dg, Dg read at the
     symmetric slots in order.
 
-    Column j is ``solve`` of the system for the right-hand side that is 1
-    in the j-th symmetric-part equation and 0 elsewhere.  The solution
-    with free variables 0 is linear in the right-hand side, and the
-    antisymmetric-part equations always have right-hand side 0, so S Dg
-    is the solution ``solve`` gives for the jet Dg itself.
+    With the system A / s, one ``rref`` of the integer system [A | s E],
+    E the unit columns of the symmetric-part equations, gives [I | S]:
+    A is square and invertible, so the pivots are the n^3 unknowns, and
+    row p holds S's row p after column n^3, over the reduction's scale.
+    The antisymmetric-part equations always have right-hand side 0, so
+    S Dg is the solution of the system for the jet Dg itself.
     """
-    from killingcalc.matrix import ExactMatrix, solve
+    from killingcalc.matrix import ExactMatrix, rref
 
     m = _christoffel_system(n)
-    trip, sym = _slots(n)
-    first = m.rows - len(sym)
-    cols = []
-    for j in range(len(sym)):
-        rhs = [0] * m.rows
-        rhs[first + j] = 1
-        x = solve(m, rhs)
-        if x is None:
-            raise RuntimeError("coefficient system unexpectedly inconsistent")
-        cols.append(x)
-    scale = lcm(1, *(v.denominator for x in cols for v in x))
-    data = [
-        {j: x[i].numerator * (scale // x[i].denominator) for j, x in enumerate(cols) if x[i]}
-        for i in range(len(trip))
-    ]
-    return ExactMatrix.from_int_rows(len(sym), data, scale)
+    n3, nsym = m.cols, len(_slots(n)[1])
+    first = m.rows - nsym
+    aug = [dict(row) for row in m.data]
+    for j in range(nsym):
+        aug[first + j][n3 + j] = m.scale
+    pivots, red = rref(ExactMatrix.from_int_rows(n3 + nsym, aug))
+    if pivots != list(range(n3)):
+        raise RuntimeError("coefficient system unexpectedly singular")
+    data = [{c - n3: v for c, v in row.items() if c >= n3} for row in red.data]
+    return ExactMatrix.from_int_rows(nsym, data, red.scale)
 
 
 def christoffel_solve(n: int, dg: dict) -> dict:

@@ -9,13 +9,22 @@ It reads its n and ell ranges one size at a time, n-major, and applies
 the family's guard from ``cap`` to each as it builds the list: every
 cap grows with n and ell, so a range of any length is refused at its
 first oversized size, before its first check runs.
+
+``_cmd_family`` runs a command's jobs and writes its report (see
+docs/report_schema.md); ``cli`` imports it when a family command runs.
 """
 
 from __future__ import annotations
 
+import json
+import sys
+import time
+
 from killingcalc.cap import complex_guard, key_guard, killing_guard
 
-__all__ = ["FAMILIES"]
+SCHEMA_VERSION = 1
+
+__all__ = ["FAMILIES", "SCHEMA_VERSION"]
 
 
 def _pairs(n_values, ell_values):
@@ -320,3 +329,81 @@ FAMILIES = {
     "killing": killing_jobs,
     "suite": suite_jobs,
 }
+
+
+# ---------------------------------------------------------------------------
+# execution and report assembly, for every command but range-check
+
+def _run_jobs(jobs, with_timings: bool):
+    checks = []
+    for cid, inputs, thunk in jobs:
+        t0 = time.perf_counter()
+        computed, predicted = thunk()
+        seconds = time.perf_counter() - t0
+        check = {
+            "id": cid,
+            "inputs": inputs,
+            "computed": computed,
+            "predicted": predicted,
+            "verdict": "pass" if computed == predicted else "fail",
+        }
+        if with_timings:
+            check["seconds"] = round(seconds, 6)
+        checks.append(check)
+    return sorted(checks, key=lambda c: c["id"])
+
+
+def _emit(out, command: str, arguments: dict, checks) -> int:
+    """Write the report to the open file ``out``, if any, then print the
+    check lines and the summary; returns the exit status."""
+    passed = sum(1 for c in checks if c["verdict"] == "pass")
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": "killingcalc",
+        "command": command,
+        "arguments": arguments,
+        "checks": checks,
+        "summary": {
+            "total": len(checks),
+            "passed": passed,
+            "failed": len(checks) - passed,
+        },
+        "verdict": "pass" if passed == len(checks) else "fail",
+    }
+    if out is not None:
+        try:
+            out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+            out.flush()
+        except OSError as e:
+            print(f"error: cannot write {out.name}: {e.strerror}", file=sys.stderr)
+            return 2
+    for c in checks:
+        print(f"{c['verdict'].upper():<4} {c['id']}")
+    print(f"{passed}/{len(checks)} checks passed")
+    if passed != len(checks):
+        first = next(c for c in checks if c["verdict"] == "fail")
+        print(f"failed: {first['id']}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _cmd_family(command: str, opts: dict) -> int:
+    """Every command but range-check: the jobs of the command's family,
+    over the n values, or the n values and ell values.  ``--output`` is
+    opened once the caps have admitted every size and before the first
+    check runs, so an unwritable path costs no check and a refused size
+    leaves an existing report as it was."""
+    ranges = {name: opts[name] for name in ("n", "ell") if name in opts}
+    jobs = FAMILIES[command](*ranges.values())
+    # the caps admitted every size, so the ranges are short enough to echo
+    arguments = {name: list(values) for name, values in ranges.items()}
+    try:
+        out = open(opts["output"], "w", encoding="utf-8") if opts["output"] else None
+    except OSError as e:
+        print(f"error: cannot write {opts['output']}: {e.strerror}", file=sys.stderr)
+        return 2
+    try:
+        return _emit(out, command, arguments, _run_jobs(jobs, opts["timings"]))
+    finally:
+        if out is not None:
+            out.close()

@@ -74,10 +74,13 @@ def killing_operator(X: PolyTensorField) -> PolyTensorField:
     return symmetrize_field(flat_derivative(X), (1, 2))
 
 
-def symmetric_coordinates(n: int, arity: int, max_degree: int):
-    """(key, monomial) coordinate list for symmetric fields, key-major."""
+@cache
+def symmetric_coordinates(n: int, arity: int, max_degree: int) -> tuple:
+    """The (key, monomial) coordinates of symmetric fields, key-major, as a
+    tuple; memoized per (n, arity, max_degree)."""
     mons = monomials(n, max_degree)
-    return [(key, m) for key in combinations_with_replacement(range(1, n + 1), arity) for m in mons]
+    keys = combinations_with_replacement(range(1, n + 1), arity)
+    return tuple((key, m) for key in keys for m in mons)
 
 
 def field_coefficient_vector(f: PolyTensorField, max_degree: int):
@@ -105,15 +108,16 @@ def field_from_coefficients(n: int, arity: int, max_degree: int, vec) -> PolyTen
     for i, v in sorted(vec.items()):
         if not 0 <= i < len(coords):
             raise ValueError(f"coefficient position {i} outside 0..{len(coords) - 1}")
+        v = Fraction(v)
         if v:
             key, m = coords[i]
-            per_key.setdefault(key, {})[m] = Fraction(v)
+            per_key.setdefault(key, {})[m] = v
     comps = {}
     for key, terms in per_key.items():
-        p = PolyScalar(n, terms)
+        p = PolyScalar._of(n, terms)
         for perm in _orderings(key):
             comps[perm] = p
-    return PolyTensorField(n, arity, comps)
+    return PolyTensorField._of(n, arity, comps)
 
 
 def _orderings(key: tuple[int, ...]):

@@ -64,6 +64,16 @@ class PolyScalar:
         self.terms = clean
 
     @classmethod
+    def _of(cls, n: int, terms: dict) -> "PolyScalar":
+        """Wrap terms as they are, with none of the constructor's checks.
+        The caller guarantees ``terms`` maps exponent tuples of length n
+        with entries >= 0 to nonzero ``Fraction`` values, and nothing
+        else mutates it: the results of this class's own arithmetic."""
+        p = cls.__new__(cls)
+        p.n, p.terms = n, terms
+        return p
+
+    @classmethod
     def zero(cls, n: int) -> "PolyScalar":
         return cls(n)
 
@@ -96,22 +106,24 @@ class PolyScalar:
         self._same(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            w = out.get(e, Fraction(0)) + c
+            w = out.get(e, 0) + c
             if w:
                 out[e] = w
             else:
                 out.pop(e, None)
-        return PolyScalar(self.n, out)
+        return PolyScalar._of(self.n, out)
 
     def neg(self) -> "PolyScalar":
-        return PolyScalar(self.n, {e: -c for e, c in self.terms.items()})
+        return PolyScalar._of(self.n, {e: -c for e, c in self.terms.items()})
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c) -> "PolyScalar":
         c = _fr(c)
-        return PolyScalar(self.n, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return PolyScalar._of(self.n, {})
+        return PolyScalar._of(self.n, {e: c * v for e, v in self.terms.items()})
 
     def mul(self, other):
         """The product; an operand of another kind computes it."""
@@ -122,12 +134,12 @@ class PolyScalar:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                w = out.get(e, Fraction(0)) + c1 * c2
+                w = out.get(e, 0) + c1 * c2
                 if w:
                     out[e] = w
                 else:
                     out.pop(e, None)
-        return PolyScalar(self.n, out)
+        return PolyScalar._of(self.n, out)
 
     def diff(self, i: int) -> "PolyScalar":
         if not 1 <= i <= self.n:
@@ -137,7 +149,7 @@ class PolyScalar:
             k = e[i - 1]
             if k:
                 out[e[: i - 1] + (k - 1,) + e[i:]] = c * k
-        return PolyScalar(self.n, out)
+        return PolyScalar._of(self.n, out)
 
     def eval(self, point) -> Fraction:
         point = [_fr(p) for p in point]
@@ -174,12 +186,12 @@ class PolyScalar:
             quot[q] = c
             for e2, c2 in other.terms.items():
                 t = tuple(a + b for a, b in zip(q, e2))
-                w = rem.get(t, Fraction(0)) - c * c2
+                w = rem.get(t, 0) - c * c2
                 if w:
                     rem[t] = w
                 else:
                     rem.pop(t, None)
-        return PolyScalar(self.n, quot)
+        return PolyScalar._of(self.n, quot)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyScalar):
@@ -245,6 +257,17 @@ class PolyTensorField:
                 self.comps[tuple(idx)] = s
 
     @classmethod
+    def _of(cls, n: int, arity: int, comps: dict) -> "PolyTensorField":
+        """The field of comps with its zero entries dropped and none of the
+        constructor's other checks.  The caller guarantees every key is
+        an index tuple of the arity with entries in 1..n, and nothing else
+        mutates the scalars: the results of this class's own arithmetic."""
+        f = cls.__new__(cls)
+        f.n, f.arity = n, arity
+        f.comps = {i: s for i, s in comps.items() if not s.is_zero()}
+        return f
+
+    @classmethod
     def zero(cls, n: int, arity: int) -> "PolyTensorField":
         return cls(n, arity)
 
@@ -265,10 +288,10 @@ class PolyTensorField:
         for idx, s in other.comps.items():
             cur = out.get(idx)
             out[idx] = s if cur is None else cur.add(s)
-        return PolyTensorField(self.n, self.arity, out)
+        return PolyTensorField._of(self.n, self.arity, out)
 
     def neg(self) -> "PolyTensorField":
-        return PolyTensorField(
+        return PolyTensorField._of(
             self.n, self.arity, {i: s.neg() for i, s in self.comps.items()}
         )
 
@@ -276,7 +299,7 @@ class PolyTensorField:
         return self.add(other.neg())
 
     def scale(self, c) -> "PolyTensorField":
-        return PolyTensorField(
+        return PolyTensorField._of(
             self.n, self.arity, {i: s.scale(c) for i, s in self.comps.items()}
         )
 

@@ -655,6 +655,30 @@ def christoffel_by_elimination(n: int, dg: dict) -> dict:
     return {t: x[i] for i, t in enumerate(trip) if x[i]}
 
 
+def christoffel_solver_by_slot_solves(n: int) -> ExactMatrix:
+    """The solution operator of ``fields._christoffel_solver`` by one
+    ``solve`` per symmetric-part equation: column j solves the system for
+    the right-hand side that is 1 in the j-th symmetric-part equation and
+    0 elsewhere, and the columns are brought to integers over the lcm of
+    their denominators."""
+    m = fields._christoffel_system(n)
+    nsym = len(fields._slots(n)[1])
+    first = m.rows - nsym
+    cols = []
+    for j in range(nsym):
+        rhs = [0] * m.rows
+        rhs[first + j] = 1
+        x = solve(m, rhs)
+        assert x is not None
+        cols.append(x)
+    scale = lcm(1, *(v.denominator for x in cols for v in x))
+    data = [
+        {j: x[i].numerator * (scale // x[i].denominator) for j, x in enumerate(cols) if x[i]}
+        for i in range(m.cols)
+    ]
+    return ExactMatrix.from_int_rows(nsym, data, scale)
+
+
 def key_map_by_antisymmetrization(n: int) -> ExactMatrix:
     """The matrix of ``prolong.key_isomorphism_check`` by the full-index
     route: column (a, b < c) is the skew of e_abc - e_acb in its first

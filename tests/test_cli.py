@@ -157,25 +157,25 @@ def test_killing_family_computes_each_kernel_once(monkeypatch):
         killing.killing_kernel_vectors.cache_clear()
 
 
-def test_christoffel_family_solves_once_per_slot(monkeypatch):
-    """The solution operator is eliminated once per n, one solve per
-    symmetric slot (6, 18 and 40 at n = 2, 3, 4), not once per jet.
-    ``fields`` imports ``solve`` where it runs, so the spy sits on
-    ``matrix``."""
+def test_christoffel_family_reduces_once_per_n(monkeypatch):
+    """The solution operator is reduced once per n, by one ``rref``, not
+    once per jet or per symmetric slot: 3 reductions at n = 2, 3, 4 over
+    two passes of the jobs.  ``fields`` imports ``rref`` where it runs,
+    so the spy sits on ``matrix``."""
     calls = []
-    original = matrix.solve
+    original = matrix.rref
 
-    def counted(m, b):
-        calls.append(b)
-        return original(m, b)
+    def counted(m):
+        calls.append(m)
+        return original(m)
 
-    monkeypatch.setattr(matrix, "solve", counted)
+    monkeypatch.setattr(matrix, "rref", counted)
     fields._christoffel_solver.cache_clear()
     try:
         for _ in range(2):
             for _, _, job in jobs.christoffel_jobs([2, 3, 4]):
                 job()
-        assert len(calls) == 6 + 18 + 40
+        assert len(calls) == 3
     finally:
         fields._christoffel_solver.cache_clear()
 
@@ -190,7 +190,7 @@ def test_a_wrong_solution_operator_fails_the_random_jets_check(monkeypatch):
     wrong = ExactMatrix.from_int_rows(op.cols, data, op.scale)
     monkeypatch.setattr(fields, "_christoffel_solver", lambda n: wrong if n == 3 else original(n))
     picked = [job for job in jobs.christoffel_jobs([3]) if job[0] == "christoffel.n3.random-jets"]
-    (check,) = cli._run_jobs(picked, False)
+    (check,) = jobs._run_jobs(picked, False)
     assert check["computed"]["agree"] < 50
     assert check["verdict"] == "fail"
 
@@ -478,9 +478,9 @@ def test_an_abbreviated_option_writes_the_same_report(tmp_path, capsys):
 
 
 def test_failing_check_exit_code(capsys):
-    checks = cli._run_jobs([("z.fake", {"n": 2}, lambda: (1, 2))], False)
+    checks = jobs._run_jobs([("z.fake", {"n": 2}, lambda: (1, 2))], False)
     assert checks[0]["verdict"] == "fail"
-    assert cli._emit(None, "suite", {}, checks) == 1
+    assert jobs._emit(None, "suite", {}, checks) == 1
     captured = capsys.readouterr()
     assert "failed: z.fake" in captured.err
     assert "0/1 checks passed" in captured.out
@@ -579,13 +579,13 @@ def test_an_unwritable_output_is_refused_before_the_first_check(tmp_path, monkey
     """suite --output in a missing directory exits 2 before any check runs:
     no thunk is called and no PASS line is printed."""
     ran = []
-    original = cli._run_jobs
+    original = jobs._run_jobs
 
     def run(jobs, with_timings):
         ran.append(len(jobs))
         return original(jobs, with_timings)
 
-    monkeypatch.setattr(cli, "_run_jobs", run)
+    monkeypatch.setattr(jobs, "_run_jobs", run)
     path = tmp_path / "missing" / "r.json"
     assert main(["suite", "--n", "2", "--ell", "1", "--output", str(path)]) == 2
     out, err = capsys.readouterr()
@@ -800,6 +800,16 @@ def test_cli_import_loads_no_check_family():
     package = {m for m in loaded if m.partition(".")[0] == "killingcalc"}
     assert package == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
     assert not loaded & _ARGPARSE
+
+
+def test_schema_version_is_reexported_on_access():
+    """``cli.SCHEMA_VERSION`` is the version ``jobs`` writes, read only when
+    it is asked for."""
+    loaded = _loaded_modules("import killingcalc.cli as c; assert c.SCHEMA_VERSION == 1")
+    assert "killingcalc.jobs" in loaded
+    assert cli.SCHEMA_VERSION is jobs.SCHEMA_VERSION == 1
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name  # noqa: B018
 
 
 def _omega_argv(tmp_path) -> list[str]:

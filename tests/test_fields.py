@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from helpers import christoffel_by_elimination, evaluate, lie_derivative_delta, rand_field
+from helpers import (
+    christoffel_by_elimination, christoffel_solver_by_slot_solves, evaluate, lie_derivative_delta,
+    rand_field,
+)
+from killingcalc import fields
 from killingcalc.fields import (
     PolyTensorField,
     antisymmetrize_field,
@@ -19,6 +24,7 @@ from killingcalc.fields import (
 from killingcalc.metric import (
     MetricField, RatScalar, christoffel_field, covariant_derivative, riemann,
 )
+from killingcalc.matrix import ExactMatrix
 from killingcalc.poly import PolyScalar
 from killingcalc.tractor import tractor_curvature
 
@@ -144,6 +150,52 @@ def test_christoffel_rejects_asymmetric_jet():
                 route(n, dg)
         with pytest.raises(ValueError, match="arity 3"):
             route(2, {(1, 2): Fraction(1), (2, 1): Fraction(1)})
+
+
+def test_christoffel_operator_is_the_per_slot_solves():
+    """One reduction of [A | s E] gives the operator one ``solve`` per
+    symmetric slot gives: the same integer rows over the same scale."""
+    for n in range(1, 7):
+        op, oracle = fields._christoffel_solver(n), christoffel_solver_by_slot_solves(n)
+        assert op == oracle
+        assert op.scale == oracle.scale and op.data == oracle.data
+
+
+def test_christoffel_operator_refuses_a_system_missing_a_row(monkeypatch):
+    original = fields._christoffel_system
+
+    def dropped(n):
+        m = original(n)
+        return ExactMatrix.from_int_rows(m.cols, m.data[:-1], m.scale)
+
+    monkeypatch.setattr(fields, "_christoffel_system", dropped)
+    fields._christoffel_solver.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="singular"):
+            fields._christoffel_solver(2)
+    finally:
+        fields._christoffel_solver.cache_clear()
+
+
+_ONE = {(1, 1): 1, (2, 2): 1}
+_JET_ROUTES = {
+    "closed-form": ((1, 2, 2), lambda jet: christoffel_closed_form(2, jet)),
+    "solve": ((1, 2, 2), lambda jet: christoffel_solve(2, jet)),
+    "jet2-g0": ((2, 2), lambda jet: MetricField.from_jet2(2, jet, {}, {})),
+    "jet2-dg0": ((1, 2, 2), lambda jet: MetricField.from_jet2(2, _ONE, jet, {})),
+    "jet2-ddg0": ((1, 1, 2, 2), lambda jet: MetricField.from_jet2(2, _ONE, {}, jet)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_JET_ROUTES))
+@pytest.mark.parametrize("value", [0.5, "1", 1j])
+def test_jet_values_other_than_int_or_fraction_are_refused(route, value):
+    """A float, str or other value is refused by a ``TypeError`` naming
+    its index, as ``poly`` refuses a coefficient, on both Christoffel
+    routes and on each jet of ``MetricField.from_jet2``."""
+    idx, run = _JET_ROUTES[route]
+    with pytest.raises(TypeError, match=re.escape(f"jet value at {idx} must be an int or Fraction")):
+        run({idx: value})
 
 
 @pytest.mark.parametrize("route", [christoffel_closed_form, christoffel_solve])

@@ -157,3 +157,46 @@ def _cap_policy_breaches(path: Path) -> list[str]:
 )
 def test_only_cap_refuses_a_size(path):
     assert _cap_policy_breaches(path) == [], path.name
+
+
+def _trusted_constructor_uses(tree: ast.AST) -> list[str]:
+    """Every ``._of`` attribute, called or not: the constructors that wrap
+    arithmetic results with none of the checks."""
+    return [
+        f"{ast.unparse(node)}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_of"
+    ]
+
+
+def test_document_input_passes_the_checking_constructors():
+    """The commands and the field-document reader never use ``_of``, so
+    what a caller or a document gives always passes the checks."""
+    src = ROOT / "src" / "killingcalc"
+    for name in ("cli.py", "jobs.py"):
+        tree = ast.parse((src / name).read_text(encoding="utf-8"))
+        assert _trusted_constructor_uses(tree) == [], name
+    poly = ast.parse((src / "poly.py").read_text(encoding="utf-8"))
+    (reader,) = [
+        node for node in ast.walk(poly)
+        if isinstance(node, ast.FunctionDef) and node.name == "from_json_dict"
+    ]
+    assert _trusted_constructor_uses(reader) == []
+    assert _trusted_constructor_uses(poly) != []  # the search finds the arithmetic's uses
+
+
+def test_no_package_module_imports_the_command_line():
+    """``python -m killingcalc.cli`` runs ``cli`` as ``__main__``, so a
+    package module importing ``killingcalc.cli`` would compile and run it
+    a second time."""
+    found = []
+    for path in sorted((ROOT / "src" / "killingcalc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+                if node.module == "killingcalc.cli" or "killingcalc.cli" in names:
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Import):
+                if any(a.name == "killingcalc.cli" for a in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

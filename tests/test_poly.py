@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
-from helpers import rand_poly, rat_quotient
+from helpers import rand_field, rand_poly, rat_quotient
+from killingcalc.killing import field_from_coefficients, killing_kernel, symmetric_coordinates
 from killingcalc.metric import RatScalar
-from killingcalc.poly import PolyScalar, monomials
+from killingcalc.poly import PolyScalar, PolyTensorField, monomials
 
 
 def _x(n, i):
@@ -195,3 +196,63 @@ def test_rat_scale_and_neg_skip_the_cancellation_they_cannot_need():
         ):
             assert got.num.terms == want.num.terms
             assert got.factors == want.factors
+
+
+def _assert_rechecked(p: PolyScalar) -> None:
+    """p holds only nonzero ``Fraction`` values on valid exponents: the
+    checking constructor gives it back unchanged."""
+    assert all(type(c) is Fraction and c for c in p.terms.values()), p.terms
+    assert PolyScalar(p.n, p.terms) == p
+
+
+def _assert_field_rechecked(f: PolyTensorField) -> None:
+    for s in f.comps.values():
+        assert not s.is_zero()
+        _assert_rechecked(s)
+    again = PolyTensorField(f.n, f.arity, f.comps)
+    assert again == f and again.comps.keys() == f.comps.keys()
+
+
+def test_arithmetic_results_pass_the_checking_constructor():
+    """The results the trusted constructors wrap, on seeded polynomials
+    with sums that cancel wholly or in part, zero factors and exact
+    quotients, are the ones the checking constructors would build."""
+    rng = random.Random(73)
+    zero = PolyScalar.zero(3)
+    for _ in range(40):
+        a, b = rand_poly(rng, 3, 3, nterms=5), rand_poly(rng, 3, 2)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        results = [
+            a.add(b), a.sub(b), a.neg(), a.add(a.neg()), a.add(b.sub(a)),
+            a.scale(c), a.scale(0), a.mul(b), a.mul(zero), a.mul(b.neg()).add(a.mul(b)),
+            a.diff(rng.randint(1, 3)),
+        ]
+        if not b.is_zero():
+            results.append(a.mul(b).exact_div(b))
+        for r in results:
+            _assert_rechecked(r)
+    assert a.scale(0).terms == {} and a.add(a.neg()).terms == {}
+
+
+def test_field_arithmetic_results_pass_the_checking_constructor():
+    rng = random.Random(79)
+    for _ in range(20):
+        f, g = rand_field(rng, 2, 2, 2), rand_field(rng, 2, 2, 2)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        for r in (
+            f.add(g), f.sub(g), f.neg(), f.add(f.neg()), f.add(g.sub(f)),
+            f.scale(c), f.scale(0),
+        ):
+            _assert_field_rechecked(r)
+        assert f.scale(0).comps == {} and f.sub(f).comps == {}
+
+
+def test_fields_from_coefficients_pass_the_checking_constructor():
+    rng = random.Random(83)
+    for n, arity, degree in ((2, 1, 2), (3, 2, 2), (2, 3, 3)):
+        size = len(symmetric_coordinates(n, arity, degree))
+        for _ in range(10):
+            vec = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for i in rng.sample(range(size), 4)}
+            _assert_field_rechecked(field_from_coefficients(n, arity, degree, vec))
+    for f in killing_kernel(2, 2, 2):
+        _assert_field_rechecked(f)

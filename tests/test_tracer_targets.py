@@ -42,7 +42,7 @@ def test_traced_signatures_and_import_sites():
     """The recorders read rref_int's first two arguments, (rows, ncols),
     and its (pivots, rows) result, in both modes; the matrix wrappers
     reach chain, prolong, killing and young through their by-name
-    imports.  ``fields`` imports ``solve`` and ``kernel_basis`` where it
+    imports.  ``fields`` imports ``rref`` and ``kernel_basis`` where it
     runs, so the wrappers reach it by the module attribute (checked in a
     traced process below)."""
     assert list(inspect.signature(elim.rref_int).parameters) == ["rows", "ncols", "reduced"]
@@ -70,7 +70,7 @@ def test_traced_commands_reach_moved_and_lazily_imported_code(tmp_path):
     degree-bound job's block kernels and span comparisons, and the
     parallel-section system's eliminations.  The Christoffel routes,
     which import the matrix kernel only when they run, go through the
-    ``matrix.solve`` and ``matrix.kernel_basis`` wrappers."""
+    ``matrix.rref`` and ``matrix.kernel_basis`` wrappers."""
     doc = tmp_path / "omega.json"
     doc.write_text(json.dumps({
         "n": 2,
@@ -114,5 +114,5 @@ print(json.dumps(t.document()), file=sys.stderr)
         "elim.rref_int",
     ):
         assert trace["spans"][name]["calls"] > before["spans"][name]["calls"], name
-    for name in ("matrix.solve", "matrix.kernel_basis", "fields.christoffel_solve"):
+    for name in ("matrix.rref", "matrix.kernel_basis", "fields.christoffel_solve"):
         assert jets["spans"][name]["calls"] > trace["spans"][name]["calls"], name
