@@ -33,7 +33,7 @@ _SOURCES = {
     "complex_cohomology": "prolong",
     "graded_diagonal_complex": "prolong",
     "key_isomorphism_check": "prolong",
-    "Fraction": "rationals",
+    "Fraction": "poly",
     "tractor_curvature": "tractor",
     "YoungDiagram": "young",
     "gl_dimension": "young",

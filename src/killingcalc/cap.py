@@ -11,6 +11,7 @@ hook-content dimension is imported only by the guards that form it.
 
 from __future__ import annotations
 
+import operator
 from math import comb
 
 __all__ = [
@@ -47,9 +48,11 @@ class CapExceeded(ValueError):
 
 
 def _check_args(n: int, ell: int) -> None:
-    if n < 2:
+    """Refuse an n or ell that is not an integer (``TypeError``) or is
+    too small (``ValueError``)."""
+    if operator.index(n) < 2:
         raise ValueError("base dimension must be at least 2")
-    if ell < 1:
+    if operator.index(ell) < 1:
         raise ValueError("valence must be at least 1")
 
 

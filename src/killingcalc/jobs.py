@@ -1,9 +1,9 @@
 """The check families of the command-line front end.
 
 Each job is (id, inputs, thunk) with thunk() -> (computed, predicted);
-the verdict is plain equality of the two values.  The complex, kostant
-and graded checks read the cohomology tables their families memoize per
-(n, ell) and process, so each complex is ranked once.  Each builder
+the verdict is plain equality of the two values.  The complex, kostant,
+graded and injectivity checks read the cohomology tables their families
+memoize per (n, ell) and process, so each complex is ranked once.  Each builder
 imports its own family, so a command loads only the modules it runs.
 It reads its n and ell ranges one size at a time, n-major, and applies
 the family's guard from ``cap`` to each as it builds the list: every
@@ -233,6 +233,8 @@ def injectivity_jobs(n_values, ell_values):
 
     jobs = []
     for n, ell in _pairs(n_values, ell_values):
+        complex_guard(n, ell)
+
         def thunk(n=n, ell=ell):
             rep = injectivity_implication_check(n, ell)
             return (

@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # imported where the values are: the constructor, columns, so
 
 __all__ = [
     "ExactMatrix",
-    "over_common_scale",
     "rref",
     "rank",
     "integer_rank",
@@ -158,25 +157,6 @@ class ExactMatrix:
         # rows of self * other are the columns of other^T * self^T
         data = elim.spmul_int(other.data, self.data)
         return ExactMatrix.from_int_rows(other.cols, data, self.scale * other.scale)
-
-    def vstack(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        top, bottom = over_common_scale([self, other])
-        return ExactMatrix.from_int_rows(self.cols, top.data + bottom.data, top.scale)
-
-
-def over_common_scale(matrices) -> list[ExactMatrix]:
-    """The matrices, equal as rational matrices, over one shared scale:
-    the lcm of their scales."""
-    matrices = list(matrices)
-    scale = lcm(1, *(m.scale for m in matrices))
-    out = []
-    for m in matrices:
-        f = scale // m.scale
-        data = m.data if f == 1 else [{c: v * f for c, v in row.items()} for row in m.data]
-        out.append(ExactMatrix.from_int_rows(m.cols, data, scale))
-    return out
 
 
 def _blocks(rows, ncols: int) -> list[list[dict[int, int]]]:

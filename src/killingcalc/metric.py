@@ -35,6 +35,7 @@ on raw jets in :mod:`killingcalc.fields`.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
@@ -87,10 +88,11 @@ class RatScalar:
         for f, k in factors:
             if not isinstance(f, PolyScalar) or f.n != num.n:
                 raise ValueError("factor from a different ring")
+            k = operator.index(k)
             if k < 0:
                 raise ValueError("factor powers must be nonnegative")
             if k:
-                flist.append((f, int(k)))
+                flist.append((f, k))
         self.num = num
         self.factors = tuple(
             sorted(flist, key=lambda fk: _atom_key(fk[0]))

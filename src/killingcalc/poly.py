@@ -19,11 +19,10 @@ one.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from killingcalc.rationals import format_rational, parse_rational
-
-__all__ = ["PolyScalar", "PolyTensorField", "monomials"]
+__all__ = ["PolyScalar", "PolyTensorField", "monomials", "parse_rational"]
 
 
 def _fr(v) -> Fraction:
@@ -55,7 +54,7 @@ class PolyScalar:
         self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(operator.index, exp))
             if len(exp) != n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
             c = _fr(c)
@@ -223,6 +222,24 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def parse_rational(s: str) -> Fraction:
+    """A coefficient of a field document: a fraction string such as
+    ``"-3/7"`` or ``"5"``, the form ``str`` gives a ``Fraction``, so a
+    coefficient survives a round-trip exactly.  Only integer and p/q
+    forms in ASCII digits are accepted."""
+    if not isinstance(s, str):
+        raise ValueError(f"rational must be given as a string, got {type(s).__name__}")
+    t = s.strip()
+    body = t[1:] if t[:1] in "+-" else t
+    # str.isdigit alone also admits the digits of other scripts
+    if not body or not all(part.isascii() and part.isdigit() for part in body.split("/", 1)):
+        raise ValueError(f"not a rational literal: {s!r}")
+    try:
+        return Fraction(t)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
 def _json_member(obj, name: str, what: str, kind: type | None = None):
     """Member ``name`` of ``obj``, ``what`` in a field document, which must
     be an object; a missing member, or one that is not a ``kind``, is
@@ -330,7 +347,7 @@ class PolyTensorField:
         entries = []
         for idx in sorted(self.comps):
             poly = [
-                {"exp": list(e), "coef": format_rational(c)}
+                {"exp": list(e), "coef": str(c)}
                 for e, c in sorted(
                     self.comps[idx].terms.items(), key=lambda t: (sum(t[0]), t[0])
                 )

@@ -28,7 +28,8 @@ the dominant weight blocks alone, times their S_n orbits; the graded
 diagonal of total box count d = p + k + ell is the sum of the blocks
 whose weights total d.  Both read one table per (n, ell), ranked once
 on the weights those blocks read (``chain.read_weights``, from Kostka
-numbers), and report hook-content closed-form dimensions.
+numbers), and report hook-content closed-form dimensions;
+``injectivity_implication_check`` reads one number of that table.
 ``build_partial`` is the whole differential on all weights, built on
 every call.
 
@@ -53,10 +54,11 @@ from typing import NamedTuple
 from killingcalc.cap import _check_args
 from killingcalc.chain import FormComplex, form_differential, read_weights, weight_cohomology
 from killingcalc.matrix import ExactMatrix, rank
-from killingcalc.symspace import GroupedSpace, Group, SYM, skew_pair, sym_extend
 from killingcalc.young import (
     YoungDiagram,
+    dominant_weights,
     gl_dimension,
+    orbit_size,
     ordered_columns,
     realize_irreducible,
     weight_multiplicities,
@@ -344,30 +346,41 @@ def graded_diagonal_complex(n: int, ell: int, d: int) -> DiagonalReport:
 
 
 def injectivity_implication_check(n: int, ell: int) -> dict:
-    """Tensors with one free index before the two symmetric groups.
+    """Tensors with one free index a before the two symmetric groups B, C
+    of T_ell, the top component.
 
     Imposing both the vanishing of the trailing symmetrization and the
     vanishing of the skew of the free index with the first group forces
     the whole tensor to vanish; dropping the skew condition leaves a
     space of dimension n times the top component.  Both dimensions are
-    computed exactly and returned.
+    read off the flat complex, exactly:
+
+    * the trailing symmetrization is T_ell's own two-row constraint, so
+      the relaxed space is the T_ell-valued one-forms, of dimension n
+      times the summed dimensions of T_ell's realized weight spaces; the
+      S_n orbit of a dominant weight space holds spaces of its
+      dimension, so the sum runs over the dominant ones times orbits;
+    * the skew of a with a first-group index b is the e_a wedge e_b
+      coefficient of A_b v_a - A_a v_b, so the space cut out by both
+      conditions is the kernel of the differential on T_ell-valued
+      one-forms, the degree-1 cochains of grade 2 ell + 1;
+    * no degree-0 cochain has grade 2 ell + 1 (it would need a component
+      ell + 1), so that kernel is degree-1 cohomology of grade 2 ell + 1,
+      a number of ``_cohomology_by_grade``.
     """
     _check_args(n, ell)
-    space = GroupedSpace(
-        n, [Group(SYM, 1), Group(SYM, ell), Group(SYM, ell)]
-    )
-    trailing, _ = sym_extend(space, 1, 2)
-    skew, _ = skew_pair(space, 0, 1)
-    both = trailing.vstack(skew)
-    strict_dim = space.dim - rank(both)
-    relaxed_dim = space.dim - rank(trailing)
-    top = gl_dimension(YoungDiagram((ell, ell)), n)
+    top = YoungDiagram((ell, ell))
+    mult = weight_multiplicities(top, n)
+    parts = realize_irreducible(top, n, (w for w in dominant_weights(2 * ell, n) if w in mult))
+    strict_dim = _cohomology_by_grade(n, ell)[2 * ell + 1][1]
+    relaxed_dim = n * sum(orbit_size(w) * part.dim for w, part in parts.items())
+    expected = n * gl_dimension(top, n)
     return {
         "n": n,
         "ell": ell,
         "intersection_dim": strict_dim,
         "relaxed_dim": relaxed_dim,
-        "relaxed_expected": n * top,
+        "relaxed_expected": expected,
         "injective": strict_dim == 0,
-        "relaxed_matches": relaxed_dim == n * top,
+        "relaxed_matches": relaxed_dim == expected,
     }

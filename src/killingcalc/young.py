@@ -36,7 +36,8 @@ count picks one of two presentations:
 Diagrams with more rows are refused.
 
 Bases are realized one torus weight at a time.  The constraint rows
-(``symspace.sym_extend``) preserve the weight, so the constraint matrix
+(``sym_extend_row``: the symmetrization of the last first-group index
+across the second group) preserve the weight, so the constraint matrix
 is block-diagonal by weight, and the canonical kernel basis of a
 block-diagonal matrix is the union of its blocks' canonical kernel
 bases: the weight-w columns come from the weight-w rows alone.  Each
@@ -57,13 +58,13 @@ decides membership.  No second elimination is needed.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import cache
 from itertools import combinations_with_replacement
 from math import factorial, lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
-from killingcalc.symspace import sym_extend_row
 
 __all__ = [
     "YoungDiagram",
@@ -77,6 +78,7 @@ __all__ = [
     "bounded_compositions",
     "weight_key",
     "realize_irreducible",
+    "sym_extend_row",
     "ordered_columns",
 ]
 
@@ -88,7 +90,7 @@ class YoungDiagram:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        rows = tuple(int(r) for r in rows)
+        rows = tuple(map(operator.index, rows))
         if any(r < 1 for r in rows):
             raise ValueError("row lengths must be positive")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
@@ -122,8 +124,9 @@ class YoungDiagram:
 
 
 def gl_dimension(d: YoungDiagram, n: int) -> int:
-    """Hook-content dimension of the GL(n) module of shape d."""
-    if n < 1:
+    """Hook-content dimension of the GL(n) module of shape d; n must be
+    an integer."""
+    if operator.index(n) < 1:
         raise ValueError("n must be positive")
     if len(d.rows) > n:
         return 0
@@ -140,15 +143,15 @@ def gl_dimension(d: YoungDiagram, n: int) -> int:
 
 def weyl_dimension(label) -> int:
     """Dimension of the sl representation with the given Dynkin labels."""
-    labels = tuple(label)
-    if any(int(a) < 0 for a in labels):
+    labels = tuple(map(operator.index, label))
+    if any(a < 0 for a in labels):
         raise ValueError("Dynkin labels must be nonnegative")
     r = len(labels)
     num = den = 1
     for i in range(r):
         total = 0
         for j in range(i, r):
-            total += int(labels[j])
+            total += labels[j]
             num *= total + j - i + 1
             den *= j - i + 1
     dim, rest = divmod(num, den)
@@ -160,7 +163,7 @@ def weyl_dimension(label) -> int:
 def kostka(d: YoungDiagram, mu) -> int:
     """The Kostka number K_{d, mu}: semistandard tableaux of shape d and
     content mu, whose entries may come in any order."""
-    content = tuple(sorted((int(m) for m in mu), reverse=True))
+    content = tuple(sorted(map(operator.index, mu), reverse=True))
     if content and content[-1] < 0:
         raise ValueError("content entries must be nonnegative")
     return _kostka(d.rows, tuple(m for m in content if m))
@@ -359,7 +362,7 @@ def _realize_memo(d: YoungDiagram, n: int, w: tuple[int, ...]) -> WeightSpace:
     keys = _weight_keys(sizes, w)
     rows = []
     if len(sizes) == 2:
-        # the rows of sym_extend(space, 0, 1) at the target keys of weight w
+        # the constraint rows at the target keys of weight w
         index = {k: i for i, k in enumerate(keys)}
         for parts in _weight_keys((sizes[0] - 1, sizes[1] + 1), w):
             rows.append(sym_extend_row(parts, 0, 1, lambda src: index[tuple(src)]))
@@ -371,6 +374,24 @@ def _realize_memo(d: YoungDiagram, n: int, w: tuple[int, ...]) -> WeightSpace:
             f"columns of weight {w}, the Kostka number is {expected}"
         )
     return part
+
+
+def sym_extend_row(parts, i: int, j: int, index) -> dict[int, int]:
+    """The integer row, over the scale len(parts[j]), of the
+    symmetrization of one index of symmetric group i into symmetric group
+    j, at one target key given as its parts in the source's group layout
+    (an empty part where group i was dropped): a 1 at the source key with
+    element t of part j moved back into part i, for each position t of
+    part j.  ``index`` maps a source key, a list of parts, to its column."""
+    mj = parts[j]
+    row: dict[int, int] = {}
+    for t in range(len(mj)):
+        src = list(parts)
+        src[i] = tuple(sorted(parts[i] + (mj[t],)))
+        src[j] = mj[:t] + mj[t + 1 :]
+        scol = index(src)
+        row[scol] = row.get(scol, 0) + 1
+    return row
 
 
 def ordered_columns(parts: dict) -> list[tuple[tuple[int, ...], int]]:

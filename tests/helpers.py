@@ -6,10 +6,13 @@ so failures replay exactly; nothing here touches global RNG state.
 
 The oracles include code that no command runs, kept here to check the
 library against: the first-row Gauss-Jordan kernel ``first_row_rref_int``,
-the whole-basis realization (``SubspaceBasis``, ``whole_basis``,
-``build_T``, ``embed``/``extract``) and the covector connection of one
-section (``killing_lift``, ``tractor_derivative``) with the Lie
-derivative of the flat delta (``lie_derivative_delta``).
+grouped tensor coordinates (``GroupedSpace``, ``sym_extend``,
+``skew_pair``) with the whole-space injectivity system
+(``whole_space_injectivity``), the whole-basis realization
+(``SubspaceBasis``, ``whole_basis``, ``build_T``, ``embed``/``extract``)
+and the covector connection of one section (``killing_lift``,
+``tractor_derivative``) with the Lie derivative of the flat delta
+(``lie_derivative_delta``).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -30,26 +33,15 @@ from killingcalc.fields import (
 )
 from killingcalc.killing import killing_kernel_vectors, killing_operator, symmetric_coordinates
 from killingcalc.kostant import build_V, koszul_differential
-from killingcalc.matrix import (
-    ExactMatrix, integer_rank, kernel_basis, over_common_scale, rank, rref, solve,
-)
+from killingcalc.matrix import ExactMatrix, integer_rank, kernel_basis, rank, rref, solve
 from killingcalc.metric import MetricField, RatScalar, covariant_derivative
 from killingcalc.poly import PolyScalar, monomials
 from killingcalc.potential import _obstruction_terms, _require_symmetric
 from killingcalc.prolong import _component_shapes, _psubsets, build_partial
-from killingcalc.symspace import (
-    ALT,
-    SYM,
-    Group,
-    GroupedSpace,
-    _add,
-    _drop_or_resize,
-    _target_key_parts,
-    sym_extend,
-)
 from killingcalc.tractor import TractorSection, _derive_pair
 from killingcalc.young import (
-    YoungDiagram, gl_dimension, ordered_columns, realize_irreducible, weight_multiplicities,
+    YoungDiagram, gl_dimension, ordered_columns, realize_irreducible, sym_extend_row,
+    weight_multiplicities,
 )
 
 
@@ -92,6 +84,27 @@ def apply(m: ExactMatrix, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         if v:
             out[r] = Fraction(v) / m.scale
     return out
+
+
+def over_common_scale(matrices) -> list[ExactMatrix]:
+    """The matrices, equal as rational matrices, over one shared scale:
+    the lcm of their scales."""
+    matrices = list(matrices)
+    scale = lcm(1, *(m.scale for m in matrices))
+    out = []
+    for m in matrices:
+        f = scale // m.scale
+        data = m.data if f == 1 else [{c: v * f for c, v in row.items()} for row in m.data]
+        out.append(ExactMatrix.from_int_rows(m.cols, data, scale))
+    return out
+
+
+def vstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """a above b, over the common scale of a and b."""
+    if a.cols != b.cols:
+        raise ValueError("column count mismatch")
+    a, b = over_common_scale([a, b])
+    return ExactMatrix.from_int_rows(a.cols, a.data + b.data, a.scale)
 
 
 def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -693,6 +706,160 @@ def key_map_by_antisymmetrization(n: int) -> ExactMatrix:
                 pair_pos[(x, y)] * n + z - 1: v for (x, y, z), v in image.items() if x < y
             })
     return ExactMatrix.from_columns(cols, n * len(pairs))
+
+
+# --- grouped tensor coordinates ---------------------------------------------
+#
+# Tensors whose index slots fall into consecutive symmetric or
+# antisymmetric groups are determined by their values on representative
+# keys: a nondecreasing index tuple for each symmetric group, a strictly
+# increasing tuple for each antisymmetric group.  A ``GroupedSpace``
+# enumerates those keys in lexicographic order, and ``sym_extend`` and
+# ``skew_pair`` write partial symmetrizations and skew pairs as exact
+# matrices in those value coordinates, over the enlarged group's size and
+# over 2.  A symmetric-group value is the entry at any arrangement of its
+# key; an antisymmetric-group value is the entry at the increasing
+# arrangement, and a permuted arrangement carries the permutation's sign.
+
+SYM = "sym"
+ALT = "alt"
+
+
+class Group(NamedTuple("Group", [("kind", str), ("size", int)])):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, size: int):
+        if kind not in (SYM, ALT):
+            raise ValueError(f"unknown group kind {kind!r}")
+        if size < 1:
+            raise ValueError("group size must be positive")
+        return super().__new__(cls, kind, size)
+
+
+def _group_keys(n: int, g: Group) -> list[tuple[int, ...]]:
+    rng = range(1, n + 1)
+    if g.kind == SYM:
+        return list(combinations_with_replacement(rng, g.size))
+    return list(combinations(rng, g.size))
+
+
+class GroupedSpace:
+    """Value-coordinate space for a fixed base dimension and group list."""
+
+    __slots__ = ("n", "groups", "_keys", "_index")
+
+    def __init__(self, n: int, groups):
+        if n < 1:
+            raise ValueError("base dimension must be positive")
+        self.n = n
+        self.groups = tuple(groups)
+        per_group = [_group_keys(n, g) for g in self.groups]
+        self._keys = [tuple(k) for k in product(*per_group)]
+        self._index = {k: i for i, k in enumerate(self._keys)}
+
+    @property
+    def arity(self) -> int:
+        return sum(g.size for g in self.groups)
+
+    @property
+    def dim(self) -> int:
+        return len(self._keys)
+
+    def keys(self) -> list[tuple[tuple[int, ...], ...]]:
+        return self._keys
+
+    def index(self, key) -> int:
+        return self._index[tuple(tuple(part) for part in key)]
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{g.kind}{g.size}" for g in self.groups)
+        return f"GroupedSpace(n={self.n}, [{parts}], dim={self.dim})"
+
+
+def _drop_or_resize(groups, i: int, delta: int) -> tuple[tuple[Group, ...], bool]:
+    """Resize group i by delta; returns (new groups, dropped flag)."""
+    g = groups[i]
+    size = g.size + delta
+    out = list(groups)
+    if size == 0:
+        del out[i]
+        return tuple(out), True
+    out[i] = Group(g.kind, size)
+    return tuple(out), False
+
+
+def _target_key_parts(key, dropped_at: int | None):
+    """Reinsert a placeholder so source-group positions line up."""
+    parts = list(key)
+    if dropped_at is not None:
+        parts.insert(dropped_at, ())
+    return parts
+
+
+def _add(row: dict[int, int], c: int, v: int) -> None:
+    """Add v to entry c of an integer row, dropping it when it cancels."""
+    w = row.get(c, 0) + v
+    if w:
+        row[c] = w
+    else:
+        del row[c]
+
+
+def sym_extend(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
+    """Symmetrize one index of symmetric group i into symmetric group j.
+
+    The image value at a target key is the average, over the positions t
+    of the enlarged group-j key, of the source value with element t moved
+    back into group i; its rows are ``young.sym_extend_row``.
+    """
+    gi, gj = space.groups[i], space.groups[j]
+    if gi.kind != SYM or gj.kind != SYM or i == j:
+        raise ValueError("sym_extend needs two distinct symmetric groups")
+    tgroups, dropped = _drop_or_resize(space.groups, i, -1)
+    jj = j if (not dropped or j < i) else j - 1
+    tgroups, _ = _drop_or_resize(tgroups, jj, +1)
+    target = GroupedSpace(space.n, tgroups)
+    data = [
+        sym_extend_row(_target_key_parts(tkey, i if dropped else None), i, j, space.index)
+        for tkey in target.keys()
+    ]
+    return ExactMatrix.from_int_rows(space.dim, data, gj.size + 1), target
+
+
+def skew_pair(space: GroupedSpace, i: int, j: int) -> tuple[ExactMatrix, GroupedSpace]:
+    """Antisymmetrize a size-1 group i with one index of symmetric group j."""
+    gi, gj = space.groups[i], space.groups[j]
+    if gi.size != 1 or gj.kind != SYM or i == j:
+        raise ValueError("skew_pair needs a size-1 group and a symmetric group")
+    tgroups = list(space.groups)
+    tgroups[i] = Group(ALT, 2)
+    tg, dropped = _drop_or_resize(tuple(tgroups), j, -1)
+    target = GroupedSpace(space.n, tg)
+    data: list[dict[int, int]] = []
+    for tkey in target.keys():
+        parts = _target_key_parts(tkey, j if dropped else None)
+        x, y = parts[i]
+        mj = parts[j]
+        row: dict[int, int] = {}
+        for val, other, sign in ((x, y, 1), (y, x, -1)):
+            src = list(parts)
+            src[i] = (val,)
+            src[j] = tuple(sorted(mj + (other,)))
+            _add(row, space.index(src), sign)
+        data.append(row)
+    return ExactMatrix.from_int_rows(space.dim, data, 2), target
+
+
+def whole_space_injectivity(n: int, ell: int) -> tuple[int, int]:
+    """Reference ``prolong.injectivity_implication_check``: on the whole
+    space of tensors with a free index before two symmetric groups of
+    ell, the dimensions cut out by the trailing symmetrization and the
+    skew pair together, and by the trailing symmetrization alone, as
+    (intersection_dim, relaxed_dim)."""
+    space = GroupedSpace(n, [Group(SYM, 1), Group(SYM, ell), Group(SYM, ell)])
+    trailing, _ = sym_extend(space, 1, 2)
+    skew, _ = skew_pair(space, 0, 1)
+    return space.dim - rank(vstack(trailing, skew)), space.dim - rank(trailing)
 
 
 # --- the elimination kernel before its pivot rule --------------------------

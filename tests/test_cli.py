@@ -131,6 +131,53 @@ def test_suite_ranks_each_dominant_block_once(monkeypatch, capsys):
     assert len(calls) == blocks
 
 
+def test_injectivity_jobs_rank_nothing_after_the_complex_jobs(monkeypatch, capsys):
+    """In one process of suite at n=3, ell=2, the injectivity checks read
+    the flat complex's table, which the complex checks filled: they call
+    neither ``rank`` nor ``integer_rank``, under any module's binding."""
+    running = []
+    calls = []
+    for name in ("rank", "integer_rank"):
+        original = getattr(matrix, name)
+
+        def counted(*args, original=original, name=name):
+            if running:
+                calls.append(name)
+            return original(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("killingcalc")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    build = jobs.injectivity_jobs
+
+    def watched(*ranges):
+        def run(thunk):
+            running.append(True)
+            try:
+                return thunk()
+            finally:
+                running.pop()
+
+        return [(cid, inputs, lambda t=t: run(t)) for cid, inputs, t in build(*ranges)]
+
+    monkeypatch.setattr(jobs, "injectivity_jobs", watched)
+    clear_cohomology_memos()
+    assert main(["suite", "--n", "3", "--ell", "2"]) == 0
+    assert "PASS injectivity.n3.ell2" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_injectivity_jobs_refuse_an_oversized_pair_before_any_check(monkeypatch):
+    """The injectivity checks read the flat complex, so they take its cap,
+    applied as the pairs are read."""
+    def never(n, ell):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(prolong, "injectivity_implication_check", never)
+    with pytest.raises(CapExceeded, match="complex for n=6, ell=3"):
+        jobs.injectivity_jobs([2, 6], [3])
+
+
 def test_killing_family_computes_each_kernel_once(monkeypatch):
     """dim and degree-bound share the memoized whole kernel at max_degree
     ell, computed once; degree-bound then takes one kernel per dominant
@@ -831,18 +878,18 @@ def test_range_check_loads_only_the_field_modules(tmp_path):
     assert "killingcalc.potential" in loaded
     never = {
         "fields", "tensor", "metric", "matrix", "elim", "chain", "prolong", "young",
-        "symspace", "kostant", "tractor", "killing", "jobs",
+        "symspace", "rationals", "kostant", "tractor", "killing", "jobs",
     }
     assert not loaded & {f"killingcalc.{m}" for m in never}
 
 
 _STARTUP = {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
 _FAMILY = _STARTUP | {
-    f"killingcalc.{m}" for m in ("chain", "elim", "jobs", "matrix", "prolong", "symspace", "young")
+    f"killingcalc.{m}" for m in ("chain", "elim", "jobs", "matrix", "prolong", "young")
 }
 # the fields and the potential solver; the field calculus (``fields``) is
 # loaded by neither range-check nor killing
-_FIELDS = {f"killingcalc.{m}" for m in ("poly", "potential", "rationals")}
+_FIELDS = {f"killingcalc.{m}" for m in ("poly", "potential")}
 
 
 @pytest.mark.parametrize("command, package", [

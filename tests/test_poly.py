@@ -71,6 +71,17 @@ def test_zero_and_degree_conventions():
     assert c.degree() == 0 and c.diff(1).is_zero()
 
 
+def test_poly_refuses_a_float_exponent():
+    with pytest.raises(TypeError):
+        PolyScalar(2, {(1.5, 0): 1})
+
+
+def test_rat_refuses_a_float_factor_power():
+    u = PolyScalar.const(2, 1).add(_x(2, 1))
+    with pytest.raises(TypeError):
+        RatScalar(PolyScalar.const(2, 1), [(u, 1.7)])
+
+
 def test_rat_quotient_keeps_single_denominator_atom():
     # rat_quotient() does not factor its denominator; u^2 stays one atom.
     n = 2

@@ -15,6 +15,7 @@ from helpers import (
     oracle_koszul,
     oracle_partial,
     submatrix,
+    whole_space_injectivity,
 )
 from killingcalc import cap, chain, prolong
 from killingcalc.chain import ChainComplex, cohomology_dims
@@ -37,6 +38,13 @@ def test_argument_validation():
         build_T(1, 1)
     with pytest.raises(ValueError):
         build_T(3, 0)
+
+
+def test_args_refuse_a_float_n_or_ell():
+    with pytest.raises(TypeError):
+        complex_cohomology(2.5, 1)
+    with pytest.raises(TypeError):
+        cap._check_args(3, 2.0)
 
 
 def test_component_dims_small():
@@ -269,3 +277,13 @@ def test_injectivity_intersection():
         assert rep["intersection_dim"] == 0
         assert rep["relaxed_dim"] > 0
         assert rep["relaxed_matches"]
+
+
+def test_injectivity_equals_the_whole_space_system():
+    """The report's two dimensions, read off the flat complex, are the
+    ones the whole space of one-index-then-two-groups tensors gives."""
+    for n in range(2, 6):
+        for ell in range(1, 4):
+            rep = injectivity_implication_check(n, ell)
+            got = (rep["intersection_dim"], rep["relaxed_dim"])
+            assert got == whole_space_injectivity(n, ell), (n, ell)

@@ -1,4 +1,6 @@
-"""The value-coordinate builders against full-tensor oracles.
+"""The grouped value-coordinate builders of ``helpers``, themselves the
+oracles of the injectivity check and the realizations, against
+full-tensor oracles.
 
 Each builder writes integer rows over a closed-form scale.  The oracle
 embeds every source coordinate vector as a full tensor, applies the
@@ -11,16 +13,19 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import embed, iota_matrix, replace_matrix, slot_average
-from killingcalc.matrix import ExactMatrix
-from killingcalc.symspace import (
+from helpers import (
     ALT,
     SYM,
     Group,
     GroupedSpace,
+    embed,
+    iota_matrix,
+    replace_matrix,
     skew_pair,
+    slot_average,
     sym_extend,
 )
+from killingcalc.matrix import ExactMatrix
 
 
 def _starts(space: GroupedSpace) -> list[int]:

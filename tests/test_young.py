@@ -11,6 +11,9 @@ import pytest
 from helpers import (
     REALIZED_IDS,
     REALIZED_SHAPES,
+    SYM,
+    Group,
+    GroupedSpace,
     SubspaceBasis,
     add_tensors,
     apply,
@@ -24,7 +27,6 @@ from helpers import (
 from killingcalc import young
 from killingcalc.cli import main
 from killingcalc.matrix import ExactMatrix
-from killingcalc.symspace import GroupedSpace, Group, SYM
 from killingcalc.young import (
     YoungDiagram,
     gl_dimension,
@@ -74,6 +76,26 @@ def test_diagram_validation():
         YoungDiagram((2, 0))
     assert YoungDiagram((3, 1)).conjugate() == (2, 1, 1)
     assert YoungDiagram((3, 1)).size == 4
+
+
+def test_diagram_refuses_float_rows():
+    with pytest.raises(TypeError):
+        YoungDiagram((2.7, 1.2))
+
+
+def test_gl_dimension_refuses_a_float_n():
+    with pytest.raises(TypeError):
+        gl_dimension(YoungDiagram((2,)), 3.0)
+
+
+def test_weyl_dimension_refuses_float_labels():
+    with pytest.raises(TypeError):
+        weyl_dimension((1.9,))
+
+
+def test_kostka_refuses_a_float_content():
+    with pytest.raises(TypeError):
+        kostka(YoungDiagram((2,)), (1.5, 0.5))
 
 
 def test_gl_dimension_matches_tableau_count():
