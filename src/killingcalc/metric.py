@@ -4,23 +4,24 @@ Metric models: the flat delta, the conformally flat constant-curvature
 form 4/(1 + kappa |x|^2)^2 delta with rational kappa, and second-order
 Taylor samples built from raw jet values at the origin by
 ``MetricField.from_jet2(n, g0, dg0, ddg0)``, the jets being plain dicts
-as in :mod:`killingcalc.fields`.  Their
-components are polynomials, or rational functions when a non-flat metric
-forces division.
+as in :mod:`killingcalc.fields`.  Their components are polynomials, or
+rational functions when a non-flat metric forces division.
 
-The rational functions are this module's ``RatScalar``: it keeps its
-denominator as a product of content-normalized polynomial atoms with
-integer powers, and arithmetic cancels atoms against the numerator by
-exact division, so denominators never grow past the atoms actually
-introduced (conformal factors, determinants).  Equality is decided by
-cross multiplication and needs no gcd.  A RatScalar takes PolyScalar
-operands, and a PolyScalar hands it any mixed sum or product, so fields
-hold both kinds (see :mod:`killingcalc.poly`).  Only metrics build
-rational entries, so the commands that never read a metric never
+The rational functions are this module's ``RatScalar``: P / D^k with
+one monic denominator D per metric and k least, so ``==`` compares
+(P, k).  A metric with entries in Q[x][1/D] keeps its inverse,
+connection coefficients and curvature there, since d(P/D^k) =
+(D dP - k P dD)/D^(k+1).  D is the stereographic conformal factor, or,
+for a polynomial metric, the monic determinant its inverse divides by.
+Two different denominators, or a division by anything but a unit c D^j,
+raise ``ValueError``; no command meets either.  A RatScalar takes
+PolyScalar operands, and a PolyScalar hands it any mixed sum or product,
+so fields hold both kinds (see :mod:`killingcalc.poly`).  Only metrics
+build rational entries, so the commands that never read a metric never
 compile this class.
 
 Connection coefficients on fields use the closed form
-Gamma_abc = (D_a g_bc + D_b g_ac - D_c g_ab)/2, raised with the exact
+Gamma_abc = (d_a g_bc + d_b g_ac - d_c g_ab)/2, raised with the exact
 inverse.  A metric computes its inverse, both forms of the coefficients
 and its curvature once each, as ``functools.cached_property`` values.
 No model is special-cased: when the lowered coefficients vanish, as for
@@ -39,10 +40,9 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
-from math import gcd
 
 from killingcalc.fields import _coordinate_derivative, _jet_values, delta_field, perm_sign
-from killingcalc.poly import PolyScalar, PolyTensorField
+from killingcalc.poly import PolyScalar, PolyTensorField, _fr
 
 __all__ = [
     "RatScalar",
@@ -53,90 +53,56 @@ __all__ = [
 ]
 
 
-def _atom_key(p: PolyScalar):
-    return tuple(sorted(p.terms.items()))
+def _lift(p: PolyScalar, den: PolyScalar, j: int) -> PolyScalar:
+    """p * den^j."""
+    for _ in range(j):
+        p = p.mul(den)
+    return p
 
 
-def _normalize_atom(p: PolyScalar) -> tuple[PolyScalar, Fraction]:
-    """Scale to coprime integer coefficients with positive leading one.
-
-    Returns the atom and the factor r with input = r * atom.
-    """
-    if p.is_zero():
-        raise ZeroDivisionError("denominator is the zero polynomial")
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    r = Fraction(num_gcd, den_lcm)
-    if p.leading()[1] < 0:
-        r = -r
-    return p.scale(1 / r), r
+def _over(num: PolyScalar, den: PolyScalar, k: int) -> "RatScalar":
+    """num / den^k with k lowered while den divides num."""
+    while k:
+        q = num.exact_div(den)
+        if q is None:
+            break
+        num, k = q, k - 1
+    return RatScalar._of(num, den, k)
 
 
 class RatScalar:
-    """Exact rational function with a factored denominator."""
+    """Exact rational function P / D^k, D monic and k least, so D does
+    not divide P when k > 0.  D = 1 is no denominator and gives way to
+    the D of the other operand."""
 
-    __slots__ = ("num", "factors")
+    __slots__ = ("num", "den", "k")
 
-    def __init__(self, num: PolyScalar, factors=()):
+    def __init__(self, num: PolyScalar, den: PolyScalar | None = None, k: int = 0):
         if not isinstance(num, PolyScalar):
             raise TypeError("numerator must be a polynomial")
-        flist = []
-        for f, k in factors:
-            if not isinstance(f, PolyScalar) or f.n != num.n:
-                raise ValueError("factor from a different ring")
-            k = operator.index(k)
-            if k < 0:
-                raise ValueError("factor powers must be nonnegative")
-            if k:
-                flist.append((f, k))
-        self.num = num
-        self.factors = tuple(
-            sorted(flist, key=lambda fk: _atom_key(fk[0]))
-        )
-        self._cancel()
+        if den is None:
+            den = PolyScalar.const(num.n, 1)
+        elif not isinstance(den, PolyScalar) or den.n != num.n:
+            raise ValueError("denominator from a different ring")
+        elif den.is_zero() or den.leading()[1] != 1:
+            raise ValueError("denominator must be monic")
+        k = operator.index(k)
+        if k < 0:
+            raise ValueError("denominator power must be nonnegative")
+        r = _over(num, den, k)
+        self.num, self.den, self.k = r.num, den, r.k
 
-    def _cancel(self) -> None:
-        if self.num.is_zero():
-            self.factors = ()
-            return
-        out = []
-        num = self.num
-        for f, k in self.factors:
-            while k > 0:
-                q = num.exact_div(f)
-                if q is None:
-                    break
-                num, k = q, k - 1
-            if k:
-                out.append((f, k))
-        self.num = num
-        self.factors = tuple(out)
-
-    def _with_num(self, num: PolyScalar) -> "RatScalar":
-        """num over this denominator, for num a constant multiple of this
-        numerator.  No factor left here divides this numerator, so none
-        divides a nonzero multiple of it either, and ``_cancel`` would
-        find nothing to divide."""
+    @staticmethod
+    def _of(num: PolyScalar, den: PolyScalar, k: int) -> "RatScalar":
+        """num / den^k as given, with none of the constructor's checks:
+        the caller guarantees the form is canonical."""
         out = object.__new__(RatScalar)
-        out.num = num
-        out.factors = self.factors if not num.is_zero() else ()
+        out.num, out.den, out.k = num, den, k
         return out
 
     @property
     def n(self) -> int:
         return self.num.n
-
-    @property
-    def den(self) -> PolyScalar:
-        out = PolyScalar.const(self.num.n, 1)
-        for f, k in self.factors:
-            for _ in range(k):
-                out = out.mul(f)
-        return out
 
     @classmethod
     def const(cls, n: int, c) -> "RatScalar":
@@ -145,117 +111,83 @@ class RatScalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def _merged_factors(self, other: "RatScalar"):
-        """Common denominator: per-atom max power and the two multipliers,
-        None where a multiplier is the constant 1."""
-        mine = {_atom_key(f): (f, k) for f, k in self.factors}
-        theirs = {_atom_key(f): (f, k) for f, k in other.factors}
-        union = []
-        lift_a = lift_b = None
-        for key in sorted(set(mine) | set(theirs)):
-            f, ka = mine.get(key, (None, 0))
-            fb, kb = theirs.get(key, (None, 0))
-            f = f if f is not None else fb
-            k = max(ka, kb)
-            union.append((f, k))
-            for _ in range(k - ka):
-                lift_a = f if lift_a is None else lift_a.mul(f)
-            for _ in range(k - kb):
-                lift_b = f if lift_b is None else lift_b.mul(f)
-        return union, lift_a, lift_b
+    def _operand(self, other) -> tuple["RatScalar", PolyScalar]:
+        """other as a RatScalar, and the denominator the two share."""
+        if isinstance(other, PolyScalar):
+            return RatScalar._of(other, self.den, 0), self.den
+        d, e = self.den, other.den
+        if d is e or e.degree() == 0 or d == e:
+            return other, d
+        if d.degree() == 0:
+            return other, e
+        raise ValueError("rational functions over different denominators")
 
-    def add(self, other: "RatScalar") -> "RatScalar":
-        other = _as_rat(other, self.n)
-        union, la, lb = self._merged_factors(other)
-        a = self.num if la is None else self.num.mul(la)
-        b = other.num if lb is None else other.num.mul(lb)
-        return RatScalar(a.add(b), union)
+    def add(self, other) -> "RatScalar":
+        other, d = self._operand(other)
+        k = max(self.k, other.k)
+        a, b = _lift(self.num, d, k - self.k), _lift(other.num, d, k - other.k)
+        return _over(a.add(b), d, k)
 
     def neg(self) -> "RatScalar":
-        return self._with_num(self.num.neg())
+        return RatScalar._of(self.num.neg(), self.den, self.k)
 
-    def sub(self, other: "RatScalar") -> "RatScalar":
-        return self.add(_as_rat(other, self.n).neg())
+    def sub(self, other) -> "RatScalar":
+        return self.add(other.neg())
 
     def scale(self, c) -> "RatScalar":
-        return self._with_num(self.num.scale(c))
+        num = self.num.scale(c)
+        return RatScalar._of(num, self.den, self.k if num.terms else 0)
 
-    def mul(self, other: "RatScalar") -> "RatScalar":
-        other = _as_rat(other, self.n)
-        merged: dict = {}
-        for f, k in list(self.factors) + list(other.factors):
-            key = _atom_key(f)
-            f0, k0 = merged.get(key, (f, 0))
-            merged[key] = (f0, k0 + k)
-        return RatScalar(self.num.mul(other.num), list(merged.values()))
+    def mul(self, other) -> "RatScalar":
+        other, d = self._operand(other)
+        return _over(self.num.mul(other.num), d, self.k + other.k)
 
-    def div(self, other: "RatScalar") -> "RatScalar":
-        other = _as_rat(other, self.n)
-        if other.is_zero():
+    def div(self, other) -> "RatScalar":
+        """The quotient by a unit c D^j.  With no denominator on either
+        side, the divisor's monic form becomes D."""
+        other, d = self._operand(other)
+        q = other.num
+        if q.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        atom, r = _normalize_atom(other.num)
-        flipped_num = PolyScalar.const(self.n, 1 / r)
-        for f, k in other.factors:
-            for _ in range(k):
-                flipped_num = flipped_num.mul(f)
-        flipped = RatScalar(
-            flipped_num, [(atom, 1)] if atom.degree() > 0 else []
-        )
-        if atom.degree() == 0:
-            flipped = RatScalar(
-                flipped.num.scale(Fraction(1, atom.terms[(0,) * self.n]))
-            )
-        return self.mul(flipped)
+        if d.degree() == 0 and q.degree() > 0:
+            d = q.scale(1 / q.leading()[1])
+        j = 0
+        while q.degree() > 0:
+            q = q.exact_div(d)
+            if q is None:
+                raise ValueError("division by a rational function that is not a unit")
+            j += 1
+        # self / other = num D^other.k / (c D^(self.k + j))
+        num, k = self.num.scale(1 / q.terms[(0,) * self.n]), self.k + j - other.k
+        if k < 0:
+            num, k = _lift(num, d, -k), 0
+        return _over(num, d, k)
 
     def diff(self, i: int) -> "RatScalar":
-        p = self.num
-        if not self.factors:
-            return RatScalar(p.diff(i))
-        prod_atoms = PolyScalar.const(self.n, 1)
-        for f, _ in self.factors:
-            prod_atoms = prod_atoms.mul(f)
-        out = p.diff(i).mul(prod_atoms)
-        for idx, (f, k) in enumerate(self.factors):
-            rest = PolyScalar.const(self.n, 1)
-            for jdx, (g, _) in enumerate(self.factors):
-                if jdx != idx:
-                    rest = rest.mul(g)
-            out = out.sub(p.mul(f.diff(i)).mul(rest).scale(k))
-        return RatScalar(out, [(f, k + 1) for f, k in self.factors])
+        p, d, k = self.num, self.den, self.k
+        if not k:
+            return RatScalar._of(p.diff(i), d, 0)
+        # (P / D^k)' = (D P' - k P D') / D^(k+1)
+        return _over(d.mul(p.diff(i)).sub(p.mul(d.diff(i)).scale(k)), d, k + 1)
 
     def eval(self, point) -> Fraction:
-        den = Fraction(1)
-        for f, k in self.factors:
-            v = f.eval(point)
-            if v == 0:
-                raise ZeroDivisionError("denominator vanishes at the point")
-            den *= v ** k
+        den = self.den.eval(point) ** self.k if self.k else 1
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes at the point")
         return self.num.eval(point) / den
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, PolyScalar):
-            other = RatScalar(other)
-        if not isinstance(other, RatScalar):
+        if not isinstance(other, (PolyScalar, RatScalar)):
             return NotImplemented
-        return self.num.mul(other.den) == other.num.mul(self.den)
+        other, _ = self._operand(other)
+        return self.k == other.k and self.num == other.num
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        if not self.factors:
+        if not self.k:
             return repr(self.num)
-        fac = " * ".join(
-            f"({f!r})" + (f"^{k}" if k > 1 else "") for f, k in self.factors
-        )
-        return f"({self.num!r}) / ({fac})"
-
-
-def _as_rat(v, n: int) -> RatScalar:
-    if isinstance(v, RatScalar):
-        return v
-    if isinstance(v, PolyScalar):
-        return RatScalar(v)
-    return RatScalar(PolyScalar.const(n, v))
+        return f"({self.num!r}) / ({self.den!r})" + (f"^{self.k}" if self.k > 1 else "")
 
 
 class MetricField:
@@ -277,17 +209,15 @@ class MetricField:
 
     @classmethod
     def stereographic(cls, n: int, kappa) -> "MetricField":
-        kappa = Fraction(kappa)
+        n, kappa = operator.index(n), _fr(kappa)
         u = PolyScalar.const(n, 1)
         for i in range(1, n + 1):
             xi = PolyScalar.variable(n, i)
             u = u.add(xi.mul(xi).scale(kappa))
-        comps = {}
-        for i in range(1, n + 1):
-            if u.degree() > 0:
-                comps[(i, i)] = RatScalar(PolyScalar.const(n, 4), [(u, 2)])
-            else:
-                comps[(i, i)] = RatScalar.const(n, 4)
+        # 4 / u^2 over the monic D = u / lc; kappa = 0 leaves D = 1
+        lc = u.leading()[1]
+        entry = RatScalar(PolyScalar.const(n, 4 / lc ** 2), u.scale(1 / lc), 2)
+        comps = {(i, i): entry for i in range(1, n + 1)}
         return cls(n, PolyTensorField(n, 2, comps), "stereographic")
 
     @classmethod

@@ -1,10 +1,11 @@
 """Exact multivariate polynomial scalars and the tensor fields made of them.
 
 PolyScalar is a sparse exponent-vector map with Fraction coefficients.
-Rational functions (``RatScalar``) live in :mod:`killingcalc.metric`,
-the only module that builds them.  The two kinds still mix freely: a
-PolyScalar given an operand of another kind hands the sum or product to
-that operand, which takes PolyScalar operands (both operations
+Rational functions (``RatScalar``, P / D^k over the one denominator D
+of a metric) live in :mod:`killingcalc.metric`, the only module that
+builds them.  A polynomial mixes with any of them: a PolyScalar given an
+operand of another kind hands the sum or product to that operand, which
+reads the polynomial as P / D^0 over its own D (both operations
 commute), so this module never imports the rational one; ``==``
 compares either kind with either.
 

@@ -46,6 +46,7 @@ wedge signs.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import combinations, product
 from math import comb, gcd, lcm
@@ -244,7 +245,7 @@ def key_isomorphism_check(n: int) -> dict:
 def predicted_cohomology(n: int, ell: int, p: int) -> tuple[YoungDiagram, int]:
     """Diagram and dimension expected in degree p of the flat complex."""
     _check_args(n, ell)
-    if p < 0:
+    if operator.index(p) < 0:
         raise ValueError("degree must be nonnegative")
     if p == 0:
         d = YoungDiagram((ell,))
@@ -328,6 +329,7 @@ def graded_diagonal_complex(n: int, ell: int, d: int) -> DiagonalReport:
     expected cohomology is the predicted one for that form degree.
     """
     _check_args(n, ell)
+    operator.index(d)
     positions = _diagonal_positions(n, ell, d)
     if not positions:
         raise ValueError(f"grade {d} carries no spaces for n={n}, ell={ell}")

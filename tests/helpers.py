@@ -9,14 +9,17 @@ library against: the first-row Gauss-Jordan kernel ``first_row_rref_int``,
 grouped tensor coordinates (``GroupedSpace``, ``sym_extend``,
 ``skew_pair``) with the whole-space injectivity system
 (``whole_space_injectivity``), the whole-basis realization
-(``SubspaceBasis``, ``whole_basis``, ``build_T``, ``embed``/``extract``)
-and the covector connection of one section (``killing_lift``,
+(``SubspaceBasis``, ``whole_basis``, ``build_T``, ``embed``/``extract``),
+the covector connection of one section (``killing_lift``,
 ``tractor_derivative``) with the Lie derivative of the flat delta
-(``lie_derivative_delta``).
+(``lie_derivative_delta``), and the factored-atom rational functions
+(``FactoredRatScalar``) with the curvature computed in them
+(``factored_riemann``).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from functools import cache
@@ -611,8 +614,268 @@ def flat_component_derivative(parts) -> list[PolyTensorField]:
 
 
 def rat_quotient(num: PolyScalar, den: PolyScalar) -> RatScalar:
-    """num / den with den kept as one denominator atom, not factored."""
+    """num / den over the monic form of den, which is not factored."""
     return RatScalar(num).div(RatScalar(den))
+
+
+# Rational functions over a factored denominator, the oracle that
+# ``RatScalar``'s single-denominator arithmetic is checked against.
+
+def _atom_key(p: PolyScalar):
+    return tuple(sorted(p.terms.items()))
+
+
+def _normalize_atom(p: PolyScalar) -> tuple[PolyScalar, Fraction]:
+    """Scale to coprime integer coefficients with positive leading one.
+
+    Returns the atom and the factor r with input = r * atom.
+    """
+    if p.is_zero():
+        raise ZeroDivisionError("denominator is the zero polynomial")
+    den_lcm = 1
+    for c in p.terms.values():
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    num_gcd = 0
+    for c in p.terms.values():
+        num_gcd = gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
+    r = Fraction(num_gcd, den_lcm)
+    if p.leading()[1] < 0:
+        r = -r
+    return p.scale(1 / r), r
+
+
+class FactoredRatScalar:
+    """Exact rational function with a factored denominator: the numerator
+    over a product of content-normalized polynomial atoms with powers,
+    equal by cross multiplication.  The rational functions of
+    :mod:`killingcalc.metric` are checked against it."""
+
+    __slots__ = ("num", "factors")
+
+    def __init__(self, num: PolyScalar, factors=()):
+        if not isinstance(num, PolyScalar):
+            raise TypeError("numerator must be a polynomial")
+        flist = []
+        for f, k in factors:
+            if not isinstance(f, PolyScalar) or f.n != num.n:
+                raise ValueError("factor from a different ring")
+            k = operator.index(k)
+            if k < 0:
+                raise ValueError("factor powers must be nonnegative")
+            if k:
+                flist.append((f, k))
+        self.num = num
+        self.factors = tuple(
+            sorted(flist, key=lambda fk: _atom_key(fk[0]))
+        )
+        self._cancel()
+
+    def _cancel(self) -> None:
+        if self.num.is_zero():
+            self.factors = ()
+            return
+        out = []
+        num = self.num
+        for f, k in self.factors:
+            while k > 0:
+                q = num.exact_div(f)
+                if q is None:
+                    break
+                num, k = q, k - 1
+            if k:
+                out.append((f, k))
+        self.num = num
+        self.factors = tuple(out)
+
+    def _with_num(self, num: PolyScalar) -> "FactoredRatScalar":
+        """num over this denominator, for num a constant multiple of this
+        numerator.  No factor left here divides this numerator, so none
+        divides a nonzero multiple of it either, and ``_cancel`` would
+        find nothing to divide."""
+        out = object.__new__(FactoredRatScalar)
+        out.num = num
+        out.factors = self.factors if not num.is_zero() else ()
+        return out
+
+    @property
+    def n(self) -> int:
+        return self.num.n
+
+    @property
+    def den(self) -> PolyScalar:
+        out = PolyScalar.const(self.num.n, 1)
+        for f, k in self.factors:
+            for _ in range(k):
+                out = out.mul(f)
+        return out
+
+    @classmethod
+    def const(cls, n: int, c) -> "FactoredRatScalar":
+        return cls(PolyScalar.const(n, c))
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def _merged_factors(self, other: "FactoredRatScalar"):
+        """Common denominator: per-atom max power and the two multipliers,
+        None where a multiplier is the constant 1."""
+        mine = {_atom_key(f): (f, k) for f, k in self.factors}
+        theirs = {_atom_key(f): (f, k) for f, k in other.factors}
+        union = []
+        lift_a = lift_b = None
+        for key in sorted(set(mine) | set(theirs)):
+            f, ka = mine.get(key, (None, 0))
+            fb, kb = theirs.get(key, (None, 0))
+            f = f if f is not None else fb
+            k = max(ka, kb)
+            union.append((f, k))
+            for _ in range(k - ka):
+                lift_a = f if lift_a is None else lift_a.mul(f)
+            for _ in range(k - kb):
+                lift_b = f if lift_b is None else lift_b.mul(f)
+        return union, lift_a, lift_b
+
+    def add(self, other: "FactoredRatScalar") -> "FactoredRatScalar":
+        other = _as_factored(other, self.n)
+        union, la, lb = self._merged_factors(other)
+        a = self.num if la is None else self.num.mul(la)
+        b = other.num if lb is None else other.num.mul(lb)
+        return FactoredRatScalar(a.add(b), union)
+
+    def neg(self) -> "FactoredRatScalar":
+        return self._with_num(self.num.neg())
+
+    def sub(self, other: "FactoredRatScalar") -> "FactoredRatScalar":
+        return self.add(_as_factored(other, self.n).neg())
+
+    def scale(self, c) -> "FactoredRatScalar":
+        return self._with_num(self.num.scale(c))
+
+    def mul(self, other: "FactoredRatScalar") -> "FactoredRatScalar":
+        other = _as_factored(other, self.n)
+        merged: dict = {}
+        for f, k in list(self.factors) + list(other.factors):
+            key = _atom_key(f)
+            f0, k0 = merged.get(key, (f, 0))
+            merged[key] = (f0, k0 + k)
+        return FactoredRatScalar(self.num.mul(other.num), list(merged.values()))
+
+    def div(self, other: "FactoredRatScalar") -> "FactoredRatScalar":
+        other = _as_factored(other, self.n)
+        if other.is_zero():
+            raise ZeroDivisionError("division by the zero rational function")
+        atom, r = _normalize_atom(other.num)
+        flipped_num = PolyScalar.const(self.n, 1 / r)
+        for f, k in other.factors:
+            for _ in range(k):
+                flipped_num = flipped_num.mul(f)
+        flipped = FactoredRatScalar(
+            flipped_num, [(atom, 1)] if atom.degree() > 0 else []
+        )
+        if atom.degree() == 0:
+            flipped = FactoredRatScalar(
+                flipped.num.scale(Fraction(1, atom.terms[(0,) * self.n]))
+            )
+        return self.mul(flipped)
+
+    def diff(self, i: int) -> "FactoredRatScalar":
+        p = self.num
+        if not self.factors:
+            return FactoredRatScalar(p.diff(i))
+        prod_atoms = PolyScalar.const(self.n, 1)
+        for f, _ in self.factors:
+            prod_atoms = prod_atoms.mul(f)
+        out = p.diff(i).mul(prod_atoms)
+        for idx, (f, k) in enumerate(self.factors):
+            rest = PolyScalar.const(self.n, 1)
+            for jdx, (g, _) in enumerate(self.factors):
+                if jdx != idx:
+                    rest = rest.mul(g)
+            out = out.sub(p.mul(f.diff(i)).mul(rest).scale(k))
+        return FactoredRatScalar(out, [(f, k + 1) for f, k in self.factors])
+
+    def eval(self, point) -> Fraction:
+        den = Fraction(1)
+        for f, k in self.factors:
+            v = f.eval(point)
+            if v == 0:
+                raise ZeroDivisionError("denominator vanishes at the point")
+            den *= v ** k
+        return self.num.eval(point) / den
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PolyScalar):
+            other = FactoredRatScalar(other)
+        if not isinstance(other, FactoredRatScalar):
+            return NotImplemented
+        return self.num.mul(other.den) == other.num.mul(self.den)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        if not self.factors:
+            return repr(self.num)
+        fac = " * ".join(
+            f"({f!r})" + (f"^{k}" if k > 1 else "") for f, k in self.factors
+        )
+        return f"({self.num!r}) / ({fac})"
+
+
+def _as_factored(v, n: int) -> FactoredRatScalar:
+    if isinstance(v, FactoredRatScalar):
+        return v
+    if isinstance(v, PolyScalar):
+        return FactoredRatScalar(v)
+    return FactoredRatScalar(PolyScalar.const(n, v))
+
+
+def factored(r) -> FactoredRatScalar:
+    """A PolyScalar or RatScalar as the oracle's rational function."""
+    if isinstance(r, PolyScalar):
+        return FactoredRatScalar(r)
+    return FactoredRatScalar(r.num, [(r.den, r.k)])
+
+
+def factored_riemann(g: MetricField) -> dict:
+    """R_ab{}^c{}_d of g, (a, b, c, d) -> the oracle's rational function,
+    from g's entries by Gauss-Jordan inversion and the closed-form
+    connection coefficients, in the oracle's arithmetic."""
+    n, ix = g.n, range(1, g.n + 1)
+    zero, one = (FactoredRatScalar(PolyScalar.const(n, c)) for c in (0, 1))
+    m = [
+        [factored(g.field.at(i, j)) for j in ix] + [one if i == j else zero for j in ix]
+        for i in ix
+    ]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if not m[r][col].is_zero())
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v.div(m[col][col]) for v in m[col]]
+        for r in range(n):
+            if r != col and not m[r][col].is_zero():
+                f = m[r][col]
+                m[r] = [v.sub(f.mul(w)) for v, w in zip(m[r], m[col])]
+    inv = {(i, j): m[i - 1][n + j - 1] for i, j in product(ix, repeat=2)}
+
+    def dg(c, a, b):
+        return factored(g.field.at(a, b)).diff(c)
+
+    low = {
+        (a, b, c): dg(a, b, c).add(dg(b, a, c)).sub(dg(c, a, b)).scale(Fraction(1, 2))
+        for a, b, c in product(ix, repeat=3)
+    }
+    up = {}
+    for a, b, c in product(ix, repeat=3):
+        up[(a, b, c)] = zero
+        for d in ix:
+            up[(a, b, c)] = up[(a, b, c)].add(inv[(c, d)].mul(low[(a, b, d)]))
+    out = {}
+    for a, b, c, d in product(ix, repeat=4):
+        total = up[(b, d, c)].diff(a).sub(up[(a, d, c)].diff(b))
+        for e in ix:
+            total = total.add(up[(a, e, c)].mul(up[(b, d, e)]))
+            total = total.sub(up[(b, e, c)].mul(up[(a, d, e)]))
+        out[(a, b, c, d)] = total
+    return out
 
 
 # Full-index tensors are plain dicts from 1-based index tuples to nonzero

@@ -265,6 +265,28 @@ def test_stereographic_kappa_zero_is_constant():
     assert g.field.at(1, 1) == P.const(2, 4)
 
 
+def test_stereographic_entries_are_one_power_of_one_denominator():
+    """4 / (1 + kappa |x|^2)^2 is (4 / kappa^2) / D^2 with the monic
+    D = 1 / kappa + |x|^2, the one denominator of everything derived."""
+    g = MetricField.stereographic(2, Fraction(-1, 2))
+    d = P.const(2, -2).add(P.variable(2, 1).mul(P.variable(2, 1))).add(
+        P.variable(2, 2).mul(P.variable(2, 2))
+    )
+    e = g.field.at(1, 1)
+    assert (e.num, e.den, e.k) == (P.const(2, 16), d, 2)
+    assert all(s.den == d for s in riemann(g).comps.values())
+
+
+def test_stereographic_refuses_a_float_curvature_or_size():
+    """kappa is exact, as jet values and coefficients are: 0.1 would read
+    as its binary expansion 3602879701896397/36028797018963968."""
+    for kappa in (0.1, 1.0, "1/2"):
+        with pytest.raises(TypeError, match="rational coefficient"):
+            MetricField.stereographic(2, kappa)
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        MetricField.stereographic(2.0, 1)
+
+
 def test_metric_inverse():
     for g in (MetricField.stereographic(2, 1), _sample_metric()):
         inv = g.inverse()
@@ -389,7 +411,7 @@ def test_repeated_json_exponents_accumulate():
 def _mixed_field():
     """A field whose entries are of both kinds, and its all-RatScalar form."""
     u = P.const(2, 1).add(P.variable(2, 1).mul(P.variable(2, 1)))
-    comps = {(1, 1): P.variable(2, 2), (1, 2): RatScalar(P.const(2, 3), [(u, 1)])}
+    comps = {(1, 1): P.variable(2, 2), (1, 2): RatScalar(P.const(2, 3), u, 1)}
     rat = {idx: s if isinstance(s, RatScalar) else RatScalar(s) for idx, s in comps.items()}
     return PolyTensorField(2, 2, comps), PolyTensorField(2, 2, rat)
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from helpers import rand_field, rand_poly, rat_quotient
+from helpers import factored, rand_field, rand_poly, rat_quotient
 from killingcalc.killing import field_from_coefficients, killing_kernel, symmetric_coordinates
 from killingcalc.metric import RatScalar
 from killingcalc.poly import PolyScalar, PolyTensorField, monomials
@@ -76,24 +76,41 @@ def test_poly_refuses_a_float_exponent():
         PolyScalar(2, {(1.5, 0): 1})
 
 
+def _u(n=2):
+    """1 + x1^2, monic."""
+    return PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
+
+
+def _pow(u: PolyScalar, k: int) -> PolyScalar:
+    out = PolyScalar.const(u.n, 1)
+    for _ in range(k):
+        out = out.mul(u)
+    return out
+
+
 def test_rat_refuses_a_float_factor_power():
-    u = PolyScalar.const(2, 1).add(_x(2, 1))
+    u = _u()
     with pytest.raises(TypeError):
-        RatScalar(PolyScalar.const(2, 1), [(u, 1.7)])
+        RatScalar(PolyScalar.const(2, 1), u, 1.7)
+    with pytest.raises(ValueError, match="monic"):
+        RatScalar(PolyScalar.const(2, 1), u.scale(2), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        RatScalar(PolyScalar.const(2, 1), u, -1)
 
 
 def test_rat_quotient_keeps_single_denominator_atom():
-    # rat_quotient() does not factor its denominator; u^2 stays one atom.
+    # rat_quotient() does not factor its denominator: u^2 becomes D, k = 1
     n = 2
-    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
-    r = rat_quotient(PolyScalar.const(n, 4), u.mul(u))
-    assert len(r.factors) == 1
-    base, mult = r.factors[0]
-    assert mult == 1 and base == u.mul(u)
-    # passing the atom explicitly keeps the multiplicity structure
-    s = RatScalar(PolyScalar.const(n, 4), ((u, 2),))
-    assert s.factors == ((u, 2),)
-    assert s == r
+    u = _u(n)
+    r = rat_quotient(PolyScalar.const(n, 4), u.mul(u).scale(3))
+    assert (r.num, r.den, r.k) == (PolyScalar.const(n, Fraction(4, 3)), u.mul(u), 1)
+    # over D = u the same value is 4 / u^2
+    s = RatScalar(PolyScalar.const(n, 4), u, 2)
+    assert (s.den, s.k) == (u, 2)
+    pt = (Fraction(1, 2), Fraction(3))
+    assert s.eval(pt) == 3 * r.eval(pt)
+    with pytest.raises(ValueError, match="different denominators"):
+        s.add(r)
 
 
 def test_rat_arithmetic_matches_pointwise_values():
@@ -103,7 +120,7 @@ def test_rat_arithmetic_matches_pointwise_values():
     pts = [(Fraction(1), Fraction(2)), (Fraction(-1, 2), Fraction(3)), (Fraction(0), Fraction(0))]
     for _ in range(10):
         a = rat_quotient(rand_poly(rng, n, 2), u)
-        b = rat_quotient(rand_poly(rng, n, 3), u.mul(u))
+        b = RatScalar(rand_poly(rng, n, 3), u, 2)
         for pt in pts:
             assert a.add(b).eval(pt) == a.eval(pt) + b.eval(pt)
             assert a.mul(b).eval(pt) == a.eval(pt) * b.eval(pt)
@@ -112,12 +129,16 @@ def test_rat_arithmetic_matches_pointwise_values():
 
 def test_rat_quotient_rule():
     n = 2
-    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
-    r = rat_quotient(PolyScalar.const(n, 1), u)
+    u = _u(n)
+    r = RatScalar(PolyScalar.const(n, 1), u)  # k = 0 here is the polynomial 1
+    assert r.diff(1).is_zero()
+    r = RatScalar(PolyScalar.const(n, 1), u, 1)
     # d/dx1 (1/u) = -u_x1 / u^2
-    expected = rat_quotient(u.diff(1).neg(), u.mul(u))
-    assert r.diff(1) == expected
+    assert r.diff(1) == RatScalar(u.diff(1).neg(), u, 2)
     assert r.diff(2).is_zero()
+    # d/dx1 (x2 / u^3) = -3 x2 u_x1 / u^4
+    r = RatScalar(_x(n, 2), u, 3)
+    assert r.diff(1) == RatScalar(_x(n, 2).mul(u.diff(1)).scale(-3), u, 4)
 
 
 def test_rat_division_and_cancellation():
@@ -126,8 +147,11 @@ def test_rat_division_and_cancellation():
     a = rat_quotient(_x(n, 1), u)
     b = rat_quotient(PolyScalar.const(n, 2), u)
     q = a.div(b)
-    assert q.factors == ()  # denominators cancel
+    assert q.k == 0  # denominators cancel
     assert q.num == _x(n, 1).scale(Fraction(1, 2))
+    # dividing by a unit c u^j moves u^j into the numerator
+    q = a.div(RatScalar(u.mul(u).scale(3), u, 1))
+    assert (q.num, q.k) == (_x(n, 1).scale(Fraction(1, 3)), 2)
     with pytest.raises(ZeroDivisionError):
         a.div(RatScalar.const(n, 0))
 
@@ -142,28 +166,20 @@ def test_rat_zero_detection_after_mixed_ops():
 
 
 def test_rat_add_equals_the_cross_multiplied_sum():
-    """Over shared, disjoint and differently powered denominator atoms, and
-    with a polynomial summand, a / da + b / db is (a db + b da) / (da db),
-    on the per-atom maximal powers."""
+    """Over one denominator D at equal and differing powers, and with a
+    polynomial summand, p / D^ka + q / D^kb is (p D^kb + q D^ka) / D^(ka + kb),
+    held at the larger power."""
     n = 2
     rng = random.Random(59)
-    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
-    v = PolyScalar.const(n, 2).add(_x(n, 2))
+    u = _u(n)
     p, q = rand_poly(rng, n, 2), rand_poly(rng, n, 3)
-    cases = [
-        ([(u, 1)], [(u, 1)], {1: 1}),
-        ([(u, 1)], [(v, 2)], {1: 1, 2: 2}),
-        ([(u, 2)], [(u, 1), (v, 3)], {1: 2, 2: 3}),
-        ([(u, 1), (v, 1)], [(u, 3)], {1: 3, 2: 1}),
-        ([], [(v, 1)], {2: 1}),
-    ]
     points = [(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(0, 5))) for _ in range(4)]
-    for fa, fb, powers in cases:
-        a, b = RatScalar(p, fa), RatScalar(q, fb)
+    for ka, kb in ((1, 1), (1, 2), (2, 1), (0, 3), (3, 0)):
+        a, b = RatScalar(p, u, ka), RatScalar(q, u, kb)
         total = a.add(b)
-        crossed = RatScalar(p.mul(b.den).add(q.mul(a.den)), fa + fb)
-        assert total == crossed, (fa, fb)
-        assert {1 if f == u else 2: k for f, k in total.factors} == powers
+        crossed = RatScalar(p.mul(_pow(u, kb)).add(q.mul(_pow(u, ka))), u, ka + kb)
+        assert total == crossed, (ka, kb)
+        assert total.k == max(ka, kb)
         for pt in points:
             assert total.eval(pt) == a.eval(pt) + b.eval(pt)
 
@@ -188,25 +204,101 @@ def test_poly_hands_mixed_arithmetic_to_rat():
 
 
 def test_rat_scale_and_neg_skip_the_cancellation_they_cannot_need():
-    """``scale`` and ``neg`` keep the denominator as it is; on seeded
-    values, zero multiples and numerators with a factor to cancel among
-    them, they give exactly what ``__init__``'s cancelling route gives."""
+    """``scale`` and ``neg`` keep the power as it is; on seeded values, zero
+    multiples and numerators with a factor to cancel among them, they give
+    exactly what the constructor's cancelling route gives."""
     rng = random.Random(71)
     n = 2
-    u = PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
-    v = PolyScalar.const(n, 2).add(_x(n, 2))
+    u = _u(n)
     for _ in range(30):
         num = rand_poly(rng, n, 3)
         if rng.random() < 0.3:
             num = num.mul(u)
-        r = RatScalar(num, [(u, rng.randint(0, 2)), (v, rng.randint(0, 2))])
+        r = RatScalar(num, u, rng.randint(0, 2))
         c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         for got, want in (
-            (r.scale(c), RatScalar(r.num.scale(c), r.factors)),
-            (r.neg(), RatScalar(r.num.neg(), r.factors)),
+            (r.scale(c), RatScalar(r.num.scale(c), u, r.k)),
+            (r.neg(), RatScalar(r.num.neg(), u, r.k)),
         ):
             assert got.num.terms == want.num.terms
-            assert got.factors == want.factors
+            assert (got.den, got.k) == (want.den, want.k)
+
+
+def _assert_canonical(r: RatScalar) -> None:
+    """k is least: D does not divide P when k > 0, and zero has k = 0."""
+    if r.k:
+        assert not r.num.is_zero() and r.num.exact_div(r.den) is None, r
+
+
+def _rand_rat(rng: random.Random, d: PolyScalar, factors) -> RatScalar:
+    """A random numerator, sometimes times one of d's factors, over d^k."""
+    num = rand_poly(rng, d.n, 2)
+    return RatScalar(num.mul(rng.choice(factors)), d, rng.randint(0, 3))
+
+
+def _check_against_oracle(got: RatScalar, want) -> None:
+    _assert_canonical(got)
+    assert factored(got) == want
+    assert got == RatScalar(got.num, got.den, got.k)
+
+
+def test_rat_operations_match_the_factored_oracle():
+    """Over an irreducible D and a product D = u v, on seeded numerators
+    and powers, every operation agrees with the factored-atom oracle as a
+    value, at rational points, and leaves k least."""
+    rng = random.Random(101)
+    n = 2
+    u, v = _u(n), PolyScalar.const(n, 2).add(_x(n, 2))
+    one = PolyScalar.const(n, 1)
+    w = one.add(_x(n, 1).mul(_x(n, 1))).add(_x(n, 2).mul(_x(n, 2)))
+    pts = [(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)]
+    for d, factors in ((w, [one, w]), (u.mul(v), [one, u, v, u.mul(v)])):
+        for _ in range(20):
+            a, b = _rand_rat(rng, d, factors), _rand_rat(rng, d, factors)
+            fa, fb = factored(a), factored(b)
+            c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p = rand_poly(rng, n, 2)
+            cases = [
+                (a.add(b), fa.add(fb)), (a.sub(b), fa.sub(fb)), (a.mul(b), fa.mul(fb)),
+                (a.scale(c), fa.scale(c)), (a.neg(), fa.neg()), (a.add(a.neg()), fa.sub(fa)),
+                (a.add(p), fa.add(factored(p))), (a.mul(p), fa.mul(factored(p))),
+                (a.diff(1), fa.diff(1)), (a.diff(2), fa.diff(2)),
+            ]
+            unit = RatScalar(_pow(d, rng.randint(0, 3)).scale(c or 1), d, rng.randint(0, 3))
+            cases.append((a.div(unit), fa.div(factored(unit))))
+            for got, want in cases:
+                _check_against_oracle(got, want)
+                for pt in pts:
+                    assert got.eval(pt) == want.eval(pt)
+
+
+def test_rat_equal_values_written_differently_are_equal():
+    n = 2
+    u = _u(n)
+    x = _x(n, 1)
+    assert RatScalar(x.mul(u), u, 2) == RatScalar(x, u, 1)
+    assert RatScalar(x.mul(u), u, 1) == x and x == RatScalar(x.mul(u), u, 1)
+    assert RatScalar(u.mul(u), u, 2) == RatScalar.const(n, 1)
+    assert RatScalar(x, u, 1) != RatScalar(x, u, 2)
+    assert RatScalar(x, u, 1) != x
+    assert RatScalar(PolyScalar.zero(n), u, 3).k == 0
+    r = RatScalar(x.mul(u), u, 2)
+    assert (r.num, r.k) == (x, 1)
+
+
+def test_rat_refuses_two_denominators_and_non_units():
+    n = 2
+    u, v = _u(n), PolyScalar.const(n, 2).add(_x(n, 2))
+    a, b = RatScalar(_x(n, 2), u, 1), RatScalar(_x(n, 1), v, 1)
+    for op in (a.add, a.sub, a.mul, a.div, a.__eq__, b.add, b.mul):
+        with pytest.raises(ValueError, match="different denominators"):
+            op(b if op.__self__ is a else a)
+    # a polynomial, or a value over D = 1, mixes with either
+    assert a.add(RatScalar(_x(n, 1))).den == u and RatScalar(_x(n, 1)).mul(b).den == v
+    with pytest.raises(ValueError, match="not a unit"):
+        a.div(RatScalar(_x(n, 1), u, 0))
+    with pytest.raises(ValueError, match="not a unit"):
+        a.div(_x(n, 1))
 
 
 def _assert_rechecked(p: PolyScalar) -> None:

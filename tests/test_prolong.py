@@ -47,6 +47,19 @@ def test_args_refuse_a_float_n_or_ell():
         cap._check_args(3, 2.0)
 
 
+def test_graded_diagonal_refuses_a_float_grade():
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        graded_diagonal_complex(3, 1, 2.0)
+    assert graded_diagonal_complex(3, 1, 2).as_expected
+
+
+def test_predicted_cohomology_refuses_a_float_degree():
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        predicted_cohomology(3, 1, 1.5)
+    with pytest.raises(TypeError, match="interpreted as an integer"):
+        predicted_cohomology(3, 1, 2.0)
+
+
 def test_component_dims_small():
     assert build_T(2, 1).component_dims == (2, 1)
     assert build_T(3, 1).component_dims == (3, 3)
