@@ -30,13 +30,16 @@ n! / prod(multiplicities of mu's entries)!, in one pass that returns
 the cohomology of every grade (weight total).
 
 The block of mu reads only the module columns of the weights mu - 1_S,
-so a ``FormComplex`` may hold just those: ``read_weights`` names them
-from the module's weights, which the caller knows without realizing any
-column (from Kostka numbers).  The bookkeeping is certified on every
-run: each block entry must land in its own weight, and in every grade g
-and degree p the orbit-weighted block dimensions must add up to C(n, p)
-times the closed-form dimension of the module's part of weight total
-g - p, which also fails when a weight the blocks read was left out.
+so the blocks come from one pass over the module's weights: each lift
+w + 1_S of a weight w (``young.dominant_lifts``) puts the cochains (S, t)
+of w's columns t in degree |S| of block w + 1_S.  A ``FormComplex`` may
+hold just the weights with a lift: ``read_weights`` picks them from the
+module's weights, which the caller knows from Kostka numbers.  The
+bookkeeping is certified on every run: each block entry must land in
+its own weight, and in every grade g and degree p the orbit-weighted
+block dimensions must add up to C(n, p) times the closed-form dimension
+of the module's part of weight total g - p, which also fails when a
+weight or a lift the blocks read was left out.
 ``form_differential`` is the all-weights matrix, written by the same
 ``block_rows`` on all cochains of a complex that holds every module
 column.  ``block_rows`` writes the parallel-section system of
@@ -52,7 +55,7 @@ from math import comb
 from typing import NamedTuple
 
 from killingcalc.matrix import ExactMatrix, rank
-from killingcalc.young import orbit_size
+from killingcalc.young import dominant_lifts, orbit_size
 
 __all__ = [
     "ChainComplex",
@@ -179,26 +182,10 @@ def form_differential(cx: FormComplex, p: int) -> ExactMatrix:
     return _block_map(cx, None, cochains(p), cochains(p + 1))
 
 
-def _dominant_lifts(w: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The dominant weights w + 1_S, grown one entry at a time."""
-    prefixes = [()]
-    for x in w:
-        prefixes = [
-            m + (x + b,) for m in prefixes for b in (0, 1) if not m or m[-1] >= x + b
-        ]
-    return prefixes
-
-
-def _dominant_weights(cx: FormComplex) -> list[tuple[int, ...]]:
-    """The dominant weights of the cochains, in decreasing lexicographic
-    order."""
-    return sorted({mu for w in set(cx.weights) for mu in _dominant_lifts(w)}, reverse=True)
-
-
 def read_weights(weights) -> frozenset:
     """The module weights among ``weights`` that the dominant blocks read:
     those w with a dominant w + 1_S."""
-    return frozenset(w for w in weights if _dominant_lifts(w))
+    return frozenset(w for w in weights if dominant_lifts(w, 1, len(w)))
 
 
 class _WeightBlock(NamedTuple):
@@ -211,26 +198,22 @@ class _WeightBlock(NamedTuple):
 
 
 def _weight_blocks(cx: FormComplex):
-    """Yield the ``_WeightBlock`` of every dominant weight, in the order of
-    ``_dominant_weights``."""
+    """Yield the ``_WeightBlock`` of every dominant weight with a cochain,
+    in decreasing lexicographic order."""
     n = cx.n
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for t, w in enumerate(cx.weights):
         by_weight.setdefault(w, []).append(t)
-    subsets = [list(combinations(range(1, n + 1), p)) for p in range(n + 1)]
-    for mu in _dominant_weights(cx):
-        cochains = []
-        for p in range(n + 1):
-            degree = []
-            for s in subsets[p]:
-                w = list(mu)
-                for a in s:
-                    w[a - 1] -= 1
-                degree.extend((s, t) for t in by_weight.get(tuple(w), ()))
-            cochains.append(degree)
+    blocks: dict[tuple[int, ...], list[list]] = {}
+    for w, ts in by_weight.items():
+        for s, mu in dominant_lifts(w, 1, n):
+            subset = tuple(a for a, x in enumerate(s, 1) if x)
+            degrees = blocks.setdefault(mu, [[] for _ in range(n + 1)])
+            degrees[len(subset)].extend((subset, t) for t in ts)
+    for mu in sorted(blocks, reverse=True):
+        cochains = [sorted(degree) for degree in blocks[mu]]
         maps = tuple(_block_map(cx, mu, cochains[p], cochains[p + 1]) for p in range(n))
-        spaces = tuple(len(c) for c in cochains)
-        yield _WeightBlock(mu, orbit_size(mu), ChainComplex(spaces, maps))
+        yield _WeightBlock(mu, orbit_size(mu), ChainComplex(tuple(map(len, cochains)), maps))
 
 
 def weight_cohomology(cx: FormComplex) -> dict[int, tuple[int, ...]]:

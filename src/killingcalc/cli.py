@@ -33,16 +33,6 @@ from killingcalc.cap import CapExceeded, potential_guard
 __all__ = ["main"]
 
 
-def __getattr__(name: str):
-    """``SCHEMA_VERSION``, re-exported from ``jobs`` on first access
-    (PEP 562), so importing this module loads no job code."""
-    if name != "SCHEMA_VERSION":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from killingcalc.jobs import SCHEMA_VERSION
-
-    return SCHEMA_VERSION
-
-
 class UsageError(Exception):
     """A command line the table refuses; reported as a usage error."""
 

@@ -46,6 +46,7 @@ differential on all weights, with V built on every call.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from math import comb
 from typing import NamedTuple
@@ -150,7 +151,7 @@ def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:
     """Differential from degree-p to degree-(p+1) module-valued forms on
     all weights, over the shared scale of ``build_V(n, ell)``."""
     _check_args(n, ell)
-    if not 0 <= p <= n:
+    if not 0 <= operator.index(p) <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
     return form_differential(build_V(n, ell), p)
 
@@ -162,7 +163,7 @@ def cohomology_label_row(n: int, ell: int, p: int) -> tuple[int, ...]:
     remaining n - 1 entries are the labels of the grade-0 block module.
     """
     _check_args(n, ell)
-    if not 0 <= p <= n:
+    if not 0 <= operator.index(p) <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
     if p == 0:
         return (0, ell) + (0,) * (n - 2)

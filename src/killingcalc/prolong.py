@@ -200,7 +200,7 @@ def build_partial(n: int, ell: int, p: int) -> ExactMatrix:
     """Matrix of the differential from degree-p to degree-(p+1) cochains on
     all weights, over the shared scale of ``flat_forms(n, ell)``."""
     _check_args(n, ell)
-    if not 0 <= p <= n:
+    if not 0 <= operator.index(p) <= n:
         raise ValueError(f"form degree {p} outside 0..{n}")
     return form_differential(flat_forms(n, ell), p)
 

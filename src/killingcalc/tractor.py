@@ -48,8 +48,11 @@ the weight of T by e_a.  The connection is GL(n)-equivariant, so S_n
 permutes the weight blocks, and blocks of one S_n orbit have equal
 kernels.  ``flat_parallel_dimension`` therefore writes the blocks of the
 dominant (non-increasing) weights mu alone, ranks each such block, and
-multiplies its kernel dimension by the orbit size of mu.  T is realized
-only on the weights those blocks read, found from Kostka numbers.  Each
+multiplies its kernel dimension by the orbit size of mu.  The blocks
+come from one pass over the weights w of T: each lift s of w, |s| <= D + 1
+(``young.dominant_lifts``), gives block w + s the columns (t, s) when
+|s| <= D and the row labels (a, t, s - e_a) when s_a > 0, t of weight w.
+T is realized only on the weights with a lift, from Kostka numbers.  Each
 run certifies the bookkeeping: every entry must land in a row of its
 block, and the orbit-weighted counts of block columns and row labels
 must equal dim T * |monomials(n, D)| and n times that, which also fails
@@ -60,6 +63,7 @@ dimension of T's weight space mu; the tests check that character.
 
 from __future__ import annotations
 
+import operator
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -68,8 +72,7 @@ from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar, PolyTensorField
 from killingcalc.prolong import _component_shapes, flat_forms
 from killingcalc.young import (
-    YoungDiagram, bounded_compositions, dominant_weights, gl_dimension, orbit_size,
-    weight_multiplicities,
+    YoungDiagram, dominant_lifts, gl_dimension, orbit_size, weight_multiplicities,
 )
 
 if TYPE_CHECKING:  # metric is imported where it runs: `killing` never does
@@ -187,26 +190,14 @@ def tractor_curvature(g: MetricField) -> TractorCurvature:
     return TractorCurvature(g.n, g.mode, pieces)
 
 
-def _lift_cost(w: tuple[int, ...]) -> int:
-    """The least entry total of an m >= 0 with w + m dominant: each entry
-    raised to the largest entry at or after it."""
-    cost = top = 0
-    for x in reversed(w):
-        top = max(top, x)
-        cost += top - x
-    return cost
-
-
 def _parallel_read_weights(n: int, ell: int, max_degree: int) -> frozenset:
     """The weights of T that the dominant blocks read, from the Kostka
-    numbers alone: those w with a dominant w + m, |m| <= max_degree + 1.
-    A column (t, m) has |m| <= max_degree, and a row (a, r, m) reads
-    wt(r) = mu - m - e_a."""
+    numbers alone: those with a lift."""
     return frozenset(
         w
         for d in _component_shapes(ell)
         for w in weight_multiplicities(d, n)
-        if _lift_cost(w) <= max_degree + 1
+        if dominant_lifts(w, max_degree + 1, max_degree + 1)
     )
 
 
@@ -216,27 +207,20 @@ def _parallel_blocks(forms, max_degree: int):
     the scale of ``forms``, a ``flat_forms`` that holds every weight the
     block reads: the block's columns (t, m), its row labels (a, r, m), and
     their rows {position in columns: int}, written by column by the rule
-    of the module docstring with ``chain.block_rows``.  The row labels
-    of direction a are the columns of weight mu - e_a."""
+    of the module docstring with ``chain.block_rows``."""
     n = forms.n
     by_weight: dict[tuple[int, ...], list[int]] = {}
     for t, w in enumerate(forms.weights):
         by_weight.setdefault(w, []).append(t)
-
-    read: dict[tuple[int, ...], list] = {}
-
-    def columns(nu):
-        # each weight is the block of one mu and a row weight of up to n
-        # others: list its columns once
-        cols = read.get(nu)
-        if cols is None:
-            cols = read[nu] = [
-                (t, m)
-                for s in range(max_degree + 1)
-                for m in bounded_compositions(nu, s)
-                for t in by_weight.get(tuple(x - y for x, y in zip(nu, m)), ())
-            ]
-        return cols
+    blocks: dict[tuple[int, ...], tuple[list, list]] = {}
+    for w, ts in by_weight.items():
+        for s, mu in dominant_lifts(w, max_degree + 1, max_degree + 1):
+            cols, labels = blocks.setdefault(mu, ([], []))
+            if sum(s) <= max_degree:
+                cols.extend((t, s) for t in ts)
+            for a, x in enumerate(s, 1):
+                if x:
+                    labels.extend((a, t, s[:a - 1] + (x - 1,) + s[a:]) for t in ts)
 
     def entries(column):
         t, m = column
@@ -246,19 +230,8 @@ def _parallel_blocks(forms, max_degree: int):
             for r, v in forms.columns[a - 1].get(t, {}).items():
                 yield (a, r, m), -v
 
-    totals = {sum(w) for w in by_weight}
-    # an entry of mu is at most an entry of a weight of T plus |m| + 1
-    largest = max(map(max, by_weight)) + max_degree + 1
-    for g in range(min(totals), max(totals) + max_degree + 2):
-        for mu in dominant_weights(g, n, largest):
-            cols = columns(mu)
-            labels = [
-                (a, r, m)
-                for a in range(1, n + 1)
-                if mu[a - 1]
-                for r, m in columns(mu[:a - 1] + (mu[a - 1] - 1,) + mu[a:])
-            ]
-            yield mu, cols, labels, block_rows(mu, cols, labels, entries)
+    for mu, (cols, labels) in blocks.items():
+        yield mu, cols, labels, block_rows(mu, cols, labels, entries)
 
 
 def _parallel_kernels(n: int, ell: int, max_degree: int) -> dict[tuple[int, ...], int]:
@@ -291,11 +264,14 @@ def flat_parallel_dimension(n: int, ell: int, max_degree: int | None = None) -> 
     """Dimension of the space of polynomial parallel sections: the kernel
     dimensions of the dominant blocks times their orbit sizes.
 
-    Parallel sections are exactly the prolonged Killing tensors, so
-    this equals the bundle dimension; the default degree bound ell is
-    already enough to see all of them.
+    Parallel sections are exactly the prolonged Killing tensors, so this
+    equals the bundle dimension; the default degree bound ell already sees
+    them all.  A valence below 1 or a negative bound raises ValueError.
     """
+    if operator.index(ell) < 1:
+        raise ValueError("valence must be at least 1")
     if max_degree is None:
         max_degree = ell
-    kernels = _parallel_kernels(n, ell, max_degree)
-    return sum(orbit_size(mu) * k for mu, k in kernels.items())
+    if operator.index(max_degree) < 0:
+        raise ValueError("degree bound must be nonnegative")
+    return sum(orbit_size(mu) * k for mu, k in _parallel_kernels(n, ell, max_degree).items())

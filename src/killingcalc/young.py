@@ -20,9 +20,12 @@ Hall Polynomials*, ch. I).  A torus weight is a vector in Z^n: the count
 of each index value 1..n in a key, and ``weight_key`` is the
 nondecreasing key of a weight.  S_n permutes the entries of a weight;
 it is dominant when they do not increase, and ``orbit_size`` counts its
-distinct permutations.  The weight-blocked systems of ``chain``,
-``tractor`` and ``killing`` enumerate their weights with
-``dominant_weights`` and ``bounded_compositions``.
+distinct permutations.  The dominant block mu of ``chain`` or
+``tractor`` reads the module weights w for which mu - w is an allowed
+shift (0/1 for forms, degree <= D + 1 for polynomial sections), so both
+list their blocks from the module's weights with ``dominant_lifts``.
+``killing``, with no realized module, uses ``dominant_weights`` and
+``bounded_compositions``.
 
 ``realize_irreducible`` produces explicit weight spaces of a subspace of
 a tensor power carrying the given symmetry type.  The diagram's row
@@ -75,6 +78,7 @@ __all__ = [
     "weight_multiplicities",
     "orbit_size",
     "dominant_weights",
+    "dominant_lifts",
     "bounded_compositions",
     "weight_key",
     "realize_irreducible",
@@ -236,6 +240,22 @@ def dominant_weights(total: int, n: int, largest: int | None = None):
             return
         for rest in dominant_weights(total - first, n - 1, first):
             yield (first,) + rest
+
+
+def dominant_lifts(w, top: int, total: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every pair (s, w + s) with 0 <= s <= top entrywise, |s| <= total and
+    w + s dominant, by s in lexicographic order.  s grows one entry at a
+    time, dropping a prefix once w + s increases or is below a later w_i."""
+    floors = [max(w[i:]) for i in range(len(w))]
+    lifts = [((), ())]
+    for x, floor in zip(w, floors):
+        lifts = [
+            (s + (k,), mu + (x + k,))
+            for s, mu in lifts
+            for k in range(min(top, total - sum(s)) + 1)
+            if x + k >= floor and (not mu or mu[-1] >= x + k)
+        ]
+    return lifts
 
 
 def bounded_compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, ...]]:

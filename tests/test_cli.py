@@ -84,7 +84,7 @@ def test_one_cohomology_computation_per_pair(command, module, monkeypatch, capsy
     block, and running the pair's checks again, from new job lists, adds
     none."""
     forms = prolong.flat_forms if module is prolong else kostant.build_V
-    blocks = len(chain._dominant_weights(forms(3, 2)))
+    blocks = len(list(chain._weight_blocks(forms(3, 2))))
     assert blocks > 1
     calls = {"cohomology_dims": 0, "composites_vanish": 0}
     dims, vanish = chain.cohomology_dims, ChainComplex.composites_vanish
@@ -115,8 +115,8 @@ def test_suite_ranks_each_dominant_block_once(monkeypatch, capsys):
     """In one process, suite at n=3, ell=2 ranks each dominant block of the
     flat complex and of the Koszul complex once: the graded checks read
     the table the complex checks filled."""
-    blocks = len(chain._dominant_weights(prolong.flat_forms(3, 2)))
-    blocks += len(chain._dominant_weights(kostant.build_V(3, 2)))
+    blocks = len(list(chain._weight_blocks(prolong.flat_forms(3, 2))))
+    blocks += len(list(chain._weight_blocks(kostant.build_V(3, 2))))
     calls = []
     dims = chain.cohomology_dims
 
@@ -847,16 +847,6 @@ def test_cli_import_loads_no_check_family():
     package = {m for m in loaded if m.partition(".")[0] == "killingcalc"}
     assert package == {"killingcalc", "killingcalc.cap", "killingcalc.cli"}
     assert not loaded & _ARGPARSE
-
-
-def test_schema_version_is_reexported_on_access():
-    """``cli.SCHEMA_VERSION`` is the version ``jobs`` writes, read only when
-    it is asked for."""
-    loaded = _loaded_modules("import killingcalc.cli as c; assert c.SCHEMA_VERSION == 1")
-    assert "killingcalc.jobs" in loaded
-    assert cli.SCHEMA_VERSION is jobs.SCHEMA_VERSION == 1
-    with pytest.raises(AttributeError, match="no_such_name"):
-        cli.no_such_name  # noqa: B018
 
 
 def _omega_argv(tmp_path) -> list[str]:

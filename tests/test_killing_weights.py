@@ -49,19 +49,19 @@ def test_parallel_blocks_are_the_whole_system_on_dominant_weights(n, ell, max_de
 
 @pytest.mark.parametrize("n, ell, max_degree", [(3, 3, 2), (4, 2, 2)])
 def test_parallel_blocks_list_each_weight_once(n, ell, max_degree, monkeypatch):
-    """A weight's columns are listed once, though they serve its own block
-    and the row labels of up to n others, and the blocks stay the whole
+    """Each weight of T is lifted once, though its columns serve several
+    blocks as columns and row labels, and the blocks stay the whole
     system's."""
     calls = Counter()
-    original = tractor.bounded_compositions
+    original = tractor.dominant_lifts
 
-    def counted(nu, s):
-        calls[nu, s] += 1
-        return original(nu, s)
+    def counted(w, top, total):
+        calls[w] += 1
+        return original(w, top, total)
 
-    monkeypatch.setattr(tractor, "bounded_compositions", counted)
+    monkeypatch.setattr(tractor, "dominant_lifts", counted)
     _assert_blocks_are_the_whole_system(n, ell, max_degree)
-    assert calls and max(calls.values()) == 1
+    assert calls == Counter(set(flat_forms(n, ell).weights))
 
 
 def _assert_blocks_are_the_whole_system(n, ell, max_degree):
@@ -190,6 +190,23 @@ def test_an_operator_block_left_out_trips_the_certificate(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="operator blocks times orbits"):
         degree_bound_check(3, 2)
+
+
+def _lift_cost(w):
+    """The least |m| of an m >= 0 with w + m dominant: each entry raised to
+    the largest entry at or after it."""
+    return sum(max(w[i:]) - x for i, x in enumerate(w))
+
+
+@pytest.mark.parametrize("n, ell", CHARACTER_SIZES)
+def test_parallel_read_weights_are_those_of_lift_cost_at_most_the_row_degree(n, ell):
+    """The weights of T the blocks read are those lifted to a dominant
+    weight by at most max_degree + 1, the degree of a row's weight over
+    its module weight."""
+    weights = {w for d in _component_shapes(ell) for w in weight_multiplicities(d, n)}
+    for max_degree in range(ell + 1):
+        want = {w for w in weights if _lift_cost(w) <= max_degree + 1}
+        assert tractor._parallel_read_weights(n, ell, max_degree) == want, max_degree
 
 
 def test_a_weight_left_unrealized_trips_the_parallel_certificate(monkeypatch):

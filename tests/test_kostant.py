@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import pytest
+
 from helpers import build_T, koszul_complex
 from killingcalc.kostant import (
     branching_check,
@@ -8,7 +10,7 @@ from killingcalc.kostant import (
     koszul_differential,
     lie_algebra_cohomology,
 )
-from killingcalc.prolong import complex_cohomology
+from killingcalc.prolong import build_partial, complex_cohomology
 from killingcalc.young import gl_dimension, weyl_dimension, YoungDiagram
 
 
@@ -63,6 +65,15 @@ def test_label_row_endpoints():
     assert cohomology_label_row(3, 2, 1) == (-2, 3, 0)
     row = cohomology_label_row(3, 2, 3)
     assert row[0] == -(2 + 1 + 3)
+
+
+def test_form_degrees_must_be_integers():
+    """A float degree is refused by name, even one with an integer value
+    that the bounds check alone would let through."""
+    for build in (cohomology_label_row, koszul_differential, build_partial):
+        for p in (1.0, 1.5):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+                build(3, 1, p)
 
 
 def test_matches_differential_complex_side():

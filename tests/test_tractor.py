@@ -161,6 +161,18 @@ def test_parallel_dimension_stable_under_degree_slack():
     assert flat_parallel_dimension(2, 2, 3) == 6
 
 
+@pytest.mark.parametrize("ell", [0, -1])
+def test_parallel_dimension_refuses_a_valence_below_one(ell):
+    with pytest.raises(ValueError, match="valence must be at least 1"):
+        flat_parallel_dimension(3, ell)
+
+
+@pytest.mark.parametrize("max_degree", [-1, -3])
+def test_parallel_dimension_refuses_a_negative_degree_bound(max_degree):
+    with pytest.raises(ValueError, match="degree bound must be nonnegative"):
+        flat_parallel_dimension(3, 2, max_degree)
+
+
 def test_parallel_dimension_past_the_ambient_memory_wall():
     # 27440 columns; the system on ambient index tuples wrote 2474325 rows
     # here and took about 1 GB

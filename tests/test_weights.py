@@ -97,7 +97,7 @@ def test_orbit_sizes_and_dominant_weights():
     assert orbit_size((1, 1, 1)) == orbit_size(()) == 1
     # n=2, ell=1: T_0 = R^2 of weights (1, 0), (0, 1) and T_1 of weight (1, 1)
     forms = flat_forms(2, 1)
-    assert chain._dominant_weights(forms) == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0)]
+    assert [b.weight for b in chain._weight_blocks(forms)] == [(2, 2), (2, 1), (2, 0), (1, 1), (1, 0)]
     # grade 3 holds the block (2, 1) alone, and is exact
     assert chain.weight_cohomology(forms) == {
         1: (2, 0, 0), 2: (0, 3, 0), 3: (0, 0, 0), 4: (0, 0, 1)
@@ -106,17 +106,17 @@ def test_orbit_sizes_and_dominant_weights():
 
 @pytest.mark.parametrize("family", ["flat", "koszul", "graded"])
 def test_a_dropped_weight_trips_the_orbit_certificate(family, monkeypatch):
-    """Dropping the first dominant weight (of grade 5, for the graded
-    check) leaves its grade short."""
-    original = chain._dominant_weights
+    """Dropping every lift to the first dominant weight (of grade 5, for
+    the graded check) leaves its grade short."""
     grade = 5 if family == "graded" else None
+    forms = build_V(3, 2) if family == "koszul" else flat_forms(3, 2)
+    first = next(b.weight for b in chain._weight_blocks(forms) if grade in (None, sum(b.weight)))
+    original = chain.dominant_lifts
 
-    def dropped(cx):
-        weights = original(cx)
-        first = next(mu for mu in weights if grade in (None, sum(mu)))
-        return [mu for mu in weights if mu != first]
+    def dropped(w, top, total):
+        return [(s, mu) for s, mu in original(w, top, total) if mu != first]
 
-    monkeypatch.setattr(chain, "_dominant_weights", dropped)
+    monkeypatch.setattr(chain, "dominant_lifts", dropped)
     clear_cohomology_memos()
     run = {
         "flat": lambda: complex_cohomology(3, 2),
@@ -202,9 +202,9 @@ def test_forms_on_the_read_weights_give_the_same_blocks(family):
         part, full = build(n, ell, read(n, ell)), build(n, ell)
         assert (part.dim, full.dim) == (held, gl_dimension(YoungDiagram((ell, ell)), n + 1))
         assert set(part.weights) == read(n, ell) < set(full.weights)
-        blocks = list(chain._weight_blocks(part))
-        assert [b.weight for b in blocks] == chain._dominant_weights(full)
-        for b, want in zip(blocks, chain._weight_blocks(full)):
+        blocks, full_blocks = list(chain._weight_blocks(part)), list(chain._weight_blocks(full))
+        assert [b.weight for b in blocks] == [b.weight for b in full_blocks]
+        for b, want in zip(blocks, full_blocks):
             assert b.complex.spaces == want.complex.spaces
             assert b.complex.maps == want.complex.maps
     n, ell, held = (6, 3, 323) if family == "flat" else (5, 4, 423)

@@ -385,6 +385,22 @@ def test_bounded_compositions_match_a_product_filter():
         assert young.bounded_compositions(bound, total) == want, (bound, total)
 
 
+def test_dominant_lifts_match_a_box_filter():
+    """On seeded weights, the lifts are the shifts s of the box
+    [0, top]^n with |s| <= total and w + s dominant, in lexicographic
+    order of s, each with its weight w + s."""
+    rng = random.Random(29)
+    for _ in range(300):
+        w = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 5)))
+        top, total = rng.randint(0, 4), rng.randint(0, 7)
+        want = []
+        for s in product(range(top + 1), repeat=len(w)):
+            mu = tuple(x + y for x, y in zip(w, s))
+            if sum(s) <= total and list(mu) == sorted(mu, reverse=True):
+                want.append((s, mu))
+        assert young.dominant_lifts(w, top, total) == want, (w, top, total)
+
+
 def test_weight_keys_match_the_combinations_oracle():
     """``_weight_keys`` gives the keys of the oracle, in its order, on every
     weight of every one- or two-row shape of size at most 7 over n at
