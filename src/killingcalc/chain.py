@@ -45,17 +45,21 @@ weight or a lift the blocks read was left out.
 column.  ``block_rows`` writes the parallel-section system of
 ``tractor`` and the Killing operator of ``killing`` too, and its check
 that no entry leaves its block is the only one.
+
+``_module_forms`` writes the flat complex and the Koszul complex alike
+from realized weight spaces, given where A_a sends a weight and the
+image of a column.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 from killingcalc.matrix import ExactMatrix, rank
-from killingcalc.young import dominant_lifts, orbit_size
+from killingcalc.young import dominant_lifts, orbit_size, ordered_columns
 
 __all__ = [
     "ChainComplex",
@@ -135,6 +139,52 @@ class FormComplex(NamedTuple):
         if self.left:
             return (-1) ** sum(1 for x in s if x < a)
         return (-1) ** sum(1 for x in s if x > a)
+
+
+def _module_forms(n: int, modules, weights_of_each, step, image, left: bool, totals) -> FormComplex:
+    """The ``FormComplex`` of some modules' realized weight spaces, one
+    dict weight -> ``young.WeightSpace`` per module in ``modules``, their
+    columns numbered module after module in the order of each whole basis.
+
+    ``step(m, w, a)`` is where A_a sends weight w of module m, a pair
+    (module, weight), or None where A_a vanishes.  Each column of A_a is
+    ``image(source weight space, integer column, a)`` read at the target's
+    lead keys and verified by its residual.  The image must vanish where
+    the target module lacks the weight (``weights_of_each[module]`` names
+    the weights it has); a target weight that exists but was not realized
+    is one no block reads, and is skipped.  All the columns are brought to
+    one scale, the lcm of their denominators.
+    """
+    order = [(m, w, j) for m, parts in enumerate(modules) for w, j in ordered_columns(parts)]
+    number = {column: t for t, column in enumerate(order)}
+    raw = []  # (a, column number, {row number: int}, source column scale)
+    for m, parts in enumerate(modules):
+        for w, source in parts.items():
+            for a in range(1, n + 1):
+                to = step(m, w, a)
+                if to is None:
+                    continue
+                k, w2 = to
+                target = modules[k].get(w2)
+                if target is None and w2 in weights_of_each[k]:
+                    continue
+                for c, col in enumerate(source.columns):
+                    y = image(source, col, a)
+                    if target is None:
+                        if y:
+                            raise RuntimeError(f"A_{a} leaves its module from weight {w}")
+                        continue
+                    x = target.coords(y)
+                    if x:
+                        rows = {number[k, w2, j]: v for j, v in x.items()}
+                        raw.append((a, number[m, w, c], rows, source.scales[c]))
+    scale = lcm(1, *(s // gcd(s, *x.values()) for _, _, x, s in raw))
+    columns: tuple[dict, ...] = tuple({} for _ in range(n))
+    for a, t, x, s in raw:
+        g = gcd(s, *x.values())
+        f = scale // (s // g)
+        columns[a - 1][t] = {r: v // g * f for r, v in x.items()}
+    return FormComplex(n, tuple(w for _, w, _ in order), columns, scale, left, totals)
 
 
 def block_rows(mu, source, target, entries) -> list[dict[int, int]]:

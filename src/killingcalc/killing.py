@@ -27,17 +27,22 @@ GL(n)-equivariant, so S_n permutes its weight blocks, and it permutes
 the coordinates with no sign.  ``degree_bound_check`` therefore writes
 only the blocks of dominant weights, takes each block's kernel, and
 multiplies kernel dimensions by orbit sizes; equal spans on a dominant
-block mean equal spans on its orbit.  Each run certifies that every
-entry lands in a row of its block and that the orbit-weighted
-coordinate counts equal C(n + ell - 1, ell) * |monomials(n, D)|.  The
-whole kernel ``killing_kernel_vectors`` stays the reference the check
-compares with, by weight and in total.
+block mean equal spans on its orbit.  The blocks come from one pass over
+the keys: each lift count(key) + alpha (``young.dominant_lifts``) gives
+block count(key) + alpha the coordinate (key, alpha) of a key of arity
+ell, |alpha| <= D, or the row of a key of arity ell + 1, |alpha| <= D - 1.
+Each run certifies that every entry lands in a row of its block and
+that the orbit-weighted coordinate counts equal
+C(n + ell - 1, ell) * |monomials(n, D)|.  The whole kernel
+``killing_kernel_vectors`` stays the reference the check compares with,
+by weight and in total.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -48,7 +53,7 @@ from killingcalc.potential import (  # noqa: F401  the public names are re-expor
     KillingPotentialResult, _gradient_terms, _obstruction_terms,
     _require_symmetric, integrability_operator, killing_potential_solve,
 )
-from killingcalc.young import bounded_compositions, dominant_weights, orbit_size, weight_key
+from killingcalc.young import dominant_lifts, orbit_size
 
 __all__ = [
     "killing_operator",
@@ -74,10 +79,10 @@ def killing_operator(X: PolyTensorField) -> PolyTensorField:
     return symmetrize_field(flat_derivative(X), (1, 2))
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def symmetric_coordinates(n: int, arity: int, max_degree: int) -> tuple:
     """The (key, monomial) coordinates of symmetric fields, key-major, as a
-    tuple; memoized per (n, arity, max_degree)."""
+    tuple; memoized per (n, arity, max_degree) and their types."""
     mons = monomials(n, max_degree)
     keys = combinations_with_replacement(range(1, n + 1), arity)
     return tuple((key, m) for key in keys for m in mons)
@@ -149,19 +154,19 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     return ExactMatrix.from_int_rows(len(coords), data, ell + 1)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> tuple[dict, ...]:
     """Canonical basis of symmetric solutions with entries of bounded
     degree, as sparse vectors on ``symmetric_coordinates(n, ell, max_degree)``.
-    Memoized: callers must not mutate the returned vectors.
+    Memoized by typed arguments: callers must not mutate the vectors.
 
     Requires max_degree >= ell; the kernel is degree-graded and every
     solution in it has entry degree at most ell, so any bound past that
     returns the same subspace in bigger coordinates.
     """
-    if ell < 1:
+    if operator.index(ell) < 1:
         raise ValueError("ell must be at least 1")
-    if max_degree < ell:
+    if operator.index(max_degree) < ell:
         raise ValueError("max_degree must be at least ell")
     return tuple(_fractions(kernel_basis(_operator_matrix(n, ell, max_degree))))
 
@@ -180,28 +185,24 @@ def killing_kernel(n: int, ell: int, max_degree: int) -> list[PolyTensorField]:
     ]
 
 
-def _block_coordinates(mu: tuple[int, ...], degree: int) -> list:
-    """The coordinates (key, alpha) of weight mu with |alpha| = degree."""
-    return [
-        (weight_key(x - y for x, y in zip(mu, alpha)), alpha)
-        for alpha in bounded_compositions(mu, degree)
-    ]
-
-
 def _operator_blocks(n: int, ell: int, max_degree: int):
     """Yield (mu, coordinates, block) for every dominant weight mu of the
     degree-ell operator on coefficients of degree <= max_degree: the
     block's coordinates (key, alpha), those with count(key) + alpha = mu,
     and the block of ``_operator_matrix`` on them, its rows the
     (sorted(key + c), alpha - e_c) of weight mu, written by
-    ``chain.block_rows``.  Every coordinate of the block has monomial
-    degree |mu| - ell, so the block's keys are fixed by their
-    monomials."""
-    for d in range(max_degree + 1):
-        for mu in dominant_weights(ell + d, n):
-            coords = _block_coordinates(mu, d)
-            data = block_rows(mu, coords, _block_coordinates(mu, d - 1), _gradient_entries)
-            yield mu, coords, ExactMatrix.from_int_rows(len(coords), data, ell + 1)
+    ``chain.block_rows``.  Each key is lifted once, by the rule of the
+    module docstring.  The keys come in order and a block holds at most
+    one coordinate or row per key, alpha being mu - count(key), so both
+    are in the order of ``_operator_matrix``."""
+    blocks: dict[tuple[int, ...], tuple[list, list]] = {}
+    for side, arity, degree in ((0, ell, max_degree), (1, ell + 1, max_degree - 1)):
+        for key in combinations_with_replacement(range(1, n + 1), arity):
+            for alpha, mu in dominant_lifts(tuple(map(key.count, range(1, n + 1))), degree, degree):
+                blocks.setdefault(mu, ([], []))[side].append((key, alpha))
+    for mu, (coords, rows) in blocks.items():
+        data = block_rows(mu, coords, rows, _gradient_entries)
+        yield mu, coords, ExactMatrix.from_int_rows(len(coords), data, ell + 1)
 
 
 def _dominant_kernels(n: int, ell: int, max_degree: int) -> dict:
@@ -258,7 +259,7 @@ def degree_bound_check(n: int, ell: int) -> tuple[int, bool]:
     return dim, same
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
     """Obstruction on symmetric 2-tensor coefficients, by the rule of the
     module docstring, in integers over scale 1; rows are the index tuples

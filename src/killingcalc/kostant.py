@@ -34,11 +34,11 @@ GL(n), acting on the index values 2..n + 1: x_i turns a value i + 1
 into 1, so the weight of a module column (the count of each value
 2..n + 1 in its keys) drops by e_i while e_i* raises the form weight
 by e_i.  ``build_V`` writes it: V is realized one GL(n + 1) weight
-space at a time, and each column of x_i is read directly off the
-realized weight spaces, in integers, and verified by its residual.  The
-action columns of one ``build_V`` are brought to one scale, the lcm of
-all their denominators, and the Koszul differentials are integer rows
-over the same scale.  ``lie_algebra_cohomology`` ranks the dominant
+space at a time, and ``chain._module_forms``, the reader of the flat
+complex too, reads each column of x_i (``_x_image``) off the realized
+weight spaces, in integers, verified by its residual, all over one
+scale, the lcm of their denominators; the Koszul differentials are
+integer rows over that scale.  ``lie_algebra_cohomology`` ranks the dominant
 weight blocks alone, times their S_n orbits, once per (n, ell), on the
 weights those blocks read; ``koszul_differential`` is the whole
 differential on all weights, with V built on every call.
@@ -47,25 +47,20 @@ differential on all weights, with V built on every call.
 from __future__ import annotations
 
 import operator
-from functools import cache
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 from killingcalc.cap import _check_args
 from killingcalc.chain import (
     FormComplex,
+    _module_forms,
     form_differential,
     read_weights,
     weight_cohomology,
 )
 from killingcalc.matrix import ExactMatrix
-from killingcalc.prolong import (
-    _component_shapes,
-    _map_columns,
-    _number_columns,
-    _over_one_scale,
-    predicted_cohomology,
-)
+from killingcalc.prolong import _component_shapes, predicted_cohomology
 from killingcalc.young import (
     YoungDiagram,
     gl_dimension,
@@ -123,22 +118,16 @@ def build_V(n: int, ell: int, weights: frozenset | None = None) -> FormComplex:
     parts = realize_irreducible(
         d, n + 1, tuple(w for w in mult if weights is None or w[1:] in weights)
     )
-    (ids,), full_weights = _number_columns([parts])
-    raw = []
-    for w, part in parts.items():
-        for i in range(1, n + 1):
-            if not w[i]:
-                continue
-            w2 = (w[0] + 1,) + w[1:i] + (w[i] - 1,) + w[i + 1 :]
-            target = parts.get(w2)
-            if target is None and w2 in mult:
-                continue  # a weight no block reads
-            _map_columns(raw, i, _x_image, part, ids[w], target, ids.get(w2))
-    columns: tuple[dict, ...] = tuple({} for _ in range(n))
-    scale = _over_one_scale(columns, raw)
+
+    def step(_, w, i):
+        if w[i]:
+            return 0, (w[0] + 1,) + w[1:i] + (w[i] - 1,) + w[i + 1 :]
+        return None
+
     # the grade-c piece is T_(ell - c), of weight total 2 ell - c
     totals = {ell + k: gl_dimension(shape, n) for k, shape in enumerate(_component_shapes(ell))}
-    return FormComplex(n, tuple(w[1:] for w in full_weights), columns, scale, True, totals)
+    cx = _module_forms(n, [parts], [mult], step, _x_image, True, totals)
+    return cx._replace(weights=tuple(w[1:] for w in cx.weights))
 
 
 def _read_weights(n: int, ell: int) -> frozenset:
@@ -194,13 +183,13 @@ class KostantReport(NamedTuple):
         )
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def lie_algebra_cohomology(n: int, ell: int) -> KostantReport:
     """Cohomology of the column action, with three-way dimension checks,
     summed over the grades of its dominant weight blocks
     (``chain.weight_cohomology``) on the weights they read; the cochain
-    dimensions are hook-content closed forms.  Memoized: only the report
-    is kept."""
+    dimensions are hook-content closed forms.  Memoized by typed
+    arguments: only the report is kept."""
     _check_args(n, ell)
     module_dim = gl_dimension(YoungDiagram((ell, ell)), n + 1)
     spaces = tuple(comb(n, p) * module_dim for p in range(n + 1))

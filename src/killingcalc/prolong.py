@@ -33,15 +33,14 @@ numbers), and report hook-content closed-form dimensions;
 ``build_partial`` is the whole differential on all weights, built on
 every call.
 
-The differentials are written as integer rows.  Each column of A_a is
-read directly off the realized weight spaces: the integer values, at the
-lower basis's lead keys, of the upper column with one first-group a
-removed, over the upper column's scale, verified by their residual.
-The columns of one ``flat_forms`` are brought to one scale, the lcm of
-all their denominators (2 at n=6, ell=2; 36 at n=3, ell=4, over all
-weights), and that scale is the scale of every differential and weight
-block, whose integer entries are the scaled coefficients with their
-wedge signs.
+The differentials are written as integer rows.  ``flat_forms`` reads
+the columns of A_a with ``chain._module_forms``: the image of an upper
+column is the column with one first-group a removed (``_iota_image``),
+read at the lower basis's lead keys and verified by its residual.  The
+columns of one ``flat_forms`` share one scale, the lcm of all their
+denominators (2 at n=6, ell=2; 36 at n=3, ell=4, over all weights), and
+that scale is the scale of every differential and weight block, whose
+integer entries are the scaled coefficients with their wedge signs.
 """
 
 from __future__ import annotations
@@ -49,18 +48,22 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb
 from typing import NamedTuple
 
 from killingcalc.cap import _check_args
-from killingcalc.chain import FormComplex, form_differential, read_weights, weight_cohomology
+from killingcalc.chain import (
+    FormComplex,
+    _module_forms,
+    form_differential,
+    read_weights,
+    weight_cohomology,
+)
 from killingcalc.matrix import ExactMatrix, rank
 from killingcalc.young import (
     YoungDiagram,
-    dominant_weights,
     gl_dimension,
     orbit_size,
-    ordered_columns,
     realize_irreducible,
     weight_multiplicities,
 )
@@ -80,51 +83,6 @@ __all__ = [
 def _component_shapes(ell: int) -> list[YoungDiagram]:
     """The diagrams of T_0, ..., T_ell: (ell) and (ell, k)."""
     return [YoungDiagram((ell,))] + [YoungDiagram((ell, k)) for k in range(1, ell + 1)]
-
-
-def _number_columns(comps) -> tuple[list[dict], tuple[tuple[int, ...], ...]]:
-    """Number the columns of some modules' weight spaces (one dict weight
-    -> ``WeightSpace`` per module) in the order of the whole bases, module
-    after module; returns, per module, weight -> the number of each of
-    its columns, and the weight of every number."""
-    ids = []
-    weights: list[tuple[int, ...]] = []
-    for parts in comps:
-        numbers = {w: [0] * part.dim for w, part in parts.items()}
-        for w, j in ordered_columns(parts):
-            numbers[w][j] = len(weights)
-            weights.append(w)
-        ids.append(numbers)
-    return ids, tuple(weights)
-
-
-def _map_columns(raw, a: int, image, source, source_ids, target, target_ids) -> None:
-    """Append to ``raw`` the columns of A_a on the weight space ``source``:
-    the coordinates of ``image(source, column, a)`` on the weight space
-    ``target``, verified by their residual, as (a, column number, {row
-    number: int}, source column scale).  A ``target`` of None stands for
-    a weight the target module lacks; then every image must vanish."""
-    for c, col in enumerate(source.columns):
-        y = image(source, col, a)
-        if target is None:
-            if y:
-                raise RuntimeError(f"A_{a} leaves its module from weight {source.weight}")
-            continue
-        x = target.coords(y)
-        if x:
-            raw.append((a, source_ids[c], {target_ids[j]: v for j, v in x.items()}, source.scales[c]))
-
-
-def _over_one_scale(columns, raw) -> int:
-    """Write the coordinate columns ``raw``, (a, column number, {row
-    number: int}, s) standing for the column over s, into ``columns[a -
-    1]`` over one scale, the lcm of their denominators, and return it."""
-    scale = lcm(1, *(s // gcd(s, *x.values()) for _, _, x, s in raw))
-    for a, t, x, s in raw:
-        g = gcd(s, *x.values())
-        f = scale // (s // g)
-        columns[a - 1][t] = {r: v // g * f for r, v in x.items()}
-    return scale
 
 
 def _iota_image(upper, col: dict[int, int], a: int) -> dict:
@@ -161,22 +119,14 @@ def flat_forms(n: int, ell: int, weights=None) -> FormComplex:
         realize_irreducible(d, n, tuple(w for w in mult if weights is None or w in weights))
         for d, mult in zip(shapes, mults)
     ]
-    ids, module_weights = _number_columns(comps)
-    raw = []
-    for k in range(1, ell + 1):
-        for w, upper in comps[k].items():
-            for a in range(1, n + 1):
-                if not w[a - 1]:
-                    continue
-                lw = w[: a - 1] + (w[a - 1] - 1,) + w[a:]
-                lower = comps[k - 1].get(lw)
-                if lower is None and lw in mults[k - 1]:
-                    continue  # a weight no block reads
-                _map_columns(raw, a, _iota_image, upper, ids[k][w], lower, ids[k - 1].get(lw))
-    columns: tuple[dict, ...] = tuple({} for _ in range(n))
-    scale = _over_one_scale(columns, raw)
+
+    def step(k, w, a):
+        if k and w[a - 1]:
+            return k - 1, w[: a - 1] + (w[a - 1] - 1,) + w[a:]
+        return None
+
     totals = {ell + k: gl_dimension(d, n) for k, d in enumerate(shapes)}
-    return FormComplex(n, module_weights, columns, scale, False, totals)
+    return _module_forms(n, comps, mults, step, _iota_image, False, totals)
 
 
 def _flat_read_weights(n: int, ell: int) -> frozenset:
@@ -373,7 +323,7 @@ def injectivity_implication_check(n: int, ell: int) -> dict:
     _check_args(n, ell)
     top = YoungDiagram((ell, ell))
     mult = weight_multiplicities(top, n)
-    parts = realize_irreducible(top, n, (w for w in dominant_weights(2 * ell, n) if w in mult))
+    parts = realize_irreducible(top, n, (w for w in mult if w == tuple(sorted(w, reverse=True))))
     strict_dim = _cohomology_by_grade(n, ell)[2 * ell + 1][1]
     relaxed_dim = n * sum(orbit_size(w) * part.dim for w, part in parts.items())
     expected = n * gl_dimension(top, n)

@@ -20,12 +20,12 @@ Hall Polynomials*, ch. I).  A torus weight is a vector in Z^n: the count
 of each index value 1..n in a key, and ``weight_key`` is the
 nondecreasing key of a weight.  S_n permutes the entries of a weight;
 it is dominant when they do not increase, and ``orbit_size`` counts its
-distinct permutations.  The dominant block mu of ``chain`` or
-``tractor`` reads the module weights w for which mu - w is an allowed
-shift (0/1 for forms, degree <= D + 1 for polynomial sections), so both
-list their blocks from the module's weights with ``dominant_lifts``.
-``killing``, with no realized module, uses ``dominant_weights`` and
-``bounded_compositions``.
+distinct permutations.  The dominant block mu of ``chain``, ``tractor``
+or ``killing`` reads the weights w for which mu - w is an allowed shift
+(0/1 for forms, degree <= D + 1 for polynomial sections, degree <= D
+and D - 1 for the Killing operator's columns and rows), so each lists
+its blocks from the weights it has, of module columns or of symmetric
+keys, with ``dominant_lifts``.
 
 ``realize_irreducible`` produces explicit weight spaces of a subspace of
 a tensor power carrying the given symmetry type.  The diagram's row
@@ -63,8 +63,8 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from functools import cache
-from itertools import combinations_with_replacement
+from functools import cache, lru_cache
+from itertools import chain, combinations_with_replacement
 from math import factorial, lcm
 
 from killingcalc.matrix import ExactMatrix, kernel_basis
@@ -77,7 +77,6 @@ __all__ = [
     "kostka",
     "weight_multiplicities",
     "orbit_size",
-    "dominant_weights",
     "dominant_lifts",
     "bounded_compositions",
     "weight_key",
@@ -200,12 +199,12 @@ def _kostka(rows: tuple[int, ...], content: tuple[int, ...]) -> int:
     return total
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def weight_multiplicities(d: YoungDiagram, n: int) -> dict[tuple[int, ...], int]:
     """Every torus weight of the GL(n) module of shape d, with the
     dimension K_{d, w} of its weight space: the compositions w of the size
-    of d into n parts with a nonzero Kostka number.  Callers must not
-    mutate the memoized result."""
+    of d into n parts with a nonzero Kostka number.  Memoized by typed
+    arguments; callers must not mutate the result."""
     out = {}
     # a composition is the content of a nondecreasing key of that size
     for key in combinations_with_replacement(range(n), d.size):
@@ -224,22 +223,6 @@ def orbit_size(mu) -> int:
     for m in Counter(mu).values():
         out //= factorial(m)
     return out
-
-
-def dominant_weights(total: int, n: int, largest: int | None = None):
-    """The dominant weights in Z^n of entry total ``total``: non-increasing
-    and nonnegative, no entry above ``largest``, in decreasing
-    lexicographic order."""
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    top = total if largest is None else min(total, largest)
-    for first in range(top, -1, -1):
-        if first * n < total:
-            return
-        for rest in dominant_weights(total - first, n - 1, first):
-            yield (first,) + rest
 
 
 def dominant_lifts(w, top: int, total: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -282,7 +265,7 @@ def bounded_compositions(bound: tuple[int, ...], total: int) -> list[tuple[int, 
 def weight_key(w) -> tuple[int, ...]:
     """The nondecreasing key of the torus weight w: w[v - 1] copies of
     each index value v."""
-    return sum(((v,) * c for v, c in enumerate(w, 1)), ())
+    return tuple(chain.from_iterable([(v,) * c for v, c in enumerate(w, 1) if c]))
 
 
 class WeightSpace:
@@ -366,11 +349,12 @@ def _weight_keys(sizes: tuple[int, ...], w: tuple[int, ...]) -> list:
 def realize_irreducible(d: YoungDiagram, n: int, weights) -> dict:
     """The weight spaces of the symmetry class of shape d inside the
     tensor power: a dict from each torus weight of the iterable
-    ``weights`` to its ``WeightSpace``, memoized per (shape, n, w); the
-    memo is transparent since the construction is deterministic.
+    ``weights`` to its ``WeightSpace``, memoized per (shape, integer n,
+    w); the memo is transparent since the construction is deterministic.
     """
     if not isinstance(d, YoungDiagram):
         d = YoungDiagram(tuple(d))
+    n = operator.index(n)
     return {tuple(w): _realize_memo(d, n, tuple(w)) for w in weights}
 
 

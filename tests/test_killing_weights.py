@@ -14,6 +14,7 @@ unrealized and an entry that leaves its block.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -120,6 +121,49 @@ def test_operator_block_kernels_are_the_character_of_T(n, ell, slack):
     assert {mu: len(ker) for mu, (_, ker) in kernels.items()} == {
         mu: _character(ell, mu) for mu in kernels
     }
+
+
+def _coordinate_weight(coordinate):
+    key, alpha = coordinate
+    return tuple(a + key.count(i) for i, a in enumerate(alpha, 1))
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operator_blocks_are_the_whole_matrix_on_dominant_weights(n, ell, monkeypatch):
+    """Block mu is the submatrix of the whole operator on the coordinates
+    and the rows of weight mu, both in the whole matrix's order; the
+    blocks hold every dominant-weight coordinate; and each key weight of
+    arity ell and ell + 1 is lifted once."""
+    calls = Counter()
+    original = killing.dominant_lifts
+
+    def counted(w, top, total):
+        calls[w] += 1
+        return original(w, top, total)
+
+    monkeypatch.setattr(killing, "dominant_lifts", counted)
+    keys = [
+        key for arity in (ell, ell + 1)
+        for key in combinations_with_replacement(range(1, n + 1), arity)
+    ]
+    for max_degree in (0, ell, ell + 2):
+        calls.clear()
+        coords = killing.symmetric_coordinates(n, ell, max_degree)
+        # no row has degree -1: the operator vanishes on constants
+        labels = killing.symmetric_coordinates(n, ell + 1, max_degree - 1) if max_degree else ()
+        whole = killing._operator_matrix(n, ell, max_degree).data if max_degree else []
+        position = {c: j for j, c in enumerate(coords)}
+        seen = []
+        for mu, cols, block in killing._operator_blocks(n, ell, max_degree):
+            assert _is_dominant(mu)
+            assert cols == [c for c in coords if _coordinate_weight(c) == mu]
+            assert block.scale == ell + 1 and block.cols == len(cols)
+            rows = [whole[i] for i, label in enumerate(labels) if _coordinate_weight(label) == mu]
+            assert [{position[cols[j]]: v for j, v in row.items()} for row in block.data] == rows
+            seen.extend(cols)
+        assert sorted(seen) == sorted(c for c in coords if _is_dominant(_coordinate_weight(c)))
+        assert calls == Counter(_coordinate_weight((key, (0,) * n)) for key in keys)
 
 
 @pytest.mark.parametrize("n, ell", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import build_T, koszul_complex
+from killingcalc import kostant
 from killingcalc.kostant import (
     branching_check,
     build_V,
@@ -76,6 +77,20 @@ def test_form_degrees_must_be_integers():
                 build(3, 1, p)
 
 
+def test_an_action_leaving_the_module_is_refused(monkeypatch):
+    """x_i raises the count of index value 1, which the top grade c = ell
+    of V cannot take: an image there must vanish, and one that does not
+    is refused."""
+    image = kostant._x_image
+
+    def leaking(part, col, i):
+        return {part.keys[0]: 1} if part.weight[0] == 1 else image(part, col, i)
+
+    monkeypatch.setattr(kostant, "_x_image", leaking)
+    with pytest.raises(RuntimeError, match="A_1 leaves its module from weight"):
+        build_V(2, 1)
+
+
 def test_matches_differential_complex_side():
     for n, ell in [(2, 1), (2, 2), (3, 1), (3, 2)]:
         a = lie_algebra_cohomology(n, ell)
@@ -110,8 +125,6 @@ def test_branching_check_detects_mismatches(monkeypatch):
     """A component weight space one larger than V's fails dims_match; an
     action image with a key of the source grade fails the grade shift."""
     from types import SimpleNamespace
-
-    from killingcalc import kostant
 
     realize = kostant.realize_irreducible
 

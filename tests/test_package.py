@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import killingcalc
+from killingcalc import killing, kostant, young
 
 
 def test_public_names_are_the_defining_modules_objects():
@@ -200,3 +201,66 @@ def test_no_package_module_imports_the_command_line():
                 if any(a.name == "killingcalc.cli" for a in node.names):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _unreferenced_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Every module-level private function or class that no ``Name`` or
+    ``Attribute`` of any of the trees reads outside its own definition."""
+    reads = [
+        (node, node.id if isinstance(node, ast.Name) else node.attr)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(name == node.name and id(n) not in inside for n, name in reads):
+                found.append(f"{module}:{node.name}")
+    return found
+
+
+def test_every_private_helper_is_used():
+    """Each module-level private function or class is read somewhere in
+    the package outside its own definition (recursion does not count), so
+    a change that stops calling a helper deletes it too."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "killingcalc").glob("*.py"))
+    }
+    assert _unreferenced_private_definitions(trees) == []
+    trees["dead.py"] = ast.parse("def _dead(n):\n    return _dead(n - 1) if n else 0\n")
+    assert _unreferenced_private_definitions(trees) == ["dead.py:_dead"]
+
+
+_PAIR = young.YoungDiagram((2,))
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(f, args, id=f.__name__)
+    for f, args in [
+        (kostant.lie_algebra_cohomology, (2, 1)),
+        (killing.killing_kernel_vectors, (2, 1, 1)),
+        (killing.killing_kernel, (2, 1, 1)),
+        (killing.symmetric_coordinates, (2, 1, 1)),
+        (killing.integrability_kernel, (2, 2)),
+        (young.weight_multiplicities, (_PAIR, 2)),
+        (young.realize_irreducible, (_PAIR, 2, [(1, 1)])),
+    ]
+])
+def test_a_size_that_is_no_integer_is_refused_after_the_integer_ran(call, args):
+    """A memo keyed by value would hand the answer for 2 to 2.0; each size
+    that is not an integer raises TypeError however the memos are filled."""
+    call(*args)
+    for i, v in enumerate(args):
+        if type(v) is int:
+            for bad in (float(v), v + 0.5):
+                with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                    call(*args[:i], bad, *args[i + 1:])
