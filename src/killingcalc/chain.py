@@ -232,10 +232,11 @@ def form_differential(cx: FormComplex, p: int) -> ExactMatrix:
     return _block_map(cx, None, cochains(p), cochains(p + 1))
 
 
-def read_weights(weights) -> frozenset:
+def read_weights(weights, top: int, total: int) -> frozenset:
     """The module weights among ``weights`` that the dominant blocks read:
-    those w with a dominant w + 1_S."""
-    return frozenset(w for w in weights if dominant_lifts(w, 1, len(w)))
+    those w with a lift ``young.dominant_lifts(w, top, total)``, 0/1
+    shifts (top 1, total n) for the flat and Koszul blocks."""
+    return frozenset(w for w in weights if dominant_lifts(w, top, total))
 
 
 class _WeightBlock(NamedTuple):

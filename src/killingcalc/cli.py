@@ -1,11 +1,13 @@
 """Command-line front end: exact verification suites with JSON reports.
 
-Every subcommand runs a family of checks at the requested sizes,
-prints one PASS/FAIL line per check, and optionally writes a versioned
-JSON report (see docs/report_schema.md).  Reports are deterministic:
-checks are sorted by id, arguments are echoed in normalized form, and
-wall times are recorded only when --timings is given.  Checks run one
-after another in the calling thread.
+Every subcommand but range-check runs its family of checks, which
+``jobs`` builds, runs and reports, at the requested sizes: it prints one
+PASS/FAIL line per check and optionally writes a versioned JSON report
+(see docs/report_schema.md).  Reports are deterministic: checks are
+sorted by id, arguments are echoed in normalized form, and wall times
+are recorded only when --timings is given.  Checks run one after
+another in the calling thread.  range-check prints the potential or the
+obstruction certificate of a field document, which ``poly`` reads.
 
 Exit status: 0 when every check passes, 1 when any check fails (the
 first failing id goes to stderr), 2 for usage and input errors,
@@ -258,50 +260,23 @@ def _parse(argv: list[str]) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# execution.  Every command but range-check runs and reports its checks
-# in ``jobs``, imported only when such a command runs: ``python -m
-# killingcalc.cli`` compiles this file as ``__main__`` on every run,
-# never from a cached ``.pyc``, so it holds no check or report code, and
-# ``range-check`` compiles no family.
+# execution.  ``python -m killingcalc.cli`` compiles this file as
+# ``__main__`` on every run, never from a cached ``.pyc``, so it only
+# dispatches and prints: the family checks run in ``jobs`` and the field
+# document is read in ``poly``, each imported when its command runs.
 
 def _cmd_range_check(opts: dict) -> int:
     from killingcalc.poly import PolyTensorField
     from killingcalc.potential import killing_potential_solve
 
-    path = opts["input"]
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        print(f"error: cannot read {path}: {e.strerror}", file=sys.stderr)
+        field = PolyTensorField.from_json_file(opts["input"])
+        if opts["n"] is not None and field.n != opts["n"]:
+            raise ValueError(f"field dimension {field.n} does not match --n {opts['n']}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 2
-    except UnicodeDecodeError as e:
-        print(
-            f"error: cannot read {path}: not UTF-8 at byte {e.start}",
-            file=sys.stderr,
-        )
-        return 2
-    except RecursionError:
-        print(f"error: malformed JSON in {path}: nested too deeply", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as e:
-        print(
-            f"error: malformed JSON in {path}: {e.msg} "
-            f"at line {e.lineno} column {e.colno}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        field = PolyTensorField.from_json_dict(data)
-    except (ValueError, KeyError, TypeError) as e:
-        print(f"error: invalid field document: {e}", file=sys.stderr)
-        return 2
-    if opts["n"] is not None and field.n != opts["n"]:
-        print(
-            f"error: field dimension {field.n} does not match --n {opts['n']}",
-            file=sys.stderr,
-        )
-        return 2
+    # outside the handlers: CapExceeded is a ValueError, reported by main
     potential_guard(field.n, field.degree() + 1)
     try:
         result = killing_potential_solve(field)

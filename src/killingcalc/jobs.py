@@ -1,14 +1,17 @@
 """The check families of the command-line front end.
 
 Each job is (id, inputs, thunk) with thunk() -> (computed, predicted);
-the verdict is plain equality of the two values.  The complex, kostant,
-graded and injectivity checks read the cohomology tables their families
-memoize per (n, ell) and process, so each complex is ranked once.  Each builder
-imports its own family, so a command loads only the modules it runs.
-It reads its n and ell ranges one size at a time, n-major, and applies
-the family's guard from ``cap`` to each as it builds the list: every
-cap grows with n and ell, so a range of any length is refused at its
-first oversized size, before its first check runs.
+the verdict is plain equality of the two values.  Each builder imports
+its own family, so a command loads only the modules it runs, and hands
+``_sized`` its (name, thunk) checks of one size.  ``_sized`` alone names
+them ``family.n{n}[.ell{ell}][.name]``, echoes the size as their inputs,
+and applies the family's guard from ``cap`` to each size as it reads
+the ranges, n-major: every cap grows with n and ell, so a range of any
+length is refused at its first oversized size, before its first check
+runs.  The graded checks, which add a grade, and the fixed tractor and
+witness checks write their own ids.  The cohomology checks read the
+tables their families memoize per (n, ell), so each complex is ranked
+once.
 
 ``_cmd_family`` runs a command's jobs and writes its report (see
 docs/report_schema.md); ``cli`` imports it when a family command runs.
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from functools import partial
 
 from killingcalc.cap import complex_guard, key_guard, killing_guard
 
@@ -27,91 +31,85 @@ SCHEMA_VERSION = 1
 __all__ = ["FAMILIES", "SCHEMA_VERSION"]
 
 
-def _pairs(n_values, ell_values):
-    """The (n, ell) pairs of two ranges, n-major, made as they are read."""
-    return ((n, ell) for n in n_values for ell in ell_values)
+def _sized(family, guard, checks, n_values, ell_values=None):
+    """The jobs of a sized family over the n values, or the (n, ell)
+    pairs n-major, each size guarded (unless guard is None) as it is read;
+    ``checks(*size)`` gives the size's (name, thunk) pairs, a name of None
+    leaving the id at the size."""
+    if ell_values is None:
+        sizes = ((n,) for n in n_values)
+    else:
+        sizes = ((n, ell) for n in n_values for ell in ell_values)
+    jobs = []
+    for size in sizes:
+        if guard is not None:
+            guard(*size)
+        inputs = dict(zip(("n", "ell"), size))
+        prefix = family + "".join(f".{k}{v}" for k, v in inputs.items())
+        for name, thunk in checks(*size):
+            jobs.append((prefix if name is None else f"{prefix}.{name}", inputs, thunk))
+    return jobs
 
 
 def key_jobs(n_values):
     from killingcalc.prolong import key_isomorphism_check
 
-    jobs = []
-    for n in n_values:
-        key_guard(n)
-
-        def thunk(n=n):
+    def checks(n):
+        def bijective():
             rep = key_isomorphism_check(n)
-            return (
-                {"dimension": rep["dimension"], "rank": rep["rank"]},
-                {"dimension": rep["dimension"], "rank": rep["dimension"]},
-            )
-        jobs.append((f"key.n{n}", {"n": n}, thunk))
-    return jobs
+            dim = rep["dimension"]
+            return {"dimension": dim, "rank": rep["rank"]}, {"dimension": dim, "rank": dim}
+        return [(None, bijective)]
+
+    return _sized("key", key_guard, checks, n_values)
 
 
 def complex_jobs(n_values, ell_values):
     from killingcalc.prolong import complex_cohomology
 
-    jobs = []
-    for n, ell in _pairs(n_values, ell_values):
-        complex_guard(n, ell)
-        inputs = {"n": n, "ell": ell}
-
-        def d_squared(n=n, ell=ell):
+    def checks(n, ell):
+        def d_squared():
             # cohomology_dims raises unless every composite map of every
             # dominant weight block vanishes, so a report exists only for
             # a genuine complex
             complex_cohomology(n, ell)
             return True, True
 
-        def cohomology(n=n, ell=ell):
+        def cohomology():
             rep = complex_cohomology(n, ell)
             return list(rep.computed), list(rep.predicted)
 
-        def euler(n=n, ell=ell):
+        def euler():
             return complex_cohomology(n, ell).euler, 0
 
-        jobs.append((f"complex.n{n}.ell{ell}.d-squared", inputs, d_squared))
-        jobs.append((f"complex.n{n}.ell{ell}.cohomology", inputs, cohomology))
-        jobs.append((f"complex.n{n}.ell{ell}.euler", inputs, euler))
-    return jobs
+        return [("d-squared", d_squared), ("cohomology", cohomology), ("euler", euler)]
+
+    return _sized("complex", complex_guard, checks, n_values, ell_values)
 
 
 def kostant_jobs(n_values, ell_values):
     from killingcalc.kostant import branching_check, lie_algebra_cohomology
 
-    jobs = []
-    for n, ell in _pairs(n_values, ell_values):
-        complex_guard(n, ell)
-        inputs = {"n": n, "ell": ell}
-
-        def dims(n=n, ell=ell):
+    def checks(n, ell):
+        def dims():
             rep = lie_algebra_cohomology(n, ell)
             return list(rep.computed), list(rep.predicted)
 
-        def weyl(n=n, ell=ell):
+        def weyl():
             rep = lie_algebra_cohomology(n, ell)
             return list(rep.computed), list(rep.weyl)
 
-        def euler(n=n, ell=ell):
+        def euler():
             rep = lie_algebra_cohomology(n, ell)
             return sum((-1) ** p * h for p, h in enumerate(rep.computed)), 0
 
-        def branching(n=n, ell=ell):
-            rep = branching_check(n, ell)
-            return (
-                {
-                    "dims_match": rep["dims_match"],
-                    "action_shifts_grade": rep["action_shifts_grade"],
-                },
-                {"dims_match": True, "action_shifts_grade": True},
-            )
+        def branching():
+            rep, keys = branching_check(n, ell), ("dims_match", "action_shifts_grade")
+            return {k: rep[k] for k in keys}, dict.fromkeys(keys, True)
 
-        jobs.append((f"kostant.n{n}.ell{ell}.dims", inputs, dims))
-        jobs.append((f"kostant.n{n}.ell{ell}.weyl", inputs, weyl))
-        jobs.append((f"kostant.n{n}.ell{ell}.euler", inputs, euler))
-        jobs.append((f"kostant.n{n}.ell{ell}.branching", inputs, branching))
-    return jobs
+        return [("dims", dims), ("weyl", weyl), ("euler", euler), ("branching", branching)]
+
+    return _sized("kostant", complex_guard, checks, n_values, ell_values)
 
 
 def killing_jobs(n_values, ell_values):
@@ -119,30 +117,24 @@ def killing_jobs(n_values, ell_values):
     from killingcalc.tractor import flat_parallel_dimension
     from killingcalc.young import YoungDiagram, gl_dimension
 
-    jobs = []
-    for n, ell in _pairs(n_values, ell_values):
-        killing_guard(n, ell)
-        inputs = {"n": n, "ell": ell}
+    def checks(n, ell):
         # dim T, the hook-content dimension of (ell, ell) over n + 1
         bundle = gl_dimension(YoungDiagram((ell, ell)), n + 1)
 
-        def dim(n=n, ell=ell, bundle=bundle):
-            return len(killing_kernel(n, ell, ell)), bundle
-
-        def degree_bound(n=n, ell=ell):
+        def degree_bound():
             dim_slack, same = degree_bound_check(n, ell)
             return (
                 {"dim_slack": dim_slack, "same_subspace": same},
                 {"dim_slack": len(killing_kernel_vectors(n, ell, ell)), "same_subspace": True},
             )
 
-        def parallel(n=n, ell=ell, bundle=bundle):
-            return flat_parallel_dimension(n, ell), bundle
+        return [
+            ("dim", lambda: (len(killing_kernel(n, ell, ell)), bundle)),
+            ("degree-bound", degree_bound),
+            ("parallel", lambda: (flat_parallel_dimension(n, ell), bundle)),
+        ]
 
-        jobs.append((f"killing.n{n}.ell{ell}.dim", inputs, dim))
-        jobs.append((f"killing.n{n}.ell{ell}.degree-bound", inputs, degree_bound))
-        jobs.append((f"killing.n{n}.ell{ell}.parallel", inputs, parallel))
-    return jobs
+    return _sized("killing", killing_guard, checks, n_values, ell_values)
 
 
 def range_theorem_jobs(n_values):
@@ -152,27 +144,19 @@ def range_theorem_jobs(n_values):
     from killingcalc.poly import PolyScalar, PolyTensorField
     from killingcalc.potential import killing_potential_solve
 
-    jobs = []
-    for n in n_values:
-        inputs = {"n": n}
-
-        def composite(n=n):
-            return integrability_of_killing_matrix(n, 5).is_zero(), True
-
-        def kernel_solves(n=n):
+    def checks(n):
+        def kernel_solves():
             basis = integrability_kernel(n, 4)
-            good = 0
-            for f in basis:
-                res = killing_potential_solve(f)
-                if res.solvable:
-                    good += 1
+            good = sum(killing_potential_solve(f).solvable for f in basis)
             return (
                 {"kernel_dim": len(basis), "solved": good},
                 {"kernel_dim": len(basis), "solved": len(basis)},
             )
 
-        jobs.append((f"range.n{n}.composite-zero", inputs, composite))
-        jobs.append((f"range.n{n}.kernel-solves", inputs, kernel_solves))
+        return [
+            ("composite-zero", lambda: (integrability_of_killing_matrix(n, 5).is_zero(), True)),
+            ("kernel-solves", kernel_solves),
+        ]
 
     def witness():
         omega = PolyTensorField(
@@ -188,8 +172,7 @@ def range_theorem_jobs(n_values):
             "N_1212": "2",
         }
 
-    jobs.append(("range.witness", {"n": 2}, witness))
-    return jobs
+    return _sized("range", None, checks, n_values) + [("range.witness", {"n": 2}, witness)]
 
 
 def _sample_metric(n: int):
@@ -204,12 +187,10 @@ def tractor_jobs(n_values):
     from killingcalc.metric import MetricField
     from killingcalc.tractor import tractor_curvature
 
-    jobs = []
-    for n in n_values:
-        def flat(n=n):
-            return tractor_curvature(MetricField.flat(n)).is_zero(), True
+    def flat(n):
+        return tractor_curvature(MetricField.flat(n)).is_zero(), True
 
-        jobs.append((f"tractor.flat.n{n}", {"n": n, "mode": "flat"}, flat))
+    jobs = [(f"tractor.flat.n{n}", {"n": n, "mode": "flat"}, partial(flat, n)) for n in n_values]
 
     def stereo():
         return tractor_curvature(MetricField.stereographic(2, 1)).is_zero(), True
@@ -231,36 +212,32 @@ def tractor_jobs(n_values):
 def injectivity_jobs(n_values, ell_values):
     from killingcalc.prolong import injectivity_implication_check
 
-    jobs = []
-    for n, ell in _pairs(n_values, ell_values):
-        complex_guard(n, ell)
-
-        def thunk(n=n, ell=ell):
+    def checks(n, ell):
+        def implication():
             rep = injectivity_implication_check(n, ell)
             return (
-                {
-                    "intersection_dim": rep["intersection_dim"],
-                    "relaxed_dim": rep["relaxed_dim"],
-                },
+                {k: rep[k] for k in ("intersection_dim", "relaxed_dim")},
                 {"intersection_dim": 0, "relaxed_dim": rep["relaxed_expected"]},
             )
-        jobs.append((f"injectivity.n{n}.ell{ell}", {"n": n, "ell": ell}, thunk))
-    return jobs
+        return [(None, implication)]
+
+    return _sized("injectivity", complex_guard, checks, n_values, ell_values)
 
 
 def graded_jobs(n_values, ell_values):
     from killingcalc.prolong import graded_diagonal_complex
 
+    def grade(n, ell, d):
+        rep = graded_diagonal_complex(n, ell, d)
+        return list(rep.cohomology), list(rep.expected)
+
     jobs = []
-    for n, ell in _pairs(n_values, ell_values):
-        complex_guard(n, ell)
-        for d in range(ell, n + 2 * ell + 1):
-            def thunk(n=n, ell=ell, d=d):
-                rep = graded_diagonal_complex(n, ell, d)
-                return list(rep.cohomology), list(rep.expected)
-            jobs.append(
-                (f"graded.n{n}.ell{ell}.d{d}", {"n": n, "ell": ell, "grade": d}, thunk)
-            )
+    for n in n_values:
+        for ell in ell_values:
+            complex_guard(n, ell)
+            for d in range(ell, n + 2 * ell + 1):
+                inputs = {"n": n, "ell": ell, "grade": d}
+                jobs.append((f"graded.n{n}.ell{ell}.d{d}", inputs, partial(grade, n, ell, d)))
     return jobs
 
 
@@ -284,26 +261,19 @@ def christoffel_jobs(n_values):
         christoffel_solve,
     )
 
-    jobs = []
-    for n in n_values:
-        inputs = {"n": n}
-
-        def unique(n=n):
-            return christoffel_homogeneous_kernel_dim(n), 0
-
-        def random_jets(n=n):
-            rng = random.Random(100 + n)
-            agree = 0
-            trials = 50
-            for _ in range(trials):
-                dg = _random_symmetric_jet(rng, n)
-                if christoffel_solve(n, dg) == christoffel_closed_form(n, dg):
-                    agree += 1
+    def checks(n):
+        def random_jets():
+            rng, trials = random.Random(100 + n), 50
+            jets = (_random_symmetric_jet(rng, n) for _ in range(trials))
+            agree = sum(christoffel_solve(n, dg) == christoffel_closed_form(n, dg) for dg in jets)
             return {"trials": trials, "agree": agree}, {"trials": trials, "agree": trials}
 
-        jobs.append((f"christoffel.n{n}.unique", inputs, unique))
-        jobs.append((f"christoffel.n{n}.random-jets", inputs, random_jets))
-    return jobs
+        return [
+            ("unique", lambda: (christoffel_homogeneous_kernel_dim(n), 0)),
+            ("random-jets", random_jets),
+        ]
+
+    return _sized("christoffel", None, checks, n_values)
 
 
 def suite_jobs(n_values, ell_values):

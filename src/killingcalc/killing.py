@@ -154,6 +154,14 @@ def _operator_matrix(n: int, ell: int, max_degree: int) -> ExactMatrix:
     return ExactMatrix.from_int_rows(len(coords), data, ell + 1)
 
 
+def _check_sizes(n: int, max_degree: int, least: int) -> None:
+    """Refuse, by name, an n below 1 or a max_degree below ``least``."""
+    if operator.index(n) < 1:
+        raise ValueError("n must be at least 1")
+    if operator.index(max_degree) < least:
+        raise ValueError(f"max_degree must be at least {least}")
+
+
 @lru_cache(maxsize=None, typed=True)
 def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> tuple[dict, ...]:
     """Canonical basis of symmetric solutions with entries of bounded
@@ -166,8 +174,7 @@ def killing_kernel_vectors(n: int, ell: int, max_degree: int) -> tuple[dict, ...
     """
     if operator.index(ell) < 1:
         raise ValueError("ell must be at least 1")
-    if operator.index(max_degree) < ell:
-        raise ValueError("max_degree must be at least ell")
+    _check_sizes(n, max_degree, ell)
     return tuple(_fractions(kernel_basis(_operator_matrix(n, ell, max_degree))))
 
 
@@ -240,9 +247,10 @@ def degree_bound_check(n: int, ell: int) -> tuple[int, bool]:
     a dominant block mean equal spans on its whole orbit.  Raises
     RuntimeError if a vector of the whole kernel spans several weights.
     """
+    vectors = killing_kernel_vectors(n, ell, ell)  # refuses a bad size by name
     coords = symmetric_coordinates(n, ell, ell)
     tight: dict = {}
-    for vec in killing_kernel_vectors(n, ell, ell):
+    for vec in vectors:
         weights = {
             tuple(m + key.count(i) for i, m in enumerate(mono, 1))
             for key, mono in (coords[i] for i in vec)
@@ -289,7 +297,8 @@ def _obstruction_matrix(n: int, max_degree: int) -> ExactMatrix:
 
 def integrability_kernel(n: int, max_degree: int) -> list[PolyTensorField]:
     """Canonical basis of symmetric 2-tensor fields killed by the
-    obstruction, entries of degree <= max_degree."""
+    obstruction, entries of degree <= max_degree (n >= 1, max_degree >= 0)."""
+    _check_sizes(n, max_degree, 0)
     m = _obstruction_matrix(n, max_degree)
     return [field_from_coefficients(n, 2, max_degree, vec) for vec in _fractions(kernel_basis(m))]
 
@@ -299,6 +308,7 @@ def integrability_of_killing_matrix(n: int, max_degree: int) -> ExactMatrix:
 
     The product of the two independently built operator matrices; it is
     zero exactly when the obstruction annihilates every symmetrized
-    gradient of degree <= max_degree (max_degree >= 1).
+    gradient of degree <= max_degree (n >= 1, max_degree >= 1).
     """
+    _check_sizes(n, max_degree, 1)
     return _obstruction_matrix(n, max_degree - 1) * _operator_matrix(n, 1, max_degree)

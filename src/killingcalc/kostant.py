@@ -133,7 +133,8 @@ def build_V(n: int, ell: int, weights: frozenset | None = None) -> FormComplex:
 def _read_weights(n: int, ell: int) -> frozenset:
     """The GL(n) weights of V the dominant Koszul blocks read, from the
     Kostka numbers alone."""
-    return read_weights(w[1:] for w in weight_multiplicities(YoungDiagram((ell, ell)), n + 1))
+    weights = weight_multiplicities(YoungDiagram((ell, ell)), n + 1)
+    return read_weights((w[1:] for w in weights), 1, n)
 
 
 def koszul_differential(n: int, ell: int, p: int) -> ExactMatrix:

@@ -50,7 +50,7 @@ class PolyScalar:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 1:
+        if operator.index(n) < 1:
             raise ValueError("need at least one variable")
         self.n = n
         clean: dict[tuple[int, ...], Fraction] = {}
@@ -263,7 +263,7 @@ class PolyTensorField:
     __slots__ = ("n", "arity", "comps")
 
     def __init__(self, n: int, arity: int, comps=None):
-        if n < 1 or arity < 0:
+        if operator.index(n) < 1 or operator.index(arity) < 0:
             raise ValueError("need n >= 1 and arity >= 0")
         self.n = n
         self.arity = arity
@@ -383,6 +383,31 @@ class PolyTensorField:
             p = PolyScalar(n, terms)
             comps[idx] = p if prev is None else prev.add(p)
         return cls(n, arity, comps)
+
+    @classmethod
+    def from_json_file(cls, path) -> "PolyTensorField":
+        """The field of the UTF-8 JSON document at path; a file that cannot
+        be read, decoded or parsed, or an invalid document, is a
+        ``ValueError`` whose message names the fault."""
+        import json
+
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as e:
+            raise ValueError(f"cannot read {path}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"cannot read {path}: not UTF-8 at byte {e.start}") from None
+        except RecursionError:
+            raise ValueError(f"malformed JSON in {path}: nested too deeply") from None
+        except json.JSONDecodeError as e:
+            raise ValueError(
+                f"malformed JSON in {path}: {e.msg} at line {e.lineno} column {e.colno}"
+            ) from None
+        try:
+            return cls.from_json_dict(data)
+        except (ValueError, KeyError, TypeError) as e:
+            raise ValueError(f"invalid field document: {e}") from None
 
     def __repr__(self) -> str:
         return (

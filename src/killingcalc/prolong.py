@@ -132,7 +132,8 @@ def flat_forms(n: int, ell: int, weights=None) -> FormComplex:
 def _flat_read_weights(n: int, ell: int) -> frozenset:
     """The module weights the dominant blocks of the flat complex read,
     from the Kostka numbers alone."""
-    return read_weights(w for d in _component_shapes(ell) for w in weight_multiplicities(d, n))
+    weights = (w for d in _component_shapes(ell) for w in weight_multiplicities(d, n))
+    return read_weights(weights, 1, n)
 
 
 @cache

@@ -67,7 +67,7 @@ import operator
 from math import comb
 from typing import TYPE_CHECKING
 
-from killingcalc.chain import block_rows
+from killingcalc.chain import block_rows, read_weights
 from killingcalc.matrix import integer_rank
 from killingcalc.poly import PolyScalar, PolyTensorField
 from killingcalc.prolong import _component_shapes, flat_forms
@@ -192,13 +192,9 @@ def tractor_curvature(g: MetricField) -> TractorCurvature:
 
 def _parallel_read_weights(n: int, ell: int, max_degree: int) -> frozenset:
     """The weights of T that the dominant blocks read, from the Kostka
-    numbers alone: those with a lift."""
-    return frozenset(
-        w
-        for d in _component_shapes(ell)
-        for w in weight_multiplicities(d, n)
-        if dominant_lifts(w, max_degree + 1, max_degree + 1)
-    )
+    numbers alone: those with a lift of degree <= max_degree + 1."""
+    weights = (w for d in _component_shapes(ell) for w in weight_multiplicities(d, n))
+    return read_weights(weights, max_degree + 1, max_degree + 1)
 
 
 def _parallel_blocks(forms, max_degree: int):

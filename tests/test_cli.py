@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -57,9 +58,10 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("command", ["complex", "kostant"])
+@pytest.mark.parametrize("command", ["complex", "kostant", "killing", "suite"])
 def test_range_runs_match_single_pair_runs(command, tmp_path, capsys):
-    """Each (n, ell) of a range gets its own numbers, not another pair's."""
+    """Each (n, ell) of a range gets its own numbers, not another pair's,
+    in every sized family: a thunk bound to the wrong size fails here."""
     def checks(n, ell):
         path = tmp_path / f"{n}-{ell}.json"
         assert main([command, "--n", n, "--ell", ell, "--output", str(path)]) == 0
@@ -72,7 +74,37 @@ def test_range_runs_match_single_pair_runs(command, tmp_path, capsys):
             single.update(checks(n, ell))
     capsys.readouterr()
     assert checks("2..3", "1..2") == single
-    assert len(single) == 4 * (3 if command == "complex" else 4)
+    assert len(single) == {"complex": 12, "kostant": 16, "killing": 12, "suite": 79}[command]
+
+
+_SIZE_PART = re.compile(r"(n|ell|d)([0-9]+)")
+_SIZE_INPUT = {"n": "n", "ell": "ell", "d": "grade"}
+
+
+def test_every_check_id_names_its_inputs(tmp_path, capsys):
+    """The size parts of a check's id (n{n}, ell{ell}, d{grade}) are
+    exactly the sizes its inputs echo; the fixed range witness alone
+    names none, its inputs giving the n of its field."""
+    path = tmp_path / "suite.json"
+    assert main(["suite", "--n", "2..3", "--ell", "1..2", "--output", str(path)]) == 0
+    capsys.readouterr()
+    checks = json.loads(path.read_text())["checks"]
+    families = set()
+    for check in checks:
+        family, *parts = check["id"].split(".")
+        families.add(family)
+        named = {
+            _SIZE_INPUT[m[1]]: int(m[2]) for m in map(_SIZE_PART.fullmatch, parts) if m
+        }
+        sizes = {k: v for k, v in check["inputs"].items() if k in _SIZE_INPUT.values()}
+        if check["id"] == "range.witness":
+            assert named == {} and sizes == {"n": 2}
+            continue
+        assert named == sizes, check["id"]
+    assert families == {
+        "key", "complex", "kostant", "killing", "range", "tractor", "injectivity", "graded",
+        "christoffel",
+    }
 
 
 @pytest.mark.parametrize(

@@ -24,12 +24,14 @@ from killingcalc import cap, potential
 from killingcalc.cap import CapExceeded
 from killingcalc.killing import (
     _operator_matrix,
+    degree_bound_check,
     field_coefficient_vector,
     field_from_coefficients,
     integrability_kernel,
     integrability_of_killing_matrix,
     integrability_operator,
     killing_kernel,
+    killing_kernel_vectors,
     killing_operator,
     killing_potential_solve,
     symmetric_coordinates,
@@ -175,6 +177,27 @@ def test_obstruction_symmetries():
 def test_obstruction_annihilates_gradients():
     assert integrability_of_killing_matrix(2, 5).is_zero()
     assert integrability_of_killing_matrix(3, 4).is_zero()
+
+
+@pytest.mark.parametrize("call, args, message", [
+    pytest.param(call, args, message, id=f"{call.__name__}{args}")
+    for call, args, message in [
+        (integrability_of_killing_matrix, (2, 0), "max_degree must be at least 1"),
+        (integrability_of_killing_matrix, (2, -1), "max_degree must be at least 1"),
+        (integrability_of_killing_matrix, (0, 2), "n must be at least 1"),
+        (integrability_kernel, (2, -1), "max_degree must be at least 0"),
+        (integrability_kernel, (0, 2), "n must be at least 1"),
+        (degree_bound_check, (0, 1), "n must be at least 1"),
+        (degree_bound_check, (2, 0), "ell must be at least 1"),
+        (killing_kernel_vectors, (0, 1, 1), "n must be at least 1"),
+        (killing_kernel_vectors, (2, 2, 1), "max_degree must be at least 2"),
+    ]
+])
+def test_a_size_below_its_bound_is_refused_by_name(call, args, message):
+    """Each entry point names the argument the caller gave too small, not
+    a degree of -1 that an inner coordinate list would have reached."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)
 
 
 def test_obstruction_kernel_dimensions_frozen():

@@ -178,12 +178,38 @@ def test_document_input_passes_the_checking_constructors():
         tree = ast.parse((src / name).read_text(encoding="utf-8"))
         assert _trusted_constructor_uses(tree) == [], name
     poly = ast.parse((src / "poly.py").read_text(encoding="utf-8"))
-    (reader,) = [
+    readers = [
         node for node in ast.walk(poly)
-        if isinstance(node, ast.FunctionDef) and node.name == "from_json_dict"
+        if isinstance(node, ast.FunctionDef) and node.name in ("from_json_dict", "from_json_file")
     ]
-    assert _trusted_constructor_uses(reader) == []
+    assert len(readers) == 2
+    for reader in readers:
+        assert _trusted_constructor_uses(reader) == [], reader.name
     assert _trusted_constructor_uses(poly) != []  # the search finds the arithmetic's uses
+
+
+def test_the_command_line_reads_no_file():
+    """``poly`` reads range-check's field document, its file, its JSON and
+    their errors; ``cli``, compiled on every run, calls neither ``open``
+    nor a ``json`` reader, so the reader cannot drift back."""
+    tree = ast.parse((ROOT / "src" / "killingcalc" / "cli.py").read_text(encoding="utf-8"))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & {"open", "json.load", "json.loads"} == set()
+    assert "json.dumps" in called  # the search finds calls by their dotted names
+
+
+def test_job_builders_bind_no_size_through_a_default():
+    """The sized families hand ``jobs._sized`` a function of one size, so
+    no thunk nested in a builder binds a size as ``def f(n=n)``."""
+    tree = ast.parse((ROOT / "src" / "killingcalc" / "jobs.py").read_text(encoding="utf-8"))
+    found = [
+        f"{inner.lineno}"
+        for outer in tree.body if isinstance(outer, ast.FunctionDef)
+        for inner in ast.walk(outer)
+        if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.Lambda))
+        and (inner.args.defaults or any(inner.args.kw_defaults))
+    ]
+    assert found == []
 
 
 def test_no_package_module_imports_the_command_line():

@@ -76,6 +76,20 @@ def test_poly_refuses_a_float_exponent():
         PolyScalar(2, {(1.5, 0): 1})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PolyScalar(2.0),
+    lambda: PolyScalar(2.0, {(1, 0): 1}),
+    lambda: PolyTensorField(2.0, 2),
+    lambda: PolyTensorField(2, 2.0, {(1, 1): PolyScalar(2, {(1, 0): 1})}),
+], ids=["scalar", "scalar-terms", "field-n", "field-arity"])
+def test_the_checking_constructors_refuse_float_sizes(make):
+    """A float n or arity is a TypeError, not a field whose JSON form its
+    own reader refuses ("arity must be an integer, got 2.0") or whose
+    solve fails on the float."""
+    with pytest.raises(TypeError):
+        make()
+
+
 def _u(n=2):
     """1 + x1^2, monic."""
     return PolyScalar.const(n, 1).add(_x(n, 1).mul(_x(n, 1)))
